@@ -694,10 +694,14 @@ fn solve_json(
         Pricing::Devex => "devex",
         Pricing::Dantzig => "dantzig",
     };
+    let lp = sol.lp_stats;
     Ok(format!(
         "{{\n  \"scheme\": \"{scheme}\",\n  \"topology\": \"{}\",\n  \"nodes\": {},\n  \
          \"links\": {},\n  \"pairs\": {},\n  \"tunnels\": {},\n  \"logical_sequences\": {},\n  \
          \"objective\": {:.9},\n  \"rounds\": {},\n  \"cuts\": {},\n  \"warm_rounds\": {},\n  \
+         \"cold_solves\": {},\n  \"warm_solves\": {},\n  \"warm_fallbacks\": {},\n  \
+         \"phase1_iterations\": {},\n  \"primal_iterations\": {},\n  \"dual_iterations\": {},\n  \
+         \"refactors\": {},\n  \
          \"engine\": \"{engine}\",\n  \"pricing\": \"{pricing}\",\n  \"refactor_every\": {}\n}}\n",
         topo.name(),
         topo.node_count(),
@@ -709,6 +713,13 @@ fn solve_json(
         sol.rounds,
         sol.cuts,
         sol.warm_rounds,
+        lp.cold_solves,
+        lp.warm_solves,
+        lp.warm_fallbacks,
+        lp.phase1_iterations,
+        lp.primal_iterations,
+        lp.dual_iterations,
+        lp.refactors,
         opts.lp.reinvert_every,
     ))
 }

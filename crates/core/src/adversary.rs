@@ -311,7 +311,8 @@ pub fn worst_case_link_with_extras(
 
     // h_q variables: coefficient -b for q in L(p), +b for q in Q(p)
     // (the same LS may appear on both sides; coefficients accumulate).
-    let mut h_coef: std::collections::HashMap<LsId, f64> = std::collections::HashMap::new();
+    // Ordered map: iteration fixes the column order of the h variables.
+    let mut h_coef: std::collections::BTreeMap<LsId, f64> = std::collections::BTreeMap::new();
     for &q in ls_l {
         *h_coef.entry(q).or_insert(0.0) -= b[q.0];
     }

@@ -493,7 +493,7 @@ impl FailureModel {
         if let FailureModel::Structured { budgets, .. } = self {
             // Per-budget picks composed into a joint mask; dedup on the mask
             // itself (overlapping groups can collide across budgets).
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             let mut out = Vec::new();
             let mut guard = 0usize;
             while out.len() < count && guard < 100 * count {
@@ -526,7 +526,7 @@ impl FailureModel {
         };
         let f = self.budget().min(groups.len());
         let n = groups.len();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut out = Vec::new();
         let mut guard = 0usize;
         while out.len() < count && guard < 100 * count {
@@ -672,7 +672,7 @@ mod tests {
         let b = fm.sample_scenarios(&t, 40, 7);
         assert_eq!(a.len(), 40);
         assert_eq!(a, b);
-        let set: std::collections::HashSet<_> = a.iter().collect();
+        let set: std::collections::BTreeSet<_> = a.iter().collect();
         assert_eq!(set.len(), 40);
         for mask in &a {
             assert_eq!(mask.iter().filter(|&&d| d).count(), 3);

@@ -10,7 +10,7 @@ use crate::failure::Condition;
 use pcf_paths::{select_tunnels, Path};
 use pcf_topology::{NodeId, Topology};
 use pcf_traffic::TrafficMatrix;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Index of an ordered node pair within an [`Instance`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -76,7 +76,7 @@ impl LogicalSequence {
 pub struct Instance {
     topo: Topology,
     pairs: Vec<(NodeId, NodeId)>,
-    pair_index: HashMap<(NodeId, NodeId), PairId>,
+    pair_index: BTreeMap<(NodeId, NodeId), PairId>,
     demand: Vec<f64>,
     tunnels: Vec<Path>,
     tunnel_pair: Vec<PairId>,
@@ -182,7 +182,7 @@ impl Instance {
     /// share a common link. 1 when the pair's tunnels are disjoint, 0 when
     /// the pair has no tunnels.
     pub fn p_st(&self, p: PairId) -> usize {
-        let mut usage: HashMap<u32, usize> = HashMap::new();
+        let mut usage: BTreeMap<u32, usize> = BTreeMap::new();
         for &l in &self.tunnels_of[p.0] {
             for link in &self.tunnels[l.0].links {
                 *usage.entry(link.0).or_insert(0) += 1;
@@ -293,13 +293,13 @@ impl InstanceBuilder {
     /// Builds the indexed instance.
     pub fn build(self) -> Instance {
         let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut pair_index: HashMap<(NodeId, NodeId), PairId> = HashMap::new();
+        let mut pair_index: BTreeMap<(NodeId, NodeId), PairId> = BTreeMap::new();
         let mut demand: Vec<f64> = Vec::new();
         let intern = |s: NodeId,
                       t: NodeId,
                       pairs: &mut Vec<(NodeId, NodeId)>,
                       demand: &mut Vec<f64>,
-                      pair_index: &mut HashMap<(NodeId, NodeId), PairId>|
+                      pair_index: &mut BTreeMap<(NodeId, NodeId), PairId>|
          -> PairId {
             *pair_index.entry((s, t)).or_insert_with(|| {
                 pairs.push((s, t));

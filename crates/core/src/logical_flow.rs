@@ -23,7 +23,7 @@ use crate::robust::{RobustError, RobustOptions};
 use pcf_lp::{nonzero, LpProblem, Sense, Status, VarId};
 use pcf_topology::{LinkId, NodeId, Topology};
 use pcf_traffic::TrafficMatrix;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A logical flow to be optimized: endpoints, activation condition, and the
 /// directed segment support over which `p_w` may route.
@@ -171,11 +171,11 @@ pub fn solve_logical_flow(
         })
         .collect::<Result<_, _>>()?;
     // Reverse index: pair -> (flow, role).
-    let mut res_of_pair: HashMap<PairId, Vec<usize>> = HashMap::new();
+    let mut res_of_pair: BTreeMap<PairId, Vec<usize>> = BTreeMap::new();
     for (w, &p) in flow_pair.iter().enumerate() {
         res_of_pair.entry(p).or_default().push(w);
     }
-    let mut obl_of_pair: HashMap<PairId, Vec<(usize, usize)>> = HashMap::new();
+    let mut obl_of_pair: BTreeMap<PairId, Vec<(usize, usize)>> = BTreeMap::new();
     for (w, segs) in seg_pair.iter().enumerate() {
         for (si, &p) in segs.iter().enumerate() {
             obl_of_pair.entry(p).or_default().push((w, si));

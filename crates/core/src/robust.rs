@@ -16,9 +16,14 @@
 //! tests against [`crate::dualized`]).
 //!
 //! The engine keeps **one master LP alive** across rounds: new scenario cuts
-//! are appended to the solved [`pcf_lp::IncrementalLp`], which re-solves
-//! warm-starting from the previous optimal basis instead of re-running
-//! phase 1 from scratch (disable with [`RobustOptions::warm_start`]).
+//! are appended to the solved [`pcf_lp::IncrementalLp`], which absorbs them
+//! by dual simplex from the previous optimal basis (disable with
+//! [`RobustOptions::warm_start`]). Every master row holds at the origin —
+//! cuts are homogeneous `... - z d >= 0`, capacity rows are `<= c` — so the
+//! first solve starts from an all-slack basis and no master solve ever runs
+//! a phase 1. A [`CutPool`] seed takes the same route as separated cuts:
+//! the cut-free master is solved first and the pool appended to it, which
+//! makes a seeded solve literally "one more cutting-plane round".
 //! Separation — the per-pair worst-case oracles — runs on
 //! [`RobustOptions::threads`] scoped worker threads; the oracles are pure
 //! functions of the shared reservations, so pairs partition cleanly.
@@ -27,7 +32,9 @@ use crate::adversary::{worst_case_ffc, worst_case_link, AdversaryError, WorstCas
 use crate::failure::{Condition, FailureModel};
 use crate::instance::{Instance, PairId};
 use crate::objective::Objective;
-use pcf_lp::{nonzero, IncrementalLp, LpProblem, Sense, SimplexOptions, Status, VarId};
+use pcf_lp::{
+    nonzero, IncrementalLp, IncrementalStats, LpProblem, Sense, SimplexOptions, Status, VarId,
+};
 use std::fmt;
 
 /// Structured failure from the robust engine's master problem.
@@ -150,13 +157,18 @@ pub struct RobustSolution {
     pub rounds: usize,
     /// Total scenario cuts generated.
     pub cuts: usize,
-    /// Master re-solves answered by warm-starting the retained basis
-    /// (always 0 when [`RobustOptions::warm_start`] is off).
+    /// Rounds whose master re-solve started from the retained basis
+    /// (always 0 when [`RobustOptions::warm_start`] is off). On a seeded
+    /// solve this includes round 1, which absorbs the pool.
     pub warm_rounds: usize,
-    /// Cuts injected into the first master from a previous solve's
-    /// [`CutPool`] (0 on a cold start or when the offered pool did not
-    /// shape-match the instance).
+    /// Cuts offered to round 1 from a previous solve's [`CutPool`] (0 on a
+    /// cold start or when the offered pool did not shape-match the
+    /// instance).
     pub seeded_cuts: usize,
+    /// LP-layer counters of the master, cumulative over the rounds: solves
+    /// by kind, pivots by loop, refactorizations (with
+    /// [`RobustOptions::warm_start`] off, of the last rebuilt master only).
+    pub lp_stats: IncrementalStats,
     /// Per-pair worst-case availability of the final reservations over the
     /// relaxed failure polytope — the inner adversary's optimum, i.e. the
     /// value the dualized inner problem certifies. At convergence
@@ -276,10 +288,12 @@ pub fn try_solve_robust(
 }
 
 /// [`try_solve_robust`] with an optional [`CutPool`] warm start: cuts from
-/// a previous solve of a same-shape instance are injected into the first
-/// master, typically collapsing the cutting-plane loop to one or two
-/// rounds. Returns the solution together with the pool of cuts generated
-/// (seeded plus freshly separated), ready to seed the next solve.
+/// a previous solve of a same-shape instance are appended to the solved
+/// cut-free master, so round 1 absorbs them from an optimal basis the way
+/// every later round absorbs its separated cuts, typically collapsing the
+/// cutting-plane loop to one or two rounds. Returns the solution together
+/// with the pool of cuts generated (seeded plus freshly separated), ready
+/// to seed the next solve.
 ///
 /// A pool that does not [`CutPool::matches`] the instance is ignored — the
 /// solve falls back to cold and the fact is visible as `seeded_cuts == 0`.
@@ -325,8 +339,8 @@ pub fn try_solve_robust_seeded(
         })
         .collect();
 
-    // Warm start: replay the cuts of a previous same-shape solve so the
-    // first master already knows the scenarios that bound the last epoch.
+    // Warm start: replay the cuts of a previous same-shape solve so round 1
+    // already knows the scenarios that bound the last epoch.
     let base_cuts = cuts.len();
     let mut seeded_cuts = 0usize;
     if let Some(pool) = seed {
@@ -340,7 +354,14 @@ pub fn try_solve_robust_seeded(
     }
 
     let mut master = Master::new(inst, opts);
-    for cut in &cuts {
+    for cut in &cuts[..base_cuts] {
+        master.append_cut(inst, cut);
+    }
+    if seeded_cuts > 0 && opts.warm_start {
+        // Solve the cut-free master so the seeds enter as appended rows.
+        master.solve(inst, 1)?;
+    }
+    for cut in &cuts[base_cuts..] {
         master.append_cut(inst, cut);
     }
 
@@ -389,6 +410,7 @@ pub fn try_solve_robust_seeded(
                     cuts: cuts.len(),
                     warm_rounds,
                     seeded_cuts,
+                    lp_stats: master.lp.stats(),
                     worst_available: wcs.iter().map(|wc| wc.available).collect(),
                 },
                 export(&cuts),
@@ -422,6 +444,7 @@ pub fn try_solve_robust_seeded(
                     cuts: cuts.len(),
                     warm_rounds,
                     seeded_cuts,
+                    lp_stats: master.lp.stats(),
                     worst_available,
                 },
                 export(&cuts),

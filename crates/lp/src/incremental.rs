@@ -5,26 +5,29 @@
 //! of appended constraints. Rebuilding and re-solving from scratch discards
 //! everything the previous solve learned; this module keeps the terminal
 //! simplex workspace of [`crate::simplex`] alive and, when rows are
-//! appended, warm-starts from the previous optimal basis:
+//! appended, re-solves from the previous optimal basis:
 //!
-//! * the basis representation is extended in place: the sparse engine
-//!   appends a *border* op to its factor file (the block
-//!   `[[B, 0], [C, D]]` with diagonal `D`, because each appended row's
-//!   entering basic column — its slack or artificial — touches only that
-//!   row), re-using the existing LU factors and eta file untouched; the
-//!   dense engine extends its explicit inverse with the block formula
-//!   `[[B, 0], [C, D]]^-1 = [[B^-1, 0], [-D^-1 C B^-1, D^-1]]`. Either way
-//!   the warm start costs `O(k·m)`–`O(k·m^2)` instead of a fresh
-//!   factorization plus a full phase 1;
-//! * an appended row whose activity at the current point already lies within
-//!   its bounds gets its slack basic directly and needs no phase-1 work at
-//!   all;
-//! * a violated row gets a single fresh artificial, and the warm phase 1
-//!   prices only those fresh artificials (all previous artificials stay
-//!   fixed at zero);
-//! * any numerical trouble on the warm path (iteration limit, residual
-//!   infeasibility) falls back to a cold solve of the full model, so results
-//!   are never worse than rebuilding from scratch.
+//! * every appended row gets its slack basic at the row's activity, so the
+//!   new basis matrix is `[[B, 0], [C, -I]]`: the sparse engine appends a
+//!   *border* op to its factor file, re-using the existing LU factors and
+//!   eta file untouched; the dense engine extends its explicit inverse with
+//!   the block formula `[[B, 0], [C, -I]]^-1 = [[B^-1, 0], [C B^-1, -I]]`.
+//!   Either way the extension costs `O(k·m)`–`O(k·m^2)` instead of a fresh
+//!   factorization;
+//! * slacks cost nothing, so the reduced costs of the old optimum are
+//!   unchanged and the extended basis is still *dual* feasible. The only
+//!   thing wrong with it is that the slacks of violated rows sit outside
+//!   their bounds, which is exactly what the dual simplex
+//!   ([`Tableau::optimize_dual`](crate::simplex)) repairs — no artificial
+//!   variables, no phase 1. A row the old optimum already satisfies costs
+//!   no pivot at all;
+//! * a primal pass from the repaired basis confirms optimality (normally
+//!   zero pivots);
+//! * the warm attempt is abandoned and the full model solved cold when the
+//!   dual loop cannot finish (no entering column — the appended rows are
+//!   infeasible — a pivot below tolerance, a singular refactorization, the
+//!   iteration limit) or the confirming pass does not end optimal, so
+//!   results and verdicts are never worse than rebuilding from scratch.
 //!
 //! The one modelling restriction is inherited from [`crate::model`]: rows
 //! reference structural variables only, which is what makes appending a row
@@ -32,19 +35,38 @@
 //! retained basis and the next solve runs cold.
 
 use crate::model::{LpProblem, RowId, Solution, SolveError, Status, VarId};
-use crate::simplex::{self, Basis, SolverState, VarState};
+use crate::simplex::{self, Basis, PivotCounts, SolverState, VarState, Work};
 
-/// Counters describing how an [`IncrementalLp`] has been solved so far.
+/// Counters describing how an [`IncrementalLp`] has been solved so far,
+/// cumulative over every solve including abandoned warm attempts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
-    /// Solves answered by warm-starting the retained basis.
+    /// Solves answered from the retained basis.
     pub warm_solves: usize,
-    /// Solves that ran the full two-phase method from scratch (including the
-    /// mandatory first solve).
+    /// Solves that ran from the crash basis (including the mandatory first
+    /// solve).
     pub cold_solves: usize,
-    /// Warm attempts abandoned for numerical reasons and re-run cold (these
-    /// also increment `cold_solves`).
+    /// Warm attempts abandoned and re-run cold (these also increment
+    /// `cold_solves`).
     pub warm_fallbacks: usize,
+    /// Primal pivots spent driving artificials out (cold solves whose start
+    /// point violates some row).
+    pub phase1_iterations: usize,
+    /// Primal pivots on the true objective.
+    pub primal_iterations: usize,
+    /// Dual pivots absorbing appended rows.
+    pub dual_iterations: usize,
+    /// Basis refactorizations.
+    pub refactors: usize,
+}
+
+impl IncrementalStats {
+    fn add(&mut self, c: PivotCounts) {
+        self.phase1_iterations += c.phase1;
+        self.primal_iterations += c.primal;
+        self.dual_iterations += c.dual;
+        self.refactors += c.refactors;
+    }
 }
 
 /// A linear program that stays alive across solves so that appended rows
@@ -82,7 +104,7 @@ pub struct IncrementalLp {
 
 impl IncrementalLp {
     /// Wraps a fully-built problem. The first [`solve`](Self::solve) runs
-    /// the ordinary two-phase method; later solves warm-start.
+    /// cold from the crash basis; later solves warm-start.
     pub fn new(problem: LpProblem) -> Self {
         IncrementalLp {
             problem,
@@ -155,7 +177,7 @@ impl IncrementalLp {
                 match self.warm_solve(st) {
                     Some((sol, st)) => {
                         self.stats.warm_solves += 1;
-                        self.state = st;
+                        self.state = Some(st);
                         self.solved_rows = self.problem.num_rows();
                         self.cached = Some(sol.clone());
                         return Ok(sol);
@@ -165,8 +187,9 @@ impl IncrementalLp {
             }
         }
 
-        let (sol, st) = simplex::solve_with_state(&self.problem, self.problem.options());
+        let (sol, st, counts) = simplex::solve_with_state(&self.problem, self.problem.options());
         self.stats.cold_solves += 1;
+        self.stats.add(counts);
         self.state = st;
         self.solved_rows = self.problem.num_rows();
         self.cached = Some(sol.clone());
@@ -174,7 +197,7 @@ impl IncrementalLp {
     }
 
     /// Attempts the warm-started solve; `None` means "fall back to cold".
-    fn warm_solve(&mut self, mut st: SolverState) -> Option<(Solution, Option<SolverState>)> {
+    fn warm_solve(&mut self, mut st: SolverState) -> Option<(Solution, SolverState)> {
         let p = &self.problem;
         if p.num_vars() != st.n {
             return None; // variables were added behind our back
@@ -183,30 +206,23 @@ impl IncrementalLp {
         let n = st.n;
         let m_old = tab.m;
         let k = p.rows.len() - self.solved_rows;
-        let opts = tab.opts.clone();
+        let m_new = m_old + k;
+        let scale = tab.opts.scale;
 
         // ---- Extend the tableau with the appended rows. ----
-        // Each new row i gets a slack column; if the row is violated at the
-        // current point it also gets one artificial. Either way the column
-        // chosen basic for row i has its only entry in row i, so the new
-        // basis matrix is [[B, 0], [C, D]] with D diagonal.
-        let mut d_sign = Vec::with_capacity(k);
-        let mut new_xb = Vec::with_capacity(k);
+        // Row i gets one slack column, basic in row i at the row's activity:
+        // the new basis matrix is [[B, 0], [C, -I]].
+        //
         // Per new row: (old basis position, scaled coeff) for columns basic
         // in the old basis — the nonzeros of C.
-        let mut c_rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(k);
-        let mut new_arts: Vec<usize> = Vec::new();
+        let mut c_rows: Vec<Vec<(u32, f64)>> = Vec::with_capacity(k);
         // Structural entries of the appended rows, batched into one CSC
         // rebuild; iteration is row-major so each column's adds arrive in
         // ascending row order as `append_rows` requires.
         let mut adds: Vec<(usize, usize, f64)> = Vec::new();
-        // Fresh slack/artificial columns, each a singleton in its new row.
-        let mut new_cols: Vec<(usize, f64)> = Vec::new();
-        let mut next_col = tab.ncols;
-
         for (t, row) in p.rows[self.solved_rows..].iter().enumerate() {
             let i = m_old + t;
-            let rscale = if opts.scale {
+            let rscale = if scale {
                 simplex::row_scale(&row.coeffs, &st.cscale)
             } else {
                 1.0
@@ -218,75 +234,30 @@ impl IncrementalLp {
                 act += av * tab.value(j);
                 adds.push((j, i, av));
                 if let VarState::Basic(r) = tab.state[j] {
-                    c_entries.push((r, av));
+                    c_entries.push((r as u32, av));
                 }
             }
             c_rows.push(c_entries);
             tab.rscale.push(rscale);
-            let lo = row.lower * rscale;
-            let hi = row.upper * rscale;
-
-            // Slack column for row i.
-            let s_col = next_col;
-            next_col += 1;
-            new_cols.push((i, -1.0));
-            tab.lower.push(lo);
-            tab.upper.push(hi);
+            tab.lower.push(row.lower * rscale);
+            tab.upper.push(row.upper * rscale);
             tab.cost.push(0.0);
-            if act >= lo - opts.tol && act <= hi + opts.tol {
-                // Row already satisfied: its slack enters the basis at the
-                // current activity. No phase-1 work needed.
-                tab.state.push(VarState::Basic(i));
-                tab.basis.push(s_col);
-                d_sign.push(-1.0);
-                new_xb.push(act);
-            } else {
-                // Violated: park the slack on the near bound and cover the
-                // residual with a fresh artificial (value |resid| >= 0).
-                let sv = if act < lo { lo } else { hi };
-                tab.state.push(if act < lo {
-                    VarState::AtLower
-                } else {
-                    VarState::AtUpper
-                });
-                let resid = act - sv;
-                let s = if resid >= 0.0 { -1.0 } else { 1.0 };
-                let a_col = next_col;
-                next_col += 1;
-                new_cols.push((i, s));
-                tab.lower.push(0.0);
-                tab.upper.push(f64::INFINITY);
-                tab.cost.push(0.0);
-                tab.state.push(VarState::Basic(i));
-                tab.basis.push(a_col);
-                d_sign.push(s);
-                new_xb.push(resid.abs());
-                new_arts.push(a_col);
-            }
+            tab.state.push(VarState::Basic(i));
+            tab.basis.push(tab.ncols + t);
+            tab.xb.push(act);
         }
-        let m_new = m_old + k;
         tab.a.append_rows(m_new, &adds);
-        for &(i, coef) in &new_cols {
-            tab.a.push_col([(i, coef)]);
+        for i in m_old..m_new {
+            tab.a.push_col([(i, -1.0)]);
         }
         tab.ncols = tab.a.ncols();
-        debug_assert_eq!(tab.ncols, next_col);
 
         // ---- Extend the basis representation with the appended block. ----
         match &mut tab.rep {
+            // One border op; the existing factors and eta file keep working
+            // untouched.
             Basis::Sparse { engine } => {
-                // One border op: [[B, 0], [C, D]] with diagonal D. The
-                // existing factors and eta file keep working untouched.
-                let border = c_rows
-                    .iter()
-                    .zip(&d_sign)
-                    .map(|(c, &dv)| {
-                        let entries: Vec<(u32, f64)> =
-                            c.iter().map(|&(r, v)| (r as u32, v)).collect();
-                        (entries, dv)
-                    })
-                    .collect();
-                engine.append_border(border);
+                engine.append_border(c_rows.into_iter().map(|c| (c, -1.0)).collect())
             }
             Basis::Dense { binv: old } => {
                 let mut binv = vec![0.0; m_new * m_new];
@@ -294,69 +265,47 @@ impl IncrementalLp {
                     binv[r * m_new..r * m_new + m_old]
                         .copy_from_slice(&old[r * m_old..(r + 1) * m_old]);
                 }
-                for t in 0..k {
+                for (t, c_row) in c_rows.iter().enumerate() {
                     let r = m_old + t;
-                    let d_inv = 1.0 / d_sign[t];
-                    // Row r of the new inverse: [-(1/d) C_t B^-1 | e_t / d].
-                    for &(br, c) in &c_rows[t] {
+                    // Row r of the new inverse: [C_t B^-1 | -e_t].
+                    for &(br, c) in c_row {
+                        let br = br as usize;
                         let src = &old[br * m_old..(br + 1) * m_old];
-                        let f = d_inv * c;
                         let dst = &mut binv[r * m_new..r * m_new + m_old];
                         for (dq, sq) in dst.iter_mut().zip(src.iter()) {
-                            *dq -= f * sq;
+                            *dq += c * sq;
                         }
                     }
-                    binv[r * m_new + r] = d_inv;
+                    binv[r * m_new + r] = -1.0;
                 }
                 *old = binv;
             }
         }
         tab.m = m_new;
-        tab.xb.extend_from_slice(&new_xb);
         // Re-derive all basic values through the extended inverse; this both
         // refreshes the new rows and validates the extension numerically.
-        tab.recompute_basics();
+        tab.recompute_basics(&mut Work::new(m_new));
 
-        let start_iters = tab.iterations;
-        let max_iter = tab.iterations + opts.max_iterations.unwrap_or(20_000 + 100 * (m_new + n));
+        tab.counts = PivotCounts::default();
+        let max_iter = tab
+            .opts
+            .max_iterations
+            .unwrap_or(20_000 + 100 * (m_new + n));
 
-        // ---- Warm phase 1: drive only the fresh artificials to zero. ----
-        if !new_arts.is_empty() {
-            let mut p1 = vec![0.0; tab.ncols];
-            for &a in &new_arts {
-                p1[a] = 1.0;
-            }
-            let s1 = tab.optimize(&p1, max_iter);
-            if s1 != Status::Optimal {
-                return None;
-            }
-            let art_sum: f64 = new_arts.iter().map(|&a| tab.value(a).max(0.0)).sum();
-            if art_sum > opts.tol.max(1e-6) {
-                // The appended rows are (numerically) unsatisfiable from
-                // here; let the cold path deliver the verdict.
-                return None;
-            }
-            for &a in &new_arts {
-                tab.upper[a] = 0.0;
-                if !matches!(tab.state[a], VarState::Basic(_)) {
-                    tab.state[a] = VarState::AtLower;
-                }
-            }
+        // ---- Dual simplex absorbs the violated rows, then a primal pass
+        // confirms optimality. ----
+        let cost = tab.cost.clone();
+        let optimal =
+            tab.optimize_dual(&cost, max_iter) && tab.optimize(&cost, max_iter) == Status::Optimal;
+        self.stats.add(tab.counts);
+        if !optimal {
+            // A row the dual loop could not repair, or the iteration limit:
+            // the cold path delivers the verdict.
+            return None;
         }
-
-        // ---- Phase 2 from the (repaired) basis. ----
-        let p2 = tab.cost.clone();
-        let s2 = tab.optimize(&p2, max_iter);
-        let mut sol = simplex::extract(tab, p, n, &st.cscale, s2);
-        sol.iterations = tab.iterations - start_iters;
-        match sol.status {
-            Status::Optimal => Some((sol, Some(st))),
-            // A warm unbounded ray is a genuine certificate, but the basis
-            // is not worth keeping.
-            Status::Unbounded => Some((sol, None)),
-            // Iteration limit / demoted optimal: retry cold.
-            _ => None,
-        }
+        let sol = simplex::extract(tab, p, n, &st.cscale, Status::Optimal);
+        // `extract` demotes an optimum that violates bounds; retry that cold.
+        (sol.status == Status::Optimal).then_some((sol, st))
     }
 }
 

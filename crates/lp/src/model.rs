@@ -68,7 +68,8 @@ pub struct Solution {
     /// `<=` row by one unit increases the objective by `duals[i]`). Zero for
     /// inactive rows; all zeros unless the status is [`Status::Optimal`].
     pub duals: Vec<f64>,
-    /// Simplex iterations spent (phase 1 + phase 2).
+    /// Simplex pivots spent: phase 1 + phase 2, plus the dual pivots of a
+    /// warm re-solve.
     pub iterations: usize,
 }
 

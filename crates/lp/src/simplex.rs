@@ -1,4 +1,5 @@
-//! Bounded-variable revised primal simplex.
+//! Bounded-variable revised simplex: a primal loop for cold solves and a
+//! dual loop for rows appended to a solved model.
 //!
 //! The solver standardizes a model from [`crate::model::LpProblem`] to
 //!
@@ -7,10 +8,38 @@
 //! ```
 //!
 //! with one slack `s_i` per row carrying the row's activity bounds, so the
-//! right-hand side is identically zero. Phase 1 adds one artificial column
-//! per row to construct an initial basis and minimizes the sum of
-//! artificials; phase 2 minimizes the true objective with artificials fixed
-//! at zero.
+//! right-hand side is identically zero.
+//!
+//! **Start basis.** Structurals start nonbasic on a finite bound (zero if
+//! free) and the row activities at that point pick each row's basic column:
+//! a row already within its bounds gets its *slack* basic at the activity; a
+//! violated row gets its slack on the bound it misses and a basic
+//! *artificial* covering the residual. Phase 1 minimizes the sum of those
+//! artificials and is skipped when there are none — a model feasible at its
+//! start point (every PCF master: cuts are homogeneous, capacity rows are
+//! `<= c`) goes straight to phase 2 from an all-slack basis. Phase 2
+//! minimizes the true objective with all artificials fixed at zero. Every
+//! row owns an artificial column (`n + m + i`) whether or not it is used,
+//! so column indices do not depend on the start point.
+//!
+//! **Primal loop** ([`Tableau::optimize`]). Each basis change costs one
+//! ftran (the entering column) and one btran (the pivot row `rho_r = e_r'
+//! B^{-1}` of the outgoing basis). `rho_r` feeds both the devex weight
+//! update and the dual update `y += (d_q / alpha_q) rho_r`, so the duals
+//! `y = c_B' B^{-1}` are btran'd only at entry and after a
+//! refactorization. Updated duals drift, so optimality is only ever
+//! declared from a full pricing scan against freshly btran'd ones.
+//!
+//! **Dual loop** ([`Tableau::optimize_dual`]). Appending rows with their
+//! slacks basic leaves the reduced costs untouched: the basis stays dual
+//! feasible and only the new slacks may violate their bounds. The dual loop
+//! picks the row with the largest bound violation, prices its pivot row
+//! over the nonbasic non-fixed columns with the bounded-variable ratio test
+//! (sign rule per [`VarState`], ties to the larger `|alpha|`), and pivots
+//! the violated basic variable out onto the bound it missed. It shares the
+//! primal loop's dual update, refactorization trigger, and basis update.
+//! Whatever it cannot finish it hands back unfinished; it never decides
+//! infeasibility itself.
 //!
 //! Implementation notes:
 //! * the constraint matrix is stored once in compressed sparse column form
@@ -26,8 +55,9 @@
 //! * the entering rule is devex pricing over a candidate list by default
 //!   ([`Pricing::Devex`]), with classic Dantzig pricing selectable and a
 //!   fall back to Bland's rule after a long run of degenerate pivots to
-//!   guarantee termination — optimality is only ever declared from a full
-//!   pricing scan;
+//!   guarantee termination;
+//! * the loops' vectors live in one workspace allocated per call, so a
+//!   pivot allocates only its eta record;
 //! * a presolve pass ([`crate::presolve`]) runs before one-shot solves and
 //!   its postsolve restores the original variable/dual space; warm-started
 //!   solves through [`crate::incremental`] bypass presolve so the retained
@@ -137,8 +167,9 @@ const DEVEX_WEIGHT_RESET: f64 = 1e8;
 /// and extend it in place when rows are appended.
 pub(crate) struct Tableau {
     pub(crate) m: usize,     // rows
-    pub(crate) ncols: usize, // structural + slack + artificial columns
-    /// Sparse columns of [A | -I | +-I].
+    pub(crate) ncols: usize, // structural + slack + artificial (+ appended slack) columns
+    /// Sparse columns of [A | -I | +-I], then one -1 slack column per
+    /// appended row.
     pub(crate) a: CscMatrix,
     pub(crate) lower: Vec<f64>,
     pub(crate) upper: Vec<f64>,
@@ -151,7 +182,63 @@ pub(crate) struct Tableau {
     /// unscale duals.
     pub(crate) rscale: Vec<f64>,
     pub(crate) opts: SimplexOptions,
-    pub(crate) iterations: usize,
+    pub(crate) counts: PivotCounts,
+}
+
+/// Pivots by loop and basis refactorizations of one tableau. The primal
+/// loop counts into `primal`; the cold solve moves what phase 1 spent into
+/// `phase1` before phase 2 starts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct PivotCounts {
+    pub(crate) phase1: usize,
+    pub(crate) primal: usize,
+    pub(crate) dual: usize,
+    pub(crate) refactors: usize,
+}
+
+impl PivotCounts {
+    /// Total pivots, what [`Solution::iterations`] reports and the
+    /// iteration limit bounds.
+    pub(crate) fn pivots(&self) -> usize {
+        self.phase1 + self.primal + self.dual
+    }
+}
+
+/// Buffers of the pivot loops, allocated once per [`Tableau::optimize`] /
+/// [`Tableau::optimize_dual`] call so that a pivot allocates nothing.
+pub(crate) struct Work {
+    /// Duals `c_B' B^{-1}` of the cost being minimized.
+    y: Vec<f64>,
+    /// Entering column `B^{-1} A_q`.
+    d: Vec<f64>,
+    /// Pivot row `e_r' B^{-1}`.
+    rho: Vec<f64>,
+    /// Staging for the basic costs (btran) and the nonbasic right-hand
+    /// side (recomputing `x_B`).
+    stage: Vec<f64>,
+    /// Basis-engine scratch.
+    scratch: Vec<f64>,
+}
+
+impl Work {
+    pub(crate) fn new(m: usize) -> Work {
+        Work {
+            y: vec![0.0; m],
+            d: vec![0.0; m],
+            rho: vec![0.0; m],
+            stage: vec![0.0; m],
+            scratch: Vec::with_capacity(m),
+        }
+    }
+}
+
+/// Devex pricing state: reference weights, the candidate list, and the
+/// buffers a pricing pass fills.
+struct Devex {
+    weights: Vec<f64>,
+    cands: Vec<usize>,
+    alive: Vec<usize>,
+    viols: Vec<(usize, f64, f64, f64)>,
 }
 
 impl Tableau {
@@ -172,9 +259,10 @@ impl Tableau {
     }
 
     /// x_B = -B^{-1} * sum_j nonbasic A_j x_j  (rhs is zero).
-    pub(crate) fn recompute_basics(&mut self) {
+    pub(crate) fn recompute_basics(&mut self, w: &mut Work) {
         let m = self.m;
-        let mut rhs = vec![0.0; m];
+        let rhs = &mut w.stage;
+        rhs.fill(0.0);
         for j in 0..self.ncols {
             if matches!(self.state[j], VarState::Basic(_)) {
                 continue;
@@ -199,9 +287,8 @@ impl Tableau {
                 }
             }
             Basis::Sparse { engine } => {
-                let mut scratch = Vec::new();
-                self.xb.copy_from_slice(&rhs);
-                engine.ftran(&mut self.xb, &mut scratch);
+                self.xb.copy_from_slice(rhs);
+                engine.ftran(&mut self.xb, &mut w.scratch);
             }
         }
     }
@@ -210,14 +297,20 @@ impl Tableau {
     /// Returns false if the basis matrix is numerically singular.
     pub(crate) fn reinvert(&mut self) -> bool {
         let m = self.m;
+        self.counts.refactors += 1;
         match &mut self.rep {
-            Basis::Sparse { engine } => match SparseLu::factor_basis(&self.a, &self.basis) {
-                Ok(lu) => {
-                    *engine = BasisEngine::new(lu);
-                    true
+            Basis::Sparse { engine } => {
+                // The op file is dead weight from here on; freeing it first
+                // keeps it out of the factorization's peak heap.
+                engine.clear_ops();
+                match SparseLu::factor_basis(&self.a, &self.basis) {
+                    Ok(lu) => {
+                        *engine = BasisEngine::new(lu);
+                        true
+                    }
+                    Err(_) => false,
                 }
-                Err(_) => false,
-            },
+            }
             Basis::Dense { binv } => {
                 // Dense B (row-major) from basis columns.
                 let mut b = vec![0.0; m * m];
@@ -333,18 +426,48 @@ impl Tableau {
         }
     }
 
-    /// Row `r` of `B^{-1}` (i.e. `e_r' B^{-1}`), used by the devex weight
-    /// update.
-    fn pivot_row(&self, r: usize, scratch: &mut Vec<f64>) -> Vec<f64> {
+    /// Row `r` of `B^{-1}` (i.e. `rho_r = e_r' B^{-1}`): the one btran of a
+    /// pivot, shared by the dual update, the devex weights, and the dual
+    /// ratio test.
+    fn pivot_row(&self, r: usize, rho: &mut [f64], scratch: &mut Vec<f64>) {
         match &self.rep {
-            Basis::Dense { binv } => binv[r * self.m..(r + 1) * self.m].to_vec(),
+            Basis::Dense { binv } => rho.copy_from_slice(&binv[r * self.m..(r + 1) * self.m]),
             Basis::Sparse { engine } => {
-                let mut z = vec![0.0; self.m];
-                z[r] = 1.0;
-                engine.btran(&mut z, scratch);
-                z
+                rho.fill(0.0);
+                rho[r] = 1.0;
+                engine.btran(rho, scratch);
             }
         }
+    }
+
+    /// `y = c_B' B^{-1}` by btran: at loop entry, after a refactorization,
+    /// and before optimality is declared.
+    fn load_duals(&self, cost: &[f64], w: &mut Work) {
+        for (c, &j) in w.stage.iter_mut().zip(&self.basis) {
+            *c = cost[j];
+        }
+        self.btran(&w.stage, &mut w.y, &mut w.scratch);
+    }
+
+    /// Refactorizes when the pivot count or the eta file says so, then
+    /// re-derives `x_B` and `y` from the fresh factors. Returns whether it
+    /// refactorized, `None` if the basis turned out numerically singular.
+    fn refactor_if_due(
+        &mut self,
+        since_reinvert: &mut usize,
+        cost: &[f64],
+        w: &mut Work,
+    ) -> Option<bool> {
+        if *since_reinvert < self.opts.reinvert_every && !self.rep_wants_refactor() {
+            return Some(false);
+        }
+        *since_reinvert = 0;
+        if !self.reinvert() {
+            return None;
+        }
+        self.recompute_basics(w);
+        self.load_duals(cost, w);
+        Some(true)
     }
 
     /// Updates the basis representation after column `enter` replaces the
@@ -418,78 +541,83 @@ impl Tableau {
     /// Devex pricing over the candidate list, falling back to a full scan
     /// (which also rebuilds the list). Optimality is only declared from a
     /// full scan.
-    fn price_devex(
-        &self,
-        cost: &[f64],
-        y: &[f64],
-        weights: &[f64],
-        cands: &mut Vec<usize>,
-    ) -> Option<(usize, f64, f64)> {
-        if !cands.is_empty() {
+    fn price_devex(&self, cost: &[f64], y: &[f64], dx: &mut Devex) -> Option<(usize, f64, f64)> {
+        if !dx.cands.is_empty() {
             let mut best: Option<(usize, f64, f64, f64)> = None;
-            let mut alive = Vec::with_capacity(cands.len());
-            for &j in cands.iter() {
+            dx.alive.clear();
+            for &j in &dx.cands {
                 let Some((rc, dir, viol)) = self.price_one(j, cost, y) else {
                     continue;
                 };
                 if viol > self.opts.opt_tol {
-                    alive.push(j);
-                    let score = viol * viol / weights[j];
+                    dx.alive.push(j);
+                    let score = viol * viol / dx.weights[j];
                     if best.is_none_or(|(.., bs)| score > bs) {
                         best = Some((j, rc, dir, score));
                     }
                 }
             }
-            *cands = alive;
+            std::mem::swap(&mut dx.cands, &mut dx.alive);
             if let Some((j, rc, dir, _)) = best {
                 return Some((j, rc, dir));
             }
         }
         // Full scan; rebuild the candidate list from the top scorers.
-        let mut viols: Vec<(usize, f64, f64, f64)> = Vec::new();
-        for (j, &w) in weights.iter().enumerate().take(self.ncols) {
+        dx.viols.clear();
+        for (j, &w) in dx.weights.iter().enumerate().take(self.ncols) {
             let Some((rc, dir, viol)) = self.price_one(j, cost, y) else {
                 continue;
             };
             if viol > self.opts.opt_tol {
-                viols.push((j, rc, dir, viol * viol / w));
+                dx.viols.push((j, rc, dir, viol * viol / w));
             }
         }
-        if viols.is_empty() {
-            return None;
-        }
-        viols.sort_by(|a, b| b.3.total_cmp(&a.3).then(a.0.cmp(&b.0)));
-        viols.truncate(DEVEX_CANDIDATES);
-        *cands = viols.iter().map(|&(j, ..)| j).collect();
-        let (j, rc, dir, _) = viols[0];
+        dx.viols
+            .sort_unstable_by(|a, b| b.3.total_cmp(&a.3).then(a.0.cmp(&b.0)));
+        dx.viols.truncate(DEVEX_CANDIDATES);
+        dx.cands.clear();
+        dx.cands.extend(dx.viols.iter().map(|&(j, ..)| j));
+        let &(j, rc, dir, _) = dx.viols.first()?;
         Some((j, rc, dir))
     }
 
-    /// Devex reference-weight update after a pivot: `alpha_j` is row `r` of
-    /// `B^{-1} A` restricted to the candidate list (the only columns whose
-    /// weights are ever read before the next full scan refreshes the list).
-    #[allow(clippy::too_many_arguments)]
+    /// Entering column `(j, reduced cost, direction)` under the active
+    /// pricing rule, `None` when `y` prices every column out.
+    fn price(
+        &self,
+        cost: &[f64],
+        y: &[f64],
+        use_bland: bool,
+        dx: &mut Devex,
+    ) -> Option<(usize, f64, f64)> {
+        if use_bland {
+            self.price_first_violation(cost, y)
+        } else if matches!(self.opts.pricing, Pricing::Devex) {
+            self.price_devex(cost, y, dx)
+        } else {
+            self.price_dantzig(cost, y)
+        }
+    }
+
+    /// Devex reference-weight update after a pivot: `alpha_j = rho_r' A_j`
+    /// is row `r` of `B^{-1} A` restricted to the candidate list (the only
+    /// columns whose weights are ever read before the next full scan
+    /// refreshes the list).
     fn update_devex_weights(
         &self,
-        weights: &mut [f64],
-        cands: &[usize],
+        dx: &mut Devex,
         jin: usize,
         jout: usize,
-        r: usize,
-        d: &[f64],
-        scratch: &mut Vec<f64>,
+        alpha_q: f64,
+        rho: &[f64],
     ) {
-        let alpha_q = d[r];
-        if alpha_q.abs() <= self.opts.pivot_tol {
-            return;
-        }
+        let weights = &mut dx.weights;
         let wq = weights[jin].max(1.0);
-        let z = self.pivot_row(r, scratch);
-        for &j in cands {
+        for &j in &dx.cands {
             if j == jin {
                 continue;
             }
-            let alpha = self.a.col_dot(j, &z);
+            let alpha = self.a.col_dot(j, rho);
             let ratio = alpha / alpha_q;
             let cand = ratio * ratio * wq;
             if cand > weights[j] {
@@ -499,54 +627,56 @@ impl Tableau {
         let wref = (wq / (alpha_q * alpha_q)).max(1.0);
         weights[jout] = wref;
         if wref > DEVEX_WEIGHT_RESET {
-            for w in weights.iter_mut() {
-                *w = 1.0;
-            }
+            weights.fill(1.0);
         }
     }
 
-    /// One simplex phase: minimize `cost` (already loaded per column) from
-    /// the current basis. Returns the terminal status of the phase.
+    /// One primal simplex phase: minimize `cost` (already loaded per column)
+    /// from the current primal-feasible basis. Returns the terminal status
+    /// of the phase.
     pub(crate) fn optimize(&mut self, cost: &[f64], max_iter: usize) -> Status {
         let m = self.m;
-        let mut y = vec![0.0; m];
-        let mut d = vec![0.0; m];
-        let mut cb: Vec<f64> = vec![0.0; m];
-        let mut scratch: Vec<f64> = Vec::new();
+        let mut w = Work::new(m);
         let mut degenerate_run = 0usize;
         let mut since_reinvert = 0usize;
         let devex = matches!(self.opts.pricing, Pricing::Devex);
-        let mut weights: Vec<f64> = if devex {
-            vec![1.0; self.ncols]
-        } else {
-            Vec::new()
+        let mut dx = Devex {
+            weights: if devex {
+                vec![1.0; self.ncols]
+            } else {
+                Vec::new()
+            },
+            cands: Vec::with_capacity(DEVEX_CANDIDATES),
+            alive: Vec::with_capacity(DEVEX_CANDIDATES),
+            viols: Vec::new(),
         };
-        let mut cands: Vec<usize> = Vec::new();
+        // `y` is btran'd here and after a refactorization; in between each
+        // basis change updates it in place, so `fresh` says whether it still
+        // is an exact btran of the current basis.
+        self.load_duals(cost, &mut w);
+        let mut fresh = true;
 
         loop {
-            if self.iterations >= max_iter {
+            if self.counts.pivots() >= max_iter {
                 return Status::IterationLimit;
             }
 
-            for (r, c) in cb.iter_mut().enumerate().take(m) {
-                *c = cost[self.basis[r]];
-            }
-            self.btran(&cb, &mut y, &mut scratch);
-
             // Pricing: pick entering column.
             let use_bland = degenerate_run >= self.opts.bland_after;
-            let enter = if use_bland {
-                self.price_first_violation(cost, &y)
-            } else if devex {
-                self.price_devex(cost, &y, &weights, &mut cands)
-            } else {
-                self.price_dantzig(cost, &y)
-            };
-            let Some((jin, _rc, dir)) = enter else {
+            let mut enter = self.price(cost, &w.y, use_bland, &mut dx);
+            if enter.is_none() && !fresh {
+                // Optimality is only declared against freshly btran'd duals.
+                self.load_duals(cost, &mut w);
+                fresh = true;
+                dx.cands.clear();
+                enter = self.price(cost, &w.y, use_bland, &mut dx);
+            }
+            let Some((jin, rc, dir)) = enter else {
                 return Status::Optimal;
             };
 
-            self.ftran(jin, &mut d, &mut scratch);
+            self.ftran(jin, &mut w.d, &mut w.scratch);
+            let d = &w.d;
 
             // Ratio test: entering moves by t >= 0 in direction `dir`;
             // basic values change by -dir * t * d.
@@ -589,7 +719,7 @@ impl Tableau {
                 return Status::Unbounded;
             }
 
-            self.iterations += 1;
+            self.counts.primal += 1;
             since_reinvert += 1;
             if t_max <= 1e-10 {
                 degenerate_run += 1;
@@ -597,13 +727,14 @@ impl Tableau {
                 degenerate_run = 0;
             }
 
+            let t = t_max;
+            for (xi, &di) in self.xb.iter_mut().zip(d) {
+                *xi += -dir * t * di;
+            }
             match leave {
                 None => {
-                    // Bound flip: entering runs across its whole range.
-                    let t = t_max;
-                    for (r, &dr) in d.iter().enumerate().take(m) {
-                        self.xb[r] += -dir * t * dr;
-                    }
+                    // Bound flip: entering runs across its whole range; the
+                    // basis, and with it `y`, is unchanged.
                     self.state[jin] = match self.state[jin] {
                         VarState::AtLower => VarState::AtUpper,
                         VarState::AtUpper => VarState::AtLower,
@@ -611,7 +742,6 @@ impl Tableau {
                     };
                 }
                 Some((r, at_upper)) => {
-                    let t = t_max;
                     // New value of entering variable.
                     let xin = match self.state[jin] {
                         VarState::AtLower => self.lower[jin] + t,
@@ -621,20 +751,21 @@ impl Tableau {
                         VarState::Basic(_) => unreachable!(),
                     };
                     let jout = self.basis[r];
+                    let alpha_q = d[r];
+                    // The pivot's one btran: rho_r of the outgoing basis
+                    // feeds the devex weights and the dual update
+                    // `y += (d_q / alpha_q) rho_r`, which zeroes the
+                    // entering column's reduced cost and leaves the other
+                    // basic columns' at zero (rho_r' A_j = 0 for them).
+                    self.pivot_row(r, &mut w.rho, &mut w.scratch);
                     if devex {
-                        self.update_devex_weights(
-                            &mut weights,
-                            &cands,
-                            jin,
-                            jout,
-                            r,
-                            &d,
-                            &mut scratch,
-                        );
+                        self.update_devex_weights(&mut dx, jin, jout, alpha_q, &w.rho);
                     }
-                    for (i, &di) in d.iter().enumerate().take(m) {
-                        self.xb[i] += -dir * t * di;
+                    let theta = rc / alpha_q;
+                    for (yi, &ri) in w.y.iter_mut().zip(&w.rho) {
+                        *yi += theta * ri;
                     }
+                    fresh = false;
                     self.state[jout] = if at_upper {
                         VarState::AtUpper
                     } else {
@@ -644,17 +775,139 @@ impl Tableau {
                     self.basis[r] = jin;
                     self.state[jin] = VarState::Basic(r);
                     self.xb[r] = xin;
-                    self.update_rep(r, &d);
+                    self.update_rep(r, &w.d);
 
-                    if since_reinvert >= self.opts.reinvert_every || self.rep_wants_refactor() {
-                        since_reinvert = 0;
-                        if !self.reinvert() {
-                            // Singular after drift: rebuild conservatively.
-                            return Status::IterationLimit;
-                        }
-                        self.recompute_basics();
+                    match self.refactor_if_due(&mut since_reinvert, cost, &mut w) {
+                        // Singular after drift: rebuild conservatively.
+                        None => return Status::IterationLimit,
+                        Some(refactored) => fresh |= refactored,
                     }
                 }
+            }
+        }
+    }
+
+    /// Dual simplex: from a dual-feasible basis whose basic values may
+    /// violate their bounds (the state right after rows are appended with
+    /// their slacks basic), pivots until `x_B` is within bounds, keeping the
+    /// reduced costs of `cost` correctly signed throughout. Returns `false`
+    /// when it cannot finish — no eligible entering column (the violated
+    /// row cannot be repaired: the model is infeasible), a pivot below
+    /// `pivot_tol`, a singular refactorization, or the iteration limit —
+    /// and leaves the verdict to a cold solve.
+    pub(crate) fn optimize_dual(&mut self, cost: &[f64], max_iter: usize) -> bool {
+        let mut w = Work::new(self.m);
+        let mut since_reinvert = 0usize;
+        self.load_duals(cost, &mut w);
+        loop {
+            // Leaving row: the largest bound violation.
+            let mut leave: Option<(usize, f64, bool)> = None; // (row, violation, above upper)
+            for (r, (&j, &v)) in self.basis.iter().zip(&self.xb).enumerate() {
+                let (viol, above) = if v < self.lower[j] {
+                    (self.lower[j] - v, false)
+                } else {
+                    (v - self.upper[j], true)
+                };
+                if viol > self.opts.tol && leave.is_none_or(|(_, bv, _)| viol > bv) {
+                    leave = Some((r, viol, above));
+                }
+            }
+            let Some((r, _, above)) = leave else {
+                return true;
+            };
+            if self.counts.pivots() >= max_iter {
+                return false;
+            }
+            self.pivot_row(r, &mut w.rho, &mut w.scratch);
+
+            // Bounded-variable dual ratio test. x_B[r] moves by
+            // -alpha_j * dx_j, so with `sigma` the sign that makes it move
+            // toward its violated bound, a column at its lower bound (which
+            // can only increase) is eligible when sigma * alpha_j > 0, one
+            // at its upper bound when sigma * alpha_j < 0. The entering
+            // column is the first whose reduced cost reaches zero as the
+            // leaving variable's grows: min |d_j| / |alpha_j|, ties to the
+            // larger |alpha_j|.
+            let sigma = if above { 1.0 } else { -1.0 };
+            let mut enter: Option<(usize, f64, f64, f64)> = None; // (col, ratio, alpha, rc)
+            for (j, &st) in self.state.iter().enumerate() {
+                if matches!(st, VarState::Basic(_)) || self.upper[j] - self.lower[j] <= 0.0 {
+                    continue;
+                }
+                let alpha = self.a.col_dot(j, &w.rho);
+                let toward = sigma * alpha;
+                let eligible = match st {
+                    VarState::AtLower => toward > self.opts.pivot_tol,
+                    VarState::AtUpper => toward < -self.opts.pivot_tol,
+                    _ => toward.abs() > self.opts.pivot_tol,
+                };
+                if !eligible {
+                    continue;
+                }
+                let rc = cost[j] - self.a.col_dot(j, &w.y);
+                // Tolerance-sized dual infeasibilities count as zero.
+                let slack = match st {
+                    VarState::AtLower => rc.max(0.0),
+                    VarState::AtUpper => (-rc).max(0.0),
+                    _ => 0.0,
+                };
+                let ratio = slack / alpha.abs();
+                let better = match enter {
+                    None => true,
+                    Some((_, br, ba, _)) => {
+                        ratio < br - 1e-12 || (ratio <= br + 1e-12 && alpha.abs() > ba.abs())
+                    }
+                };
+                if better {
+                    enter = Some((j, ratio, alpha, rc));
+                }
+            }
+            let Some((jin, _, alpha_row, rc)) = enter else {
+                return false;
+            };
+
+            self.ftran(jin, &mut w.d, &mut w.scratch);
+            let alpha_q = w.d[r];
+            if alpha_q.abs() <= self.opts.pivot_tol || alpha_q * alpha_row <= 0.0 {
+                // Too small to pivot on, or the column (ftran) and row
+                // (btran) views of the pivot element disagree in sign.
+                return false;
+            }
+            self.counts.dual += 1;
+            since_reinvert += 1;
+
+            // The entering variable moves by `step`, landing x_B[r] exactly
+            // on the bound it violated.
+            let jout = self.basis[r];
+            let bound = if above {
+                self.upper[jout]
+            } else {
+                self.lower[jout]
+            };
+            let step = (self.xb[r] - bound) / alpha_q;
+            let xin = self.nonbasic_value(jin) + step;
+            for (xi, &di) in self.xb.iter_mut().zip(&w.d) {
+                *xi -= step * di;
+            }
+            let theta = rc / alpha_q;
+            for (yi, &ri) in w.y.iter_mut().zip(&w.rho) {
+                *yi += theta * ri;
+            }
+            self.state[jout] = if above {
+                VarState::AtUpper
+            } else {
+                VarState::AtLower
+            };
+            self.basis[r] = jin;
+            self.state[jin] = VarState::Basic(r);
+            self.xb[r] = xin;
+            self.update_rep(r, &w.d);
+
+            if self
+                .refactor_if_due(&mut since_reinvert, cost, &mut w)
+                .is_none()
+            {
+                return false;
             }
         }
     }
@@ -828,8 +1081,7 @@ pub(crate) fn extract(
             *c = tab.cost[tab.basis[r]];
         }
         let mut y = vec![0.0; tab.m];
-        let mut scratch = Vec::new();
-        tab.btran(&cb, &mut y, &mut scratch);
+        tab.btran(&cb, &mut y, &mut Vec::new());
         for (i, dy) in duals.iter_mut().enumerate() {
             *dy = sign * tab.rscale[i] * y[i];
         }
@@ -839,7 +1091,7 @@ pub(crate) fn extract(
         objective,
         x,
         duals,
-        iterations: tab.iterations,
+        iterations: tab.counts.pivots(),
     }
 }
 
@@ -850,7 +1102,7 @@ pub(crate) fn solve(problem: &LpProblem, opts: &SimplexOptions) -> Solution {
         match crate::presolve::presolve(problem, opts) {
             crate::presolve::Presolved::Decided(sol) => sol,
             crate::presolve::Presolved::Reduced(red) => {
-                let (sol, _) = solve_with_state(&red.reduced, opts);
+                let (sol, ..) = solve_with_state(&red.reduced, opts);
                 red.postsolve(problem, sol)
             }
         }
@@ -859,14 +1111,15 @@ pub(crate) fn solve(problem: &LpProblem, opts: &SimplexOptions) -> Solution {
     }
 }
 
-/// Like [`solve`], but additionally returns the terminal solver workspace
-/// when the solve ran to completion, for use by [`crate::incremental`].
-/// Never presolves: the retained basis must map 1:1 onto the model's rows
-/// and columns so appended cutting planes can reference them.
+/// Like [`solve`], but additionally returns the pivot counters and, when
+/// the solve ran to optimality, the terminal solver workspace, for use by
+/// [`crate::incremental`]. Never presolves: the retained basis must map 1:1
+/// onto the model's rows and columns so appended cutting planes can
+/// reference them.
 pub(crate) fn solve_with_state(
     problem: &LpProblem,
     opts: &SimplexOptions,
-) -> (Solution, Option<SolverState>) {
+) -> (Solution, Option<SolverState>, PivotCounts) {
     let m = problem.rows.len();
     let n = problem.num_vars();
 
@@ -907,11 +1160,12 @@ pub(crate) fn solve_with_state(
         lower[n + i] = problem.rows[i].lower * rscale[i];
         upper[n + i] = problem.rows[i].upper * rscale[i];
     }
-    // Artificial bounds are set per-row below.
 
-    // Initial nonbasic placement for structural vars and slacks.
+    // Structurals start nonbasic on a finite bound (zero if free); the row
+    // activities at that point decide each row's basic column below.
     let mut state = vec![VarState::AtLower; ncols];
-    for j in 0..nslack {
+    let mut act = vec![0.0; m];
+    for j in 0..n {
         state[j] = if lower[j].is_finite() {
             VarState::AtLower
         } else if upper[j].is_finite() {
@@ -919,10 +1173,6 @@ pub(crate) fn solve_with_state(
         } else {
             VarState::FreeZero
         };
-    }
-    // Row residuals r_i = sum_j A_ij x_j - s_i with chosen nonbasic values.
-    let mut resid = vec![0.0; m];
-    for j in 0..nslack {
         let v = match state[j] {
             VarState::AtLower => lower[j],
             VarState::AtUpper => upper[j],
@@ -930,32 +1180,56 @@ pub(crate) fn solve_with_state(
         };
         if nonzero(v) {
             for (i, av) in a.col_iter(j) {
-                resid[i] += av * v;
+                act[i] += av * v;
             }
         }
     }
-    // Artificial i has coefficient matching -resid so its value is |resid|.
+
+    // Crash basis, one singleton column per row. A row already within its
+    // bounds gets its slack basic at the row's activity (diagonal -1) and
+    // its artificial parked at zero; a violated row gets its slack on the
+    // bound it misses and a basic artificial covering the residual, signed
+    // so its value is |residual|. Only those artificials carry phase-1 cost.
     let mut basis = Vec::with_capacity(m);
+    let mut xb = vec![0.0; m];
     let mut phase1_cost = vec![0.0; ncols];
-    for (i, &ri) in resid.iter().enumerate().take(m) {
-        let acol = n + m + i;
-        let s = if ri >= 0.0 { -1.0 } else { 1.0 };
-        let pushed = a.push_col([(i, s)]);
+    for i in 0..m {
+        let (scol, acol) = (n + i, n + m + i);
+        let (lo, hi) = (lower[scol], upper[scol]);
+        let mut art_sign = 1.0;
+        if act[i] >= lo - opts.tol && act[i] <= hi + opts.tol {
+            state[scol] = VarState::Basic(i);
+            basis.push(scol);
+            xb[i] = act[i];
+        } else {
+            let below = act[i] < lo;
+            state[scol] = if below {
+                VarState::AtLower
+            } else {
+                VarState::AtUpper
+            };
+            let resid = act[i] - if below { lo } else { hi };
+            if resid >= 0.0 {
+                art_sign = -1.0;
+            }
+            upper[acol] = f64::INFINITY;
+            phase1_cost[acol] = 1.0;
+            state[acol] = VarState::Basic(i);
+            basis.push(acol);
+            xb[i] = resid.abs();
+        }
+        let pushed = a.push_col([(i, art_sign)]);
         debug_assert_eq!(pushed, acol);
-        lower[acol] = 0.0;
-        upper[acol] = f64::INFINITY;
-        phase1_cost[acol] = 1.0;
-        state[acol] = VarState::Basic(i);
-        basis.push(acol);
     }
 
-    // Initial basis of artificials: B = diag(sign), B^{-1} = diag(sign).
+    // B is diagonal with entries +-1, so it is its own inverse.
     let rep = match opts.engine {
         EngineKind::Dense => {
             let mut binv = vec![0.0; m * m];
-            for (i, &ri) in resid.iter().enumerate().take(m) {
-                let s = if ri >= 0.0 { -1.0 } else { 1.0 };
-                binv[i * m + i] = s;
+            for &j in &basis {
+                for (i, s) in a.col_iter(j) {
+                    binv[i * m + i] = s;
+                }
             }
             Basis::Dense { binv }
         }
@@ -966,14 +1240,11 @@ pub(crate) fn solve_with_state(
             Err(_) => {
                 // A diagonal +-1 basis cannot be singular; report failure
                 // conservatively instead of panicking.
-                let sol = Solution {
-                    status: Status::IterationLimit,
-                    objective: f64::NAN,
-                    x: vec![0.0; n],
-                    duals: vec![0.0; m],
-                    iterations: 0,
-                };
-                return (sol, None);
+                return (
+                    failed(Status::IterationLimit, n, m, 0),
+                    None,
+                    PivotCounts::default(),
+                );
             }
         },
     };
@@ -988,56 +1259,44 @@ pub(crate) fn solve_with_state(
         state,
         basis,
         rep,
-        xb: vec![0.0; m],
+        xb,
         rscale,
         opts: opts.clone(),
-        iterations: 0,
+        counts: PivotCounts::default(),
     };
-    for (i, &ri) in resid.iter().enumerate().take(m) {
-        tab.xb[i] = ri.abs();
-    }
 
     let max_iter = opts.max_iterations.unwrap_or(20_000 + 100 * (m + n));
 
-    // ---- Phase 1 ----
-    let p1cost = phase1_cost.clone();
-    let status1 = tab.optimize(&p1cost, max_iter);
-    let art_sum: f64 = (0..m)
-        .map(|i| {
-            let j = tab.basis[i];
-            if j >= n + m {
-                tab.xb[i].max(0.0)
-            } else {
-                0.0
+    // ---- Phase 1, only if some row starts violated ----
+    if tab.basis.iter().any(|&j| j >= nslack) {
+        let status1 = tab.optimize(&phase1_cost, max_iter);
+        tab.counts.phase1 = std::mem::take(&mut tab.counts.primal);
+        let art_sum: f64 = (0..m)
+            .map(|i| {
+                let j = tab.basis[i];
+                if j >= n + m {
+                    tab.xb[i].max(0.0)
+                } else {
+                    0.0
+                }
+            })
+            .sum();
+        let verdict = if status1 == Status::IterationLimit {
+            Some(Status::IterationLimit)
+        } else if art_sum > opts.tol.max(1e-6) {
+            Some(Status::Infeasible)
+        } else {
+            None
+        };
+        if let Some(status) = verdict {
+            return (failed(status, n, m, tab.counts.pivots()), None, tab.counts);
+        }
+        // Fix artificials at zero for phase 2.
+        for acol in n + m..ncols {
+            tab.upper[acol] = 0.0;
+            if !matches!(tab.state[acol], VarState::Basic(_)) {
+                tab.state[acol] = VarState::AtLower;
             }
-        })
-        .sum();
-    if status1 == Status::IterationLimit {
-        let sol = Solution {
-            status: Status::IterationLimit,
-            objective: f64::NAN,
-            x: vec![0.0; n],
-            duals: vec![0.0; m],
-            iterations: tab.iterations,
-        };
-        return (sol, None);
-    }
-    if art_sum > opts.tol.max(1e-6) {
-        let sol = Solution {
-            status: Status::Infeasible,
-            objective: f64::NAN,
-            x: vec![0.0; n],
-            duals: vec![0.0; m],
-            iterations: tab.iterations,
-        };
-        return (sol, None);
-    }
-    // Fix artificials at zero for phase 2.
-    for i in 0..m {
-        let acol = n + m + i;
-        tab.upper[acol] = 0.0;
-        if !matches!(tab.state[acol], VarState::Basic(_)) {
-            tab.state[acol] = VarState::AtLower;
         }
     }
 
@@ -1046,12 +1305,24 @@ pub(crate) fn solve_with_state(
     let status2 = tab.optimize(&p2cost, max_iter);
 
     let sol = extract(&tab, problem, n, &cscale, status2);
+    let counts = tab.counts;
     let state = if sol.status == Status::Optimal {
         Some(SolverState { tab, n, cscale })
     } else {
         None
     };
-    (sol, state)
+    (sol, state, counts)
+}
+
+/// The solution shell of a solve that ended without a usable point.
+fn failed(status: Status, n: usize, m: usize, iterations: usize) -> Solution {
+    Solution {
+        status,
+        objective: f64::NAN,
+        x: vec![0.0; n],
+        duals: vec![0.0; m],
+        iterations,
+    }
 }
 
 #[cfg(test)]

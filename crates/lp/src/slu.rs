@@ -564,11 +564,18 @@ impl BasisEngine {
         self.eta_nnz > 20 * (self.core.nnz() + self.dim) + 512
     }
 
+    /// Frees the op file ahead of a refactorization that will replace this
+    /// engine: solves are meaningless until it has been replaced.
+    pub(crate) fn clear_ops(&mut self) {
+        self.ops = Vec::new();
+    }
+
     /// Records a product-form update: `d = B^{-1} A_q` replaces basis
     /// position `r`. `d[r]` must be the (nonzero) pivot.
     pub fn push_eta(&mut self, r: usize, d: &[f64]) {
         debug_assert_eq!(d.len(), self.dim);
-        let mut entries = Vec::new();
+        let nnz = d.iter().filter(|&&v| nonzero(v)).count();
+        let mut entries = Vec::with_capacity(nnz.saturating_sub(1));
         for (i, &v) in d.iter().enumerate() {
             if i != r && nonzero(v) {
                 entries.push((i as u32, v));

@@ -7,7 +7,9 @@
 //! candidate tight sets, solve the resulting square systems, filter by
 //! feasibility, and take the best vertex. The simplex solver must agree.
 
-use pcf_lp::{solve_dense, DenseMatrix, IncrementalLp, LpProblem, Sense, Status};
+use pcf_lp::{
+    solve_dense, DenseMatrix, EngineKind, IncrementalLp, LpProblem, Sense, SimplexOptions, Status,
+};
 use pcf_rng::{forall, no_shrink, Config, Pcg32};
 
 /// A tight-able constraint: coefficients and the activity value it pins.
@@ -192,15 +194,32 @@ fn simplex_matches_vertex_enumeration() {
     );
 }
 
+/// What the rows appended to a solved base model look like.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Append {
+    /// The drawn rows, whatever they do.
+    Random,
+    /// A row the base optimum satisfies with room to spare.
+    Slack,
+    /// An objective cut just below the base optimum: always violated.
+    Violated,
+    /// Two rows over the same coefficients with disjoint ranges.
+    JointlyInfeasible,
+}
+
 /// Incremental warm-started re-solves must agree with building the final
-/// model from scratch: solve a base LP, append the remaining rows, re-solve,
-/// and compare against a one-shot solve of the full model.
+/// model from scratch, in status and (within 1e-7) objective, on both basis
+/// engines: solve a base LP over boxed variables, append rows, re-solve, and
+/// compare against a one-shot solve of the full model. Appended rows the
+/// base optimum satisfies must cost no pivot; violated ones are absorbed by
+/// the dual simplex; jointly infeasible ones must make the warm attempt
+/// fall back and the cold solve report `Infeasible`.
 #[test]
 fn incremental_append_matches_scratch() {
     forall(
         "incremental_append_matches_scratch",
         &Config {
-            cases: 200,
+            cases: 400,
             ..Config::default()
         },
         |rng| {
@@ -212,40 +231,113 @@ fn incremental_append_matches_scratch() {
                     .push((c, rng.range_f64(-10.0, 0.0), rng.range_f64(1.0, 12.0)));
             }
             let split = rng.range_usize(1, inst.rows.len());
-            (inst, split)
+            let mode = *rng.pick(&[
+                Append::Random,
+                Append::Slack,
+                Append::Violated,
+                Append::JointlyInfeasible,
+            ]);
+            (inst, split, mode)
         },
         no_shrink,
-        |(inst, split)| {
-            let scratch = build(inst).solve().unwrap();
-
-            let mut base = inst.clone();
-            let appended: Vec<_> = base.rows.split_off(*split);
-            let mut inc = IncrementalLp::new(build(&base));
-            inc.solve().unwrap();
-            for (c, l, u) in &appended {
-                let vars: Vec<_> = (0..inst.n).map(pcf_lp::VarId).collect();
-                inc.add_row(vars.iter().zip(c).map(|(&v, &a)| (v, a)), *l, *u);
-            }
-            let warm = inc.solve().unwrap();
-
-            if warm.status != scratch.status {
-                return Err(format!(
-                    "status diverged: warm {} vs scratch {}",
-                    warm.status, scratch.status
-                ));
-            }
-            if scratch.status == Status::Optimal
-                && (warm.objective - scratch.objective).abs()
-                    > 1e-7 * (1.0 + scratch.objective.abs())
-            {
-                return Err(format!(
-                    "objective diverged: warm {} vs scratch {}",
-                    warm.objective, scratch.objective
-                ));
+        |(inst, split, mode)| {
+            for engine in [EngineKind::Sparse, EngineKind::Dense] {
+                check_append(inst, *split, *mode, engine)
+                    .map_err(|e| format!("{engine:?}: {e}"))?;
             }
             Ok(())
         },
     );
+}
+
+fn check_append(
+    inst: &SmallLp,
+    split: usize,
+    mode: Append,
+    engine: EngineKind,
+) -> Result<(), String> {
+    let with_engine = |mut lp: LpProblem| {
+        lp.set_options(SimplexOptions {
+            engine,
+            ..SimplexOptions::default()
+        });
+        lp
+    };
+    let mut base = inst.clone();
+    let drawn = base.rows.split_off(split);
+    let mut inc = IncrementalLp::new(with_engine(build(&base)));
+    let base_sol = inc.solve().unwrap();
+    let appended = match mode {
+        Append::Random => drawn,
+        _ if base_sol.status != Status::Optimal => drawn,
+        Append::Slack => {
+            let (c, ..) = &drawn[0];
+            let act: f64 = c.iter().zip(&base_sol.x).map(|(a, x)| a * x).sum();
+            vec![(c.clone(), act - 1.0, act + 1.0)]
+        }
+        Append::Violated => {
+            let cut = base_sol.objective - 0.25;
+            vec![(inst.obj.clone(), f64::NEG_INFINITY, cut)]
+        }
+        Append::JointlyInfeasible => {
+            let (c, ..) = &drawn[0];
+            vec![
+                (c.clone(), f64::NEG_INFINITY, 1.0),
+                (c.clone(), 2.0, f64::INFINITY),
+            ]
+        }
+    };
+    let vars: Vec<_> = (0..inst.n).map(pcf_lp::VarId).collect();
+    for (c, l, u) in &appended {
+        inc.add_row(vars.iter().zip(c).map(|(&v, &a)| (v, a)), *l, *u);
+    }
+    let warm = inc.solve().unwrap();
+    let stats = inc.stats();
+
+    let mut full = base.clone();
+    full.rows.extend(appended);
+    let scratch = with_engine(build(&full)).solve().unwrap();
+
+    if warm.status != scratch.status {
+        return Err(format!(
+            "{mode:?}: status diverged: warm {} vs scratch {}",
+            warm.status, scratch.status
+        ));
+    }
+    if scratch.status == Status::Optimal
+        && (warm.objective - scratch.objective).abs() > 1e-7 * (1.0 + scratch.objective.abs())
+    {
+        return Err(format!(
+            "{mode:?}: objective diverged: warm {} vs scratch {}",
+            warm.objective, scratch.objective
+        ));
+    }
+    if stats.phase1_iterations + stats.primal_iterations + stats.dual_iterations
+        < base_sol.iterations + warm.iterations
+    {
+        return Err(format!("{mode:?}: {stats:?} lost pivots"));
+    }
+    if base_sol.status != Status::Optimal {
+        return Ok(());
+    }
+    match mode {
+        Append::Slack if warm.iterations != 0 || stats.warm_solves != 1 => Err(format!(
+            "slack row cost {} pivots: {stats:?}",
+            warm.iterations
+        )),
+        Append::Violated if warm.status == Status::Optimal && stats.dual_iterations == 0 => Err(
+            format!("violated cut absorbed without a dual pivot: {stats:?}"),
+        ),
+        Append::JointlyInfeasible
+            if warm.status != Status::Infeasible || stats.warm_fallbacks != 1 =>
+        {
+            Err(format!(
+                "expected a fallback to Infeasible: {} {stats:?}",
+                warm.status
+            ))
+        }
+        _ => Ok(()),
+    }
 }
 
 #[test]

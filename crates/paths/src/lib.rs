@@ -259,8 +259,8 @@ pub fn yen_k_shortest(topo: &Topology, s: NodeId, t: NodeId, k: usize) -> Vec<Pa
 /// tunnels, (3) hop length, (4) discovery order.
 pub fn select_tunnels(topo: &Topology, s: NodeId, t: NodeId, k: usize) -> Vec<Path> {
     // Group parallel links by unordered endpoint pair.
-    let mut groups: std::collections::HashMap<(NodeId, NodeId), Vec<LinkId>> =
-        std::collections::HashMap::new();
+    let mut groups: std::collections::BTreeMap<(NodeId, NodeId), Vec<LinkId>> =
+        std::collections::BTreeMap::new();
     let mut max_par = 1usize;
     for l in topo.links() {
         let link = topo.link(l);
@@ -433,8 +433,9 @@ pub fn edge_disjoint_pair(topo: &Topology, s: NodeId, t: NodeId) -> Option<(Path
     if !dist[t.index()].is_finite() {
         return None;
     }
-    // Arc multiset of both paths, canceling opposite traversals.
-    let mut use_count: std::collections::HashMap<u32, i32> = std::collections::HashMap::new();
+    // Arc multiset of both paths, canceling opposite traversals. Ordered
+    // map: iteration fixes the order the walks below try arcs in.
+    let mut use_count: std::collections::BTreeMap<u32, i32> = std::collections::BTreeMap::new();
     for (i, &l) in p1.links.iter().enumerate() {
         let fwd = topo.arc_from(l, p1.nodes[i]);
         *use_count.entry(fwd.0).or_insert(0) += 1;
@@ -699,7 +700,7 @@ mod tests {
         let t = zoo::build("Sprint");
         let tunnels = select_tunnels(&t, NodeId(0), NodeId(5), 3);
         assert_eq!(tunnels.len(), 3);
-        let mut usage = std::collections::HashMap::new();
+        let mut usage = std::collections::BTreeMap::new();
         for p in &tunnels {
             for l in &p.links {
                 *usage.entry(*l).or_insert(0usize) += 1;

@@ -5,8 +5,8 @@
 use pcf_core::realize::{greedy_topsort, topological_order};
 use pcf_core::validate::validate_all;
 use pcf_core::{
-    pcf_cls_pipeline, pcf_ls_instance, scale_to_mlu, solve_ffc, solve_pcf_ls, solve_pcf_tf,
-    tunnel_instance, FailureModel, Instance, RobustOptions, RobustSolution,
+    pcf_cls_pipeline, pcf_ls_instance, scale_to_mlu, solve_ffc, solve_pcf_ls, solve_pcf_ls_seeded,
+    solve_pcf_tf, tunnel_instance, FailureModel, Instance, RobustOptions, RobustSolution,
 };
 use pcf_topology::{transform::split_sublinks, zoo};
 use pcf_traffic::gravity;
@@ -139,4 +139,79 @@ fn cls_topsort_pipeline_end_to_end() {
     );
     assert!(sol.objective > 0.0);
     check(&inst, &sol, &fm, "PCF-CLS-TopSort");
+}
+
+/// The PCF-LS instance of a zoo topology as the CLI and the benchmark build
+/// it: gravity seed 1, top 200 pairs, 3 tunnels per pair, raw demands.
+fn zoo_ls_instance(name: &str) -> Instance {
+    let topo = zoo::build(name);
+    let mut tm = gravity(&topo, 1);
+    tm.truncate_to_top_k(200);
+    pcf_ls_instance(&topo, &tm, 3)
+}
+
+fn single_threaded() -> RobustOptions {
+    RobustOptions {
+        threads: 1,
+        ..RobustOptions::default()
+    }
+}
+
+/// `(rounds, cuts, objective bits)` of a from-scratch GEANT PCF-LS f=1 solve:
+/// topology, traffic, tunnel selection, and instance are rebuilt too, since
+/// tunnel selection is one of the places iteration order used to leak in.
+fn geant_fingerprint() -> (usize, usize, u64) {
+    let inst = zoo_ls_instance("GEANT");
+    let sol = solve_pcf_ls(&inst, &FailureModel::links(1), &single_threaded());
+    (sol.rounds, sol.cuts, sol.objective.to_bits())
+}
+
+#[test]
+fn geant_solve_repeats_exactly_within_one_process() {
+    // Every `HashMap::new()` draws fresh hash keys, so two solves in one
+    // process see two iteration orders: equality here is a real test that
+    // no hash-ordered container reaches the numerics (it failed while
+    // `h_coef` and `use_count` were `HashMap`s: 8-10 rounds run to run).
+    assert_eq!(geant_fingerprint(), geant_fingerprint());
+}
+
+/// Cold and pool-seeded PCF-LS f=1 solves of `name`: no master solve runs a
+/// phase 1 or falls back cold, appended cuts are absorbed by dual pivots,
+/// the seeded solve needs no more rounds and lands on the same objective,
+/// and both plans survive every single-link failure.
+fn check_master_lp_counters(name: &str) {
+    let inst = zoo_ls_instance(name);
+    let fm = FailureModel::links(1);
+    let opts = single_threaded();
+    let (cold, pool) = solve_pcf_ls_seeded(&inst, &fm, &opts, None).unwrap();
+    let (seeded, _) = solve_pcf_ls_seeded(&inst, &fm, &opts, Some(&pool)).unwrap();
+    for (label, sol) in [("cold", &cold), ("seeded", &seeded)] {
+        let lp = sol.lp_stats;
+        assert_eq!(lp.phase1_iterations, 0, "{name} {label}: {lp:?}");
+        assert_eq!(lp.warm_fallbacks, 0, "{name} {label}: {lp:?}");
+        assert_eq!(lp.cold_solves, 1, "{name} {label}: {lp:?}");
+        assert!(lp.dual_iterations > 0, "{name} {label}: {lp:?}");
+        check(&inst, sol, &fm, &format!("{name} {label}"));
+    }
+    assert_eq!(cold.seeded_cuts, 0);
+    assert_eq!(seeded.seeded_cuts, pool.len());
+    // The pool enters as appended rows, so round 1 of a seeded solve is warm.
+    assert_eq!(seeded.warm_rounds, seeded.rounds);
+    assert!(seeded.rounds <= cold.rounds);
+    assert!(
+        (seeded.objective - cold.objective).abs() <= 1e-9,
+        "{name}: seeded {} vs cold {}",
+        seeded.objective,
+        cold.objective
+    );
+}
+
+#[test]
+fn sprint_master_lp_is_phase1_free_cold_and_seeded() {
+    check_master_lp_counters("Sprint");
+}
+
+#[test]
+fn quest_master_lp_is_phase1_free_cold_and_seeded() {
+    check_master_lp_counters("Quest");
 }
