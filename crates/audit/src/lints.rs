@@ -356,7 +356,6 @@ fn match_line(lint: Lint, masked: &str) -> Vec<String> {
 /// itself a finding (config drift would silently drop coverage).
 pub const HOT_ENTRIES: &[(&str, Option<&str>, &str)] = &[
     ("crates/core/src/realize.rs", None, "realize_routing"),
-    ("crates/core/src/realize.rs", None, "realize_routing_with"),
     ("crates/core/src/degrade.rs", None, "normal_routing"),
     ("crates/core/src/degrade.rs", None, "degrade_routing"),
     ("crates/core/src/degrade.rs", None, "degrade_fallback"),

@@ -9,8 +9,8 @@ use pcf_core::{
     pcf_ls_instance, solve_pcf_ls, solve_pcf_tf, tunnel_instance, FailureModel, RobustOptions,
 };
 use pcf_lp::{
-    solve_dense, solve_gauss_seidel, DenseMatrix, EngineKind, IncrementalLp, LpProblem, Pricing,
-    Sense, SimplexOptions, VarId,
+    solve_dense, DenseMatrix, EngineKind, IncrementalLp, LpProblem, Pricing, Sense, SimplexOptions,
+    VarId,
 };
 use pcf_topology::zoo;
 use pcf_traffic::gravity;
@@ -182,9 +182,6 @@ fn bench_mmatrix_solvers(c: &mut Harness) {
     let mut g = c.benchmark_group("linsys");
     g.bench_function("dense_gaussian_100", |bch| {
         bch.iter(|| black_box(solve_dense(&m, std::slice::from_ref(&b)).unwrap()[0][0]))
-    });
-    g.bench_function("gauss_seidel_100", |bch| {
-        bch.iter(|| black_box(solve_gauss_seidel(&m, &b, 1e-10, 1000).unwrap()[0]))
     });
     g.finish();
 }

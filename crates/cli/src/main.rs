@@ -124,7 +124,7 @@ fn usage() {
          \x20 --events <n>        (replay) generate an n-event flap trace    (default 1000)\n\
          \x20 --traces <n>        (replay) replay n generated traces in parallel (default 1)\n\
          \x20 --cache <n>         (replay) retained factorizations; 0 = cold (default 1024)\n\
-         \x20 --json <path>       (solve/replay) also write the report as JSON\n\
+         \x20 --json <path>       (solve/validate/replay) also write the report as JSON\n\
          \x20 --djson <path>      (replay) write the deterministic (digest) report as JSON\n\
          \x20 --degrade <m>       (replay) off | rescale | shed: how far down the\n\
          \x20                     degradation ladder beyond-budget events may fall\n\
@@ -195,9 +195,11 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             let fm = FailureModel::links(f);
             let report = validate_all(&inst, &fm, &sol.a, &sol.b, &served, 1e-6);
             println!(
-                "validate: {} scenarios ({} distinct states), max utilization {:.4} -> {}",
+                "validate: {} scenarios ({} distinct states, max LU bump {}), \
+                 max utilization {:.4} -> {}",
                 report.scenarios,
                 report.distinct_states,
+                report.max_bump,
                 report.max_utilization,
                 if report.congestion_free() {
                     "CONGESTION-FREE"
@@ -205,6 +207,23 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                     "VIOLATIONS FOUND"
                 }
             );
+            if let Some(path) = args.get("json") {
+                std::fs::write(
+                    path,
+                    format!(
+                        "{{\n  \"scenarios\": {},\n  \"distinct_states\": {},\n  \
+                         \"max_utilization\": {:.6},\n  \"violations\": {},\n  \
+                         \"max_bump\": {},\n  \"digest\": \"{:016x}\"\n}}\n",
+                        report.scenarios,
+                        report.distinct_states,
+                        report.max_utilization,
+                        report.violations.len(),
+                        report.max_bump,
+                        report.digest(),
+                    ),
+                )?;
+                println!("  report written to {path}");
+            }
             for hot in &report.top_arcs {
                 let arc = pcf_topology::ArcId(hot.arc as u32);
                 println!(
@@ -701,7 +720,7 @@ fn solve_json(
          \"objective\": {:.9},\n  \"rounds\": {},\n  \"cuts\": {},\n  \"warm_rounds\": {},\n  \
          \"cold_solves\": {},\n  \"warm_solves\": {},\n  \"warm_fallbacks\": {},\n  \
          \"phase1_iterations\": {},\n  \"primal_iterations\": {},\n  \"dual_iterations\": {},\n  \
-         \"refactors\": {},\n  \
+         \"refactors\": {},\n  \"refactor_peeled\": {},\n  \"refactor_bump\": {},\n  \
          \"engine\": \"{engine}\",\n  \"pricing\": \"{pricing}\",\n  \"refactor_every\": {}\n}}\n",
         topo.name(),
         topo.node_count(),
@@ -720,6 +739,8 @@ fn solve_json(
         lp.primal_iterations,
         lp.dual_iterations,
         lp.refactors,
+        lp.refactor_peeled,
+        lp.refactor_bump,
         opts.lp.reinvert_every,
     ))
 }

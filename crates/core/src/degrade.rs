@@ -389,6 +389,7 @@ fn shed_stage(
         u,
         tunnel_flow,
         arc_loads,
+        bump: 0,
     };
     let overload = overload_bound(inst, &routing, caps);
     let shed = shed_total(inst, served, &fraction, tol_abs);

@@ -46,9 +46,9 @@ pub use optimal::{
 };
 pub use r3::{solve_generalized_r3, solve_r3, R3Solution};
 pub use realize::{
-    absolute_tolerance, check_utilizations, degraded_reservations, expand_routing, greedy_topsort,
-    live_pairs, proportional_routing, realize_routing, realize_routing_with, reservation_matrix,
-    topological_order, FailureState, RealizeError, RealizeKernel, Routing,
+    absolute_tolerance, degraded_reservations, factor_state, greedy_topsort, proportional_routing,
+    realize_routing, reservation_matrix, topological_order, Factored, FailureState, RealizeError,
+    Routing,
 };
 pub use robust::{
     solve_robust, try_solve_robust, try_solve_robust_seeded, AdversaryKind, CutPool, RobustError,
@@ -60,7 +60,6 @@ pub use schemes::{
     solve_pcf_tf, solve_pcf_tf_seeded, tunnel_instance,
 };
 pub use validate::{
-    validate_all, validate_all_with, validate_scenarios, validate_scenarios_with,
-    validate_structured, validate_structured_scenarios_with, validate_structured_with, ArcHotspot,
-    ValidationReport, Violation, ViolationKind, ViolationSummary,
+    validate_all, validate_scenarios, validate_structured, validate_structured_scenarios,
+    ArcHotspot, ValidationReport, Violation, ViolationKind, ViolationSummary,
 };

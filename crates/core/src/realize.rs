@@ -5,20 +5,26 @@
 //!
 //! * [`FailureState`] — which tunnels are alive and which LSs are active;
 //! * [`reservation_matrix`] — the matrix `M` over the pairs of interest
-//!   (Proposition 5: an invertible M-matrix);
+//!   (Proposition 5: an invertible M-matrix), assembled as sparse columns
+//!   and never densified on a shipped path;
 //! * [`realize_routing`] — solves `M × U = D` (one linear system, not an
-//!   LP) and expands reservations into per-arc loads (Proposition 6); its
-//!   building blocks ([`live_pairs`], [`check_utilizations`],
-//!   [`expand_routing`]) are public so `pcf-replay` can cache the matrix
-//!   factorization across repeated failure states;
-//! * [`proportional_routing`] — the distributed alternative for
-//!   topologically sorted LSs (Proposition 7), identical to FFC's local
-//!   rescaling;
+//!   LP) and expands reservations into per-arc loads (Proposition 6). It
+//!   is [`factor_state`] followed by [`Factored::route`]; the two halves
+//!   are public so `pcf-replay` can cache the first across repeated
+//!   failure states. The factorization is triangular first
+//!   (`SparseLu::factor_columns`): when the live LSs sort topologically
+//!   `M` is a permuted triangular matrix, the factors *are* that
+//!   permutation and the solve *is* Proposition 7's walk written as
+//!   substitution ([`Routing::bump`] `== 0`); only the pairs inside an LS
+//!   cycle pay for elimination;
+//! * [`proportional_routing`] — Proposition 7's walk written out, the
+//!   distributed alternative for topologically sorted LSs, identical to
+//!   FFC's local rescaling (tests hold [`realize_routing`] to it);
 //! * [`topological_order`] / [`greedy_topsort`] — the sortability check and
 //!   the PCF-CLS-TopSort pruning heuristic (§5.2).
 
 use crate::instance::{Instance, LogicalSequence, LsId, PairId, TunnelId};
-use pcf_lp::{solve_dense, DenseMatrix, SparseLu};
+use pcf_lp::{DenseMatrix, SparseLu};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Which tunnels are alive and which LSs are active under a concrete
@@ -238,19 +244,25 @@ pub fn pairs_of_interest(
     inst.pair_ids().filter(|p| interest[p.0]).collect()
 }
 
-/// Builds the reservation matrix `M` (Fig. 7 of the paper) over the given
-/// pairs of interest: diagonal = live reservation of the pair, off-diagonal
-/// `(ij, mn) = -Σ b_q` over active LSs of `(m,n)` that use `(i,j)` as a
-/// segment.
-pub fn reservation_matrix(
+/// Assembles the reservation matrix `M` (Fig. 7 of the paper) over the
+/// given pairs of interest: diagonal = live reservation of the pair,
+/// off-diagonal `(ij, mn) = -Σ b_q` over active LSs of `(m,n)` that use
+/// `(i,j)` as a segment. Calls `add(row, col, term)` row by row in
+/// ascending order, once per diagonal and once per LS term, the LSs
+/// sharing one cell back to back in LS order.
+fn for_each_reservation(
     inst: &Instance,
     state: &FailureState,
     a: &[f64],
     b: &[f64],
     pairs: &[PairId],
-) -> DenseMatrix {
-    let index: BTreeMap<PairId, usize> = pairs.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-    let mut m = DenseMatrix::zeros(pairs.len());
+    mut add: impl FnMut(usize, usize, f64),
+) {
+    const ABSENT: usize = usize::MAX;
+    let mut position = vec![ABSENT; inst.num_pairs()];
+    for (i, &p) in pairs.iter().enumerate() {
+        position[p.0] = i;
+    }
     for (i, &p) in pairs.iter().enumerate() {
         let mut diag = 0.0;
         for l in state.live_tunnels(inst, p) {
@@ -259,18 +271,48 @@ pub fn reservation_matrix(
         for q in state.active_lss(inst, p) {
             diag += b[q.0];
         }
-        m.set(i, i, diag);
+        add(i, i, diag);
         for q in state.active_segments(inst, p) {
-            if b[q.0] > 0.0 {
-                let owner = inst.ls_pair(q);
-                if let Some(&j) = index.get(&owner) {
-                    if j != i {
-                        m.add(i, j, -b[q.0]);
-                    }
-                }
+            let j = position[inst.ls_pair(q).0];
+            if b[q.0] > 0.0 && j != ABSENT && j != i {
+                add(i, j, -b[q.0]);
             }
         }
     }
+}
+
+/// `M` as the sparse columns `SparseLu::factor_columns` takes: `(row,
+/// value)` entries, row-sorted because rows arrive in ascending order.
+fn reservation_columns(
+    inst: &Instance,
+    state: &FailureState,
+    a: &[f64],
+    b: &[f64],
+    pairs: &[PairId],
+) -> Vec<Vec<(u32, f64)>> {
+    let mut cols: Vec<Vec<(u32, f64)>> = vec![Vec::new(); pairs.len()];
+    for_each_reservation(inst, state, a, b, pairs, |i, j, v| {
+        match cols[j].last_mut() {
+            Some(cell) if cell.0 == i as u32 => cell.1 += v,
+            _ => cols[j].push((i as u32, v)),
+        }
+    });
+    cols
+}
+
+/// The same assembly densified — what the paper prints as Fig. 7. A
+/// reference for tests and probes: no realization path builds it.
+pub fn reservation_matrix(
+    inst: &Instance,
+    state: &FailureState,
+    a: &[f64],
+    b: &[f64],
+    pairs: &[PairId],
+) -> DenseMatrix {
+    let mut m = DenseMatrix::zeros(pairs.len());
+    for_each_reservation(inst, state, a, b, pairs, |i, j, v| {
+        m.set(i, j, m.get(i, j) + v)
+    });
     m
 }
 
@@ -286,6 +328,10 @@ pub struct Routing {
     pub tunnel_flow: Vec<f64>,
     /// Load per directed arc.
     pub arc_loads: Vec<f64>,
+    /// Rows of `M` the factorization had to eliminate (`SparseLu::bump`):
+    /// `0` when substitution alone — Prop. 7's walk — produced `u`, and
+    /// for routings no linear system produced.
+    pub bump: usize,
 }
 
 impl Routing {
@@ -313,9 +359,7 @@ pub fn absolute_tolerance(served: &[f64], tol: f64) -> f64 {
 /// [`RealizeError::Disconnected`] when every tunnel and LS of the pair is
 /// dead (the failure cut it off), [`RealizeError::NoReservation`] when
 /// something survived but carries no reservation (a plan deficiency).
-/// Exposed so the replay engine can rebuild the exact system
-/// [`realize_routing`] would solve and cache its factorization.
-pub fn live_pairs(
+fn live_pairs(
     inst: &Instance,
     state: &FailureState,
     a: &[f64],
@@ -355,9 +399,8 @@ fn no_reservation_kind(inst: &Instance, state: &FailureState, p: PairId) -> Real
 }
 
 /// Expands per-pair utilizations into tunnel flows and arc loads
-/// (Proposition 6's load accounting). Public so the replay engine can turn
-/// cache-served solutions into full routings.
-pub fn expand_routing(
+/// (Proposition 6's load accounting).
+pub(crate) fn expand_routing(
     inst: &Instance,
     state: &FailureState,
     a: &[f64],
@@ -389,6 +432,54 @@ pub fn expand_routing(
         u: u.to_vec(),
         tunnel_flow,
         arc_loads,
+        bump: 0,
+    }
+}
+
+/// The cacheable half of a realization: the pairs the linear system is
+/// solved over (matrix order) and the triangular-first factors of their
+/// reservation matrix. A function of the plan and of the failure state's
+/// liveness signature only.
+#[derive(Debug, Clone)]
+pub struct Factored {
+    pairs: Vec<PairId>,
+    lu: SparseLu,
+}
+
+/// Selects the live pairs, assembles `M` as sparse columns and factors it
+/// — everything of [`realize_routing`] that does not read `served` beyond
+/// pair selection.
+pub fn factor_state(
+    inst: &Instance,
+    state: &FailureState,
+    a: &[f64],
+    b: &[f64],
+    served: &[f64],
+    tol: f64,
+) -> Result<Factored, RealizeError> {
+    let pairs = live_pairs(inst, state, a, b, served, absolute_tolerance(served, tol))?;
+    let cols = reservation_columns(inst, state, a, b, &pairs);
+    let lu =
+        SparseLu::factor_columns(pairs.len(), cols).map_err(|_| RealizeError::SingularMatrix)?;
+    Ok(Factored { pairs, lu })
+}
+
+impl Factored {
+    /// The cheap half: substitution through the factors, the `U ∈ [0,1]`
+    /// range check and the expansion into loads.
+    pub fn route(
+        &self,
+        inst: &Instance,
+        state: &FailureState,
+        a: &[f64],
+        served: &[f64],
+        tol: f64,
+    ) -> Result<Routing, RealizeError> {
+        let d: Vec<f64> = self.pairs.iter().map(|&p| served[p.0]).collect();
+        let u = check_utilizations(&self.pairs, self.lu.solve(&d), tol)?;
+        let mut routing = expand_routing(inst, state, a, &self.pairs, &u);
+        routing.bump = self.lu.bump();
+        Ok(routing)
     }
 }
 
@@ -405,7 +496,7 @@ pub fn realize_routing(
     served: &[f64],
     tol: f64,
 ) -> Result<Routing, RealizeError> {
-    realize_routing_with(inst, state, a, b, served, tol, RealizeKernel::Dense)
+    factor_state(inst, state, a, b, served, tol)?.route(inst, state, a, served, tol)
 }
 
 /// Rescales tunnel reservations for partial capacity degradation:
@@ -434,62 +525,9 @@ pub fn degraded_reservations(inst: &Instance, state: &FailureState, a: &[f64]) -
     out
 }
 
-/// Which linear-algebra kernel [`realize_routing_with`] uses for `M × U = D`.
-///
-/// The sparse kernel follows the dense factorization's pivot order
-/// bit-for-bit (`SparseLu::factor_dense_compat`), so the two kernels return
-/// byte-identical utilizations — and therefore byte-identical
-/// `ValidationReport` digests — on every realizable scenario. The property
-/// tests in `validate` hold both paths to that.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RealizeKernel {
-    /// Dense LU (`pcf_lp::solve_dense`), the original path.
-    #[default]
-    Dense,
-    /// Sparse LU in dense-compatible pivot order.
-    Sparse,
-}
-
-/// [`realize_routing`] with an explicit linear-algebra kernel.
-pub fn realize_routing_with(
-    inst: &Instance,
-    state: &FailureState,
-    a: &[f64],
-    b: &[f64],
-    served: &[f64],
-    tol: f64,
-    kernel: RealizeKernel,
-) -> Result<Routing, RealizeError> {
-    let tol_abs = absolute_tolerance(served, tol);
-    let pairs = live_pairs(inst, state, a, b, served, tol_abs)?;
-    if pairs.is_empty() {
-        return Ok(Routing {
-            pairs,
-            u: Vec::new(),
-            tunnel_flow: vec![0.0; inst.num_tunnels()],
-            arc_loads: vec![0.0; inst.topo().arc_count()],
-        });
-    }
-    let m = reservation_matrix(inst, state, a, b, &pairs);
-    let d: Vec<f64> = pairs.iter().map(|&p| served[p.0]).collect();
-    let u = match kernel {
-        RealizeKernel::Dense => solve_dense(&m, &[d])
-            .map_err(|_| RealizeError::SingularMatrix)?
-            .into_iter()
-            .next()
-            .ok_or(RealizeError::SingularMatrix)?,
-        RealizeKernel::Sparse => SparseLu::factor_dense_compat(&m)
-            .map_err(|_| RealizeError::SingularMatrix)?
-            .solve(&d),
-    };
-    let u = check_utilizations(&pairs, u, tol)?;
-    Ok(expand_routing(inst, state, a, &pairs, &u))
-}
-
 /// Range-checks and clamps the solved utilization fractions (`U ∈ [0,1]`
-/// within `tol`). Shared by the from-scratch and cached realization paths
-/// so both reject exactly the same solutions.
-pub fn check_utilizations(
+/// within `tol`).
+fn check_utilizations(
     pairs: &[PairId],
     mut u: Vec<f64>,
     tol: f64,
@@ -786,6 +824,111 @@ mod tests {
         assert!(topological_order(&inst, &[1.0, 1.0]).is_none());
         // With only the first LS (b2 = 0) the order exists.
         assert!(topological_order(&inst, &[1.0, 0.0]).is_some());
+    }
+
+    /// The same system through the dense reference: `M` densified and
+    /// solved by `pcf_lp::solve_dense`, checks unchanged.
+    fn dense_reference(
+        inst: &Instance,
+        state: &FailureState,
+        a: &[f64],
+        b: &[f64],
+        served: &[f64],
+        tol: f64,
+    ) -> Result<(Vec<PairId>, Vec<f64>), RealizeError> {
+        let pairs = live_pairs(inst, state, a, b, served, absolute_tolerance(served, tol))?;
+        let m = reservation_matrix(inst, state, a, b, &pairs);
+        let d: Vec<f64> = pairs.iter().map(|&p| served[p.0]).collect();
+        let u = pcf_lp::solve_dense(&m, &[d])
+            .map_err(|_| RealizeError::SingularMatrix)?
+            .remove(0);
+        let u = check_utilizations(&pairs, u, tol)?;
+        Ok((pairs, u))
+    }
+
+    /// On every `f`-failure state of a plan: `realize_routing` agrees
+    /// with the dense reference (same pairs, `u` within 1e-9, same error
+    /// variant); when the plan's LSs sort topologically no state leaves a
+    /// bump and `u` is Prop. 7's proportional walk. Returns the largest
+    /// bump seen.
+    fn check_plan(inst: &Instance, f: usize, a: &[f64], b: &[f64], served: &[f64]) -> usize {
+        let sortable = topological_order(inst, b).is_some();
+        let mut max_bump = 0;
+        for mask in FailureModel::links(f).enumerate_scenarios(inst.topo()) {
+            let state = FailureState::new(inst, &mask).unwrap();
+            let got = realize_routing(inst, &state, a, b, served, 1e-6);
+            let want = dense_reference(inst, &state, a, b, served, 1e-6);
+            let got = match (got, want) {
+                (Ok(got), Ok((pairs, u))) => {
+                    assert_eq!(got.pairs, pairs);
+                    for (x, y) in got.u.iter().zip(&u) {
+                        assert!((x - y).abs() < 1e-9, "sparse {x} vs dense {y}");
+                    }
+                    got
+                }
+                (Err(x), Err(y)) => {
+                    assert_eq!(std::mem::discriminant(&x), std::mem::discriminant(&y));
+                    continue;
+                }
+                (x, y) => panic!("sparse {x:?} disagrees with dense {y:?}"),
+            };
+            max_bump = max_bump.max(got.bump);
+            if sortable {
+                assert_eq!(got.bump, 0, "a sortable plan must peel completely");
+                let walk = proportional_routing(inst, &state, a, b, served, 1e-6).unwrap();
+                for (i, p) in got.pairs.iter().enumerate() {
+                    let w = walk.pairs.iter().position(|q| q == p).unwrap();
+                    assert!(
+                        (got.u[i] - walk.u[w]).abs() < 1e-9,
+                        "pair {p:?}: linear {} vs walk {}",
+                        got.u[i],
+                        walk.u[w]
+                    );
+                }
+            }
+        }
+        max_bump
+    }
+
+    #[test]
+    fn realization_matches_dense_reference_and_prop7_walk() {
+        for name in ["Abilene", "Sprint", "Quest", "B4", "IBM"] {
+            let topo = pcf_topology::zoo::build(name);
+            let mut tm = pcf_traffic::gravity(&topo, 11);
+            tm.truncate_to_top_k(200);
+            let inst = crate::schemes::pcf_ls_instance(&topo, &tm, 3);
+            let sol = crate::schemes::solve_pcf_ls(
+                &inst,
+                &FailureModel::links(1),
+                &RobustOptions::default(),
+            );
+            check_plan(&inst, 1, &sol.a, &sol.b, &served(&inst, &sol));
+        }
+        // The two-LS cycle of `topological_order_detects_cycles`: (s,t)
+        // and (s,a) serve each other, so their 2x2 block is a bump.
+        let topo = diamond();
+        let inst = InstanceBuilder::with_demands(&topo, vec![(NodeId(0), NodeId(3), 1.0)])
+            .add_ls(LogicalSequence::always(vec![
+                NodeId(0),
+                NodeId(1),
+                NodeId(3),
+            ]))
+            .add_ls(LogicalSequence::always(vec![
+                NodeId(0),
+                NodeId(3),
+                NodeId(1),
+            ]))
+            .build();
+        let a = vec![1.0; inst.num_tunnels()];
+        let b = [0.5, 0.25];
+        assert!(topological_order(&inst, &b).is_none());
+        let served: Vec<f64> = inst.pair_ids().map(|p| 0.5 * inst.demand(p)).collect();
+        assert!(
+            check_plan(&inst, 1, &a, &b, &served) >= 2,
+            "the cycle must bump"
+        );
+        // Double failures cut (s,t) off: both paths must say so.
+        check_plan(&inst, 2, &a, &b, &served);
     }
 
     #[test]

@@ -20,9 +20,7 @@
 
 use crate::failure::{FailureModel, Scenario};
 use crate::instance::Instance;
-use crate::realize::{
-    degraded_reservations, realize_routing_with, FailureState, RealizeError, RealizeKernel,
-};
+use crate::realize::{degraded_reservations, realize_routing, FailureState, RealizeError};
 use std::collections::BTreeMap;
 
 /// How many hotspot arcs a [`ValidationReport`] retains.
@@ -44,6 +42,10 @@ pub struct ValidationReport {
     /// Scenarios where realization failed or a constraint was violated,
     /// with the dead-link mask attached.
     pub violations: Vec<Violation>,
+    /// Largest [`crate::Routing::bump`] over the realized states: `0` when
+    /// every state was served by Prop. 7's walk, otherwise the most rows
+    /// any state's LS cycles left to LU elimination.
+    pub max_bump: usize,
 }
 
 /// One arc's worst-case utilization over a validated scenario set.
@@ -219,26 +221,10 @@ pub fn validate_scenarios(
     masks: &[Vec<bool>],
     tol: f64,
 ) -> ValidationReport {
-    validate_scenarios_with(inst, a, b, served, masks, tol, RealizeKernel::Dense)
-}
-
-/// [`validate_scenarios`] with an explicit realization kernel. The dense
-/// and sparse kernels produce byte-identical reports (see
-/// [`RealizeKernel`]); the kernel knob exists so that identity can be
-/// checked end-to-end.
-#[allow(clippy::too_many_arguments)]
-pub fn validate_scenarios_with(
-    inst: &Instance,
-    a: &[f64],
-    b: &[f64],
-    served: &[f64],
-    masks: &[Vec<bool>],
-    tol: f64,
-    kernel: RealizeKernel,
-) -> ValidationReport {
     let topo = inst.topo();
     let mut arc_peak = vec![0.0f64; topo.arc_count()];
     let mut violations = Vec::new();
+    let mut max_bump = 0;
     // Realized (or failed) routings keyed by liveness signature.
     let mut by_signature: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
     let mut solved: Vec<Result<Vec<f64>, RealizeError>> = Vec::new();
@@ -257,10 +243,9 @@ pub fn validate_scenarios_with(
         let idx = *by_signature
             .entry(state.liveness_signature())
             .or_insert_with(|| {
-                solved.push(
-                    realize_routing_with(inst, &state, a, b, served, tol, kernel)
-                        .map(|r| r.arc_loads),
-                );
+                let routing = realize_routing(inst, &state, a, b, served, tol);
+                max_bump = max_bump.max(routing.as_ref().map_or(0, |r| r.bump));
+                solved.push(routing.map(|r| r.arc_loads));
                 solved.len() - 1
             });
         match &solved[idx] {
@@ -295,6 +280,7 @@ pub fn validate_scenarios_with(
         max_utilization: arc_peak.iter().fold(0.0, |m, &u| m.max(u)),
         top_arcs: top_hotspots(&arc_peak, TOP_ARCS),
         violations,
+        max_bump,
     }
 }
 
@@ -325,21 +311,8 @@ pub fn validate_all(
     served: &[f64],
     tol: f64,
 ) -> ValidationReport {
-    validate_all_with(inst, fm, a, b, served, tol, RealizeKernel::Dense)
-}
-
-/// [`validate_all`] with an explicit realization kernel.
-pub fn validate_all_with(
-    inst: &Instance,
-    fm: &FailureModel,
-    a: &[f64],
-    b: &[f64],
-    served: &[f64],
-    tol: f64,
-    kernel: RealizeKernel,
-) -> ValidationReport {
     let masks = fm.enumerate_scenarios(inst.topo());
-    validate_scenarios_with(inst, a, b, served, &masks, tol, kernel)
+    validate_scenarios(inst, a, b, served, &masks, tol)
 }
 
 /// Validates over every *structured* scenario of the failure model: all
@@ -357,39 +330,25 @@ pub fn validate_structured(
     served: &[f64],
     tol: f64,
 ) -> ValidationReport {
-    validate_structured_with(inst, fm, a, b, served, tol, RealizeKernel::Dense)
-}
-
-/// [`validate_structured`] with an explicit realization kernel.
-pub fn validate_structured_with(
-    inst: &Instance,
-    fm: &FailureModel,
-    a: &[f64],
-    b: &[f64],
-    served: &[f64],
-    tol: f64,
-    kernel: RealizeKernel,
-) -> ValidationReport {
     let scenarios = fm.enumerate_structured_scenarios(inst.topo());
-    validate_structured_scenarios_with(inst, a, b, served, &scenarios, tol, kernel)
+    validate_structured_scenarios(inst, a, b, served, &scenarios, tol)
 }
 
 /// Validates an allocation over an explicit structured scenario list.
 /// Scenarios with identical liveness signatures *and* capacity scales are
 /// realized once and share the solution.
-#[allow(clippy::too_many_arguments)]
-pub fn validate_structured_scenarios_with(
+pub fn validate_structured_scenarios(
     inst: &Instance,
     a: &[f64],
     b: &[f64],
     served: &[f64],
     scenarios: &[Scenario],
     tol: f64,
-    kernel: RealizeKernel,
 ) -> ValidationReport {
     let topo = inst.topo();
     let mut arc_peak = vec![0.0f64; topo.arc_count()];
     let mut violations = Vec::new();
+    let mut max_bump = 0;
     // Realized (or failed) routings keyed by (liveness signature, quantized
     // capacity scales — empty when undegraded).
     let mut by_key: BTreeMap<(Vec<u64>, Vec<i64>), usize> = BTreeMap::new();
@@ -424,10 +383,9 @@ pub fn validate_structured_scenarios_with(
             .entry((state.liveness_signature(), scale_key))
             .or_insert_with(|| {
                 let eff_a = degraded_reservations(inst, &state, a);
-                solved.push(
-                    realize_routing_with(inst, &state, &eff_a, b, served, tol, kernel)
-                        .map(|r| r.arc_loads),
-                );
+                let routing = realize_routing(inst, &state, &eff_a, b, served, tol);
+                max_bump = max_bump.max(routing.as_ref().map_or(0, |r| r.bump));
+                solved.push(routing.map(|r| r.arc_loads));
                 solved.len() - 1
             });
         match &solved[idx] {
@@ -463,6 +421,7 @@ pub fn validate_structured_scenarios_with(
         max_utilization: arc_peak.iter().fold(0.0, |m, &u| m.max(u)),
         top_arcs: top_hotspots(&arc_peak, TOP_ARCS),
         violations,
+        max_bump,
     }
 }
 
@@ -590,56 +549,6 @@ mod tests {
         let mut noisy = r1.clone();
         noisy.max_utilization += 1e-9;
         assert_eq!(r1.digest(), noisy.digest(), "digest unstable under noise");
-    }
-
-    #[test]
-    fn dense_and_sparse_realize_kernels_digest_identically() {
-        // The sparse kernel mirrors the dense pivot order bit-for-bit, so
-        // validating the same plan through either kernel must yield
-        // byte-identical reports — utilizations included, not just the
-        // digest quantization grid.
-        let topo = diamond();
-        let inst = InstanceBuilder::with_demands(
-            &topo,
-            vec![(NodeId(0), NodeId(3), 1.0), (NodeId(1), NodeId(2), 0.5)],
-        )
-        .tunnels_per_pair(2)
-        .build();
-        let fm = FailureModel::links(1);
-        let sol = solve_robust(
-            &inst,
-            &fm,
-            AdversaryKind::LinkBased,
-            &RobustOptions::default(),
-        );
-        let served: Vec<f64> = inst
-            .pair_ids()
-            .map(|p| sol.z[p.0] * inst.demand(p))
-            .collect();
-        let dense = validate_all_with(
-            &inst,
-            &fm,
-            &sol.a,
-            &sol.b,
-            &served,
-            1e-6,
-            RealizeKernel::Dense,
-        );
-        let sparse = validate_all_with(
-            &inst,
-            &fm,
-            &sol.a,
-            &sol.b,
-            &served,
-            1e-6,
-            RealizeKernel::Sparse,
-        );
-        assert_eq!(dense.digest(), sparse.digest(), "kernel digests diverge");
-        assert_eq!(
-            dense.max_utilization.to_bits(),
-            sparse.max_utilization.to_bits(),
-            "kernels disagree beyond the digest grid"
-        );
     }
 
     #[test]

@@ -58,6 +58,11 @@ pub struct IncrementalStats {
     pub dual_iterations: usize,
     /// Basis refactorizations.
     pub refactors: usize,
+    /// Basis rows those refactorizations pivoted in the singleton peel
+    /// (no fill, no search), summed over `refactors`.
+    pub refactor_peeled: usize,
+    /// Basis rows they left to Markowitz elimination, summed likewise.
+    pub refactor_bump: usize,
 }
 
 impl IncrementalStats {
@@ -66,6 +71,8 @@ impl IncrementalStats {
         self.primal_iterations += c.primal;
         self.dual_iterations += c.dual;
         self.refactors += c.refactors;
+        self.refactor_peeled += c.refactor_peeled;
+        self.refactor_bump += c.refactor_bump;
     }
 }
 

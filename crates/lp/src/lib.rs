@@ -9,8 +9,11 @@
 //! * [`incremental`] — an [`IncrementalLp`] wrapper that appends rows to a
 //!   solved problem and re-solves warm-starting from the previous basis,
 //!   the engine under PCF's cutting-plane loop;
-//! * [`linsys`] — dense Gaussian elimination and Gauss–Seidel iteration for
-//!   the M-matrix linear systems of PCF's online response (Props. 5–6);
+//! * [`slu`] — the sparse triangular-first LU behind both the simplex
+//!   basis and the M-matrix linear systems of PCF's online response
+//!   (Props. 5–7);
+//! * [`linsys`] — dense Gaussian elimination, the reference tests hold the
+//!   sparse factorization against;
 //! * [`float`] — the workspace's approved float-comparison helpers (the
 //!   only module the `float-discipline` audit lint exempts).
 
@@ -26,7 +29,7 @@ pub mod write;
 
 pub use float::{approx_eq, approx_zero, is_zero, nonzero};
 pub use incremental::{IncrementalLp, IncrementalStats};
-pub use linsys::{lu_factor, solve_dense, solve_gauss_seidel, DenseMatrix, LinSysError, LuFactors};
+pub use linsys::{lu_factor, solve_dense, DenseMatrix, LinSysError, LuFactors};
 pub use model::{LpProblem, RowId, Sense, Solution, SolveError, Status, VarId};
 pub use simplex::{EngineKind, Pricing, SimplexOptions};
 pub use slu::{BasisEngine, SparseLu};

@@ -1,19 +1,15 @@
-//! Dense and iterative linear-system solvers.
+//! The dense linear-system reference.
 //!
 //! PCF's online failure response (paper §4.1, Propositions 5–6) reduces to
 //! solving `M x = d` where `M` is an invertible M-matrix (non-positive
-//! off-diagonals, weakly chained diagonally dominant). Two solvers are
-//! provided:
+//! off-diagonals, weakly chained diagonally dominant). The shipped paths
+//! factor `M` sparsely ([`crate::slu::SparseLu::factor_columns`]); this
+//! module is what tests hold them against:
 //!
 //! * [`lu_factor`] / [`LuFactors`] — Gaussian elimination with partial
 //!   pivoting, split into a reusable `O(n^3)` factorization and `O(n^2)`
-//!   per-right-hand-side solves (the replay engine caches the factors per
-//!   failure state and amortizes them over a whole event trace);
-//! * [`solve_dense`] — factor-then-solve in one call; exact, `O(n^3)`;
-//! * [`solve_gauss_seidel`] — the memory-light iterative method the paper
-//!   points at for distributed implementations ("simple and memory-efficient
-//!   iterative algorithms for solving linear systems can be used \[4\]");
-//!   converges for the M-matrices produced by PCF's reservation matrices.
+//!   per-right-hand-side solves;
+//! * [`solve_dense`] — factor-then-solve in one call; exact, `O(n^3)`.
 
 /// A dense square matrix in row-major order.
 #[derive(Debug, Clone)]
@@ -48,12 +44,6 @@ impl DenseMatrix {
         self.a[i * self.n + j] = v;
     }
 
-    /// Adds `v` to element `(i, j)`.
-    #[inline]
-    pub fn add(&mut self, i: usize, j: usize, v: f64) {
-        self.a[i * self.n + j] += v;
-    }
-
     /// `self * x`.
     pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n);
@@ -71,15 +61,12 @@ impl DenseMatrix {
 pub enum LinSysError {
     /// The matrix is (numerically) singular.
     Singular,
-    /// The iterative method did not converge within the iteration budget.
-    NoConvergence,
 }
 
 impl std::fmt::Display for LinSysError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LinSysError::Singular => write!(f, "singular matrix"),
-            LinSysError::NoConvergence => write!(f, "iterative solver did not converge"),
         }
     }
 }
@@ -196,55 +183,6 @@ pub fn solve_dense(m: &DenseMatrix, rhs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, L
     Ok(rhs.iter().map(|b| lu.solve(b)).collect())
 }
 
-/// Solves `M x = b` by Gauss–Seidel iteration.
-///
-/// Converges whenever `M` is an invertible M-matrix (in particular for PCF
-/// reservation matrices, Proposition 5). Residual tolerance is relative to
-/// `max(1, ||b||_inf)`.
-pub fn solve_gauss_seidel(
-    m: &DenseMatrix,
-    b: &[f64],
-    tol: f64,
-    max_iters: usize,
-) -> Result<Vec<f64>, LinSysError> {
-    let n = m.n;
-    assert_eq!(b.len(), n);
-    let scale = b.iter().fold(1.0f64, |acc, v| acc.max(v.abs()));
-    let mut x = vec![0.0; n];
-    for i in 0..n {
-        if m.get(i, i).abs() < 1e-13 {
-            return Err(LinSysError::Singular);
-        }
-    }
-    for _ in 0..max_iters {
-        let mut delta: f64 = 0.0;
-        for i in 0..n {
-            let mut acc = b[i];
-            let row = &m.a[i * n..(i + 1) * n];
-            for (j, &aij) in row.iter().enumerate() {
-                if j != i {
-                    acc -= aij * x[j];
-                }
-            }
-            let xi = acc / row[i];
-            delta = delta.max((xi - x[i]).abs());
-            x[i] = xi;
-        }
-        // Convergence check on the true residual.
-        if delta <= tol * scale {
-            let r = m.mul_vec(&x);
-            let res = r
-                .iter()
-                .zip(b)
-                .fold(0.0f64, |acc, (ri, bi)| acc.max((ri - bi).abs()));
-            if res <= tol * scale {
-                return Ok(x);
-            }
-        }
-    }
-    Err(LinSysError::NoConvergence)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,28 +296,6 @@ mod tests {
         m.set(1, 0, 2.0);
         m.set(1, 1, 4.0);
         assert_eq!(lu_factor(&m).unwrap_err(), LinSysError::Singular);
-    }
-
-    #[test]
-    fn gauss_seidel_matches_dense_on_m_matrix() {
-        let m = example_m_matrix();
-        let b = vec![2.0, -1.0, 0.5];
-        let exact = solve_dense(&m, std::slice::from_ref(&b)).unwrap();
-        let gs = solve_gauss_seidel(&m, &b, 1e-12, 10_000).unwrap();
-        for (a, e) in gs.iter().zip(&exact[0]) {
-            assert!((a - e).abs() < 1e-9, "gs {a} vs dense {e}");
-        }
-    }
-
-    #[test]
-    fn gauss_seidel_requires_nonzero_diagonal() {
-        let mut m = DenseMatrix::zeros(2);
-        m.set(0, 1, 1.0);
-        m.set(1, 0, 1.0);
-        assert_eq!(
-            solve_gauss_seidel(&m, &[1.0, 1.0], 1e-9, 100).unwrap_err(),
-            LinSysError::Singular
-        );
     }
 
     #[test]

@@ -194,6 +194,10 @@ pub(crate) struct PivotCounts {
     pub(crate) primal: usize,
     pub(crate) dual: usize,
     pub(crate) refactors: usize,
+    /// Rows of sparse refactorizations the singleton peel pivoted, and
+    /// rows left to Markowitz elimination (cumulative over `refactors`).
+    pub(crate) refactor_peeled: usize,
+    pub(crate) refactor_bump: usize,
 }
 
 impl PivotCounts {
@@ -305,6 +309,8 @@ impl Tableau {
                 engine.clear_ops();
                 match SparseLu::factor_basis(&self.a, &self.basis) {
                     Ok(lu) => {
+                        self.counts.refactor_peeled += lu.n() - lu.bump();
+                        self.counts.refactor_bump += lu.bump();
                         *engine = BasisEngine::new(lu);
                         true
                     }

@@ -1,22 +1,33 @@
 //! Sparse LU factorization and the simplex basis engine.
 //!
-//! Two factorization entry points share one factor representation
-//! ([`SparseLu`], permutation-indexed triangular factors stored by
-//! elimination step):
+//! One factor representation ([`SparseLu`], permutation-indexed triangular
+//! factors stored by elimination step) and one shipped ordering:
 //!
-//! * [`SparseLu::factor_dense_compat`] — partial pivoting in the *exact*
-//!   pivot order of [`crate::linsys::lu_factor`] (largest magnitude,
-//!   first-in-physical-order tie break, `1e-13` singularity threshold).
-//!   Every floating-point operation a [`SparseLu::solve`] performs is one
-//!   the dense reference performs on the same data — skipped operations
-//!   are exact no-ops (zero multiplier or zero stored entry) — so solves
-//!   agree *bit for bit* with [`crate::linsys::LuFactors::solve`]. The
-//!   replay engine caches these factors per failure state.
-//! * [`SparseLu::factor_basis`] — Markowitz-ordered elimination with
-//!   threshold pivoting for simplex basis matrices, minimizing fill
-//!   (cost `(col_count-1)·(row_count-1)`) subject to
-//!   `|pivot| >= 0.1 · colmax`. Candidate columns are examined in
-//!   ascending active-count order with a deterministic cap.
+//! * [`SparseLu::factor_columns`] — **triangular first**. An O(nnz)
+//!   singleton peel pivots every row or column that has a single entry
+//!   left, repeatedly, before anything else runs: a column singleton takes
+//!   an empty L column and the pivot row's remaining entries as its U row,
+//!   a row singleton an empty U row and the pivot column's remaining
+//!   entries ÷ pivot as its L column. Neither creates fill or changes a
+//!   stored value, so a matrix that is a row/column permutation of a
+//!   triangular one is factored by the peel alone and its solve is plain
+//!   substitution (for a reservation matrix that is Prop. 7's proportional
+//!   walk). What the peel cannot reach — the *bump*, [`SparseLu::bump`]
+//!   rows — goes through Markowitz-ordered elimination with threshold
+//!   pivoting, minimizing fill (cost `(col_count-1)·(row_count-1)`)
+//!   subject to `|pivot| >= 0.1 · colmax`; candidate columns are examined
+//!   in ascending active-count order with a deterministic cap. A singleton
+//!   whose pivot is below `BASIS_SINGULAR_TOL` is not peeled: it stays in
+//!   the bump, where singularity is declared. Simplex bases
+//!   ([`SparseLu::factor_basis`]) and reservation matrices take this path.
+//! * [`SparseLu::factor_dense_compat`] — the test reference: partial
+//!   pivoting in the *exact* pivot order of [`crate::linsys::lu_factor`]
+//!   (largest magnitude, first-in-physical-order tie break, `1e-13`
+//!   singularity threshold). Every floating-point operation a
+//!   [`SparseLu::solve`] then performs is one the dense reference performs
+//!   on the same data — skipped operations are exact no-ops (zero
+//!   multiplier or zero stored entry) — so solves agree *bit for bit* with
+//!   [`crate::linsys::LuFactors::solve`].
 //!
 //! [`BasisEngine`] wraps a core factorization plus an ordered op file:
 //! product-form **eta** updates (one per simplex pivot, the
@@ -27,13 +38,14 @@
 //! borders and etas may interleave arbitrarily: a warm start never forces
 //! a refactorization.
 //!
-//! Everything here iterates `Vec`s and `BTreeSet`s in index order — no
-//! hash maps — so factorization and solves are deterministic.
+//! Everything here iterates `Vec`s, a FIFO queue seeded in ascending index
+//! order and `BTreeSet`s in index order — no hash maps — so factorization
+//! and solves are deterministic.
 
 use crate::float::nonzero;
 use crate::linsys::{DenseMatrix, LinSysError};
 use crate::sparse::CscMatrix;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Relative pivot threshold for Markowitz elimination: a candidate must be
 /// at least this fraction of its column's largest magnitude.
@@ -59,12 +71,21 @@ pub struct SparseLu {
     lcols: Vec<Vec<(u32, f64)>>,
     urows: Vec<Vec<(u32, f64)>>,
     pivots: Vec<f64>,
+    bump: usize,
 }
 
 impl SparseLu {
     /// Dimension of the factored matrix.
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// Rows the singleton peel could not reach and Markowitz elimination
+    /// factored: `0` exactly when the matrix is a row/column permutation of
+    /// a triangular one (no fill, solve = substitution). The dense-compat
+    /// reference eliminates every row, so it reports `n`.
+    pub fn bump(&self) -> usize {
+        self.bump
     }
 
     /// Stored factor entries (L + U + diagonal).
@@ -94,10 +115,8 @@ impl SparseLu {
     }
 
     /// Factors the basis matrix whose columns are `a.col(basis[p])` for
-    /// each basis position `p`, choosing pivots by Markowitz cost with
-    /// threshold pivoting.
+    /// each basis position `p` (see [`SparseLu::factor_columns`]).
     pub fn factor_basis(a: &CscMatrix, basis: &[usize]) -> Result<SparseLu, LinSysError> {
-        let n = basis.len();
         let cols: Vec<Vec<(u32, f64)>> = basis
             .iter()
             .map(|&j| {
@@ -106,7 +125,85 @@ impl SparseLu {
                     .collect()
             })
             .collect();
-        factor_markowitz(n, cols)
+        SparseLu::factor_columns(basis.len(), cols)
+    }
+
+    /// Factors the `n x n` matrix whose column `j` holds the entries
+    /// `cols[j]` (`(row, value)`, each row at most once per column):
+    /// singleton peel first, threshold-Markowitz elimination on the bump
+    /// that remains (module docs).
+    pub fn factor_columns(
+        n: usize,
+        mut cols: Vec<Vec<(u32, f64)>>,
+    ) -> Result<SparseLu, LinSysError> {
+        let mut lu = SparseLu::with_capacity(n);
+        let (row_done, col_done) = peel(n, &cols, &mut lu);
+        lu.bump = n - lu.pivots.len();
+        if lu.bump > 0 {
+            for (col, &done) in cols.iter_mut().zip(&col_done) {
+                if done {
+                    col.clear();
+                } else {
+                    col.retain(|&(i, _)| !row_done[i as usize]);
+                }
+            }
+            markowitz(cols, &mut lu)?;
+        }
+        Ok(lu.finish())
+    }
+
+    /// An empty factorization of dimension `n`, to be filled one pivot at
+    /// a time by [`SparseLu::push_step`] and closed by
+    /// [`SparseLu::finish`].
+    fn with_capacity(n: usize) -> SparseLu {
+        SparseLu {
+            n,
+            rperm: Vec::with_capacity(n),
+            cperm: Vec::with_capacity(n),
+            lcols: Vec::with_capacity(n),
+            urows: Vec::with_capacity(n),
+            pivots: Vec::with_capacity(n),
+            bump: 0,
+        }
+    }
+
+    /// Records the next pivot; `lk` is keyed by original row and `uk` by
+    /// original column until [`SparseLu::finish`].
+    fn push_step(
+        &mut self,
+        row: u32,
+        col: u32,
+        piv: f64,
+        lk: Vec<(u32, f64)>,
+        uk: Vec<(u32, f64)>,
+    ) {
+        self.rperm.push(row);
+        self.cperm.push(col);
+        self.pivots.push(piv);
+        self.lcols.push(lk);
+        self.urows.push(uk);
+    }
+
+    /// Remaps the recorded L targets and U sources from original indices
+    /// into step space (U rows ascending).
+    fn finish(mut self) -> SparseLu {
+        let mut step_of = vec![0u32; self.n];
+        for (k, &r) in self.rperm.iter().enumerate() {
+            step_of[r as usize] = k as u32;
+        }
+        for (r, _) in self.lcols.iter_mut().flatten() {
+            *r = step_of[*r as usize];
+        }
+        for (k, &c) in self.cperm.iter().enumerate() {
+            step_of[c as usize] = k as u32;
+        }
+        for row in &mut self.urows {
+            for (c, _) in row.iter_mut() {
+                *c = step_of[*c as usize];
+            }
+            row.sort_unstable_by_key(|&(c, _)| c);
+        }
+        self
     }
 
     /// Solves `B x = b` (allocating); bit-identical to
@@ -311,10 +408,8 @@ fn factor_partial_pivot(n: usize, cols: Vec<Vec<(u32, f64)>>) -> Result<SparseLu
     // phys[pos] = original row currently at physical position `pos`; the
     // dense code swaps rows physically, we swap this view.
     let mut phys: Vec<u32> = (0..n as u32).collect();
-    let mut lcols_raw: Vec<Vec<(u32, f64)>> = Vec::with_capacity(n);
-    let mut urows_raw: Vec<Vec<(u32, f64)>> = Vec::with_capacity(n);
-    let mut pivots = Vec::with_capacity(n);
-    let mut rperm = Vec::with_capacity(n);
+    let mut lu = SparseLu::with_capacity(n);
+    lu.bump = n;
     for k in 0..n {
         // Scatter column k for value lookups by original row.
         act.epoch += 1;
@@ -343,41 +438,117 @@ fn factor_partial_pivot(n: usize, cols: Vec<Vec<(u32, f64)>>) -> Result<SparseLu
             return Err(LinSysError::Singular);
         }
         phys.swap(k, p_pos);
-        let p = phys[k] as usize;
-        let piv = val(phys[k]);
-        rperm.push(p as u32);
-        pivots.push(piv);
-        let (lk, uk) = act.eliminate(k, p, piv);
-        lcols_raw.push(lk);
-        urows_raw.push(uk);
+        let p = phys[k];
+        let piv = val(p);
+        let (lk, uk) = act.eliminate(k, p as usize, piv);
+        lu.push_step(p, k as u32, piv, lk, uk);
     }
-    // Natural column order: cperm is the identity and U sources (original
-    // column indices) are already step indices, ascending.
-    let cperm: Vec<u32> = (0..n as u32).collect();
-    Ok(finish(n, rperm, cperm, lcols_raw, urows_raw, pivots, false))
+    // Natural column order: cperm is the identity, so `finish` leaves the
+    // U rows (already ascending) as they are.
+    Ok(lu.finish())
 }
 
-/// Markowitz-ordered elimination with threshold pivoting for basis
-/// matrices (columns indexed by basis position).
-fn factor_markowitz(n: usize, cols: Vec<Vec<(u32, f64)>>) -> Result<SparseLu, LinSysError> {
-    let mut act = Active::new(n, cols);
-    let mut row_count: Vec<u32> = vec![0; n];
-    for rc in act.row_cols.iter().zip(row_count.iter_mut()) {
-        *rc.1 = rc.0.len() as u32;
+/// The singleton peel (module docs): pivots every row or column with one
+/// active entry, repeatedly, in FIFO order from a queue seeded with the
+/// column singletons then the row singletons, each in ascending index
+/// order. Returns which rows and columns were pivoted; `cols` is only read
+/// (a peel pivot changes no stored value).
+fn peel(n: usize, cols: &[Vec<(u32, f64)>], lu: &mut SparseLu) -> (Vec<bool>, Vec<bool>) {
+    // Row-major copy of the entries, so a pivot row can be walked.
+    let mut row_count = vec![0u32; n];
+    for &(i, _) in cols.iter().flatten() {
+        row_count[i as usize] += 1;
     }
+    let mut row_start = Vec::with_capacity(n + 1);
+    let mut nnz = 0usize;
+    for &c in &row_count {
+        row_start.push(nnz);
+        nnz += c as usize;
+    }
+    row_start.push(nnz);
+    let mut next = row_start.clone();
+    let mut rows = vec![(0u32, 0.0f64); nnz];
+    for (j, col) in cols.iter().enumerate() {
+        for &(i, v) in col {
+            rows[next[i as usize]] = (j as u32, v);
+            next[i as usize] += 1;
+        }
+    }
+    // Orientation 0 is "column", 1 is "row": line `k` of orientation `s`
+    // lists `(index in the other orientation, value)`.
+    let line = |s: usize, k: usize| -> &[(u32, f64)] {
+        if s == 0 {
+            &cols[k]
+        } else {
+            &rows[row_start[k]..row_start[k + 1]]
+        }
+    };
+    let mut count = [cols.iter().map(|c| c.len() as u32).collect(), row_count];
+    let mut done = [vec![false; n], vec![false; n]];
+    let mut queue: VecDeque<(usize, u32)> = VecDeque::new();
+    for (s, counts) in count.iter().enumerate() {
+        queue.extend(
+            (0..n as u32)
+                .filter(|&k| counts[k as usize] == 1)
+                .map(|k| (s, k)),
+        );
+    }
+    while let Some((s, k)) = queue.pop_front() {
+        let (k, o) = (k as usize, 1 - s);
+        if done[s][k] || count[s][k] != 1 {
+            continue;
+        }
+        let active = line(s, k).iter().find(|&&(x, _)| !done[o][x as usize]);
+        let Some(&(x, piv)) = active.filter(|e| e.1.abs() >= BASIS_SINGULAR_TOL) else {
+            continue; // empty or sub-tolerance: the bump declares singularity
+        };
+        // The pivot's other line: a column singleton keeps its pivot row's
+        // remaining entries as the U row, a row singleton its pivot
+        // column's remaining entries / pivot as the L column.
+        let mut cross = Vec::new();
+        for &(t, v) in line(o, x as usize) {
+            let ti = t as usize;
+            if ti == k || done[s][ti] {
+                continue;
+            }
+            let e = if s == 0 { v } else { v / piv };
+            if nonzero(e) {
+                cross.push((t, e));
+            }
+            count[s][ti] -= 1;
+            if count[s][ti] == 1 {
+                queue.push_back((s, t));
+            }
+        }
+        done[s][k] = true;
+        done[o][x as usize] = true;
+        if s == 0 {
+            lu.push_step(x, k as u32, piv, Vec::new(), cross);
+        } else {
+            lu.push_step(k as u32, x, piv, cross, Vec::new());
+        }
+    }
+    let [col_done, row_done] = done;
+    (row_done, col_done)
+}
+
+/// Markowitz-ordered elimination with threshold pivoting over the bump:
+/// `cols` holds the entries the peel left active (peeled columns empty).
+fn markowitz(cols: Vec<Vec<(u32, f64)>>, lu: &mut SparseLu) -> Result<(), LinSysError> {
+    let mut act = Active::new(lu.n, cols);
+    let mut row_count: Vec<u32> = act.row_cols.iter().map(|rc| rc.len() as u32).collect();
     // (active entry count, column) in ascending order drives the search.
+    // Peeled columns are empty; so is a structurally empty bump column,
+    // which no pivot can use either way (the loop then runs out of
+    // candidates and reports singularity).
     let mut colorder: BTreeSet<(u32, u32)> = act
         .cols
         .iter()
         .enumerate()
+        .filter(|(_, c)| !c.is_empty())
         .map(|(j, c)| (c.len() as u32, j as u32))
         .collect();
-    let mut lcols_raw: Vec<Vec<(u32, f64)>> = Vec::with_capacity(n);
-    let mut urows_raw: Vec<Vec<(u32, f64)>> = Vec::with_capacity(n);
-    let mut pivots = Vec::with_capacity(n);
-    let mut rperm = Vec::with_capacity(n);
-    let mut cperm = Vec::with_capacity(n);
-    for _step in 0..n {
+    for _step in 0..lu.bump {
         // ---- Pivot search: best Markowitz cost among a bounded prefix of
         // the sparsest active columns, ties to the larger magnitude, then
         // to the earlier candidate (deterministic scan order). ----
@@ -425,9 +596,6 @@ fn factor_markowitz(n: usize, cols: Vec<Vec<(u32, f64)>>) -> Result<SparseLu, Li
         if !nonzero(piv) {
             return Err(LinSysError::Singular);
         }
-        rperm.push(i);
-        cperm.push(j);
-        pivots.push(piv);
         // Count bookkeeping must see the state *before* elimination.
         colorder.remove(&(act.cols[jcol].len() as u32, j));
         for &(r, _) in &act.cols[jcol] {
@@ -450,62 +618,9 @@ fn factor_markowitz(n: usize, cols: Vec<Vec<(u32, f64)>>) -> Result<SparseLu, Li
         for &(r, _) in &lk {
             row_count[r as usize] = act.row_cols[r as usize].len() as u32;
         }
-        lcols_raw.push(lk);
-        urows_raw.push(uk);
+        lu.push_step(i, j, piv, lk, uk);
     }
-    Ok(finish(n, rperm, cperm, lcols_raw, urows_raw, pivots, true))
-}
-
-/// Remaps raw factor indices (original rows in L, original columns in U)
-/// into step space and assembles the [`SparseLu`].
-fn finish(
-    n: usize,
-    rperm: Vec<u32>,
-    cperm: Vec<u32>,
-    lcols_raw: Vec<Vec<(u32, f64)>>,
-    urows_raw: Vec<Vec<(u32, f64)>>,
-    pivots: Vec<f64>,
-    remap_u: bool,
-) -> SparseLu {
-    let mut row_step = vec![0u32; n];
-    for (k, &r) in rperm.iter().enumerate() {
-        row_step[r as usize] = k as u32;
-    }
-    let lcols: Vec<Vec<(u32, f64)>> = lcols_raw
-        .into_iter()
-        .map(|col| {
-            col.into_iter()
-                .map(|(r, f)| (row_step[r as usize], f))
-                .collect()
-        })
-        .collect();
-    let urows: Vec<Vec<(u32, f64)>> = if remap_u {
-        let mut col_step = vec![0u32; n];
-        for (k, &c) in cperm.iter().enumerate() {
-            col_step[c as usize] = k as u32;
-        }
-        urows_raw
-            .into_iter()
-            .map(|row| {
-                let mut row: Vec<(u32, f64)> = row
-                    .into_iter()
-                    .map(|(c, u)| (col_step[c as usize], u))
-                    .collect();
-                row.sort_unstable_by_key(|&(c, _)| c);
-                row
-            })
-            .collect()
-    } else {
-        urows_raw
-    };
-    SparseLu {
-        n,
-        rperm,
-        cperm,
-        lcols,
-        urows,
-        pivots,
-    }
+    Ok(())
 }
 
 /// One entry of the basis-engine op file.

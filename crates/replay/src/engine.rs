@@ -10,40 +10,22 @@
 //!
 //! Realization reads the failure state only through its liveness signature
 //! (which tunnels are alive, which LSs are active), so repeated states can
-//! share the expensive part of the linear solve: the engine caches the LU
-//! factorization of the reservation matrix keyed by
-//! [`FailureState::liveness_signature`]. A cache hit replaces the O(n³)
-//! factorization with an O(n²) triangular solve; the numerical path is the
-//! *same code* [`realize_routing`] runs (factor, solve, range-check,
-//! expand), so cached and cold results are bit-identical.
+//! share the expensive part of the linear solve: the engine caches
+//! [`pcf_core::Factored`] — the solved pair order plus the triangular-first
+//! factors of the reservation matrix — keyed by
+//! [`FailureState::liveness_signature`]. A cache hit skips pair selection,
+//! assembly and factorization and pays one sparse substitution; the
+//! numerical path is the *same code* [`realize_routing`] runs
+//! ([`factor_state`], then [`pcf_core::Factored::route`]), so cached and
+//! cold results are bit-identical.
 
 use crate::trace::{EventKind, LinkEvent};
 use pcf_core::{
-    absolute_tolerance, check_utilizations, degrade_fallback, degraded_reservations,
-    expand_routing, live_pairs, normal_routing, realize_routing, reservation_matrix, Condition,
-    DegradeMode, DegradedRouting, FailureState, Instance, LadderStage, LsId, PairId, RealizeError,
-    Routing, TunnelId,
+    degrade_fallback, degraded_reservations, factor_state, normal_routing, realize_routing,
+    Condition, DegradeMode, DegradedRouting, Factored, FailureState, Instance, LadderStage, LsId,
+    RealizeError, Routing, TunnelId,
 };
-use pcf_lp::{lu_factor, LuFactors, SparseLu};
 use std::collections::{BTreeMap, VecDeque};
-
-/// Which factorization backend [`ReplayEngine::realize`] uses for the
-/// reservation matrix.
-///
-/// Both backends produce bit-identical solves (the sparse engine's
-/// dense-compat mode replicates the dense pivoting exactly), but their
-/// factor objects are different types with different internals — so the
-/// cache keys every entry by kind, and an entry factored under one kind
-/// is never served to the other.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum FactorKind {
-    /// Dense Gaussian elimination ([`pcf_lp::lu_factor`]).
-    Dense,
-    /// Sparse LU in dense-compat mode
-    /// ([`pcf_lp::SparseLu::factor_dense_compat`]).
-    #[default]
-    Sparse,
-}
 
 /// Hit/miss/eviction counters of the factorization cache.
 ///
@@ -120,94 +102,12 @@ impl DegradeStats {
     }
 }
 
-/// What a cache entry remembers about one liveness signature: the solved
-/// pair order and the LU factors of its reservation matrix (`None` when
-/// there are no pairs of interest), or the structural error realization
-/// hit.
-pub(crate) enum Solved {
-    Empty,
-    Factored { pairs: Vec<PairId>, lu: Factors },
-}
-
-/// A kind-tagged factorization. Solves are bit-identical across variants;
-/// the tag exists so cache bookkeeping can never mix backends.
-pub(crate) enum Factors {
-    Dense(LuFactors),
-    Sparse(SparseLu),
-}
-
-impl Factors {
-    fn solve(&self, rhs: &[f64]) -> Vec<f64> {
-        match self {
-            Factors::Dense(lu) => lu.solve(rhs),
-            Factors::Sparse(lu) => lu.solve(rhs),
-        }
-    }
-}
-
-pub(crate) type CacheEntry = Result<Solved, RealizeError>;
-
-/// The expensive half of a realization: live-pair selection plus the LU
-/// factorization of the reservation matrix, as one cacheable value.
-///
-/// Depends on the failure state only through its liveness signature, so
-/// the result can be keyed by `[kind] ++ signature` and shared across any
+/// What a cache entry remembers about one liveness signature: the
+/// factored system, or the structural error realization hit. A pure
+/// function of the plan and the key, so it can be shared across any
 /// engines holding the same plan — the contract both [`FactorCache`] and
 /// [`crate::SharedFactorCache`] rely on.
-pub(crate) fn compute_entry(
-    inst: &Instance,
-    state: &FailureState,
-    a: &[f64],
-    b: &[f64],
-    served: &[f64],
-    tol: f64,
-    kind: FactorKind,
-) -> CacheEntry {
-    let tol_abs = absolute_tolerance(served, tol);
-    let pairs = live_pairs(inst, state, a, b, served, tol_abs)?;
-    if pairs.is_empty() {
-        return Ok(Solved::Empty);
-    }
-    let m = reservation_matrix(inst, state, a, b, &pairs);
-    let lu = match kind {
-        FactorKind::Dense => lu_factor(&m)
-            .map(Factors::Dense)
-            .map_err(|_| RealizeError::SingularMatrix)?,
-        FactorKind::Sparse => SparseLu::factor_dense_compat(&m)
-            .map(Factors::Sparse)
-            .map_err(|_| RealizeError::SingularMatrix)?,
-    };
-    Ok(Solved::Factored { pairs, lu })
-}
-
-/// The cheap half of a realization: the O(n²) triangular solve, range
-/// check, and routing expansion from a (possibly cached) entry. Together
-/// with [`compute_entry`] this is exactly what [`realize_routing`] does,
-/// so cached, shared, and cold results are bit-identical.
-pub(crate) fn routing_from_entry(
-    entry: &CacheEntry,
-    inst: &Instance,
-    state: &FailureState,
-    a: &[f64],
-    served: &[f64],
-    tol: f64,
-) -> Result<Routing, RealizeError> {
-    match entry {
-        Err(e) => Err(e.clone()),
-        Ok(Solved::Empty) => Ok(Routing {
-            pairs: Vec::new(),
-            u: Vec::new(),
-            tunnel_flow: vec![0.0; inst.num_tunnels()],
-            arc_loads: vec![0.0; inst.topo().arc_count()],
-        }),
-        Ok(Solved::Factored { pairs, lu }) => {
-            let d: Vec<f64> = pairs.iter().map(|&p| served[p.0]).collect();
-            let u = lu.solve(&d);
-            let u = check_utilizations(pairs, u, tol)?;
-            Ok(expand_routing(inst, state, a, pairs, &u))
-        }
-    }
-}
+pub(crate) type CacheEntry = Result<Factored, RealizeError>;
 
 /// Insertion-order (FIFO) bounded map from liveness signature to solve
 /// state.
@@ -309,7 +209,8 @@ pub struct ReplayEngine<'a> {
     degrade_fp: u64,
     degrade: DegradeMode,
     dstats: DegradeStats,
-    factor_kind: FactorKind,
+    // Largest `Routing::bump` any successful realization reported.
+    max_bump: usize,
     // Fault-injection hook: pretend every factorization is singular.
     force_singular: bool,
 }
@@ -386,7 +287,7 @@ impl<'a> ReplayEngine<'a> {
             degrade_fp: 0,
             degrade: DegradeMode::Off,
             dstats: DegradeStats::default(),
-            factor_kind: FactorKind::default(),
+            max_bump: 0,
             force_singular: false,
         }
     }
@@ -395,8 +296,8 @@ impl<'a> ReplayEngine<'a> {
     /// [`crate::SharedFactorCache`] that other engines over the *same
     /// plan* (same `inst`, `a`, `b`, `served`, `tol`) may share.
     ///
-    /// Cache entries are pure functions of the plan, the factor kind, and
-    /// the liveness signature, so sharing across plans is unsound —
+    /// Cache entries are pure functions of the plan and the liveness
+    /// signature, so sharing across plans is unsound —
     /// callers keep one shared cache per plan (the serve layer keys one
     /// per plan epoch). Hit/miss counters live in the shared cache and
     /// aggregate over every engine attached to it.
@@ -413,15 +314,6 @@ impl<'a> ReplayEngine<'a> {
         engine
     }
 
-    /// Selects the factorization backend (default: [`FactorKind::Sparse`]).
-    ///
-    /// Safe to flip mid-trace: cache entries are keyed by kind, so a
-    /// factorization computed under the previous backend is never served
-    /// to the new one (it ages out by FIFO instead).
-    pub fn set_factor_kind(&mut self, kind: FactorKind) {
-        self.factor_kind = kind;
-    }
-
     /// Selects how far down the degradation ladder
     /// [`ReplayEngine::realize_degraded`] may fall (default:
     /// [`DegradeMode::Off`]).
@@ -430,7 +322,7 @@ impl<'a> ReplayEngine<'a> {
     }
 
     /// Fault-injection hook: while set, every realization behaves as if
-    /// `lu_factor` failed ([`RealizeError::SingularMatrix`]). The failure
+    /// the factorization failed ([`RealizeError::SingularMatrix`]). The failure
     /// is synthesized *before* the cache is consulted, so no poisoned
     /// entry is ever stored and cache counters don't move — exactly the
     /// isolation the degradation ladder promises for degraded results.
@@ -580,16 +472,16 @@ impl<'a> ReplayEngine<'a> {
     /// Realizes the routing for the current failure state.
     ///
     /// With the cache enabled, a previously seen liveness signature reuses
-    /// its stored LU factors (an O(n²) solve); a new signature pays the
-    /// full factorization once. Results — including errors — are identical
-    /// to calling [`realize_routing`] on [`ReplayEngine::state`].
+    /// its stored factors (one sparse substitution); a new signature pays
+    /// pair selection, assembly and factorization once. Results —
+    /// including errors — are identical to calling [`realize_routing`] on
+    /// [`ReplayEngine::state`].
     ///
     /// Under partial-capacity degradation the reservations are first
     /// rescaled per tunnel ([`degraded_reservations`]) so the realized
     /// loads respect the surviving capacities, and the cache key grows a
-    /// degradation fingerprint — undegraded states keep their historical
-    /// keys, and a degraded factorization is never served to (or from) an
-    /// undegraded one.
+    /// degradation fingerprint — a degraded factorization is never served
+    /// to (or from) an undegraded one.
     pub fn realize(&mut self) -> Result<Routing, RealizeError> {
         if self.force_singular {
             // Injected failure: reported before the cache is consulted so
@@ -600,8 +492,23 @@ impl<'a> ReplayEngine<'a> {
         let state = &self.fs;
         let (inst, b, served, tol) = (self.inst, self.b, self.served, self.tol);
         let a: &[f64] = a_scaled.as_deref().unwrap_or(self.a);
-        let kind = self.factor_kind;
-        match &mut self.cache {
+        // The key is the liveness signature plus, only when degraded, the
+        // degradation fingerprint.
+        let (sig, degrade_fp) = (&self.sig, self.degrade_fp);
+        let key = || {
+            let mut key = sig.clone();
+            if degrade_fp != 0 {
+                key.push(degrade_fp);
+            }
+            key
+        };
+        // The two halves of `realize_routing`, split around the cache.
+        let factor = || factor_state(inst, state, a, b, served, tol);
+        let route = |entry: &CacheEntry| match entry {
+            Ok(factored) => factored.route(inst, state, a, served, tol),
+            Err(e) => Err(e.clone()),
+        };
+        let res = match &mut self.cache {
             CacheBackend::Cold => {
                 let res = realize_routing(inst, state, a, b, served, tol);
                 if res.is_err() {
@@ -611,34 +518,13 @@ impl<'a> ReplayEngine<'a> {
                 }
                 res
             }
-            CacheBackend::Private(cache) => {
-                // The cache key leads with the factor kind: a dense-era
-                // entry must never answer for the sparse backend (or vice
-                // versa), even though their liveness signatures match. A
-                // degradation fingerprint (present only when degraded)
-                // does the same for capacity patterns.
-                let mut key = Vec::with_capacity(self.sig.len() + 2);
-                key.push(kind as u64);
-                key.extend_from_slice(&self.sig);
-                if self.degrade_fp != 0 {
-                    key.push(self.degrade_fp);
-                }
-                let entry = cache
-                    .lookup_or_insert(key, || compute_entry(inst, state, a, b, served, tol, kind));
-                routing_from_entry(entry, inst, state, a, served, tol)
-            }
-            CacheBackend::Shared(shared) => {
-                let mut key = Vec::with_capacity(self.sig.len() + 2);
-                key.push(kind as u64);
-                key.extend_from_slice(&self.sig);
-                if self.degrade_fp != 0 {
-                    key.push(self.degrade_fp);
-                }
-                let entry = shared
-                    .lookup_or_insert(&key, || compute_entry(inst, state, a, b, served, tol, kind));
-                routing_from_entry(&entry, inst, state, a, served, tol)
-            }
+            CacheBackend::Private(cache) => route(cache.lookup_or_insert(key(), factor)),
+            CacheBackend::Shared(shared) => route(&shared.lookup_or_insert(&key(), factor)),
+        };
+        if let Ok(routing) = &res {
+            self.max_bump = self.max_bump.max(routing.bump);
         }
+        res
     }
 
     /// Realizes the current state through the degradation ladder: the
@@ -708,6 +594,13 @@ impl<'a> ReplayEngine<'a> {
             CacheBackend::Shared(s) => s.stats(),
             CacheBackend::Cold => self.cold_stats,
         }
+    }
+
+    /// Largest [`Routing::bump`] over the successful realizations so far:
+    /// `0` while every state was served by substitution alone (Prop. 7's
+    /// walk), otherwise the most rows any state left to LU elimination.
+    pub fn max_bump(&self) -> usize {
+        self.max_bump
     }
 
     /// Number of factorizations currently retained.
@@ -780,6 +673,7 @@ mod tests {
             match (cached, cold) {
                 (Ok(x), Ok(y)) => {
                     assert_eq!(x.pairs, y.pairs);
+                    assert_eq!(x.bump, y.bump);
                     for (c, f) in x.u.iter().zip(&y.u) {
                         assert_eq!(c.to_bits(), f.to_bits());
                     }
@@ -793,6 +687,9 @@ mod tests {
         }
         let stats = engine.cache_stats();
         assert!(stats.hits > 0, "repeat states must hit: {stats:?}");
+        // Shortest-path LSs sort topologically: every state was a walk.
+        assert!(pcf_core::topological_order(&inst, &b).is_some());
+        assert_eq!(engine.max_bump(), 0);
     }
 
     #[test]
@@ -837,7 +734,7 @@ mod tests {
         let warm_stats = engine.cache_stats();
         assert_eq!(engine.degrade_stats().normal, 1);
 
-        // Force lu_factor failure: the ladder must serve stage 2, and the
+        // Force a factorization failure: the ladder must serve stage 2, and the
         // cache must be completely untouched (no poisoned entry, no
         // counter movement) — the cache-exclusion invariant.
         engine.force_singular(true);
@@ -925,42 +822,6 @@ mod tests {
         merged.absorb(&stats);
         merged.absorb(&cold.cache_stats());
         assert_eq!(merged.errors, 4);
-    }
-
-    #[test]
-    fn factor_kinds_never_share_cache_entries() {
-        let (inst, a, b, served) = sprint_plan();
-        let mut engine = ReplayEngine::new(&inst, &a, &b, &served, 1e-6, 16);
-        engine.set_factor_kind(FactorKind::Dense);
-        let dense = engine.realize().unwrap();
-        assert_eq!(engine.cache_stats().misses, 1);
-        assert_eq!(engine.cached_entries(), 1);
-
-        // Same liveness signature, different backend: the dense-era entry
-        // must NOT be served — this is a miss, not a hit.
-        engine.set_factor_kind(FactorKind::Sparse);
-        let sparse = engine.realize().unwrap();
-        let stats = engine.cache_stats();
-        assert_eq!(stats.hits, 0, "dense entry leaked to sparse: {stats:?}");
-        assert_eq!(stats.misses, 2);
-        assert_eq!(engine.cached_entries(), 2);
-
-        // Dense-compat factorization is bit-identical to the dense path.
-        for (x, y) in dense.u.iter().zip(&sparse.u) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for (x, y) in dense.arc_loads.iter().zip(&sparse.arc_loads) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-
-        // Each kind now hits its own entry.
-        assert!(engine.realize().is_ok());
-        engine.set_factor_kind(FactorKind::Dense);
-        assert!(engine.realize().is_ok());
-        let stats = engine.cache_stats();
-        assert_eq!(stats.hits, 2, "{stats:?}");
-        assert_eq!(stats.misses, 2);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

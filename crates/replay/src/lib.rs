@@ -9,8 +9,8 @@
 //!   events ([`trace`]);
 //! * [`ReplayEngine`] — incremental failure-state tracking plus an LU
 //!   factorization cache keyed by liveness signature, so repeated failure
-//!   states skip the O(n³) factor and pay only an O(n²) solve
-//!   ([`engine`]);
+//!   states skip pair selection, assembly and factorization and pay only
+//!   a sparse substitution ([`engine`]);
 //! * [`replay_trace`] / [`replay_batch`] — sequential and multi-threaded
 //!   replay drivers producing a [`ReplayReport`] (per-event utilization,
 //!   ladder stage and shed demand, violation log, latency percentiles,
@@ -42,7 +42,7 @@ pub mod trace;
 pub use campaign::{
     run_campaign, CampaignCurve, CampaignOptions, CampaignPlan, CampaignReport, CampaignStep,
 };
-pub use engine::{CacheStats, DegradeStats, FactorKind, ReplayEngine};
+pub use engine::{CacheStats, DegradeStats, ReplayEngine};
 pub use inject::FaultInjector;
 pub use report::{
     replay_batch, replay_trace, EventStage, LatencyHistogram, ReplayOptions, ReplayReport,

@@ -194,6 +194,10 @@ pub struct ReplayReport {
     pub worst_overload: f64,
     /// Ladder-stage counters (batches sum per-engine counters).
     pub degrade: DegradeStats,
+    /// Largest [`ReplayEngine::max_bump`] over the engines: `0` when every
+    /// event was realized by Prop. 7's walk, otherwise the most rows any
+    /// state left to LU elimination.
+    pub max_bump: usize,
 }
 
 impl ReplayReport {
@@ -216,6 +220,7 @@ impl ReplayReport {
             total_shed: 0.0,
             worst_overload: 0.0,
             degrade: DegradeStats::default(),
+            max_bump: 0,
         };
         for r in reports {
             out.events += r.events;
@@ -230,6 +235,7 @@ impl ReplayReport {
             out.total_shed += r.total_shed;
             out.worst_overload = out.worst_overload.max(r.worst_overload);
             out.degrade.absorb(&r.degrade);
+            out.max_bump = out.max_bump.max(r.max_bump);
         }
         out
     }
@@ -280,6 +286,7 @@ impl ReplayReport {
              \"utilization_digest\": \"{:016x}\",\n  \"violations\": [{}],\n  \
              \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"errors\": {} }},\n  \
              \"degrade\": {{ \"normal\": {}, \"rescaled\": {}, \"shed\": {}, \"failed\": {} }},\n  \
+             \"max_bump\": {},\n  \
              \"total_shed\": \"{:x}\",\n  \"worst_overload\": \"{:x}\",\n  \
              \"degrade_digest\": \"{:016x}\"\n}}\n",
             self.events,
@@ -294,6 +301,7 @@ impl ReplayReport {
             self.degrade.rescaled,
             self.degrade.shed,
             self.degrade.failed,
+            self.max_bump,
             self.total_shed.to_bits(),
             self.worst_overload.to_bits(),
             degrade_digest,
@@ -308,6 +316,7 @@ impl ReplayReport {
              \"latency_ns\": {{ \"p50\": {}, \"p99\": {}, \"mean\": {:.1} }},\n  \
              \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"errors\": {}, \"hit_rate\": {:.4} }},\n  \
              \"degrade\": {{ \"normal\": {}, \"rescaled\": {}, \"shed\": {}, \"failed\": {} }},\n  \
+             \"max_bump\": {},\n  \
              \"total_shed\": {:.6},\n  \"worst_overload\": {:.6}\n}}\n",
             self.events,
             self.max_utilization,
@@ -324,6 +333,7 @@ impl ReplayReport {
             self.degrade.rescaled,
             self.degrade.shed,
             self.degrade.failed,
+            self.max_bump,
             self.total_shed,
             self.worst_overload,
         )
@@ -446,6 +456,7 @@ fn replay_indexed(
         total_shed,
         worst_overload,
         degrade: engine.degrade_stats(),
+        max_bump: engine.max_bump(),
     }
 }
 

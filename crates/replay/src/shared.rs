@@ -5,8 +5,8 @@
 //! that shape — many reader threads answer realization queries against
 //! *one* plan, and a failure state factored by any of them should be a
 //! cache hit for all of them. [`SharedFactorCache`] provides exactly that:
-//! a sharded, `RwLock`-per-shard map from `[factor-kind] ++
-//! liveness-signature` keys to `Arc`-shared solve state, with the same
+//! a sharded, `RwLock`-per-shard map from liveness-signature keys to
+//! `Arc`-shared solve state, with the same
 //! FIFO eviction discipline and the same hit/miss/error accounting as the
 //! private cache (counters are atomics aggregated over every attached
 //! engine).
@@ -16,8 +16,8 @@
 //! and the loser adopts the winner's entry. Both candidates are
 //! bit-identical (same numerical code, same inputs), so which one wins is
 //! unobservable; the race costs one redundant factorization, never a
-//! wrong answer. Factorization happens *outside* the shard lock so an
-//! O(n³) factor never blocks readers hitting other signatures.
+//! wrong answer. Factorization happens *outside* the shard lock so a
+//! miss never blocks readers hitting other signatures.
 //!
 //! Sharing across *plans* is unsound (the key does not encode the plan);
 //! callers keep one cache per plan. The serve layer hangs one off each
@@ -172,8 +172,8 @@ impl SharedFactorCache {
                 return entry;
             }
         }
-        // Miss: factor outside the lock so an O(n³) factorization never
-        // blocks readers of other signatures in this shard.
+        // Miss: factor outside the lock so it never blocks readers of
+        // other signatures in this shard.
         let fresh = Arc::new(compute());
         let mut guard = shard.write().unwrap_or_else(|p| p.into_inner());
         let entry = if let Some(existing) = guard.entries.get(key) {

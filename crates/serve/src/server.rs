@@ -602,6 +602,7 @@ impl Server {
         match result {
             Ok(d) => {
                 self.telemetry.record_stage(d.ladder_stage.code());
+                self.telemetry.record_bump(d.routing.bump);
                 let max_util = peak_utilization(&epoch.inst, &d.routing, engine.capacities());
                 let mut fields = vec![
                     ("ok".into(), Json::Bool(true)),

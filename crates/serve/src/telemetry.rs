@@ -146,6 +146,9 @@ pub struct Telemetry {
     /// Per-ladder-stage realization outcomes
     /// (normal/rescaled/shed/failed — same order as `EventStage::code`).
     pub degrade: [AtomicU64; 4],
+    /// Largest `Routing::bump` any realization reported: 0 while the
+    /// plans served were realized by Prop. 7's walk alone.
+    pub max_bump: AtomicU64,
     /// Latency of query commands (realize/util/admit).
     pub query_latency: AtomicHistogram,
     /// Latency of event commands (down/up/wobble/reset).
@@ -166,6 +169,13 @@ impl Telemetry {
     pub fn record_stage(&self, code: u8) {
         // audit:allow(atomics-discipline, monotonic telemetry counter; no data is published through it) audit:allow(panic-reachability, index is .min(3)-clamped to the fixed array size)
         self.degrade[(code as usize).min(3)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Folds one realization's factorization bump into the running max.
+    // audit:hot
+    pub fn record_bump(&self, bump: usize) {
+        // audit:allow(atomics-discipline, monotonic telemetry maximum; no data is published through it)
+        self.max_bump.fetch_max(bump as u64, Ordering::Relaxed);
     }
 
     /// Snapshots everything into a report (counters are individually
@@ -194,6 +204,7 @@ impl Telemetry {
                 load(&self.degrade[2]),
                 load(&self.degrade[3]),
             ],
+            max_bump: load(&self.max_bump),
             cache,
             query_p50_ns: self.query_latency.p50_ns(),
             query_p99_ns: self.query_latency.p99_ns(),
@@ -236,6 +247,9 @@ pub struct ServeReport {
     pub protocol_errors: u64,
     /// Ladder-stage outcomes (normal, rescaled, shed, failed).
     pub degrade: [u64; 4],
+    /// Largest factorization bump over the realizations served (0 = every
+    /// one was Prop. 7's walk; otherwise rows left to LU elimination).
+    pub max_bump: u64,
     /// Shared factor-cache counters of the current epoch.
     pub cache: CacheStats,
     /// Query latency median (bucket upper bound, ns).
@@ -257,6 +271,7 @@ impl ServeReport {
              \"warm_epochs\":{},\"cold_epochs\":{},\
              \"connections\":{},\"busy_rejects\":{},\"idle_reaps\":{},\"protocol_errors\":{},\
              \"degrade\":{{\"normal\":{},\"rescaled\":{},\"shed\":{},\"failed\":{}}},\
+             \"max_bump\":{},\
              \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"errors\":{}}},\
              \"latency_ns\":{{\"query_p50\":{},\"query_p99\":{},\"event_p50\":{},\"event_p99\":{}}}}}",
             self.gen,
@@ -277,6 +292,7 @@ impl ServeReport {
             self.degrade[1],
             self.degrade[2],
             self.degrade[3],
+            self.max_bump,
             self.cache.hits,
             self.cache.misses,
             self.cache.evictions,
@@ -298,7 +314,8 @@ impl ServeReport {
             "{{\"gen\":{},\"plan_digest\":\"{:016x}\",\"queries\":{},\"events\":{},\
              \"admitted\":{},\"rejected\":{},\"swaps\":{},\"solve_failures\":{},\
              \"warm_epochs\":{},\"cold_epochs\":{},\"protocol_errors\":{},\
-             \"degrade\":{{\"normal\":{},\"rescaled\":{},\"shed\":{},\"failed\":{}}}}}",
+             \"degrade\":{{\"normal\":{},\"rescaled\":{},\"shed\":{},\"failed\":{}}},\
+             \"max_bump\":{}}}",
             self.gen,
             self.plan_digest,
             self.queries,
@@ -314,6 +331,7 @@ impl ServeReport {
             self.degrade[1],
             self.degrade[2],
             self.degrade[3],
+            self.max_bump,
         )
     }
 }

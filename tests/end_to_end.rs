@@ -191,6 +191,12 @@ fn check_master_lp_counters(name: &str) {
         assert_eq!(lp.warm_fallbacks, 0, "{name} {label}: {lp:?}");
         assert_eq!(lp.cold_solves, 1, "{name} {label}: {lp:?}");
         assert!(lp.dual_iterations > 0, "{name} {label}: {lp:?}");
+        // Slack columns alone hand the singleton peel part of every
+        // refactored basis; the rest is the Markowitz bump.
+        assert!(
+            lp.refactors > 0 && lp.refactor_peeled > 0,
+            "{name} {label}: {lp:?}"
+        );
         check(&inst, sol, &fm, &format!("{name} {label}"));
     }
     assert_eq!(cold.seeded_cuts, 0);
