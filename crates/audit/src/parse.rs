@@ -523,27 +523,24 @@ impl Parser<'_> {
             self.skip_angles();
             self.skip_ws();
         }
-        match self.chars.get(self.i) {
-            Some(&'{') => {
-                let body = self.capture_balanced('{', '}');
-                let mut fields = BTreeMap::new();
-                for field in split_top_level(&body, ',') {
-                    let field = field.trim();
-                    // Strip attributes and visibility.
-                    let field = strip_attrs_and_vis(field);
-                    if let Some((fname, fty)) = field.split_once(':') {
-                        let fname = fname.trim();
-                        if fname.chars().all(is_ident_char) && !fname.is_empty() {
-                            fields.insert(fname.to_string(), simplify_type(fty));
-                        }
+        // Tuple struct: let the main loop scan the parens (variant
+        // constructors are not calls because no fn scope is open at item
+        // level; inside a fn, `struct` is rare and harmless).
+        if self.chars.get(self.i) == Some(&'{') {
+            let body = self.capture_balanced('{', '}');
+            let mut fields = BTreeMap::new();
+            for field in split_top_level(&body, ',') {
+                let field = field.trim();
+                // Strip attributes and visibility.
+                let field = strip_attrs_and_vis(field);
+                if let Some((fname, fty)) = field.split_once(':') {
+                    let fname = fname.trim();
+                    if fname.chars().all(is_ident_char) && !fname.is_empty() {
+                        fields.insert(fname.to_string(), simplify_type(fty));
                     }
                 }
-                self.out.structs.insert(name, fields);
             }
-            // Tuple struct: let the main loop scan the parens (variant
-            // constructors are not calls because no fn scope is open at
-            // item level; inside a fn, `struct` is rare and harmless).
-            _ => {}
+            self.out.structs.insert(name, fields);
         }
     }
 
@@ -597,7 +594,7 @@ impl Parser<'_> {
             .unwrap_or("")
             .trim()
             .strip_prefix("->")
-            .map(|r| simplify_type(r));
+            .map(simplify_type);
         let (has_self, params) = parse_params(&params_text);
         let (impl_type, trait_of) = match self.current_impl() {
             Some((t, tr)) => (Some(t), tr),
@@ -807,50 +804,43 @@ impl Parser<'_> {
                 name: word.to_string(),
             },
             Some((at, ':')) if at > 0 && self.chars[at - 1] == ':' => {
-                // Walk the path backwards: the qualifier is the segment
-                // immediately before `::`.
-                let k = at - 1; // index of first ':'
-                let mut qualifier = String::new();
-                loop {
-                    // k points at the first `:` of `::`; read the ident
-                    // before it.
-                    let mut e = k;
+                // The qualifier is the segment immediately before `::`
+                // (`a::b::c(` → qualifier `b`).
+                let skip_ws = |mut e: usize| {
                     while e > 0 && self.chars[e - 1].is_whitespace() {
                         e -= 1;
                     }
-                    // Skip a generic group `Foo::<T>::bar` (rare).
-                    if e > 0 && self.chars[e - 1] == '>' {
-                        let mut depth = 0usize;
-                        while e > 0 {
-                            match self.chars[e - 1] {
-                                '>' => depth += 1,
-                                '<' => {
-                                    depth -= 1;
-                                    if depth == 0 {
-                                        e -= 1;
-                                        break;
-                                    }
+                    e
+                };
+                // `at - 1` is the first `:` of the `::` before the name.
+                let mut e = skip_ws(at - 1);
+                // Step over a turbofish: `Foo::<T>::bar(` → qualifier `Foo`.
+                if e > 0 && self.chars[e - 1] == '>' {
+                    let mut depth = 0usize;
+                    while e > 0 {
+                        match self.chars[e - 1] {
+                            '>' => depth += 1,
+                            '<' => {
+                                depth -= 1;
+                                if depth == 0 {
+                                    e -= 1;
+                                    break;
                                 }
-                                _ => {}
                             }
-                            e -= 1;
+                            _ => {}
                         }
+                        e -= 1;
                     }
-                    let mut s = e;
-                    while s > 0 && is_ident_char(self.chars[s - 1]) {
-                        s -= 1;
+                    e = skip_ws(e);
+                    if e >= 2 && self.chars[e - 1] == ':' && self.chars[e - 2] == ':' {
+                        e = skip_ws(e - 2);
                     }
-                    if s == e {
-                        break;
-                    }
-                    let seg: String = self.chars[s..e].iter().collect();
-                    if qualifier.is_empty() {
-                        qualifier = seg;
-                    }
-                    // Only the nearest qualifier matters (`a::b::c(` →
-                    // qualifier `b`); stop walking either way.
-                    break;
                 }
+                let mut s = e;
+                while s > 0 && is_ident_char(self.chars[s - 1]) {
+                    s -= 1;
+                }
+                let qualifier: String = self.chars[s..e].iter().collect();
                 if qualifier.is_empty() {
                     CallTarget::Free(word.to_string())
                 } else {
@@ -1174,10 +1164,10 @@ mod tests {
     #[test]
     fn method_and_path_and_macro_calls_classified() {
         let p = parse(
-            "fn f(&self) {\n    self.log.push(1);\n    SparseLu::factor(&m);\n    vec![1, 2];\n    format!(\"x\");\n}\n",
+            "fn f(&self) {\n    self.log.push(1);\n    SparseLu::factor(&m);\n    vec![1, 2];\n    format!(\"x\");\n    Foo::<Vec<u8>>::bar(&m);\n}\n",
         );
         let f = &p.fns[0];
-        assert_eq!(f.calls.len(), 4);
+        assert_eq!(f.calls.len(), 5);
         match &f.calls[0].target {
             CallTarget::Method { receiver, name } => {
                 assert_eq!(name, "push");
@@ -1201,6 +1191,14 @@ mod tests {
         );
         assert_eq!(f.calls[2].target, CallTarget::Macro("vec".into()));
         assert_eq!(f.calls[3].target, CallTarget::Macro("format".into()));
+        // The turbofish is stepped over: the qualifier is the type.
+        assert_eq!(
+            f.calls[4].target,
+            CallTarget::Path {
+                qualifier: "Foo".into(),
+                name: "bar".into()
+            }
+        );
     }
 
     #[test]

@@ -26,7 +26,6 @@ use pcf_core::{
     augment_capacity, pcf_cls_pipeline, pcf_ls_instance, scale_to_mlu, solve_ffc, solve_pcf_ls,
     solve_pcf_tf, solve_r3, tunnel_instance, FailureModel, Instance, RobustOptions, RobustSolution,
 };
-use pcf_lp::{EngineKind, Pricing, SimplexOptions};
 use pcf_replay::{
     replay_batch, run_campaign, CampaignOptions, CampaignPlan, EventTrace, FaultInjector,
     ReplayOptions,
@@ -53,9 +52,6 @@ const FLAGS: &[&str] = &[
     "degrade",
     "inject",
     "djson",
-    "pricing",
-    "refactor-every",
-    "engine",
     "host",
     "port",
     "drive",
@@ -116,9 +112,6 @@ fn usage() {
          \x20 --max-pairs <n>     keep only the n heaviest demands       (default 200)\n\
          \x20 --threads <n>       separation worker threads; 0 = all available cores\n\
          \x20                     (default 0)\n\
-         \x20 --engine <e>        LP basis engine: sparse | dense          (default sparse)\n\
-         \x20 --pricing <p>       simplex pricing: devex | dantzig         (default devex)\n\
-         \x20 --refactor-every <k> sparse-basis refactorization period     (default 400)\n\
          \x20 --target <z>        (augment) demand scale to guarantee\n\
          \x20 --trace <path>      (replay) scripted trace file (`down <l>` / `up <l>` lines)\n\
          \x20 --events <n>        (replay) generate an n-event flap trace    (default 1000)\n\
@@ -179,7 +172,7 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             let (inst, sol, scheme) = solve(&args, &topo)?;
             report(&topo, &inst, &sol, &scheme);
             if let Some(path) = args.get("json") {
-                std::fs::write(path, solve_json(&args, &topo, &inst, &sol, &scheme)?)?;
+                std::fs::write(path, solve_json(&topo, &inst, &sol, &scheme))?;
                 println!("  report written to {path}");
             }
             Ok(())
@@ -656,72 +649,25 @@ fn load_topology(args: &Args) -> Result<Topology, Box<dyn std::error::Error>> {
 }
 
 /// Robust-engine options from the command line: `--threads 0` (the
-/// default) lets the engine use every available core for separation;
-/// `--engine`, `--pricing` and `--refactor-every` tune the master LP's
-/// simplex.
+/// default) lets the engine use every available core for separation.
 fn robust_options(args: &Args) -> Result<RobustOptions, ArgError> {
-    let engine = match args.get("engine") {
-        None | Some("sparse") => EngineKind::Sparse,
-        Some("dense") => EngineKind::Dense,
-        Some(other) => {
-            return Err(ArgError(format!(
-                "--engine: expected sparse | dense, got {other:?}"
-            )))
-        }
-    };
-    let pricing = match args.get("pricing") {
-        None | Some("devex") => Pricing::Devex,
-        Some("dantzig") => Pricing::Dantzig,
-        Some(other) => {
-            return Err(ArgError(format!(
-                "--pricing: expected devex | dantzig, got {other:?}"
-            )))
-        }
-    };
-    let defaults = SimplexOptions::default();
-    let reinvert_every = args.get_or("refactor-every", defaults.reinvert_every)?;
-    if reinvert_every == 0 {
-        return Err(ArgError("--refactor-every must be at least 1".into()));
-    }
     Ok(RobustOptions {
         threads: args.get_or("threads", 0usize)?,
-        lp: SimplexOptions {
-            engine,
-            pricing,
-            reinvert_every,
-            ..defaults
-        },
         ..RobustOptions::default()
     })
 }
 
-/// The `solve --json` report: the headline numbers plus the LP engine
-/// configuration that produced them, so archived results are attributable.
-fn solve_json(
-    args: &Args,
-    topo: &Topology,
-    inst: &Instance,
-    sol: &RobustSolution,
-    scheme: &str,
-) -> Result<String, ArgError> {
-    let opts = robust_options(args)?;
-    let engine = match opts.lp.engine {
-        EngineKind::Sparse => "sparse",
-        EngineKind::Dense => "dense",
-    };
-    let pricing = match opts.lp.pricing {
-        Pricing::Devex => "devex",
-        Pricing::Dantzig => "dantzig",
-    };
+/// The `solve --json` report: the headline numbers plus the LP-layer
+/// counters of the master.
+fn solve_json(topo: &Topology, inst: &Instance, sol: &RobustSolution, scheme: &str) -> String {
     let lp = sol.lp_stats;
-    Ok(format!(
+    format!(
         "{{\n  \"scheme\": \"{scheme}\",\n  \"topology\": \"{}\",\n  \"nodes\": {},\n  \
          \"links\": {},\n  \"pairs\": {},\n  \"tunnels\": {},\n  \"logical_sequences\": {},\n  \
          \"objective\": {:.9},\n  \"rounds\": {},\n  \"cuts\": {},\n  \"warm_rounds\": {},\n  \
          \"cold_solves\": {},\n  \"warm_solves\": {},\n  \"warm_fallbacks\": {},\n  \
          \"phase1_iterations\": {},\n  \"primal_iterations\": {},\n  \"dual_iterations\": {},\n  \
-         \"refactors\": {},\n  \"refactor_peeled\": {},\n  \"refactor_bump\": {},\n  \
-         \"engine\": \"{engine}\",\n  \"pricing\": \"{pricing}\",\n  \"refactor_every\": {}\n}}\n",
+         \"refactors\": {},\n  \"refactor_peeled\": {},\n  \"refactor_bump\": {}\n}}\n",
         topo.name(),
         topo.node_count(),
         topo.link_count(),
@@ -741,8 +687,7 @@ fn solve_json(
         lp.refactors,
         lp.refactor_peeled,
         lp.refactor_bump,
-        opts.lp.reinvert_every,
-    ))
+    )
 }
 
 fn load_traffic(args: &Args, topo: &Topology) -> Result<TrafficMatrix, Box<dyn std::error::Error>> {

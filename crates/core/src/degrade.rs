@@ -30,8 +30,7 @@
 
 use crate::instance::{Instance, PairId};
 use crate::realize::{
-    absolute_tolerance, expand_routing, pairs_of_interest, realize_routing, topological_order,
-    FailureState, RealizeError, Routing,
+    absolute_tolerance, prop7_walk, realize_routing, FailureState, RealizeError, Routing,
 };
 use pcf_lp::{LpProblem, Sense, VarId};
 
@@ -220,12 +219,12 @@ pub fn degrade_fallback(
 
 /// Stage 2: the proportional split of Proposition 7 made total.
 ///
-/// Identical walk to [`proportional_routing`], but where that function
-/// errors this one degrades: a pair whose live reservation vanished
-/// serves zero, a pair asked for more than its reservation clamps to
-/// `u = 1` and sheds the excess pro rata between its own demand and its
-/// LS obligations. `None` when the LS relation is cyclic (no
-/// topological order — stage 3 territory).
+/// The walk of [`proportional_routing`], but where that function errors
+/// this one degrades: a pair whose live reservation vanished serves zero,
+/// a pair asked for more than its reservation clamps to `u = 1` and sheds
+/// the excess pro rata between its own demand and its LS obligations.
+/// `None` when the LS relation is cyclic (no topological order — stage 3
+/// territory).
 fn rescale_stage(
     inst: &Instance,
     state: &FailureState,
@@ -236,55 +235,24 @@ fn rescale_stage(
     caps: &[f64],
 ) -> Option<DegradedRouting> {
     let tol_abs = absolute_tolerance(served, tol);
-    let order = topological_order(inst, b)?;
-    let pairs = pairs_of_interest(inst, state, served, b, tol_abs);
-    let n = inst.num_pairs();
-    let in_p = {
-        let mut v = vec![false; n];
-        for &p in &pairs {
-            v[p.0] = true;
-        }
-        v
-    };
-    let mut u_all = vec![0.0f64; n];
-    let mut fraction = vec![1.0f64; n];
-    let mut obligation = vec![0.0f64; n];
-    for &p in &order {
-        if !in_p[p.0] {
-            continue;
-        }
-        let demand_here = served[p.0] + obligation[p.0];
-        if demand_here <= tol_abs {
-            continue;
-        }
-        let denom: f64 = state.live_tunnels(inst, p).map(|l| a[l.0]).sum::<f64>()
-            + state.active_lss(inst, p).map(|q| b[q.0]).sum::<f64>();
-        if denom <= tol_abs {
+    let mut fraction = vec![1.0f64; inst.num_pairs()];
+    let routing = prop7_walk(inst, state, a, b, served, tol_abs, |p, demand, reserved| {
+        let own = served[p.0] > tol_abs;
+        if reserved <= tol_abs {
             // Nothing live to carry it: shed everything asked of p.
-            if served[p.0] > tol_abs {
+            if own {
                 fraction[p.0] = 0.0;
             }
-            continue;
+            return Ok(0.0);
         }
-        let u = (demand_here / denom).min(1.0);
-        u_all[p.0] = u;
-        if served[p.0] > tol_abs {
-            // Delivered u·denom of demand_here, shared pro rata.
-            fraction[p.0] = (u * denom / demand_here).min(1.0);
+        let u = (demand / reserved).min(1.0);
+        if own {
+            // Delivered u·reserved of demand, shared pro rata.
+            fraction[p.0] = (u * reserved / demand).min(1.0);
         }
-        for q in state.active_lss(inst, p) {
-            let flow = u * b[q.0];
-            if flow > 0.0 {
-                for (x, y) in inst.ls(q).segments() {
-                    // audit:allow(no-panic-paths, Instance construction interns a pair for every LS segment) audit:allow(panic-reachability, same invariant: segment pairs are interned at construction)
-                    let sp = inst.pair_id(x, y).expect("segment pairs are interned");
-                    obligation[sp.0] += flow;
-                }
-            }
-        }
-    }
-    let u: Vec<f64> = pairs.iter().map(|&p| u_all[p.0]).collect();
-    let routing = expand_routing(inst, state, a, &pairs, &u);
+        Ok(u)
+    })
+    .ok()?;
     let overload = overload_bound(inst, &routing, caps);
     let shed = shed_total(inst, served, &fraction, tol_abs);
     Some(DegradedRouting {

@@ -707,7 +707,7 @@ mod structured_tests {
     fn regional_groups_are_incident_link_unions() {
         let t = zoo::build("Abilene");
         let region = vec![pcf_topology::NodeId(0), pcf_topology::NodeId(3)];
-        let b = GroupBudget::regions(&t, &[region.clone()], 1);
+        let b = GroupBudget::regions(&t, std::slice::from_ref(&region), 1);
         assert_eq!(b.groups.len(), 1);
         for l in t.links() {
             let touches = region.iter().any(|&n| t.link(l).touches(n));

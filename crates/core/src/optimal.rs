@@ -16,7 +16,7 @@
 //! for concurrent-flow computations.
 
 use crate::failure::FailureModel;
-use pcf_lp::{is_zero, LpProblem, Sense, SimplexOptions, Status, VarId};
+use pcf_lp::{is_zero, LpProblem, Sense, Status, VarId};
 use pcf_topology::{NodeId, Topology};
 use pcf_traffic::TrafficMatrix;
 
@@ -237,15 +237,6 @@ pub fn optimal_throughput(
         }
     }
     (worst, count, exact)
-}
-
-/// Relaxed simplex settings for the larger MCF LPs.
-#[allow(dead_code)]
-fn mcf_options() -> SimplexOptions {
-    SimplexOptions {
-        reinvert_every: 600,
-        ..SimplexOptions::default()
-    }
 }
 
 #[cfg(test)]

@@ -650,6 +650,35 @@ pub fn proportional_routing(
     tol: f64,
 ) -> Result<Routing, RealizeError> {
     let tol_abs = absolute_tolerance(served, tol);
+    prop7_walk(inst, state, a, b, served, tol_abs, |p, demand, reserved| {
+        if reserved <= tol_abs {
+            return Err(no_reservation_kind(inst, state, p));
+        }
+        let u = demand / reserved;
+        if u > 1.0 + tol {
+            return Err(RealizeError::UtilizationOutOfRange { pair: p, u });
+        }
+        Ok(u.min(1.0))
+    })
+}
+
+/// Proposition 7's walk, shared by [`proportional_routing`] and the
+/// degradation ladder's rescale stage. Pairs are visited in topological
+/// order; at each pair of interest asked to carry `demand` (its served
+/// demand plus the obligations of LSs already walked) over a live
+/// reservation of `reserved`, `utilization(pair, demand, reserved)` decides
+/// the fraction of the reservation to use — or aborts the walk — and that
+/// fraction of every active LS reservation becomes segment obligations.
+/// `SingularMatrix` when the LS relation has no topological order.
+pub(crate) fn prop7_walk(
+    inst: &Instance,
+    state: &FailureState,
+    a: &[f64],
+    b: &[f64],
+    served: &[f64],
+    tol_abs: f64,
+    mut utilization: impl FnMut(PairId, f64, f64) -> Result<f64, RealizeError>,
+) -> Result<Routing, RealizeError> {
     let order = topological_order(inst, b).ok_or(RealizeError::SingularMatrix)?;
     let pairs = pairs_of_interest(inst, state, served, b, tol_abs);
     let in_p = {
@@ -670,16 +699,9 @@ pub fn proportional_routing(
         if demand_here <= tol_abs {
             continue;
         }
-        let denom: f64 = state.live_tunnels(inst, p).map(|l| a[l.0]).sum::<f64>()
+        let reserved: f64 = state.live_tunnels(inst, p).map(|l| a[l.0]).sum::<f64>()
             + state.active_lss(inst, p).map(|q| b[q.0]).sum::<f64>();
-        if denom <= tol_abs {
-            return Err(no_reservation_kind(inst, state, p));
-        }
-        let u = demand_here / denom;
-        if u > 1.0 + tol {
-            return Err(RealizeError::UtilizationOutOfRange { pair: p, u });
-        }
-        let u = u.min(1.0);
+        let u = utilization(p, demand_here, reserved)?;
         u_all[p.0] = u;
         // Traffic sent down each active LS becomes segment obligations.
         for q in state.active_lss(inst, p) {

@@ -17,8 +17,8 @@
 //!
 //! The engine keeps **one master LP alive** across rounds: new scenario cuts
 //! are appended to the solved [`pcf_lp::IncrementalLp`], which absorbs them
-//! by dual simplex from the previous optimal basis (disable with
-//! [`RobustOptions::warm_start`]). Every master row holds at the origin —
+//! by dual simplex from the previous optimal basis. Every master row holds
+//! at the origin —
 //! cuts are homogeneous `... - z d >= 0`, capacity rows are `<= c` — so the
 //! first solve starts from an all-slack basis and no master solve ever runs
 //! a phase 1. A [`CutPool`] seed takes the same route as separated cuts:
@@ -42,9 +42,8 @@ use std::fmt;
 /// Surfaced by [`try_solve_robust`]; the infallible [`solve_robust`]
 /// wrapper panics on these instead. A
 /// [`RobustError::MasterNotOptimal`] with [`Status::IterationLimit`] is
-/// also how a numerically singular basis in the sparse LP engine reports
-/// itself, letting callers fall back (e.g. re-solving with
-/// [`pcf_lp::EngineKind::Dense`], or serving the incumbent through the
+/// also how a numerically singular basis in the LP engine reports itself,
+/// letting callers fall back (e.g. serving the incumbent through the
 /// degradation ladder) instead of aborting.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RobustError {
@@ -110,10 +109,6 @@ pub struct RobustOptions {
     /// Worker threads for the separation oracles. `0` means "use
     /// [`std::thread::available_parallelism`]"; `1` runs separation inline.
     pub threads: usize,
-    /// Keep the master LP alive across rounds and warm-start appended cuts
-    /// from the previous basis. `false` rebuilds the master from scratch
-    /// every round (the pre-incremental behaviour, kept as a baseline).
-    pub warm_start: bool,
 }
 
 impl Default for RobustOptions {
@@ -124,7 +119,6 @@ impl Default for RobustOptions {
             tol: 1e-6,
             lp: SimplexOptions::default(),
             threads: 0,
-            warm_start: true,
         }
     }
 }
@@ -157,17 +151,15 @@ pub struct RobustSolution {
     pub rounds: usize,
     /// Total scenario cuts generated.
     pub cuts: usize,
-    /// Rounds whose master re-solve started from the retained basis
-    /// (always 0 when [`RobustOptions::warm_start`] is off). On a seeded
-    /// solve this includes round 1, which absorbs the pool.
+    /// Rounds whose master re-solve started from the retained basis. On a
+    /// seeded solve this includes round 1, which absorbs the pool.
     pub warm_rounds: usize,
     /// Cuts offered to round 1 from a previous solve's [`CutPool`] (0 on a
     /// cold start or when the offered pool did not shape-match the
     /// instance).
     pub seeded_cuts: usize,
     /// LP-layer counters of the master, cumulative over the rounds: solves
-    /// by kind, pivots by loop, refactorizations (with
-    /// [`RobustOptions::warm_start`] off, of the last rebuilt master only).
+    /// by kind, pivots by loop, refactorizations.
     pub lp_stats: IncrementalStats,
     /// Per-pair worst-case availability of the final reservations over the
     /// relaxed failure polytope — the inner adversary's optimum, i.e. the
@@ -357,7 +349,7 @@ pub fn try_solve_robust_seeded(
     for cut in &cuts[..base_cuts] {
         master.append_cut(inst, cut);
     }
-    if seeded_cuts > 0 && opts.warm_start {
+    if seeded_cuts > 0 {
         // Solve the cut-free master so the seeds enter as appended rows.
         master.solve(inst, 1)?;
     }
@@ -382,13 +374,6 @@ pub fn try_solve_robust_seeded(
     let mut warm_rounds = 0usize;
     loop {
         rounds += 1;
-        if !opts.warm_start && rounds > 1 {
-            // Baseline mode: forget the basis and rebuild the whole master.
-            master = Master::new(inst, opts);
-            for cut in &cuts {
-                master.append_cut(inst, cut);
-            }
-        }
         let (a, b, z, objective, was_warm) = master.solve(inst, rounds)?;
         if was_warm {
             warm_rounds += 1;
@@ -965,7 +950,7 @@ mod more_tests {
     }
 
     #[test]
-    fn later_rounds_warm_start_and_match_cold_rebuild() {
+    fn later_rounds_warm_start() {
         let topo = pcf_topology::zoo::build("Sprint");
         let tm = pcf_traffic::gravity(&topo, 2);
         let inst = crate::schemes::tunnel_instance(&topo, &tm, 3);
@@ -980,20 +965,6 @@ mod more_tests {
         assert!(warm.rounds >= 2, "expected a multi-round solve");
         // Every master re-solve after the first must reuse the live basis.
         assert_eq!(warm.warm_rounds, warm.rounds - 1);
-
-        let cold_opts = RobustOptions {
-            warm_start: false,
-            threads: 1,
-            ..RobustOptions::default()
-        };
-        let cold = solve_robust(&inst, &fm, AdversaryKind::LinkBased, &cold_opts);
-        assert_eq!(cold.warm_rounds, 0);
-        assert!(
-            (warm.objective - cold.objective).abs() <= 1e-6 * (1.0 + cold.objective.abs()),
-            "warm {} vs cold {}",
-            warm.objective,
-            cold.objective
-        );
     }
 
     #[test]

@@ -21,6 +21,7 @@
 use crate::failure::{FailureModel, Scenario};
 use crate::instance::Instance;
 use crate::realize::{degraded_reservations, realize_routing, FailureState, RealizeError};
+use pcf_rng::Fnv1a;
 use std::collections::BTreeMap;
 
 /// How many hotspot arcs a [`ValidationReport`] retains.
@@ -128,20 +129,12 @@ impl ValidationReport {
     }
 
     /// A deterministic 64-bit fingerprint of the report, for comparing
-    /// validation outcomes across solver engines or runs (the benchmark
-    /// harness asserts the sparse and dense LP engines validate
-    /// identically).
+    /// validation outcomes across runs and thread counts.
     ///
     /// FNV-1a over the scenario counts, utilizations quantized to a 1e-6
     /// grid (so last-ulp arithmetic noise does not flip the digest), the
     /// hotspot list, and every violation including its dead-link mask.
     pub fn digest(&self) -> u64 {
-        fn eat(h: &mut u64, bytes: &[u8]) {
-            const PRIME: u64 = 0x0000_0100_0000_01b3;
-            for &b in bytes {
-                *h = (*h ^ u64::from(b)).wrapping_mul(PRIME);
-            }
-        }
         fn quantize(u: f64) -> i64 {
             if u.is_finite() {
                 (u * 1e6).round() as i64
@@ -151,13 +144,13 @@ impl ValidationReport {
                 i64::MIN
             }
         }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        eat(&mut h, &(self.scenarios as u64).to_le_bytes());
-        eat(&mut h, &(self.distinct_states as u64).to_le_bytes());
-        eat(&mut h, &quantize(self.max_utilization).to_le_bytes());
+        let mut h = Fnv1a::new();
+        h.write_u64(self.scenarios as u64);
+        h.write_u64(self.distinct_states as u64);
+        h.write_bytes(&quantize(self.max_utilization).to_le_bytes());
         for hot in &self.top_arcs {
-            eat(&mut h, &(hot.arc as u64).to_le_bytes());
-            eat(&mut h, &quantize(hot.utilization).to_le_bytes());
+            h.write_u64(hot.arc as u64);
+            h.write_bytes(&quantize(hot.utilization).to_le_bytes());
         }
         for v in &self.violations {
             for chunk in v.dead.chunks(8) {
@@ -167,31 +160,31 @@ impl ValidationReport {
                         byte |= 1 << i;
                     }
                 }
-                eat(&mut h, &[byte]);
+                h.write_bytes(&[byte]);
             }
             // Empty for undegraded scenarios, so link-failure-only digests
             // are unchanged by the structured extension.
             for &s in &v.cap_scale {
-                eat(&mut h, &quantize(s).to_le_bytes());
+                h.write_bytes(&quantize(s).to_le_bytes());
             }
             match &v.kind {
                 ViolationKind::Realize(e) => {
-                    eat(&mut h, &[0u8]);
-                    eat(&mut h, format!("{e:?}").as_bytes());
+                    h.write_bytes(&[0u8]);
+                    h.write_bytes(format!("{e:?}").as_bytes());
                 }
                 ViolationKind::Overload {
                     arc,
                     load,
                     capacity,
                 } => {
-                    eat(&mut h, &[1u8]);
-                    eat(&mut h, &(*arc as u64).to_le_bytes());
-                    eat(&mut h, &quantize(*load).to_le_bytes());
-                    eat(&mut h, &quantize(*capacity).to_le_bytes());
+                    h.write_bytes(&[1u8]);
+                    h.write_u64(*arc as u64);
+                    h.write_bytes(&quantize(*load).to_le_bytes());
+                    h.write_bytes(&quantize(*capacity).to_le_bytes());
                 }
             }
         }
-        h
+        h.finish()
     }
 
     /// Worst residual overload over the violation list:

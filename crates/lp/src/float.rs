@@ -25,6 +25,20 @@
 //! guidance, not a wrapper): it is a total order, so `sort_by(|a, b|
 //! a.total_cmp(b))` cannot panic on NaN the way
 //! `partial_cmp(..).unwrap()` can.
+//!
+//! The simplex's own tolerances ([`FEAS_TOL`], [`OPT_TOL`], [`PIVOT_TOL`],
+//! [`BLAND_AFTER`]) are named constants here rather than options: no
+//! caller ever varied them.
+
+/// Primal feasibility / bound tolerance of the simplex loops and presolve.
+pub const FEAS_TOL: f64 = 1e-7;
+/// Reduced-cost optimality tolerance of the simplex pricing rules.
+pub const OPT_TOL: f64 = 1e-7;
+/// Smallest pivot magnitude the simplex ratio tests accept.
+pub const PIVOT_TOL: f64 = 1e-8;
+/// Consecutive degenerate primal pivots before pricing falls back from
+/// devex to Bland's rule, which guarantees termination.
+pub const BLAND_AFTER: usize = 2000;
 
 /// Exact sparsity test: is `x` (plus or minus) zero?
 ///

@@ -8,11 +8,9 @@
 //! appended, re-solves from the previous optimal basis:
 //!
 //! * every appended row gets its slack basic at the row's activity, so the
-//!   new basis matrix is `[[B, 0], [C, -I]]`: the sparse engine appends a
-//!   *border* op to its factor file, re-using the existing LU factors and
-//!   eta file untouched; the dense engine extends its explicit inverse with
-//!   the block formula `[[B, 0], [C, -I]]^-1 = [[B^-1, 0], [C B^-1, -I]]`.
-//!   Either way the extension costs `O(k·m)`–`O(k·m^2)` instead of a fresh
+//!   new basis matrix is `[[B, 0], [C, -I]]`: the basis engine appends a
+//!   *border* op to its op file, re-using the existing LU factors and etas
+//!   untouched, so the extension costs `O(nnz(C))` instead of a fresh
 //!   factorization;
 //! * slacks cost nothing, so the reduced costs of the old optimum are
 //!   unchanged and the extended basis is still *dual* feasible. The only
@@ -35,7 +33,7 @@
 //! retained basis and the next solve runs cold.
 
 use crate::model::{LpProblem, RowId, Solution, SolveError, Status, VarId};
-use crate::simplex::{self, Basis, PivotCounts, SolverState, VarState, Work};
+use crate::simplex::{self, PivotCounts, SolverState, VarState, Work};
 
 /// Counters describing how an [`IncrementalLp`] has been solved so far,
 /// cumulative over every solve including abandoned warm attempts.
@@ -259,35 +257,10 @@ impl IncrementalLp {
         }
         tab.ncols = tab.a.ncols();
 
-        // ---- Extend the basis representation with the appended block. ----
-        match &mut tab.rep {
-            // One border op; the existing factors and eta file keep working
-            // untouched.
-            Basis::Sparse { engine } => {
-                engine.append_border(c_rows.into_iter().map(|c| (c, -1.0)).collect())
-            }
-            Basis::Dense { binv: old } => {
-                let mut binv = vec![0.0; m_new * m_new];
-                for r in 0..m_old {
-                    binv[r * m_new..r * m_new + m_old]
-                        .copy_from_slice(&old[r * m_old..(r + 1) * m_old]);
-                }
-                for (t, c_row) in c_rows.iter().enumerate() {
-                    let r = m_old + t;
-                    // Row r of the new inverse: [C_t B^-1 | -e_t].
-                    for &(br, c) in c_row {
-                        let br = br as usize;
-                        let src = &old[br * m_old..(br + 1) * m_old];
-                        let dst = &mut binv[r * m_new..r * m_new + m_old];
-                        for (dq, sq) in dst.iter_mut().zip(src.iter()) {
-                            *dq += c * sq;
-                        }
-                    }
-                    binv[r * m_new + r] = -1.0;
-                }
-                *old = binv;
-            }
-        }
+        // ---- Extend the basis with the appended block: one border op; the
+        // existing factors and eta file keep working untouched. ----
+        tab.rep
+            .append_border(c_rows.into_iter().map(|c| (c, -1.0)).collect());
         tab.m = m_new;
         // Re-derive all basic values through the extended inverse; this both
         // refreshes the new rows and validates the extension numerically.

@@ -5,7 +5,9 @@
 //!
 //! * [`model`] — an [`LpProblem`] builder with range rows and variable
 //!   bounds, the interface all PCF/FFC/R3/optimal models are built against;
-//! * [`simplex`] — a bounded-variable revised primal simplex method;
+//! * [`simplex`] — a bounded-variable revised simplex method (primal loop
+//!   for cold solves, dual loop for appended rows) over one sparse LU
+//!   basis engine;
 //! * [`incremental`] — an [`IncrementalLp`] wrapper that appends rows to a
 //!   solved problem and re-solves warm-starting from the previous basis,
 //!   the engine under PCF's cutting-plane loop;
@@ -31,7 +33,7 @@ pub use float::{approx_eq, approx_zero, is_zero, nonzero};
 pub use incremental::{IncrementalLp, IncrementalStats};
 pub use linsys::{lu_factor, solve_dense, DenseMatrix, LinSysError, LuFactors};
 pub use model::{LpProblem, RowId, Sense, Solution, SolveError, Status, VarId};
-pub use simplex::{EngineKind, Pricing, SimplexOptions};
+pub use simplex::SimplexOptions;
 pub use slu::{BasisEngine, SparseLu};
 pub use sparse::CscMatrix;
 pub use write::to_lp_format;

@@ -34,9 +34,8 @@
 //! Warm-started solves ([`crate::incremental`]) never pass through here:
 //! their retained basis must map 1:1 onto the model's rows and columns.
 
-use crate::float::is_zero;
+use crate::float::{is_zero, FEAS_TOL};
 use crate::model::{LpProblem, Sense, Solution, Status, VarId};
-use crate::simplex::SimplexOptions;
 use std::collections::BTreeMap;
 
 /// Outcome of [`presolve`].
@@ -120,15 +119,14 @@ fn infeasible_solution(n: usize, m: usize) -> Solution {
 }
 
 /// Runs the presolve reductions; see module docs.
-pub(crate) fn presolve(problem: &LpProblem, opts: &SimplexOptions) -> Presolved {
+pub(crate) fn presolve(problem: &LpProblem) -> Presolved {
     let m = problem.rows.len();
     let n = problem.num_vars();
-    let tol = opts.tol.max(1e-9);
     let rtol = |b: f64| {
         if b.is_finite() {
-            tol * (1.0 + b.abs())
+            FEAS_TOL * (1.0 + b.abs())
         } else {
-            tol
+            FEAS_TOL
         }
     };
 
@@ -444,6 +442,7 @@ impl Reduction {
 mod tests {
     use super::*;
     use crate::model::{LpProblem, Sense, Status};
+    use crate::simplex::SimplexOptions;
 
     fn assert_close(a: f64, b: f64) {
         assert!(

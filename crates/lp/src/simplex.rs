@@ -45,17 +45,14 @@
 //! * the constraint matrix is stored once in compressed sparse column form
 //!   ([`crate::sparse::CscMatrix`]); pricing and ftran gather columns from
 //!   it directly;
-//! * the basis is represented by [`EngineKind`]: the default sparse engine
-//!   keeps a Markowitz-ordered LU factorization plus a product-form eta
-//!   file ([`crate::slu::BasisEngine`]), refactorized every
-//!   [`SimplexOptions::reinvert_every`] pivots or earlier when the eta file
-//!   outgrows the factors; the dense engine keeps the explicit row-major
-//!   inverse of the pre-sparse solver and remains selectable for A/B
-//!   comparisons;
-//! * the entering rule is devex pricing over a candidate list by default
-//!   ([`Pricing::Devex`]), with classic Dantzig pricing selectable and a
-//!   fall back to Bland's rule after a long run of degenerate pivots to
-//!   guarantee termination;
+//! * the basis is a triangular-first sparse LU factorization plus an op
+//!   file of product-form etas and border extensions
+//!   ([`crate::slu::BasisEngine`]), refactorized every
+//!   [`SimplexOptions::reinvert_every`] pivots or earlier when the op file
+//!   outgrows the factors;
+//! * the entering rule is devex pricing over a candidate list, falling
+//!   back to Bland's rule after [`BLAND_AFTER`] consecutive degenerate
+//!   pivots to guarantee termination;
 //! * the loops' vectors live in one workspace allocated per call, so a
 //!   pivot allocates only its eta record;
 //! * a presolve pass ([`crate::presolve`]) runs before one-shot solves and
@@ -66,53 +63,23 @@
 //!   the WAN models (capacities 0.5–10, demands spanning decades) well
 //!   conditioned.
 
-use crate::float::nonzero;
+use crate::float::{nonzero, BLAND_AFTER, FEAS_TOL, OPT_TOL, PIVOT_TOL};
 use crate::model::{LpProblem, Sense, Solution, Status};
 use crate::slu::{BasisEngine, SparseLu};
 use crate::sparse::CscMatrix;
 
-/// Entering-variable pricing rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pricing {
-    /// Most-negative reduced cost, full scan every iteration.
-    Dantzig,
-    /// Devex reference weights over a candidate list (default).
-    Devex,
-}
-
-/// Basis representation backing ftran/btran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Explicit dense `B^{-1}` updated by the product form (the pre-sparse
-    /// engine, kept for A/B comparison).
-    Dense,
-    /// Sparse LU with an eta file (default).
-    Sparse,
-}
-
-/// Tunable solver parameters.
+/// Tunable solver parameters. The tolerances are fixed: see
+/// [`FEAS_TOL`], [`OPT_TOL`], [`PIVOT_TOL`] and [`BLAND_AFTER`].
 #[derive(Debug, Clone)]
 pub struct SimplexOptions {
-    /// Feasibility / bound tolerance.
-    pub tol: f64,
-    /// Reduced-cost optimality tolerance.
-    pub opt_tol: f64,
-    /// Minimum acceptable pivot magnitude.
-    pub pivot_tol: f64,
     /// Hard cap on total simplex iterations; `None` chooses
     /// `20_000 + 100 * (rows + vars)`.
     pub max_iterations: Option<usize>,
-    /// Refactorize the basis from scratch this often (the sparse engine may
-    /// refactorize earlier if its eta file outgrows the factors).
+    /// Refactorize the basis from scratch this often (earlier if the op
+    /// file outgrows the factors).
     pub reinvert_every: usize,
-    /// Consecutive degenerate pivots before switching to Bland's rule.
-    pub bland_after: usize,
     /// Apply geometric row/column scaling before solving.
     pub scale: bool,
-    /// Entering-variable pricing rule.
-    pub pricing: Pricing,
-    /// Basis engine.
-    pub engine: EngineKind,
     /// Run presolve/postsolve around one-shot solves (warm-started solves
     /// always bypass it).
     pub presolve: bool,
@@ -121,15 +88,9 @@ pub struct SimplexOptions {
 impl Default for SimplexOptions {
     fn default() -> Self {
         SimplexOptions {
-            tol: 1e-7,
-            opt_tol: 1e-7,
-            pivot_tol: 1e-8,
             max_iterations: None,
             reinvert_every: 400,
-            bland_after: 2000,
             scale: true,
-            pricing: Pricing::Devex,
-            engine: EngineKind::Sparse,
             presolve: true,
         }
     }
@@ -143,17 +104,6 @@ pub(crate) enum VarState {
     AtUpper,
     /// Free variable currently resting at zero.
     FreeZero,
-}
-
-/// The basis representation: see [`EngineKind`].
-pub(crate) enum Basis {
-    Dense {
-        /// m x m row-major explicit inverse.
-        binv: Vec<f64>,
-    },
-    Sparse {
-        engine: BasisEngine,
-    },
 }
 
 /// Devex candidate-list length after a full pricing scan.
@@ -176,7 +126,7 @@ pub(crate) struct Tableau {
     pub(crate) cost: Vec<f64>, // phase-2 cost
     pub(crate) state: Vec<VarState>,
     pub(crate) basis: Vec<usize>, // column index basic in each row
-    pub(crate) rep: Basis,
+    pub(crate) rep: BasisEngine,
     pub(crate) xb: Vec<f64>, // values of basic variables per row
     /// Row equilibration factors (extended per appended row), needed to
     /// unscale duals.
@@ -249,11 +199,6 @@ impl Tableau {
     /// Current value of any column: bound value if nonbasic, `xb` if basic.
     #[inline]
     pub(crate) fn value(&self, j: usize) -> f64 {
-        self.nonbasic_value(j)
-    }
-
-    #[inline]
-    fn nonbasic_value(&self, j: usize) -> f64 {
         match self.state[j] {
             VarState::AtLower => self.lower[j],
             VarState::AtUpper => self.upper[j],
@@ -264,14 +209,13 @@ impl Tableau {
 
     /// x_B = -B^{-1} * sum_j nonbasic A_j x_j  (rhs is zero).
     pub(crate) fn recompute_basics(&mut self, w: &mut Work) {
-        let m = self.m;
         let rhs = &mut w.stage;
         rhs.fill(0.0);
         for j in 0..self.ncols {
             if matches!(self.state[j], VarState::Basic(_)) {
                 continue;
             }
-            let v = self.nonbasic_value(j);
+            let v = self.value(j);
             if nonzero(v) {
                 for (i, a) in self.a.col_iter(j) {
                     rhs[i] -= a * v;
@@ -279,171 +223,48 @@ impl Tableau {
             }
         }
         // xb = B^{-1} rhs
-        match &self.rep {
-            Basis::Dense { binv } => {
-                for r in 0..m {
-                    let row = &binv[r * m..(r + 1) * m];
-                    let mut acc = 0.0;
-                    for i in 0..m {
-                        acc += row[i] * rhs[i];
-                    }
-                    self.xb[r] = acc;
-                }
-            }
-            Basis::Sparse { engine } => {
-                self.xb.copy_from_slice(rhs);
-                engine.ftran(&mut self.xb, &mut w.scratch);
-            }
-        }
+        self.xb.copy_from_slice(rhs);
+        self.rep.ftran(&mut self.xb, &mut w.scratch);
     }
 
-    /// Rebuilds the basis representation from the current basis columns.
-    /// Returns false if the basis matrix is numerically singular.
+    /// Refactorizes the current basis columns from scratch. Returns false
+    /// if the basis matrix is numerically singular.
     pub(crate) fn reinvert(&mut self) -> bool {
-        let m = self.m;
         self.counts.refactors += 1;
-        match &mut self.rep {
-            Basis::Sparse { engine } => {
-                // The op file is dead weight from here on; freeing it first
-                // keeps it out of the factorization's peak heap.
-                engine.clear_ops();
-                match SparseLu::factor_basis(&self.a, &self.basis) {
-                    Ok(lu) => {
-                        self.counts.refactor_peeled += lu.n() - lu.bump();
-                        self.counts.refactor_bump += lu.bump();
-                        *engine = BasisEngine::new(lu);
-                        true
-                    }
-                    Err(_) => false,
-                }
-            }
-            Basis::Dense { binv } => {
-                // Dense B (row-major) from basis columns.
-                let mut b = vec![0.0; m * m];
-                for (r, &j) in self.basis.iter().enumerate() {
-                    for (i, a) in self.a.col_iter(j) {
-                        b[i * m + r] = a;
-                    }
-                }
-                let mut inv = vec![0.0; m * m];
-                for i in 0..m {
-                    inv[i * m + i] = 1.0;
-                }
-                // Gauss-Jordan with partial pivoting.
-                for col in 0..m {
-                    let mut piv = col;
-                    let mut best = b[col * m + col].abs();
-                    for r in (col + 1)..m {
-                        let v = b[r * m + col].abs();
-                        if v > best {
-                            best = v;
-                            piv = r;
-                        }
-                    }
-                    if best < 1e-12 {
-                        return false;
-                    }
-                    if piv != col {
-                        for k in 0..m {
-                            b.swap(col * m + k, piv * m + k);
-                            inv.swap(col * m + k, piv * m + k);
-                        }
-                    }
-                    let d = b[col * m + col];
-                    let dinv = 1.0 / d;
-                    for k in 0..m {
-                        b[col * m + k] *= dinv;
-                        inv[col * m + k] *= dinv;
-                    }
-                    for r in 0..m {
-                        if r == col {
-                            continue;
-                        }
-                        let f = b[r * m + col];
-                        if nonzero(f) {
-                            for k in 0..m {
-                                b[r * m + k] -= f * b[col * m + k];
-                                inv[r * m + k] -= f * inv[col * m + k];
-                            }
-                        }
-                    }
-                }
-                *binv = inv;
+        // The op file is dead weight from here on; freeing it first keeps it
+        // out of the factorization's peak heap.
+        self.rep.clear_ops();
+        match SparseLu::factor_basis(&self.a, &self.basis) {
+            Ok(lu) => {
+                self.counts.refactor_peeled += lu.n() - lu.bump();
+                self.counts.refactor_bump += lu.bump();
+                self.rep = BasisEngine::new(lu);
                 true
             }
-        }
-    }
-
-    /// Whether the sparse engine's eta file has outgrown its factors.
-    fn rep_wants_refactor(&self) -> bool {
-        match &self.rep {
-            Basis::Dense { .. } => false,
-            Basis::Sparse { engine } => engine.wants_refactor(),
+            Err(_) => false,
         }
     }
 
     /// y' = c_B' B^{-1} for the given basic costs.
     pub(crate) fn btran(&self, cb: &[f64], y: &mut [f64], scratch: &mut Vec<f64>) {
-        let m = self.m;
-        match &self.rep {
-            Basis::Dense { binv } => {
-                for v in y.iter_mut() {
-                    *v = 0.0;
-                }
-                for (r, &c) in cb.iter().enumerate() {
-                    if nonzero(c) {
-                        let row = &binv[r * m..(r + 1) * m];
-                        for i in 0..m {
-                            y[i] += c * row[i];
-                        }
-                    }
-                }
-            }
-            Basis::Sparse { engine } => {
-                y.copy_from_slice(cb);
-                engine.btran(y, scratch);
-            }
-        }
+        y.copy_from_slice(cb);
+        self.rep.btran(y, scratch);
     }
 
     /// d = B^{-1} A_j.
     fn ftran(&self, j: usize, d: &mut [f64], scratch: &mut Vec<f64>) {
-        let m = self.m;
-        match &self.rep {
-            Basis::Dense { binv } => {
-                for v in d.iter_mut() {
-                    *v = 0.0;
-                }
-                for (i, a) in self.a.col_iter(j) {
-                    if nonzero(a) {
-                        for (r, dr) in d.iter_mut().enumerate().take(m) {
-                            *dr += binv[r * m + i] * a;
-                        }
-                    }
-                }
-            }
-            Basis::Sparse { engine } => {
-                for v in d.iter_mut() {
-                    *v = 0.0;
-                }
-                self.a.gather_col(j, d);
-                engine.ftran(d, scratch);
-            }
-        }
+        d.fill(0.0);
+        self.a.gather_col(j, d);
+        self.rep.ftran(d, scratch);
     }
 
     /// Row `r` of `B^{-1}` (i.e. `rho_r = e_r' B^{-1}`): the one btran of a
     /// pivot, shared by the dual update, the devex weights, and the dual
     /// ratio test.
     fn pivot_row(&self, r: usize, rho: &mut [f64], scratch: &mut Vec<f64>) {
-        match &self.rep {
-            Basis::Dense { binv } => rho.copy_from_slice(&binv[r * self.m..(r + 1) * self.m]),
-            Basis::Sparse { engine } => {
-                rho.fill(0.0);
-                rho[r] = 1.0;
-                engine.btran(rho, scratch);
-            }
-        }
+        rho.fill(0.0);
+        rho[r] = 1.0;
+        self.rep.btran(rho, scratch);
     }
 
     /// `y = c_B' B^{-1}` by btran: at loop entry, after a refactorization,
@@ -464,7 +285,7 @@ impl Tableau {
         cost: &[f64],
         w: &mut Work,
     ) -> Option<bool> {
-        if *since_reinvert < self.opts.reinvert_every && !self.rep_wants_refactor() {
+        if *since_reinvert < self.opts.reinvert_every && !self.rep.wants_refactor() {
             return Some(false);
         }
         *since_reinvert = 0;
@@ -474,17 +295,6 @@ impl Tableau {
         self.recompute_basics(w);
         self.load_duals(cost, w);
         Some(true)
-    }
-
-    /// Updates the basis representation after column `enter` replaces the
-    /// basic variable in row `r`, with pivot column `d = B^{-1} A_enter`:
-    /// product-form update of the dense inverse, or an eta record for the
-    /// sparse engine.
-    fn update_rep(&mut self, r: usize, d: &[f64]) {
-        match &mut self.rep {
-            Basis::Dense { binv } => update_binv_dense(binv, self.m, r, d),
-            Basis::Sparse { engine } => engine.push_eta(r, d),
-        }
     }
 
     /// Reduced cost, step direction, and dual violation of nonbasic column
@@ -519,29 +329,12 @@ impl Tableau {
     fn price_first_violation(&self, cost: &[f64], y: &[f64]) -> Option<(usize, f64, f64)> {
         for j in 0..self.ncols {
             if let Some((rc, dir, viol)) = self.price_one(j, cost, y) {
-                if viol > self.opts.opt_tol {
+                if viol > OPT_TOL {
                     return Some((j, rc, dir));
                 }
             }
         }
         None
-    }
-
-    /// Dantzig pricing: largest dual violation, first column on ties.
-    fn price_dantzig(&self, cost: &[f64], y: &[f64]) -> Option<(usize, f64, f64)> {
-        let mut enter: Option<(usize, f64, f64)> = None;
-        for j in 0..self.ncols {
-            let Some((_rc, dir, viol)) = self.price_one(j, cost, y) else {
-                continue;
-            };
-            if viol > self.opts.opt_tol {
-                match enter {
-                    Some((_, brc, _)) if viol <= brc.abs() => {}
-                    _ => enter = Some((j, if dir > 0.0 { -viol } else { viol }, dir)),
-                }
-            }
-        }
-        enter
     }
 
     /// Devex pricing over the candidate list, falling back to a full scan
@@ -555,7 +348,7 @@ impl Tableau {
                 let Some((rc, dir, viol)) = self.price_one(j, cost, y) else {
                     continue;
                 };
-                if viol > self.opts.opt_tol {
+                if viol > OPT_TOL {
                     dx.alive.push(j);
                     let score = viol * viol / dx.weights[j];
                     if best.is_none_or(|(.., bs)| score > bs) {
@@ -574,7 +367,7 @@ impl Tableau {
             let Some((rc, dir, viol)) = self.price_one(j, cost, y) else {
                 continue;
             };
-            if viol > self.opts.opt_tol {
+            if viol > OPT_TOL {
                 dx.viols.push((j, rc, dir, viol * viol / w));
             }
         }
@@ -587,8 +380,9 @@ impl Tableau {
         Some((j, rc, dir))
     }
 
-    /// Entering column `(j, reduced cost, direction)` under the active
-    /// pricing rule, `None` when `y` prices every column out.
+    /// Entering column `(j, reduced cost, direction)` by devex pricing, or
+    /// by Bland's rule once `use_bland` is set; `None` when `y` prices
+    /// every column out.
     fn price(
         &self,
         cost: &[f64],
@@ -598,10 +392,8 @@ impl Tableau {
     ) -> Option<(usize, f64, f64)> {
         if use_bland {
             self.price_first_violation(cost, y)
-        } else if matches!(self.opts.pricing, Pricing::Devex) {
-            self.price_devex(cost, y, dx)
         } else {
-            self.price_dantzig(cost, y)
+            self.price_devex(cost, y, dx)
         }
     }
 
@@ -645,13 +437,8 @@ impl Tableau {
         let mut w = Work::new(m);
         let mut degenerate_run = 0usize;
         let mut since_reinvert = 0usize;
-        let devex = matches!(self.opts.pricing, Pricing::Devex);
         let mut dx = Devex {
-            weights: if devex {
-                vec![1.0; self.ncols]
-            } else {
-                Vec::new()
-            },
+            weights: vec![1.0; self.ncols],
             cands: Vec::with_capacity(DEVEX_CANDIDATES),
             alive: Vec::with_capacity(DEVEX_CANDIDATES),
             viols: Vec::new(),
@@ -668,7 +455,7 @@ impl Tableau {
             }
 
             // Pricing: pick entering column.
-            let use_bland = degenerate_run >= self.opts.bland_after;
+            let use_bland = degenerate_run >= BLAND_AFTER;
             let mut enter = self.price(cost, &w.y, use_bland, &mut dx);
             if enter.is_none() && !fresh {
                 // Optimality is only declared against freshly btran'd duals.
@@ -691,7 +478,7 @@ impl Tableau {
             let mut leave: Option<(usize, bool)> = None; // (row, leaves_at_upper)
             for r in 0..m {
                 let delta = -dir * d[r]; // d(x_B[r]) / dt
-                if delta.abs() <= self.opts.pivot_tol {
+                if delta.abs() <= PIVOT_TOL {
                     continue;
                 }
                 let xv = self.xb[r];
@@ -764,9 +551,7 @@ impl Tableau {
                     // entering column's reduced cost and leaves the other
                     // basic columns' at zero (rho_r' A_j = 0 for them).
                     self.pivot_row(r, &mut w.rho, &mut w.scratch);
-                    if devex {
-                        self.update_devex_weights(&mut dx, jin, jout, alpha_q, &w.rho);
-                    }
+                    self.update_devex_weights(&mut dx, jin, jout, alpha_q, &w.rho);
                     let theta = rc / alpha_q;
                     for (yi, &ri) in w.y.iter_mut().zip(&w.rho) {
                         *yi += theta * ri;
@@ -781,7 +566,7 @@ impl Tableau {
                     self.basis[r] = jin;
                     self.state[jin] = VarState::Basic(r);
                     self.xb[r] = xin;
-                    self.update_rep(r, &w.d);
+                    self.rep.push_eta(r, &w.d);
 
                     match self.refactor_if_due(&mut since_reinvert, cost, &mut w) {
                         // Singular after drift: rebuild conservatively.
@@ -799,7 +584,7 @@ impl Tableau {
     /// reduced costs of `cost` correctly signed throughout. Returns `false`
     /// when it cannot finish — no eligible entering column (the violated
     /// row cannot be repaired: the model is infeasible), a pivot below
-    /// `pivot_tol`, a singular refactorization, or the iteration limit —
+    /// [`PIVOT_TOL`], a singular refactorization, or the iteration limit —
     /// and leaves the verdict to a cold solve.
     pub(crate) fn optimize_dual(&mut self, cost: &[f64], max_iter: usize) -> bool {
         let mut w = Work::new(self.m);
@@ -814,7 +599,7 @@ impl Tableau {
                 } else {
                     (v - self.upper[j], true)
                 };
-                if viol > self.opts.tol && leave.is_none_or(|(_, bv, _)| viol > bv) {
+                if viol > FEAS_TOL && leave.is_none_or(|(_, bv, _)| viol > bv) {
                     leave = Some((r, viol, above));
                 }
             }
@@ -843,9 +628,9 @@ impl Tableau {
                 let alpha = self.a.col_dot(j, &w.rho);
                 let toward = sigma * alpha;
                 let eligible = match st {
-                    VarState::AtLower => toward > self.opts.pivot_tol,
-                    VarState::AtUpper => toward < -self.opts.pivot_tol,
-                    _ => toward.abs() > self.opts.pivot_tol,
+                    VarState::AtLower => toward > PIVOT_TOL,
+                    VarState::AtUpper => toward < -PIVOT_TOL,
+                    _ => toward.abs() > PIVOT_TOL,
                 };
                 if !eligible {
                     continue;
@@ -874,7 +659,7 @@ impl Tableau {
 
             self.ftran(jin, &mut w.d, &mut w.scratch);
             let alpha_q = w.d[r];
-            if alpha_q.abs() <= self.opts.pivot_tol || alpha_q * alpha_row <= 0.0 {
+            if alpha_q.abs() <= PIVOT_TOL || alpha_q * alpha_row <= 0.0 {
                 // Too small to pivot on, or the column (ftran) and row
                 // (btran) views of the pivot element disagree in sign.
                 return false;
@@ -891,7 +676,7 @@ impl Tableau {
                 self.lower[jout]
             };
             let step = (self.xb[r] - bound) / alpha_q;
-            let xin = self.nonbasic_value(jin) + step;
+            let xin = self.value(jin) + step;
             for (xi, &di) in self.xb.iter_mut().zip(&w.d) {
                 *xi -= step * di;
             }
@@ -907,7 +692,7 @@ impl Tableau {
             self.basis[r] = jin;
             self.state[jin] = VarState::Basic(r);
             self.xb[r] = xin;
-            self.update_rep(r, &w.d);
+            self.rep.push_eta(r, &w.d);
 
             if self
                 .refactor_if_due(&mut since_reinvert, cost, &mut w)
@@ -931,35 +716,6 @@ impl Tableau {
             }
         }
         s
-    }
-}
-
-/// Product-form update of a dense `B^{-1}` after a pivot in row `r` with
-/// pivot column `d`.
-fn update_binv_dense(binv: &mut [f64], m: usize, r: usize, d: &[f64]) {
-    let piv = d[r];
-    let pinv = 1.0 / piv;
-    // Scale pivot row.
-    for k in 0..m {
-        binv[r * m + k] *= pinv;
-    }
-    for row in 0..m {
-        if row == r {
-            continue;
-        }
-        let f = d[row];
-        if nonzero(f) {
-            // binv[row, :] -= f * binv[r, :]
-            let (head, tail) = binv.split_at_mut(r.max(row) * m);
-            let (dst, src) = if row < r {
-                (&mut head[row * m..row * m + m], &tail[..m])
-            } else {
-                (&mut tail[..m], &head[r * m..r * m + m])
-            };
-            for k in 0..m {
-                dst[k] -= f * src[k];
-            }
-        }
     }
 }
 
@@ -1105,7 +861,7 @@ pub(crate) fn extract(
 /// presolve/postsolve when [`SimplexOptions::presolve`] is set.
 pub(crate) fn solve(problem: &LpProblem, opts: &SimplexOptions) -> Solution {
     if opts.presolve {
-        match crate::presolve::presolve(problem, opts) {
+        match crate::presolve::presolve(problem) {
             crate::presolve::Presolved::Decided(sol) => sol,
             crate::presolve::Presolved::Reduced(red) => {
                 let (sol, ..) = solve_with_state(&red.reduced, opts);
@@ -1203,7 +959,7 @@ pub(crate) fn solve_with_state(
         let (scol, acol) = (n + i, n + m + i);
         let (lo, hi) = (lower[scol], upper[scol]);
         let mut art_sign = 1.0;
-        if act[i] >= lo - opts.tol && act[i] <= hi + opts.tol {
+        if act[i] >= lo - FEAS_TOL && act[i] <= hi + FEAS_TOL {
             state[scol] = VarState::Basic(i);
             basis.push(scol);
             xb[i] = act[i];
@@ -1229,30 +985,17 @@ pub(crate) fn solve_with_state(
     }
 
     // B is diagonal with entries +-1, so it is its own inverse.
-    let rep = match opts.engine {
-        EngineKind::Dense => {
-            let mut binv = vec![0.0; m * m];
-            for &j in &basis {
-                for (i, s) in a.col_iter(j) {
-                    binv[i * m + i] = s;
-                }
-            }
-            Basis::Dense { binv }
+    let rep = match SparseLu::factor_basis(&a, &basis) {
+        Ok(lu) => BasisEngine::new(lu),
+        Err(_) => {
+            // A diagonal +-1 basis cannot be singular; report failure
+            // conservatively instead of panicking.
+            return (
+                failed(Status::IterationLimit, n, m, 0),
+                None,
+                PivotCounts::default(),
+            );
         }
-        EngineKind::Sparse => match SparseLu::factor_basis(&a, &basis) {
-            Ok(lu) => Basis::Sparse {
-                engine: BasisEngine::new(lu),
-            },
-            Err(_) => {
-                // A diagonal +-1 basis cannot be singular; report failure
-                // conservatively instead of panicking.
-                return (
-                    failed(Status::IterationLimit, n, m, 0),
-                    None,
-                    PivotCounts::default(),
-                );
-            }
-        },
     };
 
     let mut tab = Tableau {
@@ -1289,7 +1032,7 @@ pub(crate) fn solve_with_state(
             .sum();
         let verdict = if status1 == Status::IterationLimit {
             Some(Status::IterationLimit)
-        } else if art_sum > opts.tol.max(1e-6) {
+        } else if art_sum > FEAS_TOL.max(1e-6) {
             Some(Status::Infeasible)
         } else {
             None
@@ -1333,7 +1076,7 @@ fn failed(status: Status, n: usize, m: usize, iterations: usize) -> Solution {
 
 #[cfg(test)]
 mod tests {
-    use super::{EngineKind, Pricing, SimplexOptions};
+    use super::SimplexOptions;
     use crate::model::{LpProblem, Sense, Status};
 
     fn assert_close(a: f64, b: f64) {
@@ -1561,8 +1304,7 @@ mod tests {
         assert_close(s.objective, 5.0);
     }
 
-    /// A moderately sized LP with a unique optimum, for cross-engine and
-    /// cross-pricing comparisons.
+    /// A moderately sized LP with a unique optimum.
     fn cross_check_lp() -> LpProblem {
         let mut lp = LpProblem::new(Sense::Minimize);
         let n = 12;
@@ -1580,41 +1322,26 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_objective() {
-        let mut dense = cross_check_lp();
-        dense.set_options(SimplexOptions {
-            engine: EngineKind::Dense,
-            ..SimplexOptions::default()
-        });
-        let mut sparse = cross_check_lp();
-        sparse.set_options(SimplexOptions {
-            engine: EngineKind::Sparse,
-            ..SimplexOptions::default()
-        });
-        let sd = dense.solve().unwrap();
-        let ss = sparse.solve().unwrap();
-        assert_eq!(sd.status, Status::Optimal);
-        assert_eq!(ss.status, Status::Optimal);
-        assert_close(ss.objective, sd.objective);
-    }
-
-    #[test]
-    fn pricing_rules_agree_on_objective() {
-        let mut dantzig = cross_check_lp();
-        dantzig.set_options(SimplexOptions {
-            pricing: Pricing::Dantzig,
-            ..SimplexOptions::default()
-        });
-        let mut devex = cross_check_lp();
-        devex.set_options(SimplexOptions {
-            pricing: Pricing::Devex,
-            ..SimplexOptions::default()
-        });
-        let sa = dantzig.solve().unwrap();
-        let sb = devex.solve().unwrap();
-        assert_eq!(sa.status, Status::Optimal);
-        assert_eq!(sb.status, Status::Optimal);
-        assert_close(sa.objective, sb.objective);
+    fn refactor_schedules_agree_on_objective() {
+        // Refactorizing after every pivot never applies an eta; the default
+        // schedule never refactorizes on an LP this small; 7 mixes the two.
+        let reference = cross_check_lp().solve().unwrap();
+        assert_eq!(reference.status, Status::Optimal);
+        for reinvert_every in [1, 7] {
+            let mut lp = cross_check_lp();
+            lp.set_options(SimplexOptions {
+                reinvert_every,
+                ..SimplexOptions::default()
+            });
+            let s = lp.solve().unwrap();
+            assert_eq!(s.status, Status::Optimal, "reinvert_every {reinvert_every}");
+            assert!(
+                (s.objective - reference.objective).abs() <= 1e-9,
+                "reinvert_every {reinvert_every}: {} vs {}",
+                s.objective,
+                reference.objective
+            );
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! solver: primal bounds, row bounds, the sign of each reduced cost and row
 //! dual against the bound its variable or row sits on, and complementary
 //! slackness, all read from [`Solution::duals`]. Infeasible and unbounded
-//! instances are planted and must be recognized by both basis engines.
+//! instances are planted and must be recognized with and without presolve.
 
-use pcf_lp::{EngineKind, LpProblem, Sense, SimplexOptions, Solution, Status, VarId};
+use pcf_lp::{LpProblem, Sense, SimplexOptions, Solution, Status, VarId};
 use pcf_rng::{forall, no_shrink, Config, Pcg32};
 
 /// A dense description of an LP, kept beside the built model so the checker
@@ -24,10 +24,9 @@ struct RandLp {
 }
 
 impl RandLp {
-    fn build(&self, engine: EngineKind, presolve: bool) -> LpProblem {
+    fn build(&self, presolve: bool) -> LpProblem {
         let mut lp = LpProblem::new(self.sense);
         lp.set_options(SimplexOptions {
-            engine,
             presolve,
             ..SimplexOptions::default()
         });
@@ -210,60 +209,48 @@ fn gen_lp(rng: &mut Pcg32) -> (RandLp, Planted) {
 }
 
 #[test]
-fn crash_start_optima_satisfy_kkt_on_both_engines() {
+fn crash_start_optima_satisfy_kkt() {
     let optimal = std::cell::Cell::new(0usize);
     forall(
-        "crash_start_optima_satisfy_kkt_on_both_engines",
+        "crash_start_optima_satisfy_kkt",
         &Config::with_cases(600),
         gen_lp,
         no_shrink,
         |(lp, planted)| {
             // Presolve off is the crash basis on the model as drawn; the
             // default path crashes the presolved model.
-            let reference = lp.build(EngineKind::Dense, false).solve().unwrap();
+            let plain = lp.build(false).solve().unwrap();
             match planted {
-                Planted::Infeasible if reference.status != Status::Infeasible => {
-                    return Err(format!("planted infeasible, got {}", reference.status));
+                Planted::Infeasible if plain.status != Status::Infeasible => {
+                    return Err(format!("planted infeasible, got {}", plain.status));
                 }
-                Planted::Ray
-                    if !matches!(reference.status, Status::Unbounded | Status::Infeasible) =>
-                {
-                    return Err(format!("planted a ray, got {}", reference.status));
+                Planted::Ray if !matches!(plain.status, Status::Unbounded | Status::Infeasible) => {
+                    return Err(format!("planted a ray, got {}", plain.status));
                 }
                 _ => {}
             }
-            for (engine, presolve) in [
-                (EngineKind::Dense, false),
-                (EngineKind::Sparse, false),
-                (EngineKind::Sparse, true),
-            ] {
-                let sol = lp.build(engine, presolve).solve().unwrap();
-                let label = format!("{engine:?}, presolve {presolve}");
-                if sol.status != reference.status {
-                    return Err(format!(
-                        "{label}: status {} vs reference {}",
-                        sol.status, reference.status
-                    ));
-                }
-                if sol.status != Status::Optimal {
-                    continue;
-                }
-                // Presolve merges proportional rows and reports the merged
-                // dual on the representative (see its module docs), so only
-                // solves of the model as drawn are held to the certificate.
-                if !presolve {
-                    kkt_check(lp, &sol).map_err(|e| format!("{label}: {e}"))?;
-                }
-                if (sol.objective - reference.objective).abs()
-                    > 1e-6 * (1.0 + reference.objective.abs())
-                {
-                    return Err(format!(
-                        "{label}: objective {} vs reference {}",
-                        sol.objective, reference.objective
-                    ));
-                }
+            let presolved = lp.build(true).solve().unwrap();
+            if presolved.status != plain.status {
+                return Err(format!(
+                    "presolve on: status {} vs presolve off {}",
+                    presolved.status, plain.status
+                ));
             }
-            optimal.set(optimal.get() + usize::from(reference.status == Status::Optimal));
+            if plain.status != Status::Optimal {
+                return Ok(());
+            }
+            // Presolve merges proportional rows and reports the merged dual
+            // on the representative (see its module docs), so only the
+            // solve of the model as drawn is held to the certificate.
+            kkt_check(lp, &plain)?;
+            if (presolved.objective - plain.objective).abs() > 1e-6 * (1.0 + plain.objective.abs())
+            {
+                return Err(format!(
+                    "presolve on: objective {} vs presolve off {}",
+                    presolved.objective, plain.objective
+                ));
+            }
+            optimal.set(optimal.get() + 1);
             Ok(())
         },
     );
@@ -282,7 +269,7 @@ fn kkt_checker_rejects_a_non_optimal_point() {
         bounds: vec![(0.0, 3.0), (0.0, 3.0)],
         rows: vec![(vec![1.0, 1.0], f64::NEG_INFINITY, 4.0)],
     };
-    let good = lp.build(EngineKind::Sparse, false).solve().unwrap();
+    let good = lp.build(false).solve().unwrap();
     kkt_check(&lp, &good).unwrap();
     let interior = Solution {
         x: vec![1.0, 1.0],

@@ -8,7 +8,7 @@
 //! feasibility, and take the best vertex. The simplex solver must agree.
 
 use pcf_lp::{
-    solve_dense, DenseMatrix, EngineKind, IncrementalLp, LpProblem, Sense, SimplexOptions, Status,
+    solve_dense, DenseMatrix, IncrementalLp, LpProblem, Sense, SimplexOptions, Solution, Status,
 };
 use pcf_rng::{forall, no_shrink, Config, Pcg32};
 
@@ -208,12 +208,19 @@ enum Append {
 }
 
 /// Incremental warm-started re-solves must agree with building the final
-/// model from scratch, in status and (within 1e-7) objective, on both basis
-/// engines: solve a base LP over boxed variables, append rows, re-solve, and
-/// compare against a one-shot solve of the full model. Appended rows the
-/// base optimum satisfies must cost no pivot; violated ones are absorbed by
-/// the dual simplex; jointly infeasible ones must make the warm attempt
-/// fall back and the cold solve report `Infeasible`.
+/// model from scratch, in status and (within 1e-7) objective: solve a base
+/// LP over boxed variables, append rows, re-solve, and compare against a
+/// one-shot solve of the full model. Appended rows the base optimum
+/// satisfies must cost no pivot; violated ones are absorbed by the dual
+/// simplex; jointly infeasible ones must make the warm attempt fall back
+/// and the cold solve report `Infeasible`.
+///
+/// Every case runs under three refactorization schedules, which must agree
+/// with each other on status and (within 1e-9) objective: refactorizing
+/// after every pivot factors the *extended* basis from scratch and never
+/// applies an eta or a border op; the default schedule never refactorizes
+/// on LPs this small, so the answer comes from the op file alone; 7 mixes
+/// the two.
 #[test]
 fn incremental_append_matches_scratch() {
     forall(
@@ -241,9 +248,23 @@ fn incremental_append_matches_scratch() {
         },
         no_shrink,
         |(inst, split, mode)| {
-            for engine in [EngineKind::Sparse, EngineKind::Dense] {
-                check_append(inst, *split, *mode, engine)
-                    .map_err(|e| format!("{engine:?}: {e}"))?;
+            let default_every = SimplexOptions::default().reinvert_every;
+            let mut reference: Option<Solution> = None;
+            for reinvert_every in [default_every, 1, 7] {
+                let warm = check_append(inst, *split, *mode, reinvert_every)
+                    .map_err(|e| format!("reinvert_every {reinvert_every}: {e}"))?;
+                let Some(r) = &reference else {
+                    reference = Some(warm);
+                    continue;
+                };
+                if warm.status != r.status
+                    || (r.status == Status::Optimal && (warm.objective - r.objective).abs() > 1e-9)
+                {
+                    return Err(format!(
+                        "{mode:?}: reinvert_every {reinvert_every} gave {} {} vs {} {}",
+                        warm.status, warm.objective, r.status, r.objective
+                    ));
+                }
             }
             Ok(())
         },
@@ -254,18 +275,18 @@ fn check_append(
     inst: &SmallLp,
     split: usize,
     mode: Append,
-    engine: EngineKind,
-) -> Result<(), String> {
-    let with_engine = |mut lp: LpProblem| {
+    reinvert_every: usize,
+) -> Result<Solution, String> {
+    let with_schedule = |mut lp: LpProblem| {
         lp.set_options(SimplexOptions {
-            engine,
+            reinvert_every,
             ..SimplexOptions::default()
         });
         lp
     };
     let mut base = inst.clone();
     let drawn = base.rows.split_off(split);
-    let mut inc = IncrementalLp::new(with_engine(build(&base)));
+    let mut inc = IncrementalLp::new(with_schedule(build(&base)));
     let base_sol = inc.solve().unwrap();
     let appended = match mode {
         Append::Random => drawn,
@@ -296,7 +317,7 @@ fn check_append(
 
     let mut full = base.clone();
     full.rows.extend(appended);
-    let scratch = with_engine(build(&full)).solve().unwrap();
+    let scratch = with_schedule(build(&full)).solve().unwrap();
 
     if warm.status != scratch.status {
         return Err(format!(
@@ -318,7 +339,7 @@ fn check_append(
         return Err(format!("{mode:?}: {stats:?} lost pivots"));
     }
     if base_sol.status != Status::Optimal {
-        return Ok(());
+        return Ok(warm);
     }
     match mode {
         Append::Slack if warm.iterations != 0 || stats.warm_solves != 1 => Err(format!(
@@ -336,7 +357,7 @@ fn check_append(
                 warm.status
             ))
         }
-        _ => Ok(()),
+        _ => Ok(warm),
     }
 }
 

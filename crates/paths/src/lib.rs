@@ -158,9 +158,7 @@ pub fn shortest_path_weighted(
     while cur != s {
         // A finite distance implies a recorded predecessor; bail out rather
         // than panic if the invariant is ever broken.
-        let Some((p, l)) = prev[cur.index()] else {
-            return None;
-        };
+        let (p, l) = prev[cur.index()]?;
         nodes.push(p);
         links.push(l);
         cur = p;
@@ -551,9 +549,7 @@ pub fn widest_path(
     while cur != s {
         // Positive width implies a recorded predecessor; bail out rather
         // than panic if the invariant is ever broken.
-        let Some(p) = prev[cur] else {
-            return None;
-        };
+        let p = prev[cur]?;
         cur = p;
         nodes.push(cur);
     }

@@ -25,6 +25,7 @@ use crate::engine::ReplayEngine;
 use crate::report::EventStage;
 use crate::trace::{EventKind, LinkEvent};
 use pcf_core::{availability_under, degraded_reservations, DegradeMode, FailureState, Instance};
+use pcf_rng::Fnv1a;
 use pcf_topology::LinkId;
 
 /// One solved scheme entering a campaign.
@@ -152,26 +153,20 @@ impl CampaignReport {
     /// predictions, deliveries, sheds, stages). Stable across runs,
     /// thread counts, and platforms.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut eat = |bytes: &[u8]| {
-            for &byte in bytes {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(self.topology.as_bytes());
+        let mut h = Fnv1a::new();
+        h.write_bytes(self.topology.as_bytes());
         for c in &self.curves {
-            eat(c.scheme.as_bytes());
-            eat(&quantize(c.admitted).to_le_bytes());
+            h.write_bytes(c.scheme.as_bytes());
+            h.write_bytes(&quantize(c.admitted).to_le_bytes());
             for s in &c.steps {
-                eat(s.event.as_bytes());
-                eat(&quantize(s.predicted).to_le_bytes());
-                eat(&quantize(s.delivered).to_le_bytes());
-                eat(&quantize(s.shed).to_le_bytes());
-                eat(&[s.stage.code()]);
+                h.write_bytes(s.event.as_bytes());
+                h.write_bytes(&quantize(s.predicted).to_le_bytes());
+                h.write_bytes(&quantize(s.delivered).to_le_bytes());
+                h.write_bytes(&quantize(s.shed).to_le_bytes());
+                h.write_bytes(&[s.stage.code()]);
             }
         }
-        h
+        h.finish()
     }
 
     /// Deterministic JSON: quantized values, the separation verdict, and

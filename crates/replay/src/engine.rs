@@ -25,6 +25,7 @@ use pcf_core::{
     Condition, DegradeMode, DegradedRouting, Factored, FailureState, Instance, LadderStage, LsId,
     RealizeError, Routing, TunnelId,
 };
+use pcf_rng::Fnv1a;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Hit/miss/eviction counters of the factorization cache.
@@ -428,17 +429,14 @@ impl<'a> ReplayEngine<'a> {
         if self.degraded_links == 0 {
             return 0;
         }
-        let mut h: u64 = 0xcbf29ce484222325;
+        let mut h = Fnv1a::new();
         for (i, &p) in self.degrade_p.iter().enumerate() {
-            if p == 1000 {
-                continue;
-            }
-            for byte in (i as u64).to_le_bytes().into_iter().chain(p.to_le_bytes()) {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x100000001b3);
+            if p != 1000 {
+                h.write_u64(i as u64);
+                h.write_bytes(&p.to_le_bytes());
             }
         }
-        h.max(1)
+        h.finish().max(1)
     }
 
     /// The plan's reservations under the current degradation pattern

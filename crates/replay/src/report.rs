@@ -13,6 +13,7 @@
 use crate::engine::{CacheStats, DegradeStats, ReplayEngine};
 use crate::trace::EventTrace;
 use pcf_core::{DegradeMode, Instance, LadderStage, ViolationKind};
+use pcf_rng::Fnv1a;
 // audit:allow(no-wallclock-in-solver, the latency histogram is measurement output and never feeds routing decisions)
 use std::time::Instant;
 
@@ -251,26 +252,22 @@ impl ReplayReport {
         // FNV-1a over the exact f64 bit patterns: any nondeterminism in
         // the realization path shows up as a digest mismatch even when
         // the rounded summary fields happen to agree.
-        let fnv = |bytes: &mut dyn Iterator<Item = u8>| -> u64 {
-            let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-            for byte in bytes {
-                digest ^= u64::from(byte);
-                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            digest
-        };
-        let digest = fnv(&mut self
-            .event_utilization
-            .iter()
-            .flat_map(|u| u.to_bits().to_le_bytes()));
+        let mut digest = Fnv1a::new();
+        for u in &self.event_utilization {
+            digest.write_u64(u.to_bits());
+        }
+        let digest = digest.finish();
         // The per-event ladder stages and shed amounts get their own
         // digest so degraded replays are held to the same byte-identity
         // bar as utilizations.
-        let degrade_digest = fnv(&mut self.event_stage.iter().map(|s| s.code()).chain(
-            self.event_shed
-                .iter()
-                .flat_map(|s| s.to_bits().to_le_bytes()),
-        ));
+        let mut degrade_digest = Fnv1a::new();
+        for s in &self.event_stage {
+            degrade_digest.write_bytes(&[s.code()]);
+        }
+        for s in &self.event_shed {
+            degrade_digest.write_u64(s.to_bits());
+        }
+        let degrade_digest = degrade_digest.finish();
         let mut violations = String::new();
         for (i, v) in self.violations.iter().enumerate() {
             if i > 0 {

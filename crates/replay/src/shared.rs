@@ -24,6 +24,7 @@
 //! plan epoch, so a hot swap naturally starts cold.
 
 use crate::engine::{CacheEntry, CacheStats};
+use pcf_rng::Fnv1a;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -126,14 +127,11 @@ impl SharedFactorCache {
     fn shard_of(&self, key: &[u64]) -> usize {
         // FNV-1a over the key words; any stable mix works — this only
         // spreads load, it never affects results.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv1a::new();
         for &w in key {
-            for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-                h ^= (w >> shift) & 0xff;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
+            h.write_u64(w);
         }
-        (h % self.shards.len() as u64) as usize
+        (h.finish() % self.shards.len() as u64) as usize
     }
 
     fn count(&self, entry: &CacheEntry, was_cached: bool) {

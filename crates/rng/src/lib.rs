@@ -8,6 +8,8 @@
 //!   as a fast standalone generator;
 //! * [`Pcg32`] — O'Neill's PCG-XSH-RR 64/32; the workhorse generator behind
 //!   topology synthesis, gravity traffic, and the test harness;
+//! * [`Fnv1a`] — the 64-bit FNV-1a hash behind every digest, fingerprint
+//!   and name-derived seed in the workspace;
 //! * [`check`] — a property-test runner with a fixed per-case seed corpus,
 //!   an iteration cap, and shrinking-lite (caller-provided candidate
 //!   shrinkers, greedily applied while the property still fails).
@@ -18,6 +20,44 @@
 pub mod check;
 
 pub use check::{forall, no_shrink, Config};
+
+/// 64-bit FNV-1a (Fowler, Noll & Vo): xor each byte in, multiply by the
+/// FNV prime. Not a cryptographic hash; it fingerprints plans, reports and
+/// cache keys, and the result depends only on the byte sequence fed in.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher at the FNV offset basis.
+    pub const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Feeds `bytes` in order.
+    #[inline]
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Feeds the eight little-endian bytes of `x`.
+    #[inline]
+    pub fn write_u64(&mut self, x: u64) {
+        self.write_bytes(&x.to_le_bytes());
+    }
+
+    /// The hash of everything written so far.
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 /// SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): a tiny, high-quality
 /// 64-bit generator. Primarily used to expand one user seed into many
@@ -181,6 +221,24 @@ impl Pcg32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_reference_vectors() {
+        // Test vectors from the FNV reference distribution.
+        assert_eq!(Fnv1a::new().finish(), 0xcbf29ce484222325);
+        let mut h = Fnv1a::new();
+        h.write_bytes(b"a");
+        assert_eq!(h.finish(), 0xaf63dc4c8601ec8c);
+        let mut h = Fnv1a::new();
+        h.write_bytes(b"foo");
+        h.write_bytes(b"bar");
+        assert_eq!(h.finish(), 0x85944171f73967e8);
+        let mut words = Fnv1a::new();
+        words.write_u64(0x0807060504030201);
+        let mut bytes = Fnv1a::new();
+        bytes.write_bytes(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(words.finish(), bytes.finish());
+    }
 
     #[test]
     fn splitmix_reference_vector() {

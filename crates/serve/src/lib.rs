@@ -231,22 +231,25 @@ mod tests {
             let src = topo.node_name(s_node);
             let dst = topo.node_name(t_node);
 
-            let tiny = client
-                .request(&format!(
-                    r#"{{"cmd":"admit","src":"{src}","dst":"{dst}","demand":0}}"#
-                ))
-                .unwrap();
+            let admits = [
+                format!(r#"{{"cmd":"admit","src":"{src}","dst":"{dst}","demand":0}}"#),
+                format!(r#"{{"cmd":"admit","src":"{src}","dst":"{dst}","demand":1e12}}"#),
+                r#"{"cmd":"admit","src":"Nowhere","dst":"Noplace","demand":1}"#.to_string(),
+            ];
+            let answers = client.request_batch(&admits).unwrap();
+            let [tiny, huge, unknown] = &answers[..] else {
+                panic!("expected three answers, got {}", answers.len());
+            };
             assert_eq!(tiny.get("admitted").and_then(Json::as_bool), Some(true));
-            let huge = client
-                .request(&format!(
-                    r#"{{"cmd":"admit","src":"{src}","dst":"{dst}","demand":1e12}}"#
-                ))
-                .unwrap();
             assert_eq!(huge.get("admitted").and_then(Json::as_bool), Some(false));
-            let unknown = client
-                .request(r#"{"cmd":"admit","src":"Nowhere","dst":"Noplace","demand":1}"#)
-                .unwrap();
             assert_eq!(unknown.get("ok").and_then(Json::as_bool), Some(false));
+
+            // Admission is a pure function of the plan: a second connection
+            // gets byte-identical answers to the same lines.
+            let mut other = ServeClient::connect(&addr).unwrap();
+            let again = other.request_batch(&admits).unwrap();
+            let render = |rs: &[Json]| rs.iter().map(Json::render).collect::<Vec<_>>();
+            assert_eq!(render(&again), render(&answers));
             client.request(r#"{"cmd":"shutdown"}"#).unwrap();
         });
     }

@@ -30,6 +30,7 @@ use pcf_core::{
     solve_pcf_tf_seeded, tunnel_instance, CutPool, FailureModel, Instance, RobustOptions,
 };
 use pcf_replay::SharedFactorCache;
+use pcf_rng::Fnv1a;
 use pcf_topology::{LinkId, Topology};
 use pcf_traffic::gravity;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -237,18 +238,12 @@ impl PlanSpec {
 /// every thread and every run; any numerical divergence shows up even
 /// when rounded summaries agree.
 fn plan_digest(objective: f64, a: &[f64], b: &[f64], z: &[f64], served: &[f64]) -> u64 {
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: f64| {
-        for byte in x.to_bits().to_le_bytes() {
-            digest ^= u64::from(byte);
-            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(objective);
-    for &x in a.iter().chain(b).chain(z).chain(served) {
-        eat(x);
+    let mut digest = Fnv1a::new();
+    digest.write_u64(objective.to_bits());
+    for x in a.iter().chain(b).chain(z).chain(served) {
+        digest.write_u64(x.to_bits());
     }
-    digest
+    digest.finish()
 }
 
 /// The hot-swap cell: a generation counter readers poll lock-free, and a

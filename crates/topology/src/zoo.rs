@@ -14,7 +14,7 @@
 //! backbones.
 
 use crate::graph::Topology;
-use pcf_rng::Pcg32;
+use pcf_rng::{Fnv1a, Pcg32};
 
 /// Name, node count, and link count of each evaluation topology (Table 3).
 pub const TABLE3: &[(&str, usize, usize)] = &[
@@ -65,12 +65,9 @@ pub fn names() -> Vec<&'static str> {
 
 /// FNV-1a hash of the topology name, used as the deterministic RNG seed.
 fn seed_for(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write_bytes(name.as_bytes());
+    h.finish()
 }
 
 /// Builds the named topology ([`TABLE3`] or [`EXTRAS`]), or `None` for an
