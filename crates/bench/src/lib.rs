@@ -4,8 +4,7 @@
 //! Each `fig*`/`table1` runner reproduces the corresponding artifact's data
 //! series and prints it in row/series form (the repository has no plotting
 //! dependency; the printed CDF/series data is what the paper's figures
-//! plot). The binary `experiments` drives the runners; the benches in
-//! `benches/` time the per-figure workloads on the in-tree [`harness`].
+//! plot). The binary `experiments` drives the runners.
 //!
 //! Scale control: the paper runs Gurobi on all 21 topologies with every
 //! node pair. A from-scratch simplex needs smaller masters, so [`Scale`]
@@ -23,8 +22,6 @@ use pcf_topology::transform::split_sublinks;
 use pcf_topology::{zoo, Topology};
 use pcf_traffic::{gravity, TrafficMatrix};
 use std::time::Instant;
-
-pub mod harness;
 
 /// Experiment scale knobs.
 #[derive(Debug, Clone)]

@@ -8,6 +8,12 @@
 //! flow per link, activated when that link dies — and then *decomposes* each
 //! flow into a logical sequence along its widest path.
 //!
+//! The flow model is a caller of the one cutting-plane loop in
+//! [`crate::robust`]: `flow_master` adds the `b_w` / `p_w(i,j)` columns and
+//! the balance rows to the shared master and registers each column with the
+//! pair whose availability it enters; the live master, threaded separation
+//! and the cut rows are the allocation solve's.
+//!
 //! Tractability restriction (documented in DESIGN.md): the paper lets
 //! `p_w(i,j)` range over every node pair; a from-scratch simplex cannot
 //! carry `O(|V|^2)` variables per flow, so each flow's segment support is
@@ -15,15 +21,14 @@
 //! between its endpoints (avoiding the protected link). The decomposition
 //! step — a single widest path per flow — is unaffected.
 
-use crate::adversary::{worst_case_link_with_extras, ExtraTerm, WorstCase};
 use crate::failure::{Condition, FailureModel};
-use crate::instance::{Instance, InstanceBuilder, LogicalSequence, PairId};
-use crate::objective::Objective;
-use crate::robust::{RobustError, RobustOptions};
-use pcf_lp::{nonzero, LpProblem, Sense, Status, VarId};
+use crate::instance::{Instance, InstanceBuilder, LogicalSequence};
+use crate::robust::{
+    AdversaryKind, ConditionedColumn, Master, MasterOptimum, RobustError, RobustOptions, ZVars,
+};
+use pcf_lp::{LpProblem, Sense, VarId};
 use pcf_topology::{LinkId, NodeId, Topology};
 use pcf_traffic::TrafficMatrix;
-use std::collections::BTreeMap;
 
 /// A logical flow to be optimized: endpoints, activation condition, and the
 /// directed segment support over which `p_w` may route.
@@ -113,238 +118,61 @@ fn bypass_support(
     segments
 }
 
-/// One scenario cut in the flow master.
-struct FlowCut {
-    pair: PairId,
-    wc: WorstCase,
-    /// `h` per flow with endpoints == pair (reservation side).
-    h_res: Vec<(usize, f64)>,
-    /// `h` per (flow, support index) with that segment == pair (obligation).
-    h_obl: Vec<(usize, usize, f64)>,
-}
+/// The flow model's master and its `b_w` / `p_w(i,j)` columns.
+type FlowMaster = (Master, Vec<VarId>, Vec<Vec<VarId>>);
 
-fn no_failure_h(cond: &Condition) -> f64 {
-    match cond {
-        Condition::Always => 1.0,
-        Condition::LinkDead(_) => 0.0,
-        Condition::AliveDead { dead, .. } => {
-            if dead.is_empty() {
-                1.0
-            } else {
-                0.0
-            }
-        }
-    }
-}
-
-/// Solves the logical-flow model on `inst` extended with `flows`,
-/// by the same cutting-plane scheme as [`crate::robust::solve_robust`].
-///
-/// The instance must already contain a pair for every flow endpoint pair
-/// and every supported segment (see
-/// [`crate::instance::InstanceBuilder::add_pair`]); a missing pair is
-/// reported as [`RobustError::FlowPairMissing`].
-pub fn solve_logical_flow(
+/// Builds the cut-free flow master: the allocation master of
+/// [`crate::robust`] plus, per flow, a reservation column `b_w`, a routing
+/// column `p_w(i,j)` per supported segment, and the flow-balance rows
+/// (Eq. 8). `b_w` is registered as a conditioned reservation of the flow's
+/// endpoint pair and every `p_w(i,j)` as a conditioned obligation of the
+/// segment's pair, which is all the cutting-plane loop needs to price them.
+fn flow_master(
     inst: &Instance,
     flows: &[FlowSpec],
-    fm: &FailureModel,
     opts: &RobustOptions,
-) -> Result<FlowSolution, RobustError> {
-    // Pair resolution tables.
-    let flow_pair: Vec<PairId> = flows
+) -> Result<FlowMaster, RobustError> {
+    let pair_of = |u: NodeId, v: NodeId, what: &'static str| {
+        inst.pair_id(u, v).ok_or(RobustError::FlowPairMissing(what))
+    };
+
+    let mut lp = LpProblem::new(Sense::Maximize);
+    lp.set_options(opts.lp.clone());
+    let mut master = Master::new(lp, inst, &[], |lp| {
+        ZVars::for_objective(lp, inst, opts.objective)
+    });
+    let fb_vars: Vec<VarId> = flows
         .iter()
-        .map(|w| {
-            inst.pair_id(w.src, w.dst)
-                .ok_or(RobustError::FlowPairMissing("flow endpoint pair"))
-        })
-        .collect::<Result<_, _>>()?;
-    let seg_pair: Vec<Vec<PairId>> = flows
+        .map(|_| master.lp.add_var(0.0, f64::INFINITY, 0.0))
+        .collect();
+    let fp_vars: Vec<Vec<VarId>> = flows
         .iter()
         .map(|w| {
             w.support
                 .iter()
-                .map(|&(u, v)| {
-                    inst.pair_id(u, v)
-                        .ok_or(RobustError::FlowPairMissing("flow segment pair"))
-                })
-                .collect::<Result<_, _>>()
-        })
-        .collect::<Result<_, _>>()?;
-    // Reverse index: pair -> (flow, role).
-    let mut res_of_pair: BTreeMap<PairId, Vec<usize>> = BTreeMap::new();
-    for (w, &p) in flow_pair.iter().enumerate() {
-        res_of_pair.entry(p).or_default().push(w);
-    }
-    let mut obl_of_pair: BTreeMap<PairId, Vec<(usize, usize)>> = BTreeMap::new();
-    for (w, segs) in seg_pair.iter().enumerate() {
-        for (si, &p) in segs.iter().enumerate() {
-            obl_of_pair.entry(p).or_default().push((w, si));
-        }
-    }
-
-    // Initial cuts: no-failure scenario for every pair.
-    let mut cuts: Vec<FlowCut> = inst
-        .pair_ids()
-        .map(|p| FlowCut {
-            pair: p,
-            wc: WorstCase {
-                available: 0.0,
-                y: vec![0.0; inst.tunnels_of(p).len()],
-                h_l: inst
-                    .lss_of(p)
-                    .iter()
-                    .map(|&q| no_failure_h(&inst.ls(q).condition))
-                    .collect(),
-                h_q: inst
-                    .segments_of(p)
-                    .iter()
-                    .map(|&q| no_failure_h(&inst.ls(q).condition))
-                    .collect(),
-            },
-            h_res: res_of_pair
-                .get(&p)
-                .map(|ws| {
-                    ws.iter()
-                        .map(|&w| (w, no_failure_h(&flows[w].condition)))
-                        .collect()
-                })
-                .unwrap_or_default(),
-            h_obl: obl_of_pair
-                .get(&p)
-                .map(|ws| {
-                    ws.iter()
-                        .map(|&(w, si)| (w, si, no_failure_h(&flows[w].condition)))
-                        .collect()
-                })
-                .unwrap_or_default(),
+                .map(|_| master.lp.add_var(0.0, f64::INFINITY, 0.0))
+                .collect()
         })
         .collect();
 
-    let mut rounds = 0usize;
-    loop {
-        rounds += 1;
-        let (a, b, fb, fp, z, objective) = solve_flow_master(inst, flows, &cuts, opts, rounds)?;
-
-        if rounds > opts.max_rounds {
-            return Ok(FlowSolution {
-                objective,
-                z,
-                a,
-                b,
-                flow_b: fb,
-                flow_p: fp,
-                rounds: rounds - 1,
+    // Reservations before obligations, so a pair's conditioned columns keep
+    // that order.
+    for (w, spec) in flows.iter().enumerate() {
+        let p = pair_of(spec.src, spec.dst, "flow endpoint pair")?;
+        master.extras[p.0].push(ConditionedColumn {
+            var: fb_vars[w],
+            gain: 1.0,
+            condition: spec.condition.clone(),
+        });
+    }
+    for (w, spec) in flows.iter().enumerate() {
+        for (si, &(u, v)) in spec.support.iter().enumerate() {
+            let p = pair_of(u, v, "flow segment pair")?;
+            master.extras[p.0].push(ConditionedColumn {
+                var: fp_vars[w][si],
+                gain: -1.0,
+                condition: spec.condition.clone(),
             });
-        }
-
-        let scale = 1.0 + inst.total_demand();
-        let mut violated = 0usize;
-        for p in inst.pair_ids() {
-            // Extras: flow reservations (negative loss coef) then
-            // obligations (positive).
-            let res: Vec<usize> = res_of_pair.get(&p).cloned().unwrap_or_default();
-            let obl: Vec<(usize, usize)> = obl_of_pair.get(&p).cloned().unwrap_or_default();
-            let mut extras: Vec<ExtraTerm> = Vec::with_capacity(res.len() + obl.len());
-            for &w in &res {
-                extras.push(ExtraTerm {
-                    coef: -fb[w],
-                    condition: flows[w].condition.clone(),
-                });
-            }
-            for &(w, si) in &obl {
-                extras.push(ExtraTerm {
-                    coef: fp[w][si],
-                    condition: flows[w].condition.clone(),
-                });
-            }
-            let (wc, h_extra) = worst_case_link_with_extras(inst, p, fm, &a, &b, &extras)
-                .map_err(RobustError::Adversary)?;
-            let required = z[p.0] * inst.demand(p);
-            if wc.available < required - opts.tol * scale {
-                let h_res = res
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &w)| (w, h_extra[i]))
-                    .collect();
-                let h_obl = obl
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(w, si))| (w, si, h_extra[res.len() + i]))
-                    .collect();
-                cuts.push(FlowCut {
-                    pair: p,
-                    wc,
-                    h_res,
-                    h_obl,
-                });
-                violated += 1;
-            }
-        }
-        if violated == 0 {
-            return Ok(FlowSolution {
-                objective,
-                z,
-                a,
-                b,
-                flow_b: fb,
-                flow_p: fp,
-                rounds,
-            });
-        }
-    }
-}
-
-#[allow(clippy::type_complexity)]
-type FlowMasterOut = (Vec<f64>, Vec<f64>, Vec<f64>, Vec<Vec<f64>>, Vec<f64>, f64);
-
-fn solve_flow_master(
-    inst: &Instance,
-    flows: &[FlowSpec],
-    cuts: &[FlowCut],
-    opts: &RobustOptions,
-    round: usize,
-) -> Result<FlowMasterOut, RobustError> {
-    let topo = inst.topo();
-    let mut lp = LpProblem::new(Sense::Maximize);
-    lp.set_options(opts.lp.clone());
-
-    let a_vars: Vec<VarId> = inst.tunnel_ids().map(|_| lp.add_nonneg(0.0)).collect();
-    let b_vars: Vec<VarId> = inst.ls_ids().map(|_| lp.add_nonneg(0.0)).collect();
-    let fb_vars: Vec<VarId> = flows.iter().map(|_| lp.add_nonneg(0.0)).collect();
-    let fp_vars: Vec<Vec<VarId>> = flows
-        .iter()
-        .map(|w| w.support.iter().map(|_| lp.add_nonneg(0.0)).collect())
-        .collect();
-
-    enum ZVars {
-        Shared(VarId),
-        PerPair(Vec<Option<VarId>>),
-    }
-    let z_vars = match opts.objective {
-        Objective::DemandScale => ZVars::Shared(lp.add_nonneg(1.0)),
-        Objective::Throughput => ZVars::PerPair(
-            inst.pair_ids()
-                .map(|p| {
-                    let d = inst.demand(p);
-                    (d > 0.0).then(|| lp.add_var(0.0, 1.0, d))
-                })
-                .collect(),
-        ),
-    };
-
-    // Capacity per arc (tunnels only; p variables are logical).
-    let mut arc_usage: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); topo.arc_count()];
-    for l in inst.tunnel_ids() {
-        let path = inst.tunnel(l);
-        for (i, &link) in path.links.iter().enumerate() {
-            let arc = topo.arc_from(link, path.nodes[i]);
-            arc_usage[arc.index()].push((a_vars[l.0], 1.0));
-        }
-    }
-    for arc in topo.arcs() {
-        let usage = &arc_usage[arc.index()];
-        if !usage.is_empty() {
-            lp.add_le(usage.iter().copied(), topo.capacity(arc.link()));
         }
     }
 
@@ -374,75 +202,44 @@ fn solve_flow_master(
             } else if node == spec.dst {
                 row.push((fb_vars[w], 1.0));
             }
-            lp.add_eq(row, 0.0);
+            master.lp.add_eq(row, 0.0);
         }
     }
+    Ok((master, fb_vars, fp_vars))
+}
 
-    // Scenario cuts.
-    for cut in cuts {
-        let p = cut.pair;
-        let mut row: Vec<(VarId, f64)> = Vec::new();
-        for (i, &l) in inst.tunnels_of(p).iter().enumerate() {
-            let coef = 1.0 - cut.wc.y[i];
-            if nonzero(coef) {
-                row.push((a_vars[l.0], coef));
-            }
-        }
-        for (i, &q) in inst.lss_of(p).iter().enumerate() {
-            if nonzero(cut.wc.h_l[i]) {
-                row.push((b_vars[q.0], cut.wc.h_l[i]));
-            }
-        }
-        for (i, &q) in inst.segments_of(p).iter().enumerate() {
-            if nonzero(cut.wc.h_q[i]) {
-                row.push((b_vars[q.0], -cut.wc.h_q[i]));
-            }
-        }
-        for &(w, h) in &cut.h_res {
-            if nonzero(h) {
-                row.push((fb_vars[w], h));
-            }
-        }
-        for &(w, si, h) in &cut.h_obl {
-            if nonzero(h) {
-                row.push((fp_vars[w][si], -h));
-            }
-        }
-        let d = inst.demand(p);
-        if d > 0.0 {
-            let zv = match &z_vars {
-                ZVars::Shared(v) => Some(*v),
-                ZVars::PerPair(vs) => vs[p.0],
-            };
-            if let Some(zv) = zv {
-                row.push((zv, -d));
-            }
-        }
-        lp.add_ge(row, 0.0);
-    }
-
-    let sol = lp.solve().map_err(RobustError::MasterLp)?;
-    if sol.status != Status::Optimal {
-        return Err(RobustError::MasterNotOptimal {
-            status: sol.status,
-            round,
-        });
-    }
-    let a: Vec<f64> = a_vars.iter().map(|&v| sol.value(v).max(0.0)).collect();
-    let b: Vec<f64> = b_vars.iter().map(|&v| sol.value(v).max(0.0)).collect();
-    let fb: Vec<f64> = fb_vars.iter().map(|&v| sol.value(v).max(0.0)).collect();
-    let fp: Vec<Vec<f64>> = fp_vars
-        .iter()
-        .map(|vs| vs.iter().map(|&v| sol.value(v).max(0.0)).collect())
-        .collect();
-    let z: Vec<f64> = inst
-        .pair_ids()
-        .map(|p| match &z_vars {
-            ZVars::Shared(v) => sol.value(*v),
-            ZVars::PerPair(vs) => vs[p.0].map_or(0.0, |v| sol.value(v)),
-        })
-        .collect();
-    Ok((a, b, fb, fp, z, sol.objective))
+/// Solves the logical-flow model on `inst` extended with `flows`: the
+/// cutting-plane loop of [`crate::robust`] on the flow master, the
+/// link-based oracle pricing each pair's flow reservations and segment
+/// obligations beside its tunnels and LSs.
+///
+/// The instance must already contain a pair for every flow endpoint pair
+/// and every supported segment (see
+/// [`crate::instance::InstanceBuilder::add_pair`]); a missing pair is
+/// reported as [`RobustError::FlowPairMissing`]. On hitting
+/// [`RobustOptions::max_rounds`] the incumbent is returned as is.
+pub fn solve_logical_flow(
+    inst: &Instance,
+    flows: &[FlowSpec],
+    fm: &FailureModel,
+    opts: &RobustOptions,
+) -> Result<FlowSolution, RobustError> {
+    let (mut master, fb_vars, fp_vars) = flow_master(inst, flows, opts)?;
+    let scale = 1.0 + inst.total_demand();
+    let end = master.cutting_planes(inst, fm, AdversaryKind::LinkBased, opts, scale, None)?;
+    let MasterOptimum { sol, a, b, z } = end.optimum;
+    Ok(FlowSolution {
+        objective: sol.objective,
+        z,
+        a,
+        b,
+        flow_b: fb_vars.iter().map(|&v| sol.value(v).max(0.0)).collect(),
+        flow_p: fp_vars
+            .iter()
+            .map(|vs| vs.iter().map(|&v| sol.value(v).max(0.0)).collect())
+            .collect(),
+        rounds: end.rounds,
+    })
 }
 
 /// Decomposes solved flows into logical sequences (§3.5): for each flow
@@ -612,6 +409,60 @@ mod tests {
             ls.objective
         );
         assert!(cls.conditional_lss > 0);
+    }
+
+    #[test]
+    fn later_rounds_resolve_the_live_master_warm() {
+        // Stage 1 of the pipeline on Sprint, at full fidelity.
+        let topo = pcf_topology::zoo::build("Sprint");
+        let tm = pcf_traffic::gravity(&topo, 3);
+        let flows = bypass_flows(&topo, 2);
+        let mut b = InstanceBuilder::new(&topo, &tm);
+        for w in &flows {
+            b = b.add_pair(w.src, w.dst);
+            for &(u, v) in &w.support {
+                b = b.add_pair(u, v);
+            }
+        }
+        let inst = b.build();
+        let opts = RobustOptions::default();
+        let (mut master, _, _) = flow_master(&inst, &flows, &opts).unwrap();
+        let scale = 1.0 + inst.total_demand();
+        let fm = FailureModel::links(1);
+        let end = master
+            .cutting_planes(&inst, &fm, AdversaryKind::LinkBased, &opts, scale, None)
+            .unwrap();
+        assert!(end.rounds >= 2, "expected a multi-round solve");
+        assert_eq!(end.warm_rounds, end.rounds - 1);
+        let stats = master.lp.stats();
+        assert_eq!(stats.warm_solves, end.rounds - 1);
+        // Balance rows and cuts are homogeneous: every row holds at the
+        // origin and no warm attempt has a reason to be abandoned.
+        assert_eq!(stats.warm_fallbacks, 0);
+        assert_eq!(stats.cold_solves, 1);
+    }
+
+    #[test]
+    fn pipeline_is_thread_count_invariant() {
+        let topo = pcf_topology::zoo::build("Sprint");
+        let tm = pcf_traffic::gravity(&topo, 3);
+        let fm = FailureModel::links(1);
+        let run = |threads: usize| {
+            let opts = RobustOptions {
+                threads,
+                ..RobustOptions::default()
+            };
+            pcf_cls_pipeline(&topo, &tm, 3, &fm, &opts)
+        };
+        let (one, four) = (run(1), run(4));
+        assert_eq!(
+            one.solution.objective.to_bits(),
+            four.solution.objective.to_bits()
+        );
+        assert_eq!(one.solution.a, four.solution.a);
+        assert_eq!(one.solution.b, four.solution.b);
+        assert_eq!(one.conditional_lss, four.conditional_lss);
+        assert_eq!(one.flow_rounds, four.flow_rounds);
     }
 
     #[test]

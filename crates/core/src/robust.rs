@@ -17,23 +17,36 @@
 //!
 //! The engine keeps **one master LP alive** across rounds: new scenario cuts
 //! are appended to the solved [`pcf_lp::IncrementalLp`], which absorbs them
-//! by dual simplex from the previous optimal basis. Every master row holds
-//! at the origin —
-//! cuts are homogeneous `... - z d >= 0`, capacity rows are `<= c` — so the
-//! first solve starts from an all-slack basis and no master solve ever runs
-//! a phase 1. A [`CutPool`] seed takes the same route as separated cuts:
-//! the cut-free master is solved first and the pool appended to it, which
-//! makes a seeded solve literally "one more cutting-plane round".
+//! by dual simplex from the previous optimal basis. Every row of a master
+//! whose `z` is free holds at the origin — cuts are homogeneous
+//! `... - z d >= 0`, capacity rows are `<= c` — so the first solve starts
+//! from an all-slack basis and no such master solve ever runs a phase 1
+//! (augmentation fixes `z` at its target, so its no-failure cuts start
+//! violated and its one cold solve does). A [`CutPool`] seed takes the same
+//! route as separated cuts: the cut-free master is solved first and the
+//! pool appended to it, which makes a seeded solve literally "one more
+//! cutting-plane round".
 //! Separation — the per-pair worst-case oracles — runs on
 //! [`RobustOptions::threads`] scoped worker threads; the oracles are pure
 //! functions of the shared reservations, so pairs partition cleanly.
+//!
+//! `Master::cutting_planes` is the only cutting-plane loop in the crate.
+//! Bandwidth allocation (this module: FFC, PCF-TF, PCF-LS, CLS stage 2),
+//! the logical-flow model ([`crate::logical_flow`]) and capacity
+//! augmentation ([`crate::augment`]) each build a `Master` — the shared
+//! reservation columns and capacity rows plus their own columns and static
+//! rows — and run that loop on it; they differ in data, not in code path
+//! (DESIGN.md §7 tabulates the three).
 
-use crate::adversary::{worst_case_ffc, worst_case_link, AdversaryError, WorstCase};
+use crate::adversary::{
+    worst_case_ffc, worst_case_link_with_extras, AdversaryError, ExtraTerm, WorstCase,
+};
 use crate::failure::{Condition, FailureModel};
-use crate::instance::{Instance, PairId};
+use crate::instance::{Instance, LsId, PairId};
 use crate::objective::Objective;
 use pcf_lp::{
-    nonzero, IncrementalLp, IncrementalStats, LpProblem, Sense, SimplexOptions, Status, VarId,
+    nonzero, IncrementalLp, IncrementalStats, LpProblem, Sense, SimplexOptions, Solution, Status,
+    VarId,
 };
 use std::fmt;
 
@@ -172,14 +185,6 @@ pub struct RobustSolution {
     pub worst_available: Vec<f64>,
 }
 
-/// One generated scenario cut for a pair: the fractional failure levels to
-/// materialize the constraint
-/// `Σ_l a_l (1-y_l) + Σ_{q∈L} b_q h_q - Σ_{q'∈Q} b_{q'} h_{q'} >= z_p d_p`.
-struct Cut {
-    pair: PairId,
-    wc: WorstCase,
-}
-
 /// The scenario cuts of a converged solve, exported so the next solve of a
 /// same-shape instance can seed its master with them instead of
 /// rediscovering the binding scenarios from scratch (an epoch-to-epoch
@@ -290,6 +295,11 @@ pub fn try_solve_robust(
 /// A pool that does not [`CutPool::matches`] the instance is ignored — the
 /// solve falls back to cold and the fact is visible as `seeded_cuts == 0`.
 ///
+/// On hitting [`RobustOptions::max_rounds`] the incumbent is returned after
+/// one extra separation pass, so the solution still carries its worst-case
+/// availabilities (the round limit is a rare escape hatch, not the steady
+/// state).
+///
 /// # Panics
 /// Panics if `kind` is [`AdversaryKind::FfcTunnelCount`] and the instance
 /// has logical sequences (a modeling error, not a runtime condition).
@@ -308,209 +318,63 @@ pub fn try_solve_robust_seeded(
         );
     }
 
-    // Initial cuts: the no-failure scenario for every pair, which bounds the
-    // objective and seeds the master.
-    let mut cuts: Vec<Cut> = inst
-        .pair_ids()
-        .map(|p| {
-            let wc = WorstCase {
-                available: 0.0, // unused in the master
-                y: vec![0.0; inst.tunnels_of(p).len()],
-                h_l: inst
-                    .lss_of(p)
-                    .iter()
-                    .map(|&q| no_failure_h(&inst.ls(q).condition))
-                    .collect(),
-                h_q: inst
-                    .segments_of(p)
-                    .iter()
-                    .map(|&q| no_failure_h(&inst.ls(q).condition))
-                    .collect(),
-            };
-            Cut { pair: p, wc }
-        })
-        .collect();
-
-    // Warm start: replay the cuts of a previous same-shape solve so round 1
-    // already knows the scenarios that bound the last epoch.
-    let base_cuts = cuts.len();
-    let mut seeded_cuts = 0usize;
-    if let Some(pool) = seed {
-        if pool.matches(inst) {
-            cuts.extend(pool.cuts.iter().map(|(p, wc)| Cut {
-                pair: *p,
-                wc: wc.clone(),
-            }));
-            seeded_cuts = pool.cuts.len();
-        }
-    }
-
-    let mut master = Master::new(inst, opts);
-    for cut in &cuts[..base_cuts] {
-        master.append_cut(inst, cut);
-    }
-    if seeded_cuts > 0 {
-        // Solve the cut-free master so the seeds enter as appended rows.
-        master.solve(inst, 1)?;
-    }
-    for cut in &cuts[base_cuts..] {
-        master.append_cut(inst, cut);
-    }
-
-    // The exported pool skips the first `base_cuts` entries: the
-    // no-failure cuts are regenerated by every solve, so replaying them
-    // would only duplicate rows.
-    let export = |cuts: &[Cut]| CutPool {
+    let mut lp = LpProblem::new(Sense::Maximize);
+    lp.set_options(opts.lp.clone());
+    let mut master = Master::new(lp, inst, &[], |lp| {
+        ZVars::for_objective(lp, inst, opts.objective)
+    });
+    let scale = 1.0 + inst.total_demand();
+    let end = master.cutting_planes(inst, fm, kind, opts, scale, seed)?;
+    let wcs = match end.certified {
+        Some(wcs) => wcs,
+        None => master
+            .separate(inst, fm, kind, &end.optimum, opts.effective_threads())
+            .map_err(RobustError::Adversary)?,
+    };
+    let cuts = master.cuts.len();
+    // The exported pool skips the no-failure cuts: every solve regenerates
+    // them, so replaying them would only duplicate rows.
+    let pool = CutPool {
         pairs: inst.num_pairs(),
         tunnels: inst.num_tunnels(),
         lss: inst.num_lss(),
-        cuts: cuts[base_cuts..]
-            .iter()
-            .map(|c| (c.pair, c.wc.clone()))
-            .collect(),
+        cuts: master.cuts.split_off(inst.num_pairs()),
     };
-
-    let mut rounds = 0usize;
-    let mut warm_rounds = 0usize;
-    loop {
-        rounds += 1;
-        let (a, b, z, objective, was_warm) = master.solve(inst, rounds)?;
-        if was_warm {
-            warm_rounds += 1;
-        }
-
-        if rounds > opts.max_rounds {
-            // One extra separation pass prices the incumbent so the
-            // solution still carries its worst-case availabilities (the
-            // round limit is a rare escape hatch, not the steady state).
-            let wcs = separate(inst, fm, kind, &a, &b, opts.effective_threads())
-                .map_err(RobustError::Adversary)?;
-            return Ok((
-                RobustSolution {
-                    objective,
-                    z,
-                    a,
-                    b,
-                    rounds: rounds - 1,
-                    cuts: cuts.len(),
-                    warm_rounds,
-                    seeded_cuts,
-                    lp_stats: master.lp.stats(),
-                    worst_available: wcs.iter().map(|wc| wc.available).collect(),
-                },
-                export(&cuts),
-            ));
-        }
-
-        // Separation: every pair's oracle is independent, so fan the pairs
-        // out over worker threads.
-        let wcs = separate(inst, fm, kind, &a, &b, opts.effective_threads())
-            .map_err(RobustError::Adversary)?;
-        let worst_available: Vec<f64> = wcs.iter().map(|wc| wc.available).collect();
-        let scale = 1.0 + inst.total_demand();
-        let mut violated = 0usize;
-        for (p, wc) in inst.pair_ids().zip(wcs) {
-            let required = z[p.0] * inst.demand(p);
-            if wc.available < required - opts.tol * scale {
-                let cut = Cut { pair: p, wc };
-                master.append_cut(inst, &cut);
-                cuts.push(cut);
-                violated += 1;
-            }
-        }
-        if violated == 0 {
-            return Ok((
-                RobustSolution {
-                    objective,
-                    z,
-                    a,
-                    b,
-                    rounds,
-                    cuts: cuts.len(),
-                    warm_rounds,
-                    seeded_cuts,
-                    lp_stats: master.lp.stats(),
-                    worst_available,
-                },
-                export(&cuts),
-            ));
-        }
-    }
+    let MasterOptimum { sol, a, b, z } = end.optimum;
+    Ok((
+        RobustSolution {
+            objective: sol.objective,
+            z,
+            a,
+            b,
+            rounds: end.rounds,
+            cuts,
+            warm_rounds: end.warm_rounds,
+            seeded_cuts: end.seeded_cuts,
+            lp_stats: master.lp.stats(),
+            worst_available: wcs.iter().map(|(wc, _)| wc.available).collect(),
+        },
+        pool,
+    ))
 }
 
-/// Runs the worst-case oracle for every pair, chunked over `threads` scoped
-/// worker threads. Each worker writes into its own disjoint slice of the
-/// result vector, so no synchronization is needed beyond the scope join.
-fn separate(
-    inst: &Instance,
-    fm: &FailureModel,
-    kind: AdversaryKind,
-    a: &[f64],
-    b: &[f64],
-    threads: usize,
-) -> Result<Vec<WorstCase>, AdversaryError> {
-    let pairs: Vec<PairId> = inst.pair_ids().collect();
-    let oracle = |p: PairId| -> Result<WorstCase, AdversaryError> {
-        match kind {
-            AdversaryKind::FfcTunnelCount => Ok(worst_case_ffc(inst, p, fm, a)),
-            AdversaryKind::LinkBased => worst_case_link(inst, p, fm, a, b),
-        }
-    };
-    let nt = threads.max(1).min(pairs.len().max(1));
-    if nt <= 1 {
-        return pairs.into_iter().map(oracle).collect();
-    }
-    let mut out: Vec<Option<Result<WorstCase, AdversaryError>>> = Vec::new();
-    out.resize_with(pairs.len(), || None);
-    let chunk = pairs.len().div_ceil(nt);
-    let oracle = &oracle;
-    std::thread::scope(|s| {
-        for (ps, slots) in pairs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move || {
-                for (slot, &p) in slots.iter_mut().zip(ps) {
-                    *slot = Some(oracle(p));
-                }
-            });
-        }
-    });
-    // The scope above joins every worker (a worker panic propagates), so
-    // each slot is filled; if one ever were not, recompute it inline
-    // rather than aborting — the oracle is a pure function.
-    out.into_iter()
-        .zip(pairs)
-        .map(|(o, p)| o.unwrap_or_else(|| oracle(p)))
-        .collect()
-}
-
-/// Objective variables of the master.
-enum ZVars {
+/// The served-fraction columns of a master: one shared `z` (demand scale)
+/// or one `z_p` per pair with positive demand (throughput).
+pub(crate) enum ZVars {
+    /// Every pair is served the same fraction.
     Shared(VarId),
+    /// Per-pair fractions; `None` for zero-demand pairs.
     PerPair(Vec<Option<VarId>>),
 }
 
-/// The live master LP. Variables and capacity rows are created once; each
-/// cutting-plane round only appends scenario cut rows, so every re-solve
-/// after the first warm-starts from the previous optimal basis.
-struct Master {
-    lp: IncrementalLp,
-    a_vars: Vec<VarId>,
-    b_vars: Vec<VarId>,
-    z_vars: ZVars,
-}
-
-impl Master {
-    /// Builds the cut-free master: reservation variables, objective
-    /// variables, and the per-arc capacity constraints (Eq. 3, full
-    /// duplex).
-    fn new(inst: &Instance, opts: &RobustOptions) -> Master {
-        let topo = inst.topo();
-        let mut lp = LpProblem::new(Sense::Maximize);
-        lp.set_options(opts.lp.clone());
-
-        let a_vars: Vec<VarId> = inst.tunnel_ids().map(|_| lp.add_nonneg(0.0)).collect();
-        let b_vars: Vec<VarId> = inst.ls_ids().map(|_| lp.add_nonneg(0.0)).collect();
-
-        let z_vars = match opts.objective {
+impl ZVars {
+    /// Adds the columns `objective` maximizes.
+    pub(crate) fn for_objective(
+        lp: &mut LpProblem,
+        inst: &Instance,
+        objective: Objective,
+    ) -> ZVars {
+        match objective {
             Objective::DemandScale => ZVars::Shared(lp.add_nonneg(1.0)),
             Objective::Throughput => ZVars::PerPair(
                 inst.pair_ids()
@@ -520,7 +384,102 @@ impl Master {
                     })
                     .collect(),
             ),
-        };
+        }
+    }
+
+    fn var_of(&self, p: PairId) -> Option<VarId> {
+        match self {
+            ZVars::Shared(v) => Some(*v),
+            ZVars::PerPair(vs) => vs[p.0],
+        }
+    }
+}
+
+/// A caller-added column that enters one pair's availability under a
+/// condition, the way an LS reservation does: the logical-flow model's
+/// reservations `b_w` (gain +1 for the flow's endpoint pair) and segment
+/// routings `p_w(i,j)` (gain −1, an obligation of the segment's pair).
+pub(crate) struct ConditionedColumn {
+    /// The column.
+    pub var: VarId,
+    /// `+1` when the column's value is available to the pair, `−1` when
+    /// the pair must carry it.
+    pub gain: f64,
+    /// Activation condition (`h_w`).
+    pub condition: Condition,
+}
+
+/// One pair's oracle answer: its worst case and the activation level of
+/// each of its [`ConditionedColumn`]s in that scenario.
+pub(crate) type Priced = (WorstCase, Vec<f64>);
+
+/// A master optimum: the LP solution plus the values every caller reads.
+pub(crate) struct MasterOptimum {
+    /// The LP solution (callers read their own columns from it).
+    pub sol: Solution,
+    /// Reservation per tunnel.
+    pub a: Vec<f64>,
+    /// Reservation per logical sequence.
+    pub b: Vec<f64>,
+    /// Served fraction per pair.
+    pub z: Vec<f64>,
+}
+
+/// How [`Master::cutting_planes`] ended.
+pub(crate) struct CutLoopEnd {
+    /// The last master optimum.
+    pub optimum: MasterOptimum,
+    /// Rounds that separated (the incumbent of a capped loop has absorbed
+    /// the last round's cuts but was not separated again).
+    pub rounds: usize,
+    /// Rounds whose master re-solve started from the retained basis.
+    pub warm_rounds: usize,
+    /// Cuts taken from the offered [`CutPool`].
+    pub seeded_cuts: usize,
+    /// The separation pass that found no violated pair; `None` when
+    /// [`RobustOptions::max_rounds`] stopped the loop first.
+    pub certified: Option<Vec<Priced>>,
+}
+
+/// The live master LP and the one cutting-plane loop that drives it.
+///
+/// Allocation (FFC / PCF-TF / PCF-LS / CLS stage 2), the logical-flow model
+/// and capacity augmentation are three callers that differ only in data:
+/// the sense and the columns of the [`LpProblem`] they hand in, the columns
+/// relieving the capacity rows, the served-fraction columns (maximized, or
+/// fixed at a target), the [`ConditionedColumn`]s and static rows they add
+/// before the loop, and the adversary kind. Variables and static rows are
+/// created once; each round only appends scenario cut rows, so every
+/// re-solve after the first warm-starts from the previous optimal basis.
+pub(crate) struct Master {
+    /// The live LP. Callers add their own columns and static rows through
+    /// it before [`Master::cutting_planes`] runs.
+    pub lp: IncrementalLp,
+    a_vars: Vec<VarId>,
+    b_vars: Vec<VarId>,
+    z_vars: ZVars,
+    /// Per pair, the caller's conditioned columns (empty for pure
+    /// allocation). A non-empty list needs [`AdversaryKind::LinkBased`].
+    pub extras: Vec<Vec<ConditionedColumn>>,
+    /// Every scenario cut appended so far, in row order.
+    cuts: Vec<(PairId, WorstCase)>,
+}
+
+impl Master {
+    /// Extends `lp` to the cut-free master: reservation columns `a_l`,
+    /// `b_q`, the per-arc capacity rows (Eq. 3, full duplex), then the
+    /// served-fraction columns `z` creates. `relief` is empty or holds one
+    /// column of `lp` per link, subtracted from both of the link's capacity
+    /// rows.
+    pub(crate) fn new(
+        mut lp: LpProblem,
+        inst: &Instance,
+        relief: &[VarId],
+        z: impl FnOnce(&mut LpProblem) -> ZVars,
+    ) -> Master {
+        let topo = inst.topo();
+        let a_vars: Vec<VarId> = inst.tunnel_ids().map(|_| lp.add_nonneg(0.0)).collect();
+        let b_vars: Vec<VarId> = inst.ls_ids().map(|_| lp.add_nonneg(0.0)).collect();
 
         let mut arc_usage: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); topo.arc_count()];
         for l in inst.tunnel_ids() {
@@ -533,63 +492,68 @@ impl Master {
         for arc in topo.arcs() {
             let usage = &arc_usage[arc.index()];
             if !usage.is_empty() {
-                lp.add_le(usage.iter().copied(), topo.capacity(arc.link()));
+                let relieved = relief.get(arc.link().index()).map(|&v| (v, -1.0));
+                lp.add_le(
+                    usage.iter().copied().chain(relieved),
+                    topo.capacity(arc.link()),
+                );
             }
         }
+        let z_vars = z(&mut lp);
 
         Master {
             lp: IncrementalLp::new(lp),
             a_vars,
             b_vars,
             z_vars,
-        }
-    }
-
-    fn z_var_of(&self, p: PairId) -> Option<VarId> {
-        match &self.z_vars {
-            ZVars::Shared(v) => Some(*v),
-            ZVars::PerPair(vs) => vs[p.0],
+            extras: inst.pair_ids().map(|_| Vec::new()).collect(),
+            cuts: Vec::new(),
         }
     }
 
     /// Appends one scenario cut row
-    /// `Σ_l a_l (1-y_l) + Σ_{q∈L} b_q h_q - Σ_{q'∈Q} b_{q'} h_{q'} - z_p d_p >= 0`.
-    fn append_cut(&mut self, inst: &Instance, cut: &Cut) {
-        let p = cut.pair;
+    /// `Σ_l a_l (1-y_l) + Σ_{q∈L} b_q h_q - Σ_{q'∈Q} b_{q'} h_{q'} + Σ_x gain_x h_x x - z_p d_p >= 0`,
+    /// `h_extra` holding the level of each of the pair's conditioned columns.
+    fn append_cut(&mut self, inst: &Instance, p: PairId, wc: WorstCase, h_extra: &[f64]) {
         let mut row: Vec<(VarId, f64)> = Vec::new();
         for (i, &l) in inst.tunnels_of(p).iter().enumerate() {
-            let coef = 1.0 - cut.wc.y[i];
+            let coef = 1.0 - wc.y[i];
             if nonzero(coef) {
                 row.push((self.a_vars[l.0], coef));
             }
         }
         for (i, &q) in inst.lss_of(p).iter().enumerate() {
-            if nonzero(cut.wc.h_l[i]) {
-                row.push((self.b_vars[q.0], cut.wc.h_l[i]));
+            if nonzero(wc.h_l[i]) {
+                row.push((self.b_vars[q.0], wc.h_l[i]));
             }
         }
         for (i, &q) in inst.segments_of(p).iter().enumerate() {
-            if nonzero(cut.wc.h_q[i]) {
-                row.push((self.b_vars[q.0], -cut.wc.h_q[i]));
+            if nonzero(wc.h_q[i]) {
+                row.push((self.b_vars[q.0], -wc.h_q[i]));
+            }
+        }
+        for (x, &h) in self.extras[p.0].iter().zip(h_extra) {
+            if nonzero(h) {
+                row.push((x.var, x.gain * h));
             }
         }
         let d = inst.demand(p);
         if d > 0.0 {
-            if let Some(zv) = self.z_var_of(p) {
+            if let Some(zv) = self.z_vars.var_of(p) {
                 row.push((zv, -d));
             }
         }
         self.lp.add_ge(row, 0.0);
+        self.cuts.push((p, wc));
     }
 
-    /// Re-solves the master (warm after the first call) and reads out
-    /// `(a, b, z_per_pair, objective, was_warm)`.
-    #[allow(clippy::type_complexity)]
+    /// Re-solves the master (warm after the first call) and reads out the
+    /// optimum and whether the solve started from the retained basis.
     fn solve(
         &mut self,
         inst: &Instance,
         round: usize,
-    ) -> Result<(Vec<f64>, Vec<f64>, Vec<f64>, f64, bool), RobustError> {
+    ) -> Result<(MasterOptimum, bool), RobustError> {
         let warm_before = self.lp.stats().warm_solves;
         let sol = self.lp.solve().map_err(RobustError::MasterLp)?;
         if sol.status != Status::Optimal {
@@ -604,12 +568,160 @@ impl Master {
         let b: Vec<f64> = self.b_vars.iter().map(|&v| sol.value(v).max(0.0)).collect();
         let z: Vec<f64> = inst
             .pair_ids()
-            .map(|p| match &self.z_vars {
-                ZVars::Shared(v) => sol.value(*v),
-                ZVars::PerPair(vs) => vs[p.0].map_or(0.0, |v| sol.value(v)),
-            })
+            .map(|p| self.z_vars.var_of(p).map_or(0.0, |v| sol.value(v)))
             .collect();
-        Ok((a, b, z, sol.objective, was_warm))
+        Ok((MasterOptimum { sol, a, b, z }, was_warm))
+    }
+
+    /// Runs the worst-case oracle for every pair at `at`, chunked over
+    /// `threads` scoped worker threads, returning each pair's worst case and
+    /// the levels of its conditioned columns. Each worker writes into its
+    /// own disjoint slice of the result vector, so no synchronization is
+    /// needed beyond the scope join.
+    fn separate(
+        &self,
+        inst: &Instance,
+        fm: &FailureModel,
+        kind: AdversaryKind,
+        at: &MasterOptimum,
+        threads: usize,
+    ) -> Result<Vec<Priced>, AdversaryError> {
+        let pairs: Vec<PairId> = inst.pair_ids().collect();
+        let oracle = |p: PairId| -> Result<Priced, AdversaryError> {
+            match kind {
+                AdversaryKind::FfcTunnelCount => {
+                    Ok((worst_case_ffc(inst, p, fm, &at.a), Vec::new()))
+                }
+                AdversaryKind::LinkBased => {
+                    let extras: Vec<ExtraTerm> = self.extras[p.0]
+                        .iter()
+                        .map(|x| ExtraTerm {
+                            coef: -x.gain * at.sol.value(x.var).max(0.0),
+                            condition: x.condition.clone(),
+                        })
+                        .collect();
+                    worst_case_link_with_extras(inst, p, fm, &at.a, &at.b, &extras)
+                }
+            }
+        };
+        let nt = threads.max(1).min(pairs.len().max(1));
+        if nt <= 1 {
+            return pairs.into_iter().map(oracle).collect();
+        }
+        let mut out: Vec<Option<Result<Priced, AdversaryError>>> = Vec::new();
+        out.resize_with(pairs.len(), || None);
+        let chunk = pairs.len().div_ceil(nt);
+        let oracle = &oracle;
+        std::thread::scope(|s| {
+            for (ps, slots) in pairs.chunks(chunk).zip(out.chunks_mut(chunk)) {
+                s.spawn(move || {
+                    for (slot, &p) in slots.iter_mut().zip(ps) {
+                        *slot = Some(oracle(p));
+                    }
+                });
+            }
+        });
+        // The scope above joins every worker (a worker panic propagates), so
+        // each slot is filled; if one ever were not, recompute it inline
+        // rather than aborting — the oracle is a pure function.
+        out.into_iter()
+            .zip(pairs)
+            .map(|(o, p)| o.unwrap_or_else(|| oracle(p)))
+            .collect()
+    }
+
+    /// The cutting-plane loop: seed the no-failure cut of every pair (it
+    /// bounds the objective), then solve the master, separate every pair,
+    /// append a cut for each pair whose worst-case availability falls more
+    /// than `opts.tol * scale` short of `z_p d_p`, and repeat until none
+    /// does or `opts.max_rounds` rounds have separated.
+    ///
+    /// A `seed` pool that [`CutPool::matches`] the instance is appended to
+    /// the solved cut-free master, so round 1 absorbs it warm.
+    pub(crate) fn cutting_planes(
+        &mut self,
+        inst: &Instance,
+        fm: &FailureModel,
+        kind: AdversaryKind,
+        opts: &RobustOptions,
+        scale: f64,
+        seed: Option<&CutPool>,
+    ) -> Result<CutLoopEnd, RobustError> {
+        for p in inst.pair_ids() {
+            let at_rest = |qs: &[LsId]| -> Vec<f64> {
+                qs.iter()
+                    .map(|&q| no_failure_h(&inst.ls(q).condition))
+                    .collect()
+            };
+            let wc = WorstCase {
+                available: 0.0, // unused in the master
+                y: vec![0.0; inst.tunnels_of(p).len()],
+                h_l: at_rest(inst.lss_of(p)),
+                h_q: at_rest(inst.segments_of(p)),
+            };
+            let h_extra: Vec<f64> = self.extras[p.0]
+                .iter()
+                .map(|x| no_failure_h(&x.condition))
+                .collect();
+            self.append_cut(inst, p, wc, &h_extra);
+        }
+
+        // Warm start: replay the cuts of a previous same-shape solve so round 1
+        // already knows the scenarios that bound the last epoch.
+        let mut seeded_cuts = 0usize;
+        if let Some(pool) = seed.filter(|pool| pool.matches(inst)) {
+            if !pool.is_empty() {
+                // Solve the cut-free master so the seeds enter as appended rows.
+                self.solve(inst, 1)?;
+            }
+            for (p, wc) in &pool.cuts {
+                self.append_cut(inst, *p, wc.clone(), &[]);
+            }
+            seeded_cuts = pool.cuts.len();
+        }
+
+        let mut rounds = 0usize;
+        let mut warm_rounds = 0usize;
+        loop {
+            rounds += 1;
+            let (optimum, was_warm) = self.solve(inst, rounds)?;
+            if was_warm {
+                warm_rounds += 1;
+            }
+            if rounds > opts.max_rounds {
+                return Ok(CutLoopEnd {
+                    optimum,
+                    rounds: rounds - 1,
+                    warm_rounds,
+                    seeded_cuts,
+                    certified: None,
+                });
+            }
+
+            // Separation: every pair's oracle is independent, so fan the pairs
+            // out over worker threads.
+            let wcs = self
+                .separate(inst, fm, kind, &optimum, opts.effective_threads())
+                .map_err(RobustError::Adversary)?;
+            let short = |p: PairId, wc: &WorstCase| {
+                let required = optimum.z[p.0] * inst.demand(p);
+                wc.available < required - opts.tol * scale
+            };
+            if !inst.pair_ids().zip(&wcs).any(|(p, (wc, _))| short(p, wc)) {
+                return Ok(CutLoopEnd {
+                    optimum,
+                    rounds,
+                    warm_rounds,
+                    seeded_cuts,
+                    certified: Some(wcs),
+                });
+            }
+            for (p, (wc, h_extra)) in inst.pair_ids().zip(wcs) {
+                if short(p, &wc) {
+                    self.append_cut(inst, p, wc, &h_extra);
+                }
+            }
+        }
     }
 }
 

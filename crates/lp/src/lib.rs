@@ -27,7 +27,6 @@ pub mod presolve;
 pub mod simplex;
 pub mod slu;
 pub mod sparse;
-pub mod write;
 
 pub use float::{approx_eq, approx_zero, is_zero, nonzero};
 pub use incremental::{IncrementalLp, IncrementalStats};
@@ -36,4 +35,3 @@ pub use model::{LpProblem, RowId, Sense, Solution, SolveError, Status, VarId};
 pub use simplex::SimplexOptions;
 pub use slu::{BasisEngine, SparseLu};
 pub use sparse::CscMatrix;
-pub use write::to_lp_format;
