@@ -680,7 +680,7 @@ pub fn relaxation_gap(scale: &Scale, f: usize) -> Vec<(String, f64, f64, f64)> {
             let scenarios: Vec<Vec<pcf_topology::LinkId>> = FailureModel::links(f)
                 .enumerate_scenarios(&topo)
                 .into_iter()
-                .map(|mask| topo.links().filter(|l| mask[l.index()]).collect())
+                .map(|sc| topo.links().filter(|l| sc.dead[l.index()]).collect())
                 .collect();
             let exact = solve_pcf_tf(&inst, &FailureModel::Explicit { scenarios }, &opts).objective;
             let gap = if exact > 0.0 {
@@ -736,7 +736,7 @@ pub fn srlg_and_node(scale: &Scale) -> Vec<(String, f64, f64, f64)> {
                     groups.push(vec![l]);
                 }
             }
-            let srlg = solve_pcf_tf(&inst, &FailureModel::Groups { groups, f: 1 }, &opts).objective;
+            let srlg = solve_pcf_tf(&inst, &FailureModel::srlgs(groups, 1), &opts).objective;
             // Node failures: traffic to/from a failed node is necessarily
             // lost, so guard only transit (non-endpoint) nodes — here, the
             // nodes that carry no demand after truncation.
@@ -753,15 +753,7 @@ pub fn srlg_and_node(scale: &Scale) -> Vec<(String, f64, f64, f64)> {
             let node = if node_groups.is_empty() {
                 f64::NAN
             } else {
-                solve_pcf_tf(
-                    &inst,
-                    &FailureModel::Groups {
-                        groups: node_groups,
-                        f: 1,
-                    },
-                    &opts,
-                )
-                .objective
+                solve_pcf_tf(&inst, &FailureModel::srlgs(node_groups, 1), &opts).objective
             };
             (w.topo.name().to_string(), links, srlg, node)
         })

@@ -23,7 +23,7 @@
 //! of that *candidate* set visits the true integral minimum — and the
 //! minimizing subset is a concrete witnessing scenario for a rejection.
 
-use crate::failure::{Condition, FailureModel};
+use crate::failure::{next_combination, Condition, FailureModel, GroupBudget};
 use crate::instance::{Instance, PairId};
 use pcf_topology::LinkId;
 use std::collections::BTreeSet;
@@ -123,144 +123,32 @@ pub fn availability_under(
     avail
 }
 
-/// Exact integral worst-case availability of pair `p` under `fm`, by
-/// enumerating failure subsets of the pair's [`candidate_links`] (sizes
-/// `0..=f`; for group models, subsets of the groups that intersect the
-/// candidates; for explicit lists, the listed scenarios). Returns `None`
-/// when more than `max_evals` scenario evaluations would be needed —
-/// callers then fall back to the relaxed bound.
+/// Exact integral worst-case availability of pair `p` under one budget:
+/// every subset of `1..=f` of its groups that can kill one of the pair's
+/// [`candidate_links`], starting from `best` (the no-failure scenario).
+/// Returns `None` when more than `max_evals` evaluations would be needed.
 ///
 /// Sub-budget cardinalities are enumerated too: conditional LSs make
 /// availability non-monotone in the failure set (an extra failure can
 /// *activate* a protection sequence), so the minimum need not sit at
 /// cardinality exactly `f`.
-///
-/// For [`FailureModel::Structured`] the result is a conservative *lower
-/// bound* rather than the exact minimum (per-budget worst losses plus a
-/// linearized degradation loss are summed; subadditivity makes that safe),
-/// and `None` is returned when the pair has any conditional LS — see the
-/// comment in the match arm.
-pub fn integral_worst_case(
+fn budget_worst_case(
     inst: &Instance,
     p: PairId,
-    fm: &FailureModel,
+    budget: &GroupBudget,
     a: &[f64],
     b: &[f64],
     max_evals: usize,
+    mut best: ScenarioWorstCase,
 ) -> Option<ScenarioWorstCase> {
-    let links = inst.topo().link_count();
-    let mut mask = vec![false; links];
-    let mut evaluated = 0usize;
-    // Seed with the no-failure scenario (always admissible as a scenario).
-    let mut best = ScenarioWorstCase {
-        available: availability_under(inst, p, a, b, &mask),
-        witness: Vec::new(),
-        evaluated: 0,
-    };
-    // The failure units the budget ranges over: single candidate links, or
-    // the groups that can kill at least one candidate link.
     let candidates = candidate_links(inst, p);
-    let units: Vec<Vec<LinkId>> = match fm {
-        FailureModel::Links { .. } => candidates.iter().map(|&l| vec![l]).collect(),
-        FailureModel::Groups { groups, .. } => groups
-            .iter()
-            .filter(|g| g.iter().any(|l| candidates.binary_search(l).is_ok()))
-            .cloned()
-            .collect(),
-        FailureModel::Explicit { scenarios } => {
-            for scenario in scenarios {
-                evaluated += 1;
-                if evaluated > max_evals {
-                    return None;
-                }
-                for l in scenario {
-                    mask[l.index()] = true;
-                }
-                let avail = availability_under(inst, p, a, b, &mask);
-                for l in scenario {
-                    mask[l.index()] = false;
-                }
-                if avail < best.available {
-                    best.available = avail;
-                    best.witness = scenario.clone();
-                }
-            }
-            best.evaluated = evaluated;
-            return Some(best);
+    let mut units: Vec<Vec<LinkId>> = Vec::with_capacity(candidates.len());
+    budget.for_each_group(inst.topo(), |g| {
+        if g.iter().any(|l| candidates.binary_search(l).is_ok()) {
+            units.push(g.to_vec());
         }
-        FailureModel::Structured {
-            budgets,
-            degradation,
-        } => {
-            // Conditional LSs make availability non-additive across the
-            // conjunctive budgets (one budget's failures can activate or
-            // deactivate protection another budget's loss was computed
-            // against), so summing per-budget worst losses would not be a
-            // bound in either direction. Stay conservative: report "cannot
-            // enumerate" and let the caller fall back to the relaxed bound
-            // (which is a true lower bound by construction).
-            let conditional = inst
-                .lss_of(p)
-                .iter()
-                .chain(inst.segments_of(p))
-                .any(|&q| !matches!(inst.ls(q).condition, Condition::Always));
-            if conditional {
-                return None;
-            }
-            // With Always-only conditions, availability = const + Σ_alive a:
-            // the loss of a failure set is a coverage function, hence
-            // subadditive, and summing each budget's exact worst loss
-            // lower-bounds the joint availability (conservative-safe).
-            let base = best.available;
-            let mut remaining = max_evals;
-            let mut total_loss = 0.0;
-            let mut witness: BTreeSet<LinkId> = BTreeSet::new();
-            for bgt in budgets {
-                let sub = FailureModel::Groups {
-                    groups: bgt.groups.clone(),
-                    f: bgt.f,
-                };
-                let wc = integral_worst_case(inst, p, &sub, a, b, remaining)?;
-                evaluated += wc.evaluated;
-                remaining = remaining.saturating_sub(wc.evaluated);
-                total_loss += (base - wc.available).max(0.0);
-                witness.extend(wc.witness);
-            }
-            // Degradation loss: the linearized per-link weights
-            // w_e = Σ_{τ_l ∋ e} a_l make Σ_e w_e d_e an upper bound on the
-            // realized multiplicative loss; the box+budget LP maximum is
-            // attained greedily on the largest weights.
-            if let Some(deg) = degradation {
-                let mut w = vec![0.0f64; links];
-                let mut total_a = 0.0;
-                for &l in inst.tunnels_of(p) {
-                    total_a += a[l.0].max(0.0);
-                    for e in &inst.tunnel(l).links {
-                        w[e.index()] += a[l.0].max(0.0);
-                    }
-                }
-                let mut order: Vec<usize> = (0..links).collect();
-                order.sort_by(|&i, &j| w[j].total_cmp(&w[i]).then(i.cmp(&j)));
-                let mut deg_loss = 0.0;
-                let mut budget_left = deg.budget.unwrap_or(f64::INFINITY);
-                for e in order {
-                    if budget_left <= 0.0 || w[e] <= 0.0 {
-                        break;
-                    }
-                    let d = (1.0 - deg.floor[e]).clamp(0.0, 1.0).min(budget_left);
-                    deg_loss += w[e] * d;
-                    budget_left -= d;
-                }
-                total_loss += deg_loss.min(total_a);
-            }
-            best.available = base - total_loss;
-            best.witness = witness.into_iter().collect();
-            best.evaluated = evaluated;
-            return Some(best);
-        }
-    };
-
-    let f = fm.budget().min(units.len());
+    });
+    let f = budget.f.min(units.len());
     // Budgeted check before enumerating: Σ_{k<=f} C(n, k).
     let mut total: usize = 1;
     let mut level: usize = 1;
@@ -272,6 +160,7 @@ pub fn integral_worst_case(
         }
     }
 
+    let mut mask = vec![false; inst.topo().link_count()];
     let mut idx = Vec::new();
     for k in 1..=f {
         idx.clear();
@@ -282,7 +171,7 @@ pub fn integral_worst_case(
                     mask[l.index()] = true;
                 }
             }
-            evaluated += 1;
+            best.evaluated += 1;
             let avail = availability_under(inst, p, a, b, &mask);
             if avail < best.available {
                 best.available = avail;
@@ -303,26 +192,124 @@ pub fn integral_worst_case(
             }
         }
     }
-    best.evaluated = evaluated;
     Some(best)
 }
 
-/// Advances `idx` to the next lexicographic k-combination of `0..n`;
-/// returns `false` when `idx` already is the last one.
-fn next_combination(idx: &mut [usize], n: usize) -> bool {
-    let k = idx.len();
-    let mut i = k;
-    while i > 0 {
-        i -= 1;
-        if idx[i] < n - (k - i) {
-            idx[i] += 1;
-            for j in i + 1..k {
-                idx[j] = idx[j - 1] + 1;
+/// Integral worst-case availability of pair `p` under `fm`, with the
+/// scenario attaining it. Returns `None` when more than `max_evals`
+/// scenario evaluations would be needed — callers then fall back to the
+/// relaxed bound.
+///
+/// Exact for explicit lists (the listed scenarios) and for a single budget
+/// without degradation (see `budget_worst_case`). With several budgets
+/// or a degradation polytope the result is a conservative *lower bound*:
+/// per-budget exact worst losses plus a linearized degradation loss are
+/// summed, which subadditivity makes safe — but only without conditional
+/// LSs, so `None` is returned when the pair has any.
+pub fn integral_worst_case(
+    inst: &Instance,
+    p: PairId,
+    fm: &FailureModel,
+    a: &[f64],
+    b: &[f64],
+    max_evals: usize,
+) -> Option<ScenarioWorstCase> {
+    let topo = inst.topo();
+    let mut mask = vec![false; topo.link_count()];
+    // Seed with the no-failure scenario (always admissible as a scenario).
+    let mut best = ScenarioWorstCase {
+        available: availability_under(inst, p, a, b, &mask),
+        witness: Vec::new(),
+        evaluated: 0,
+    };
+    let (budgets, degradation) = match fm {
+        FailureModel::Explicit { scenarios } => {
+            for scenario in scenarios {
+                best.evaluated += 1;
+                if best.evaluated > max_evals {
+                    return None;
+                }
+                for l in scenario {
+                    mask[l.index()] = true;
+                }
+                let avail = availability_under(inst, p, a, b, &mask);
+                for l in scenario {
+                    mask[l.index()] = false;
+                }
+                if avail < best.available {
+                    best.available = avail;
+                    best.witness = scenario.clone();
+                }
             }
-            return true;
+            return Some(best);
         }
+        FailureModel::Budgeted {
+            budgets,
+            degradation,
+        } => (budgets, degradation),
+    };
+    if let ([only], None) = (budgets.as_slice(), degradation) {
+        return budget_worst_case(inst, p, only, a, b, max_evals, best);
     }
-    false
+    // Conditional LSs make availability non-additive across the
+    // conjunctive budgets (one budget's failures can activate or
+    // deactivate protection another budget's loss was computed against),
+    // so summing per-budget worst losses would not be a bound in either
+    // direction. Stay conservative: report "cannot enumerate" and let the
+    // caller fall back to the relaxed bound (a true lower bound by
+    // construction).
+    let conditional = inst
+        .lss_of(p)
+        .iter()
+        .chain(inst.segments_of(p))
+        .any(|&q| !matches!(inst.ls(q).condition, Condition::Always));
+    if conditional {
+        return None;
+    }
+    // With Always-only conditions, availability = const + Σ_alive a: the
+    // loss of a failure set is a coverage function, hence subadditive, and
+    // summing each budget's exact worst loss lower-bounds the joint
+    // availability (conservative-safe).
+    let base = best.clone();
+    let mut total_loss = 0.0;
+    let mut witness: BTreeSet<LinkId> = BTreeSet::new();
+    for bgt in budgets {
+        let left = max_evals.saturating_sub(best.evaluated);
+        let wc = budget_worst_case(inst, p, bgt, a, b, left, base.clone())?;
+        best.evaluated += wc.evaluated;
+        total_loss += (base.available - wc.available).max(0.0);
+        witness.extend(wc.witness);
+    }
+    // Degradation loss: the linearized per-link weights
+    // w_e = Σ_{τ_l ∋ e} a_l make Σ_e w_e d_e an upper bound on the realized
+    // multiplicative loss; the box+budget LP maximum is attained greedily
+    // on the largest weights.
+    if let Some(deg) = degradation {
+        let mut w = vec![0.0f64; topo.link_count()];
+        let mut total_a = 0.0;
+        for &l in inst.tunnels_of(p) {
+            total_a += a[l.0].max(0.0);
+            for e in &inst.tunnel(l).links {
+                w[e.index()] += a[l.0].max(0.0);
+            }
+        }
+        let mut order: Vec<usize> = (0..w.len()).collect();
+        order.sort_by(|&i, &j| w[j].total_cmp(&w[i]).then(i.cmp(&j)));
+        let mut deg_loss = 0.0;
+        let mut budget_left = deg.budget.unwrap_or(f64::INFINITY);
+        for e in order {
+            if budget_left <= 0.0 || w[e] <= 0.0 {
+                break;
+            }
+            let d = (1.0 - deg.floor[e]).clamp(0.0, 1.0).min(budget_left);
+            deg_loss += w[e] * d;
+            budget_left -= d;
+        }
+        total_loss += deg_loss.min(total_a);
+    }
+    best.available = base.available - total_loss;
+    best.witness = witness.into_iter().collect();
+    Some(best)
 }
 
 /// Decides whether demand `extra` can be added on pair `p` without
@@ -375,9 +362,10 @@ pub fn admit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::Scenario;
     use crate::instance::InstanceBuilder;
     use crate::robust::{solve_robust, AdversaryKind, RobustOptions};
-    use crate::validate::validate_scenarios;
+    use crate::validate::{validate_all, validate_scenarios};
     use pcf_topology::{NodeId, Topology};
 
     fn diamond() -> Topology {
@@ -476,8 +464,7 @@ mod tests {
         );
         assert!(out.admitted(), "{out:?}");
         let bumped = vec![served + extra];
-        let masks = fm.enumerate_scenarios(inst.topo());
-        let report = validate_scenarios(&inst, &sol.a, &sol.b, &bumped, &masks, 1e-6);
+        let report = validate_all(&inst, &fm, &sol.a, &sol.b, &bumped, 1e-6);
         assert!(report.congestion_free(), "{:?}", report.violations);
 
         // Far beyond the headroom must be rejected with a witness whose
@@ -507,7 +494,8 @@ mod tests {
             mask[l.index()] = true;
         }
         let overloaded = vec![served + headroom + 0.5];
-        let report = validate_scenarios(&inst, &sol.a, &sol.b, &overloaded, &[mask], 1e-6);
+        let witnessed = [Scenario::from_mask(mask)];
+        let report = validate_scenarios(&inst, &sol.a, &sol.b, &overloaded, &witnessed, 1e-6);
         assert!(
             !report.congestion_free(),
             "witness scenario {witness:?} did not violate"
@@ -524,10 +512,10 @@ mod tests {
         let a = vec![1.0; inst.num_tunnels()];
         // One SRLG holding both first-hop links: a single group failure
         // kills both tunnels.
-        let fm = FailureModel::Groups {
-            groups: vec![vec![pcf_topology::LinkId(0), pcf_topology::LinkId(2)]],
-            f: 1,
-        };
+        let fm = FailureModel::srlgs(
+            vec![vec![pcf_topology::LinkId(0), pcf_topology::LinkId(2)]],
+            1,
+        );
         let wc = integral_worst_case(&inst, p, &fm, &a, &[], 10_000).unwrap();
         assert!(wc.available.abs() < 1e-12, "{wc:?}");
         assert_eq!(wc.witness.len(), 2);

@@ -5,8 +5,9 @@
 //! pair. Two oracles implement the two failure-set models of the paper:
 //!
 //! * [`worst_case_ffc`] — FFC's tunnel-count set `Y0` (Eq. 5):
-//!   `Σ_l y_l <= f · p_st`, solved combinatorially (fail the `f·p_st`
-//!   largest reservations);
+//!   `Σ_l y_l <= k` with `k = f · p_st` for link budgets (read off the
+//!   groups otherwise), solved combinatorially (fail the `k` largest
+//!   reservations);
 //! * [`worst_case_link`] — PCF's link-coupled set (Eq. 4) extended with
 //!   conditional activation variables `h_q` (§3.4, appendix), solved as a
 //!   small LP per pair. Link-failure variables are relaxed to `[0,1]`
@@ -15,9 +16,10 @@
 //! Both return the scenario achieving the bound so the caller can emit a
 //! cutting plane.
 
-use crate::failure::{Condition, FailureModel};
-use crate::instance::{Instance, LsId, PairId};
+use crate::failure::{Condition, FailureModel, Scenario};
+use crate::instance::{Instance, LsId, PairId, TunnelId};
 use pcf_lp::{LpProblem, Sense, SimplexOptions, Status, VarId};
+use pcf_topology::LinkId;
 use std::fmt;
 
 /// Structured failure from a worst-case oracle.
@@ -65,9 +67,16 @@ pub struct WorstCase {
     pub h_q: Vec<f64>,
 }
 
-/// FFC's worst case (Eq. 5): up to `f · p_st` of the pair's tunnels fail.
+/// FFC's worst case (Eq. 5): up to `k` of the pair's tunnels fail, where
+/// `k = Σ_budgets f_b · max_g Σ_l |τ_l ∩ g|` — the most tunnel crossings any
+/// one group of the budget has. That is the paper's `f · p_st` when every
+/// link is its own group; under SRLG / node budgets it is the same bound
+/// read off the groups, counting a tunnel once per link it has in the group
+/// because the §3.5 relaxation does (`y_l ≤ Σ_{e∈τ_l} x_e`), so the set
+/// still contains PCF's and Prop. 1 holds. An explicit list is one budget of
+/// `f = 1` whose groups are the scenarios.
 ///
-/// The relaxed LP over `{0 <= y <= 1, Σ y <= f·p_st}` attains its optimum by
+/// The relaxed LP over `{0 <= y <= 1, Σ y <= k}` attains its optimum by
 /// failing the largest reservations, so this is exact and combinatorial.
 ///
 /// # Panics
@@ -76,8 +85,24 @@ pub struct WorstCase {
 pub fn worst_case_ffc(inst: &Instance, p: PairId, fm: &FailureModel, a: &[f64]) -> WorstCase {
     assert_eq!(inst.num_lss(), 0, "FFC does not support logical sequences");
     let tunnels = inst.tunnels_of(p);
-    let p_st = inst.p_st(p);
-    let k = (fm.budget() * p_st).min(tunnels.len());
+    let crossings = |g: &[LinkId]| -> usize {
+        let within = |l: &TunnelId| g.iter().filter(|&&e| inst.tunnel(*l).uses(e)).count();
+        tunnels.iter().map(within).sum()
+    };
+    let k: usize = match fm {
+        FailureModel::Budgeted { budgets, .. } => budgets
+            .iter()
+            .map(|b| {
+                let mut most = 0;
+                b.for_each_group(inst.topo(), |g| most = most.max(crossings(g)));
+                b.f * most
+            })
+            .sum(),
+        FailureModel::Explicit { scenarios } => {
+            scenarios.iter().map(|s| crossings(s)).max().unwrap_or(0)
+        }
+    };
+    let k = k.min(tunnels.len());
     // Indices of the k largest reservations.
     let mut order: Vec<usize> = (0..tunnels.len()).collect();
     order.sort_by(|&i, &j| a[tunnels[j].0].total_cmp(&a[tunnels[i].0]).then(i.cmp(&j)));
@@ -146,6 +171,13 @@ pub(crate) struct PolytopeVars {
 /// Adds the relaxed failure polytope variables (`x_e`, group indicators,
 /// degradation drops) to `lp` and returns them.
 ///
+/// Each budget contributes its group indicators and a `Σ g ≤ f` row; a
+/// link's `x` is tied to the groups covering it across all budgets
+/// (`x_e ≥ g`, `x_e ≤ Σ g`, so `x ≤ 0` for uncovered links). A link covered
+/// only by its own singleton group *is* that group's indicator and needs
+/// neither a variable nor rows — under [`FailureModel::links`] the polytope
+/// is exactly Eq. 4's `Σ x_e ≤ f`.
+///
 /// Degradation drops enter only the tunnel rows (`y_l ≤ Σ_{e∈τ_l} x_e + d_e`):
 /// a degraded link is alive, so conditions stay functions of `x` alone, and
 /// the linear per-tunnel loss `a_l · Σ d_e` over-estimates the realized
@@ -155,71 +187,62 @@ pub(crate) fn add_failure_polytope(
     topo: &pcf_topology::Topology,
     fm: &FailureModel,
 ) -> Result<PolytopeVars, AdversaryError> {
+    let FailureModel::Budgeted {
+        budgets,
+        degradation,
+    } = fm
+    else {
+        return Err(AdversaryError::Internal(
+            "explicit scenario lists use the combinatorial adversary",
+        ));
+    };
     let xs: Vec<VarId> = topo.links().map(|_| lp.add_var(0.0, 1.0, 0.0)).collect();
     let mut ds: Vec<Option<VarId>> = vec![None; topo.link_count()];
-    match fm {
-        FailureModel::Links { f } => {
-            lp.add_le(xs.iter().map(|&x| (x, 1.0)), *f as f64);
+    let mut cover = vec![0usize; topo.link_count()];
+    for b in budgets {
+        b.for_each_group(topo, |group| {
+            group.iter().for_each(|l| cover[l.index()] += 1)
+        });
+    }
+    let mut covering: Vec<Vec<VarId>> = vec![Vec::new(); topo.link_count()];
+    for b in budgets {
+        let mut gs: Vec<VarId> = Vec::with_capacity(topo.link_count());
+        b.for_each_group(topo, |group| {
+            let g = match *group {
+                [l] if cover[l.index()] == 1 => xs[l.index()],
+                _ => lp.add_var(0.0, 1.0, 0.0),
+            };
+            gs.push(g);
+            for l in group.iter().filter(|l| xs[l.index()] != g) {
+                covering[l.index()].push(g);
+            }
+        });
+        lp.add_le(gs.iter().map(|&g| (g, 1.0)), b.f as f64);
+    }
+    for l in topo.links() {
+        let x = xs[l.index()];
+        if cover[l.index()] == 1 && covering[l.index()].is_empty() {
+            continue; // x is its own group's indicator
         }
-        FailureModel::Groups { groups, f } => {
-            let gs: Vec<VarId> = groups.iter().map(|_| lp.add_var(0.0, 1.0, 0.0)).collect();
-            lp.add_le(gs.iter().map(|&g| (g, 1.0)), *f as f64);
-            // x_e >= g for every group containing e; x_e <= sum of groups
-            // containing e.
-            for l in topo.links() {
-                let mut covering = Vec::new();
-                for (gi, group) in groups.iter().enumerate() {
-                    if group.contains(&l) {
-                        lp.add_ge(vec![(xs[l.index()], 1.0), (gs[gi], -1.0)], 0.0);
-                        covering.push((gs[gi], 1.0));
-                    }
-                }
-                covering.push((xs[l.index()], -1.0));
-                lp.add_ge(covering, 0.0);
-            }
+        for &g in &covering[l.index()] {
+            lp.add_ge(vec![(x, 1.0), (g, -1.0)], 0.0);
         }
-        FailureModel::Structured {
-            budgets,
-            degradation,
-        } => {
-            // Each budget contributes its own group indicators and Σ g ≤ f
-            // row; a link's x is bounded by the union of covering groups
-            // across all budgets (x ≤ 0 for uncovered links).
-            let mut covering: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); topo.link_count()];
-            for b in budgets {
-                let gs: Vec<VarId> = b.groups.iter().map(|_| lp.add_var(0.0, 1.0, 0.0)).collect();
-                lp.add_le(gs.iter().map(|&g| (g, 1.0)), b.f as f64);
-                for (gi, group) in b.groups.iter().enumerate() {
-                    for l in group {
-                        lp.add_ge(vec![(xs[l.index()], 1.0), (gs[gi], -1.0)], 0.0);
-                        covering[l.index()].push((gs[gi], 1.0));
-                    }
-                }
-            }
-            for l in topo.links() {
-                let mut row = covering[l.index()].clone();
-                row.push((xs[l.index()], -1.0));
-                lp.add_ge(row, 0.0);
-            }
-            if let Some(deg) = degradation {
-                let mut budget_row = Vec::new();
-                for l in topo.links() {
-                    let room = (1.0 - deg.floor[l.index()]).max(0.0);
-                    if room > 0.0 {
-                        let d = lp.add_var(0.0, room, 0.0);
-                        ds[l.index()] = Some(d);
-                        budget_row.push((d, 1.0));
-                    }
-                }
-                if let Some(g) = deg.budget {
-                    lp.add_le(budget_row, g);
-                }
+        let mut row: Vec<(VarId, f64)> = covering[l.index()].iter().map(|&g| (g, 1.0)).collect();
+        row.push((x, -1.0));
+        lp.add_ge(row, 0.0);
+    }
+    if let Some(deg) = degradation {
+        let mut budget_row = Vec::new();
+        for l in topo.links() {
+            let room = (1.0 - deg.floor[l.index()]).max(0.0);
+            if room > 0.0 {
+                let d = lp.add_var(0.0, room, 0.0);
+                ds[l.index()] = Some(d);
+                budget_row.push((d, 1.0));
             }
         }
-        FailureModel::Explicit { .. } => {
-            return Err(AdversaryError::Internal(
-                "explicit scenario lists use the combinatorial adversary",
-            ));
+        if let Some(g) = deg.budget {
+            lp.add_le(budget_row, g);
         }
     }
     Ok(PolytopeVars { xs, ds })
@@ -389,11 +412,11 @@ fn worst_case_explicit(
     let tunnels = inst.tunnels_of(p);
     let ls_l = inst.lss_of(p);
     let ls_q = inst.segments_of(p);
-    let mut masks = fm.enumerate_scenarios(topo);
-    masks.push(vec![false; topo.link_count()]); // the no-failure scenario
+    let mut scenarios = fm.enumerate_scenarios(topo);
+    scenarios.push(Scenario::from_mask(vec![false; topo.link_count()])); // no failure
 
     let mut best: Option<ExplicitBest> = None;
-    for mask in &masks {
+    for mask in scenarios.iter().map(|s| &s.dead) {
         let y: Vec<f64> = tunnels
             .iter()
             .map(|&l| {
@@ -436,7 +459,7 @@ fn worst_case_explicit(
         }
     }
     let Some((available, y, h_l, h_q, h_extra)) = best else {
-        // masks always contains the appended no-failure scenario.
+        // The appended no-failure scenario is always evaluated.
         return Err(AdversaryError::Internal("no scenarios were evaluated"));
     };
     Ok((
@@ -486,6 +509,16 @@ mod tests {
         // One tunnel can fail: the 0.7 one.
         assert!((wc.available - 0.3).abs() < 1e-9);
         assert_eq!(wc.y.iter().filter(|&&y| y > 0.5).count(), 1);
+        // An explicit list bounds tunnel failures by its worst scenario:
+        // single links kill one tunnel each, e0+e2 together cut both.
+        let one_path = FailureModel::Explicit {
+            scenarios: vec![vec![LinkId(0)], vec![LinkId(3)]],
+        };
+        assert!((worst_case_ffc(&inst, p, &one_path, &a).available - 0.3).abs() < 1e-9);
+        let both_paths = FailureModel::Explicit {
+            scenarios: vec![vec![LinkId(0), LinkId(2)]],
+        };
+        assert!(worst_case_ffc(&inst, p, &both_paths, &a).available.abs() < 1e-9);
     }
 
     #[test]
@@ -609,7 +642,7 @@ mod tests {
         // One SRLG containing one link of each path: a single group failure
         // kills both tunnels.
         let groups = vec![vec![LinkId(0), LinkId(2)]];
-        let fm = FailureModel::Groups { groups, f: 1 };
+        let fm = FailureModel::srlgs(groups, 1);
         let wc = worst_case_link(&inst, p, &fm, &a, &[]).unwrap();
         assert!(wc.available.abs() < 1e-6, "got {}", wc.available);
     }
@@ -627,14 +660,8 @@ mod tests {
         }
         // One SRLG budget per path: each budget can kill one whole path.
         let fm = crate::failure::FailureModel::structured(vec![
-            crate::failure::GroupBudget {
-                groups: vec![vec![LinkId(0), LinkId(1)]],
-                f: 1,
-            },
-            crate::failure::GroupBudget {
-                groups: vec![vec![LinkId(2), LinkId(3)]],
-                f: 1,
-            },
+            crate::failure::GroupBudget::new(vec![vec![LinkId(0), LinkId(1)]], 1),
+            crate::failure::GroupBudget::new(vec![vec![LinkId(2), LinkId(3)]], 1),
         ]);
         let wc = worst_case_link(&inst, p, &fm, &a, &[]).unwrap();
         assert!(wc.available.abs() < 1e-6, "got {}", wc.available);

@@ -25,8 +25,9 @@ pub enum DualizedError {
         /// Logical sequences the instance carries.
         lss: usize,
     },
-    /// The failure model is not a plain `FailureModel::Links` budget — the
-    /// only uncertainty set the appendix dualizes.
+    /// The failure model is not a plain link budget
+    /// ([`FailureModel::link_budget`]) — the only uncertainty set the
+    /// appendix dualizes.
     UnsupportedFailureModel,
     /// The LP layer rejected the dual program structurally.
     Lp(pcf_lp::SolveError),
@@ -74,7 +75,7 @@ pub fn solve_ffc_dual(
             lss: inst.num_lss(),
         });
     }
-    let FailureModel::Links { f } = fm else {
+    let Some(f) = fm.link_budget() else {
         return Err(DualizedError::UnsupportedFailureModel);
     };
     let topo = inst.topo();
@@ -147,7 +148,7 @@ pub fn solve_pcf_tf_dual(
             lss: inst.num_lss(),
         });
     }
-    let FailureModel::Links { f } = fm else {
+    let Some(f) = fm.link_budget() else {
         return Err(DualizedError::UnsupportedFailureModel);
     };
     let topo = inst.topo();
@@ -204,7 +205,7 @@ pub fn solve_pcf_tf_dual(
         }
         // Σ a_l − (f λ + Σ σ + Σ φ) >= z d
         let mut row: Vec<(VarId, f64)> = tunnels.iter().map(|&l| (a[l.0], 1.0)).collect();
-        row.push((lam, -(*f as f64)));
+        row.push((lam, -(f as f64)));
         for &s in &sigmas {
             row.push((s, -1.0));
         }
@@ -279,10 +280,7 @@ mod tests {
     fn unsupported_inputs_are_structured_errors() {
         let inst = fig1_instance(3);
         // A group budget is outside the dualized models' scope.
-        let srlg = FailureModel::Groups {
-            groups: vec![vec![pcf_topology::LinkId(0)]],
-            f: 1,
-        };
+        let srlg = FailureModel::srlgs(vec![vec![pcf_topology::LinkId(0)]], 1);
         for res in [
             solve_ffc_dual(&inst, &srlg, Objective::DemandScale, &Default::default()),
             solve_pcf_tf_dual(&inst, &srlg, Objective::DemandScale, &Default::default()),

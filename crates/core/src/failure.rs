@@ -3,58 +3,56 @@
 //! The paper designs for all scenarios of up to `f` simultaneous link
 //! failures (§3.2, Eq. 4), and generalizes to shared-risk link groups and
 //! node failures by imposing the budget on *group* indicators instead of
-//! individual links (§3.5).
+//! individual links (§3.5). [`FailureModel::Budgeted`] is that one form —
+//! conjunctive group budgets plus an optional capacity-degradation
+//! polytope — and `links`, `srlgs`, `node_failures`, `regional` and
+//! `nodes_and_links` are constructors of it.
 
 use pcf_topology::{LinkId, NodeId, Topology};
+use std::borrow::Cow;
 
-/// One budgeted family of atomic failure units: up to `f` of the `groups`
+/// One budgeted family of atomic failure units: up to `f` of the groups
 /// fail simultaneously, and a group's failure kills every link it contains.
-/// Several budgets compose conjunctively in [`FailureModel::Structured`]
+/// Several budgets compose conjunctively in [`FailureModel::Budgeted`]
 /// (e.g. "any one node AND any one additional link").
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupBudget {
-    /// The link groups that fail atomically under this budget.
-    pub groups: Vec<Vec<LinkId>>,
+    /// The link groups that fail atomically; `None` means every link of the
+    /// topology is its own group (Eq. 4), which needs no topology to state.
+    groups: Option<Vec<Vec<LinkId>>>,
     /// Maximum simultaneous group failures drawn from this budget.
     pub f: usize,
 }
 
 impl GroupBudget {
-    /// A budget of independent single-link failures over the whole topology.
-    pub fn links(topo: &Topology, f: usize) -> Self {
+    /// Up to `f` of the listed `groups` fail.
+    pub fn new(groups: Vec<Vec<LinkId>>, f: usize) -> Self {
         GroupBudget {
-            groups: topo.links().map(|l| vec![l]).collect(),
+            groups: Some(groups),
             f,
         }
     }
 
-    /// A budget of whole-node failures: one group per node containing its
-    /// incident links (§3.5 node failures).
-    pub fn nodes(topo: &Topology, f: usize) -> Self {
-        GroupBudget {
-            groups: topo
-                .nodes()
-                .map(|n| topo.incident(n).iter().map(|&(_, l)| l).collect())
-                .collect(),
-            f,
+    /// Up to `f` independent single-link failures over the whole topology.
+    pub fn every_link(f: usize) -> Self {
+        GroupBudget { groups: None, f }
+    }
+
+    /// The budget's groups over `topo`.
+    pub fn groups(&self, topo: &Topology) -> Cow<'_, [Vec<LinkId>]> {
+        match &self.groups {
+            Some(groups) => Cow::Borrowed(groups),
+            None => Cow::Owned(topo.links().map(|l| vec![l]).collect()),
         }
     }
 
-    /// A budget of regional failures: each region (a set of nodes) is one
-    /// group containing every link that touches any node in the set.
-    pub fn regions(topo: &Topology, regions: &[Vec<NodeId>], f: usize) -> Self {
-        let groups = regions
-            .iter()
-            .map(|nodes| {
-                let mut ls: Vec<LinkId> = topo
-                    .links()
-                    .filter(|&l| nodes.iter().any(|&n| topo.link(l).touches(n)))
-                    .collect();
-                ls.sort_unstable_by_key(|l| l.index());
-                ls
-            })
-            .collect();
-        GroupBudget { groups, f }
+    /// Visits the budget's groups over `topo` in order, without
+    /// materialising them (the separation oracles run this per pair).
+    pub fn for_each_group(&self, topo: &Topology, mut visit: impl FnMut(&[LinkId])) {
+        match &self.groups {
+            Some(groups) => groups.iter().for_each(|g| visit(g)),
+            None => topo.links().for_each(|l| visit(&[l])),
+        }
     }
 }
 
@@ -87,56 +85,48 @@ impl Degradation {
         self
     }
 
-    /// Maximum drop `1 − α_e` available on link `e`, clipped to the budget.
-    fn max_drop(&self, e: usize) -> f64 {
-        let room = (1.0 - self.floor[e]).max(0.0);
-        match self.budget {
-            Some(g) => room.min(g),
-            None => room,
-        }
-    }
-
     /// The capacity-scale corner points used for validation: every
-    /// single-link worst drop, plus the all-floors corner when the budget
-    /// does not bind (covers the whole box). The no-degradation corner
-    /// (all ones) is implied and not returned.
+    /// single-link worst drop (`1 − α_e`, clipped to the budget), plus the
+    /// all-floors corner when the budget does not bind (covers the whole
+    /// box). The no-degradation corner (all ones) is implied and not
+    /// returned.
     pub fn corners(&self) -> Vec<Vec<f64>> {
         let n = self.floor.len();
+        let room = |e: usize| (1.0 - self.floor[e]).max(0.0);
+        let budget = self.budget.unwrap_or(f64::INFINITY);
         let mut out = Vec::new();
         for e in 0..n {
-            let d = self.max_drop(e);
+            let d = room(e).min(budget);
             if d > 0.0 {
                 let mut scale = vec![1.0; n];
                 scale[e] = 1.0 - d;
                 out.push(scale);
             }
         }
-        let total_room: f64 = (0..n).map(|e| (1.0 - self.floor[e]).max(0.0)).sum();
-        let budget_binds = matches!(self.budget, Some(g) if g < total_room);
-        if !budget_binds && total_room > 0.0 && n > 1 {
+        let total_room: f64 = (0..n).map(room).sum();
+        if budget >= total_room && total_room > 0.0 && n > 1 {
             out.push(self.floor.iter().map(|&a| a.clamp(0.0, 1.0)).collect());
         }
         out
     }
 }
 
-/// A concrete structured scenario: which links are dead, plus the surviving
-/// capacity fraction of every link (`1.0` = undegraded).
+/// A concrete scenario: which links are dead, plus the surviving capacity
+/// fraction of every link. An empty `cap_scale` means no link is degraded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Dead-link mask.
     pub dead: Vec<bool>,
-    /// Per-link capacity scale in `[0, 1]`.
+    /// Per-link capacity scale in `[0, 1]`; empty when undegraded.
     pub cap_scale: Vec<f64>,
 }
 
 impl Scenario {
     /// A scenario with failures only (no capacity degradation).
     pub fn from_mask(dead: Vec<bool>) -> Self {
-        let n = dead.len();
         Scenario {
             dead,
-            cap_scale: vec![1.0; n],
+            cap_scale: Vec::new(),
         }
     }
 
@@ -149,19 +139,16 @@ impl Scenario {
 /// The set of failure scenarios a design must survive.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FailureModel {
-    /// Up to `f` simultaneous link failures (Eq. 4's `sum x_e <= f`).
-    Links {
-        /// Maximum simultaneous link failures.
-        f: usize,
-    },
-    /// Up to `f` simultaneous group failures; a group's failure kills all
-    /// its links. Models SRLGs (arbitrary groups) and node failures (one
-    /// group per node containing its incident links), §3.5.
-    Groups {
-        /// The link groups that fail atomically.
-        groups: Vec<Vec<LinkId>>,
-        /// Maximum simultaneous group failures.
-        f: usize,
+    /// Conjunctive group budgets — each contributes its own `Σ g ≤ f` row
+    /// over its group indicators (Eq. 4 when every link is its own group;
+    /// SRLGs, node and regional failures per §3.5) — optionally combined
+    /// with a partial-capacity-degradation polytope. This is the set the
+    /// separation oracle relaxes and dualizes over.
+    Budgeted {
+        /// The budgets; a scenario draws up to `f` groups from each.
+        budgets: Vec<GroupBudget>,
+        /// Optional partial-capacity degradation.
+        degradation: Option<Degradation>,
     },
     /// An explicit, enumerated scenario list (each scenario = the set of
     /// links that die together). This is how probabilistically pruned
@@ -174,120 +161,97 @@ pub enum FailureModel {
         /// The scenarios to protect against (the empty scenario is implied).
         scenarios: Vec<Vec<LinkId>>,
     },
-    /// A structured uncertainty set: several independent group budgets that
-    /// compose conjunctively (e.g. SRLGs + node failures + extra links),
-    /// optionally combined with a partial-capacity-degradation polytope.
-    /// This is the general form the separation oracle dualizes over; the
-    /// other budgeted variants are special cases.
-    Structured {
-        /// Conjunctive group budgets; each contributes its own `Σ g ≤ f` row.
-        budgets: Vec<GroupBudget>,
-        /// Optional partial-capacity degradation.
-        degradation: Option<Degradation>,
-    },
+}
+
+/// Advances `idx` to the next lexicographic k-combination of `0..n`;
+/// returns `false` when `idx` already is the last one.
+pub(crate) fn next_combination(idx: &mut [usize], n: usize) -> bool {
+    let k = idx.len();
+    let mut i = k;
+    while i > 0 {
+        i -= 1;
+        if idx[i] < n - (k - i) {
+            idx[i] += 1;
+            for j in i + 1..k {
+                idx[j] = idx[j - 1] + 1;
+            }
+            return true;
+        }
+    }
+    false
 }
 
 impl FailureModel {
-    /// Convenience constructor for plain link failures.
+    /// Up to `f` simultaneous link failures (Eq. 4's `Σ x_e ≤ f`).
     pub fn links(f: usize) -> Self {
-        FailureModel::Links { f }
+        FailureModel::structured(vec![GroupBudget::every_link(f)])
     }
 
     /// One failure group per node: all links incident to the node die
     /// together (§3.5 node failures).
     pub fn node_failures(topo: &Topology, f: usize) -> Self {
-        let groups = topo
-            .nodes()
-            .map(|n| topo.incident(n).iter().map(|&(_, l)| l).collect())
-            .collect();
-        FailureModel::Groups { groups, f }
+        FailureModel::srlgs(node_groups(topo), f)
     }
 
     /// SRLG failures: up to `f` of the given shared-risk groups fail.
     pub fn srlgs(groups: Vec<Vec<LinkId>>, f: usize) -> Self {
-        FailureModel::Groups { groups, f }
+        FailureModel::structured(vec![GroupBudget::new(groups, f)])
     }
 
     /// Regional failures: up to `f` of the given node-set regions fail; a
     /// region's failure kills every link touching any node in the set.
     pub fn regional(topo: &Topology, regions: &[Vec<NodeId>], f: usize) -> Self {
-        FailureModel::Structured {
-            budgets: vec![GroupBudget::regions(topo, regions, f)],
-            degradation: None,
-        }
+        let touched = |nodes: &Vec<NodeId>| {
+            let hit = |&l: &LinkId| nodes.iter().any(|&n| topo.link(l).touches(n));
+            topo.links().filter(hit).collect()
+        };
+        FailureModel::srlgs(regions.iter().map(touched).collect(), f)
     }
 
     /// Node failures composed with an independent link budget: up to
     /// `f_nodes` whole-node failures AND up to `f_links` additional link
     /// failures simultaneously.
     pub fn nodes_and_links(topo: &Topology, f_nodes: usize, f_links: usize) -> Self {
-        FailureModel::Structured {
-            budgets: vec![
-                GroupBudget::nodes(topo, f_nodes),
-                GroupBudget::links(topo, f_links),
-            ],
-            degradation: None,
-        }
+        FailureModel::structured(vec![
+            GroupBudget::new(node_groups(topo), f_nodes),
+            GroupBudget::every_link(f_links),
+        ])
     }
 
-    /// A bare structured model from explicit budgets (no degradation).
+    /// The budgeted model over explicit budgets (no degradation).
     pub fn structured(budgets: Vec<GroupBudget>) -> Self {
-        FailureModel::Structured {
+        FailureModel::Budgeted {
             budgets,
             degradation: None,
         }
     }
 
-    /// Attaches a partial-capacity-degradation polytope, converting budgeted
-    /// variants to [`FailureModel::Structured`] as needed. Panics on
+    /// Attaches a partial-capacity-degradation polytope. Panics on
     /// [`FailureModel::Explicit`], which carries concrete scenarios and has
     /// no polytope to extend.
-    pub fn with_degradation(self, topo: &Topology, deg: Degradation) -> Self {
+    pub fn with_degradation(mut self, topo: &Topology, deg: Degradation) -> Self {
         assert_eq!(deg.floor.len(), topo.link_count());
-        let budgets = match self {
-            FailureModel::Links { f } => vec![GroupBudget::links(topo, f)],
-            FailureModel::Groups { groups, f } => vec![GroupBudget { groups, f }],
-            FailureModel::Structured { budgets, .. } => budgets,
-            FailureModel::Explicit { .. } => {
-                // audit:allow(no-panic-paths, documented precondition: Explicit carries concrete scenarios and has no polytope to extend)
-                panic!("explicit scenario lists cannot carry a degradation polytope")
-            }
+        let FailureModel::Budgeted { degradation, .. } = &mut self else {
+            // audit:allow(no-panic-paths, documented precondition: Explicit carries concrete scenarios and has no polytope to extend)
+            panic!("explicit scenario lists cannot carry a degradation polytope")
         };
-        FailureModel::Structured {
-            budgets,
-            degradation: Some(deg),
-        }
+        *degradation = Some(deg);
+        self
     }
 
-    /// The degradation polytope, if the model carries one.
-    pub fn degradation(&self) -> Option<&Degradation> {
+    /// `Some(f)` when the model is exactly Eq. 4 — one budget of `f`
+    /// independent link failures, no degradation — the only uncertainty set
+    /// the appendix dualizes.
+    pub fn link_budget(&self) -> Option<usize> {
         match self {
-            FailureModel::Structured { degradation, .. } => degradation.as_ref(),
+            FailureModel::Budgeted {
+                budgets,
+                degradation: None,
+            } => match budgets[..] {
+                [GroupBudget { groups: None, f }] => Some(f),
+                _ => None,
+            },
             _ => None,
-        }
-    }
-
-    /// The failure budget `f` (for explicit lists: the largest scenario's
-    /// cardinality, which is what FFC's `f · p_st` bound consumes; for
-    /// structured models: the sum over the conjunctive budgets).
-    pub fn budget(&self) -> usize {
-        match self {
-            FailureModel::Links { f } => *f,
-            FailureModel::Groups { f, .. } => *f,
-            FailureModel::Explicit { scenarios } => {
-                scenarios.iter().map(|s| s.len()).max().unwrap_or(0)
-            }
-            FailureModel::Structured { budgets, .. } => budgets.iter().map(|b| b.f).sum(),
-        }
-    }
-
-    /// The failure groups that budgeted models expand over; `None` for
-    /// explicit scenario lists, which carry their scenarios directly.
-    fn expansion_groups(&self, topo: &Topology) -> Option<Vec<Vec<LinkId>>> {
-        match self {
-            FailureModel::Links { .. } => Some(topo.links().map(|l| vec![l]).collect()),
-            FailureModel::Groups { groups, .. } => Some(groups.clone()),
-            FailureModel::Explicit { .. } | FailureModel::Structured { .. } => None,
         }
     }
 
@@ -355,130 +319,102 @@ impl FailureModel {
         FailureModel::Explicit { scenarios: out }
     }
 
-    /// Enumerates every concrete worst-cardinality scenario as a dead-link
-    /// mask (all subsets of exactly `f` links/groups; failures only remove
-    /// capacity, so sub-budget scenarios are dominated for validation and
-    /// optimal baselines).
+    /// Enumerates every concrete worst-cardinality scenario: per budget
+    /// every subset of exactly `f` groups (failures only remove capacity, so
+    /// sub-budget scenarios are dominated for validation and optimal
+    /// baselines), composed across budgets — overlapping groups of several
+    /// budgets can yield one mask twice; those are collapsed — and, under a
+    /// degradation polytope, each mask also with every
+    /// [`Degradation::corners`] point.
     ///
-    /// The number of scenarios is `C(n, f)` — call only when that is small
-    /// enough, or use [`FailureModel::sample_scenarios`].
-    pub fn enumerate_scenarios(&self, topo: &Topology) -> Vec<Vec<bool>> {
-        if let FailureModel::Explicit { scenarios } = self {
-            return scenarios
-                .iter()
-                .map(|dead| {
-                    let mut mask = vec![false; topo.link_count()];
-                    for l in dead {
-                        mask[l.index()] = true;
-                    }
-                    mask
-                })
-                .collect();
-        }
-        if let FailureModel::Structured { budgets, .. } = self {
-            // Cartesian product of each budget's worst-cardinality
-            // combinations; duplicate masks (overlapping groups across
-            // budgets) are collapsed.
-            let mut masks: Vec<Vec<bool>> = vec![vec![false; topo.link_count()]];
-            for b in budgets {
-                let sub = FailureModel::Groups {
-                    groups: b.groups.clone(),
-                    f: b.f,
-                };
-                let sub_masks = sub.enumerate_scenarios(topo);
-                let mut merged = Vec::with_capacity(masks.len() * sub_masks.len());
-                for m in &masks {
-                    for s in &sub_masks {
-                        merged.push(m.iter().zip(s).map(|(&a, &b)| a || b).collect());
-                    }
-                }
-                masks = merged;
+    /// The number of masks is `Π_b C(n_b, f_b)` — call only when that is
+    /// small enough, or use [`FailureModel::sample_scenarios`].
+    pub fn enumerate_scenarios(&self, topo: &Topology) -> Vec<Scenario> {
+        let alive = vec![false; topo.link_count()];
+        let (budgets, degradation) = match self {
+            FailureModel::Explicit { scenarios } => {
+                let dead = |links: &Vec<_>| Scenario::from_mask(killed(alive.clone(), links));
+                return scenarios.iter().map(dead).collect();
             }
-            masks.sort();
-            masks.dedup();
-            return masks;
-        }
-        let Some(groups) = self.expansion_groups(topo) else {
-            return Vec::new(); // Explicit lists were handled above
+            FailureModel::Budgeted {
+                budgets,
+                degradation,
+            } => (budgets, degradation),
         };
-        let f = self.budget().min(groups.len());
-        let mut out = Vec::new();
-        let mut idx: Vec<usize> = (0..f).collect();
-        if f == 0 {
-            out.push(vec![false; topo.link_count()]);
-            return out;
-        }
-        loop {
-            let mut mask = vec![false; topo.link_count()];
-            for &g in &idx {
-                for l in &groups[g] {
-                    mask[l.index()] = true;
-                }
-            }
-            out.push(mask);
-            // next combination
-            let n = groups.len();
-            let mut i = f;
+        let mut masks = vec![alive];
+        for b in budgets {
+            let groups = b.groups(topo);
+            let mut idx: Vec<usize> = (0..b.f.min(groups.len())).collect();
+            let mut composed = Vec::new();
             loop {
-                if i == 0 {
-                    return out;
+                for base in &masks {
+                    let kill = |mask, &g: &usize| killed(mask, &groups[g]);
+                    composed.push(idx.iter().fold(base.clone(), kill));
                 }
-                i -= 1;
-                if idx[i] + (f - i) < n {
-                    idx[i] += 1;
-                    for j in (i + 1)..f {
-                        idx[j] = idx[j - 1] + 1;
-                    }
+                if !next_combination(&mut idx, groups.len()) {
                     break;
                 }
             }
+            masks = composed;
         }
+        if budgets.len() > 1 {
+            masks.sort();
+            masks.dedup();
+        }
+        let corners = degradation.as_ref().map_or(Vec::new(), |d| d.corners());
+        let mut out = Vec::with_capacity(masks.len() * (1 + corners.len()));
+        for dead in masks {
+            let sagged = |c: &Vec<f64>| Scenario {
+                dead: dead.clone(),
+                cap_scale: c.clone(),
+            };
+            out.extend(corners.iter().map(sagged));
+            out.push(Scenario::from_mask(dead));
+        }
+        out
     }
 
-    /// Number of worst-cardinality scenarios without materialising them.
-    /// For structured models this is the product over budgets of
-    /// `C(n_b, f_b)` — an upper bound, since overlapping groups across
-    /// budgets can collapse to the same dead-link mask.
+    /// Number of worst-cardinality scenarios without materialising the
+    /// masks: the product over budgets of `C(n_b, f_b)`, times the corner
+    /// count — an upper bound on [`FailureModel::enumerate_scenarios`],
+    /// since overlapping groups across budgets can collapse to one mask.
     pub fn scenario_count(&self, topo: &Topology) -> usize {
-        let n = match self {
-            FailureModel::Links { .. } => topo.link_count(),
-            FailureModel::Groups { groups, .. } => groups.len(),
+        let (budgets, degradation) = match self {
             FailureModel::Explicit { scenarios } => return scenarios.len(),
-            FailureModel::Structured { budgets, .. } => {
-                return budgets
-                    .iter()
-                    .map(|b| {
-                        FailureModel::Groups {
-                            groups: b.groups.clone(),
-                            f: b.f,
-                        }
-                        .scenario_count(topo)
-                    })
-                    .fold(1usize, |acc, c| acc.saturating_mul(c));
-            }
+            FailureModel::Budgeted {
+                budgets,
+                degradation,
+            } => (budgets, degradation),
         };
-        let f = self.budget().min(n);
-        // C(n, f), saturating.
-        let mut c: usize = 1;
-        for i in 0..f {
-            c = c.saturating_mul(n - i) / (i + 1);
+        let mut total = 1 + degradation.as_ref().map_or(0, |d| d.corners().len());
+        for b in budgets {
+            let n = b.groups(topo).len();
+            // C(n, f), saturating.
+            let mut c: usize = 1;
+            for i in 0..b.f.min(n) {
+                c = c.saturating_mul(n - i) / (i + 1);
+            }
+            total = total.saturating_mul(c);
         }
-        c
+        total
     }
 
-    /// A deterministic sample of `count` distinct scenarios (dead-link
-    /// masks), used when full enumeration is intractable. Sampling scenarios
-    /// yields an *optimistic* (upper) bound when used for worst-case minima;
-    /// callers must report that.
-    pub fn sample_scenarios(&self, topo: &Topology, count: usize, seed: u64) -> Vec<Vec<bool>> {
-        let total = self.scenario_count(topo);
-        if total <= count {
+    /// A deterministic sample of `count` distinct scenarios (all of them
+    /// when there are no more), used when full enumeration is intractable.
+    /// Sampling scenarios yields an *optimistic* (upper) bound when used for
+    /// worst-case minima; callers must report that.
+    pub fn sample_scenarios(&self, topo: &Topology, count: usize, seed: u64) -> Vec<Scenario> {
+        let FailureModel::Budgeted {
+            budgets,
+            degradation,
+        } = self
+        else {
+            let mut listed = self.enumerate_scenarios(topo);
+            listed.truncate(count);
+            return listed;
+        };
+        if self.scenario_count(topo) <= count {
             return self.enumerate_scenarios(topo);
-        }
-        if let FailureModel::Explicit { .. } = self {
-            let mut all = self.enumerate_scenarios(topo);
-            all.truncate(count);
-            return all;
         }
         // Simple deterministic LCG to avoid threading RNG deps here.
         let mut state = seed
@@ -490,88 +426,51 @@ impl FailureModel {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as usize
         };
-        if let FailureModel::Structured { budgets, .. } = self {
-            // Per-budget picks composed into a joint mask; dedup on the mask
-            // itself (overlapping groups can collide across budgets).
-            let mut seen = std::collections::BTreeSet::new();
-            let mut out = Vec::new();
-            let mut guard = 0usize;
-            while out.len() < count && guard < 100 * count {
-                guard += 1;
-                let mut mask = vec![false; topo.link_count()];
-                for b in budgets {
-                    let n = b.groups.len();
-                    let f = b.f.min(n);
-                    let mut pick: Vec<usize> = Vec::with_capacity(f);
-                    while pick.len() < f {
-                        let g = next() % n;
-                        if !pick.contains(&g) {
-                            pick.push(g);
-                        }
-                    }
-                    for &g in &pick {
-                        for l in &b.groups[g] {
-                            mask[l.index()] = true;
-                        }
-                    }
-                }
-                if seen.insert(mask.clone()) {
-                    out.push(mask);
-                }
-            }
-            return out;
-        }
-        let Some(groups) = self.expansion_groups(topo) else {
-            return Vec::new(); // Explicit lists were handled above
-        };
-        let f = self.budget().min(groups.len());
-        let n = groups.len();
-        let mut seen = std::collections::BTreeSet::new();
-        let mut out = Vec::new();
+        let groups: Vec<_> = budgets.iter().map(|b| b.groups(topo)).collect();
+        let corners = degradation.as_ref().map_or(Vec::new(), |d| d.corners());
+        // Per-budget picks composed into a joint mask, plus a corner draw
+        // (one past the last corner = undegraded) when the model degrades.
+        let mut out: Vec<Scenario> = Vec::new();
         let mut guard = 0usize;
         while out.len() < count && guard < 100 * count {
             guard += 1;
-            let mut pick: Vec<usize> = Vec::with_capacity(f);
-            while pick.len() < f {
-                let g = next() % n;
-                if !pick.contains(&g) {
-                    pick.push(g);
+            let mut dead = vec![false; topo.link_count()];
+            for (b, groups) in budgets.iter().zip(&groups) {
+                let n = groups.len();
+                let mut pick: Vec<usize> = Vec::with_capacity(b.f.min(n));
+                while pick.len() < b.f.min(n) {
+                    let g = next() % n;
+                    if !pick.contains(&g) {
+                        pick.push(g);
+                        dead = killed(dead, &groups[g]);
+                    }
                 }
             }
-            pick.sort_unstable();
-            if !seen.insert(pick.clone()) {
-                continue;
+            let cap_scale = match corners.len() {
+                0 => Vec::new(),
+                c => corners.get(next() % (c + 1)).cloned().unwrap_or_default(),
+            };
+            let scenario = Scenario { dead, cap_scale };
+            if !out.contains(&scenario) {
+                out.push(scenario);
             }
-            let mut mask = vec![false; topo.link_count()];
-            for &g in &pick {
-                for l in &groups[g] {
-                    mask[l.index()] = true;
-                }
-            }
-            out.push(mask);
         }
         out
     }
+}
 
-    /// Enumerates concrete structured scenarios: every worst-cardinality
-    /// failure mask composed with every degradation corner point, plus the
-    /// undegraded corner. For models without a degradation polytope this is
-    /// [`FailureModel::enumerate_scenarios`] lifted into [`Scenario`].
-    pub fn enumerate_structured_scenarios(&self, topo: &Topology) -> Vec<Scenario> {
-        let masks = self.enumerate_scenarios(topo);
-        let corners: Vec<Vec<f64>> = self.degradation().map(|d| d.corners()).unwrap_or_default();
-        let mut out = Vec::with_capacity(masks.len() * (1 + corners.len()));
-        for mask in masks {
-            for c in &corners {
-                out.push(Scenario {
-                    dead: mask.clone(),
-                    cap_scale: c.clone(),
-                });
-            }
-            out.push(Scenario::from_mask(mask));
-        }
-        out
+/// One group per node: its incident links.
+fn node_groups(topo: &Topology) -> Vec<Vec<LinkId>> {
+    let incident = |n| topo.incident(n).iter().map(|&(_, l)| l).collect();
+    topo.nodes().map(incident).collect()
+}
+
+/// `mask` with every link of `links` marked dead.
+fn killed(mut mask: Vec<bool>, links: &[LinkId]) -> Vec<bool> {
+    for l in links {
+        mask[l.index()] = true;
     }
+    mask
 }
 
 /// Activation condition of a logical sequence or logical flow (§3.4 and the
@@ -617,8 +516,12 @@ mod tests {
         let fm = FailureModel::links(1);
         let sc = fm.enumerate_scenarios(&t);
         assert_eq!(sc.len(), t.link_count());
-        for mask in &sc {
-            assert_eq!(mask.iter().filter(|&&d| d).count(), 1);
+        for s in &sc {
+            assert_eq!(s.dead.iter().filter(|&&d| d).count(), 1);
+            assert!(
+                s.cap_scale.is_empty(),
+                "link-only scenarios carry no scales"
+            );
         }
     }
 
@@ -637,7 +540,7 @@ mod tests {
         let fm = FailureModel::links(0);
         let sc = fm.enumerate_scenarios(&t);
         assert_eq!(sc.len(), 1);
-        assert!(sc[0].iter().all(|&d| !d));
+        assert!(sc[0].dead.iter().all(|&d| !d));
     }
 
     #[test]
@@ -647,11 +550,11 @@ mod tests {
         let sc = fm.enumerate_scenarios(&t);
         assert_eq!(sc.len(), t.node_count());
         // Scenario k kills exactly node k's incident links.
-        for (k, mask) in sc.iter().enumerate() {
+        for (k, s) in sc.iter().enumerate() {
             let n = pcf_topology::NodeId(k as u32);
             for l in t.links() {
                 let should = t.link(l).touches(n);
-                assert_eq!(mask[l.index()], should);
+                assert_eq!(s.dead[l.index()], should);
             }
         }
     }
@@ -672,10 +575,10 @@ mod tests {
         let b = fm.sample_scenarios(&t, 40, 7);
         assert_eq!(a.len(), 40);
         assert_eq!(a, b);
-        let set: std::collections::BTreeSet<_> = a.iter().collect();
+        let set: std::collections::BTreeSet<_> = a.iter().map(|s| &s.dead).collect();
         assert_eq!(set.len(), 40);
-        for mask in &a {
-            assert_eq!(mask.iter().filter(|&&d| d).count(), 3);
+        for s in &a {
+            assert_eq!(s.dead.iter().filter(|&&d| d).count(), 3);
         }
     }
 
@@ -707,11 +610,12 @@ mod structured_tests {
     fn regional_groups_are_incident_link_unions() {
         let t = zoo::build("Abilene");
         let region = vec![pcf_topology::NodeId(0), pcf_topology::NodeId(3)];
-        let b = GroupBudget::regions(&t, std::slice::from_ref(&region), 1);
-        assert_eq!(b.groups.len(), 1);
+        let fm = FailureModel::regional(&t, std::slice::from_ref(&region), 1);
+        let sc = fm.enumerate_scenarios(&t);
+        assert_eq!(sc.len(), 1);
         for l in t.links() {
             let touches = region.iter().any(|&n| t.link(l).touches(n));
-            assert_eq!(b.groups[0].contains(&l), touches);
+            assert_eq!(sc[0].dead[l.index()], touches);
         }
     }
 
@@ -719,7 +623,8 @@ mod structured_tests {
     fn nodes_and_links_enumeration_is_cartesian_up_to_dedup() {
         let t = zoo::build("Abilene");
         let fm = FailureModel::nodes_and_links(&t, 1, 1);
-        let got: BTreeSet<Vec<bool>> = fm.enumerate_scenarios(&t).into_iter().collect();
+        let scenarios = fm.enumerate_scenarios(&t);
+        let got: BTreeSet<Vec<bool>> = scenarios.into_iter().map(|s| s.dead).collect();
         let mut expect = BTreeSet::new();
         for n in t.nodes() {
             for l in t.links() {
@@ -758,14 +663,20 @@ mod structured_tests {
         let t = zoo::build("Abilene");
         let deg = Degradation::uniform(t.link_count(), 0.5);
         let fm = FailureModel::links(1).with_degradation(&t, deg);
-        let sc = fm.enumerate_structured_scenarios(&t);
+        let sc = fm.enumerate_scenarios(&t);
         // masks × (undegraded + per-link corners + all-floors corner)
         assert_eq!(sc.len(), t.link_count() * (1 + t.link_count() + 1));
+        assert_eq!(fm.scenario_count(&t), sc.len());
         assert!(sc.iter().any(|s| s.undegraded()));
         for s in &sc {
             assert_eq!(s.dead.len(), t.link_count());
             assert!(s.cap_scale.iter().all(|&c| (0.0..=1.0).contains(&c)));
         }
+        // Sampling draws from the same set: masks composed with corners.
+        let sampled = fm.sample_scenarios(&t, 30, 5);
+        assert_eq!(sampled.len(), 30);
+        assert!(sampled.iter().all(|s| sc.contains(s)));
+        assert!(sampled.iter().any(|s| !s.undegraded()));
     }
 
     #[test]
@@ -776,7 +687,7 @@ mod structured_tests {
         let b = fm.sample_scenarios(&t, 20, 3);
         assert_eq!(a.len(), 20);
         assert_eq!(a, b);
-        let set: BTreeSet<_> = a.iter().collect();
+        let set: BTreeSet<_> = a.iter().map(|s| &s.dead).collect();
         assert_eq!(set.len(), 20);
     }
 }
@@ -792,12 +703,11 @@ mod explicit_tests {
         let fm = FailureModel::Explicit {
             scenarios: vec![vec![LinkId(0)], vec![LinkId(1), LinkId(2)]],
         };
-        assert_eq!(fm.budget(), 2);
         assert_eq!(fm.scenario_count(&t), 2);
         let masks = fm.enumerate_scenarios(&t);
         assert_eq!(masks.len(), 2);
-        assert!(masks[0][0] && !masks[0][1]);
-        assert!(masks[1][1] && masks[1][2]);
+        assert!(masks[0].dead[0] && !masks[0].dead[1]);
+        assert!(masks[1].dead[1] && masks[1].dead[2]);
     }
 
     #[test]

@@ -60,6 +60,6 @@ pub use schemes::{
     solve_pcf_tf, solve_pcf_tf_seeded, tunnel_instance,
 };
 pub use validate::{
-    validate_all, validate_scenarios, validate_structured, validate_structured_scenarios,
-    ArcHotspot, ValidationReport, Violation, ViolationKind, ViolationSummary,
+    validate_all, validate_scenarios, ArcHotspot, ValidationReport, Violation, ViolationKind,
+    ViolationSummary,
 };

@@ -184,6 +184,25 @@ pub enum ScenarioCoverage {
     Sampled(usize),
 }
 
+/// The failure masks `coverage` selects from `fm`, and whether they are the
+/// whole set. The MCF baselines model failures only, so degraded corners of
+/// a degradation polytope are left out.
+fn covered_masks(
+    topo: &Topology,
+    fm: &FailureModel,
+    coverage: ScenarioCoverage,
+) -> (Vec<Vec<bool>>, bool) {
+    let (scenarios, exact) = match coverage {
+        ScenarioCoverage::Exhaustive => (fm.enumerate_scenarios(topo), true),
+        ScenarioCoverage::Sampled(k) => {
+            let exact = fm.scenario_count(topo) <= k;
+            (fm.sample_scenarios(topo, k, 0x5eed), exact)
+        }
+    };
+    let undegraded = scenarios.into_iter().filter(|s| s.undegraded());
+    (undegraded.map(|s| s.dead).collect(), exact)
+}
+
 /// Optimal demand scale under the failure model: the minimum over scenarios
 /// of [`max_concurrent_flow`]. Returns `(value, scenarios_evaluated, exact)`.
 pub fn optimal_demand_scale(
@@ -192,16 +211,9 @@ pub fn optimal_demand_scale(
     fm: &FailureModel,
     coverage: ScenarioCoverage,
 ) -> (f64, usize, bool) {
-    let (scenarios, exact) = match coverage {
-        ScenarioCoverage::Exhaustive => (fm.enumerate_scenarios(topo), true),
-        ScenarioCoverage::Sampled(k) => {
-            let exact = fm.scenario_count(topo) <= k;
-            (fm.sample_scenarios(topo, k, 0x5eed), exact)
-        }
-    };
+    let (masks, exact) = covered_masks(topo, fm, coverage);
     let mut worst = f64::INFINITY;
-    let count = scenarios.len();
-    for mask in &scenarios {
+    for mask in &masks {
         let v = max_concurrent_flow(topo, tm, Some(mask)).value();
         if v < worst {
             worst = v;
@@ -210,7 +222,7 @@ pub fn optimal_demand_scale(
             break;
         }
     }
-    (worst, count, exact)
+    (worst, masks.len(), exact)
 }
 
 /// Optimal worst-case throughput under the failure model. Returns
@@ -221,22 +233,15 @@ pub fn optimal_throughput(
     fm: &FailureModel,
     coverage: ScenarioCoverage,
 ) -> (f64, usize, bool) {
-    let (scenarios, exact) = match coverage {
-        ScenarioCoverage::Exhaustive => (fm.enumerate_scenarios(topo), true),
-        ScenarioCoverage::Sampled(k) => {
-            let exact = fm.scenario_count(topo) <= k;
-            (fm.sample_scenarios(topo, k, 0x5eed), exact)
-        }
-    };
+    let (masks, exact) = covered_masks(topo, fm, coverage);
     let mut worst = f64::INFINITY;
-    let count = scenarios.len();
-    for mask in &scenarios {
+    for mask in &masks {
         let v = max_throughput(topo, tm, Some(mask));
         if v < worst {
             worst = v;
         }
     }
-    (worst, count, exact)
+    (worst, masks.len(), exact)
 }
 
 #[cfg(test)]
@@ -403,7 +408,7 @@ mod coverage_tests {
             .filter(|n| n.index() != 0 && n.index() != 5)
             .map(|n| t.incident(n).iter().map(|&(_, l)| l).collect())
             .collect();
-        let fm = FailureModel::Groups { groups, f: 1 };
+        let fm = FailureModel::srlgs(groups, 1);
         let (v, n, exact) = optimal_demand_scale(&t, &tm, &fm, ScenarioCoverage::Exhaustive);
         assert!(exact);
         assert_eq!(n, 8);

@@ -71,21 +71,25 @@ impl FailureState {
     }
 
     /// Like [`FailureState::new`], but with per-link capacity scales for
-    /// partial degradation. Degraded links stay alive (tunnel liveness and
-    /// LS conditions read only `dead`); the scales shrink reservations via
-    /// [`degraded_reservations`] and the caps the caller checks against.
+    /// partial degradation (an empty `cap_scale` means none). Degraded links
+    /// stay alive (tunnel liveness and LS conditions read only `dead`); the
+    /// scales shrink reservations via [`degraded_reservations`] and the caps
+    /// the caller checks against.
     pub fn with_cap_scale(
         inst: &Instance,
         dead: &[bool],
         cap_scale: &[f64],
     ) -> Result<Self, RealizeError> {
+        let mut state = FailureState::new(inst, dead)?;
+        if cap_scale.is_empty() {
+            return Ok(state);
+        }
         if cap_scale.len() != inst.topo().link_count() {
             return Err(RealizeError::MaskLengthMismatch {
                 expected: inst.topo().link_count(),
                 got: cap_scale.len(),
             });
         }
-        let mut state = FailureState::new(inst, dead)?;
         state.cap_scale = cap_scale.to_vec();
         Ok(state)
     }
@@ -810,8 +814,8 @@ mod tests {
         );
         assert!(sol.objective > 0.5);
         let sv = served(&inst, &sol);
-        for mask in fm.enumerate_scenarios(inst.topo()) {
-            let state = FailureState::new(&inst, &mask).unwrap();
+        for sc in fm.enumerate_scenarios(inst.topo()) {
+            let state = FailureState::new(&inst, &sc.dead).unwrap();
             let lin = realize_routing(&inst, &state, &sol.a, &sol.b, &sv, 1e-6).unwrap();
             let prop = proportional_routing(&inst, &state, &sol.a, &sol.b, &sv, 1e-6).unwrap();
             assert!(lin.max_utilization(&inst) <= 1.0 + 1e-6);
@@ -876,8 +880,8 @@ mod tests {
     fn check_plan(inst: &Instance, f: usize, a: &[f64], b: &[f64], served: &[f64]) -> usize {
         let sortable = topological_order(inst, b).is_some();
         let mut max_bump = 0;
-        for mask in FailureModel::links(f).enumerate_scenarios(inst.topo()) {
-            let state = FailureState::new(inst, &mask).unwrap();
+        for sc in FailureModel::links(f).enumerate_scenarios(inst.topo()) {
+            let state = FailureState::new(inst, &sc.dead).unwrap();
             let got = realize_routing(inst, &state, a, b, served, 1e-6);
             let want = dense_reference(inst, &state, a, b, served, 1e-6);
             let got = match (got, want) {

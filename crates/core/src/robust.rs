@@ -941,10 +941,10 @@ mod more_tests {
         let inst = InstanceBuilder::with_demands(&topo, vec![(NodeId(0), NodeId(3), 1.0)])
             .tunnels_per_pair(2)
             .build();
-        let coupled = FailureModel::Groups {
-            groups: vec![vec![LinkId(0), LinkId(2)], vec![LinkId(1)], vec![LinkId(3)]],
-            f: 1,
-        };
+        let coupled = FailureModel::srlgs(
+            vec![vec![LinkId(0), LinkId(2)], vec![LinkId(1)], vec![LinkId(3)]],
+            1,
+        );
         let sol = solve_robust(
             &inst,
             &coupled,
@@ -952,10 +952,7 @@ mod more_tests {
             &RobustOptions::default(),
         );
         assert!(sol.objective.abs() < 1e-6, "got {}", sol.objective);
-        let separate = FailureModel::Groups {
-            groups: topo.links().map(|l| vec![l]).collect(),
-            f: 1,
-        };
+        let separate = FailureModel::srlgs(topo.links().map(|l| vec![l]).collect(), 1);
         let sol2 = solve_robust(
             &inst,
             &separate,

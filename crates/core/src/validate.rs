@@ -41,7 +41,7 @@ pub struct ValidationReport {
     /// entries; each arc's utilization is its worst over the scenario set).
     pub top_arcs: Vec<ArcHotspot>,
     /// Scenarios where realization failed or a constraint was violated,
-    /// with the dead-link mask attached.
+    /// with the scenario attached.
     pub violations: Vec<Violation>,
     /// Largest [`crate::Routing::bump`] over the realized states: `0` when
     /// every state was served by Prop. 7's walk, otherwise the most rows
@@ -61,11 +61,8 @@ pub struct ArcHotspot {
 /// One failed scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
-    /// The dead-link mask of the offending scenario.
-    pub dead: Vec<bool>,
-    /// Per-link capacity scales of the offending scenario; empty when the
-    /// scenario carried no partial degradation.
-    pub cap_scale: Vec<f64>,
+    /// The offending scenario (`cap_scale` empty unless it degrades a link).
+    pub scenario: Scenario,
     /// What went wrong.
     pub kind: ViolationKind,
 }
@@ -133,7 +130,7 @@ impl ValidationReport {
     ///
     /// FNV-1a over the scenario counts, utilizations quantized to a 1e-6
     /// grid (so last-ulp arithmetic noise does not flip the digest), the
-    /// hotspot list, and every violation including its dead-link mask.
+    /// hotspot list, and every violation including its scenario.
     pub fn digest(&self) -> u64 {
         fn quantize(u: f64) -> i64 {
             if u.is_finite() {
@@ -153,7 +150,7 @@ impl ValidationReport {
             h.write_bytes(&quantize(hot.utilization).to_le_bytes());
         }
         for v in &self.violations {
-            for chunk in v.dead.chunks(8) {
+            for chunk in v.scenario.dead.chunks(8) {
                 let mut byte = 0u8;
                 for (i, &bit) in chunk.iter().enumerate() {
                     if bit {
@@ -162,9 +159,7 @@ impl ValidationReport {
                 }
                 h.write_bytes(&[byte]);
             }
-            // Empty for undegraded scenarios, so link-failure-only digests
-            // are unchanged by the structured extension.
-            for &s in &v.cap_scale {
+            for &s in &v.scenario.cap_scale {
                 h.write_bytes(&quantize(s).to_le_bytes());
             }
             match &v.kind {
@@ -201,74 +196,87 @@ impl ValidationReport {
     }
 }
 
-/// Validates an allocation `(a, b, served)` over every scenario in `masks`.
+/// Validates an allocation `(a, b, served)` over every scenario in
+/// `scenarios`.
 ///
 /// `served[p] = z_p * d_p`; `tol` is the relative feasibility tolerance.
-/// Masks with identical liveness signatures are realized once and share
-/// the solution; every mask still gets its own violation entries.
+/// Degraded scenarios realize with rescaled reservations
+/// ([`degraded_reservations`]) and check loads against the degraded
+/// capacities; a plan solved without degradation awareness typically fails
+/// these with utilization-out-of-range realizations (it promised traffic the
+/// sagging links can no longer carry). Scenarios with identical liveness
+/// signatures *and* capacity scales are realized once and share the
+/// solution; every scenario still gets its own violation entries.
 pub fn validate_scenarios(
     inst: &Instance,
     a: &[f64],
     b: &[f64],
     served: &[f64],
-    masks: &[Vec<bool>],
+    scenarios: &[Scenario],
     tol: f64,
 ) -> ValidationReport {
     let topo = inst.topo();
     let mut arc_peak = vec![0.0f64; topo.arc_count()];
     let mut violations = Vec::new();
     let mut max_bump = 0;
-    // Realized (or failed) routings keyed by liveness signature.
-    let mut by_signature: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
+    // Realized (or failed) routings keyed by (liveness signature, quantized
+    // capacity scales — empty when undegraded).
+    let mut by_key: BTreeMap<(Vec<u64>, Vec<i64>), usize> = BTreeMap::new();
     let mut solved: Vec<Result<Vec<f64>, RealizeError>> = Vec::new();
-    for mask in masks {
-        let state = match FailureState::new(inst, mask) {
+    for sc in scenarios {
+        // Empty for undegraded scenarios, whatever the caller spelled out.
+        let scale: &[f64] = if sc.undegraded() { &[] } else { &sc.cap_scale };
+        let violation = |kind| Violation {
+            scenario: Scenario {
+                dead: sc.dead.clone(),
+                cap_scale: scale.to_vec(),
+            },
+            kind,
+        };
+        let state = match FailureState::with_cap_scale(inst, &sc.dead, scale) {
             Ok(s) => s,
             Err(e) => {
-                violations.push(Violation {
-                    dead: mask.clone(),
-                    cap_scale: Vec::new(),
-                    kind: ViolationKind::Realize(e),
-                });
+                violations.push(violation(ViolationKind::Realize(e)));
                 continue;
             }
         };
-        let idx = *by_signature
-            .entry(state.liveness_signature())
+        let scale_key: Vec<i64> = scale.iter().map(|&s| (s * 1e9).round() as i64).collect();
+        let idx = *by_key
+            .entry((state.liveness_signature(), scale_key))
             .or_insert_with(|| {
-                let routing = realize_routing(inst, &state, a, b, served, tol);
+                let routing = if scale.is_empty() {
+                    realize_routing(inst, &state, a, b, served, tol)
+                } else {
+                    let eff_a = degraded_reservations(inst, &state, a);
+                    realize_routing(inst, &state, &eff_a, b, served, tol)
+                };
                 max_bump = max_bump.max(routing.as_ref().map_or(0, |r| r.bump));
                 solved.push(routing.map(|r| r.arc_loads));
                 solved.len() - 1
             });
         match &solved[idx] {
-            Err(e) => violations.push(Violation {
-                dead: mask.clone(),
-                cap_scale: Vec::new(),
-                kind: ViolationKind::Realize(e.clone()),
-            }),
+            Err(e) => violations.push(violation(ViolationKind::Realize(e.clone()))),
             Ok(arc_loads) => {
                 for arc in topo.arcs() {
                     let load = arc_loads[arc.index()];
-                    let cap = topo.capacity(arc.link());
+                    let kept = scale
+                        .get(arc.link().index())
+                        .map_or(1.0, |s| s.clamp(0.0, 1.0));
+                    let cap = topo.capacity(arc.link()) * kept;
                     if load > cap * (1.0 + tol) + tol {
-                        violations.push(Violation {
-                            dead: mask.clone(),
-                            cap_scale: Vec::new(),
-                            kind: ViolationKind::Overload {
-                                arc: arc.index(),
-                                load,
-                                capacity: cap,
-                            },
-                        });
+                        violations.push(violation(ViolationKind::Overload {
+                            arc: arc.index(),
+                            load,
+                            capacity: cap,
+                        }));
                     }
-                    arc_peak[arc.index()] = arc_peak[arc.index()].max(load / cap);
+                    arc_peak[arc.index()] = arc_peak[arc.index()].max(load / cap.max(1e-12));
                 }
             }
         }
     }
     ValidationReport {
-        scenarios: masks.len(),
+        scenarios: scenarios.len(),
         distinct_states: solved.len(),
         max_utilization: arc_peak.iter().fold(0.0, |m, &u| m.max(u)),
         top_arcs: top_hotspots(&arc_peak, TOP_ARCS),
@@ -295,7 +303,9 @@ fn top_hotspots(arc_peak: &[f64], k: usize) -> Vec<ArcHotspot> {
     hot
 }
 
-/// Validates over every worst-cardinality scenario of the failure model.
+/// Validates over every scenario of the failure model: all
+/// worst-cardinality failure masks, composed with the degradation corner
+/// points when the model carries a polytope.
 pub fn validate_all(
     inst: &Instance,
     fm: &FailureModel,
@@ -304,118 +314,8 @@ pub fn validate_all(
     served: &[f64],
     tol: f64,
 ) -> ValidationReport {
-    let masks = fm.enumerate_scenarios(inst.topo());
-    validate_scenarios(inst, a, b, served, &masks, tol)
-}
-
-/// Validates over every *structured* scenario of the failure model: all
-/// worst-cardinality failure masks composed with the degradation corner
-/// points. Degraded scenarios realize with rescaled reservations
-/// ([`degraded_reservations`]) and check loads against the degraded
-/// capacities; a plan solved without degradation awareness typically fails
-/// these with utilization-out-of-range realizations (it promised traffic the
-/// sagging links can no longer carry).
-pub fn validate_structured(
-    inst: &Instance,
-    fm: &FailureModel,
-    a: &[f64],
-    b: &[f64],
-    served: &[f64],
-    tol: f64,
-) -> ValidationReport {
-    let scenarios = fm.enumerate_structured_scenarios(inst.topo());
-    validate_structured_scenarios(inst, a, b, served, &scenarios, tol)
-}
-
-/// Validates an allocation over an explicit structured scenario list.
-/// Scenarios with identical liveness signatures *and* capacity scales are
-/// realized once and share the solution.
-pub fn validate_structured_scenarios(
-    inst: &Instance,
-    a: &[f64],
-    b: &[f64],
-    served: &[f64],
-    scenarios: &[Scenario],
-    tol: f64,
-) -> ValidationReport {
-    let topo = inst.topo();
-    let mut arc_peak = vec![0.0f64; topo.arc_count()];
-    let mut violations = Vec::new();
-    let mut max_bump = 0;
-    // Realized (or failed) routings keyed by (liveness signature, quantized
-    // capacity scales — empty when undegraded).
-    let mut by_key: BTreeMap<(Vec<u64>, Vec<i64>), usize> = BTreeMap::new();
-    let mut solved: Vec<Result<Vec<f64>, RealizeError>> = Vec::new();
-    for sc in scenarios {
-        let state = match FailureState::with_cap_scale(inst, &sc.dead, &sc.cap_scale) {
-            Ok(s) => s,
-            Err(e) => {
-                violations.push(Violation {
-                    dead: sc.dead.clone(),
-                    cap_scale: sc.cap_scale.clone(),
-                    kind: ViolationKind::Realize(e),
-                });
-                continue;
-            }
-        };
-        let degraded = !state.undegraded();
-        let scale_key: Vec<i64> = if degraded {
-            sc.cap_scale
-                .iter()
-                .map(|&s| (s * 1e9).round() as i64)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let viol_scale = if degraded {
-            sc.cap_scale.clone()
-        } else {
-            Vec::new()
-        };
-        let idx = *by_key
-            .entry((state.liveness_signature(), scale_key))
-            .or_insert_with(|| {
-                let eff_a = degraded_reservations(inst, &state, a);
-                let routing = realize_routing(inst, &state, &eff_a, b, served, tol);
-                max_bump = max_bump.max(routing.as_ref().map_or(0, |r| r.bump));
-                solved.push(routing.map(|r| r.arc_loads));
-                solved.len() - 1
-            });
-        match &solved[idx] {
-            Err(e) => violations.push(Violation {
-                dead: sc.dead.clone(),
-                cap_scale: viol_scale,
-                kind: ViolationKind::Realize(e.clone()),
-            }),
-            Ok(arc_loads) => {
-                for arc in topo.arcs() {
-                    let load = arc_loads[arc.index()];
-                    let scale = sc.cap_scale[arc.link().index()].clamp(0.0, 1.0);
-                    let cap = topo.capacity(arc.link()) * scale;
-                    if load > cap * (1.0 + tol) + tol {
-                        violations.push(Violation {
-                            dead: sc.dead.clone(),
-                            cap_scale: viol_scale.clone(),
-                            kind: ViolationKind::Overload {
-                                arc: arc.index(),
-                                load,
-                                capacity: cap,
-                            },
-                        });
-                    }
-                    arc_peak[arc.index()] = arc_peak[arc.index()].max(load / cap.max(1e-12));
-                }
-            }
-        }
-    }
-    ValidationReport {
-        scenarios: scenarios.len(),
-        distinct_states: solved.len(),
-        max_utilization: arc_peak.iter().fold(0.0, |m, &u| m.max(u)),
-        top_arcs: top_hotspots(&arc_peak, TOP_ARCS),
-        violations,
-        max_bump,
-    }
+    let scenarios = fm.enumerate_scenarios(inst.topo());
+    validate_scenarios(inst, a, b, served, &scenarios, tol)
 }
 
 #[cfg(test)]

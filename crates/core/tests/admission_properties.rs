@@ -12,7 +12,7 @@
 
 use pcf_core::{
     absolute_tolerance, admit, solve_ffc, solve_pcf_tf, validate_all, validate_scenarios,
-    AdmitOutcome, FailureModel, Instance, RobustOptions, RobustSolution,
+    AdmitOutcome, FailureModel, Instance, RobustOptions, RobustSolution, Scenario,
 };
 use pcf_topology::zoo;
 use pcf_traffic::gravity;
@@ -100,8 +100,9 @@ fn admission_verdicts_are_sound_across_pairs_and_levels() {
                         }
                         let mut bumped = served.clone();
                         bumped[p.0] += extra;
+                        let witnessed = [Scenario::from_mask(mask)];
                         let report =
-                            validate_scenarios(&inst, &sol.a, &sol.b, &bumped, &[mask], 1e-6);
+                            validate_scenarios(&inst, &sol.a, &sol.b, &bumped, &witnessed, 1e-6);
                         assert!(
                             !report.congestion_free(),
                             "{scheme} pair {p:?}: witness {witness:?} does not violate at {extra}"

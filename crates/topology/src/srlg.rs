@@ -138,8 +138,8 @@ impl SrlgSet {
         topology_path.with_extension("srlg")
     }
 
-    /// The groups as plain link lists (the shape `FailureModel::Groups`
-    /// and `GroupBudget` consume).
+    /// The groups as plain link lists (the shape `FailureModel::srlgs`
+    /// and `GroupBudget::new` consume).
     pub fn link_groups(&self) -> Vec<Vec<LinkId>> {
         self.groups.iter().map(|g| g.links.clone()).collect()
     }

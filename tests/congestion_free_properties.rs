@@ -191,8 +191,8 @@ fn check_realization_invariants(
     let inst = pcf_ls_instance(topo, &tm, 3);
     let sol = solve_pcf_ls(&inst, &fm, &RobustOptions::default());
     let sv = served(&inst, &sol);
-    for mask in fm.enumerate_scenarios(inst.topo()) {
-        let state = FailureState::new(&inst, &mask).map_err(|e| format!("{e}"))?;
+    for sc in fm.enumerate_scenarios(inst.topo()) {
+        let state = FailureState::new(&inst, &sc.dead).map_err(|e| format!("{e}"))?;
         let routing = realize_routing(&inst, &state, &sol.a, &sol.b, &sv, 1e-6)
             .map_err(|e| format!("solved allocation must realize: {e:?}"))?;
         for u in &routing.u {

@@ -102,7 +102,7 @@ fn node_failures_end_to_end() {
         .filter(|n| n.index() != 0 && n.index() != 5)
         .map(|n| topo.incident(n).iter().map(|&(_, l)| l).collect())
         .collect();
-    let fm = FailureModel::Groups { groups, f: 1 };
+    let fm = FailureModel::srlgs(groups, 1);
     let inst = tunnel_instance(&topo, &tm, 3);
     let sol = solve_pcf_tf(&inst, &fm, &RobustOptions::default());
     assert!(sol.objective > 0.0, "transit pairs survive node failures");

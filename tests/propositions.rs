@@ -180,8 +180,8 @@ fn prop5_6_realization_is_feasible_everywhere() {
         .pair_ids()
         .map(|p| sol.z[p.0] * inst.demand(p))
         .collect();
-    for mask in fm.enumerate_scenarios(inst.topo()) {
-        let state = FailureState::new(&inst, &mask).unwrap();
+    for sc in fm.enumerate_scenarios(inst.topo()) {
+        let state = FailureState::new(&inst, &sc.dead).unwrap();
         let routing = realize_routing(&inst, &state, &sol.a, &sol.b, &served, 1e-6)
             .expect("Prop 5/6: the linear system must be solvable with U in [0,1]");
         for u in &routing.u {
@@ -189,7 +189,8 @@ fn prop5_6_realization_is_feasible_everywhere() {
         }
         assert!(
             routing.max_utilization(&inst) <= 1.0 + 1e-6,
-            "congestion under {mask:?}"
+            "congestion under {:?}",
+            sc.dead
         );
     }
 }
@@ -211,8 +212,8 @@ fn prop7_proportional_equals_linear_system() {
         .pair_ids()
         .map(|p| sol.z[p.0] * inst.demand(p))
         .collect();
-    for mask in fm.enumerate_scenarios(inst.topo()).into_iter().step_by(3) {
-        let state = FailureState::new(&inst, &mask).unwrap();
+    for sc in fm.enumerate_scenarios(inst.topo()).into_iter().step_by(3) {
+        let state = FailureState::new(&inst, &sc.dead).unwrap();
         let lin = realize_routing(&inst, &state, &sol.a, &sol.b, &served, 1e-6).unwrap();
         let prop = proportional_routing(&inst, &state, &sol.a, &sol.b, &served, 1e-6).unwrap();
         assert_eq!(lin.pairs, prop.pairs);

@@ -8,9 +8,9 @@
 //! degenerated.
 
 use pcf_core::{
-    pcf_ls_instance, scale_to_mlu, solve_pcf_ls, solve_pcf_tf, tunnel_instance,
-    validate_structured, Degradation, FailureModel, GroupBudget, Instance, RobustOptions,
-    RobustSolution,
+    adversary::worst_case_link, pcf_ls_instance, scale_to_mlu, solve_ffc, solve_pcf_ls,
+    solve_pcf_tf, tunnel_instance, validate_all, Degradation, FailureModel, GroupBudget, Instance,
+    RobustOptions, RobustSolution,
 };
 use pcf_topology::{zoo, LinkId, NodeId, SrlgSet, Topology};
 use pcf_traffic::gravity;
@@ -35,7 +35,7 @@ fn assert_both_directions(
         "{label}: structured plan admits nothing — the uncertainty set is \
          over-constrained and the zero-violations direction would be vacuous"
     );
-    let clean = validate_structured(
+    let clean = validate_all(
         inst,
         fm,
         &structured.a,
@@ -50,7 +50,7 @@ fn assert_both_directions(
         clean.violations.len(),
         clean.violations.first().map(|v| &v.kind)
     );
-    let naive = validate_structured(
+    let naive = validate_all(
         inst,
         fm,
         &link_only.a,
@@ -74,7 +74,7 @@ fn srlg_and_degradation(name: &str, seed: u64) {
     let topo = zoo::build(name);
     let (tm, _) = scale_to_mlu(&topo, &gravity(&topo, seed), 0.6);
     let groups = SrlgSet::synthetic(&topo, 3, 4, seed).link_groups();
-    let fm = FailureModel::structured(vec![GroupBudget { groups, f: 1 }]).with_degradation(
+    let fm = FailureModel::srlgs(groups, 1).with_degradation(
         &topo,
         Degradation::uniform(topo.link_count(), 0.7).with_budget(0.3),
     );
@@ -114,11 +114,7 @@ fn transit_node_failures(name: &str, src: u32, dst: u32) {
         .filter(|n| n.index() != src as usize && n.index() != dst as usize)
         .map(|n| topo.incident(n).iter().map(|&(_, l)| l).collect())
         .collect();
-    let fm = FailureModel::structured(vec![GroupBudget {
-        groups: transit_groups,
-        f: 1,
-    }])
-    .with_degradation(
+    let fm = FailureModel::srlgs(transit_groups, 1).with_degradation(
         &topo,
         Degradation::uniform(topo.link_count(), 0.85).with_budget(0.15),
     );
@@ -180,10 +176,7 @@ fn srlg_scenario_count_matches_closed_form() {
     let disjoint = b
         .iter()
         .all(|s| s.iter().all(|l| a.iter().all(|g| !g.contains(l))));
-    let fm = FailureModel::structured(vec![
-        GroupBudget { groups: a, f: 1 },
-        GroupBudget { groups: b, f: 1 },
-    ]);
+    let fm = FailureModel::structured(vec![GroupBudget::new(a, 1), GroupBudget::new(b, 1)]);
     let product = binomial(3, 1) * binomial(4, 1);
     assert_eq!(fm.scenario_count(&topo), product);
     if disjoint {
@@ -201,14 +194,118 @@ fn structured_scenarios_compose_masks_with_degradation_corners() {
     let topo: Topology = zoo::build("Abilene");
     let groups = SrlgSet::synthetic(&topo, 3, 4, 11).link_groups();
     let g = groups.len();
-    let fm = FailureModel::structured(vec![GroupBudget { groups, f: 1 }]).with_degradation(
+    let fm = FailureModel::srlgs(groups, 1).with_degradation(
         &topo,
         Degradation::uniform(topo.link_count(), 0.7).with_budget(0.3),
     );
-    let scenarios = fm.enumerate_structured_scenarios(&topo);
+    let scenarios = fm.enumerate_scenarios(&topo);
     // The 0.3 budget binds (total room is 0.3 · link_count), so the corner
     // list is exactly one per link; each mask also appears undegraded.
     assert_eq!(scenarios.len(), g * (topo.link_count() + 1));
+    assert_eq!(fm.scenario_count(&topo), scenarios.len());
     assert!(scenarios.iter().any(|s| s.undegraded()));
     assert!(scenarios.iter().any(|s| !s.undegraded()));
+}
+
+/// A degradation-only model has one failure mask but many scenarios: a plan
+/// that fills links to capacity under `links(0)` must fail the 50% sag
+/// corners, and `validate_all` has to see them.
+#[test]
+fn validate_all_sees_the_degradation_polytope() {
+    let topo = zoo::build("Abilene");
+    let (tm, _) = scale_to_mlu(&topo, &gravity(&topo, 17), 0.6);
+    let inst = pcf_ls_instance(&topo, &tm, 3);
+    let plan = solve_pcf_ls(&inst, &FailureModel::links(0), &RobustOptions::default());
+    let fm = FailureModel::structured(Vec::new())
+        .with_degradation(&topo, Degradation::uniform(topo.link_count(), 0.5));
+    let report = validate_all(&inst, &fm, &plan.a, &plan.b, &served(&inst, &plan), 1e-6);
+    assert_eq!(report.scenarios, topo.link_count() + 2);
+    assert!(!report.congestion_free(), "sag corners went unchecked");
+}
+
+/// FFC under group budgets (Prop. 1: FFC never beats PCF-TF on the same
+/// set), B4 0↔5 over 6 tunnels. A group can take down more of a pair's
+/// tunnels than any single link does, so the tunnel-failure bound has to be
+/// read off the groups, not `f · p_st`. Two group families: any one transit
+/// node (every tunnel crosses a node on two links, which the §3.5
+/// relaxation counts twice — FFC's bound follows it and admits nothing),
+/// and four 2-link conduits (FFC stays positive).
+#[test]
+fn ffc_under_group_budgets_is_dominated_by_pcf_tf_and_validates() {
+    let topo = zoo::build("B4");
+    let mut tm = pcf_traffic::TrafficMatrix::zeros(topo.node_count());
+    tm.set_demand(NodeId(0), NodeId(5), 1.0);
+    tm.set_demand(NodeId(5), NodeId(0), 1.0);
+    let inst = tunnel_instance(&topo, &tm, 6);
+    let opts = RobustOptions::default();
+    let transit: Vec<Vec<LinkId>> = topo
+        .nodes()
+        .filter(|n| n.index() != 0 && n.index() != 5)
+        .map(|n| topo.incident(n).iter().map(|&(_, l)| l).collect())
+        .collect();
+    let conduits = SrlgSet::synthetic(&topo, 2, 4, 3).link_groups();
+    for (groups, ffc_admits) in [(transit, false), (conduits, true)] {
+        let fm = FailureModel::srlgs(groups, 1);
+        let ffc = solve_ffc(&inst, &fm, &opts);
+        let tf = solve_pcf_tf(&inst, &fm, &opts);
+        assert!(
+            ffc.objective <= tf.objective + 1e-6,
+            "FFC {} beats PCF-TF {}",
+            ffc.objective,
+            tf.objective
+        );
+        assert_eq!(ffc.objective > 1e-6, ffc_admits, "FFC {}", ffc.objective);
+        let report = validate_all(&inst, &fm, &ffc.a, &ffc.b, &served(&inst, &ffc), 1e-6);
+        assert!(report.congestion_free(), "{:?}", report.violations.first());
+    }
+}
+
+/// The constructors are one form: `links(f)` and `node_failures(t, f)` are
+/// the group budgets they describe, so spelling the same groups out through
+/// `srlgs` changes nothing — scenarios, count, samples, the adversary's
+/// per-pair availability and the PCF-LS plan, bit for bit.
+#[test]
+fn constructors_are_the_one_form() {
+    for name in ["Abilene", "Sprint"] {
+        let topo = zoo::build(name);
+        let (tm, _) = scale_to_mlu(&topo, &gravity(&topo, 3), 0.6);
+        let inst = pcf_ls_instance(&topo, &tm, 3);
+        let opts = RobustOptions::default();
+        let singletons: Vec<Vec<LinkId>> = topo.links().map(|l| vec![l]).collect();
+        let incident: Vec<Vec<LinkId>> = topo
+            .nodes()
+            .map(|n| topo.incident(n).iter().map(|&(_, l)| l).collect())
+            .collect();
+        for f in [1, 2] {
+            for (built, spelled) in [
+                (
+                    FailureModel::links(f),
+                    FailureModel::srlgs(singletons.clone(), f),
+                ),
+                (
+                    FailureModel::node_failures(&topo, f),
+                    FailureModel::srlgs(incident.clone(), f),
+                ),
+            ] {
+                assert_eq!(
+                    built.enumerate_scenarios(&topo),
+                    spelled.enumerate_scenarios(&topo)
+                );
+                assert_eq!(built.scenario_count(&topo), spelled.scenario_count(&topo));
+                assert_eq!(
+                    built.sample_scenarios(&topo, 10, 9),
+                    spelled.sample_scenarios(&topo, 10, 9)
+                );
+                let x = solve_pcf_ls(&inst, &built, &opts);
+                let y = solve_pcf_ls(&inst, &spelled, &opts);
+                assert_eq!(x.objective.to_bits(), y.objective.to_bits(), "{name} f={f}");
+                assert_eq!((&x.a, &x.b), (&y.a, &y.b), "{name} f={f}");
+                for p in inst.pair_ids() {
+                    let wx = worst_case_link(&inst, p, &built, &x.a, &x.b).unwrap();
+                    let wy = worst_case_link(&inst, p, &spelled, &x.a, &x.b).unwrap();
+                    assert_eq!(wx.available.to_bits(), wy.available.to_bits());
+                }
+            }
+        }
+    }
 }
