@@ -22,10 +22,14 @@
 //! `... - z d >= 0`, capacity rows are `<= c` — so the first solve starts
 //! from an all-slack basis and no such master solve ever runs a phase 1
 //! (augmentation fixes `z` at its target, so its no-failure cuts start
-//! violated and its one cold solve does). A [`CutPool`] seed takes the same
-//! route as separated cuts: the cut-free master is solved first and the
-//! pool appended to it, which makes a seeded solve literally "one more
-//! cutting-plane round".
+//! violated and its one cold solve does). A [`CutPool`] seed restarts the
+//! next solve from the previous optimum: its cuts are appended before the
+//! first solve, in the row order of the master that exported them, and that
+//! master's optimal basis is offered to the LP, which factors it once and
+//! pivots only as far as the new demands moved the optimum. The basis is a
+//! start, not an answer — separation certifies the result exactly as on a
+//! cold solve, and a basis the LP cannot use costs a crash-basis solve of
+//! the same seeded master, nothing else.
 //! Separation — the per-pair worst-case oracles — runs on
 //! [`RobustOptions::threads`] scoped worker threads; the oracles are pure
 //! functions of the shared reservations, so pairs partition cleanly.
@@ -45,8 +49,8 @@ use crate::failure::{Condition, FailureModel};
 use crate::instance::{Instance, LsId, PairId};
 use crate::objective::Objective;
 use pcf_lp::{
-    nonzero, IncrementalLp, IncrementalStats, LpProblem, Sense, SimplexOptions, Solution, Status,
-    VarId,
+    nonzero, Basis, IncrementalLp, IncrementalStats, LpProblem, Sense, SimplexOptions, Solution,
+    Status, VarId,
 };
 use std::fmt;
 
@@ -164,8 +168,9 @@ pub struct RobustSolution {
     pub rounds: usize,
     /// Total scenario cuts generated.
     pub cuts: usize,
-    /// Rounds whose master re-solve started from the retained basis. On a
-    /// seeded solve this includes round 1, which absorbs the pool.
+    /// Rounds whose master solve started from a basis rather than from the
+    /// crash start: the retained one, or on round 1 of a seeded solve the
+    /// one the pool carries.
     pub warm_rounds: usize,
     /// Cuts offered to round 1 from a previous solve's [`CutPool`] (0 on a
     /// cold start or when the offered pool did not shape-match the
@@ -185,22 +190,29 @@ pub struct RobustSolution {
     pub worst_available: Vec<f64>,
 }
 
-/// The scenario cuts of a converged solve, exported so the next solve of a
-/// same-shape instance can seed its master with them instead of
-/// rediscovering the binding scenarios from scratch (an epoch-to-epoch
-/// warm start: demand re-scales and traffic re-draws move the optimal
-/// reservations, but the adversarial scenarios that bind them are largely
+/// The scenario cuts of a converged solve and the optimal basis of the
+/// master that held them, exported so the next solve of a same-shape
+/// instance restarts from that optimum instead of rediscovering the binding
+/// scenarios and the vertex from scratch (an epoch-to-epoch warm start:
+/// demand re-scales and traffic re-draws move the optimal reservations, but
+/// the adversarial scenarios that bind them, and mostly the basis, are
 /// stable).
 ///
 /// A pool is only meaningful for an instance with identical pair, tunnel,
 /// and LS indexing; [`CutPool::matches`] guards that, and the seeded
-/// solvers silently fall back to a cold start on mismatch.
+/// solvers silently fall back to a cold start on mismatch. The basis rides
+/// on a row-order contract: a master's rows are its capacity rows, one
+/// no-failure cut per pair, then every other cut in the order appended —
+/// which is the pool's order, so the master rebuilt from the pool has the
+/// exporting master's row `i` as its row `i`.
 #[derive(Debug, Clone, Default)]
 pub struct CutPool {
     pairs: usize,
     tunnels: usize,
     lss: usize,
     cuts: Vec<(PairId, WorstCase)>,
+    /// Optimal basis of the exporting master; `None` if the LP kept none.
+    basis: Option<Basis>,
 }
 
 impl CutPool {
@@ -285,12 +297,11 @@ pub fn try_solve_robust(
 }
 
 /// [`try_solve_robust`] with an optional [`CutPool`] warm start: cuts from
-/// a previous solve of a same-shape instance are appended to the solved
-/// cut-free master, so round 1 absorbs them from an optimal basis the way
-/// every later round absorbs its separated cuts, typically collapsing the
-/// cutting-plane loop to one or two rounds. Returns the solution together
-/// with the pool of cuts generated (seeded plus freshly separated), ready
-/// to seed the next solve.
+/// a previous solve of a same-shape instance enter the master before its
+/// first solve, which starts from the basis the pool carries, typically
+/// collapsing the cutting-plane loop to one round of a few pivots. Returns
+/// the solution together with the pool of cuts generated (seeded plus
+/// freshly separated) and the final basis, ready to seed the next solve.
 ///
 /// A pool that does not [`CutPool::matches`] the instance is ignored — the
 /// solve falls back to cold and the fact is visible as `seeded_cuts == 0`.
@@ -318,11 +329,7 @@ pub fn try_solve_robust_seeded(
         );
     }
 
-    let mut lp = LpProblem::new(Sense::Maximize);
-    lp.set_options(opts.lp.clone());
-    let mut master = Master::new(lp, inst, &[], |lp| {
-        ZVars::for_objective(lp, inst, opts.objective)
-    });
+    let mut master = Master::for_allocation(inst, opts);
     let scale = 1.0 + inst.total_demand();
     let end = master.cutting_planes(inst, fm, kind, opts, scale, seed)?;
     let wcs = match end.certified {
@@ -332,14 +339,7 @@ pub fn try_solve_robust_seeded(
             .map_err(RobustError::Adversary)?,
     };
     let cuts = master.cuts.len();
-    // The exported pool skips the no-failure cuts: every solve regenerates
-    // them, so replaying them would only duplicate rows.
-    let pool = CutPool {
-        pairs: inst.num_pairs(),
-        tunnels: inst.num_tunnels(),
-        lss: inst.num_lss(),
-        cuts: master.cuts.split_off(inst.num_pairs()),
-    };
+    let pool = master.export_pool(inst);
     let MasterOptimum { sol, a, b, z } = end.optimum;
     Ok((
         RobustSolution {
@@ -511,6 +511,16 @@ impl Master {
         }
     }
 
+    /// The cut-free bandwidth-allocation master: maximize `opts.objective`
+    /// over the reservations, no further columns or static rows.
+    fn for_allocation(inst: &Instance, opts: &RobustOptions) -> Master {
+        let mut lp = LpProblem::new(Sense::Maximize);
+        lp.set_options(opts.lp.clone());
+        Master::new(lp, inst, &[], |lp| {
+            ZVars::for_objective(lp, inst, opts.objective)
+        })
+    }
+
     /// Appends one scenario cut row
     /// `Σ_l a_l (1-y_l) + Σ_{q∈L} b_q h_q - Σ_{q'∈Q} b_{q'} h_{q'} + Σ_x gain_x h_x x - z_p d_p >= 0`,
     /// `h_extra` holding the level of each of the pair's conditioned columns.
@@ -547,8 +557,23 @@ impl Master {
         self.cuts.push((p, wc));
     }
 
+    /// The pool that seeds the next solve of a same-shape instance: the
+    /// basis the last solve ended on and every cut past the no-failure
+    /// ones, which each solve regenerates — replaying them would only
+    /// duplicate rows.
+    fn export_pool(&mut self, inst: &Instance) -> CutPool {
+        CutPool {
+            pairs: inst.num_pairs(),
+            tunnels: inst.num_tunnels(),
+            lss: inst.num_lss(),
+            basis: self.lp.basis(),
+            cuts: self.cuts.split_off(inst.num_pairs()),
+        }
+    }
+
     /// Re-solves the master (warm after the first call) and reads out the
-    /// optimum and whether the solve started from the retained basis.
+    /// optimum and whether the solve started from a retained or offered
+    /// basis.
     fn solve(
         &mut self,
         inst: &Instance,
@@ -636,8 +661,9 @@ impl Master {
     /// than `opts.tol * scale` short of `z_p d_p`, and repeat until none
     /// does or `opts.max_rounds` rounds have separated.
     ///
-    /// A `seed` pool that [`CutPool::matches`] the instance is appended to
-    /// the solved cut-free master, so round 1 absorbs it warm.
+    /// The cuts of a `seed` pool that [`CutPool::matches`] the instance
+    /// follow the no-failure cuts, and the pool's basis is offered to the
+    /// first solve.
     pub(crate) fn cutting_planes(
         &mut self,
         inst: &Instance,
@@ -666,18 +692,17 @@ impl Master {
             self.append_cut(inst, p, wc, &h_extra);
         }
 
-        // Warm start: replay the cuts of a previous same-shape solve so round 1
-        // already knows the scenarios that bound the last epoch.
+        // Warm start: the cuts of a previous same-shape solve, in its row
+        // order, and the optimal basis that goes with those rows.
         let mut seeded_cuts = 0usize;
         if let Some(pool) = seed.filter(|pool| pool.matches(inst)) {
-            if !pool.is_empty() {
-                // Solve the cut-free master so the seeds enter as appended rows.
-                self.solve(inst, 1)?;
-            }
             for (p, wc) in &pool.cuts {
                 self.append_cut(inst, *p, wc.clone(), &[]);
             }
             seeded_cuts = pool.cuts.len();
+            if let Some(basis) = &pool.basis {
+                self.lp.offer_basis(basis.clone());
+            }
         }
 
         let mut rounds = 0usize;
@@ -1130,5 +1155,104 @@ mod more_tests {
         );
         assert!(sol.objective >= full.objective - 1e-9);
         assert_eq!(sol.rounds, 1);
+    }
+
+    /// Sprint, gravity seed 2, `tunnels` tunnels per pair, and its
+    /// allocation master.
+    fn sprint_master(tunnels: usize, opts: &RobustOptions) -> (Instance, Master) {
+        let topo = pcf_topology::zoo::build("Sprint");
+        let tm = pcf_traffic::gravity(&topo, 2);
+        let inst = crate::schemes::tunnel_instance(&topo, &tm, tunnels);
+        let master = Master::for_allocation(&inst, opts);
+        (inst, master)
+    }
+
+    #[test]
+    fn rebuilt_master_repeats_the_exporting_masters_rows() {
+        // The contract the pool's basis rides on: capacity rows, one
+        // no-failure cut per pair, then the pool's cuts in pool order, so
+        // row `i` of the master rebuilt from a pool is row `i` of the
+        // master that exported it.
+        let fm = FailureModel::links(1);
+        let opts = RobustOptions {
+            threads: 1,
+            ..RobustOptions::default()
+        };
+        let (inst, mut first) = sprint_master(3, &opts);
+        let capacity_rows = first.lp.problem().num_rows();
+        let scale = 1.0 + inst.total_demand();
+        let kind = AdversaryKind::LinkBased;
+        let end = first
+            .cutting_planes(&inst, &fm, kind, &opts, scale, None)
+            .unwrap();
+        assert!(end.certified.is_some() && end.rounds > 1);
+        let exported_rows = format!("{:?}", first.lp.problem());
+        let pool = first.export_pool(&inst);
+        assert!(pool.basis.is_some() && !pool.is_empty());
+        assert_eq!(
+            first.lp.problem().num_rows(),
+            capacity_rows + inst.num_pairs() + pool.len()
+        );
+
+        let (_, mut rebuilt) = sprint_master(3, &opts);
+        let again = rebuilt
+            .cutting_planes(&inst, &fm, kind, &opts, scale, Some(&pool))
+            .unwrap();
+        // Same rows in the same order (no new cut: the old optimum still
+        // certifies), so the offered basis is optimal as it stands and is
+        // what the rebuilt master exports in turn.
+        assert_eq!(format!("{:?}", rebuilt.lp.problem()), exported_rows);
+        assert_eq!((again.rounds, again.warm_rounds), (1, 1));
+        let lp = rebuilt.lp.stats();
+        assert_eq!(
+            (lp.primal_iterations, lp.dual_iterations, lp.refactors),
+            (0, 0, 1),
+            "{lp:?}"
+        );
+        assert_eq!(rebuilt.lp.basis(), pool.basis);
+        assert!((again.optimum.sol.objective - end.optimum.sol.objective).abs() <= 1e-12);
+    }
+
+    #[test]
+    fn pool_without_a_usable_basis_takes_the_same_route() {
+        let fm = FailureModel::links(1);
+        let opts = RobustOptions::default();
+        let kind = AdversaryKind::LinkBased;
+        let (inst, _) = sprint_master(3, &opts);
+        let (cold, pool) = try_solve_robust_seeded(&inst, &fm, kind, &opts, None).unwrap();
+        let same_objective = |sol: &RobustSolution| {
+            assert!(
+                (sol.objective - cold.objective).abs() <= 1e-9,
+                "{} vs cold {}",
+                sol.objective,
+                cold.objective
+            );
+            assert_eq!(sol.seeded_cuts, pool.len());
+        };
+
+        // No basis: the whole seeded master from the crash basis.
+        let bare = CutPool {
+            basis: None,
+            ..pool.clone()
+        };
+        let (sol, _) = try_solve_robust_seeded(&inst, &fm, kind, &opts, Some(&bare)).unwrap();
+        same_objective(&sol);
+        let lp = sol.lp_stats;
+        assert_eq!((lp.cold_solves, lp.warm_fallbacks), (1, 0), "{lp:?}");
+        assert_eq!(sol.warm_rounds, sol.rounds - 1);
+
+        // The basis of a master with other columns: the LP refuses it,
+        // counts the fallback, and solves the same seeded master cold.
+        let (other, _) = sprint_master(2, &opts);
+        let (_, other_pool) = try_solve_robust_seeded(&other, &fm, kind, &opts, None).unwrap();
+        let crossed = CutPool {
+            basis: other_pool.basis,
+            ..pool.clone()
+        };
+        assert!(crossed.basis.is_some() && crossed.matches(&inst));
+        let (sol, _) = try_solve_robust_seeded(&inst, &fm, kind, &opts, Some(&crossed)).unwrap();
+        same_objective(&sol);
+        let lp = sol.lp_stats;
+        assert_eq!((lp.cold_solves, lp.warm_fallbacks), (1, 1), "{lp:?}");
     }
 }

@@ -31,18 +31,27 @@
 //! reference structural variables only, which is what makes appending a row
 //! a pure basis *extension*. Adding a variable after a solve invalidates the
 //! retained basis and the next solve runs cold.
+//!
+//! The retained basis also outlives the solver that found it:
+//! [`IncrementalLp::basis`] exports it and [`IncrementalLp::offer_basis`]
+//! starts a rebuilt model (same columns, same row order, possibly more rows
+//! and other numbers) from it — one factorization, dual pivots only if the
+//! new numbers push a basic value out of bounds, primal pivots only if they
+//! spoil a reduced cost. An offered basis is a start, never an answer: one
+//! the model cannot use falls back to the crash basis like any abandoned
+//! warm attempt.
 
 use crate::model::{LpProblem, RowId, Solution, SolveError, Status, VarId};
-use crate::simplex::{self, PivotCounts, SolverState, VarState, Work};
+use crate::simplex::{self, Basis, PivotCounts, SolverState, VarState, Work};
 
 /// Counters describing how an [`IncrementalLp`] has been solved so far,
 /// cumulative over every solve including abandoned warm attempts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
-    /// Solves answered from the retained basis.
+    /// Solves answered from the retained basis or from an offered one.
     pub warm_solves: usize,
-    /// Solves that ran from the crash basis (including the mandatory first
-    /// solve).
+    /// Solves that ran from the crash basis (the first solve, unless a
+    /// basis was offered to it).
     pub cold_solves: usize,
     /// Warm attempts abandoned and re-run cold (these also increment
     /// `cold_solves`).
@@ -52,7 +61,7 @@ pub struct IncrementalStats {
     pub phase1_iterations: usize,
     /// Primal pivots on the true objective.
     pub primal_iterations: usize,
-    /// Dual pivots absorbing appended rows.
+    /// Dual pivots absorbing appended rows, or repairing an offered basis.
     pub dual_iterations: usize,
     /// Basis refactorizations.
     pub refactors: usize,
@@ -103,18 +112,22 @@ pub struct IncrementalLp {
     state: Option<SolverState>,
     /// How many of `problem`'s rows the retained state has absorbed.
     solved_rows: usize,
+    /// A basis the next solve starts from in place of the crash basis.
+    offered: Option<Basis>,
     cached: Option<Solution>,
     stats: IncrementalStats,
 }
 
 impl IncrementalLp {
     /// Wraps a fully-built problem. The first [`solve`](Self::solve) runs
-    /// cold from the crash basis; later solves warm-start.
+    /// cold from the crash basis unless a basis is
+    /// [offered](Self::offer_basis); later solves warm-start.
     pub fn new(problem: LpProblem) -> Self {
         IncrementalLp {
             problem,
             state: None,
             solved_rows: 0,
+            offered: None,
             cached: None,
             stats: IncrementalStats::default(),
         }
@@ -131,13 +144,34 @@ impl IncrementalLp {
         self.stats
     }
 
-    /// Adds a variable. Invalidates the retained basis: the next solve runs
-    /// cold. Intended for model construction before the first solve.
+    /// Adds a variable. Invalidates the retained basis and any offered one:
+    /// the next solve runs cold. Intended for model construction before the
+    /// first solve.
     pub fn add_var(&mut self, lower: f64, upper: f64, obj: f64) -> VarId {
         self.state = None;
         self.solved_rows = 0;
+        self.offered = None;
         self.cached = None;
         self.problem.add_var(lower, upper, obj)
+    }
+
+    /// The optimal basis the last solve ended on, rows in model order;
+    /// `None` before the first solve, after one that did not end optimal,
+    /// or while an artificial is still basic.
+    pub fn basis(&self) -> Option<Basis> {
+        self.state.as_ref().and_then(SolverState::basis)
+    }
+
+    /// Starts the next solve from `basis` instead of the crash basis (or
+    /// the retained one, which is dropped). Rows the model has beyond the
+    /// basis' length get their slack basic. A basis the model cannot use
+    /// counts in [`IncrementalStats::warm_fallbacks`] and the solve runs
+    /// cold.
+    pub fn offer_basis(&mut self, basis: Basis) {
+        self.state = None;
+        self.solved_rows = 0;
+        self.cached = None;
+        self.offered = Some(basis);
     }
 
     /// Appends a range constraint; the next solve warm-starts from the
@@ -175,30 +209,41 @@ impl IncrementalLp {
             }
         }
 
-        if self.problem.num_rows() > self.solved_rows {
-            // The warm path consumes the state; it is reinstalled only if
-            // the attempt ends in a trustworthy terminal status.
-            if let Some(st) = self.state.take() {
-                match self.warm_solve(st) {
-                    Some((sol, st)) => {
-                        self.stats.warm_solves += 1;
-                        self.state = Some(st);
-                        self.solved_rows = self.problem.num_rows();
-                        self.cached = Some(sol.clone());
-                        return Ok(sol);
-                    }
-                    None => self.stats.warm_fallbacks += 1,
-                }
+        // One warm attempt: extend the retained basis over the appended rows
+        // (the state is consumed, and reinstalled only by a trustworthy
+        // terminal status), or start from an offered basis — offering drops
+        // the retained state, so at most one of the two applies.
+        let attempt = if self.problem.num_rows() > self.solved_rows && self.state.is_some() {
+            self.state.take().map(|st| self.warm_solve(st))
+        } else {
+            self.offered.take().map(|start| {
+                let (warm, counts) =
+                    simplex::solve_from_basis(&self.problem, self.problem.options(), &start);
+                self.stats.add(counts);
+                warm
+            })
+        };
+        match attempt {
+            Some(Some((sol, st))) => {
+                self.stats.warm_solves += 1;
+                return Ok(self.retain(sol, Some(st)));
             }
+            Some(None) => self.stats.warm_fallbacks += 1,
+            None => {}
         }
 
         let (sol, st, counts) = simplex::solve_with_state(&self.problem, self.problem.options());
         self.stats.cold_solves += 1;
         self.stats.add(counts);
+        Ok(self.retain(sol, st))
+    }
+
+    /// Installs the outcome of a solve of the whole current model.
+    fn retain(&mut self, sol: Solution, st: Option<SolverState>) -> Solution {
         self.state = st;
         self.solved_rows = self.problem.num_rows();
         self.cached = Some(sol.clone());
-        Ok(sol)
+        sol
     }
 
     /// Attempts the warm-started solve; `None` means "fall back to cold".
@@ -410,6 +455,45 @@ mod tests {
         assert_close(s.objective, 3.0);
         assert_eq!(inc.stats().cold_solves, 2);
         assert_eq!(inc.stats().warm_solves, 0);
+    }
+
+    #[test]
+    fn offered_basis_is_counted_warm_and_dropped_by_add_var() {
+        let model = || {
+            let mut lp = LpProblem::new(Sense::Maximize);
+            let x = lp.add_var(0.0, 3.0, 2.0);
+            let y = lp.add_var(0.0, 3.0, 1.0);
+            lp.add_le(vec![(x, 1.0), (y, 1.0)], 4.0);
+            lp
+        };
+        let mut first = IncrementalLp::new(model());
+        assert!(first.basis().is_none());
+        let s0 = first.solve().unwrap();
+        let basis = first.basis().expect("an optimal solve keeps its basis");
+
+        // The same model from its own optimal basis: one factorization, no
+        // pivot, and the solve counts as warm.
+        let mut again = IncrementalLp::new(model());
+        again.offer_basis(basis.clone());
+        let s1 = again.solve().unwrap();
+        assert_close(s1.objective, s0.objective);
+        let stats = again.stats();
+        assert_eq!((stats.warm_solves, stats.cold_solves), (1, 0));
+        assert_eq!((stats.refactors, s1.iterations), (1, 0));
+        assert_eq!(again.basis(), Some(basis.clone()));
+
+        // A new column makes the offer stale: it is dropped, not tried.
+        let mut grown = IncrementalLp::new(model());
+        grown.offer_basis(basis);
+        let z = grown.add_var(0.0, 1.0, 1.0);
+        grown.add_le(vec![(z, 1.0)], 1.0);
+        let s2 = grown.solve().unwrap();
+        assert_close(s2.objective, 8.0);
+        let stats = grown.stats();
+        assert_eq!(
+            (stats.warm_solves, stats.cold_solves, stats.warm_fallbacks),
+            (0, 1, 0)
+        );
     }
 
     #[test]

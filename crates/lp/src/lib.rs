@@ -10,7 +10,8 @@
 //!   basis engine;
 //! * [`incremental`] — an [`IncrementalLp`] wrapper that appends rows to a
 //!   solved problem and re-solves warm-starting from the previous basis,
-//!   the engine under PCF's cutting-plane loop;
+//!   the engine under PCF's cutting-plane loop; it also exports that basis
+//!   ([`Basis`]) and starts a rebuilt model from one;
 //! * [`slu`] — the sparse triangular-first LU behind both the simplex
 //!   basis and the M-matrix linear systems of PCF's online response
 //!   (Props. 5–7);
@@ -32,6 +33,6 @@ pub use float::{approx_eq, approx_zero, is_zero, nonzero};
 pub use incremental::{IncrementalLp, IncrementalStats};
 pub use linsys::{lu_factor, solve_dense, DenseMatrix, LinSysError, LuFactors};
 pub use model::{LpProblem, RowId, Sense, Solution, SolveError, Status, VarId};
-pub use simplex::SimplexOptions;
+pub use simplex::{Basis, BasisMark, SimplexOptions};
 pub use slu::{BasisEngine, SparseLu};
 pub use sparse::CscMatrix;

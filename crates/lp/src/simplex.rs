@@ -22,6 +22,13 @@
 //! row owns an artificial column (`n + m + i`) whether or not it is used,
 //! so column indices do not depend on the start point.
 //!
+//! A solve can instead start from a [`Basis`] exported by an earlier solve
+//! of a model with the same columns and row order ([`solve_from_basis`]):
+//! the basis is factored once, the dual loop repairs basic values the new
+//! numbers pushed out of bounds, and the primal loop — which needs only
+//! primal feasibility — proves optimality. A basis the model cannot use
+//! falls back to the start basis above.
+//!
 //! **Primal loop** ([`Tableau::optimize`]). Each basis change costs one
 //! ftran (the entering column) and one btran (the pivot row `rho_r = e_r'
 //! B^{-1}` of the outgoing basis). `rho_r` feeds both the devex weight
@@ -106,6 +113,42 @@ pub(crate) enum VarState {
     FreeZero,
 }
 
+/// Where one column rests in a [`Basis`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BasisMark {
+    /// In the basis.
+    Basic,
+    /// Nonbasic on its lower bound.
+    Lower,
+    /// Nonbasic on its upper bound.
+    Upper,
+    /// Nonbasic free column resting at zero.
+    Free,
+}
+
+/// A simplex basis detached from the solver that found it: one mark per
+/// structural column and one per row slack, in row order.
+///
+/// [`crate::IncrementalLp::basis`] exports the optimal basis of a solved
+/// model and [`crate::IncrementalLp::offer_basis`] starts a solve of a
+/// model with the same columns and row order from it. A basis is only a
+/// starting point: whatever it holds, the solve that consumes it ends at a
+/// proven optimum or falls back to the crash basis.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Basis {
+    cols: Vec<BasisMark>,
+    rows: Vec<BasisMark>,
+}
+
+impl Basis {
+    /// A basis from explicit marks: `cols[j]` for structural column `j`,
+    /// `rows[i]` for the slack of row `i`. Nothing is checked here; the
+    /// solve it is offered to checks it against its model.
+    pub fn from_marks(cols: Vec<BasisMark>, rows: Vec<BasisMark>) -> Basis {
+        Basis { cols, rows }
+    }
+}
+
 /// Devex candidate-list length after a full pricing scan.
 const DEVEX_CANDIDATES: usize = 64;
 /// Devex reference-weight ceiling; beyond it all weights reset to 1.
@@ -155,6 +198,12 @@ impl PivotCounts {
     /// iteration limit bounds.
     pub(crate) fn pivots(&self) -> usize {
         self.phase1 + self.primal + self.dual
+    }
+
+    /// Books one successful refactorization.
+    fn count_factors(&mut self, lu: &SparseLu) {
+        self.refactor_peeled += lu.n() - lu.bump();
+        self.refactor_bump += lu.bump();
     }
 }
 
@@ -236,8 +285,7 @@ impl Tableau {
         self.rep.clear_ops();
         match SparseLu::factor_basis(&self.a, &self.basis) {
             Ok(lu) => {
-                self.counts.refactor_peeled += lu.n() - lu.bump();
-                self.counts.refactor_bump += lu.bump();
+                self.counts.count_factors(&lu);
                 self.rep = BasisEngine::new(lu);
                 true
             }
@@ -789,6 +837,39 @@ pub(crate) struct SolverState {
     pub(crate) cscale: Vec<f64>,
 }
 
+impl SolverState {
+    /// The basis the state rests on, `None` while an artificial is basic.
+    ///
+    /// The columns after the structurals are the slacks of the rows the
+    /// state was built with, one artificial per such row, then the slacks
+    /// of the rows appended since.
+    pub(crate) fn basis(&self) -> Option<Basis> {
+        let (tab, n) = (&self.tab, self.n);
+        let built_rows = tab.ncols - tab.m - n;
+        let artificials = n + built_rows..n + 2 * built_rows;
+        if tab.basis.iter().any(|j| artificials.contains(j)) {
+            return None;
+        }
+        let mark = |j: usize| match tab.state[j] {
+            VarState::Basic(_) => BasisMark::Basic,
+            VarState::AtLower => BasisMark::Lower,
+            VarState::AtUpper => BasisMark::Upper,
+            VarState::FreeZero => BasisMark::Free,
+        };
+        let slack_of = |i: usize| {
+            if i < built_rows {
+                n + i
+            } else {
+                n + built_rows + i
+            }
+        };
+        Some(Basis {
+            cols: (0..n).map(mark).collect(),
+            rows: (0..tab.m).map(|i| mark(slack_of(i))).collect(),
+        })
+    }
+}
+
 /// Reads the structural solution out of a terminal tableau and applies the
 /// same status demotion as the cold path: an "optimal" basis that violates
 /// bounds by more than 1e-5 is reported as [`Status::IterationLimit`].
@@ -873,15 +954,21 @@ pub(crate) fn solve(problem: &LpProblem, opts: &SimplexOptions) -> Solution {
     }
 }
 
-/// Like [`solve`], but additionally returns the pivot counters and, when
-/// the solve ran to optimality, the terminal solver workspace, for use by
-/// [`crate::incremental`]. Never presolves: the retained basis must map 1:1
-/// onto the model's rows and columns so appended cutting planes can
-/// reference them.
-pub(crate) fn solve_with_state(
-    problem: &LpProblem,
-    opts: &SimplexOptions,
-) -> (Solution, Option<SolverState>, PivotCounts) {
+/// `problem` standardized, before a start basis is chosen.
+struct StandardForm {
+    /// Columns `0..n` structural and `n..n+m` slack; whoever picks the
+    /// start basis appends the artificials `n+m..n+2m`.
+    a: CscMatrix,
+    /// Bounds and phase-2 costs of all `n + 2m` columns, the artificials
+    /// fixed at zero.
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    cost: Vec<f64>,
+    rscale: Vec<f64>,
+    cscale: Vec<f64>,
+}
+
+fn standard_form(problem: &LpProblem, opts: &SimplexOptions) -> StandardForm {
     let m = problem.rows.len();
     let n = problem.num_vars();
 
@@ -902,7 +989,7 @@ pub(crate) fn solve_with_state(
         }
         cols[nslack - m + i].push((i, -1.0));
     }
-    let mut a = CscMatrix::from_cols(m, &cols);
+    let a = CscMatrix::from_cols(m, &cols);
     drop(cols);
 
     let mut lower = vec![0.0; ncols];
@@ -922,6 +1009,37 @@ pub(crate) fn solve_with_state(
         lower[n + i] = problem.rows[i].lower * rscale[i];
         upper[n + i] = problem.rows[i].upper * rscale[i];
     }
+    StandardForm {
+        a,
+        lower,
+        upper,
+        cost,
+        rscale,
+        cscale,
+    }
+}
+
+/// Like [`solve`], but additionally returns the pivot counters and, when
+/// the solve ran to optimality, the terminal solver workspace, for use by
+/// [`crate::incremental`]. Never presolves: the retained basis must map 1:1
+/// onto the model's rows and columns so appended cutting planes can
+/// reference them.
+pub(crate) fn solve_with_state(
+    problem: &LpProblem,
+    opts: &SimplexOptions,
+) -> (Solution, Option<SolverState>, PivotCounts) {
+    let m = problem.rows.len();
+    let n = problem.num_vars();
+    let nslack = n + m;
+    let ncols = n + 2 * m;
+    let StandardForm {
+        mut a,
+        lower,
+        mut upper,
+        cost,
+        rscale,
+        cscale,
+    } = standard_form(problem, opts);
 
     // Structurals start nonbasic on a finite bound (zero if free); the row
     // activities at that point decide each row's basic column below.
@@ -1061,6 +1179,115 @@ pub(crate) fn solve_with_state(
         None
     };
     (sol, state, counts)
+}
+
+/// Solves `problem` starting from `start` instead of the crash basis: one
+/// factorization of the offered basis, the dual loop if some basic value
+/// is out of bounds, then the primal loop, which needs only primal
+/// feasibility and so proves optimality whether or not `start` was dual
+/// feasible. Rows beyond the basis' length get their slack basic. The
+/// tableau has a cold solve's column layout (artificials present, fixed at
+/// zero, never basic), so the returned state extends and exports alike.
+///
+/// `None` — a basis that does not fit the model (length, a mark its
+/// column's bounds do not allow, a basic count other than the row count),
+/// a singular factor, a dual loop that could not finish, or an end other
+/// than a clean optimum — leaves the verdict to [`solve_with_state`]; the
+/// counters of the abandoned attempt are returned either way.
+pub(crate) fn solve_from_basis(
+    problem: &LpProblem,
+    opts: &SimplexOptions,
+    start: &Basis,
+) -> (Option<(Solution, SolverState)>, PivotCounts) {
+    let m = problem.rows.len();
+    let n = problem.num_vars();
+    let mut counts = PivotCounts::default();
+    if start.cols.len() != n || start.rows.len() > m {
+        return (None, counts);
+    }
+    let StandardForm {
+        mut a,
+        lower,
+        upper,
+        cost,
+        rscale,
+        cscale,
+    } = standard_form(problem, opts);
+    for i in 0..m {
+        a.push_col([(i, 1.0)]);
+    }
+    let ncols = n + 2 * m;
+
+    // A basic slack sits in its own row's position; basic structurals take
+    // the positions of the rows whose slack is nonbasic, in column order.
+    let mut state = vec![VarState::AtLower; ncols];
+    let mut basic_structurals = Vec::new();
+    let marks = start.cols.iter().chain(&start.rows).copied();
+    for (j, mark) in marks
+        .chain(std::iter::repeat(BasisMark::Basic))
+        .take(n + m)
+        .enumerate()
+    {
+        state[j] = match mark {
+            BasisMark::Basic if j < n => {
+                basic_structurals.push(j);
+                continue;
+            }
+            BasisMark::Basic => VarState::Basic(j - n),
+            BasisMark::Lower if lower[j].is_finite() => VarState::AtLower,
+            BasisMark::Upper if upper[j].is_finite() => VarState::AtUpper,
+            BasisMark::Free if lower[j].is_infinite() && upper[j].is_infinite() => {
+                VarState::FreeZero
+            }
+            _ => return (None, counts),
+        };
+    }
+    let open_rows: Vec<usize> = (0..m)
+        .filter(|&i| !matches!(state[n + i], VarState::Basic(_)))
+        .collect();
+    if basic_structurals.len() != open_rows.len() {
+        return (None, counts);
+    }
+    let mut basis: Vec<usize> = (n..n + m).collect();
+    for (&j, &r) in basic_structurals.iter().zip(&open_rows) {
+        basis[r] = j;
+        state[j] = VarState::Basic(r);
+    }
+
+    counts.refactors = 1;
+    let Ok(lu) = SparseLu::factor_basis(&a, &basis) else {
+        return (None, counts);
+    };
+    counts.count_factors(&lu);
+    let mut tab = Tableau {
+        m,
+        ncols,
+        a,
+        lower,
+        upper,
+        cost,
+        state,
+        basis,
+        rep: BasisEngine::new(lu),
+        xb: vec![0.0; m],
+        rscale,
+        opts: opts.clone(),
+        counts,
+    };
+    tab.recompute_basics(&mut Work::new(m));
+
+    let max_iter = opts.max_iterations.unwrap_or(20_000 + 100 * (m + n));
+    let p2cost = tab.cost.clone();
+    let optimal =
+        tab.optimize_dual(&p2cost, max_iter) && tab.optimize(&p2cost, max_iter) == Status::Optimal;
+    let counts = tab.counts;
+    if !optimal {
+        return (None, counts);
+    }
+    let sol = extract(&tab, problem, n, &cscale, Status::Optimal);
+    // `extract` demotes an optimum that violates bounds; retry that cold.
+    let solved = (sol.status == Status::Optimal).then_some((sol, SolverState { tab, n, cscale }));
+    (solved, counts)
 }
 
 /// The solution shell of a solve that ended without a usable point.

@@ -10,112 +10,27 @@
 //! slackness, all read from [`Solution::duals`]. Infeasible and unbounded
 //! instances are planted and must be recognized with and without presolve.
 
-use pcf_lp::{LpProblem, Sense, SimplexOptions, Solution, Status, VarId};
+mod common;
+
+use common::{dot, kkt_check, RandLp};
+use pcf_lp::{Sense, Solution, Status};
 use pcf_rng::{forall, no_shrink, Config, Pcg32};
 
-/// A dense description of an LP, kept beside the built model so the checker
-/// reads the data, not the solver's copy of it.
-#[derive(Debug, Clone)]
-struct RandLp {
-    sense: Sense,
-    obj: Vec<f64>,
-    bounds: Vec<(f64, f64)>,
-    rows: Vec<(Vec<f64>, f64, f64)>,
-}
-
-impl RandLp {
-    fn build(&self, presolve: bool) -> LpProblem {
-        let mut lp = LpProblem::new(self.sense);
-        lp.set_options(SimplexOptions {
-            presolve,
-            ..SimplexOptions::default()
-        });
-        let vars: Vec<VarId> = self
-            .bounds
-            .iter()
-            .zip(&self.obj)
-            .map(|(&(l, u), &c)| lp.add_var(l, u, c))
-            .collect();
-        for (c, l, u) in &self.rows {
-            lp.add_row(vars.iter().zip(c).map(|(&v, &a)| (v, a)), *l, *u);
-        }
-        lp
-    }
-
-    /// The point the crash basis is built at: every variable on a finite
-    /// bound, lower first, zero if free.
-    fn start_point(&self) -> Vec<f64> {
-        self.bounds
-            .iter()
-            .map(|&(l, u)| {
-                if l.is_finite() {
-                    l
-                } else if u.is_finite() {
-                    u
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Checks that `sol` is a KKT point of `lp`: a primal-feasible `x` and row
-/// duals `y` such that every reduced cost `r_j = c_j - sum_i y_i a_ij` and
-/// every `y_i` has the sign its bound status allows and vanishes when the
-/// variable or row is strictly between its bounds. `duals` are
-/// d(objective)/d(rhs) in the problem's own sense, so the signs flip for a
-/// maximization.
-fn kkt_check(lp: &RandLp, sol: &Solution) -> Result<(), String> {
-    const TOL: f64 = 1e-6;
-    let s = match lp.sense {
-        Sense::Minimize => 1.0,
-        Sense::Maximize => -1.0,
-    };
-    // What a multiplier may be, given where its quantity sits in [lo, hi].
-    let sign_ok = |what: String, v: f64, lo: f64, hi: f64, mult: f64| {
-        let scale = 1.0 + v.abs();
-        if v < lo - TOL * scale || v > hi + TOL * scale {
-            return Err(format!("{what} = {v} outside [{lo}, {hi}]"));
-        }
-        let at_lo = v <= lo + TOL * scale;
-        let at_hi = v >= hi - TOL * scale;
-        let m = s * mult;
-        let ok = match (at_lo, at_hi) {
-            (true, true) => true,
-            (true, false) => m >= -TOL,
-            (false, true) => m <= TOL,
-            (false, false) => m.abs() <= TOL,
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(format!(
-                "{what} = {v} in [{lo}, {hi}] carries multiplier {mult} of the wrong sign"
-            ))
-        }
-    };
-    for (j, &(l, u)) in lp.bounds.iter().enumerate() {
-        let priced: f64 = lp
-            .rows
-            .iter()
-            .zip(&sol.duals)
-            .map(|((c, ..), y)| y * c[j])
-            .sum();
-        sign_ok(format!("x{j}"), sol.x[j], l, u, lp.obj[j] - priced)?;
-    }
-    for (i, (c, l, u)) in lp.rows.iter().enumerate() {
-        sign_ok(format!("row{i}"), dot(c, &sol.x), *l, *u, sol.duals[i])?;
-    }
-    let obj = dot(&lp.obj, &sol.x);
-    if (obj - sol.objective).abs() > TOL * (1.0 + obj.abs()) {
-        return Err(format!("objective {} but c'x = {obj}", sol.objective));
-    }
-    Ok(())
+/// The point the crash basis is built at: every variable on a finite
+/// bound, lower first, zero if free.
+fn start_point(lp: &RandLp) -> Vec<f64> {
+    lp.bounds
+        .iter()
+        .map(|&(l, u)| {
+            if l.is_finite() {
+                l
+            } else if u.is_finite() {
+                u
+            } else {
+                0.0
+            }
+        })
+        .collect()
 }
 
 /// What the generator planted.
@@ -150,7 +65,7 @@ fn gen_lp(rng: &mut Pcg32) -> (RandLp, Planted) {
         bounds,
         rows: Vec::new(),
     };
-    let x0 = lp.start_point();
+    let x0 = start_point(&lp);
     for _ in 0..rng.range_usize_inclusive(2, 6) {
         let c: Vec<f64> = (0..n)
             .map(|_| {

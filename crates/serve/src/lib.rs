@@ -214,6 +214,38 @@ mod tests {
     }
 
     #[test]
+    fn first_update_resolves_warm_from_the_bind_epoch() {
+        // `bind` keeps generation 1's cut pool, so the very first re-solve
+        // is seeded (it used to start from nothing: 0 warm / 1 cold) and
+        // still publishes the plan a cold solve of the same inputs finds.
+        let server = boot();
+        let addr = server.local_addr().unwrap().to_string();
+        thread::scope(|s| {
+            s.spawn(|| server.run());
+            let mut client = ServeClient::connect(&addr).unwrap();
+            let resps = client
+                .request_batch(&[
+                    r#"{"cmd":"update","scale":0.9}"#,
+                    r#"{"cmd":"wait","gen":2,"timeout_ms":60000}"#,
+                    r#"{"cmd":"plan"}"#,
+                    r#"{"cmd":"stats"}"#,
+                    r#"{"cmd":"shutdown"}"#,
+                ])
+                .unwrap();
+            let det = resps[3].get("deterministic").unwrap();
+            assert_eq!(det.get("warm_epochs").and_then(Json::as_u64), Some(1));
+            assert_eq!(det.get("cold_epochs").and_then(Json::as_u64), Some(0));
+            let swapped = resps[2].get("objective").and_then(Json::as_f64).unwrap();
+            let cold = abilene_spec().solve_epoch(2, 0.9, 1, 0).unwrap();
+            assert!(
+                (swapped - cold.objective).abs() <= 1e-9,
+                "warm {swapped} vs cold {}",
+                cold.objective
+            );
+        });
+    }
+
+    #[test]
     fn admission_answers_by_node_name() {
         let server = boot();
         let addr = server.local_addr().unwrap().to_string();

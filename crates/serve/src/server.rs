@@ -32,7 +32,7 @@ use pcf_replay::{EventKind, LinkEvent, ReplayEngine};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -92,6 +92,9 @@ pub struct Server {
     spec: PlanSpec,
     opts: ServeOptions,
     cell: PlanCell,
+    /// Generation 1's cut pool, held until the solver thread takes it so
+    /// the first `update`/`rebase` re-solves warm like every later one.
+    first_pool: Mutex<Option<pcf_core::CutPool>>,
     log: EventLog,
     telemetry: Telemetry,
     shutdown: AtomicBool,
@@ -106,13 +109,15 @@ impl Server {
     /// generation 1. Returns before accepting — call [`Server::run`].
     pub fn bind(spec: PlanSpec, opts: ServeOptions, addr: &str) -> Result<Server, ServeError> {
         let listener = TcpListener::bind(addr)?;
-        let epoch = spec.solve_epoch(1, 1.0, spec.seed, opts.cache_capacity)?;
+        let (epoch, pool) =
+            spec.solve_epoch_seeded(1, 1.0, spec.seed, opts.cache_capacity, None)?;
         let log = EventLog::new(opts.event_log_capacity);
         Ok(Server {
             listener,
             spec,
             opts,
             cell: PlanCell::new(Arc::new(epoch)),
+            first_pool: Mutex::new(pool),
             log,
             telemetry: Telemetry::default(),
             shutdown: AtomicBool::new(false),
@@ -194,8 +199,12 @@ impl Server {
 
     fn solver_loop(&self, rx: mpsc::Receiver<UpdateCmd>) {
         // The previous epoch's cut pool, carried across re-solves so each
-        // epoch's master starts from the scenarios that bound the last one.
-        let mut pool: Option<pcf_core::CutPool> = None;
+        // epoch's master starts from the optimum of the last one.
+        let mut pool = self
+            .first_pool
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .take();
         // The solver's view of the topology: `rebase` commands mutate it
         // permanently, and every later re-solve (rebase or not) builds
         // against the accumulated capacities.

@@ -175,22 +175,23 @@ fn geant_solve_repeats_exactly_within_one_process() {
     assert_eq!(geant_fingerprint(), geant_fingerprint());
 }
 
-/// Cold and pool-seeded PCF-LS f=1 solves of `name`: no master solve runs a
-/// phase 1 or falls back cold, appended cuts are absorbed by dual pivots,
-/// the seeded solve needs no more rounds and lands on the same objective,
-/// and both plans survive every single-link failure.
+/// Cold and pool-seeded PCF-LS f=1 solves of `name`. Cold: no master solve
+/// runs a phase 1 or falls back, and appended cuts are absorbed by dual
+/// pivots. Seeded with the cold solve's own pool: the master is rebuilt
+/// whole and restarts on the basis the pool carries, which is still optimal
+/// — one factorization, no pivot of any kind, one certifying round, no new
+/// cut. Both land on the same objective and survive every single-link
+/// failure.
 fn check_master_lp_counters(name: &str) {
     let inst = zoo_ls_instance(name);
     let fm = FailureModel::links(1);
     let opts = single_threaded();
     let (cold, pool) = solve_pcf_ls_seeded(&inst, &fm, &opts, None).unwrap();
-    let (seeded, _) = solve_pcf_ls_seeded(&inst, &fm, &opts, Some(&pool)).unwrap();
+    let (seeded, repool) = solve_pcf_ls_seeded(&inst, &fm, &opts, Some(&pool)).unwrap();
     for (label, sol) in [("cold", &cold), ("seeded", &seeded)] {
         let lp = sol.lp_stats;
         assert_eq!(lp.phase1_iterations, 0, "{name} {label}: {lp:?}");
         assert_eq!(lp.warm_fallbacks, 0, "{name} {label}: {lp:?}");
-        assert_eq!(lp.cold_solves, 1, "{name} {label}: {lp:?}");
-        assert!(lp.dual_iterations > 0, "{name} {label}: {lp:?}");
         // Slack columns alone hand the singleton peel part of every
         // refactored basis; the rest is the Markowitz bump.
         assert!(
@@ -199,11 +200,27 @@ fn check_master_lp_counters(name: &str) {
         );
         check(&inst, sol, &fm, &format!("{name} {label}"));
     }
+    let lp = cold.lp_stats;
+    assert_eq!(lp.cold_solves, 1, "{name} cold: {lp:?}");
+    assert!(lp.dual_iterations > 0, "{name} cold: {lp:?}");
     assert_eq!(cold.seeded_cuts, 0);
+
+    let lp = seeded.lp_stats;
+    assert_eq!(
+        (lp.cold_solves, lp.warm_solves, lp.refactors),
+        (0, 1, 1),
+        "{name} seeded: {lp:?}"
+    );
+    assert_eq!(
+        (lp.primal_iterations, lp.dual_iterations),
+        (0, 0),
+        "{name} seeded: {lp:?}"
+    );
     assert_eq!(seeded.seeded_cuts, pool.len());
-    // The pool enters as appended rows, so round 1 of a seeded solve is warm.
+    assert_eq!(seeded.rounds, 1);
+    // No round of a seeded solve starts from the crash basis.
     assert_eq!(seeded.warm_rounds, seeded.rounds);
-    assert!(seeded.rounds <= cold.rounds);
+    assert!(repool.len() <= pool.len());
     assert!(
         (seeded.objective - cold.objective).abs() <= 1e-9,
         "{name}: seeded {} vs cold {}",
