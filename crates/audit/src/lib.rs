@@ -19,21 +19,18 @@
 //!   reasoned `audit:allow`; a missing edge would hide a panic);
 //! * [`lints`] — the lint catalog: per-file token lints plus the
 //!   interprocedural `panic-reachability`, `atomics-discipline`,
-//!   `hot-path-alloc`, and `lock-discipline` passes;
-//! * [`baseline`] — the checked-in `audit.baseline` ratchet: existing
-//!   debt is tolerated, new violations fail, fixes shrink the file.
+//!   `hot-path-alloc`, and `lock-discipline` passes.
 //!
-//! Run it as `cargo run -p pcf-audit` (CI does), as `pcf audit` from the
-//! CLI, `pcf-audit --json` for the machine-readable report, or
-//! `pcf-audit --write-baseline` after paying debt down.
+//! Any finding fails the audit: debt is either fixed or waived at the site
+//! with a reasoned `// audit:allow`. Run it as `cargo run -p pcf-audit`
+//! (CI does), as `pcf audit` from the CLI, or `pcf-audit --json` for the
+//! machine-readable report.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod lints;
 pub mod parse;
 pub mod scanner;
 
-pub use baseline::{compare, parse_baseline, render_baseline, Baseline, Comparison};
 pub use callgraph::{AnalyzedFile, CallGraph};
 pub use lints::{check_file, check_workspace, Finding, Lint, ALL_LINTS, HOT_ENTRIES};
 pub use parse::{parse_file, ParsedFile};
@@ -51,7 +48,7 @@ pub struct SourceFile {
 }
 
 /// Collects every `.rs` file under `<root>/crates`, sorted by path so
-/// findings and baselines are stable across platforms.
+/// findings are stable across platforms.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let mut paths: Vec<PathBuf> = Vec::new();
     walk(&root.join("crates"), &mut paths)?;
@@ -110,8 +107,8 @@ pub fn analyze_files(files: &[SourceFile]) -> Vec<AnalyzedFile> {
 
 /// Audits a set of already-loaded files (injectable for tests): the
 /// per-file token lints plus the interprocedural workspace passes, with
-/// findings sorted by (path, line, lint, message) so reports and
-/// baselines are stable across directory-walk order.
+/// findings sorted by (path, line, lint, message) so reports are stable
+/// across directory-walk order.
 pub fn audit_files(files: &[SourceFile]) -> Vec<Finding> {
     let analyzed = analyze_files(files);
     let mut findings = Vec::new();
@@ -190,26 +187,12 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// What [`run`] should do with the baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BaselineMode {
-    /// Compare findings against `audit.baseline` (the CI gate).
-    Check,
-    /// Rewrite `audit.baseline` from the current findings (ratchet).
-    Write,
-}
-
-/// Runs the full audit over the workspace at `root`. Returns the process
-/// exit code (0 = clean or ratchetable, 1 = regressions, 2 = setup
-/// error) and prints a human-readable report to stdout/stderr.
-pub fn run(root: &Path, mode: BaselineMode) -> i32 {
-    run_with(root, mode, false)
-}
-
-/// [`run`] with output control: `json = true` writes the machine-readable
-/// findings report to stdout (the human summary moves to stderr), so
+/// Runs the full audit over the workspace at `root` and prints every
+/// finding. Returns the process exit code: 0 = no findings, 1 = findings,
+/// 2 = setup error. With `json` the machine-readable findings report goes
+/// to stdout and the human summary to stderr, so
 /// `pcf-audit --json > audit_report.json` produces a clean artifact.
-pub fn run_with(root: &Path, mode: BaselineMode, json: bool) -> i32 {
+pub fn run(root: &Path, json: bool) -> i32 {
     let files = match scan_workspace(root) {
         Ok(f) => f,
         Err(e) => {
@@ -218,91 +201,26 @@ pub fn run_with(root: &Path, mode: BaselineMode, json: bool) -> i32 {
         }
     };
     let findings = audit_files(&files);
+    let summary = format!(
+        "pcf-audit: {} findings over {} files",
+        findings.len(),
+        files.len()
+    );
     if json {
         print!("{}", findings_json(&findings));
+        eprintln!("{summary}");
+    } else {
+        println!("{summary}");
     }
-    let baseline_path = root.join("audit.baseline");
-    if mode == BaselineMode::Write {
-        let text = render_baseline(&findings);
-        if let Err(e) = std::fs::write(&baseline_path, &text) {
-            eprintln!("pcf-audit: cannot write {}: {e}", baseline_path.display());
-            return 2;
-        }
-        println!(
-            "pcf-audit: wrote {} ({} tolerated findings across {} files)",
-            baseline_path.display(),
-            findings.iter().filter(|f| f.lint != Lint::BadAllow).count(),
-            files.len()
-        );
-        // Bad allows still fail a --write-baseline run: they cannot be
-        // recorded as debt.
-        let bad: Vec<&Finding> = findings
-            .iter()
-            .filter(|f| f.lint == Lint::BadAllow)
-            .collect();
-        if !bad.is_empty() {
-            for f in bad {
-                eprintln!("  {f}");
-            }
-            return 1;
-        }
+    if findings.is_empty() {
         return 0;
     }
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match parse_baseline(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("pcf-audit: {e}");
-                return 2;
-            }
-        },
-        Err(_) => Baseline::new(),
-    };
-    let cmp = compare(&findings, &baseline);
-    report(&cmp, files.len(), json);
-    if cmp.pass() {
-        0
-    } else {
-        1
-    }
-}
-
-/// Prints the comparison outcome. With `to_stderr` the summary lines
-/// move off stdout so a `--json` redirect stays a pure JSON document.
-fn report(cmp: &Comparison, files: usize, to_stderr: bool) {
-    macro_rules! say {
-        ($($arg:tt)*) => {
-            if to_stderr {
-                eprintln!($($arg)*);
-            } else {
-                println!($($arg)*);
-            }
-        };
-    }
-    say!(
-        "pcf-audit: {} findings over {} files ({} tolerated by audit.baseline)",
-        cmp.total_findings,
-        files,
-        cmp.total_tolerated
-    );
-    for (lint, file, found, tolerated) in &cmp.improvements {
-        say!("  improved: {lint} in {file}: {found} < baseline {tolerated} (run `pcf-audit --write-baseline` to ratchet)");
-    }
-    if cmp.pass() {
-        say!("pcf-audit: PASS (no findings beyond the baseline)");
-        return;
-    }
-    for r in &cmp.regressions {
-        eprintln!(
-            "pcf-audit: FAIL [{}] {}: {} findings > {} tolerated:",
-            r.lint, r.file, r.found, r.tolerated
-        );
-        for f in &r.findings {
-            eprintln!("    {f}");
-        }
+    for f in &findings {
+        eprintln!("  {f}");
     }
     eprintln!(
-        "pcf-audit: fix the new findings, or annotate a justified site with \
+        "pcf-audit: FAIL: fix the findings, or annotate a justified site with \
          `// audit:allow(<lint>, <reason>)`"
     );
+    1
 }

@@ -87,7 +87,7 @@ pub enum Lint {
     /// deadlock-free (a single, never-nested lock).
     LockDiscipline,
     /// A malformed `audit:allow` directive (missing reason, bad syntax).
-    /// Never baselinable: a broken escape must not waive anything.
+    /// A broken escape waives nothing, and cannot itself be waived.
     BadAllow,
 }
 
@@ -106,8 +106,7 @@ pub const ALL_LINTS: &[Lint] = &[
 ];
 
 impl Lint {
-    /// The lint's stable name: used in `audit:allow(...)`, the baseline
-    /// file, and reports.
+    /// The lint's stable name: used in `audit:allow(...)` and reports.
     pub fn name(self) -> &'static str {
         match self {
             Lint::NoPanicPaths => "no-panic-paths",
@@ -155,7 +154,7 @@ impl Lint {
                 "audit:hot functions must not transitively reach allocating calls"
             }
             Lint::LockDiscipline => "no .lock() while another guard is live in the same function",
-            Lint::BadAllow => "malformed audit:allow directives (never baselinable)",
+            Lint::BadAllow => "malformed audit:allow directives (a broken escape waives nothing)",
         }
     }
 

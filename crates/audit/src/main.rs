@@ -1,25 +1,22 @@
 //! `pcf-audit` binary: the CI lint gate.
 //!
 //! ```text
-//! pcf-audit                     # audit the workspace against audit.baseline
-//! pcf-audit --write-baseline    # rewrite audit.baseline from current findings
-//! pcf-audit --json              # JSON findings report on stdout (summary on stderr)
-//! pcf-audit --list              # print the lint catalog
-//! pcf-audit --root <path>       # audit a different workspace root
+//! pcf-audit                 # audit the workspace; exit 1 on any finding
+//! pcf-audit --json          # JSON findings report on stdout (summary on stderr)
+//! pcf-audit --list          # print the lint catalog
+//! pcf-audit --root <path>   # audit a different workspace root
 //! ```
 
-use pcf_audit::{find_root, run_with, BaselineMode, ALL_LINTS};
+use pcf_audit::{find_root, run, ALL_LINTS};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut mode = BaselineMode::Check;
     let mut json = false;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--write-baseline" => mode = BaselineMode::Write,
             "--json" => json = true,
             "--list" => {
                 for lint in ALL_LINTS {
@@ -36,7 +33,7 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 eprintln!(
-                    "pcf-audit [--write-baseline] [--json] [--list] [--root <path>]\n\
+                    "pcf-audit [--json] [--list] [--root <path>]\n\
                      Static analysis over the PCF workspace; see DESIGN.md §9."
                 );
                 return ExitCode::SUCCESS;
@@ -54,5 +51,5 @@ fn main() -> ExitCode {
         eprintln!("pcf-audit: cannot locate the workspace root (use --root <path>)");
         return ExitCode::from(2);
     };
-    ExitCode::from(run_with(&root, mode, json) as u8)
+    ExitCode::from(run(&root, json) as u8)
 }

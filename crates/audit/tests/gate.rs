@@ -1,41 +1,32 @@
 //! The audit gate, exercised the way CI runs it: real workspace scan,
-//! real `audit.baseline`, plus fault injection proving the gate actually
+//! zero tolerated findings, plus fault injection proving the gate actually
 //! fails when a forbidden construct lands in a library crate.
 
-use pcf_audit::{
-    audit_files, compare, find_root, parse_baseline, scan_workspace, Baseline, Lint, SourceFile,
-};
-use std::path::{Path, PathBuf};
+use pcf_audit::{audit_files, find_root, scan_workspace, Finding, Lint, SourceFile};
+use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
     find_root(&PathBuf::from(env!("CARGO_MANIFEST_DIR")))
         .expect("audit crate lives in the workspace")
 }
 
-fn checked_in_baseline(root: &Path) -> Baseline {
-    let text = std::fs::read_to_string(root.join("audit.baseline"))
-        .expect("audit.baseline is checked in at the workspace root");
-    parse_baseline(&text).expect("checked-in baseline parses")
+/// Whether `findings` — any of which fails the gate — holds one of `lint`
+/// in `file`.
+fn flags(findings: &[Finding], lint: Lint, file: &str) -> bool {
+    findings.iter().any(|f| f.lint == lint && f.file == file)
 }
 
-/// The PR gate itself: the tree as committed must carry no findings
-/// beyond the checked-in baseline.
+/// The PR gate itself: the baseline is zero, so the tree as committed
+/// must carry no findings at all.
 #[test]
 fn workspace_is_clean_against_the_checked_in_baseline() {
     let root = workspace_root();
     let files = scan_workspace(&root).expect("workspace scans");
     let findings = audit_files(&files);
-    let cmp = compare(&findings, &checked_in_baseline(&root));
-    assert!(
-        cmp.pass(),
-        "new findings beyond audit.baseline: {:#?}",
-        cmp.regressions
-    );
+    assert!(findings.is_empty(), "audit findings: {findings:#?}");
 }
 
-/// Fault injection: an `unwrap()` added to pcf-core must fail the gate
-/// even with the shipped baseline in place — the baseline tolerates the
-/// file's *existing* debt count, not one more.
+/// Fault injection: an `unwrap()` added to pcf-core must fail the gate.
 #[test]
 fn injected_unwrap_in_pcf_core_fails_the_gate() {
     let root = workspace_root();
@@ -44,42 +35,36 @@ fn injected_unwrap_in_pcf_core_fails_the_gate() {
         rel: "crates/core/src/injected.rs".to_string(),
         text: "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n".to_string(),
     });
-    let cmp = compare(&audit_files(&files), &checked_in_baseline(&root));
-    assert!(!cmp.pass(), "gate let an injected unwrap() through");
+    let findings = audit_files(&files);
     assert!(
-        cmp.regressions.iter().any(|r| {
-            r.lint == Lint::NoPanicPaths.name() && r.file == "crates/core/src/injected.rs"
-        }),
-        "regressions do not name the injected file: {:#?}",
-        cmp.regressions
+        flags(&findings, Lint::NoPanicPaths, "crates/core/src/injected.rs"),
+        "gate let an injected unwrap() through: {findings:#?}"
     );
 }
 
-/// Same injection into a file that already has baselined debt: the count
-/// goes one over its tolerance, so the bucket regresses.
+/// A malformed `audit:allow` waives nothing and is itself a finding, so it
+/// always fails the gate.
 #[test]
-fn injected_unwrap_on_top_of_existing_debt_fails_the_gate() {
-    let root = workspace_root();
-    let baseline = checked_in_baseline(&root);
-    let Some(((_, rel), _)) = baseline
-        .iter()
-        .find(|((lint, _), count)| lint == Lint::NoPanicPaths.name() && **count > 0)
-    else {
-        return; // all debt paid off: nothing to piggyback on
-    };
-    let mut files = scan_workspace(&root).expect("workspace scans");
-    let f = files
-        .iter_mut()
-        .find(|f| &f.rel == rel)
-        .expect("baselined file exists");
-    f.text
-        .push_str("\npub fn audit_injected(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n");
-    let cmp = compare(&audit_files(&files), &baseline);
-    assert!(!cmp.pass(), "gate missed one-over-baseline in {rel}");
+fn malformed_allow_fails_the_gate() {
+    let files = [SourceFile {
+        rel: "crates/core/src/injected.rs".to_string(),
+        text:
+            "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap() // audit:allow(no-panic-paths)\n}\n"
+                .to_string(),
+    }];
+    let findings = audit_files(&files);
+    assert!(
+        flags(&findings, Lint::BadAllow, "crates/core/src/injected.rs"),
+        "{findings:#?}"
+    );
+    assert!(
+        flags(&findings, Lint::NoPanicPaths, "crates/core/src/injected.rs"),
+        "{findings:#?}"
+    );
 }
 
-/// The analyzer holds itself to its own rules: zero findings (not merely
-/// baselined ones) in `crates/audit/src`.
+/// The analyzer holds itself to its own rules: zero findings in
+/// `crates/audit/src`.
 #[test]
 fn audit_crate_audits_itself_clean() {
     let root = workspace_root();
@@ -189,20 +174,20 @@ fn injected_panic_reachable_from_hot_entry_fails_the_gate() {
     );
     f.text
         .push_str("\nfn injected_panic() {\n    panic!(\"injected\")\n}\n");
-    let cmp = compare(&audit_files(&files), &checked_in_baseline(&root));
-    assert!(!cmp.pass(), "gate let a hot-reachable panic through");
-    let reach = cmp
-        .regressions
+    let findings = audit_files(&files);
+    let reach: Vec<&Finding> = findings
         .iter()
-        .find(|r| r.lint == Lint::PanicReachability.name() && r.file == "crates/serve/src/plan.rs")
-        .unwrap_or_else(|| panic!("no panic-reachability regression: {:#?}", cmp.regressions));
+        .filter(|f| f.lint == Lint::PanicReachability && f.file == "crates/serve/src/plan.rs")
+        .collect();
+    assert!(
+        !reach.is_empty(),
+        "gate let a hot-reachable panic through: {findings:#?}"
+    );
     assert!(
         reach
-            .findings
             .iter()
             .any(|f| f.what.contains("injected") || !f.chain.is_empty()),
-        "finding carries no witness: {:#?}",
-        reach.findings
+        "finding carries no witness: {reach:#?}"
     );
 }
 
@@ -219,14 +204,14 @@ fn injected_relaxed_without_reason_fails_the_gate() {
                pub fn f(s: &S) {\n    s.c.fetch_add(1, Ordering::Relaxed);\n}\n"
             .to_string(),
     });
-    let cmp = compare(&audit_files(&files), &checked_in_baseline(&root));
-    assert!(!cmp.pass(), "gate let an unreasoned Relaxed through");
+    let findings = audit_files(&files);
     assert!(
-        cmp.regressions.iter().any(|r| {
-            r.lint == Lint::AtomicsDiscipline.name() && r.file == "crates/serve/src/injected.rs"
-        }),
-        "no atomics-discipline regression: {:#?}",
-        cmp.regressions
+        flags(
+            &findings,
+            Lint::AtomicsDiscipline,
+            "crates/serve/src/injected.rs"
+        ),
+        "gate let an unreasoned Relaxed through: {findings:#?}"
     );
 }
 
@@ -240,14 +225,14 @@ fn injected_hot_path_allocation_fails_the_gate() {
         rel: "crates/serve/src/injected.rs".to_string(),
         text: "// audit:hot\npub fn injected_hot() -> Vec<u32> {\n    Vec::new()\n}\n".to_string(),
     });
-    let cmp = compare(&audit_files(&files), &checked_in_baseline(&root));
-    assert!(!cmp.pass(), "gate let a hot-path allocation through");
+    let findings = audit_files(&files);
     assert!(
-        cmp.regressions.iter().any(|r| {
-            r.lint == Lint::HotPathAlloc.name() && r.file == "crates/serve/src/injected.rs"
-        }),
-        "no hot-path-alloc regression: {:#?}",
-        cmp.regressions
+        flags(
+            &findings,
+            Lint::HotPathAlloc,
+            "crates/serve/src/injected.rs"
+        ),
+        "gate let a hot-path allocation through: {findings:#?}"
     );
 }
 
@@ -267,13 +252,13 @@ fn injected_nested_lock_fails_the_gate() {
                }\n"
         .to_string(),
     });
-    let cmp = compare(&audit_files(&files), &checked_in_baseline(&root));
-    assert!(!cmp.pass(), "gate let a nested lock through");
+    let findings = audit_files(&files);
     assert!(
-        cmp.regressions.iter().any(|r| {
-            r.lint == Lint::LockDiscipline.name() && r.file == "crates/serve/src/injected.rs"
-        }),
-        "no lock-discipline regression: {:#?}",
-        cmp.regressions
+        flags(
+            &findings,
+            Lint::LockDiscipline,
+            "crates/serve/src/injected.rs"
+        ),
+        "gate let a nested lock through: {findings:#?}"
     );
 }

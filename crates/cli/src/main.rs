@@ -30,7 +30,7 @@ use pcf_replay::{
     replay_batch, run_campaign, CampaignOptions, CampaignPlan, EventTrace, FaultInjector,
     ReplayOptions,
 };
-use pcf_topology::Topology;
+use pcf_topology::{LinkId, SrlgSet, Topology};
 use pcf_traffic::{gravity, TrafficMatrix};
 
 const FLAGS: &[&str] = &[
@@ -156,7 +156,7 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         let root = pcf_audit::find_root(&cwd).ok_or(ArgError(
             "audit: cannot locate the workspace root (run inside the repository)".into(),
         ))?;
-        let code = pcf_audit::run(&root, pcf_audit::BaselineMode::Check);
+        let code = pcf_audit::run(&root, false);
         if code != 0 {
             std::process::exit(code);
         }
@@ -181,10 +181,7 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             let f = args.get_or("f", 1usize)?;
             let (inst, sol, scheme) = solve(&args, &topo)?;
             report(&topo, &inst, &sol, &scheme);
-            let served: Vec<f64> = inst
-                .pair_ids()
-                .map(|p| sol.z[p.0] * inst.demand(p))
-                .collect();
+            let served = sol.served(&inst);
             let fm = FailureModel::links(f);
             let report = validate_all(&inst, &fm, &sol.a, &sol.b, &served, 1e-6);
             println!(
@@ -246,17 +243,9 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             let f = args.get_or("f", 1usize)?;
             let (inst, sol, scheme) = solve(&args, &topo)?;
             report(&topo, &inst, &sol, &scheme);
-            let served: Vec<f64> = inst
-                .pair_ids()
-                .map(|p| sol.z[p.0] * inst.demand(p))
-                .collect();
+            let served = sol.served(&inst);
             let seed = args.get_or("seed", 1u64)?;
-            let degrade = match args.get("degrade") {
-                None => DegradeMode::Off,
-                Some(s) => DegradeMode::from_flag(s).ok_or(ArgError(format!(
-                    "--degrade: expected off | rescale | shed, got {s:?}"
-                )))?,
-            };
+            let degrade = degrade_mode(&args, DegradeMode::Off)?;
             let traces: Vec<EventTrace> = match (args.get("trace"), args.get("inject")) {
                 (Some(_), Some(_)) => {
                     return Err(Box::new(ArgError(
@@ -279,18 +268,7 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                         }
                     }
                     let groups = if inject == Some("srlg") {
-                        match args.get("srlg") {
-                            Some(path) => {
-                                let text = std::fs::read_to_string(path)?;
-                                pcf_topology::SrlgSet::parse_strict(&text, &topo)?.link_groups()
-                            }
-                            None => {
-                                let size = args.get_or("srlg-size", 2usize)?;
-                                let count = args.get_or("srlg-count", 4usize)?;
-                                pcf_topology::SrlgSet::synthetic(&topo, size, count, seed)
-                                    .link_groups()
-                            }
-                        }
+                        srlg_groups(&args, &topo, true)?
                     } else {
                         Vec::new()
                     };
@@ -397,19 +375,8 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             let scheme = pcf_serve::SchemeKind::from_flag(scheme_flag).ok_or(ArgError(format!(
                 "serve: --scheme must be ffc | pcf-tf | pcf-ls | pcf-cls, got {scheme_flag:?}"
             )))?;
-            let degrade = match args.get("degrade") {
-                None => DegradeMode::Shed,
-                Some(s) => DegradeMode::from_flag(s).ok_or(ArgError(format!(
-                    "--degrade: expected off | rescale | shed, got {s:?}"
-                )))?,
-            };
-            let srlgs = match args.get("srlg") {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path)?;
-                    pcf_topology::SrlgSet::parse_strict(&text, &topo)?.link_groups()
-                }
-                None => Vec::new(),
-            };
+            let degrade = degrade_mode(&args, DegradeMode::Shed)?;
+            let srlgs = srlg_groups(&args, &topo, false)?;
             let spec = pcf_serve::PlanSpec {
                 topo: topo.clone(),
                 scheme,
@@ -479,18 +446,7 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             let tm = load_traffic(&args, &topo)?;
             let fm = FailureModel::links(f);
             let ropts = robust_options(&args)?;
-            let groups = match args.get("srlg") {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path)?;
-                    pcf_topology::SrlgSet::parse_strict(&text, &topo)?.link_groups()
-                }
-                None => {
-                    let size = args.get_or("srlg-size", 2usize)?;
-                    let count = args.get_or("srlg-count", 4usize)?;
-                    let seed = args.get_or("seed", 1u64)?;
-                    pcf_topology::SrlgSet::synthetic(&topo, size, count, seed).link_groups()
-                }
-            };
+            let groups = srlg_groups(&args, &topo, true)?;
             let copts = CampaignOptions {
                 steps: args.get_or("steps", 4usize)?,
                 groups,
@@ -505,14 +461,9 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             let tf = solve_pcf_tf(&tunnel_inst, &fm, &ropts);
             let ls_inst = pcf_ls_instance(&topo, &tm, k);
             let ls = solve_pcf_ls(&ls_inst, &fm, &ropts);
-            let served_of = |inst: &Instance, sol: &RobustSolution| -> Vec<f64> {
-                inst.pair_ids()
-                    .map(|p| sol.z[p.0] * inst.demand(p))
-                    .collect()
-            };
-            let ffc_served = served_of(&tunnel_inst, &ffc);
-            let tf_served = served_of(&tunnel_inst, &tf);
-            let ls_served = served_of(&ls_inst, &ls);
+            let ffc_served = ffc.served(&tunnel_inst);
+            let tf_served = tf.served(&tunnel_inst);
+            let ls_served = ls.served(&ls_inst);
             let plans = [
                 CampaignPlan {
                     scheme: "ffc".into(),
@@ -646,6 +597,37 @@ fn load_topology(args: &Args) -> Result<Topology, Box<dyn std::error::Error>> {
             "need --topology <name> or --gml <path>".into(),
         ))),
     }
+}
+
+/// The `--degrade` ladder depth, `default` without the flag.
+fn degrade_mode(args: &Args, default: DegradeMode) -> Result<DegradeMode, ArgError> {
+    match args.get("degrade") {
+        None => Ok(default),
+        Some(s) => DegradeMode::from_flag(s).ok_or(ArgError(format!(
+            "--degrade: expected off | rescale | shed, got {s:?}"
+        ))),
+    }
+}
+
+/// The link groups of the `--srlg` sidecar file. Without the flag:
+/// `--srlg-count` groups of `--srlg-size` links drawn from `--seed` when
+/// `synthetic`, none otherwise.
+fn srlg_groups(
+    args: &Args,
+    topo: &Topology,
+    synthetic: bool,
+) -> Result<Vec<Vec<LinkId>>, Box<dyn std::error::Error>> {
+    let set = match args.get("srlg") {
+        Some(path) => SrlgSet::parse_strict(&std::fs::read_to_string(path)?, topo)?,
+        None if synthetic => SrlgSet::synthetic(
+            topo,
+            args.get_or("srlg-size", 2usize)?,
+            args.get_or("srlg-count", 4usize)?,
+            args.get_or("seed", 1u64)?,
+        ),
+        None => return Ok(Vec::new()),
+    };
+    Ok(set.link_groups())
 }
 
 /// Robust-engine options from the command line: `--threads 0` (the

@@ -414,10 +414,7 @@ mod tests {
             AdversaryKind::LinkBased,
             &RobustOptions::default(),
         );
-        let served: Vec<f64> = inst
-            .pair_ids()
-            .map(|p| sol.z[p.0] * inst.demand(p))
-            .collect();
+        let served = sol.served(&inst);
         (inst, sol.a, sol.b, served)
     }
 

@@ -744,12 +744,6 @@ mod tests {
         t
     }
 
-    fn served(inst: &Instance, sol: &crate::robust::RobustSolution) -> Vec<f64> {
-        inst.pair_ids()
-            .map(|p| sol.z[p.0] * inst.demand(p))
-            .collect()
-    }
-
     #[test]
     fn tunnel_only_routing_no_failure() {
         let topo = diamond();
@@ -765,7 +759,7 @@ mod tests {
         let dead = vec![false; 4];
         let state = FailureState::new(&inst, &dead).unwrap();
         let routing =
-            realize_routing(&inst, &state, &sol.a, &sol.b, &served(&inst, &sol), 1e-7).unwrap();
+            realize_routing(&inst, &state, &sol.a, &sol.b, &sol.served(&inst), 1e-7).unwrap();
         // Demand scale 1, reservations total >= 1; all u in [0,1]; no arc
         // overloaded.
         assert!(routing.max_utilization(&inst) <= 1.0 + 1e-7);
@@ -789,7 +783,7 @@ mod tests {
         dead[0] = true; // kill one path
         let state = FailureState::new(&inst, &dead).unwrap();
         let routing =
-            realize_routing(&inst, &state, &sol.a, &sol.b, &served(&inst, &sol), 1e-7).unwrap();
+            realize_routing(&inst, &state, &sol.a, &sol.b, &sol.served(&inst), 1e-7).unwrap();
         assert!(routing.max_utilization(&inst) <= 1.0 + 1e-7);
         let delivered: f64 = routing.tunnel_flow.iter().sum();
         assert!((delivered - sol.objective).abs() < 1e-6);
@@ -813,7 +807,7 @@ mod tests {
             &RobustOptions::default(),
         );
         assert!(sol.objective > 0.5);
-        let sv = served(&inst, &sol);
+        let sv = sol.served(&inst);
         for sc in fm.enumerate_scenarios(inst.topo()) {
             let state = FailureState::new(&inst, &sc.dead).unwrap();
             let lin = realize_routing(&inst, &state, &sol.a, &sol.b, &sv, 1e-6).unwrap();
@@ -928,7 +922,7 @@ mod tests {
                 &FailureModel::links(1),
                 &RobustOptions::default(),
             );
-            check_plan(&inst, 1, &sol.a, &sol.b, &served(&inst, &sol));
+            check_plan(&inst, 1, &sol.a, &sol.b, &sol.served(&inst));
         }
         // The two-LS cycle of `topological_order_detects_cycles`: (s,t)
         // and (s,a) serve each other, so their 2x2 block is a bump.

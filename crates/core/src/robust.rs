@@ -190,6 +190,16 @@ pub struct RobustSolution {
     pub worst_available: Vec<f64>,
 }
 
+impl RobustSolution {
+    /// Served traffic per pair, `z_p · d_p`: the demand a realization of
+    /// this plan routes.
+    pub fn served(&self, inst: &Instance) -> Vec<f64> {
+        inst.pair_ids()
+            .map(|p| self.z[p.0] * inst.demand(p))
+            .collect()
+    }
+}
+
 /// The scenario cuts of a converged solve and the optimal basis of the
 /// master that held them, exported so the next solve of a same-shape
 /// instance restarts from that optimum instead of rediscovering the binding

@@ -351,10 +351,7 @@ mod tests {
             AdversaryKind::LinkBased,
             &RobustOptions::default(),
         );
-        let served: Vec<f64> = inst
-            .pair_ids()
-            .map(|p| sol.z[p.0] * inst.demand(p))
-            .collect();
+        let served = sol.served(&inst);
         let report = validate_all(&inst, &fm, &sol.a, &sol.b, &served, 1e-6);
         assert!(
             report.congestion_free(),
@@ -378,10 +375,7 @@ mod tests {
             AdversaryKind::LinkBased,
             &RobustOptions::default(),
         );
-        let served: Vec<f64> = inst
-            .pair_ids()
-            .map(|p| sol.z[p.0] * inst.demand(p))
-            .collect();
+        let served = sol.served(&inst);
         let report = validate_all(&inst, &fm, &sol.a, &sol.b, &served, 1e-6);
         assert_eq!(report.scenarios, 4);
         // Each 2-hop tunnel dies with either of its two links, so the four
@@ -402,10 +396,7 @@ mod tests {
             AdversaryKind::LinkBased,
             &RobustOptions::default(),
         );
-        let served: Vec<f64> = inst
-            .pair_ids()
-            .map(|p| sol.z[p.0] * inst.demand(p))
-            .collect();
+        let served = sol.served(&inst);
         let report = validate_all(&inst, &fm, &sol.a, &sol.b, &served, 1e-6);
         assert!(!report.top_arcs.is_empty());
         assert!(report.top_arcs.len() <= 5);
@@ -428,10 +419,7 @@ mod tests {
             AdversaryKind::LinkBased,
             &RobustOptions::default(),
         );
-        let served: Vec<f64> = inst
-            .pair_ids()
-            .map(|p| sol.z[p.0] * inst.demand(p))
-            .collect();
+        let served = sol.served(&inst);
         let r1 = validate_all(&inst, &fm, &sol.a, &sol.b, &served, 1e-6);
         let r2 = validate_all(&inst, &fm, &sol.a, &sol.b, &served, 1e-6);
         assert_eq!(r1.digest(), r2.digest(), "same validation, same digest");

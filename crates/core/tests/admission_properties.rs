@@ -39,10 +39,7 @@ fn solved_abilene(scheme: &str) -> (Instance, RobustSolution, FailureModel) {
 fn admission_verdicts_are_sound_across_pairs_and_levels() {
     for scheme in ["ffc", "pcf-tf"] {
         let (inst, sol, fm) = solved_abilene(scheme);
-        let served: Vec<f64> = inst
-            .pair_ids()
-            .map(|p| sol.z[p.0] * inst.demand(p))
-            .collect();
+        let served = sol.served(&inst);
         let tol_abs = absolute_tolerance(&served, 1e-6);
         let mut admissions = 0usize;
         let mut rejections = 0usize;
@@ -121,10 +118,7 @@ fn admission_verdicts_are_sound_across_pairs_and_levels() {
 #[test]
 fn zero_extra_is_always_admitted() {
     let (inst, sol, fm) = solved_abilene("ffc");
-    let served: Vec<f64> = inst
-        .pair_ids()
-        .map(|p| sol.z[p.0] * inst.demand(p))
-        .collect();
+    let served = sol.served(&inst);
     let tol_abs = absolute_tolerance(&served, 1e-6);
     for p in inst.pair_ids() {
         let outcome = admit(

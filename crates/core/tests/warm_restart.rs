@@ -9,7 +9,7 @@
 
 use pcf_core::{
     pcf_ls_instance, solve_pcf_ls, solve_pcf_ls_seeded, validate_all, FailureModel, Instance,
-    Objective, RobustOptions,
+    Objective, RobustOptions, RobustSolution,
 };
 use pcf_rng::Pcg32;
 use pcf_topology::{zoo, Topology};
@@ -41,9 +41,8 @@ fn options(objective: Objective, threads: usize) -> RobustOptions {
     }
 }
 
-fn congestion_free(inst: &Instance, fm: &FailureModel, a: &[f64], b: &[f64], z: &[f64]) -> bool {
-    let served: Vec<f64> = inst.pair_ids().map(|p| z[p.0] * inst.demand(p)).collect();
-    validate_all(inst, fm, a, b, &served, 1e-6).congestion_free()
+fn congestion_free(inst: &Instance, fm: &FailureModel, sol: &RobustSolution) -> bool {
+    validate_all(inst, fm, &sol.a, &sol.b, &sol.served(inst), 1e-6).congestion_free()
 }
 
 fn drift_restarts_from_the_base_optimum(name: &str) {
@@ -70,7 +69,7 @@ fn drift_restarts_from_the_base_optimum(name: &str) {
                 cold.objective
             );
             assert!(
-                congestion_free(&inst, &fm, &warm.a, &warm.b, &warm.z),
+                congestion_free(&inst, &fm, &warm),
                 "{label}: warm plan overloads a link"
             );
             assert!(

@@ -30,7 +30,7 @@
 //! [`BLAND_AFTER`]) are named constants here rather than options: no
 //! caller ever varied them.
 
-/// Primal feasibility / bound tolerance of the simplex loops and presolve.
+/// Primal feasibility / bound tolerance of the simplex loops.
 pub const FEAS_TOL: f64 = 1e-7;
 /// Reduced-cost optimality tolerance of the simplex pricing rules.
 pub const OPT_TOL: f64 = 1e-7;

@@ -24,7 +24,6 @@ pub mod float;
 pub mod incremental;
 pub mod linsys;
 pub mod model;
-pub mod presolve;
 pub mod simplex;
 pub mod slu;
 pub mod sparse;

@@ -62,10 +62,6 @@
 //!   pivots to guarantee termination;
 //! * the loops' vectors live in one workspace allocated per call, so a
 //!   pivot allocates only its eta record;
-//! * a presolve pass ([`crate::presolve`]) runs before one-shot solves and
-//!   its postsolve restores the original variable/dual space; warm-started
-//!   solves through [`crate::incremental`] bypass presolve so the retained
-//!   basis maps 1:1 onto the model's rows;
 //! * geometric row/column equilibration is applied by default, which keeps
 //!   the WAN models (capacities 0.5–10, demands spanning decades) well
 //!   conditioned.
@@ -87,9 +83,6 @@ pub struct SimplexOptions {
     pub reinvert_every: usize,
     /// Apply geometric row/column scaling before solving.
     pub scale: bool,
-    /// Run presolve/postsolve around one-shot solves (warm-started solves
-    /// always bypass it).
-    pub presolve: bool,
 }
 
 impl Default for SimplexOptions {
@@ -98,7 +91,6 @@ impl Default for SimplexOptions {
             max_iterations: None,
             reinvert_every: 400,
             scale: true,
-            presolve: true,
         }
     }
 }
@@ -938,20 +930,9 @@ pub(crate) fn extract(
     }
 }
 
-/// Solves `problem`; see module docs for the algorithm. One-shot solves run
-/// presolve/postsolve when [`SimplexOptions::presolve`] is set.
+/// Solves `problem` from the crash basis; see module docs for the algorithm.
 pub(crate) fn solve(problem: &LpProblem, opts: &SimplexOptions) -> Solution {
-    if opts.presolve {
-        match crate::presolve::presolve(problem) {
-            crate::presolve::Presolved::Decided(sol) => sol,
-            crate::presolve::Presolved::Reduced(red) => {
-                let (sol, ..) = solve_with_state(&red.reduced, opts);
-                red.postsolve(problem, sol)
-            }
-        }
-    } else {
-        solve_with_state(problem, opts).0
-    }
+    solve_with_state(problem, opts).0
 }
 
 /// `problem` standardized, before a start basis is chosen.
@@ -1021,9 +1002,8 @@ fn standard_form(problem: &LpProblem, opts: &SimplexOptions) -> StandardForm {
 
 /// Like [`solve`], but additionally returns the pivot counters and, when
 /// the solve ran to optimality, the terminal solver workspace, for use by
-/// [`crate::incremental`]. Never presolves: the retained basis must map 1:1
-/// onto the model's rows and columns so appended cutting planes can
-/// reference them.
+/// [`crate::incremental`]. The retained basis maps 1:1 onto the model's
+/// rows and columns, so appended cutting planes can reference them.
 pub(crate) fn solve_with_state(
     problem: &LpProblem,
     opts: &SimplexOptions,
@@ -1368,14 +1348,103 @@ mod tests {
 
     #[test]
     fn bound_flip_only_problem() {
-        // max x + 2y with x in [0,1], y in [0,1], no rows at all... rows
-        // needed; add a vacuous one.
+        // max x + 2y with x in [0,1], y in [0,1], no rows at all.
         let mut lp = LpProblem::new(Sense::Maximize);
         let x = lp.add_var(0.0, 1.0, 1.0);
         let y = lp.add_var(0.0, 1.0, 2.0);
-        lp.add_le(vec![(x, 1.0), (y, 1.0)], 10.0);
         let s = lp.solve().unwrap();
+        assert_eq!(s.status, Status::Optimal);
         assert_close(s.objective, 3.0);
+        assert_close(s.value(x), 1.0);
+        assert_close(s.value(y), 1.0);
+    }
+
+    /// A row as `(coeffs by column index, lower, upper)`.
+    type Row<'a> = (&'a [(usize, f64)], f64, f64);
+
+    /// Solves the model with columns `(lower, upper, cost)` and `rows` and
+    /// returns `(status, objective)`.
+    fn decide(sense: Sense, cols: &[(f64, f64, f64)], rows: &[Row]) -> (Status, f64) {
+        let mut lp = LpProblem::new(sense);
+        let vars: Vec<_> = cols.iter().map(|&(l, u, c)| lp.add_var(l, u, c)).collect();
+        for &(coeffs, lo, hi) in rows {
+            lp.add_row(coeffs.iter().map(|&(j, a)| (vars[j], a)), lo, hi);
+        }
+        let s = lp.solve().unwrap();
+        (s.status, s.objective)
+    }
+
+    #[test]
+    fn degenerate_shapes_are_decided_by_the_simplex_itself() {
+        const INF: f64 = f64::INFINITY;
+        // The empty model.
+        let (status, obj) = decide(Sense::Minimize, &[], &[]);
+        assert_eq!(status, Status::Optimal);
+        assert_close(obj, 0.0);
+        // No rows: boxed columns rest on their cost-optimal bounds.
+        let (status, obj) = decide(
+            Sense::Minimize,
+            &[(-1.0, 2.0, 3.0), (0.5, 4.0, -2.0), (1.0, 5.0, 0.0)],
+            &[],
+        );
+        assert_eq!(status, Status::Optimal);
+        assert_close(obj, -11.0);
+        // No rows: an improving direction without a bound.
+        let (status, _) = decide(Sense::Maximize, &[(0.0, 1.0, 1.0), (0.0, INF, 1.0)], &[]);
+        assert_eq!(status, Status::Unbounded);
+        // An empty row `0 <= 1` is kept and harmless.
+        let (status, obj) = decide(
+            Sense::Maximize,
+            &[(0.0, 2.0, 1.0)],
+            &[(&[], -INF, 1.0), (&[(0, 1.0)], -INF, 1.5)],
+        );
+        assert_eq!(status, Status::Optimal);
+        assert_close(obj, 1.5);
+        // An empty row `0 >= 1` is infeasible.
+        let (status, _) = decide(
+            Sense::Maximize,
+            &[(0.0, 2.0, 1.0)],
+            &[(&[], 1.0, INF), (&[(0, 1.0)], -INF, 1.5)],
+        );
+        assert_eq!(status, Status::Infeasible);
+        // A fixed column: min -4 * 1.5 + y with 1.5 + y >= 2.
+        let (status, obj) = decide(
+            Sense::Minimize,
+            &[(1.5, 1.5, -4.0), (0.0, INF, 1.0)],
+            &[(&[(0, 1.0), (1, 1.0)], 2.0, INF)],
+        );
+        assert_eq!(status, Status::Optimal);
+        assert_close(obj, -5.5);
+        // Proportional duplicate rows: x + y <= 4, <= 3 (scaled by -2) and
+        // <= 5 (scaled by 0.5); the middle one binds.
+        let (status, obj) = decide(
+            Sense::Maximize,
+            &[(0.0, INF, 1.0), (0.0, INF, 2.0)],
+            &[
+                (&[(0, 1.0), (1, 1.0)], -INF, 4.0),
+                (&[(0, -2.0), (1, -2.0)], -6.0, INF),
+                (&[(0, 0.5), (1, 0.5)], -INF, 2.5),
+            ],
+        );
+        assert_eq!(status, Status::Optimal);
+        assert_close(obj, 6.0);
+        // A contradictory proportional pair: x + y <= 4 and 2x + 2y >= 10.
+        let (status, _) = decide(
+            Sense::Maximize,
+            &[(0.0, INF, 1.0), (0.0, INF, 2.0)],
+            &[
+                (&[(0, 1.0), (1, 1.0)], -INF, 4.0),
+                (&[(0, 2.0), (1, 2.0)], 10.0, INF),
+            ],
+        );
+        assert_eq!(status, Status::Infeasible);
+        // A column in no row, improving without a bound, beside a real row.
+        let (status, _) = decide(
+            Sense::Minimize,
+            &[(0.0, 3.0, 1.0), (-INF, 0.0, 1.0)],
+            &[(&[(0, 1.0)], 1.0, INF)],
+        );
+        assert_eq!(status, Status::Unbounded);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! copy of each drawn LP and a KKT check that reads the data, not the
 //! solver's copy of it.
 
-use pcf_lp::{LpProblem, Sense, SimplexOptions, Solution, VarId};
+use pcf_lp::{LpProblem, Sense, Solution, VarId};
 
 /// A dense description of an LP, kept beside the built model so the checker
 /// reads the data, not the solver's copy of it.
@@ -15,12 +15,8 @@ pub struct RandLp {
 }
 
 impl RandLp {
-    pub fn build(&self, presolve: bool) -> LpProblem {
+    pub fn build(&self) -> LpProblem {
         let mut lp = LpProblem::new(self.sense);
-        lp.set_options(SimplexOptions {
-            presolve,
-            ..SimplexOptions::default()
-        });
         let vars: Vec<VarId> = self
             .bounds
             .iter()

@@ -1,4 +1,6 @@
-//! KKT certificates for cold solves from the crash basis.
+//! KKT certificates for [`pcf_lp::LpProblem::solve`], the cold solve from
+//! the crash basis that every one-shot LP and every master's first round
+//! runs.
 //!
 //! The cold path starts every row either on its slack (row satisfied at the
 //! start point) or on an artificial (row violated there), and runs phase 1
@@ -8,7 +10,7 @@
 //! solver: primal bounds, row bounds, the sign of each reduced cost and row
 //! dual against the bound its variable or row sits on, and complementary
 //! slackness, all read from [`Solution::duals`]. Infeasible and unbounded
-//! instances are planted and must be recognized with and without presolve.
+//! instances are planted and must be recognized.
 
 mod common;
 
@@ -132,39 +134,20 @@ fn crash_start_optima_satisfy_kkt() {
         gen_lp,
         no_shrink,
         |(lp, planted)| {
-            // Presolve off is the crash basis on the model as drawn; the
-            // default path crashes the presolved model.
-            let plain = lp.build(false).solve().unwrap();
+            let sol = lp.build().solve().unwrap();
             match planted {
-                Planted::Infeasible if plain.status != Status::Infeasible => {
-                    return Err(format!("planted infeasible, got {}", plain.status));
+                Planted::Infeasible if sol.status != Status::Infeasible => {
+                    return Err(format!("planted infeasible, got {}", sol.status));
                 }
-                Planted::Ray if !matches!(plain.status, Status::Unbounded | Status::Infeasible) => {
-                    return Err(format!("planted a ray, got {}", plain.status));
+                Planted::Ray if !matches!(sol.status, Status::Unbounded | Status::Infeasible) => {
+                    return Err(format!("planted a ray, got {}", sol.status));
                 }
                 _ => {}
             }
-            let presolved = lp.build(true).solve().unwrap();
-            if presolved.status != plain.status {
-                return Err(format!(
-                    "presolve on: status {} vs presolve off {}",
-                    presolved.status, plain.status
-                ));
-            }
-            if plain.status != Status::Optimal {
+            if sol.status != Status::Optimal {
                 return Ok(());
             }
-            // Presolve merges proportional rows and reports the merged dual
-            // on the representative (see its module docs), so only the
-            // solve of the model as drawn is held to the certificate.
-            kkt_check(lp, &plain)?;
-            if (presolved.objective - plain.objective).abs() > 1e-6 * (1.0 + plain.objective.abs())
-            {
-                return Err(format!(
-                    "presolve on: objective {} vs presolve off {}",
-                    presolved.objective, plain.objective
-                ));
-            }
+            kkt_check(lp, &sol)?;
             optimal.set(optimal.get() + 1);
             Ok(())
         },
@@ -184,7 +167,7 @@ fn kkt_checker_rejects_a_non_optimal_point() {
         bounds: vec![(0.0, 3.0), (0.0, 3.0)],
         rows: vec![(vec![1.0, 1.0], f64::NEG_INFINITY, 4.0)],
     };
-    let good = lp.build(false).solve().unwrap();
+    let good = lp.build().solve().unwrap();
     kkt_check(&lp, &good).unwrap();
     let interior = Solution {
         x: vec![1.0, 1.0],

@@ -499,7 +499,7 @@ fn perturb_costs(lp: &RandLp, rng: &mut Pcg32) -> RandLp {
 }
 
 fn incremental(lp: &RandLp, reinvert_every: usize) -> IncrementalLp {
-    let mut problem = lp.build(false);
+    let mut problem = lp.build();
     problem.set_options(SimplexOptions {
         reinvert_every,
         ..SimplexOptions::default()

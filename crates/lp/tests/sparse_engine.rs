@@ -1,17 +1,19 @@
-//! Property tests for the sparse basis engine and the presolve round-trip.
+//! Property tests for the sparse basis engine, and the simplex on degenerate
+//! model shapes.
 //!
 //! The dense LU in `linsys` is the reference implementation: the sparse
 //! engine's dense-compat factorization must be *bit-identical* to it, the
 //! triangular-first factorization (`factor_columns`: singleton peel, then
 //! Markowitz on the bump) must agree with it to rounding and on
-//! singularity, eta updates must track refactorization, and
-//! presolve∘postsolve must be the identity on objective, row feasibility,
-//! and the dual pricing relation.
+//! singularity, eta updates must track refactorization, and every optimum
+//! of a model with empty rows, fixed columns, zero-cost singleton columns
+//! or proportional duplicate rows must be a KKT point of the model as
+//! written.
 
-use pcf_lp::{
-    lu_factor, BasisEngine, CscMatrix, DenseMatrix, LpProblem, Sense, SimplexOptions, SparseLu,
-    Status,
-};
+mod common;
+
+use common::{kkt_check, RandLp};
+use pcf_lp::{lu_factor, BasisEngine, CscMatrix, DenseMatrix, Sense, SparseLu, Status};
 use pcf_rng::{forall, no_shrink, Config, Pcg32};
 
 /// A random square matrix with controlled density, sometimes ill-scaled.
@@ -394,18 +396,12 @@ fn eta_updates_match_refactorization() {
     );
 }
 
-// ---- Presolve round-trip ----
+// ---- Degenerate model shapes ----
 
-#[derive(Debug, Clone)]
-struct SmallLp {
-    n: usize,
-    sense: Sense,
-    obj: Vec<f64>,
-    bounds: Vec<(f64, f64)>,
-    rows: Vec<(Vec<f64>, f64, f64)>, // dense coeffs (zeros allowed), lo, hi
-}
-
-fn gen_presolve_lp(rng: &mut Pcg32) -> SmallLp {
+/// Small boxed LPs dense in the shapes a modelling layer emits by accident:
+/// empty rows, fixed columns, zero-cost singleton columns (implied slacks),
+/// columns in no row, and proportional duplicate rows.
+fn gen_degenerate_shape_lp(rng: &mut Pcg32) -> RandLp {
     let n = rng.range_usize_inclusive(2, 5);
     let sense = if rng.chance(0.5) {
         Sense::Maximize
@@ -415,7 +411,7 @@ fn gen_presolve_lp(rng: &mut Pcg32) -> SmallLp {
     let obj: Vec<f64> = (0..n)
         .map(|_| {
             if rng.chance(0.25) {
-                0.0 // zero-cost columns enable the implied-slack reduction
+                0.0 // a zero-cost column in one row is an implied slack
             } else {
                 rng.range_f64(-5.0, 5.0)
             }
@@ -459,8 +455,7 @@ fn gen_presolve_lp(rng: &mut Pcg32) -> SmallLp {
         // Widen so the duplicate is consistent with the original.
         rows.push((sc, sl - 1.0, su + 1.0));
     }
-    SmallLp {
-        n,
+    RandLp {
         sense,
         obj,
         bounds,
@@ -468,94 +463,25 @@ fn gen_presolve_lp(rng: &mut Pcg32) -> SmallLp {
     }
 }
 
-fn build_lp(inst: &SmallLp, presolve: bool) -> LpProblem {
-    let mut lp = LpProblem::new(inst.sense);
-    let vars: Vec<_> = (0..inst.n)
-        .map(|j| lp.add_var(inst.bounds[j].0, inst.bounds[j].1, inst.obj[j]))
-        .collect();
-    for (c, l, u) in &inst.rows {
-        lp.add_row(
-            vars.iter()
-                .zip(c)
-                .filter(|(_, &a)| a != 0.0)
-                .map(|(&v, &a)| (v, a)),
-            *l,
-            *u,
-        );
-    }
-    if !presolve {
-        lp.set_options(SimplexOptions {
-            presolve: false,
-            ..SimplexOptions::default()
-        });
-    }
-    lp
-}
-
 #[test]
-fn presolve_postsolve_is_identity_on_objective_and_duals() {
+fn degenerate_shape_optima_satisfy_kkt() {
     forall(
-        "presolve_postsolve_is_identity_on_objective_and_duals",
+        "degenerate_shape_optima_satisfy_kkt",
         &Config {
             cases: 300,
             ..Config::default()
         },
-        gen_presolve_lp,
+        gen_degenerate_shape_lp,
         no_shrink,
         |inst| {
-            let with = build_lp(inst, true).solve().unwrap();
-            let without = build_lp(inst, false).solve().unwrap();
-            if with.status != without.status {
-                return Err(format!(
-                    "status diverged: presolve {} vs direct {}",
-                    with.status, without.status
-                ));
-            }
-            if with.status != Status::Optimal {
+            let sol = inst.build().solve().unwrap();
+            if sol.status != Status::Optimal {
                 return Ok(());
             }
-            let tol = 1e-6 * (1.0 + without.objective.abs());
-            if (with.objective - without.objective).abs() > tol {
-                return Err(format!(
-                    "objective diverged: presolve {} vs direct {}",
-                    with.objective, without.objective
-                ));
-            }
-            // Restored x must satisfy every original row and bound.
-            for (j, &(l, u)) in inst.bounds.iter().enumerate() {
-                if with.x[j] < l - 1e-6 || with.x[j] > u + 1e-6 {
-                    return Err(format!("x[{j}] = {} outside [{l}, {u}]", with.x[j]));
-                }
-            }
-            for (i, (c, l, u)) in inst.rows.iter().enumerate() {
-                let act: f64 = c.iter().zip(&with.x).map(|(a, b)| a * b).sum();
-                if act < l - 1e-5 || act > u + 1e-5 {
-                    return Err(format!("row {i} activity {act} outside [{l}, {u}]"));
-                }
-            }
-            // Dual pricing identity on strictly interior variables:
-            // c_j == sum_i y_i a_ij whenever x_j is away from both bounds.
-            for j in 0..inst.n {
-                let (l, u) = inst.bounds[j];
-                let margin = 1e-4 * (1.0 + with.x[j].abs());
-                if with.x[j] - l < margin || u - with.x[j] < margin {
-                    continue;
-                }
-                let priced: f64 = inst
-                    .rows
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (c, _, _))| c[j] * with.duals[i])
-                    .sum();
-                let err = (inst.obj[j] - priced).abs();
-                if err > 1e-5 * (1.0 + inst.obj[j].abs()) {
-                    return Err(format!(
-                        "dual identity broken at var {j}: c = {}, priced = {priced}",
-                        inst.obj[j]
-                    ));
-                }
-            }
-            Ok(())
+            // Bounds, row feasibility, the dual pricing identity on interior
+            // variables, multiplier signs and the objective, all from the
+            // dense copy.
+            kkt_check(inst, &sol)
         },
     );
 }

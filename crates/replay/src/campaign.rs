@@ -405,19 +405,13 @@ mod tests {
     use pcf_topology::zoo;
     use pcf_traffic::gravity;
 
-    fn served_of(inst: &Instance, sol: &pcf_core::RobustSolution) -> Vec<f64> {
-        inst.pair_ids()
-            .map(|p| sol.z[p.0] * inst.demand(p))
-            .collect()
-    }
-
     #[test]
     fn campaign_is_deterministic_and_monotone_in_damage() {
         let topo = zoo::build("Abilene");
         let tm = gravity(&topo, 11);
         let inst = pcf_ls_instance(&topo, &tm, 3);
         let sol = solve_pcf_ls(&inst, &FailureModel::links(1), &RobustOptions::default());
-        let served = served_of(&inst, &sol);
+        let served = sol.served(&inst);
         let opts = CampaignOptions {
             steps: 3,
             groups: vec![vec![pcf_topology::LinkId(0), pcf_topology::LinkId(1)]],
@@ -461,10 +455,10 @@ mod tests {
         let ropts = RobustOptions::default();
         let ffc_inst = tunnel_instance(&topo, &tm, 3);
         let ffc_sol = solve_ffc(&ffc_inst, &fm, &ropts);
-        let ffc_served = served_of(&ffc_inst, &ffc_sol);
+        let ffc_served = ffc_sol.served(&ffc_inst);
         let ls_inst = pcf_ls_instance(&topo, &tm, 3);
         let ls_sol = solve_pcf_ls(&ls_inst, &fm, &ropts);
-        let ls_served = served_of(&ls_inst, &ls_sol);
+        let ls_served = ls_sol.served(&ls_inst);
         let plans = [
             CampaignPlan {
                 scheme: "ffc".into(),

@@ -515,10 +515,7 @@ mod tests {
         let tm = gravity(&topo, 11);
         let inst = pcf_ls_instance(&topo, &tm, 3);
         let sol = solve_pcf_ls(&inst, &FailureModel::links(f), &RobustOptions::default());
-        let served: Vec<f64> = inst
-            .pair_ids()
-            .map(|p| sol.z[p.0] * inst.demand(p))
-            .collect();
+        let served = sol.served(&inst);
         (inst, sol.a, sol.b, served)
     }
 

@@ -213,10 +213,7 @@ mod tests {
         let tm = gravity(&topo, 11);
         let inst = pcf_core::pcf_ls_instance(&topo, &tm, 3);
         let sol = solve_pcf_ls(&inst, &FailureModel::links(1), &RobustOptions::default());
-        let served: Vec<f64> = inst
-            .pair_ids()
-            .map(|p| sol.z[p.0] * inst.demand(p))
-            .collect();
+        let served = sol.served(&inst);
         (inst, sol.a, sol.b, served)
     }
 

@@ -207,10 +207,7 @@ impl PlanSpec {
                 (cls.instance, cls.solution, None)
             }
         };
-        let served: Vec<f64> = inst
-            .pair_ids()
-            .map(|p| sol.z[p.0] * inst.demand(p))
-            .collect();
+        let served = sol.served(&inst);
         let plan_digest = plan_digest(sol.objective, &sol.a, &sol.b, &sol.z, &served);
         let epoch = PlanEpoch {
             gen,

@@ -25,10 +25,7 @@ fn main() {
         topo.name(),
         sol.objective
     );
-    let served: Vec<f64> = inst
-        .pair_ids()
-        .map(|p| sol.z[p.0] * inst.demand(p))
-        .collect();
+    let served = sol.served(&inst);
 
     // A day of churn: links flap one at a time, matching the f=1 design.
     let trace = EventTrace::flaps(&topo, 2000, 1, 42);

@@ -7,17 +7,9 @@
 //! ```
 
 use pcf_core::validate::validate_all;
-use pcf_core::{
-    augment_capacity, solve_pcf_tf, tunnel_instance, FailureModel, Instance, RobustOptions,
-};
+use pcf_core::{augment_capacity, solve_pcf_tf, tunnel_instance, FailureModel, RobustOptions};
 use pcf_topology::zoo;
 use pcf_traffic::gravity;
-
-fn served(inst: &Instance, sol: &pcf_core::RobustSolution) -> Vec<f64> {
-    inst.pair_ids()
-        .map(|p| sol.z[p.0] * inst.demand(p))
-        .collect()
-}
 
 fn main() {
     let topo = zoo::build("B4");
@@ -46,7 +38,7 @@ fn main() {
     );
 
     // The pruned design is exactly safe on its own scenario list.
-    let report = validate_all(&inst, &pruned, &prb.a, &prb.b, &served(&inst, &prb), 1e-6);
+    let report = validate_all(&inst, &pruned, &prb.a, &prb.b, &prb.served(&inst), 1e-6);
     assert!(report.congestion_free());
     println!(
         "  pruned design audited over its {} scenarios: congestion-free",

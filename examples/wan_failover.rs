@@ -33,10 +33,7 @@ fn main() {
         "shortest-path LSs are topologically sorted -> local proportional routing applies"
     );
 
-    let served: Vec<f64> = inst
-        .pair_ids()
-        .map(|p| sol.z[p.0] * inst.demand(p))
-        .collect();
+    let served = sol.served(&inst);
 
     // Online: no failure.
     let no_fail = vec![false; topo.link_count()];

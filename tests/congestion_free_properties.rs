@@ -12,7 +12,7 @@ use pcf_core::realize::{realize_routing, FailureState};
 use pcf_core::validate::validate_all;
 use pcf_core::{
     pcf_ls_instance, solve_ffc, solve_pcf_ls, solve_pcf_tf, tunnel_instance, FailureModel,
-    Instance, RobustOptions, RobustSolution,
+    RobustOptions,
 };
 use pcf_topology::{NodeId, Topology};
 use pcf_traffic::TrafficMatrix;
@@ -105,12 +105,6 @@ fn shrink_case(case: &Case) -> Vec<Case> {
     out
 }
 
-fn served(inst: &Instance, sol: &RobustSolution) -> Vec<f64> {
-    inst.pair_ids()
-        .map(|p| sol.z[p.0] * inst.demand(p))
-        .collect()
-}
-
 fn tm_from(n: usize, demands: &[(usize, usize, f64)]) -> Option<TrafficMatrix> {
     let mut tm = TrafficMatrix::zeros(n);
     let mut any = false;
@@ -164,7 +158,7 @@ fn schemes_are_congestion_free_and_ordered() {
                 (&ti, &tf, "pcf-tf"),
                 (&li, &ls, "pcf-ls"),
             ] {
-                let report = validate_all(inst, &fm, &sol.a, &sol.b, &served(inst, sol), 1e-6);
+                let report = validate_all(inst, &fm, &sol.a, &sol.b, &sol.served(inst), 1e-6);
                 if !report.congestion_free() {
                     return Err(format!(
                         "{label} violated: {:?}",
@@ -190,7 +184,7 @@ fn check_realization_invariants(
     let fm = FailureModel::links(1);
     let inst = pcf_ls_instance(topo, &tm, 3);
     let sol = solve_pcf_ls(&inst, &fm, &RobustOptions::default());
-    let sv = served(&inst, &sol);
+    let sv = sol.served(&inst);
     for sc in fm.enumerate_scenarios(inst.topo()) {
         let state = FailureState::new(&inst, &sc.dead).map_err(|e| format!("{e}"))?;
         let routing = realize_routing(&inst, &state, &sol.a, &sol.b, &sv, 1e-6)

@@ -11,14 +11,8 @@ use pcf_core::{
 use pcf_topology::{transform::split_sublinks, zoo};
 use pcf_traffic::gravity;
 
-fn served(inst: &Instance, sol: &RobustSolution) -> Vec<f64> {
-    inst.pair_ids()
-        .map(|p| sol.z[p.0] * inst.demand(p))
-        .collect()
-}
-
 fn check(inst: &Instance, sol: &RobustSolution, fm: &FailureModel, label: &str) {
-    let report = validate_all(inst, fm, &sol.a, &sol.b, &served(inst, sol), 1e-6);
+    let report = validate_all(inst, fm, &sol.a, &sol.b, &sol.served(inst), 1e-6);
     assert!(
         report.congestion_free(),
         "{label}: {} violations, first: {:?}",

@@ -176,10 +176,7 @@ fn prop5_6_realization_is_feasible_everywhere() {
     let fm = FailureModel::links(1);
     let sol = solve_pcf_ls(&inst, &fm, &opts());
     assert!(sol.objective > 0.0);
-    let served: Vec<f64> = inst
-        .pair_ids()
-        .map(|p| sol.z[p.0] * inst.demand(p))
-        .collect();
+    let served = sol.served(&inst);
     for sc in fm.enumerate_scenarios(inst.topo()) {
         let state = FailureState::new(&inst, &sc.dead).unwrap();
         let routing = realize_routing(&inst, &state, &sol.a, &sol.b, &served, 1e-6)
@@ -208,10 +205,7 @@ fn prop7_proportional_equals_linear_system() {
         topological_order(&inst, &sol.b).is_some(),
         "shortest-path LSs must be topologically sorted"
     );
-    let served: Vec<f64> = inst
-        .pair_ids()
-        .map(|p| sol.z[p.0] * inst.demand(p))
-        .collect();
+    let served = sol.served(&inst);
     for sc in fm.enumerate_scenarios(inst.topo()).into_iter().step_by(3) {
         let state = FailureState::new(&inst, &sc.dead).unwrap();
         let lin = realize_routing(&inst, &state, &sol.a, &sol.b, &served, 1e-6).unwrap();

@@ -15,12 +15,6 @@ use pcf_core::{
 use pcf_topology::{zoo, LinkId, NodeId, SrlgSet, Topology};
 use pcf_traffic::gravity;
 
-fn served(inst: &Instance, sol: &RobustSolution) -> Vec<f64> {
-    inst.pair_ids()
-        .map(|p| sol.z[p.0] * inst.demand(p))
-        .collect()
-}
-
 /// The shared both-directions check: the structured plan must be clean over
 /// the full enumerated scenario set, the link-only plan must not be.
 fn assert_both_directions(
@@ -40,7 +34,7 @@ fn assert_both_directions(
         fm,
         &structured.a,
         &structured.b,
-        &served(inst, structured),
+        &structured.served(inst),
         1e-6,
     );
     assert!(
@@ -55,7 +49,7 @@ fn assert_both_directions(
         fm,
         &link_only.a,
         &link_only.b,
-        &served(inst, link_only),
+        &link_only.served(inst),
         1e-6,
     );
     assert!(
@@ -218,7 +212,7 @@ fn validate_all_sees_the_degradation_polytope() {
     let plan = solve_pcf_ls(&inst, &FailureModel::links(0), &RobustOptions::default());
     let fm = FailureModel::structured(Vec::new())
         .with_degradation(&topo, Degradation::uniform(topo.link_count(), 0.5));
-    let report = validate_all(&inst, &fm, &plan.a, &plan.b, &served(&inst, &plan), 1e-6);
+    let report = validate_all(&inst, &fm, &plan.a, &plan.b, &plan.served(&inst), 1e-6);
     assert_eq!(report.scenarios, topo.link_count() + 2);
     assert!(!report.congestion_free(), "sag corners went unchecked");
 }
@@ -255,7 +249,7 @@ fn ffc_under_group_budgets_is_dominated_by_pcf_tf_and_validates() {
             tf.objective
         );
         assert_eq!(ffc.objective > 1e-6, ffc_admits, "FFC {}", ffc.objective);
-        let report = validate_all(&inst, &fm, &ffc.a, &ffc.b, &served(&inst, &ffc), 1e-6);
+        let report = validate_all(&inst, &fm, &ffc.a, &ffc.b, &ffc.served(&inst), 1e-6);
         assert!(report.congestion_free(), "{:?}", report.violations.first());
     }
 }
