@@ -4,7 +4,10 @@
 //! set of interest, the physical tunnels `T(s,t)` serving each pair, and the
 //! logical sequences `L(s,t)` (paper §3.1, §3.3). The instance also indexes
 //! `Q(s,t)` — the logical sequences that use `(s,t)` as a segment — which
-//! appears on the right-hand side of the reservation constraints (7).
+//! appears on the right-hand side of the reservation constraints (7), and
+//! interns each LS's segments as pair ids ([`Instance::segment_pairs`]), so
+//! the realization's walks over LS segments never look a pair up by its
+//! endpoints.
 
 use crate::failure::Condition;
 use pcf_paths::{select_tunnels, Path};
@@ -85,6 +88,9 @@ pub struct Instance {
     ls_pair: Vec<PairId>,
     lss_of: Vec<Vec<LsId>>,      // L(s,t)
     segments_of: Vec<Vec<LsId>>, // Q(s,t)
+    // Segment pairs of LS `q`: `seg_pairs[seg_start[q]..seg_start[q + 1]]`.
+    seg_start: Vec<usize>,
+    seg_pairs: Vec<PairId>,
 }
 
 impl Instance {
@@ -171,6 +177,12 @@ impl Instance {
     /// The pair an LS connects (its endpoints).
     pub fn ls_pair(&self, q: LsId) -> PairId {
         self.ls_pair[q.0]
+    }
+
+    /// The pairs of LS `q`'s segments, in hop order (the pair ids of
+    /// `self.ls(q).segments()`, interned at build).
+    pub fn segment_pairs(&self, q: LsId) -> &[PairId] {
+        &self.seg_pairs[self.seg_start[q.0]..self.seg_start[q.0 + 1]]
     }
 
     /// All LS ids.
@@ -367,6 +379,9 @@ impl InstanceBuilder {
         let mut ls_pair: Vec<PairId> = Vec::new();
         let mut lss_of: Vec<Vec<LsId>> = vec![Vec::new(); pairs.len()];
         let mut segments_of: Vec<Vec<LsId>> = vec![Vec::new(); pairs.len()];
+        let mut seg_start = Vec::with_capacity(self.lss.len() + 1);
+        seg_start.push(0);
+        let mut seg_pairs = Vec::new();
         for ls in self.lss {
             let id = LsId(lss.len());
             let p = pair_index[&(ls.source(), ls.dest())];
@@ -374,7 +389,9 @@ impl InstanceBuilder {
             for (u, v) in ls.segments() {
                 let sp = pair_index[&(u, v)];
                 segments_of[sp.0].push(id);
+                seg_pairs.push(sp);
             }
+            seg_start.push(seg_pairs.len());
             ls_pair.push(p);
             lss.push(ls);
         }
@@ -391,6 +408,8 @@ impl InstanceBuilder {
             ls_pair,
             lss_of,
             segments_of,
+            seg_start,
+            seg_pairs,
         }
     }
 }
@@ -437,9 +456,22 @@ mod tests {
         assert_eq!(inst.segments_of(p02), &[q]);
         assert_eq!(inst.segments_of(p25), &[q]);
         assert!(inst.segments_of(p05).is_empty());
+        assert_eq!(inst.segment_pairs(q), &[p02, p25]);
         assert_eq!(inst.demand(p02), 0.0);
         // Segment pairs still get tunnels to support reservations.
         assert!(!inst.tunnels_of(p02).is_empty());
+        // Interned segment pairs agree with the endpoint lookup on every LS
+        // of a full PCF-LS instance.
+        let inst = crate::schemes::pcf_ls_instance(&topo, &gravity(&topo, 1), 3);
+        assert!(inst.num_lss() > 0);
+        for q in inst.ls_ids() {
+            let looked_up: Vec<PairId> = inst
+                .ls(q)
+                .segments()
+                .map(|(u, v)| inst.pair_id(u, v).unwrap())
+                .collect();
+            assert_eq!(inst.segment_pairs(q), &looked_up[..]);
+        }
     }
 
     #[test]

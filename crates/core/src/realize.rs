@@ -5,13 +5,19 @@
 //!
 //! * [`FailureState`] — which tunnels are alive and which LSs are active;
 //! * [`reservation_matrix`] — the matrix `M` over the pairs of interest
-//!   (Proposition 5: an invertible M-matrix), assembled as sparse columns
-//!   and never densified on a shipped path;
+//!   (Proposition 5: an invertible M-matrix), densified for tests and
+//!   probes; a realization assembles it straight into one flat CSC
+//!   (column starts plus `(row, value)` entries, rows ascending, an LS
+//!   term landing on an occupied cell added to it in emission order) and
+//!   never densifies it;
 //! * [`realize_routing`] — solves `M × U = D` (one linear system, not an
 //!   LP) and expands reservations into per-arc loads (Proposition 6). It
 //!   is [`factor_state`] followed by [`Factored::route`]; the two halves
 //!   are public so `pcf-replay` can cache the first across repeated
-//!   failure states. The factorization is triangular first
+//!   failure states. A miss — pair selection over the instance's interned
+//!   segment pairs, assembly, factorization — is O(nnz) in a fixed number
+//!   of allocations, and a hit solves in place into the buffer that
+//!   becomes [`Routing::u`]. The factorization is triangular first
 //!   (`SparseLu::factor_columns`): when the live LSs sort topologically
 //!   `M` is a permuted triangular matrix, the factors *are* that
 //!   permutation and the solve *is* Proposition 7's walk written as
@@ -234,9 +240,7 @@ pub fn pairs_of_interest(
         // interesting.
         for q in state.active_lss(inst, p) {
             if b[q.0] > eps {
-                for (u, v) in inst.ls(q).segments() {
-                    // audit:allow(no-panic-paths, Instance construction interns a pair for every LS segment) audit:allow(panic-reachability, same invariant: segment pairs are interned at construction)
-                    let sp = inst.pair_id(u, v).expect("segment pairs are interned");
+                for &sp in inst.segment_pairs(q) {
                     if !interest[sp.0] {
                         interest[sp.0] = true;
                         queue.push(sp);
@@ -285,23 +289,59 @@ fn for_each_reservation(
     }
 }
 
-/// `M` as the sparse columns `SparseLu::factor_columns` takes: `(row,
-/// value)` entries, row-sorted because rows arrive in ascending order.
-fn reservation_columns(
+/// `M` as the flat CSC `SparseLu::factor_columns` takes: column `j` is
+/// `entries[col_start[j]..col_start[j + 1]]`, `(row, value)` with rows
+/// ascending because rows are emitted in ascending order. The emitted
+/// terms are bucketed by column (a stable counting sort), then a term
+/// whose row repeats its column's previous one is added to that cell —
+/// exactly the additions, in exactly the order, that [`reservation_matrix`]
+/// performs.
+fn reservation_csc(
     inst: &Instance,
     state: &FailureState,
     a: &[f64],
     b: &[f64],
     pairs: &[PairId],
-) -> Vec<Vec<(u32, f64)>> {
-    let mut cols: Vec<Vec<(u32, f64)>> = vec![Vec::new(); pairs.len()];
+) -> (Vec<usize>, Vec<(u32, f64)>) {
+    let n = pairs.len();
+    let mut emitted: Vec<(u32, u32, f64)> = Vec::new();
     for_each_reservation(inst, state, a, b, pairs, |i, j, v| {
-        match cols[j].last_mut() {
-            Some(cell) if cell.0 == i as u32 => cell.1 += v,
-            _ => cols[j].push((i as u32, v)),
-        }
+        emitted.push((i as u32, j as u32, v))
     });
-    cols
+    // Count into `col_start[j + 1]`, prefix-sum, place (advancing
+    // `col_start[j]` to the end of column `j`), shift back into place.
+    let mut col_start = vec![0usize; n + 1];
+    for &(_, j, _) in &emitted {
+        col_start[j as usize + 1] += 1;
+    }
+    for j in 0..n {
+        col_start[j + 1] += col_start[j];
+    }
+    let mut entries = vec![(0u32, 0.0f64); emitted.len()];
+    for &(i, j, v) in &emitted {
+        entries[col_start[j as usize]] = (i, v);
+        col_start[j as usize] += 1;
+    }
+    col_start.copy_within(0..n, 1);
+    col_start[0] = 0;
+    // Merge repeated cells in place.
+    let mut kept = 0;
+    for j in 0..n {
+        let (lo, hi) = (col_start[j], col_start[j + 1]);
+        col_start[j] = kept;
+        for k in lo..hi {
+            let (i, v) = entries[k];
+            if kept > col_start[j] && entries[kept - 1].0 == i {
+                entries[kept - 1].1 += v;
+            } else {
+                entries[kept] = (i, v);
+                kept += 1;
+            }
+        }
+    }
+    col_start[n] = kept;
+    entries.truncate(kept);
+    (col_start, entries)
 }
 
 /// The same assembly densified — what the paper prints as Fig. 7. A
@@ -371,9 +411,10 @@ fn live_pairs(
     served: &[f64],
     tol_abs: f64,
 ) -> Result<Vec<PairId>, RealizeError> {
-    let pairs = pairs_of_interest(inst, state, served, b, tol_abs);
-    let mut keep = Vec::with_capacity(pairs.len());
-    for &p in &pairs {
+    let mut pairs = pairs_of_interest(inst, state, served, b, tol_abs);
+    let mut kept = 0;
+    for k in 0..pairs.len() {
+        let p = pairs[k];
         let live: f64 = state.live_tunnels(inst, p).map(|l| a[l.0]).sum::<f64>()
             + state.active_lss(inst, p).map(|q| b[q.0]).sum::<f64>();
         if live <= tol_abs {
@@ -383,10 +424,12 @@ fn live_pairs(
                 return Err(no_reservation_kind(inst, state, p));
             }
         } else {
-            keep.push(p);
+            pairs[kept] = p;
+            kept += 1;
         }
     }
-    Ok(keep)
+    pairs.truncate(kept);
+    Ok(pairs)
 }
 
 /// Classifies a zero-reservation pair: physically cut off
@@ -403,13 +446,14 @@ fn no_reservation_kind(inst: &Instance, state: &FailureState, p: PairId) -> Real
 }
 
 /// Expands per-pair utilizations into tunnel flows and arc loads
-/// (Proposition 6's load accounting).
+/// (Proposition 6's load accounting); `pairs` and `u` move into the
+/// [`Routing`].
 pub(crate) fn expand_routing(
     inst: &Instance,
     state: &FailureState,
     a: &[f64],
-    pairs: &[PairId],
-    u: &[f64],
+    pairs: Vec<PairId>,
+    u: Vec<f64>,
 ) -> Routing {
     let topo = inst.topo();
     let mut tunnel_flow = vec![0.0; inst.num_tunnels()];
@@ -432,8 +476,8 @@ pub(crate) fn expand_routing(
         }
     }
     Routing {
-        pairs: pairs.to_vec(),
-        u: u.to_vec(),
+        pairs,
+        u,
         tunnel_flow,
         arc_loads,
         bump: 0,
@@ -450,8 +494,8 @@ pub struct Factored {
     lu: SparseLu,
 }
 
-/// Selects the live pairs, assembles `M` as sparse columns and factors it
-/// — everything of [`realize_routing`] that does not read `served` beyond
+/// Selects the live pairs, assembles `M` as one flat CSC and factors it —
+/// everything of [`realize_routing`] that does not read `served` beyond
 /// pair selection.
 pub fn factor_state(
     inst: &Instance,
@@ -462,15 +506,16 @@ pub fn factor_state(
     tol: f64,
 ) -> Result<Factored, RealizeError> {
     let pairs = live_pairs(inst, state, a, b, served, absolute_tolerance(served, tol))?;
-    let cols = reservation_columns(inst, state, a, b, &pairs);
-    let lu =
-        SparseLu::factor_columns(pairs.len(), cols).map_err(|_| RealizeError::SingularMatrix)?;
+    let (col_start, entries) = reservation_csc(inst, state, a, b, &pairs);
+    let lu = SparseLu::factor_columns(pairs.len(), &col_start, &entries)
+        .map_err(|_| RealizeError::SingularMatrix)?;
     Ok(Factored { pairs, lu })
 }
 
 impl Factored {
-    /// The cheap half: substitution through the factors, the `U ∈ [0,1]`
-    /// range check and the expansion into loads.
+    /// The cheap half: substitution through the factors — in place, the
+    /// demand vector becoming `U` — the `U ∈ [0,1]` range check and the
+    /// expansion into loads.
     pub fn route(
         &self,
         inst: &Instance,
@@ -479,9 +524,10 @@ impl Factored {
         served: &[f64],
         tol: f64,
     ) -> Result<Routing, RealizeError> {
-        let d: Vec<f64> = self.pairs.iter().map(|&p| served[p.0]).collect();
-        let u = check_utilizations(&self.pairs, self.lu.solve(&d), tol)?;
-        let mut routing = expand_routing(inst, state, a, &self.pairs, &u);
+        let mut u: Vec<f64> = self.pairs.iter().map(|&p| served[p.0]).collect();
+        self.lu.ftran_in_place(&mut u, &mut Vec::new());
+        let u = check_utilizations(&self.pairs, u, tol)?;
+        let mut routing = expand_routing(inst, state, a, self.pairs.clone(), u);
         routing.bump = self.lu.bump();
         Ok(routing)
     }
@@ -562,9 +608,7 @@ pub fn topological_order(inst: &Instance, b: &[f64]) -> Option<Vec<PairId>> {
             continue;
         }
         let owner = inst.ls_pair(q);
-        for (u, v) in inst.ls(q).segments() {
-            // audit:allow(no-panic-paths, Instance construction interns a pair for every LS segment) audit:allow(panic-reachability, same invariant: segment pairs are interned at construction)
-            let sp = inst.pair_id(u, v).expect("segment pairs are interned");
+        for &sp in inst.segment_pairs(q) {
             if sp != owner {
                 adj[owner.0].push(sp.0);
                 indeg[sp.0] += 1;
@@ -711,16 +755,14 @@ pub(crate) fn prop7_walk(
         for q in state.active_lss(inst, p) {
             let flow = u * b[q.0];
             if flow > 0.0 {
-                for (x, y) in inst.ls(q).segments() {
-                    // audit:allow(no-panic-paths, Instance construction interns a pair for every LS segment) audit:allow(panic-reachability, same invariant: segment pairs are interned at construction)
-                    let sp = inst.pair_id(x, y).expect("segment pairs are interned");
+                for &sp in inst.segment_pairs(q) {
                     obligation[sp.0] += flow;
                 }
             }
         }
     }
     let u: Vec<f64> = pairs.iter().map(|&p| u_all[p.0]).collect();
-    Ok(expand_routing(inst, state, a, &pairs, &u))
+    Ok(expand_routing(inst, state, a, pairs, u))
 }
 
 #[cfg(test)]
@@ -866,16 +908,54 @@ mod tests {
         Ok((pairs, u))
     }
 
-    /// On every `f`-failure state of a plan: `realize_routing` agrees
-    /// with the dense reference (same pairs, `u` within 1e-9, same error
-    /// variant); when the plan's LSs sort topologically no state leaves a
-    /// bump and `u` is Prop. 7's proportional walk. Returns the largest
-    /// bump seen.
+    /// The flat CSC `factor_state` factors, densified, is the dense
+    /// reference `M` bit for bit: same cells, same merged sums.
+    fn assert_csc_is_reservation_matrix(
+        inst: &Instance,
+        state: &FailureState,
+        a: &[f64],
+        b: &[f64],
+        pairs: &[PairId],
+    ) {
+        let (col_start, entries) = reservation_csc(inst, state, a, b, pairs);
+        let n = pairs.len();
+        assert_eq!(col_start.len(), n + 1);
+        assert_eq!(col_start[n], entries.len());
+        let mut dense = DenseMatrix::zeros(n);
+        for (j, w) in col_start.windows(2).enumerate() {
+            let rows = &entries[w[0]..w[1]];
+            assert!(rows.windows(2).all(|r| r[0].0 < r[1].0), "rows ascending");
+            for &(i, v) in rows {
+                dense.set(i as usize, j, v);
+            }
+        }
+        let m = reservation_matrix(inst, state, a, b, pairs);
+        for i in 0..n {
+            for j in 0..n {
+                let (x, y) = (dense.get(i, j), m.get(i, j));
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "M[{i}][{j}]: csc {x} vs dense {y}"
+                );
+            }
+        }
+    }
+
+    /// On every `f`-failure state of a plan: the assembled flat CSC is the
+    /// dense `M` bit for bit; `realize_routing` agrees with the dense
+    /// reference (same pairs, `u` within 1e-9, same error variant); when
+    /// the plan's LSs sort topologically no state leaves a bump and `u` is
+    /// Prop. 7's proportional walk. Returns the largest bump seen.
     fn check_plan(inst: &Instance, f: usize, a: &[f64], b: &[f64], served: &[f64]) -> usize {
         let sortable = topological_order(inst, b).is_some();
         let mut max_bump = 0;
         for sc in FailureModel::links(f).enumerate_scenarios(inst.topo()) {
             let state = FailureState::new(inst, &sc.dead).unwrap();
+            let tol_abs = absolute_tolerance(served, 1e-6);
+            if let Ok(pairs) = live_pairs(inst, &state, a, b, served, tol_abs) {
+                assert_csc_is_reservation_matrix(inst, &state, a, b, &pairs);
+            }
             let got = realize_routing(inst, &state, a, b, served, 1e-6);
             let want = dense_reference(inst, &state, a, b, served, 1e-6);
             let got = match (got, want) {
@@ -949,6 +1029,31 @@ mod tests {
         );
         // Double failures cut (s,t) off: both paths must say so.
         check_plan(&inst, 2, &a, &b, &served);
+        // Three LSs of (s,t) through segment (s,a): that cell of `M` sums
+        // three terms, and these three sum differently in any other order
+        // or association, so a merge that is not the reference's is caught.
+        let (s, na, nb, t) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+        let inst = InstanceBuilder::with_demands(&topo, vec![(s, t, 1.0)])
+            .add_ls(LogicalSequence::always(vec![s, na, t]))
+            .add_ls(LogicalSequence::always(vec![s, na, nb, t]))
+            .add_ls(LogicalSequence::always(vec![s, na, nb, na, t]))
+            .build();
+        let b = [0.1, 0.2, 0.3];
+        assert_ne!(
+            ((0.1f64 + 0.2) + 0.3).to_bits(),
+            (0.1f64 + (0.2 + 0.3)).to_bits()
+        );
+        let a = vec![1.0; inst.num_tunnels()];
+        let served: Vec<f64> = inst.pair_ids().map(|p| 0.5 * inst.demand(p)).collect();
+        let state = FailureState::new(&inst, &[false; 4]).unwrap();
+        let pairs = pairs_of_interest(&inst, &state, &served, &b, 1e-9);
+        let m = reservation_matrix(&inst, &state, &a, &b, &pairs);
+        let at = |p: (NodeId, NodeId)| {
+            let id = inst.pair_id(p.0, p.1).unwrap();
+            pairs.iter().position(|&q| q == id).unwrap()
+        };
+        assert_eq!(m.get(at((s, na)), at((s, t))), ((-0.1) + (-0.2)) + (-0.3));
+        assert_eq!(check_plan(&inst, 1, &a, &b, &served), 0);
     }
 
     #[test]

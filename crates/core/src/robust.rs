@@ -52,6 +52,7 @@ use pcf_lp::{
     nonzero, Basis, IncrementalLp, IncrementalStats, LpProblem, Sense, SimplexOptions, Solution,
     Status, VarId,
 };
+use pcf_rng::Fnv1a;
 use std::fmt;
 
 /// Structured failure from the robust engine's master problem.
@@ -173,8 +174,8 @@ pub struct RobustSolution {
     /// one the pool carries.
     pub warm_rounds: usize,
     /// Cuts offered to round 1 from a previous solve's [`CutPool`] (0 on a
-    /// cold start or when the offered pool did not shape-match the
-    /// instance).
+    /// cold start or when the offered pool did not [`CutPool::matches`]
+    /// the instance).
     pub seeded_cuts: usize,
     /// LP-layer counters of the master, cumulative over the rounds: solves
     /// by kind, pivots by loop, refactorizations.
@@ -204,22 +205,22 @@ impl RobustSolution {
 /// master that held them, exported so the next solve of a same-shape
 /// instance restarts from that optimum instead of rediscovering the binding
 /// scenarios and the vertex from scratch (an epoch-to-epoch warm start:
-/// demand re-scales and traffic re-draws move the optimal reservations, but
-/// the adversarial scenarios that bind them, and mostly the basis, are
-/// stable).
+/// demand re-scales and re-draws over the same pairs move the optimal
+/// reservations, but the adversarial scenarios that bind them, and mostly
+/// the basis, are stable).
 ///
-/// A pool is only meaningful for an instance with identical pair, tunnel,
-/// and LS indexing; [`CutPool::matches`] guards that, and the seeded
-/// solvers silently fall back to a cold start on mismatch. The basis rides
-/// on a row-order contract: a master's rows are its capacity rows, one
-/// no-failure cut per pair, then every other cut in the order appended —
-/// which is the pool's order, so the master rebuilt from the pool has the
-/// exporting master's row `i` as its row `i`.
+/// A pool is only meaningful for an instance with identical pairs, tunnels
+/// and LSs behind identical indices — demands may differ, what a cut's
+/// coefficients point at may not; [`CutPool::matches`] guards that, and
+/// the seeded solvers silently fall back to a cold start on mismatch. The
+/// basis rides on a row-order contract: a master's rows are its capacity
+/// rows, one no-failure cut per pair, then every other cut in the order
+/// appended — which is the pool's order, so the master rebuilt from the
+/// pool has the exporting master's row `i` as its row `i`.
 #[derive(Debug, Clone, Default)]
 pub struct CutPool {
-    pairs: usize,
-    tunnels: usize,
-    lss: usize,
+    /// [`instance_identity`] of the exporting instance.
+    identity: u64,
     cuts: Vec<(PairId, WorstCase)>,
     /// Optimal basis of the exporting master; `None` if the LP kept none.
     basis: Option<Basis>,
@@ -236,20 +237,54 @@ impl CutPool {
         self.cuts.is_empty()
     }
 
-    /// Whether every cut in the pool index-matches `inst` (same pair,
-    /// tunnel, and LS shape). Cuts exported from a differently shaped
-    /// instance would bind the wrong variables.
+    /// Whether the pool was exported from an instance with `inst`'s pairs,
+    /// tunnels and LSs at the same indices. Equal counts are not enough: a
+    /// cut from another pair set is a scenario outside the uncertainty set
+    /// on the wrong variables, and since the solve only ever adds violated
+    /// cuts, nothing would take it back out.
     pub fn matches(&self, inst: &Instance) -> bool {
-        self.pairs == inst.num_pairs()
-            && self.tunnels == inst.num_tunnels()
-            && self.lss == inst.num_lss()
-            && self.cuts.iter().all(|(p, wc)| {
-                p.0 < self.pairs
-                    && wc.y.len() == inst.tunnels_of(*p).len()
-                    && wc.h_l.len() == inst.lss_of(*p).len()
-                    && wc.h_q.len() == inst.segments_of(*p).len()
-            })
+        self.identity == instance_identity(inst)
     }
+}
+
+/// FNV-1a over everything a cut is indexed by: each pair's endpoints, each
+/// tunnel's pair and links, each LS's hops and condition, in index order.
+/// Demands are left out — re-solving the same pairs at another demand is
+/// what a pool is for. O(instance).
+fn instance_identity(inst: &Instance) -> u64 {
+    // Length-prefixed, so neighbouring lists cannot alias.
+    fn list(h: &mut Fnv1a, xs: impl ExactSizeIterator<Item = u32>) {
+        h.write_u64(xs.len() as u64);
+        for x in xs {
+            h.write_u64(u64::from(x));
+        }
+    }
+    let mut h = Fnv1a::new();
+    for p in inst.pair_ids() {
+        let (s, t) = inst.pair(p);
+        list(&mut h, [s.0, t.0].into_iter());
+    }
+    for l in inst.tunnel_ids() {
+        h.write_u64(inst.tunnel_pair(l).0 as u64);
+        list(&mut h, inst.tunnel(l).links.iter().map(|e| e.0));
+    }
+    for q in inst.ls_ids() {
+        let ls = inst.ls(q);
+        list(&mut h, ls.hops.iter().map(|v| v.0));
+        match &ls.condition {
+            Condition::Always => h.write_u64(0),
+            Condition::LinkDead(e) => {
+                h.write_u64(1);
+                list(&mut h, std::iter::once(e.0));
+            }
+            Condition::AliveDead { alive, dead } => {
+                h.write_u64(2);
+                list(&mut h, alive.iter().map(|e| e.0));
+                list(&mut h, dead.iter().map(|e| e.0));
+            }
+        }
+    }
+    h.finish()
 }
 
 /// Evaluates the activation level of every condition in the no-failure
@@ -573,9 +608,7 @@ impl Master {
     /// duplicate rows.
     fn export_pool(&mut self, inst: &Instance) -> CutPool {
         CutPool {
-            pairs: inst.num_pairs(),
-            tunnels: inst.num_tunnels(),
-            lss: inst.num_lss(),
+            identity: instance_identity(inst),
             basis: self.lp.basis(),
             cuts: self.cuts.split_off(inst.num_pairs()),
         }
@@ -1264,5 +1297,49 @@ mod more_tests {
         same_objective(&sol);
         let lp = sol.lp_stats;
         assert_eq!((lp.cold_solves, lp.warm_fallbacks), (1, 1), "{lp:?}");
+    }
+
+    #[test]
+    fn pool_from_another_pair_set_goes_cold() {
+        // B4's 60 heaviest gravity pairs differ from seed to seed while the
+        // pair, tunnel and LS counts do not: the seed-1 pool offered at
+        // seeds 2-5 must be refused wherever the pairs moved, so every
+        // seeded objective is the cold one (a pool seeded into the wrong
+        // pairs lands FFC 14-31% and PCF-TF 1.5-3.8% below cold).
+        let topo = pcf_topology::zoo::build("B4");
+        let inst_at = |seed: u64| {
+            let mut tm = pcf_traffic::gravity(&topo, seed);
+            tm.truncate_to_top_k(60);
+            crate::schemes::tunnel_instance(&topo, &tm, 3)
+        };
+        let fm = FailureModel::links(1);
+        let opts = RobustOptions::default();
+        let first = inst_at(1);
+        for kind in [AdversaryKind::FfcTunnelCount, AdversaryKind::LinkBased] {
+            let (_, pool) = try_solve_robust_seeded(&first, &fm, kind, &opts, None).unwrap();
+            assert!(pool.matches(&first) && !pool.is_empty());
+            let mut refused = 0;
+            for seed in 2..=5 {
+                let inst = inst_at(seed);
+                assert_eq!(
+                    (inst.num_pairs(), inst.num_tunnels()),
+                    (first.num_pairs(), first.num_tunnels())
+                );
+                let cold = try_solve_robust(&inst, &fm, kind, &opts).unwrap();
+                let (warm, _) =
+                    try_solve_robust_seeded(&inst, &fm, kind, &opts, Some(&pool)).unwrap();
+                assert!(
+                    (warm.objective - cold.objective).abs() <= 1e-9,
+                    "{kind:?} seed {seed}: seeded {} vs cold {}",
+                    warm.objective,
+                    cold.objective
+                );
+                if !pool.matches(&inst) {
+                    assert_eq!(warm.seeded_cuts, 0);
+                    refused += 1;
+                }
+            }
+            assert!(refused > 0, "no seed moved the pair set");
+        }
     }
 }

@@ -1,9 +1,13 @@
 //! Sparse LU factorization and the simplex basis engine.
 //!
 //! One factor representation ([`SparseLu`], permutation-indexed triangular
-//! factors stored by elimination step) and one shipped ordering:
+//! factors stored by elimination step: per step an offset into one flat L
+//! entry vector and one flat U entry vector, so a factorization is a fixed
+//! handful of allocations however many steps it has) and one shipped
+//! ordering:
 //!
-//! * [`SparseLu::factor_columns`] — **triangular first**. An O(nnz)
+//! * [`SparseLu::factor_columns`] — **triangular first**, over a flat CSC
+//!   input (column starts plus `(row, value)` entries). An O(nnz)
 //!   singleton peel pivots every row or column that has a single entry
 //!   left, repeatedly, before anything else runs: a column singleton takes
 //!   an empty L column and the pivot row's remaining entries as its U row,
@@ -18,8 +22,11 @@
 //!   subject to `|pivot| >= 0.1 · colmax`; candidate columns are examined
 //!   in ascending active-count order with a deterministic cap. A singleton
 //!   whose pivot is below `BASIS_SINGULAR_TOL` is not peeled: it stays in
-//!   the bump, where singularity is declared. Simplex bases
-//!   ([`SparseLu::factor_basis`]) and reservation matrices take this path.
+//!   the bump, where singularity is declared. The peel walks a row-major
+//!   copy of the input and writes every pivot's L column or U row through
+//!   one reused buffer. Simplex bases ([`SparseLu::factor_basis`], which
+//!   lays the basis columns of a [`CscMatrix`] out as that flat CSC) and
+//!   reservation matrices take this path.
 //! * [`SparseLu::factor_dense_compat`] — the test reference: partial
 //!   pivoting in the *exact* pivot order of [`crate::linsys::lu_factor`]
 //!   (largest magnitude, first-in-physical-order tie break, `1e-13`
@@ -59,17 +66,20 @@ const BASIS_SINGULAR_TOL: f64 = 1e-12;
 /// Sparse LU factors `B = P^T L U Q`, stored by elimination step.
 ///
 /// `rperm[k]`/`cperm[k]` are the original row/column eliminated at step
-/// `k`; `lcols[k]` holds the unit-lower-triangular multipliers created at
-/// step `k` (targets are *step* indices `> k`); `urows[k]` holds the
-/// upper-triangular row of step `k` (sources are step indices `> k`,
-/// ascending); `pivots[k]` is the diagonal.
+/// `k`; `l[lstart[k]..lstart[k + 1]]` holds the unit-lower-triangular
+/// multipliers created at step `k` (targets are *step* indices `> k`);
+/// `u[ustart[k]..ustart[k + 1]]` holds the upper-triangular row of step `k`
+/// (sources are step indices `> k`, ascending); `pivots[k]` is the
+/// diagonal.
 #[derive(Debug, Clone)]
 pub struct SparseLu {
     n: usize,
     rperm: Vec<u32>,
     cperm: Vec<u32>,
-    lcols: Vec<Vec<(u32, f64)>>,
-    urows: Vec<Vec<(u32, f64)>>,
+    lstart: Vec<usize>,
+    l: Vec<(u32, f64)>,
+    ustart: Vec<usize>,
+    u: Vec<(u32, f64)>,
     pivots: Vec<f64>,
     bump: usize,
 }
@@ -90,9 +100,7 @@ impl SparseLu {
 
     /// Stored factor entries (L + U + diagonal).
     pub fn nnz(&self) -> usize {
-        let l: usize = self.lcols.iter().map(Vec::len).sum();
-        let u: usize = self.urows.iter().map(Vec::len).sum();
-        l + u + self.pivots.len()
+        self.l.len() + self.u.len() + self.pivots.len()
     }
 
     /// Factors a dense matrix with the same pivot order, singularity
@@ -117,51 +125,68 @@ impl SparseLu {
     /// Factors the basis matrix whose columns are `a.col(basis[p])` for
     /// each basis position `p` (see [`SparseLu::factor_columns`]).
     pub fn factor_basis(a: &CscMatrix, basis: &[usize]) -> Result<SparseLu, LinSysError> {
-        let cols: Vec<Vec<(u32, f64)>> = basis
-            .iter()
-            .map(|&j| {
-                a.col_iter(j)
-                    .filter_map(|(i, v)| nonzero(v).then_some((i as u32, v)))
-                    .collect()
-            })
-            .collect();
-        SparseLu::factor_columns(basis.len(), cols)
+        let mut col_start = Vec::with_capacity(basis.len() + 1);
+        col_start.push(0);
+        let mut entries = Vec::with_capacity(basis.iter().map(|&j| a.col(j).0.len()).sum());
+        for &j in basis {
+            let (rows, vals) = a.col(j);
+            entries.extend(
+                rows.iter()
+                    .zip(vals)
+                    .filter(|&(_, &v)| nonzero(v))
+                    .map(|(&i, &v)| (i, v)),
+            );
+            col_start.push(entries.len());
+        }
+        SparseLu::factor_columns(basis.len(), &col_start, &entries)
     }
 
-    /// Factors the `n x n` matrix whose column `j` holds the entries
-    /// `cols[j]` (`(row, value)`, each row at most once per column):
-    /// singleton peel first, threshold-Markowitz elimination on the bump
-    /// that remains (module docs).
+    /// Factors the `n x n` matrix in flat CSC form: column `j` holds the
+    /// entries `entries[col_start[j]..col_start[j + 1]]` (`(row, value)`,
+    /// each row at most once per column). Singleton peel first,
+    /// threshold-Markowitz elimination on the bump that remains (module
+    /// docs).
     pub fn factor_columns(
         n: usize,
-        mut cols: Vec<Vec<(u32, f64)>>,
+        col_start: &[usize],
+        entries: &[(u32, f64)],
     ) -> Result<SparseLu, LinSysError> {
-        let mut lu = SparseLu::with_capacity(n);
-        let (row_done, col_done) = peel(n, &cols, &mut lu);
+        debug_assert_eq!(col_start.len(), n + 1);
+        let mut lu = SparseLu::with_capacity(n, entries.len().saturating_sub(n));
+        let (row_done, col_done) = peel(n, col_start, entries, &mut lu);
         lu.bump = n - lu.pivots.len();
         if lu.bump > 0 {
-            for (col, &done) in cols.iter_mut().zip(&col_done) {
-                if done {
-                    col.clear();
-                } else {
-                    col.retain(|&(i, _)| !row_done[i as usize]);
-                }
-            }
+            let cols: Vec<Vec<(u32, f64)>> = (0..n)
+                .map(|j| {
+                    if col_done[j] {
+                        return Vec::new();
+                    }
+                    entries[col_start[j]..col_start[j + 1]]
+                        .iter()
+                        .filter(|&&(i, _)| !row_done[i as usize])
+                        .copied()
+                        .collect()
+                })
+                .collect();
             markowitz(cols, &mut lu)?;
         }
         Ok(lu.finish())
     }
 
-    /// An empty factorization of dimension `n`, to be filled one pivot at
-    /// a time by [`SparseLu::push_step`] and closed by
-    /// [`SparseLu::finish`].
-    fn with_capacity(n: usize) -> SparseLu {
+    /// An empty factorization of dimension `n` with room for `off_diag`
+    /// L and U entries each, to be filled one pivot at a time by
+    /// [`SparseLu::push_step`] and closed by [`SparseLu::finish`].
+    fn with_capacity(n: usize, off_diag: usize) -> SparseLu {
+        let mut lstart = Vec::with_capacity(n + 1);
+        lstart.push(0);
         SparseLu {
             n,
             rperm: Vec::with_capacity(n),
             cperm: Vec::with_capacity(n),
-            lcols: Vec::with_capacity(n),
-            urows: Vec::with_capacity(n),
+            ustart: lstart.clone(),
+            lstart,
+            l: Vec::with_capacity(off_diag),
+            u: Vec::with_capacity(off_diag),
             pivots: Vec::with_capacity(n),
             bump: 0,
         }
@@ -169,19 +194,14 @@ impl SparseLu {
 
     /// Records the next pivot; `lk` is keyed by original row and `uk` by
     /// original column until [`SparseLu::finish`].
-    fn push_step(
-        &mut self,
-        row: u32,
-        col: u32,
-        piv: f64,
-        lk: Vec<(u32, f64)>,
-        uk: Vec<(u32, f64)>,
-    ) {
+    fn push_step(&mut self, row: u32, col: u32, piv: f64, lk: &[(u32, f64)], uk: &[(u32, f64)]) {
         self.rperm.push(row);
         self.cperm.push(col);
         self.pivots.push(piv);
-        self.lcols.push(lk);
-        self.urows.push(uk);
+        self.l.extend_from_slice(lk);
+        self.lstart.push(self.l.len());
+        self.u.extend_from_slice(uk);
+        self.ustart.push(self.u.len());
     }
 
     /// Remaps the recorded L targets and U sources from original indices
@@ -191,18 +211,20 @@ impl SparseLu {
         for (k, &r) in self.rperm.iter().enumerate() {
             step_of[r as usize] = k as u32;
         }
-        for (r, _) in self.lcols.iter_mut().flatten() {
+        for (r, _) in &mut self.l {
             *r = step_of[*r as usize];
         }
         for (k, &c) in self.cperm.iter().enumerate() {
             step_of[c as usize] = k as u32;
         }
-        for row in &mut self.urows {
-            for (c, _) in row.iter_mut() {
-                *c = step_of[*c as usize];
-            }
-            row.sort_unstable_by_key(|&(c, _)| c);
+        for (c, _) in &mut self.u {
+            *c = step_of[*c as usize];
         }
+        for w in self.ustart.windows(2) {
+            self.u[w[0]..w[1]].sort_unstable_by_key(|&(c, _)| c);
+        }
+        self.l.shrink_to_fit();
+        self.u.shrink_to_fit();
         self
     }
 
@@ -212,17 +234,13 @@ impl SparseLu {
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         // audit:allow(panic-reachability, dimension guard; every caller passes an rhs sized by the factored basis)
         assert_eq!(b.len(), self.n, "rhs dimension mismatch");
-        let mut z = vec![0.0; self.n];
-        self.solve_scratch(b, &mut z);
-        let mut x = vec![0.0; self.n];
-        for k in 0..self.n {
-            x[self.cperm[k] as usize] = z[k];
-        }
+        let mut x = b.to_vec();
+        self.ftran_in_place(&mut x, &mut Vec::new());
         x
     }
 
     /// `x <- B^{-1} x` using a caller-provided scratch buffer of length
-    /// `n` (the simplex ftran).
+    /// `n` (the simplex ftran, and the realization's one solve).
     pub fn ftran_in_place(&self, x: &mut [f64], scratch: &mut Vec<f64>) {
         scratch.clear();
         scratch.resize(self.n, 0.0);
@@ -235,21 +253,20 @@ impl SparseLu {
     /// Forward + backward substitution in step space: `z` solves
     /// `L U z = P b`.
     fn solve_scratch(&self, b: &[f64], z: &mut [f64]) {
-        let n = self.n;
-        for k in 0..n {
-            z[k] = b[self.rperm[k] as usize];
+        for (zk, &r) in z.iter_mut().zip(&self.rperm) {
+            *zk = b[r as usize];
         }
-        for k in 0..n {
+        for (k, w) in self.lstart.windows(2).enumerate() {
             let v = z[k];
             if nonzero(v) {
-                for &(t, l) in &self.lcols[k] {
+                for &(t, l) in &self.l[w[0]..w[1]] {
                     z[t as usize] -= l * v;
                 }
             }
         }
-        for k in (0..n).rev() {
+        for (k, w) in self.ustart.windows(2).enumerate().rev() {
             let mut acc = z[k];
-            for &(c, u) in &self.urows[k] {
+            for &(c, u) in &self.u[w[0]..w[1]] {
                 acc -= u * z[c as usize];
             }
             z[k] = acc / self.pivots[k];
@@ -259,33 +276,32 @@ impl SparseLu {
     /// `y <- B^{-T} y` using a caller-provided scratch buffer of length
     /// `n` (the simplex btran).
     pub fn btran_in_place(&self, y: &mut [f64], scratch: &mut Vec<f64>) {
-        let n = self.n;
         scratch.clear();
-        scratch.resize(n, 0.0);
+        scratch.resize(self.n, 0.0);
         let z = &mut scratch[..];
         // B^T = Q^T U^T L^T P: gather by cperm, then U^T (forward), L^T
         // (backward), scatter by rperm.
-        for k in 0..n {
-            z[k] = y[self.cperm[k] as usize];
+        for (zk, &c) in z.iter_mut().zip(&self.cperm) {
+            *zk = y[c as usize];
         }
-        for k in 0..n {
-            let w = z[k] / self.pivots[k];
-            z[k] = w;
-            if nonzero(w) {
-                for &(c, u) in &self.urows[k] {
-                    z[c as usize] -= u * w;
+        for (k, w) in self.ustart.windows(2).enumerate() {
+            let v = z[k] / self.pivots[k];
+            z[k] = v;
+            if nonzero(v) {
+                for &(c, u) in &self.u[w[0]..w[1]] {
+                    z[c as usize] -= u * v;
                 }
             }
         }
-        for k in (0..n).rev() {
+        for (k, w) in self.lstart.windows(2).enumerate().rev() {
             let mut acc = z[k];
-            for &(t, l) in &self.lcols[k] {
+            for &(t, l) in &self.l[w[0]..w[1]] {
                 acc -= l * z[t as usize];
             }
             z[k] = acc;
         }
-        for k in 0..n {
-            y[self.rperm[k] as usize] = z[k];
+        for (&zk, &r) in z.iter().zip(&self.rperm) {
+            y[r as usize] = zk;
         }
     }
 }
@@ -408,7 +424,7 @@ fn factor_partial_pivot(n: usize, cols: Vec<Vec<(u32, f64)>>) -> Result<SparseLu
     // phys[pos] = original row currently at physical position `pos`; the
     // dense code swaps rows physically, we swap this view.
     let mut phys: Vec<u32> = (0..n as u32).collect();
-    let mut lu = SparseLu::with_capacity(n);
+    let mut lu = SparseLu::with_capacity(n, 0);
     lu.bump = n;
     for k in 0..n {
         // Scatter column k for value lookups by original row.
@@ -441,7 +457,7 @@ fn factor_partial_pivot(n: usize, cols: Vec<Vec<(u32, f64)>>) -> Result<SparseLu
         let p = phys[k];
         let piv = val(p);
         let (lk, uk) = act.eliminate(k, p as usize, piv);
-        lu.push_step(p, k as u32, piv, lk, uk);
+        lu.push_step(p, k as u32, piv, &lk, &uk);
     }
     // Natural column order: cperm is the identity, so `finish` leaves the
     // U rows (already ascending) as they are.
@@ -451,39 +467,45 @@ fn factor_partial_pivot(n: usize, cols: Vec<Vec<(u32, f64)>>) -> Result<SparseLu
 /// The singleton peel (module docs): pivots every row or column with one
 /// active entry, repeatedly, in FIFO order from a queue seeded with the
 /// column singletons then the row singletons, each in ascending index
-/// order. Returns which rows and columns were pivoted; `cols` is only read
-/// (a peel pivot changes no stored value).
-fn peel(n: usize, cols: &[Vec<(u32, f64)>], lu: &mut SparseLu) -> (Vec<bool>, Vec<bool>) {
-    // Row-major copy of the entries, so a pivot row can be walked.
-    let mut row_count = vec![0u32; n];
-    for &(i, _) in cols.iter().flatten() {
-        row_count[i as usize] += 1;
+/// order. Returns which rows and columns were pivoted; the flat CSC input
+/// is only read (a peel pivot changes no stored value).
+fn peel(
+    n: usize,
+    col_start: &[usize],
+    entries: &[(u32, f64)],
+    lu: &mut SparseLu,
+) -> (Vec<bool>, Vec<bool>) {
+    // Row-major copy of the entries, so a pivot row can be walked: count
+    // into `row_start[i + 1]`, prefix-sum, fill (advancing `row_start[i]`
+    // to the end of row `i`), then shift the starts back into place.
+    let mut row_start = vec![0usize; n + 1];
+    for &(i, _) in entries {
+        row_start[i as usize + 1] += 1;
     }
-    let mut row_start = Vec::with_capacity(n + 1);
-    let mut nnz = 0usize;
-    for &c in &row_count {
-        row_start.push(nnz);
-        nnz += c as usize;
+    for i in 0..n {
+        row_start[i + 1] += row_start[i];
     }
-    row_start.push(nnz);
-    let mut next = row_start.clone();
-    let mut rows = vec![(0u32, 0.0f64); nnz];
-    for (j, col) in cols.iter().enumerate() {
-        for &(i, v) in col {
-            rows[next[i as usize]] = (j as u32, v);
-            next[i as usize] += 1;
+    let mut rows = vec![(0u32, 0.0f64); entries.len()];
+    for (j, w) in col_start.windows(2).enumerate() {
+        for &(i, v) in &entries[w[0]..w[1]] {
+            rows[row_start[i as usize]] = (j as u32, v);
+            row_start[i as usize] += 1;
         }
     }
+    row_start.copy_within(0..n, 1);
+    row_start[0] = 0;
     // Orientation 0 is "column", 1 is "row": line `k` of orientation `s`
     // lists `(index in the other orientation, value)`.
     let line = |s: usize, k: usize| -> &[(u32, f64)] {
         if s == 0 {
-            &cols[k]
+            &entries[col_start[k]..col_start[k + 1]]
         } else {
             &rows[row_start[k]..row_start[k + 1]]
         }
     };
-    let mut count = [cols.iter().map(|c| c.len() as u32).collect(), row_count];
+    let counts =
+        |start: &[usize]| -> Vec<u32> { start.windows(2).map(|w| (w[1] - w[0]) as u32).collect() };
+    let mut count = [counts(col_start), counts(&row_start)];
     let mut done = [vec![false; n], vec![false; n]];
     let mut queue: VecDeque<(usize, u32)> = VecDeque::new();
     for (s, counts) in count.iter().enumerate() {
@@ -493,6 +515,8 @@ fn peel(n: usize, cols: &[Vec<(u32, f64)>], lu: &mut SparseLu) -> (Vec<bool>, Ve
                 .map(|k| (s, k)),
         );
     }
+    // The pivot's L column or U row, rebuilt in place for every pivot.
+    let mut cross: Vec<(u32, f64)> = Vec::new();
     while let Some((s, k)) = queue.pop_front() {
         let (k, o) = (k as usize, 1 - s);
         if done[s][k] || count[s][k] != 1 {
@@ -505,7 +529,7 @@ fn peel(n: usize, cols: &[Vec<(u32, f64)>], lu: &mut SparseLu) -> (Vec<bool>, Ve
         // The pivot's other line: a column singleton keeps its pivot row's
         // remaining entries as the U row, a row singleton its pivot
         // column's remaining entries / pivot as the L column.
-        let mut cross = Vec::new();
+        cross.clear();
         for &(t, v) in line(o, x as usize) {
             let ti = t as usize;
             if ti == k || done[s][ti] {
@@ -523,9 +547,9 @@ fn peel(n: usize, cols: &[Vec<(u32, f64)>], lu: &mut SparseLu) -> (Vec<bool>, Ve
         done[s][k] = true;
         done[o][x as usize] = true;
         if s == 0 {
-            lu.push_step(x, k as u32, piv, Vec::new(), cross);
+            lu.push_step(x, k as u32, piv, &[], &cross);
         } else {
-            lu.push_step(k as u32, x, piv, cross, Vec::new());
+            lu.push_step(k as u32, x, piv, &cross, &[]);
         }
     }
     let [col_done, row_done] = done;
@@ -618,7 +642,7 @@ fn markowitz(cols: Vec<Vec<(u32, f64)>>, lu: &mut SparseLu) -> Result<(), LinSys
         for &(r, _) in &lk {
             row_count[r as usize] = act.row_cols[r as usize].len() as u32;
         }
-        lu.push_step(i, j, piv, lk, uk);
+        lu.push_step(i, j, piv, &lk, &uk);
     }
     Ok(())
 }

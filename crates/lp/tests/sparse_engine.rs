@@ -256,11 +256,42 @@ fn gen_peelable(rng: &mut Pcg32) -> (Planted, RandMat) {
     )
 }
 
+/// `m` as the flat CSC `factor_columns` takes: column starts plus
+/// `(row, value)` entries, rows ascending.
+fn flat_csc(m: &RandMat) -> (Vec<usize>, Vec<(u32, f64)>) {
+    let n = m.n;
+    let mut col_start = vec![0];
+    let mut entries = Vec::new();
+    for j in 0..n {
+        entries.extend(
+            (0..n)
+                .filter(|&i| m.a[i * n + j] != 0.0)
+                .map(|i| (i as u32, m.a[i * n + j])),
+        );
+        col_start.push(entries.len());
+    }
+    (col_start, entries)
+}
+
 /// `factor_columns` against the dense reference: same verdict on
 /// singularity, solves within 1e-9, and a permuted triangular matrix is
 /// factored by the peel alone — no bump, no fill.
 #[test]
 fn factor_columns_agrees_with_dense_reference() {
+    // Fixed shapes first: the empty matrix, a 1x1, and a permuted diagonal
+    // where every step is a singleton with empty L and U.
+    let empty = SparseLu::factor_columns(0, &[0], &[]).unwrap();
+    assert_eq!((empty.n(), empty.bump(), empty.nnz()), (0, 0, 0));
+    assert!(empty.solve(&[]).is_empty());
+    let one = SparseLu::factor_columns(1, &[0, 1], &[(0, -4.0)]).unwrap();
+    assert_eq!((one.bump(), one.nnz()), (0, 1));
+    assert_eq!(one.solve(&[2.0]), vec![-0.5]);
+    assert!(SparseLu::factor_columns(1, &[0, 0], &[]).is_err());
+    let diag =
+        SparseLu::factor_columns(3, &[0, 1, 2, 3], &[(2, 2.0), (0, 4.0), (1, -1.0)]).unwrap();
+    assert_eq!((diag.bump(), diag.nnz()), (0, 3));
+    assert_eq!(diag.solve(&[8.0, 3.0, 6.0]), vec![3.0, 2.0, -3.0]);
+
     forall(
         "factor_columns_agrees_with_dense_reference",
         &Config {
@@ -271,17 +302,10 @@ fn factor_columns_agrees_with_dense_reference() {
         no_shrink,
         |(planted, m)| {
             let n = m.n;
-            let cols: Vec<Vec<(u32, f64)>> = (0..n)
-                .map(|j| {
-                    (0..n)
-                        .filter(|&i| m.a[i * n + j] != 0.0)
-                        .map(|i| (i as u32, m.a[i * n + j]))
-                        .collect()
-                })
-                .collect();
-            let nnz: usize = cols.iter().map(Vec::len).sum();
+            let (col_start, entries) = flat_csc(m);
+            let nnz = entries.len();
             let reference = lu_factor(&dense_of(m));
-            let sparse = SparseLu::factor_columns(n, cols);
+            let sparse = SparseLu::factor_columns(n, &col_start, &entries);
             let singular = matches!(planted, Planted::TinyPivot | Planted::EmptyColumn);
             match (reference, sparse) {
                 (Err(_), Err(_)) if singular => Ok(()),

@@ -27,6 +27,7 @@ use pcf_core::{
 };
 use pcf_rng::Fnv1a;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Hit/miss/eviction counters of the factorization cache.
 ///
@@ -65,6 +66,15 @@ impl CacheStats {
         self.misses += other.misses;
         self.evictions += other.evictions;
         self.errors += other.errors;
+    }
+
+    /// Counts one lookup that ended on `entry`.
+    fn count(&mut self, entry: &CacheEntry, was_cached: bool) {
+        match entry {
+            Err(_) => self.errors += 1,
+            Ok(_) if was_cached => self.hits += 1,
+            Ok(_) => self.misses += 1,
+        }
     }
 }
 
@@ -111,11 +121,11 @@ impl DegradeStats {
 pub(crate) type CacheEntry = Result<Factored, RealizeError>;
 
 /// Insertion-order (FIFO) bounded map from liveness signature to solve
-/// state.
+/// state. The map and the FIFO share one allocation per key.
 struct FactorCache {
     capacity: usize,
-    entries: BTreeMap<Vec<u64>, CacheEntry>,
-    order: VecDeque<Vec<u64>>,
+    entries: BTreeMap<Arc<[u64]>, CacheEntry>,
+    order: VecDeque<Arc<[u64]>>,
     stats: CacheStats,
 }
 
@@ -129,33 +139,32 @@ impl FactorCache {
         }
     }
 
-    /// Returns the entry for `sig`, computing and inserting it on a miss
-    /// (evicting the oldest signature when full). Error entries are cached
-    /// like any other (replaying the same bad state must not re-factor),
-    /// but they count as [`CacheStats::errors`], not hits or misses.
-    fn lookup_or_insert(
+    /// Hands `use_entry` the entry for `key`, computing and inserting it
+    /// on a miss (evicting the oldest key when full): one search on a hit,
+    /// one key allocation per insert. Error entries are cached like any
+    /// other (replaying the same bad state must not re-factor), but they
+    /// count as [`CacheStats::errors`], not hits or misses.
+    fn lookup_or_insert<R>(
         &mut self,
-        sig: Vec<u64>,
+        key: &[u64],
         compute: impl FnOnce() -> CacheEntry,
-    ) -> &CacheEntry {
-        let was_cached = self.entries.contains_key(&sig);
-        if !was_cached {
-            if self.entries.len() >= self.capacity {
-                if let Some(old) = self.order.pop_front() {
-                    self.entries.remove(&old);
-                    self.stats.evictions += 1;
-                }
+        use_entry: impl FnOnce(&CacheEntry) -> R,
+    ) -> R {
+        if let Some(entry) = self.entries.get(key) {
+            self.stats.count(entry, true);
+            return use_entry(entry);
+        }
+        if self.entries.len() >= self.capacity {
+            if let Some(old) = self.order.pop_front() {
+                self.entries.remove(&old);
+                self.stats.evictions += 1;
             }
-            self.order.push_back(sig.clone());
-            self.entries.insert(sig.clone(), compute());
         }
-        let entry = &self.entries[&sig];
-        match entry {
-            Err(_) => self.stats.errors += 1,
-            Ok(_) if was_cached => self.stats.hits += 1,
-            Ok(_) => self.stats.misses += 1,
-        }
-        entry
+        let key: Arc<[u64]> = key.into();
+        self.order.push_back(Arc::clone(&key));
+        let entry = self.entries.entry(key).or_insert_with(compute);
+        self.stats.count(entry, false);
+        use_entry(entry)
     }
 }
 
@@ -491,14 +500,13 @@ impl<'a> ReplayEngine<'a> {
         let (inst, b, served, tol) = (self.inst, self.b, self.served, self.tol);
         let a: &[f64] = a_scaled.as_deref().unwrap_or(self.a);
         // The key is the liveness signature plus, only when degraded, the
-        // degradation fingerprint.
-        let (sig, degrade_fp) = (&self.sig, self.degrade_fp);
-        let key = || {
-            let mut key = sig.clone();
-            if degrade_fp != 0 {
-                key.push(degrade_fp);
-            }
-            key
+        // degradation fingerprint (the one case that builds a key).
+        let degraded_key;
+        let key: &[u64] = if self.degrade_fp == 0 {
+            &self.sig
+        } else {
+            degraded_key = [&self.sig[..], &[self.degrade_fp]].concat();
+            &degraded_key
         };
         // The two halves of `realize_routing`, split around the cache.
         let factor = || factor_state(inst, state, a, b, served, tol);
@@ -516,8 +524,8 @@ impl<'a> ReplayEngine<'a> {
                 }
                 res
             }
-            CacheBackend::Private(cache) => route(cache.lookup_or_insert(key(), factor)),
-            CacheBackend::Shared(shared) => route(&shared.lookup_or_insert(&key(), factor)),
+            CacheBackend::Private(cache) => cache.lookup_or_insert(key, factor, route),
+            CacheBackend::Shared(shared) => route(&shared.lookup_or_insert(key, factor)),
         };
         if let Ok(routing) = &res {
             self.max_bump = self.max_bump.max(routing.bump);

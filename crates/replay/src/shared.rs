@@ -35,10 +35,11 @@ use std::sync::{Arc, RwLock};
 const SHARDS: usize = 16;
 
 /// One shard: an insertion-order (FIFO) bounded map, mirroring the
-/// private `FactorCache` discipline per shard.
+/// private `FactorCache` discipline per shard (one key allocation per
+/// insert, shared by the map and the FIFO).
 struct Shard {
-    entries: BTreeMap<Vec<u64>, Arc<CacheEntry>>,
-    order: VecDeque<Vec<u64>>,
+    entries: BTreeMap<Arc<[u64]>, Arc<CacheEntry>>,
+    order: VecDeque<Arc<[u64]>>,
 }
 
 /// A sharded, thread-safe signature → factorization cache for engines
@@ -186,8 +187,9 @@ impl SharedFactorCache {
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            guard.order.push_back(key.to_vec());
-            guard.entries.insert(key.to_vec(), Arc::clone(&fresh));
+            let key: Arc<[u64]> = key.into();
+            guard.order.push_back(Arc::clone(&key));
+            guard.entries.insert(key, Arc::clone(&fresh));
             fresh
         };
         drop(guard);

@@ -158,10 +158,12 @@ impl PlanSpec {
     /// [`PlanSpec::solve_epoch`] with an epoch-to-epoch warm start: `prev`
     /// carries the scenario cuts of the previous epoch's solve, and the
     /// returned pool carries this epoch's cuts for the next one. Re-solves
-    /// vary only the demand scale and gravity seed, so the instance shape
-    /// is stable and the binding scenarios transfer; a shape mismatch (or
-    /// the PCF-CLS pipeline, whose flow-stage instance varies) falls back
-    /// to a cold solve and returns `None`.
+    /// vary only the demand scale and gravity seed; over the same pair set
+    /// the binding scenarios transfer, while a pool from another pair set
+    /// ([`CutPool::matches`] fails — a new seed can move the heaviest
+    /// pairs) is ignored and the epoch solves cold. The PCF-CLS pipeline,
+    /// whose flow-stage instance varies, always solves cold and returns
+    /// `None`.
     pub fn solve_epoch_seeded(
         &self,
         gen: u64,

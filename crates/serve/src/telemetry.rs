@@ -133,7 +133,7 @@ pub struct Telemetry {
     pub solve_failures: AtomicU64,
     /// Re-solves warm-started from the previous epoch's cut pool.
     pub warm_epochs: AtomicU64,
-    /// Re-solves that ran cold (no pool yet, or a shape mismatch).
+    /// Re-solves that ran cold (no pool yet, or one from another instance).
     pub cold_epochs: AtomicU64,
     /// Connections accepted.
     pub connections: AtomicU64,
@@ -235,7 +235,7 @@ pub struct ServeReport {
     pub solve_failures: u64,
     /// Re-solves warm-started from the previous epoch's cut pool.
     pub warm_epochs: u64,
-    /// Re-solves run cold (no pool yet, or a shape mismatch).
+    /// Re-solves run cold (no pool yet, or one from another instance).
     pub cold_epochs: u64,
     /// Connections accepted.
     pub connections: u64,
