@@ -301,9 +301,7 @@ fn shed_stage(
         let mut vars = Vec::new();
         for l in state.live_tunnels(inst, p) {
             let v = lp.add_var(0.0, served[p.0], flow_weight);
-            let path = inst.tunnel(l);
-            for (hop, &link) in path.links.iter().enumerate() {
-                let arc = topo.arc_from(link, path.nodes[hop]);
+            for arc in inst.tunnel_arcs(l) {
                 arc_terms[arc.index()].push((v, 1.0));
             }
             vars.push((v, l));
@@ -342,9 +340,7 @@ fn shed_stage(
             }
             delivered += f;
             tunnel_flow[l.0] += f;
-            let path = inst.tunnel(l);
-            for (hop, &link) in path.links.iter().enumerate() {
-                let arc = topo.arc_from(link, path.nodes[hop]);
+            for arc in inst.tunnel_arcs(l) {
                 arc_loads[arc.index()] += f;
             }
         }

@@ -86,9 +86,8 @@ pub fn solve_ffc_dual(
     // Capacity (per directed arc).
     let mut arc_rows: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); topo.arc_count()];
     for l in inst.tunnel_ids() {
-        let path = inst.tunnel(l);
-        for (i, &link) in path.links.iter().enumerate() {
-            arc_rows[topo.arc_from(link, path.nodes[i]).index()].push((a[l.0], 1.0));
+        for arc in inst.tunnel_arcs(l) {
+            arc_rows[arc.index()].push((a[l.0], 1.0));
         }
     }
     for arc in topo.arcs() {
@@ -158,9 +157,8 @@ pub fn solve_pcf_tf_dual(
     let a: Vec<VarId> = inst.tunnel_ids().map(|_| lp.add_nonneg(0.0)).collect();
     let mut arc_rows: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); topo.arc_count()];
     for l in inst.tunnel_ids() {
-        let path = inst.tunnel(l);
-        for (i, &link) in path.links.iter().enumerate() {
-            arc_rows[topo.arc_from(link, path.nodes[i]).index()].push((a[l.0], 1.0));
+        for arc in inst.tunnel_arcs(l) {
+            arc_rows[arc.index()].push((a[l.0], 1.0));
         }
     }
     for arc in topo.arcs() {

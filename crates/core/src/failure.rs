@@ -503,6 +503,16 @@ impl Condition {
             }
         }
     }
+
+    /// The links the condition's truth value reads, as listed.
+    pub(crate) fn links(&self) -> impl Iterator<Item = LinkId> + '_ {
+        let (first, rest): (&[LinkId], &[LinkId]) = match self {
+            Condition::Always => (&[], &[]),
+            Condition::LinkDead(e) => (std::slice::from_ref(e), &[]),
+            Condition::AliveDead { alive, dead } => (alive, dead),
+        };
+        first.iter().chain(rest).copied()
+    }
 }
 
 #[cfg(test)]

@@ -4,14 +4,21 @@
 //! set of interest, the physical tunnels `T(s,t)` serving each pair, and the
 //! logical sequences `L(s,t)` (paper §3.1, §3.3). The instance also indexes
 //! `Q(s,t)` — the logical sequences that use `(s,t)` as a segment — which
-//! appears on the right-hand side of the reservation constraints (7), and
-//! interns each LS's segments as pair ids ([`Instance::segment_pairs`]), so
-//! the realization's walks over LS segments never look a pair up by its
-//! endpoints.
+//! appears on the right-hand side of the reservation constraints (7).
+//!
+//! Everything a failure event or a realization reads per pair, tunnel or
+//! link is interned at build as flat rows (row starts plus one item
+//! vector), so those loops read one slice instead of chasing a `Vec` per
+//! row or a [`Path`] per tunnel: `T(s,t)`, `L(s,t)` and `Q(s,t)`; each
+//! LS's segments as pair ids ([`Instance::segment_pairs`]); each tunnel's
+//! directed arcs in hop order ([`Instance::tunnel_arcs`]); and the two
+//! reverse indexes a link event needs — the tunnels crossing a link
+//! ([`Instance::tunnels_on_link`]) and the LSs whose condition reads it
+//! ([`Instance::lss_on_link`]).
 
 use crate::failure::Condition;
 use pcf_paths::{select_tunnels, Path};
-use pcf_topology::{NodeId, Topology};
+use pcf_topology::{ArcId, LinkId, NodeId, Topology};
 use pcf_traffic::TrafficMatrix;
 use std::collections::BTreeMap;
 
@@ -74,6 +81,35 @@ impl LogicalSequence {
     }
 }
 
+/// Rows stored flat: row `r` is `items[start[r]..start[r + 1]]`.
+#[derive(Debug, Clone)]
+struct Rows<T> {
+    start: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Rows<T> {
+    /// `rows` rows from `(row, item)` entries: each row holds the items of
+    /// its entries in entry order.
+    fn from_entries(rows: usize, mut entries: Vec<(usize, T)>) -> Self {
+        entries.sort_by_key(|&(r, _)| r); // stable: entry order within a row
+        let mut start = vec![0; rows + 1];
+        for &(r, _) in &entries {
+            start[r + 1] += 1;
+        }
+        for r in 0..rows {
+            start[r + 1] += start[r];
+        }
+        let mut items = Vec::with_capacity(entries.len());
+        items.extend(entries.iter().map(|&(_, item)| item));
+        Rows { start, items }
+    }
+
+    fn row(&self, r: usize) -> &[T] {
+        &self.items[self.start[r]..self.start[r + 1]]
+    }
+}
+
 /// A fully indexed problem instance. Build with [`InstanceBuilder`].
 #[derive(Debug, Clone)]
 pub struct Instance {
@@ -83,14 +119,15 @@ pub struct Instance {
     demand: Vec<f64>,
     tunnels: Vec<Path>,
     tunnel_pair: Vec<PairId>,
-    tunnels_of: Vec<Vec<TunnelId>>,
+    tunnel_arcs: Rows<ArcId>,
+    tunnels_of: Rows<TunnelId>, // T(s,t)
     lss: Vec<LogicalSequence>,
     ls_pair: Vec<PairId>,
-    lss_of: Vec<Vec<LsId>>,      // L(s,t)
-    segments_of: Vec<Vec<LsId>>, // Q(s,t)
-    // Segment pairs of LS `q`: `seg_pairs[seg_start[q]..seg_start[q + 1]]`.
-    seg_start: Vec<usize>,
-    seg_pairs: Vec<PairId>,
+    lss_of: Rows<LsId>,      // L(s,t)
+    segments_of: Rows<LsId>, // Q(s,t)
+    seg_pairs: Rows<PairId>,
+    tunnels_on_link: Rows<TunnelId>,
+    lss_on_link: Rows<LsId>,
 }
 
 impl Instance {
@@ -141,12 +178,29 @@ impl Instance {
 
     /// Tunnel ids of `T(s,t)`.
     pub fn tunnels_of(&self, p: PairId) -> &[TunnelId] {
-        &self.tunnels_of[p.0]
+        self.tunnels_of.row(p.0)
     }
 
     /// The path of tunnel `l`.
     pub fn tunnel(&self, l: TunnelId) -> &Path {
         &self.tunnels[l.0]
+    }
+
+    /// The directed arcs tunnel `l` traverses, in hop order (`arc_from`
+    /// over `self.tunnel(l)`'s hops, interned at build).
+    pub fn tunnel_arcs(&self, l: TunnelId) -> &[ArcId] {
+        self.tunnel_arcs.row(l.0)
+    }
+
+    /// The tunnels that cross link `e` (a tunnel crossing it twice is
+    /// listed twice), in tunnel order.
+    pub fn tunnels_on_link(&self, e: LinkId) -> &[TunnelId] {
+        self.tunnels_on_link.row(e.index())
+    }
+
+    /// The LSs whose activation condition reads link `e`, in LS order.
+    pub fn lss_on_link(&self, e: LinkId) -> &[LsId] {
+        self.lss_on_link.row(e.index())
     }
 
     /// The pair a tunnel belongs to.
@@ -161,12 +215,12 @@ impl Instance {
 
     /// LS ids of `L(s,t)`.
     pub fn lss_of(&self, p: PairId) -> &[LsId] {
-        &self.lss_of[p.0]
+        self.lss_of.row(p.0)
     }
 
     /// LS ids of `Q(s,t)`: sequences that use `(s,t)` as a segment.
     pub fn segments_of(&self, p: PairId) -> &[LsId] {
-        &self.segments_of[p.0]
+        self.segments_of.row(p.0)
     }
 
     /// The logical sequence `q`.
@@ -182,7 +236,7 @@ impl Instance {
     /// The pairs of LS `q`'s segments, in hop order (the pair ids of
     /// `self.ls(q).segments()`, interned at build).
     pub fn segment_pairs(&self, q: LsId) -> &[PairId] {
-        &self.seg_pairs[self.seg_start[q.0]..self.seg_start[q.0 + 1]]
+        self.seg_pairs.row(q.0)
     }
 
     /// All LS ids.
@@ -195,7 +249,7 @@ impl Instance {
     /// the pair has no tunnels.
     pub fn p_st(&self, p: PairId) -> usize {
         let mut usage: BTreeMap<u32, usize> = BTreeMap::new();
-        for &l in &self.tunnels_of[p.0] {
+        for &l in self.tunnels_of(p) {
             for link in &self.tunnels[l.0].links {
                 *usage.entry(link.0).or_insert(0) += 1;
             }
@@ -342,7 +396,6 @@ impl InstanceBuilder {
         // Tunnels: explicit ones first (their pairs skip auto-selection).
         let mut tunnels: Vec<Path> = Vec::new();
         let mut tunnel_pair: Vec<PairId> = Vec::new();
-        let mut tunnels_of: Vec<Vec<TunnelId>> = vec![Vec::new(); pairs.len()];
         let mut has_explicit = vec![false; pairs.len()];
         for path in &self.explicit_tunnels {
             let p = intern(
@@ -352,64 +405,82 @@ impl InstanceBuilder {
                 &mut demand,
                 &mut pair_index,
             );
-            if p.0 >= tunnels_of.len() {
-                tunnels_of.resize(p.0 + 1, Vec::new());
+            if p.0 >= has_explicit.len() {
                 has_explicit.resize(p.0 + 1, false);
             }
             has_explicit[p.0] = true;
-            let id = TunnelId(tunnels.len());
             tunnels.push(path.clone());
             tunnel_pair.push(p);
-            tunnels_of[p.0].push(id);
         }
         for (pi, &(s, t)) in pairs.iter().enumerate() {
             if has_explicit[pi] || !self.auto_tunnels {
                 continue;
             }
             for path in select_tunnels(&self.topo, s, t, self.tunnels_per_pair) {
-                let id = TunnelId(tunnels.len());
                 tunnels.push(path);
                 tunnel_pair.push(PairId(pi));
-                tunnels_of[pi].push(id);
+            }
+        }
+        let mut arc_entries = Vec::new();
+        let mut link_entries = Vec::new();
+        for (l, path) in tunnels.iter().enumerate() {
+            for (hop, &link) in path.links.iter().enumerate() {
+                arc_entries.push((l, self.topo.arc_from(link, path.nodes[hop])));
+                link_entries.push((link.index(), TunnelId(l)));
             }
         }
 
         // Logical sequences.
-        let mut lss: Vec<LogicalSequence> = Vec::new();
-        let mut ls_pair: Vec<PairId> = Vec::new();
-        let mut lss_of: Vec<Vec<LsId>> = vec![Vec::new(); pairs.len()];
-        let mut segments_of: Vec<Vec<LsId>> = vec![Vec::new(); pairs.len()];
-        let mut seg_start = Vec::with_capacity(self.lss.len() + 1);
-        seg_start.push(0);
-        let mut seg_pairs = Vec::new();
-        for ls in self.lss {
-            let id = LsId(lss.len());
-            let p = pair_index[&(ls.source(), ls.dest())];
-            lss_of[p.0].push(id);
+        let mut ls_pair: Vec<PairId> = Vec::with_capacity(self.lss.len());
+        let mut segment_entries = Vec::new();
+        let mut seg_pair_entries = Vec::new();
+        let mut condition_entries = Vec::new();
+        for (q, ls) in self.lss.iter().enumerate() {
+            ls_pair.push(pair_index[&(ls.source(), ls.dest())]);
             for (u, v) in ls.segments() {
                 let sp = pair_index[&(u, v)];
-                segments_of[sp.0].push(id);
-                seg_pairs.push(sp);
+                segment_entries.push((sp.0, LsId(q)));
+                seg_pair_entries.push((q, sp));
             }
-            seg_start.push(seg_pairs.len());
-            ls_pair.push(p);
-            lss.push(ls);
+            for e in ls.condition.links() {
+                condition_entries.push((e.index(), LsId(q)));
+            }
         }
 
+        let links = self.topo.link_count();
+        let tunnels_of = tunnel_pair
+            .iter()
+            .enumerate()
+            .map(|(l, p)| (p.0, TunnelId(l)))
+            .collect();
+        let lss_of = ls_pair
+            .iter()
+            .enumerate()
+            .map(|(q, p)| (p.0, LsId(q)))
+            .collect();
+        // The instance lives as long as its plan: keep no push slack.
+        let mut lss = self.lss;
+        pairs.shrink_to_fit();
+        demand.shrink_to_fit();
+        tunnels.shrink_to_fit();
+        tunnel_pair.shrink_to_fit();
+        lss.shrink_to_fit();
         Instance {
+            tunnel_arcs: Rows::from_entries(tunnels.len(), arc_entries),
+            tunnels_of: Rows::from_entries(pairs.len(), tunnels_of),
+            lss_of: Rows::from_entries(pairs.len(), lss_of),
+            segments_of: Rows::from_entries(pairs.len(), segment_entries),
+            seg_pairs: Rows::from_entries(lss.len(), seg_pair_entries),
+            tunnels_on_link: Rows::from_entries(links, link_entries),
+            lss_on_link: Rows::from_entries(links, condition_entries),
             topo: self.topo,
             pairs,
             pair_index,
             demand,
             tunnels,
             tunnel_pair,
-            tunnels_of,
             lss,
             ls_pair,
-            lss_of,
-            segments_of,
-            seg_start,
-            seg_pairs,
         }
     }
 }
@@ -460,18 +531,106 @@ mod tests {
         assert_eq!(inst.demand(p02), 0.0);
         // Segment pairs still get tunnels to support reservations.
         assert!(!inst.tunnels_of(p02).is_empty());
-        // Interned segment pairs agree with the endpoint lookup on every LS
-        // of a full PCF-LS instance.
-        let inst = crate::schemes::pcf_ls_instance(&topo, &gravity(&topo, 1), 3);
-        assert!(inst.num_lss() > 0);
-        for q in inst.ls_ids() {
-            let looked_up: Vec<PairId> = inst
-                .ls(q)
-                .segments()
-                .map(|(u, v)| inst.pair_id(u, v).unwrap())
-                .collect();
-            assert_eq!(inst.segment_pairs(q), &looked_up[..]);
+    }
+
+    /// Every interned row equals what it interns, recomputed item by item:
+    /// on the PCF-LS instances of Sprint and Quest, and on a sub-link
+    /// multigraph (parallel links share endpoints, so only the link tells
+    /// their arcs apart) with conditional LSs, one of which lists a link
+    /// twice and one of which repeats a segment pair.
+    #[test]
+    fn interned_rows_match_their_definitions() {
+        let sprint = zoo::build("Sprint");
+        let quest = zoo::build("Quest");
+        let multi = pcf_topology::transform::split_sublinks(&sprint, 2);
+        let (e0, e1, e5) = (LinkId(0), LinkId(1), LinkId(5));
+        let mut conditional = InstanceBuilder::new(&multi, &gravity(&multi, 1)).tunnels_per_pair(4);
+        for (hops, condition) in [
+            (vec![0, 2, 5], Condition::LinkDead(e0)),
+            (
+                vec![0, 3, 5],
+                Condition::AliveDead {
+                    alive: vec![e1, e5],
+                    dead: vec![e0, e1],
+                },
+            ),
+            (vec![1, 4, 1, 4], Condition::Always),
+        ] {
+            conditional = conditional.add_ls(LogicalSequence {
+                hops: hops.into_iter().map(NodeId).collect(),
+                condition,
+            });
         }
+        let instances = [
+            crate::schemes::pcf_ls_instance(&sprint, &gravity(&sprint, 1), 3),
+            crate::schemes::pcf_ls_instance(&quest, &gravity(&quest, 1), 3),
+            conditional.build(),
+        ];
+        for inst in &instances {
+            let topo = inst.topo();
+            assert!(inst.num_lss() > 0);
+            let mut tunnels_of = vec![Vec::new(); inst.num_pairs()];
+            for l in inst.tunnel_ids() {
+                let path = inst.tunnel(l);
+                let arcs: Vec<ArcId> = path
+                    .links
+                    .iter()
+                    .zip(&path.nodes)
+                    .map(|(&e, &from)| topo.arc_from(e, from))
+                    .collect();
+                assert_eq!(inst.tunnel_arcs(l), &arcs[..], "tunnel {l:?}");
+                tunnels_of[inst.tunnel_pair(l).0].push(l);
+            }
+            let mut lss_of = vec![Vec::new(); inst.num_pairs()];
+            let mut segments_of = vec![Vec::new(); inst.num_pairs()];
+            for q in inst.ls_ids() {
+                lss_of[inst.ls_pair(q).0].push(q);
+                let looked_up: Vec<PairId> = inst
+                    .ls(q)
+                    .segments()
+                    .map(|(u, v)| inst.pair_id(u, v).unwrap())
+                    .collect();
+                assert_eq!(inst.segment_pairs(q), &looked_up[..], "LS {q:?}");
+                for sp in looked_up {
+                    segments_of[sp.0].push(q);
+                }
+            }
+            for p in inst.pair_ids() {
+                assert_eq!(inst.tunnels_of(p), &tunnels_of[p.0][..], "T{p:?}");
+                assert_eq!(inst.lss_of(p), &lss_of[p.0][..], "L{p:?}");
+                assert_eq!(inst.segments_of(p), &segments_of[p.0][..], "Q{p:?}");
+            }
+            // The link indexes against a scan of every tunnel and LS per link.
+            for e in topo.links() {
+                let crossing: Vec<TunnelId> = inst
+                    .tunnel_ids()
+                    .flat_map(|l| {
+                        let hits = inst.tunnel(l).links.iter().filter(|&&x| x == e).count();
+                        std::iter::repeat_n(l, hits)
+                    })
+                    .collect();
+                assert_eq!(inst.tunnels_on_link(e), &crossing[..], "link {e:?}");
+                let reading: Vec<LsId> = inst
+                    .ls_ids()
+                    .flat_map(|q| {
+                        let hits = match &inst.ls(q).condition {
+                            Condition::Always => 0,
+                            Condition::LinkDead(x) => usize::from(*x == e),
+                            Condition::AliveDead { alive, dead } => {
+                                alive.iter().chain(dead).filter(|&&x| x == e).count()
+                            }
+                        };
+                        std::iter::repeat_n(q, hits)
+                    })
+                    .collect();
+                assert_eq!(inst.lss_on_link(e), &reading[..], "link {e:?}");
+            }
+        }
+        let conditional = &instances[2];
+        assert_eq!(conditional.lss_on_link(e1), &[LsId(1), LsId(1)]);
+        assert_eq!(conditional.lss_on_link(e0), &[LsId(0), LsId(1)]);
+        let p14 = conditional.pair_id(NodeId(1), NodeId(4)).unwrap();
+        assert_eq!(conditional.segments_of(p14), &[LsId(2), LsId(2)]);
     }
 
     #[test]

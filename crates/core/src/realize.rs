@@ -17,7 +17,10 @@
 //!   failure states. A miss — pair selection over the instance's interned
 //!   segment pairs, assembly, factorization — is O(nnz) in a fixed number
 //!   of allocations, and a hit solves in place into the buffer that
-//!   becomes [`Routing::u`]. The factorization is triangular first
+//!   becomes [`Routing::u`], then expands it into loads over the arcs
+//!   [`Instance::tunnel_arcs`] interned at build (tests hold those sums,
+//!   bit for bit, to a hop-by-hop walk of each tunnel's `Path`). The
+//!   factorization is triangular first
 //!   (`SparseLu::factor_columns`): when the live LSs sort topologically
 //!   `M` is a permuted triangular matrix, the factors *are* that
 //!   permutation and the solve *is* Proposition 7's walk written as
@@ -455,9 +458,8 @@ pub(crate) fn expand_routing(
     pairs: Vec<PairId>,
     u: Vec<f64>,
 ) -> Routing {
-    let topo = inst.topo();
     let mut tunnel_flow = vec![0.0; inst.num_tunnels()];
-    let mut arc_loads = vec![0.0; topo.arc_count()];
+    let mut arc_loads = vec![0.0; inst.topo().arc_count()];
     for (i, &p) in pairs.iter().enumerate() {
         if u[i] <= 0.0 {
             continue;
@@ -468,9 +470,7 @@ pub(crate) fn expand_routing(
                 continue;
             }
             tunnel_flow[l.0] += flow;
-            let path = inst.tunnel(l);
-            for (hop, &link) in path.links.iter().enumerate() {
-                let arc = topo.arc_from(link, path.nodes[hop]);
+            for arc in inst.tunnel_arcs(l) {
                 arc_loads[arc.index()] += flow;
             }
         }
@@ -1054,6 +1054,118 @@ mod tests {
         };
         assert_eq!(m.get(at((s, na)), at((s, t))), ((-0.1) + (-0.2)) + (-0.3));
         assert_eq!(check_plan(&inst, 1, &a, &b, &served), 0);
+    }
+
+    /// Proposition 6's load accounting walked the slow way — every live
+    /// tunnel's `Path` hop by hop through `arc_from` — over a routing's
+    /// pairs and utilizations: the reference the interned-arc expansion is
+    /// held to. Returns `(tunnel_flow, arc_loads)`.
+    fn hop_walk_loads(
+        inst: &Instance,
+        state: &FailureState,
+        a: &[f64],
+        routing: &Routing,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let topo = inst.topo();
+        let mut tunnel_flow = vec![0.0; inst.num_tunnels()];
+        let mut arc_loads = vec![0.0; topo.arc_count()];
+        for (&p, &u) in routing.pairs.iter().zip(&routing.u) {
+            if u <= 0.0 {
+                continue;
+            }
+            for l in state.live_tunnels(inst, p) {
+                let flow = u * a[l.0];
+                if flow <= 0.0 {
+                    continue;
+                }
+                tunnel_flow[l.0] += flow;
+                let path = inst.tunnel(l);
+                for (hop, &link) in path.links.iter().enumerate() {
+                    arc_loads[topo.arc_from(link, path.nodes[hop]).index()] += flow;
+                }
+            }
+        }
+        (tunnel_flow, arc_loads)
+    }
+
+    /// Realizes every `f`-link failure state, `f ∈ {1, 2}`, through
+    /// [`realize_routing`] and [`proportional_routing`], plus `extra`
+    /// states, and requires each successful routing's tunnel flows and arc
+    /// loads to be the hop walk's bit for bit. Returns how many routings
+    /// were checked.
+    fn check_expansion(
+        inst: &Instance,
+        a: &[f64],
+        b: &[f64],
+        served: &[f64],
+        extra: &[FailureState],
+    ) -> usize {
+        let mut states = extra.to_vec();
+        for f in [1, 2] {
+            for sc in FailureModel::links(f).enumerate_scenarios(inst.topo()) {
+                states.push(FailureState::new(inst, &sc.dead).unwrap());
+            }
+        }
+        let mut checked = 0;
+        for state in &states {
+            let a = degraded_reservations(inst, state, a);
+            for routing in [
+                realize_routing(inst, state, &a, b, served, 1e-6),
+                proportional_routing(inst, state, &a, b, served, 1e-6),
+            ]
+            .into_iter()
+            .flatten()
+            {
+                let (flow, loads) = hop_walk_loads(inst, state, &a, &routing);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&routing.tunnel_flow), bits(&flow), "tunnel flow");
+                assert_eq!(bits(&routing.arc_loads), bits(&loads), "arc loads");
+                checked += 1;
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn expansion_is_the_hop_walk_bit_for_bit() {
+        for name in ["Abilene", "Sprint", "Quest", "B4"] {
+            let topo = pcf_topology::zoo::build(name);
+            let mut tm = pcf_traffic::gravity(&topo, 11);
+            tm.truncate_to_top_k(200);
+            let inst = crate::schemes::pcf_ls_instance(&topo, &tm, 3);
+            let sol = crate::schemes::solve_pcf_ls(
+                &inst,
+                &FailureModel::links(1),
+                &RobustOptions::default(),
+            );
+            // One degraded state: link 0 at 60% of its capacity, link 1 dead.
+            let mut dead = vec![false; topo.link_count()];
+            dead[1] = true;
+            let mut scale = vec![1.0; topo.link_count()];
+            scale[0] = 0.6;
+            let degraded = FailureState::with_cap_scale(&inst, &dead, &scale).unwrap();
+            let served = sol.served(&inst);
+            let checked = check_expansion(&inst, &sol.a, &sol.b, &served, &[degraded]);
+            // Both paths on every single failure, at least.
+            assert!(checked >= 2 * topo.link_count(), "{name}: {checked}");
+        }
+        // The cyclic diamond: only the linear system routes it.
+        let topo = diamond();
+        let inst = InstanceBuilder::with_demands(&topo, vec![(NodeId(0), NodeId(3), 1.0)])
+            .add_ls(LogicalSequence::always(vec![
+                NodeId(0),
+                NodeId(1),
+                NodeId(3),
+            ]))
+            .add_ls(LogicalSequence::always(vec![
+                NodeId(0),
+                NodeId(3),
+                NodeId(1),
+            ]))
+            .build();
+        let a = vec![1.0; inst.num_tunnels()];
+        let served: Vec<f64> = inst.pair_ids().map(|p| 0.5 * inst.demand(p)).collect();
+        assert!(check_expansion(&inst, &a, &[0.5, 0.25], &served, &[]) > 0);
     }
 
     #[test]

@@ -528,9 +528,7 @@ impl Master {
 
         let mut arc_usage: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); topo.arc_count()];
         for l in inst.tunnel_ids() {
-            let path = inst.tunnel(l);
-            for (i, &link) in path.links.iter().enumerate() {
-                let arc = topo.arc_from(link, path.nodes[i]);
+            for arc in inst.tunnel_arcs(l) {
                 arc_usage[arc.index()].push((a_vars[l.0], 1.0));
             }
         }

@@ -3,10 +3,12 @@
 //!
 //! [`ReplayEngine`] holds a solved allocation and a mutable link-liveness
 //! state. Each [`LinkEvent`](crate::LinkEvent) updates the state
-//! *incrementally* — per-tunnel dead-link counters and per-link condition
-//! indexes make an event O(tunnels and LSs touching that link) instead of
-//! O(instance) — and [`ReplayEngine::realize`] turns the current state
-//! into a routing.
+//! *incrementally* — per-tunnel dead-link counters plus the instance's
+//! link → tunnels and link → conditional-LS indexes
+//! ([`Instance::tunnels_on_link`], [`Instance::lss_on_link`], built once
+//! with the instance, not per engine) make an event O(tunnels and LSs
+//! touching that link) instead of O(instance) — and
+//! [`ReplayEngine::realize`] turns the current state into a routing.
 //!
 //! Realization reads the failure state only through its liveness signature
 //! (which tunnels are alive, which LSs are active), so repeated states can
@@ -14,16 +16,17 @@
 //! [`pcf_core::Factored`] — the solved pair order plus the triangular-first
 //! factors of the reservation matrix — keyed by
 //! [`FailureState::liveness_signature`]. A cache hit skips pair selection,
-//! assembly and factorization and pays one sparse substitution; the
-//! numerical path is the *same code* [`realize_routing`] runs
-//! ([`factor_state`], then [`pcf_core::Factored::route`]), so cached and
-//! cold results are bit-identical.
+//! assembly and factorization and pays one sparse substitution, the
+//! `U ∈ [0,1]` check and the load expansion over the instance's interned
+//! tunnel arcs; the numerical path is the *same code* [`realize_routing`]
+//! runs ([`factor_state`], then [`pcf_core::Factored::route`]), so cached
+//! and cold results are bit-identical.
 
 use crate::trace::{EventKind, LinkEvent};
 use pcf_core::{
     degrade_fallback, degraded_reservations, factor_state, normal_routing, realize_routing,
-    Condition, DegradeMode, DegradedRouting, Factored, FailureState, Instance, LadderStage, LsId,
-    RealizeError, Routing, TunnelId,
+    DegradeMode, DegradedRouting, Factored, FailureState, Instance, LadderStage, RealizeError,
+    Routing,
 };
 use pcf_rng::Fnv1a;
 use std::collections::{BTreeMap, VecDeque};
@@ -199,9 +202,6 @@ pub struct ReplayEngine<'a> {
     sig: Vec<u64>,
     dead_links: usize,
     tunnel_dead_links: Vec<u32>,
-    // Link -> affected entities, precomputed once.
-    tunnels_on_link: Vec<Vec<TunnelId>>,
-    lss_on_link: Vec<Vec<LsId>>,
     cache: CacheBackend<'a>,
     cold_stats: CacheStats,
     // Nominal per-link capacities and the ones currently in effect
@@ -240,18 +240,6 @@ impl<'a> ReplayEngine<'a> {
         cache_capacity: usize,
     ) -> Self {
         let links = inst.topo().link_count();
-        let mut tunnels_on_link: Vec<Vec<TunnelId>> = vec![Vec::new(); links];
-        for l in inst.tunnel_ids() {
-            for &e in &inst.tunnel(l).links {
-                tunnels_on_link[e.index()].push(l);
-            }
-        }
-        let mut lss_on_link: Vec<Vec<LsId>> = vec![Vec::new(); links];
-        for q in inst.ls_ids() {
-            for e in condition_links(&inst.ls(q).condition) {
-                lss_on_link[e].push(q);
-            }
-        }
         let no_fail = vec![false; links];
         let fs = FailureState {
             tunnel_alive: vec![true; inst.num_tunnels()],
@@ -273,8 +261,6 @@ impl<'a> ReplayEngine<'a> {
             sig,
             dead_links: 0,
             tunnel_dead_links: vec![0; inst.num_tunnels()],
-            tunnels_on_link,
-            lss_on_link,
             cache: if cache_capacity > 0 {
                 CacheBackend::Private(FactorCache::new(cache_capacity))
             } else {
@@ -397,7 +383,8 @@ impl<'a> ReplayEngine<'a> {
         } else {
             self.dead_links -= 1;
         }
-        for &l in &self.tunnels_on_link[e] {
+        let inst = self.inst;
+        for &l in inst.tunnels_on_link(event.link) {
             if goes_down {
                 self.tunnel_dead_links[l.0] += 1;
             } else {
@@ -409,9 +396,9 @@ impl<'a> ReplayEngine<'a> {
             }
             self.fs.tunnel_alive[l.0] = alive;
         }
-        let tunnel_bits = self.inst.num_tunnels();
-        for &q in &self.lss_on_link[e] {
-            let active = self.inst.ls(q).condition.holds(&self.fs.dead);
+        let tunnel_bits = inst.num_tunnels();
+        for &q in inst.lss_on_link(event.link) {
+            let active = inst.ls(q).condition.holds(&self.fs.dead);
             if active != self.fs.ls_active[q.0] {
                 let bit = tunnel_bits + q.0;
                 self.sig[bit >> 6] ^= 1 << (bit & 63);
@@ -615,17 +602,6 @@ impl<'a> ReplayEngine<'a> {
             CacheBackend::Private(c) => c.entries.len(),
             CacheBackend::Shared(s) => s.len(),
             CacheBackend::Cold => 0,
-        }
-    }
-}
-
-/// The links a condition's truth value depends on.
-fn condition_links(c: &Condition) -> Vec<usize> {
-    match c {
-        Condition::Always => Vec::new(),
-        Condition::LinkDead(e) => vec![e.index()],
-        Condition::AliveDead { alive, dead } => {
-            alive.iter().chain(dead).map(|e| e.index()).collect()
         }
     }
 }

@@ -49,4 +49,6 @@ pub use report::{
     ReplayViolation,
 };
 pub use shared::SharedFactorCache;
-pub use trace::{EventKind, EventTrace, LinkEvent, TraceParseError};
+pub use trace::{
+    EventKind, EventTrace, LinkEvent, TraceParseError, DEGRADE_PERMILLE, WOBBLE_PERMILLE,
+};

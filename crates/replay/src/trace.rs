@@ -23,6 +23,15 @@
 
 use pcf_rng::Pcg32;
 use pcf_topology::{LinkId, Topology};
+use std::ops::RangeInclusive;
+
+/// The `wobble` permille a validated trace or request may carry: a
+/// zero-capacity link is scripted as `down`, not as a wobble to 0.
+pub const WOBBLE_PERMILLE: RangeInclusive<u32> = 1..=2000;
+
+/// The `degrade` permille a validated trace or request may carry:
+/// degradation never exceeds nominal, and total loss is scripted as `down`.
+pub const DEGRADE_PERMILLE: RangeInclusive<u32> = 1..=1000;
 
 /// Direction of a link state change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -275,10 +284,10 @@ impl EventTrace {
     /// * `down` of an already-dead link and `up` of an alive one are
     ///   rejected (duplicate / contradictory state changes usually mean
     ///   a corrupt or misordered trace);
-    /// * `wobble` permille must be in `1..=2000` (a zero-capacity link
-    ///   should be scripted as `down`);
-    /// * `degrade` permille must be in `1..=1000` (degradation never
-    ///   exceeds nominal; total loss is scripted as `down`).
+    /// * `wobble` permille must be in [`WOBBLE_PERMILLE`] (a zero-capacity
+    ///   link should be scripted as `down`);
+    /// * `degrade` permille must be in [`DEGRADE_PERMILLE`] (degradation
+    ///   never exceeds nominal; total loss is scripted as `down`).
     ///
     /// `srlg` events are rejected here (no group table); use
     /// [`EventTrace::parse_strict_with`] for the full verb set.
@@ -350,22 +359,22 @@ impl EventTrace {
                             dead[idx] = false;
                         }
                         EventKind::Wobble { permille } => {
-                            if permille == 0 || permille > 2000 {
+                            if !WOBBLE_PERMILLE.contains(&permille) {
                                 return Err(TraceParseError {
                                     line,
                                     message: format!(
-                                        "wobble permille {permille} out of range 1..=2000"
+                                        "wobble permille {permille} out of range {WOBBLE_PERMILLE:?}"
                                     ),
                                 });
                             }
                         }
                         EventKind::Degrade { permille } => {
-                            if permille == 0 || permille > 1000 {
+                            if !DEGRADE_PERMILLE.contains(&permille) {
                                 return Err(TraceParseError {
                                     line,
                                     message: format!(
-                                        "degrade permille {permille} out of range 1..=1000 \
-                                         (script total loss as `down`)"
+                                        "degrade permille {permille} out of range \
+                                         {DEGRADE_PERMILLE:?} (script total loss as `down`)"
                                     ),
                                 });
                             }

@@ -27,6 +27,8 @@
 //! scripted client can always keep request/response alignment.
 
 use crate::json::Json;
+use pcf_replay::{DEGRADE_PERMILLE, WOBBLE_PERMILLE};
+use std::ops::RangeInclusive;
 
 /// A parsed protocol request.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +49,8 @@ pub enum Request {
     Wobble {
         /// Link index.
         link: u32,
-        /// New capacity in permille of nominal.
+        /// New capacity in permille of nominal
+        /// ([`WOBBLE_PERMILLE`]; 1000 restores).
         permille: u32,
     },
     /// Partially degrade a link's capacity: unlike `wobble`, the
@@ -56,8 +59,8 @@ pub enum Request {
     Degrade {
         /// Link index.
         link: u32,
-        /// Surviving capacity in permille of nominal (1..=1000; 1000
-        /// restores).
+        /// Surviving capacity in permille of nominal
+        /// ([`DEGRADE_PERMILLE`]; 1000 restores).
         permille: u32,
     },
     /// Fire a shared-risk link group: every member link goes down as one
@@ -136,32 +139,27 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             .map(|l| l as u32)
             .ok_or_else(|| format!("{cmd}: needs \"link\" (index < 2^30)"))
     };
+    // The trace grammar's ranges, so a served session and a replayed trace
+    // accept the same capacity events.
+    let permille = |v: &Json, range: RangeInclusive<u32>, why: &str| -> Result<u32, String> {
+        v.get("permille")
+            .and_then(Json::as_u64)
+            .and_then(|p| u32::try_from(p).ok())
+            .filter(|p| range.contains(p))
+            .ok_or_else(|| format!("{cmd}: needs \"permille\" in {range:?} ({why})"))
+    };
     match cmd {
         "ping" => Ok(Request::Ping),
         "down" => Ok(Request::Down { link: link(&v)? }),
         "up" => Ok(Request::Up { link: link(&v)? }),
-        "wobble" => {
-            let permille = v
-                .get("permille")
-                .and_then(Json::as_u64)
-                .filter(|&p| p <= 1000)
-                .ok_or("wobble: needs \"permille\" in 0..=1000")?;
-            Ok(Request::Wobble {
-                link: link(&v)?,
-                permille: permille as u32,
-            })
-        }
-        "degrade" => {
-            let permille = v
-                .get("permille")
-                .and_then(Json::as_u64)
-                .filter(|&p| (1..=1000).contains(&p))
-                .ok_or("degrade: needs \"permille\" in 1..=1000 (script total loss as down)")?;
-            Ok(Request::Degrade {
-                link: link(&v)?,
-                permille: permille as u32,
-            })
-        }
+        "wobble" => Ok(Request::Wobble {
+            permille: permille(&v, WOBBLE_PERMILLE, "a zero-capacity link is a down")?,
+            link: link(&v)?,
+        }),
+        "degrade" => Ok(Request::Degrade {
+            permille: permille(&v, DEGRADE_PERMILLE, "script total loss as down")?,
+            link: link(&v)?,
+        }),
         "srlg" => {
             let group = v
                 .get("group")
@@ -336,7 +334,7 @@ mod tests {
             (r#"{"verb":"ping"}"#, "cmd"),
             (r#"{"cmd":"warp"}"#, "unknown command"),
             (r#"{"cmd":"down"}"#, "link"),
-            (r#"{"cmd":"wobble","link":1,"permille":2000}"#, "permille"),
+            (r#"{"cmd":"wobble","link":1,"permille":2001}"#, "permille"),
             (r#"{"cmd":"degrade","link":1,"permille":0}"#, "permille"),
             (r#"{"cmd":"degrade","link":1,"permille":1001}"#, "permille"),
             (r#"{"cmd":"srlg"}"#, "group"),
@@ -354,6 +352,39 @@ mod tests {
             let err = parse_request(line).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");
         }
+    }
+
+    /// A served session and a replayed trace accept the same capacity
+    /// events: a wobble to 0 — which would divide loads by a zero
+    /// capacity — is refused by both, with a reason.
+    #[test]
+    fn capacity_events_take_the_trace_grammar_ranges() {
+        let topo = pcf_topology::zoo::build("Abilene");
+        for verb in ["wobble", "degrade"] {
+            for permille in [0u64, 1, 999, 1000, 1001, 2000, 2001, 1 << 32] {
+                let served = parse_request(&format!(
+                    r#"{{"cmd":"{verb}","link":0,"permille":{permille}}}"#
+                ));
+                let traced = pcf_replay::EventTrace::parse_strict(
+                    "t",
+                    &format!("{verb} 0 {permille}"),
+                    &topo,
+                );
+                assert_eq!(served.is_ok(), traced.is_ok(), "{verb} {permille}");
+                if let Err(err) = served {
+                    assert!(err.contains("permille"), "{verb} {permille}: {err}");
+                }
+            }
+        }
+        let err = parse_request(r#"{"cmd":"wobble","link":0,"permille":0}"#).unwrap_err();
+        assert!(err.contains("1..=2000"), "{err}");
+        assert_eq!(
+            parse_request(r#"{"cmd":"wobble","link":0,"permille":2000}"#),
+            Ok(Request::Wobble {
+                link: 0,
+                permille: 2000
+            })
+        );
     }
 
     #[test]
