@@ -15,12 +15,20 @@
 //! reverse indexes a link event needs — the tunnels crossing a link
 //! ([`Instance::tunnels_on_link`]) and the LSs whose condition reads it
 //! ([`Instance::lss_on_link`]).
+//!
+//! The pair list and everything indexed by the tunnels alone live in one
+//! shared [`TunnelSet`]. Tunnel selection reads only the topology's
+//! structure, the pair and `k`, so a re-plan over the same pairs of the
+//! same structure takes the previous instance's set back
+//! ([`InstanceBuilder::offer_tunnels`]) instead of selecting again.
 
 use crate::failure::Condition;
 use pcf_paths::{select_tunnels, Path};
+use pcf_rng::Fnv1a;
 use pcf_topology::{ArcId, LinkId, NodeId, Topology};
 use pcf_traffic::TrafficMatrix;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Index of an ordered node pair within an [`Instance`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -110,23 +118,107 @@ impl<T: Copy> Rows<T> {
     }
 }
 
+/// The pairs of an instance in interning order and everything indexed by
+/// its tunnels alone: each tunnel's path, pair and arcs, `T(s,t)`, and the
+/// tunnels crossing each link. An [`Instance`] holds it behind an `Arc`,
+/// so the [`CutPool`](crate::CutPool) exported from a solve keeps a second
+/// reference to the tunnels its cuts index rather than a copy.
+#[derive(Debug)]
+pub struct TunnelSet {
+    /// The structure stamp the tunnels were selected under; `None` when a
+    /// tunnel was given explicitly or selection was off, so that the set
+    /// is not what selection returns.
+    selected_under: Option<u64>,
+    pairs: Vec<(NodeId, NodeId)>,
+    paths: Vec<Path>,
+    tunnel_pair: Vec<PairId>,
+    tunnel_arcs: Rows<ArcId>,
+    tunnels_of: Rows<TunnelId>, // T(s,t)
+    tunnels_on_link: Rows<TunnelId>,
+}
+
+impl TunnelSet {
+    /// The explicit tunnels, in order, then `select_tunnels(s, t, k)` for
+    /// every pair without one when `k` is given.
+    fn select(
+        topo: &Topology,
+        mut pairs: Vec<(NodeId, NodeId)>,
+        explicit: Vec<(PairId, Path)>,
+        k: Option<usize>,
+        selected_under: Option<u64>,
+    ) -> TunnelSet {
+        let mut has_explicit = vec![false; pairs.len()];
+        let (mut tunnel_pair, mut paths): (Vec<PairId>, Vec<Path>) = explicit.into_iter().unzip();
+        for p in &tunnel_pair {
+            has_explicit[p.0] = true;
+        }
+        if let Some(k) = k {
+            for (pi, &(s, t)) in pairs.iter().enumerate() {
+                if has_explicit[pi] {
+                    continue;
+                }
+                for path in select_tunnels(topo, s, t, k) {
+                    paths.push(path);
+                    tunnel_pair.push(PairId(pi));
+                }
+            }
+        }
+        let mut arc_entries = Vec::new();
+        let mut link_entries = Vec::new();
+        for (l, path) in paths.iter().enumerate() {
+            for (hop, &link) in path.links.iter().enumerate() {
+                arc_entries.push((l, topo.arc_from(link, path.nodes[hop])));
+                link_entries.push((link.index(), TunnelId(l)));
+            }
+        }
+        let tunnels_of = tunnel_pair
+            .iter()
+            .enumerate()
+            .map(|(l, p)| (p.0, TunnelId(l)))
+            .collect();
+        // The set lives as long as the plans sharing it: keep no push slack.
+        pairs.shrink_to_fit();
+        paths.shrink_to_fit();
+        tunnel_pair.shrink_to_fit();
+        TunnelSet {
+            selected_under,
+            tunnel_arcs: Rows::from_entries(paths.len(), arc_entries),
+            tunnels_of: Rows::from_entries(pairs.len(), tunnels_of),
+            tunnels_on_link: Rows::from_entries(topo.link_count(), link_entries),
+            pairs,
+            paths,
+            tunnel_pair,
+        }
+    }
+}
+
+/// What [`select_tunnels`] reads of a build besides the pair: FNV over the
+/// node count, each link's endpoints in link order, and `k`. Capacities,
+/// demands and names do not enter it.
+fn structure_stamp(topo: &Topology, k: usize) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_u64(topo.node_count() as u64);
+    for l in topo.links() {
+        let link = topo.link(l);
+        h.write_u64(u64::from(link.u.0));
+        h.write_u64(u64::from(link.v.0));
+    }
+    h.write_u64(k as u64);
+    h.finish()
+}
+
 /// A fully indexed problem instance. Build with [`InstanceBuilder`].
 #[derive(Debug, Clone)]
 pub struct Instance {
     topo: Topology,
-    pairs: Vec<(NodeId, NodeId)>,
+    tunnels: Arc<TunnelSet>,
     pair_index: BTreeMap<(NodeId, NodeId), PairId>,
     demand: Vec<f64>,
-    tunnels: Vec<Path>,
-    tunnel_pair: Vec<PairId>,
-    tunnel_arcs: Rows<ArcId>,
-    tunnels_of: Rows<TunnelId>, // T(s,t)
     lss: Vec<LogicalSequence>,
     ls_pair: Vec<PairId>,
     lss_of: Rows<LsId>,      // L(s,t)
     segments_of: Rows<LsId>, // Q(s,t)
     seg_pairs: Rows<PairId>,
-    tunnels_on_link: Rows<TunnelId>,
     lss_on_link: Rows<LsId>,
 }
 
@@ -136,14 +228,20 @@ impl Instance {
         &self.topo
     }
 
+    /// The pairs and tunnels, shared with every instance and
+    /// [`CutPool`](crate::CutPool) that took them from this one.
+    pub fn tunnel_set(&self) -> &Arc<TunnelSet> {
+        &self.tunnels
+    }
+
     /// Number of pairs of interest.
     pub fn num_pairs(&self) -> usize {
-        self.pairs.len()
+        self.tunnels.pairs.len()
     }
 
     /// Number of tunnels across all pairs.
     pub fn num_tunnels(&self) -> usize {
-        self.tunnels.len()
+        self.tunnels.paths.len()
     }
 
     /// Number of logical sequences.
@@ -153,12 +251,12 @@ impl Instance {
 
     /// All pair ids.
     pub fn pair_ids(&self) -> impl Iterator<Item = PairId> {
-        (0..self.pairs.len()).map(PairId)
+        (0..self.num_pairs()).map(PairId)
     }
 
     /// The `(source, dest)` nodes of a pair.
     pub fn pair(&self, p: PairId) -> (NodeId, NodeId) {
-        self.pairs[p.0]
+        self.tunnels.pairs[p.0]
     }
 
     /// Looks up the pair id for `(s, t)`, if it is a pair of interest.
@@ -178,24 +276,24 @@ impl Instance {
 
     /// Tunnel ids of `T(s,t)`.
     pub fn tunnels_of(&self, p: PairId) -> &[TunnelId] {
-        self.tunnels_of.row(p.0)
+        self.tunnels.tunnels_of.row(p.0)
     }
 
     /// The path of tunnel `l`.
     pub fn tunnel(&self, l: TunnelId) -> &Path {
-        &self.tunnels[l.0]
+        &self.tunnels.paths[l.0]
     }
 
     /// The directed arcs tunnel `l` traverses, in hop order (`arc_from`
     /// over `self.tunnel(l)`'s hops, interned at build).
     pub fn tunnel_arcs(&self, l: TunnelId) -> &[ArcId] {
-        self.tunnel_arcs.row(l.0)
+        self.tunnels.tunnel_arcs.row(l.0)
     }
 
     /// The tunnels that cross link `e` (a tunnel crossing it twice is
     /// listed twice), in tunnel order.
     pub fn tunnels_on_link(&self, e: LinkId) -> &[TunnelId] {
-        self.tunnels_on_link.row(e.index())
+        self.tunnels.tunnels_on_link.row(e.index())
     }
 
     /// The LSs whose activation condition reads link `e`, in LS order.
@@ -205,12 +303,12 @@ impl Instance {
 
     /// The pair a tunnel belongs to.
     pub fn tunnel_pair(&self, l: TunnelId) -> PairId {
-        self.tunnel_pair[l.0]
+        self.tunnels.tunnel_pair[l.0]
     }
 
     /// All tunnel ids.
     pub fn tunnel_ids(&self) -> impl Iterator<Item = TunnelId> {
-        (0..self.tunnels.len()).map(TunnelId)
+        (0..self.num_tunnels()).map(TunnelId)
     }
 
     /// LS ids of `L(s,t)`.
@@ -250,7 +348,7 @@ impl Instance {
     pub fn p_st(&self, p: PairId) -> usize {
         let mut usage: BTreeMap<u32, usize> = BTreeMap::new();
         for &l in self.tunnels_of(p) {
-            for link in &self.tunnels[l.0].links {
+            for link in &self.tunnel(l).links {
                 *usage.entry(link.0).or_insert(0) += 1;
             }
         }
@@ -262,7 +360,8 @@ impl Instance {
 ///
 /// Pairs of interest are the demand pairs, LS endpoint pairs, and LS segment
 /// pairs. Tunnels are selected per pair with
-/// [`pcf_paths::select_tunnels`] unless provided explicitly.
+/// [`pcf_paths::select_tunnels`] unless provided explicitly or taken from
+/// an offered [`TunnelSet`].
 pub struct InstanceBuilder {
     topo: Topology,
     demands: Vec<(NodeId, NodeId, f64)>,
@@ -271,6 +370,7 @@ pub struct InstanceBuilder {
     explicit_tunnels: Vec<Path>,
     extra_pairs: Vec<(NodeId, NodeId)>,
     lss: Vec<LogicalSequence>,
+    offered: Option<Arc<TunnelSet>>,
 }
 
 impl InstanceBuilder {
@@ -284,12 +384,13 @@ impl InstanceBuilder {
         );
         InstanceBuilder {
             topo: topo.clone(),
-            demands: tm.positive_pairs().into_iter().collect(),
+            demands: tm.positive_pairs(),
             tunnels_per_pair: 3,
             auto_tunnels: true,
             explicit_tunnels: Vec::new(),
             extra_pairs: Vec::new(),
             lss: Vec::new(),
+            offered: None,
         }
     }
 
@@ -310,6 +411,7 @@ impl InstanceBuilder {
             explicit_tunnels: Vec::new(),
             extra_pairs: Vec::new(),
             lss: Vec::new(),
+            offered: None,
         }
     }
 
@@ -356,6 +458,32 @@ impl InstanceBuilder {
         self
     }
 
+    /// Adds the LS heuristic of §5 for every demand added so far: one
+    /// unconditional LS through the nodes of the pair's hop-count shortest
+    /// path, skipped for adjacent pairs (whose LS would be trivial).
+    pub fn shortest_path_lss(mut self) -> Self {
+        for &(s, t, _) in &self.demands {
+            if let Some(path) = pcf_paths::shortest_path(&self.topo, s, t) {
+                if path.nodes.len() >= 3 {
+                    self.lss.push(LogicalSequence::always(path.nodes));
+                }
+            }
+        }
+        self
+    }
+
+    /// Offers the tunnel set of an earlier instance, e.g. the one a
+    /// [`CutPool`](crate::CutPool) carries. [`InstanceBuilder::build`]
+    /// shares it instead of selecting only where selection would return it
+    /// exactly: the set was selected, not given; this build selects every
+    /// tunnel (no explicit tunnel, selection on); and its pair list, in
+    /// interning order, and structure stamp (node count, link endpoints in
+    /// link order, `k`) equal the set's. Otherwise the offer is ignored.
+    pub fn offer_tunnels(mut self, set: Option<&Arc<TunnelSet>>) -> Self {
+        self.offered = set.cloned();
+        self
+    }
+
     /// Builds the indexed instance.
     pub fn build(self) -> Instance {
         let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
@@ -394,10 +522,8 @@ impl InstanceBuilder {
         }
 
         // Tunnels: explicit ones first (their pairs skip auto-selection).
-        let mut tunnels: Vec<Path> = Vec::new();
-        let mut tunnel_pair: Vec<PairId> = Vec::new();
-        let mut has_explicit = vec![false; pairs.len()];
-        for path in &self.explicit_tunnels {
+        let mut explicit = Vec::with_capacity(self.explicit_tunnels.len());
+        for path in self.explicit_tunnels {
             let p = intern(
                 path.source(),
                 path.dest(),
@@ -405,30 +531,23 @@ impl InstanceBuilder {
                 &mut demand,
                 &mut pair_index,
             );
-            if p.0 >= has_explicit.len() {
-                has_explicit.resize(p.0 + 1, false);
-            }
-            has_explicit[p.0] = true;
-            tunnels.push(path.clone());
-            tunnel_pair.push(p);
+            explicit.push((p, path));
         }
-        for (pi, &(s, t)) in pairs.iter().enumerate() {
-            if has_explicit[pi] || !self.auto_tunnels {
-                continue;
+        let stamp = (explicit.is_empty() && self.auto_tunnels)
+            .then(|| structure_stamp(&self.topo, self.tunnels_per_pair));
+        let tunnels = match self.offered {
+            Some(set) if stamp.is_some() && set.selected_under == stamp && set.pairs == pairs => {
+                set
             }
-            for path in select_tunnels(&self.topo, s, t, self.tunnels_per_pair) {
-                tunnels.push(path);
-                tunnel_pair.push(PairId(pi));
-            }
-        }
-        let mut arc_entries = Vec::new();
-        let mut link_entries = Vec::new();
-        for (l, path) in tunnels.iter().enumerate() {
-            for (hop, &link) in path.links.iter().enumerate() {
-                arc_entries.push((l, self.topo.arc_from(link, path.nodes[hop])));
-                link_entries.push((link.index(), TunnelId(l)));
-            }
-        }
+            _ => Arc::new(TunnelSet::select(
+                &self.topo,
+                pairs,
+                explicit,
+                self.auto_tunnels.then_some(self.tunnels_per_pair),
+                stamp,
+            )),
+        };
+        let num_pairs = tunnels.pairs.len();
 
         // Logical sequences.
         let mut ls_pair: Vec<PairId> = Vec::with_capacity(self.lss.len());
@@ -447,12 +566,6 @@ impl InstanceBuilder {
             }
         }
 
-        let links = self.topo.link_count();
-        let tunnels_of = tunnel_pair
-            .iter()
-            .enumerate()
-            .map(|(l, p)| (p.0, TunnelId(l)))
-            .collect();
         let lss_of = ls_pair
             .iter()
             .enumerate()
@@ -460,25 +573,17 @@ impl InstanceBuilder {
             .collect();
         // The instance lives as long as its plan: keep no push slack.
         let mut lss = self.lss;
-        pairs.shrink_to_fit();
         demand.shrink_to_fit();
-        tunnels.shrink_to_fit();
-        tunnel_pair.shrink_to_fit();
         lss.shrink_to_fit();
         Instance {
-            tunnel_arcs: Rows::from_entries(tunnels.len(), arc_entries),
-            tunnels_of: Rows::from_entries(pairs.len(), tunnels_of),
-            lss_of: Rows::from_entries(pairs.len(), lss_of),
-            segments_of: Rows::from_entries(pairs.len(), segment_entries),
+            lss_of: Rows::from_entries(num_pairs, lss_of),
+            segments_of: Rows::from_entries(num_pairs, segment_entries),
             seg_pairs: Rows::from_entries(lss.len(), seg_pair_entries),
-            tunnels_on_link: Rows::from_entries(links, link_entries),
-            lss_on_link: Rows::from_entries(links, condition_entries),
+            lss_on_link: Rows::from_entries(self.topo.link_count(), condition_entries),
             topo: self.topo,
-            pairs,
+            tunnels,
             pair_index,
             demand,
-            tunnels,
-            tunnel_pair,
             lss,
             ls_pair,
         }

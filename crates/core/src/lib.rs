@@ -34,7 +34,7 @@ pub use degrade::{
 };
 pub use dualized::DualizedError;
 pub use failure::{Condition, Degradation, FailureModel, GroupBudget, Scenario};
-pub use instance::{Instance, InstanceBuilder, LogicalSequence, LsId, PairId, TunnelId};
+pub use instance::{Instance, InstanceBuilder, LogicalSequence, LsId, PairId, TunnelId, TunnelSet};
 pub use logical_flow::{
     bypass_flows, decompose_flows, pcf_cls_pipeline, solve_logical_flow, ClsResult, FlowSolution,
     FlowSpec,

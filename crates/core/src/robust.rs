@@ -29,7 +29,10 @@
 //! pivots only as far as the new demands moved the optimum. The basis is a
 //! start, not an answer — separation certifies the result exactly as on a
 //! cold solve, and a basis the LP cannot use costs a crash-basis solve of
-//! the same seeded master, nothing else.
+//! the same seeded master, nothing else. The pool also carries the
+//! exporting instance's [`TunnelSet`], which its cuts' tunnel ids index, so
+//! the next epoch's instance can take the tunnels back instead of selecting
+//! them again ([`crate::InstanceBuilder::offer_tunnels`]).
 //! Separation — the per-pair worst-case oracles — runs on
 //! [`RobustOptions::threads`] scoped worker threads; the oracles are pure
 //! functions of the shared reservations, so pairs partition cleanly.
@@ -46,7 +49,7 @@ use crate::adversary::{
     worst_case_ffc, worst_case_link_with_extras, AdversaryError, ExtraTerm, WorstCase,
 };
 use crate::failure::{Condition, FailureModel};
-use crate::instance::{Instance, LsId, PairId};
+use crate::instance::{Instance, LsId, PairId, TunnelSet};
 use crate::objective::Objective;
 use pcf_lp::{
     nonzero, Basis, IncrementalLp, IncrementalStats, LpProblem, Sense, SimplexOptions, Solution,
@@ -54,6 +57,7 @@ use pcf_lp::{
 };
 use pcf_rng::Fnv1a;
 use std::fmt;
+use std::sync::Arc;
 
 /// Structured failure from the robust engine's master problem.
 ///
@@ -217,6 +221,12 @@ impl RobustSolution {
 /// rows, one no-failure cut per pair, then every other cut in the order
 /// appended — which is the pool's order, so the master rebuilt from the
 /// pool has the exporting master's row `i` as its row `i`.
+///
+/// The pool also holds the exporting instance's [`TunnelSet`] — the tunnels
+/// its cuts' coefficients point at. Tunnel selection is a pure function of
+/// the topology's structure, the pair and `k`, so a same-pair re-plan
+/// takes that set back instead of selecting again, and the instance it
+/// builds is the one a fresh selection would have built.
 #[derive(Debug, Clone, Default)]
 pub struct CutPool {
     /// [`instance_identity`] of the exporting instance.
@@ -224,6 +234,8 @@ pub struct CutPool {
     cuts: Vec<(PairId, WorstCase)>,
     /// Optimal basis of the exporting master; `None` if the LP kept none.
     basis: Option<Basis>,
+    /// The exporting instance's tunnels, shared with it, not copied.
+    tunnels: Option<Arc<TunnelSet>>,
 }
 
 impl CutPool {
@@ -244,6 +256,12 @@ impl CutPool {
     /// cuts, nothing would take it back out.
     pub fn matches(&self, inst: &Instance) -> bool {
         self.identity == instance_identity(inst)
+    }
+
+    /// The exporting instance's tunnel set, to offer to the next build
+    /// ([`crate::InstanceBuilder::offer_tunnels`]).
+    pub fn tunnel_set(&self) -> Option<&Arc<TunnelSet>> {
+        self.tunnels.as_ref()
     }
 }
 
@@ -609,6 +627,7 @@ impl Master {
             identity: instance_identity(inst),
             basis: self.lp.basis(),
             cuts: self.cuts.split_off(inst.num_pairs()),
+            tunnels: Some(Arc::clone(inst.tunnel_set())),
         }
     }
 

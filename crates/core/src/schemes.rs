@@ -13,7 +13,7 @@
 //!   [`crate::logical_flow`].
 
 use crate::failure::FailureModel;
-use crate::instance::{Instance, InstanceBuilder, LogicalSequence};
+use crate::instance::{Instance, InstanceBuilder};
 use crate::robust::{
     solve_robust, try_solve_robust_seeded, AdversaryKind, CutPool, RobustError, RobustOptions,
     RobustSolution,
@@ -105,21 +105,16 @@ pub fn tunnel_instance(topo: &Topology, tm: &TrafficMatrix, k: usize) -> Instanc
 
 /// Builds the PCF-LS instance of §5: `k` tunnels per pair plus, for each
 /// demand pair, one unconditional LS through the nodes of its shortest path
-/// (skipped for adjacent pairs, whose shortest-path LS would be trivial).
+/// ([`InstanceBuilder::shortest_path_lss`]).
 ///
 /// By construction these LSs are topologically sorted — every segment joins
 /// physically adjacent routers, and adjacent pairs carry no LS — so the
 /// scheme is realizable with local proportional routing (Prop. 7).
 pub fn pcf_ls_instance(topo: &Topology, tm: &TrafficMatrix, k: usize) -> Instance {
-    let mut b = InstanceBuilder::new(topo, tm).tunnels_per_pair(k);
-    for (s, t, _) in tm.positive_pairs() {
-        if let Some(path) = pcf_paths::shortest_path(topo, s, t) {
-            if path.nodes.len() >= 3 {
-                b = b.add_ls(LogicalSequence::always(path.nodes));
-            }
-        }
-    }
-    b.build()
+    InstanceBuilder::new(topo, tm)
+        .tunnels_per_pair(k)
+        .shortest_path_lss()
+        .build()
 }
 
 #[cfg(test)]

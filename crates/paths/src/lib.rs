@@ -180,6 +180,9 @@ pub fn shortest_path(topo: &Topology, s: NodeId, t: NodeId) -> Option<Path> {
 /// simple paths.
 pub fn yen_k_shortest(topo: &Topology, s: NodeId, t: NodeId, k: usize) -> Vec<Path> {
     let mut found: Vec<Path> = Vec::new();
+    if k == 0 {
+        return found;
+    }
     let Some(first) = shortest_path(topo, s, t) else {
         return found;
     };
@@ -653,6 +656,14 @@ mod tests {
         t.add_link(n[2], n[0], 1.0);
         let ps = yen_k_shortest(&t, n[0], n[1], 10);
         assert_eq!(ps.len(), 2);
+    }
+
+    #[test]
+    fn yen_returns_at_most_k_paths() {
+        let t = grid();
+        assert!(yen_k_shortest(&t, NodeId(0), NodeId(5), 0).is_empty());
+        let one = yen_k_shortest(&t, NodeId(0), NodeId(5), 1);
+        assert_eq!(one, vec![shortest_path(&t, NodeId(0), NodeId(5)).unwrap()]);
     }
 
     #[test]

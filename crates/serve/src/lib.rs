@@ -376,6 +376,56 @@ mod tests {
     }
 
     #[test]
+    fn rebases_past_the_finite_range_keep_the_solver_alive() {
+        // 120 rebases to 1/1000 take link 0's capacity past
+        // f64::MIN_POSITIVE towards 0, which `set_capacity` rejects with a
+        // panic. Each rebase that would leave the range must count as a
+        // failed re-solve and keep the old topology and epoch; a later
+        // update must still publish, and shutdown must join the solver.
+        const REBASES: u64 = 120;
+        let server = boot();
+        let addr = server.local_addr().unwrap().to_string();
+        thread::scope(|s| {
+            s.spawn(|| server.run());
+            let mut client = ServeClient::connect(&addr).unwrap();
+            let rebase = r#"{"cmd":"rebase","link":0,"permille":1}"#;
+            let acks = client
+                .request_batch(&vec![rebase; REBASES as usize])
+                .unwrap();
+            assert!(acks
+                .iter()
+                .all(|a| a.get("ok").and_then(Json::as_bool) == Some(true)));
+            let update = client.request(r#"{"cmd":"update","scale":0.5}"#).unwrap();
+            assert_eq!(update.get("ok").and_then(Json::as_bool), Some(true));
+            // The solver takes commands in order, so the update's epoch is
+            // the first at scale 0.5 and every rebase was handled before it.
+            let plan = r#"{"cmd":"plan"}"#;
+            let mut now = client.request(plan).unwrap();
+            let mut stalled = None;
+            while now.get("scale").and_then(Json::as_f64) != Some(0.5) {
+                let gen = now.get("gen").and_then(Json::as_u64).unwrap();
+                let next = format!(r#"{{"cmd":"wait","gen":{},"timeout_ms":30000}}"#, gen + 1);
+                let waited = client.request(&next).unwrap();
+                if waited.get("ok").and_then(Json::as_bool) != Some(true) {
+                    stalled = Some(gen);
+                    break;
+                }
+                now = client.request(plan).unwrap();
+            }
+            let stats = client.request(r#"{"cmd":"stats"}"#).unwrap();
+            // Shut down before judging, so a failure here cannot leave the
+            // server thread running.
+            client.request(r#"{"cmd":"shutdown"}"#).unwrap();
+            assert_eq!(stalled, None, "no epoch after this generation");
+            let det = stats.get("deterministic").unwrap();
+            let count = |k: &str| det.get(k).and_then(Json::as_u64).unwrap();
+            assert!(count("solve_failures") > 0);
+            assert_eq!(count("swaps") + count("solve_failures"), REBASES + 1);
+            assert_eq!(count("gen"), 1 + count("swaps"));
+        });
+    }
+
+    #[test]
     fn connection_cap_rejects_with_busy_line() {
         let opts = ServeOptions {
             max_conns: 1,

@@ -26,8 +26,8 @@
 
 use crate::ServeError;
 use pcf_core::{
-    pcf_cls_pipeline, pcf_ls_instance, scale_to_mlu, solve_ffc_seeded, solve_pcf_ls_seeded,
-    solve_pcf_tf_seeded, tunnel_instance, CutPool, FailureModel, Instance, RobustOptions,
+    pcf_cls_pipeline, scale_to_mlu, solve_ffc_seeded, solve_pcf_ls_seeded, solve_pcf_tf_seeded,
+    CutPool, FailureModel, Instance, InstanceBuilder, RobustOptions,
 };
 use pcf_replay::SharedFactorCache;
 use pcf_rng::Fnv1a;
@@ -138,6 +138,11 @@ pub struct PlanEpoch {
     /// Cuts seeded into this epoch's first master from the previous
     /// epoch's [`CutPool`] (0 for a cold solve).
     pub warm_cuts: usize,
+    /// Whether this epoch's instance shares the previous epoch's tunnels,
+    /// taken from its [`CutPool`], instead of selecting them again (false
+    /// for a cold solve, and when the pairs or the topology's structure
+    /// moved).
+    pub tunnels_reused: bool,
 }
 
 impl PlanSpec {
@@ -156,14 +161,15 @@ impl PlanSpec {
     }
 
     /// [`PlanSpec::solve_epoch`] with an epoch-to-epoch warm start: `prev`
-    /// carries the scenario cuts of the previous epoch's solve, and the
-    /// returned pool carries this epoch's cuts for the next one. Re-solves
-    /// vary only the demand scale and gravity seed; over the same pair set
-    /// the binding scenarios transfer, while a pool from another pair set
-    /// ([`CutPool::matches`] fails — a new seed can move the heaviest
-    /// pairs) is ignored and the epoch solves cold. The PCF-CLS pipeline,
-    /// whose flow-stage instance varies, always solves cold and returns
-    /// `None`.
+    /// carries the scenario cuts and the tunnels of the previous epoch's
+    /// solve, and the returned pool carries this epoch's for the next one.
+    /// Re-solves vary only the demand scale, the gravity seed and (after a
+    /// rebase) capacities; over the same pair set the binding scenarios
+    /// transfer and the tunnels are the ones selection would return, while
+    /// a pool from another pair set ([`CutPool::matches`] fails — a new
+    /// seed or a rebase can move the heaviest pairs) is ignored and the
+    /// epoch selects tunnels and solves cold. The PCF-CLS pipeline, whose
+    /// flow-stage instance varies, always solves cold and returns `None`.
     pub fn solve_epoch_seeded(
         &self,
         gen: u64,
@@ -185,22 +191,8 @@ impl PlanSpec {
         }
         tm.scale(scale);
         let fm = FailureModel::links(self.f);
+        let offered = prev.and_then(CutPool::tunnel_set);
         let (inst, sol, pool) = match self.scheme {
-            SchemeKind::Ffc => {
-                let inst = tunnel_instance(&self.topo, &tm, self.tunnels);
-                let (sol, pool) = solve_ffc_seeded(&inst, &fm, &self.opts, prev)?;
-                (inst, sol, Some(pool))
-            }
-            SchemeKind::PcfTf => {
-                let inst = tunnel_instance(&self.topo, &tm, self.tunnels);
-                let (sol, pool) = solve_pcf_tf_seeded(&inst, &fm, &self.opts, prev)?;
-                (inst, sol, Some(pool))
-            }
-            SchemeKind::PcfLs => {
-                let inst = pcf_ls_instance(&self.topo, &tm, self.tunnels);
-                let (sol, pool) = solve_pcf_ls_seeded(&inst, &fm, &self.opts, prev)?;
-                (inst, sol, Some(pool))
-            }
             SchemeKind::PcfCls => {
                 // The CLS pipeline derives its final instance from the
                 // flow decomposition, so its shape shifts between epochs;
@@ -208,7 +200,26 @@ impl PlanSpec {
                 let cls = pcf_cls_pipeline(&self.topo, &tm, self.tunnels, &fm, &self.opts);
                 (cls.instance, cls.solution, None)
             }
+            scheme => {
+                let builder = InstanceBuilder::new(&self.topo, &tm)
+                    .tunnels_per_pair(self.tunnels)
+                    .offer_tunnels(offered);
+                let inst = match scheme {
+                    SchemeKind::PcfLs => builder.shortest_path_lss().build(),
+                    _ => builder.build(),
+                };
+                // The demands live in the instance now; free the matrix
+                // before the solve, the high-water mark of an epoch.
+                drop(tm);
+                let (sol, pool) = match scheme {
+                    SchemeKind::Ffc => solve_ffc_seeded(&inst, &fm, &self.opts, prev),
+                    SchemeKind::PcfTf => solve_pcf_tf_seeded(&inst, &fm, &self.opts, prev),
+                    _ => solve_pcf_ls_seeded(&inst, &fm, &self.opts, prev),
+                }?;
+                (inst, sol, Some(pool))
+            }
         };
+        let tunnels_reused = offered.is_some_and(|set| Arc::ptr_eq(set, inst.tunnel_set()));
         let served = sol.served(&inst);
         let plan_digest = plan_digest(sol.objective, &sol.a, &sol.b, &sol.z, &served);
         let epoch = PlanEpoch {
@@ -227,6 +238,7 @@ impl PlanSpec {
             cache: SharedFactorCache::new(cache_capacity),
             plan_digest,
             warm_cuts: sol.seeded_cuts,
+            tunnels_reused,
         };
         Ok((epoch, pool))
     }
@@ -337,15 +349,26 @@ mod tests {
         let spec = abilene_spec();
         let (first, pool) = spec.solve_epoch_seeded(1, 1.0, 1, 16, None).unwrap();
         assert_eq!(first.warm_cuts, 0);
+        assert!(!first.tunnels_reused);
         let pool = pool.expect("robust schemes export a pool");
         assert!(!pool.is_empty());
 
         // Warm re-solve at a new scale: same plan as the cold solve of the
-        // same inputs, and the seeding is visible in warm_cuts.
+        // same inputs, and the seeding is visible in warm_cuts and in the
+        // tunnels taken from the pool rather than selected again.
         let (warm, next) = spec.solve_epoch_seeded(2, 0.8, 1, 16, Some(&pool)).unwrap();
         assert_eq!(warm.warm_cuts, pool.len());
-        assert!(next.is_some());
+        assert!(warm.tunnels_reused);
+        assert!(Arc::ptr_eq(warm.inst.tunnel_set(), first.inst.tunnel_set()));
+        let next = next.expect("robust schemes export a pool");
+        assert!(Arc::ptr_eq(
+            next.tunnel_set().unwrap(),
+            first.inst.tunnel_set()
+        ));
         let cold = spec.solve_epoch(2, 0.8, 1, 16).unwrap();
+        assert!(!cold.tunnels_reused);
+        // The reused instance is the one selection builds.
+        assert!(pool.matches(&warm.inst) && pool.matches(&cold.inst));
         assert!(
             (warm.objective - cold.objective).abs() < 1e-6,
             "warm {} vs cold {}",
@@ -369,6 +392,7 @@ mod tests {
             .solve_epoch_seeded(1, 1.0, 1, 16, Some(&pool))
             .unwrap();
         assert_eq!(epoch.warm_cuts, 0);
+        assert!(!epoch.tunnels_reused);
     }
 
     #[test]

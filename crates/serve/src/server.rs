@@ -218,7 +218,12 @@ impl Server {
                     let seed = cmd.seed.unwrap_or(current.seed);
                     if let Some((link, permille)) = cmd.rebase {
                         let l = pcf_topology::LinkId(link);
-                        let cap = spec.topo.capacity(l) * f64::from(permille) / 1000.0;
+                        let Some(cap) = rebased_capacity(spec.topo.capacity(l), permille) else {
+                            // Keep the old topology and epoch: a capacity
+                            // of 0 or infinity is no network to plan for.
+                            Telemetry::bump(&self.telemetry.solve_failures);
+                            continue;
+                        };
                         spec.topo.set_capacity(l, cap);
                     }
                     match spec.solve_epoch_seeded(
@@ -233,6 +238,9 @@ impl Server {
                                 Telemetry::bump(&self.telemetry.warm_epochs);
                             } else {
                                 Telemetry::bump(&self.telemetry.cold_epochs);
+                            }
+                            if epoch.tunnels_reused {
+                                Telemetry::bump(&self.telemetry.tunnel_reuses);
                             }
                             pool = next_pool;
                             self.cell.swap(Arc::new(epoch));
@@ -648,6 +656,8 @@ impl Server {
                 ("objective".into(), Json::Num(epoch.objective)),
                 ("scale".into(), Json::Num(epoch.scale)),
                 ("seed".into(), Json::Num(epoch.seed as f64)),
+                ("warm_cuts".into(), Json::Num(epoch.warm_cuts as f64)),
+                ("tunnels_reused".into(), Json::Bool(epoch.tunnels_reused)),
                 (
                     "plan_digest".into(),
                     Json::str(format!("{:016x}", epoch.plan_digest)),
@@ -766,6 +776,15 @@ fn hot_arcs(
     )
 }
 
+/// A `rebase` of capacity `cap` to `permille`/1000 of itself, or `None`
+/// when the result is no capacity a topology can hold: not finite, or below
+/// `f64::MIN_POSITIVE` (repeated small rebases underflow to 0, repeated
+/// large ones overflow to infinity).
+fn rebased_capacity(cap: f64, permille: u32) -> Option<f64> {
+    let rebased = cap * f64::from(permille) / 1000.0;
+    (rebased.is_finite() && rebased >= f64::MIN_POSITIVE).then_some(rebased)
+}
+
 /// Replays log entries `[*applied, tail)` into this connection's engine.
 fn sync_engine(
     epoch: &PlanEpoch,
@@ -855,6 +874,33 @@ fn read_line_shutdown_aware(
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::rebased_capacity;
+
+    #[test]
+    fn rebased_capacity_stays_finite_and_positive() {
+        assert_eq!(rebased_capacity(10.0, 500), Some(5.0));
+        assert_eq!(
+            rebased_capacity(f64::MIN_POSITIVE, 1000),
+            Some(f64::MIN_POSITIVE)
+        );
+        assert_eq!(rebased_capacity(f64::MIN_POSITIVE, 999), None);
+        assert!(rebased_capacity(f64::MAX / 1e4, 10_000).is_some());
+        assert_eq!(rebased_capacity(f64::MAX / 10.0, 10_000), None);
+        // Repeated rebases leave the range after finitely many steps; the
+        // last capacity handed out is still one a topology accepts.
+        for permille in [1, 10_000] {
+            let (mut cap, mut steps) = (100.0, 0);
+            while let Some(next) = rebased_capacity(cap, permille) {
+                (cap, steps) = (next, steps + 1);
+            }
+            assert!(cap.is_finite() && cap >= f64::MIN_POSITIVE, "{cap}");
+            assert!((100..400).contains(&steps), "{permille}: {steps} steps");
         }
     }
 }

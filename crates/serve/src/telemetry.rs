@@ -135,6 +135,9 @@ pub struct Telemetry {
     pub warm_epochs: AtomicU64,
     /// Re-solves that ran cold (no pool yet, or one from another instance).
     pub cold_epochs: AtomicU64,
+    /// Re-solves whose instance took the previous epoch's tunnels from its
+    /// cut pool instead of selecting them again.
+    pub tunnel_reuses: AtomicU64,
     /// Connections accepted.
     pub connections: AtomicU64,
     /// Connections rejected at the cap with a `busy` line.
@@ -194,6 +197,7 @@ impl Telemetry {
             solve_failures: load(&self.solve_failures),
             warm_epochs: load(&self.warm_epochs),
             cold_epochs: load(&self.cold_epochs),
+            tunnel_reuses: load(&self.tunnel_reuses),
             connections: load(&self.connections),
             busy_rejects: load(&self.busy_rejects),
             idle_reaps: load(&self.idle_reaps),
@@ -237,6 +241,8 @@ pub struct ServeReport {
     pub warm_epochs: u64,
     /// Re-solves run cold (no pool yet, or one from another instance).
     pub cold_epochs: u64,
+    /// Re-solves that reused the previous epoch's tunnels.
+    pub tunnel_reuses: u64,
     /// Connections accepted.
     pub connections: u64,
     /// Connections rejected at the cap.
@@ -268,7 +274,7 @@ impl ServeReport {
         format!(
             "{{\"gen\":{},\"plan_digest\":\"{:016x}\",\"queries\":{},\"events\":{},\
              \"admitted\":{},\"rejected\":{},\"swaps\":{},\"solve_failures\":{},\
-             \"warm_epochs\":{},\"cold_epochs\":{},\
+             \"warm_epochs\":{},\"cold_epochs\":{},\"tunnel_reuses\":{},\
              \"connections\":{},\"busy_rejects\":{},\"idle_reaps\":{},\"protocol_errors\":{},\
              \"degrade\":{{\"normal\":{},\"rescaled\":{},\"shed\":{},\"failed\":{}}},\
              \"max_bump\":{},\
@@ -284,6 +290,7 @@ impl ServeReport {
             self.solve_failures,
             self.warm_epochs,
             self.cold_epochs,
+            self.tunnel_reuses,
             self.connections,
             self.busy_rejects,
             self.idle_reaps,
@@ -313,7 +320,8 @@ impl ServeReport {
         format!(
             "{{\"gen\":{},\"plan_digest\":\"{:016x}\",\"queries\":{},\"events\":{},\
              \"admitted\":{},\"rejected\":{},\"swaps\":{},\"solve_failures\":{},\
-             \"warm_epochs\":{},\"cold_epochs\":{},\"protocol_errors\":{},\
+             \"warm_epochs\":{},\"cold_epochs\":{},\"tunnel_reuses\":{},\
+             \"protocol_errors\":{},\
              \"degrade\":{{\"normal\":{},\"rescaled\":{},\"shed\":{},\"failed\":{}}},\
              \"max_bump\":{}}}",
             self.gen,
@@ -326,6 +334,7 @@ impl ServeReport {
             self.solve_failures,
             self.warm_epochs,
             self.cold_epochs,
+            self.tunnel_reuses,
             self.protocol_errors,
             self.degrade[0],
             self.degrade[1],
