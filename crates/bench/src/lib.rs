@@ -247,8 +247,7 @@ pub fn table1() -> Vec<(&'static str, f64)> {
         ),
         (
             "PCF-CLS",
-            pcf_core::solve_pcf_cls(&fig5_instance(Fig5Variant::ConditionalLs), &fm, &opts)
-                .objective,
+            solve_pcf_ls(&fig5_instance(Fig5Variant::ConditionalLs), &fm, &opts).objective,
         ),
         ("R3", pcf_core::solve_r3(&topo, &tm, 2).objective),
     ]
@@ -826,7 +825,7 @@ pub fn bypass_path_ablation(scale: &Scale) -> Vec<(usize, f64, f64)> {
                 b2 = b2.add_ls(ls.clone());
             }
             let inst2 = b2.build();
-            let obj = pcf_core::solve_pcf_cls(&inst2, &fm, &opts).objective;
+            let obj = pcf_core::solve_pcf_ls(&inst2, &fm, &opts).objective;
             (paths, obj, t0.elapsed().as_secs_f64())
         })
         .collect()

@@ -116,7 +116,7 @@ fn usage() {
          \x20 --trace <path>      (replay) scripted trace file (`down <l>` / `up <l>` lines)\n\
          \x20 --events <n>        (replay) generate an n-event flap trace    (default 1000)\n\
          \x20 --traces <n>        (replay) replay n generated traces in parallel (default 1)\n\
-         \x20 --cache <n>         (replay) retained factorizations; 0 = cold (default 1024)\n\
+         \x20 --cache <n>         (replay) retained realizations; 0 = cold (default 1024)\n\
          \x20 --json <path>       (solve/validate/replay) also write the report as JSON\n\
          \x20 --djson <path>      (replay) write the deterministic (digest) report as JSON\n\
          \x20 --degrade <m>       (replay) off | rescale | shed: how far down the\n\

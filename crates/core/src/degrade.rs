@@ -132,6 +132,13 @@ pub fn peak_utilization(inst: &Instance, routing: &Routing, caps: &[f64]) -> f64
         .fold(0.0, f64::max)
 }
 
+/// Whether `load` overloads an arc of capacity `cap` under the relative
+/// feasibility tolerance `tol`: `load > cap · (1 + tol) + tol`. The one
+/// overload test of the validator and the replay checker.
+pub fn exceeds_capacity(load: f64, cap: f64, tol: f64) -> bool {
+    load > cap * (1.0 + tol) + tol
+}
+
 /// `max(0, peak − 1)` — the worst relative overload of any arc.
 pub fn overload_bound(inst: &Instance, routing: &Routing, caps: &[f64]) -> f64 {
     (peak_utilization(inst, routing, caps) - 1.0).max(0.0)
@@ -416,6 +423,16 @@ mod tests {
 
     fn caps(topo: &Topology) -> Vec<f64> {
         topo.links().map(|l| topo.capacity(l)).collect()
+    }
+
+    #[test]
+    fn overload_starts_one_float_past_the_bound() {
+        for (cap, tol) in [(1.0, 1e-6), (10.0, 1e-9), (0.3, 0.0), (2.5e3, 1e-4)] {
+            let bound = cap * (1.0 + tol) + tol;
+            assert!(!exceeds_capacity(bound, cap, tol), "cap {cap}, tol {tol}");
+            let above = f64::from_bits(bound.to_bits() + 1);
+            assert!(exceeds_capacity(above, cap, tol), "cap {cap}, tol {tol}");
+        }
     }
 
     #[test]

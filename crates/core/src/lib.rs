@@ -29,8 +29,8 @@ pub use admission::{
 };
 pub use augment::{augment_capacity, Augmentation};
 pub use degrade::{
-    degrade_fallback, degrade_routing, normal_routing, overload_bound, peak_utilization,
-    DegradeMode, DegradedRouting, LadderStage,
+    degrade_fallback, degrade_routing, exceeds_capacity, normal_routing, overload_bound,
+    peak_utilization, DegradeMode, DegradedRouting, LadderStage,
 };
 pub use dualized::DualizedError;
 pub use failure::{Condition, Degradation, FailureModel, GroupBudget, Scenario};
@@ -46,9 +46,8 @@ pub use optimal::{
 };
 pub use r3::{solve_generalized_r3, solve_r3, R3Solution};
 pub use realize::{
-    absolute_tolerance, degraded_reservations, factor_state, greedy_topsort, proportional_routing,
-    realize_routing, reservation_matrix, topological_order, Factored, FailureState, RealizeError,
-    Routing,
+    absolute_tolerance, degraded_reservations, greedy_topsort, proportional_routing,
+    realize_routing, reservation_matrix, topological_order, FailureState, RealizeError, Routing,
 };
 pub use robust::{
     solve_robust, try_solve_robust, try_solve_robust_seeded, AdversaryKind, CutPool, RobustError,
@@ -56,8 +55,8 @@ pub use robust::{
 };
 pub use scale::scale_to_mlu;
 pub use schemes::{
-    pcf_ls_instance, solve_ffc, solve_ffc_seeded, solve_pcf_cls, solve_pcf_ls, solve_pcf_ls_seeded,
-    solve_pcf_tf, solve_pcf_tf_seeded, tunnel_instance,
+    pcf_ls_instance, solve_ffc, solve_ffc_seeded, solve_pcf_ls, solve_pcf_ls_seeded, solve_pcf_tf,
+    solve_pcf_tf_seeded, tunnel_instance,
 };
 pub use validate::{
     validate_all, validate_scenarios, ArcHotspot, ValidationReport, Violation, ViolationKind,

@@ -349,7 +349,7 @@ pub fn pcf_cls_pipeline(
         b2 = b2.add_ls(ls.clone());
     }
     let instance = b2.build();
-    let solution = crate::schemes::solve_pcf_cls(&instance, fm, opts);
+    let solution = crate::schemes::solve_pcf_ls(&instance, fm, opts);
     ClsResult {
         instance,
         solution,

@@ -11,15 +11,14 @@
 //!   term landing on an occupied cell added to it in emission order) and
 //!   never densifies it;
 //! * [`realize_routing`] — solves `M × U = D` (one linear system, not an
-//!   LP) and expands reservations into per-arc loads (Proposition 6). It
-//!   is [`factor_state`] followed by [`Factored::route`]; the two halves
-//!   are public so `pcf-replay` can cache the first across repeated
-//!   failure states. A miss — pair selection over the instance's interned
-//!   segment pairs, assembly, factorization — is O(nnz) in a fixed number
-//!   of allocations, and a hit solves in place into the buffer that
-//!   becomes [`Routing::u`], then expands it into loads over the arcs
-//!   [`Instance::tunnel_arcs`] interned at build (tests hold those sums,
-//!   bit for bit, to a hop-by-hop walk of each tunnel's `Path`). The
+//!   LP) and expands reservations into per-arc loads (Proposition 6): the
+//!   one realization entry point, whose finished [`Routing`] `pcf-replay`
+//!   caches per liveness signature. Pair selection over the instance's
+//!   interned segment pairs, assembly and factorization are O(nnz) in a
+//!   fixed number of allocations; the solve runs in place into the buffer
+//!   that becomes [`Routing::u`], and the expansion into loads reads the
+//!   arcs [`Instance::tunnel_arcs`] interned at build (tests hold those
+//!   sums, bit for bit, to a hop-by-hop walk of each tunnel's `Path`). The
 //!   factorization is triangular first
 //!   (`SparseLu::factor_columns`): when the live LSs sort topologically
 //!   `M` is a permuted triangular matrix, the factors *are* that
@@ -484,57 +483,13 @@ pub(crate) fn expand_routing(
     }
 }
 
-/// The cacheable half of a realization: the pairs the linear system is
-/// solved over (matrix order) and the triangular-first factors of their
-/// reservation matrix. A function of the plan and of the failure state's
-/// liveness signature only.
-#[derive(Debug, Clone)]
-pub struct Factored {
-    pairs: Vec<PairId>,
-    lu: SparseLu,
-}
-
-/// Selects the live pairs, assembles `M` as one flat CSC and factors it —
-/// everything of [`realize_routing`] that does not read `served` beyond
-/// pair selection.
-pub fn factor_state(
-    inst: &Instance,
-    state: &FailureState,
-    a: &[f64],
-    b: &[f64],
-    served: &[f64],
-    tol: f64,
-) -> Result<Factored, RealizeError> {
-    let pairs = live_pairs(inst, state, a, b, served, absolute_tolerance(served, tol))?;
-    let (col_start, entries) = reservation_csc(inst, state, a, b, &pairs);
-    let lu = SparseLu::factor_columns(pairs.len(), &col_start, &entries)
-        .map_err(|_| RealizeError::SingularMatrix)?;
-    Ok(Factored { pairs, lu })
-}
-
-impl Factored {
-    /// The cheap half: substitution through the factors — in place, the
-    /// demand vector becoming `U` — the `U ∈ [0,1]` range check and the
-    /// expansion into loads.
-    pub fn route(
-        &self,
-        inst: &Instance,
-        state: &FailureState,
-        a: &[f64],
-        served: &[f64],
-        tol: f64,
-    ) -> Result<Routing, RealizeError> {
-        let mut u: Vec<f64> = self.pairs.iter().map(|&p| served[p.0]).collect();
-        self.lu.ftran_in_place(&mut u, &mut Vec::new());
-        let u = check_utilizations(&self.pairs, u, tol)?;
-        let mut routing = expand_routing(inst, state, a, self.pairs.clone(), u);
-        routing.bump = self.lu.bump();
-        Ok(routing)
-    }
-}
-
 /// Realizes the routing for a concrete failure by solving the linear system
 /// `M × U = D` (paper §4.1, Propositions 5–6).
+///
+/// Selects the live pairs, assembles `M` as one flat CSC, factors it,
+/// substitutes in place (the demand vector becoming `U`), range-checks `U`
+/// and expands it into loads. The result reads the failure state only
+/// through its liveness signature (and `a`, which degradation rescales).
 ///
 /// `served[p]` is the traffic the pair must deliver (`z_p · d_p`). The
 /// tolerance `tol` accepts small numerical overshoot of `U` beyond `[0,1]`.
@@ -546,7 +501,16 @@ pub fn realize_routing(
     served: &[f64],
     tol: f64,
 ) -> Result<Routing, RealizeError> {
-    factor_state(inst, state, a, b, served, tol)?.route(inst, state, a, served, tol)
+    let pairs = live_pairs(inst, state, a, b, served, absolute_tolerance(served, tol))?;
+    let (col_start, entries) = reservation_csc(inst, state, a, b, &pairs);
+    let lu = SparseLu::factor_columns(pairs.len(), &col_start, &entries)
+        .map_err(|_| RealizeError::SingularMatrix)?;
+    let mut u: Vec<f64> = pairs.iter().map(|&p| served[p.0]).collect();
+    lu.ftran_in_place(&mut u, &mut Vec::new());
+    let u = check_utilizations(&pairs, u, tol)?;
+    let mut routing = expand_routing(inst, state, a, pairs, u);
+    routing.bump = lu.bump();
+    Ok(routing)
 }
 
 /// Rescales tunnel reservations for partial capacity degradation:
@@ -908,7 +872,7 @@ mod tests {
         Ok((pairs, u))
     }
 
-    /// The flat CSC `factor_state` factors, densified, is the dense
+    /// The flat CSC `realize_routing` factors, densified, is the dense
     /// reference `M` bit for bit: same cells, same merged sums.
     fn assert_csc_is_reservation_matrix(
         inst: &Instance,

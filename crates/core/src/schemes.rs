@@ -7,10 +7,9 @@
 //! * [`solve_pcf_tf`] — PCF-TF (§3.2): same response mechanism, link-coupled
 //!   failure set (Eq. 4);
 //! * [`solve_pcf_ls`] — PCF-LS (§3.3): adds unconditional logical sequences
-//!   (the shortest-path LS heuristic of §5);
-//! * [`solve_pcf_cls`] — PCF-CLS (§3.4): conditional logical sequences
-//!   derived by decomposing a restricted logical-flow model (§3.5); see
-//!   [`crate::logical_flow`].
+//!   (the shortest-path LS heuristic of §5); the same model solves PCF-CLS
+//!   (§3.4) when the LSs carry conditions, as derived by decomposing a
+//!   restricted logical-flow model (§3.5); see [`crate::logical_flow`].
 
 use crate::failure::FailureModel;
 use crate::instance::{Instance, InstanceBuilder};
@@ -46,11 +45,6 @@ pub fn solve_pcf_tf(inst: &Instance, fm: &FailureModel, opts: &RobustOptions) ->
 /// Solves the LS model (P2) — PCF-LS when every LS is unconditional,
 /// PCF-CLS when conditions are attached.
 pub fn solve_pcf_ls(inst: &Instance, fm: &FailureModel, opts: &RobustOptions) -> RobustSolution {
-    solve_robust(inst, fm, AdversaryKind::LinkBased, opts)
-}
-
-/// Alias of [`solve_pcf_ls`] for instances carrying conditional LSs.
-pub fn solve_pcf_cls(inst: &Instance, fm: &FailureModel, opts: &RobustOptions) -> RobustSolution {
     solve_robust(inst, fm, AdversaryKind::LinkBased, opts)
 }
 
@@ -276,7 +270,7 @@ mod tests {
     #[test]
     fn table1_pcf_cls_optimal() {
         let inst = crate::figures::fig5_instance(crate::figures::Fig5Variant::ConditionalLs);
-        let sol = solve_pcf_cls(&inst, &FailureModel::links(2), &opts());
+        let sol = solve_pcf_ls(&inst, &FailureModel::links(2), &opts());
         assert!((sol.objective - 1.0).abs() < 1e-5, "got {}", sol.objective);
     }
 

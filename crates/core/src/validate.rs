@@ -18,6 +18,7 @@
 //! Used heavily by the integration and property tests; also useful as an
 //! operator-facing audit tool.
 
+use crate::degrade::exceeds_capacity;
 use crate::failure::{FailureModel, Scenario};
 use crate::instance::Instance;
 use crate::realize::{degraded_reservations, realize_routing, FailureState, RealizeError};
@@ -263,7 +264,7 @@ pub fn validate_scenarios(
                         .get(arc.link().index())
                         .map_or(1.0, |s| s.clamp(0.0, 1.0));
                     let cap = topo.capacity(arc.link()) * kept;
-                    if load > cap * (1.0 + tol) + tol {
+                    if exceeds_capacity(load, cap, tol) {
                         violations.push(violation(ViolationKind::Overload {
                             arc: arc.index(),
                             load,

@@ -1,4 +1,4 @@
-//! The replay engine: incremental failure tracking plus a factorization
+//! The replay engine: incremental failure tracking plus a realization
 //! cache.
 //!
 //! [`ReplayEngine`] holds a solved allocation and a mutable link-liveness
@@ -11,38 +11,34 @@
 //! [`ReplayEngine::realize`] turns the current state into a routing.
 //!
 //! Realization reads the failure state only through its liveness signature
-//! (which tunnels are alive, which LSs are active), so repeated states can
-//! share the expensive part of the linear solve: the engine caches
-//! [`pcf_core::Factored`] — the solved pair order plus the triangular-first
-//! factors of the reservation matrix — keyed by
-//! [`FailureState::liveness_signature`]. A cache hit skips pair selection,
-//! assembly and factorization and pays one sparse substitution, the
-//! `U ∈ [0,1]` check and the load expansion over the instance's interned
-//! tunnel arcs; the numerical path is the *same code* [`realize_routing`]
-//! runs ([`factor_state`], then [`pcf_core::Factored::route`]), so cached
-//! and cold results are bit-identical.
+//! (which tunnels are alive, which LSs are active) and the reservations,
+//! which only degradation rescales. So the engine caches the whole answer:
+//! the [`Routing`] (or [`RealizeError`]) [`realize_routing`] returned, keyed
+//! by [`FailureState::liveness_signature`] plus, while a link is degraded,
+//! a degradation fingerprint. A miss runs [`realize_routing`] once; a hit
+//! clones the stored routing, so cached and cold results are bit-identical
+//! by construction.
 
 use crate::trace::{EventKind, LinkEvent};
 use pcf_core::{
-    degrade_fallback, degraded_reservations, factor_state, normal_routing, realize_routing,
-    DegradeMode, DegradedRouting, Factored, FailureState, Instance, LadderStage, RealizeError,
-    Routing,
+    degrade_fallback, degraded_reservations, normal_routing, realize_routing, DegradeMode,
+    DegradedRouting, FailureState, Instance, LadderStage, RealizeError, Routing,
 };
 use pcf_rng::Fnv1a;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-/// Hit/miss/eviction counters of the factorization cache.
+/// Hit/miss/eviction counters of the realization cache.
 ///
 /// Error-path realizations are counted in [`CacheStats::errors`] — never
 /// as hits or misses — so [`CacheStats::hit_rate`] measures what the
-/// cache actually accelerates: successful factorizations.
+/// cache actually accelerates: successful realizations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Successful realizations served from a cached factorization.
+    /// Successful realizations served from the cache.
     pub hits: u64,
-    /// Successful realizations that had to factor from scratch (cold mode
-    /// counts every successful realization here).
+    /// Successful realizations computed afresh (every one, when the cache
+    /// retains nothing).
     pub misses: u64,
     /// Entries dropped to respect the capacity bound.
     pub evictions: u64,
@@ -116,25 +112,27 @@ impl DegradeStats {
     }
 }
 
-/// What a cache entry remembers about one liveness signature: the
-/// factored system, or the structural error realization hit. A pure
-/// function of the plan and the key, so it can be shared across any
-/// engines holding the same plan — the contract both [`FactorCache`] and
-/// [`crate::SharedFactorCache`] rely on.
-pub(crate) type CacheEntry = Result<Factored, RealizeError>;
+/// What a cache entry remembers about one key: the finished routing, or
+/// the error realization hit. A pure function of the plan and the key, so
+/// any engines holding the same plan may share it.
+pub(crate) type CacheEntry = Result<Routing, RealizeError>;
 
-/// Insertion-order (FIFO) bounded map from liveness signature to solve
-/// state. The map and the FIFO share one allocation per key.
-struct FactorCache {
+/// Insertion-order (FIFO) bounded map from cache key to realization — the
+/// one cache type, owned by an engine or shared behind
+/// [`crate::SharedFactorCache`]'s mutex. The map and the FIFO share one
+/// allocation per key; capacity `0` retains nothing. Error entries are
+/// cached like any other (replaying the same bad state must not recompute
+/// it) but count as [`CacheStats::errors`], not hits or misses.
+pub(crate) struct RealizationCache {
     capacity: usize,
-    entries: BTreeMap<Arc<[u64]>, CacheEntry>,
+    entries: BTreeMap<Arc<[u64]>, Arc<CacheEntry>>,
     order: VecDeque<Arc<[u64]>>,
     stats: CacheStats,
 }
 
-impl FactorCache {
-    fn new(capacity: usize) -> Self {
-        FactorCache {
+impl RealizationCache {
+    pub(crate) fn new(capacity: usize) -> Self {
+        RealizationCache {
             capacity,
             entries: BTreeMap::new(),
             order: VecDeque::new(),
@@ -142,41 +140,51 @@ impl FactorCache {
         }
     }
 
-    /// Hands `use_entry` the entry for `key`, computing and inserting it
-    /// on a miss (evicting the oldest key when full): one search on a hit,
-    /// one key allocation per insert. Error entries are cached like any
-    /// other (replaying the same bad state must not re-factor), but they
-    /// count as [`CacheStats::errors`], not hits or misses.
-    fn lookup_or_insert<R>(
-        &mut self,
-        key: &[u64],
-        compute: impl FnOnce() -> CacheEntry,
-        use_entry: impl FnOnce(&CacheEntry) -> R,
-    ) -> R {
-        if let Some(entry) = self.entries.get(key) {
-            self.stats.count(entry, true);
-            return use_entry(entry);
-        }
-        if self.entries.len() >= self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.entries.remove(&old);
-                self.stats.evictions += 1;
+    pub(crate) fn stats(&self) -> CacheStats {
+        self.stats
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The entry for `key`, if retained; counts a hit.
+    pub(crate) fn get(&mut self, key: &[u64]) -> Option<Arc<CacheEntry>> {
+        let entry = Arc::clone(self.entries.get(key)?);
+        self.stats.count(&entry, true);
+        Some(entry)
+    }
+
+    /// Stores `fresh` under `key` and returns it — unless an entry is
+    /// already there (a concurrent miss inserted first), which wins and is
+    /// returned instead. Either way the caller paid a realization: counts a
+    /// miss, and evicts the oldest key when full.
+    pub(crate) fn insert(&mut self, key: &[u64], fresh: Arc<CacheEntry>) -> Arc<CacheEntry> {
+        let entry = match self.entries.get(key) {
+            Some(existing) => Arc::clone(existing),
+            None if self.capacity == 0 => fresh,
+            None => {
+                if self.entries.len() >= self.capacity {
+                    if let Some(old) = self.order.pop_front() {
+                        self.entries.remove(&old);
+                        self.stats.evictions += 1;
+                    }
+                }
+                let key: Arc<[u64]> = key.into();
+                self.order.push_back(Arc::clone(&key));
+                self.entries.insert(key, Arc::clone(&fresh));
+                fresh
             }
-        }
-        let key: Arc<[u64]> = key.into();
-        self.order.push_back(Arc::clone(&key));
-        let entry = self.entries.entry(key).or_insert_with(compute);
-        self.stats.count(entry, false);
-        use_entry(entry)
+        };
+        self.stats.count(&entry, false);
+        entry
     }
 }
 
-/// Where an engine keeps (or doesn't keep) its factorizations.
+/// Where an engine keeps its realizations.
 enum CacheBackend<'a> {
-    /// No cache: every realization factors from scratch.
-    Cold,
-    /// An engine-private FIFO cache (the default).
-    Private(FactorCache),
+    /// An engine-private cache (the default).
+    Owned(RealizationCache),
     /// A [`crate::SharedFactorCache`] owned elsewhere and shared with
     /// other engines over the same plan.
     Shared(&'a crate::SharedFactorCache),
@@ -185,7 +193,7 @@ enum CacheBackend<'a> {
 /// A streaming failure-replay engine over one solved allocation.
 ///
 /// Borrows the instance and the plan (`a`, `b`, `served`); owns the
-/// evolving failure state and the factorization cache. Create one per
+/// evolving failure state and the realization cache. Create one per
 /// trace — replaying a second trace on a warm engine is legal but its
 /// state continues from wherever the first trace left the network.
 pub struct ReplayEngine<'a> {
@@ -203,7 +211,6 @@ pub struct ReplayEngine<'a> {
     dead_links: usize,
     tunnel_dead_links: Vec<u32>,
     cache: CacheBackend<'a>,
-    cold_stats: CacheStats,
     // Nominal per-link capacities and the ones currently in effect
     // (wobble and degrade events both scale entries of `caps`).
     nominal_caps: Vec<f64>,
@@ -228,9 +235,9 @@ pub struct ReplayEngine<'a> {
 impl<'a> ReplayEngine<'a> {
     /// Builds an engine over an all-alive network.
     ///
-    /// `cache_capacity` bounds the number of retained factorizations;
-    /// `0` disables the cache entirely (every realization factors from
-    /// scratch — the baseline the cache is measured against).
+    /// `cache_capacity` bounds the number of retained realizations; `0`
+    /// retains none (every realization is computed afresh — the baseline
+    /// the cache is measured against).
     pub fn new(
         inst: &'a Instance,
         a: &'a [f64],
@@ -261,12 +268,7 @@ impl<'a> ReplayEngine<'a> {
             sig,
             dead_links: 0,
             tunnel_dead_links: vec![0; inst.num_tunnels()],
-            cache: if cache_capacity > 0 {
-                CacheBackend::Private(FactorCache::new(cache_capacity))
-            } else {
-                CacheBackend::Cold
-            },
-            cold_stats: CacheStats::default(),
+            cache: CacheBackend::Owned(RealizationCache::new(cache_capacity)),
             nominal_caps: inst
                 .topo()
                 .links()
@@ -288,7 +290,7 @@ impl<'a> ReplayEngine<'a> {
         }
     }
 
-    /// Builds an engine whose factorizations live in `cache`, a
+    /// Builds an engine whose realizations live in `cache`, a
     /// [`crate::SharedFactorCache`] that other engines over the *same
     /// plan* (same `inst`, `a`, `b`, `served`, `tol`) may share.
     ///
@@ -465,27 +467,22 @@ impl<'a> ReplayEngine<'a> {
 
     /// Realizes the routing for the current failure state.
     ///
-    /// With the cache enabled, a previously seen liveness signature reuses
-    /// its stored factors (one sparse substitution); a new signature pays
-    /// pair selection, assembly and factorization once. Results —
-    /// including errors — are identical to calling [`realize_routing`] on
-    /// [`ReplayEngine::state`].
+    /// A previously seen key returns a clone of its stored result; a new
+    /// one runs [`realize_routing`] once and stores what it returned.
+    /// Results — including errors — are identical to calling
+    /// [`realize_routing`] on [`ReplayEngine::state`].
     ///
-    /// Under partial-capacity degradation the reservations are first
-    /// rescaled per tunnel ([`degraded_reservations`]) so the realized
+    /// Under partial-capacity degradation a miss first rescales the
+    /// reservations per tunnel ([`degraded_reservations`]) so the realized
     /// loads respect the surviving capacities, and the cache key grows a
-    /// degradation fingerprint — a degraded factorization is never served
-    /// to (or from) an undegraded one.
+    /// degradation fingerprint — a degraded realization is never served to
+    /// (or from) an undegraded one.
     pub fn realize(&mut self) -> Result<Routing, RealizeError> {
         if self.force_singular {
             // Injected failure: reported before the cache is consulted so
             // it can neither store nor serve a poisoned entry.
             return Err(RealizeError::SingularMatrix);
         }
-        let a_scaled = self.effective_a();
-        let state = &self.fs;
-        let (inst, b, served, tol) = (self.inst, self.b, self.served, self.tol);
-        let a: &[f64] = a_scaled.as_deref().unwrap_or(self.a);
         // The key is the liveness signature plus, only when degraded, the
         // degradation fingerprint (the one case that builds a key).
         let degraded_key;
@@ -495,25 +492,24 @@ impl<'a> ReplayEngine<'a> {
             degraded_key = [&self.sig[..], &[self.degrade_fp]].concat();
             &degraded_key
         };
-        // The two halves of `realize_routing`, split around the cache.
-        let factor = || factor_state(inst, state, a, b, served, tol);
-        let route = |entry: &CacheEntry| match entry {
-            Ok(factored) => factored.route(inst, state, a, served, tol),
-            Err(e) => Err(e.clone()),
+        let hit = match &mut self.cache {
+            CacheBackend::Owned(cache) => cache.get(key),
+            CacheBackend::Shared(shared) => shared.get(key),
         };
-        let res = match &mut self.cache {
-            CacheBackend::Cold => {
-                let res = realize_routing(inst, state, a, b, served, tol);
-                if res.is_err() {
-                    self.cold_stats.errors += 1;
-                } else {
-                    self.cold_stats.misses += 1;
+        let entry = match hit {
+            Some(entry) => entry,
+            None => {
+                let a_scaled = self.effective_a();
+                let a = a_scaled.as_deref().unwrap_or(self.a);
+                let fresh = realize_routing(self.inst, &self.fs, a, self.b, self.served, self.tol);
+                match &mut self.cache {
+                    CacheBackend::Owned(cache) => cache.insert(key, Arc::new(fresh)),
+                    CacheBackend::Shared(shared) => shared.insert(key, Arc::new(fresh)),
                 }
-                res
             }
-            CacheBackend::Private(cache) => cache.lookup_or_insert(key, factor, route),
-            CacheBackend::Shared(shared) => route(&shared.lookup_or_insert(key, factor)),
         };
+        // A copy unless nothing retained the entry (capacity 0).
+        let res = Arc::unwrap_or_clone(entry);
         if let Ok(routing) = &res {
             self.max_bump = self.max_bump.max(routing.bump);
         }
@@ -525,10 +521,10 @@ impl<'a> ReplayEngine<'a> {
     /// [`ReplayEngine::set_degrade`] allows — the rescale and shed
     /// fallbacks of [`pcf_core::degrade`].
     ///
-    /// Degraded results are computed outside the factor cache and are
-    /// never stored in it: the cache holds only congestion-free
-    /// factorizations, so a later identical state realizing normally can
-    /// never be served a best-effort routing by mistake.
+    /// Degraded results are computed outside the cache and are never
+    /// stored in it: the cache holds only stage-1 realizations, so a later
+    /// identical state realizing normally can never be served a
+    /// best-effort routing by mistake.
     pub fn realize_degraded(&mut self) -> Result<DegradedRouting, RealizeError> {
         match self.realize() {
             Ok(routing) => {
@@ -578,14 +574,13 @@ impl<'a> ReplayEngine<'a> {
         &self.caps
     }
 
-    /// Cache counters so far (in cold mode: every successful realization
-    /// is a miss; in shared mode: a snapshot of the shared cache's
-    /// counters, aggregated over every engine attached to it).
+    /// Cache counters so far (with capacity `0`: every successful
+    /// realization is a miss; in shared mode: a snapshot of the shared
+    /// cache's counters, aggregated over every engine attached to it).
     pub fn cache_stats(&self) -> CacheStats {
         match &self.cache {
-            CacheBackend::Private(c) => c.stats,
+            CacheBackend::Owned(c) => c.stats(),
             CacheBackend::Shared(s) => s.stats(),
-            CacheBackend::Cold => self.cold_stats,
         }
     }
 
@@ -596,22 +591,23 @@ impl<'a> ReplayEngine<'a> {
         self.max_bump
     }
 
-    /// Number of factorizations currently retained.
+    /// Number of realizations currently retained.
     pub fn cached_entries(&self) -> usize {
         match &self.cache {
-            CacheBackend::Private(c) => c.entries.len(),
+            CacheBackend::Owned(c) => c.len(),
             CacheBackend::Shared(s) => s.len(),
-            CacheBackend::Cold => 0,
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::trace::EventTrace;
-    use pcf_core::{solve_pcf_ls, FailureModel, RobustOptions};
-    use pcf_topology::zoo;
+    use pcf_core::{
+        solve_pcf_ls, FailureModel, InstanceBuilder, LogicalSequence, PairId, RobustOptions,
+    };
+    use pcf_topology::{zoo, LinkId, Topology};
     use pcf_traffic::gravity;
 
     fn sprint_plan() -> (Instance, Vec<f64>, Vec<f64>, Vec<f64>) {
@@ -621,6 +617,60 @@ mod tests {
         let sol = solve_pcf_ls(&inst, &FailureModel::links(1), &RobustOptions::default());
         let served = sol.served(&inst);
         (inst, sol.a, sol.b, served)
+    }
+
+    /// Every field of a realization, floats as bits: two results are the
+    /// same realization iff these are equal.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn routing_bits(
+        r: &Result<Routing, RealizeError>,
+    ) -> Result<(Vec<PairId>, [Vec<u64>; 3], usize), RealizeError> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        match r {
+            Ok(r) => Ok((
+                r.pairs.clone(),
+                [bits(&r.u), bits(&r.tunnel_flow), bits(&r.arc_loads)],
+                r.bump,
+            )),
+            Err(e) => Err(e.clone()),
+        }
+    }
+
+    /// Realizes before and after each of `events` and holds every result
+    /// to [`realize_routing`] on the engine's state, over the
+    /// degradation-rescaled reservations, bit for bit.
+    fn replay_against_cold<'a>(
+        inst: &'a Instance,
+        a: &'a [f64],
+        b: &'a [f64],
+        served: &'a [f64],
+        events: &[LinkEvent],
+    ) -> ReplayEngine<'a> {
+        let mut engine = ReplayEngine::new(inst, a, b, served, 1e-6, 64);
+        for i in 0..=events.len() {
+            if i > 0 {
+                engine.apply(&events[i - 1]).unwrap();
+            }
+            let state = engine.state();
+            let a_eff = degraded_reservations(inst, &state, a);
+            let cold = realize_routing(inst, &state, &a_eff, b, served, 1e-6);
+            assert_eq!(routing_bits(&engine.realize()), routing_bits(&cold), "{i}");
+        }
+        engine
+    }
+
+    /// The diamond `s-a-t`, `s-b-t` whose two LSs serve each other:
+    /// `(s,t)` through `a`, and `(s,a)` through `t`.
+    fn cyclic_diamond() -> Instance {
+        let mut topo = Topology::new("diamond");
+        let [s, a, b, t] = ["s", "a", "b", "t"].map(|n| topo.add_node(n));
+        for (u, v) in [(s, a), (a, t), (s, b), (b, t)] {
+            topo.add_link(u, v, 1.0);
+        }
+        InstanceBuilder::with_demands(&topo, vec![(s, t, 1.0)])
+            .add_ls(LogicalSequence::always(vec![s, a, t]))
+            .add_ls(LogicalSequence::always(vec![s, t, a]))
+            .build()
     }
 
     #[test]
@@ -644,31 +694,34 @@ mod tests {
     fn cached_realization_is_bit_identical_to_cold() {
         let (inst, a, b, served) = sprint_plan();
         let trace = EventTrace::flaps(inst.topo(), 100, 1, 3);
-        let mut engine = ReplayEngine::new(&inst, &a, &b, &served, 1e-6, 64);
-        for ev in &trace.events {
-            engine.apply(ev).unwrap();
-            let cached = engine.realize();
-            let cold = realize_routing(&inst, &engine.state(), &a, &b, &served, 1e-6);
-            match (cached, cold) {
-                (Ok(x), Ok(y)) => {
-                    assert_eq!(x.pairs, y.pairs);
-                    assert_eq!(x.bump, y.bump);
-                    for (c, f) in x.u.iter().zip(&y.u) {
-                        assert_eq!(c.to_bits(), f.to_bits());
-                    }
-                    for (c, f) in x.arc_loads.iter().zip(&y.arc_loads) {
-                        assert_eq!(c.to_bits(), f.to_bits());
-                    }
-                }
-                (Err(x), Err(y)) => assert_eq!(x, y),
-                (x, y) => panic!("cached {x:?} disagrees with cold {y:?}"),
-            }
-        }
+        let engine = replay_against_cold(&inst, &a, &b, &served, &trace.events);
         let stats = engine.cache_stats();
         assert!(stats.hits > 0, "repeat states must hit: {stats:?}");
         // Shortest-path LSs sort topologically: every state was a walk.
         assert!(pcf_core::topological_order(&inst, &b).is_some());
         assert_eq!(engine.max_bump(), 0);
+
+        // A degraded state revisited across degrade → restore → degrade:
+        // the hit returns what the miss realized over the rescaled `a`.
+        let degrade = |permille| LinkEvent {
+            link: LinkId(0),
+            kind: EventKind::Degrade { permille },
+        };
+        let cycle = [degrade(500), degrade(1000), degrade(500)];
+        let engine = replay_against_cold(&inst, &a, &b, &served, &cycle);
+        let stats = engine.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 2), "{stats:?}");
+
+        // An unsortable plan: the cached entries carry the LU bump.
+        let inst = cyclic_diamond();
+        let a = vec![1.0; inst.num_tunnels()];
+        let b = [0.5, 0.25];
+        assert!(pcf_core::topological_order(&inst, &b).is_none());
+        let served: Vec<f64> = inst.pair_ids().map(|p| 0.5 * inst.demand(p)).collect();
+        let trace = EventTrace::flaps(inst.topo(), 40, 1, 7);
+        let engine = replay_against_cold(&inst, &a, &b, &served, &trace.events);
+        assert!(engine.max_bump() >= 2, "the cycle must bump");
+        assert!(engine.cache_stats().hits > 0);
     }
 
     #[test]

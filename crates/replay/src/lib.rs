@@ -7,10 +7,11 @@
 //!
 //! * [`EventTrace`] — scripted or generated sequences of link up/down
 //!   events ([`trace`]);
-//! * [`ReplayEngine`] — incremental failure-state tracking plus an LU
-//!   factorization cache keyed by liveness signature, so repeated failure
-//!   states skip pair selection, assembly and factorization and pay only
-//!   a sparse substitution ([`engine`]);
+//! * [`ReplayEngine`] — incremental failure-state tracking plus a cache of
+//!   finished realizations keyed by liveness signature, so a repeated
+//!   failure state costs a lookup and a copy of its routing ([`engine`]);
+//!   [`SharedFactorCache`] is the same cache behind one mutex, for many
+//!   engines over one plan ([`shared`]);
 //! * [`replay_trace`] / [`replay_batch`] — sequential and multi-threaded
 //!   replay drivers producing a [`ReplayReport`] (per-event utilization,
 //!   ladder stage and shed demand, violation log, latency percentiles,
@@ -26,10 +27,10 @@
 //! [`DegradeMode`](pcf_core::DegradeMode) selected, the engine walks
 //! `pcf_core::degrade`'s ladder (exact → rescale → shed) and every event
 //! still reports a routing plus the stage that produced it. Degraded
-//! routings never enter the factor cache.
+//! routings never enter the realization cache.
 //!
-//! Cached and cold replays run the same numerical code and produce
-//! bit-identical routings; the property tests in this crate hold the
+//! A cache hit returns the routing the miss computed, so cached and cold
+//! replays are bit-identical; the property tests in this crate hold the
 //! engine to that.
 
 pub mod campaign;

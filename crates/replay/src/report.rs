@@ -12,7 +12,7 @@
 
 use crate::engine::{CacheStats, DegradeStats, ReplayEngine};
 use crate::trace::EventTrace;
-use pcf_core::{DegradeMode, Instance, LadderStage, ViolationKind};
+use pcf_core::{exceeds_capacity, DegradeMode, Instance, LadderStage, ViolationKind};
 use pcf_rng::Fnv1a;
 // audit:allow(no-wallclock-in-solver, the latency histogram is measurement output and never feeds routing decisions)
 use std::time::Instant;
@@ -22,8 +22,8 @@ use std::time::Instant;
 pub struct ReplayOptions {
     /// Relative feasibility tolerance (same meaning as `realize_routing`).
     pub tol: f64,
-    /// Retained factorizations per engine; `0` disables the cache (cold
-    /// baseline).
+    /// Retained realizations per engine; `0` retains none (the cold
+    /// baseline: every realization is computed afresh).
     pub cache_capacity: usize,
     /// Worker threads for [`replay_batch`]. `0` means "use
     /// [`std::thread::available_parallelism`]"; `1` replays inline.
@@ -415,7 +415,7 @@ fn replay_indexed(
                     // Overloads are judged against the capacities in
                     // effect (wobble events rescale them), not nominal.
                     let cap = engine.capacity(arc.link());
-                    if load > cap * (1.0 + opts.tol) + opts.tol {
+                    if exceeds_capacity(load, cap, opts.tol) {
                         overloaded = true;
                         violations.push(ReplayViolation {
                             trace: trace_idx,

@@ -1,123 +1,47 @@
-//! A thread-safe factorization cache shared by many replay engines.
+//! A thread-safe realization cache shared by many replay engines.
 //!
-//! [`ReplayEngine`](crate::ReplayEngine)'s private cache is single-owner:
-//! each engine pays its own factorizations. A serving deployment inverts
-//! that shape — many reader threads answer realization queries against
-//! *one* plan, and a failure state factored by any of them should be a
-//! cache hit for all of them. [`SharedFactorCache`] provides exactly that:
-//! a sharded, `RwLock`-per-shard map from liveness-signature keys to
-//! `Arc`-shared solve state, with the same
-//! FIFO eviction discipline and the same hit/miss/error accounting as the
-//! private cache (counters are atomics aggregated over every attached
-//! engine).
+//! A serving deployment runs many reader threads answering realization
+//! queries against *one* plan, and a failure state realized by any of them
+//! should be a cache hit for all of them. [`SharedFactorCache`] is the
+//! engine's own FIFO realization cache behind one `Mutex`: the same exact
+//! capacity, eviction order and hit/miss/error accounting as an
+//! engine-private cache, its counters aggregated over every attached
+//! engine.
 //!
-//! Entries are pure functions of the plan and the key, so two threads
-//! racing on a fresh signature may both factor it — the first insert wins
-//! and the loser adopts the winner's entry. Both candidates are
-//! bit-identical (same numerical code, same inputs), so which one wins is
-//! unobservable; the race costs one redundant factorization, never a
-//! wrong answer. Factorization happens *outside* the shard lock so a
-//! miss never blocks readers hitting other signatures.
+//! The lock is held for a lookup or an insert, never while realizing: a
+//! miss realizes outside it, so two threads racing on a fresh key may both
+//! realize it. The first insert wins and the loser adopts the winner's
+//! entry, counting a miss (it paid a realization). Both candidates are
+//! bit-identical (same code, same inputs), so which one wins is
+//! unobservable.
 //!
 //! Sharing across *plans* is unsound (the key does not encode the plan);
 //! callers keep one cache per plan. The serve layer hangs one off each
 //! plan epoch, so a hot swap naturally starts cold.
 
-use crate::engine::{CacheEntry, CacheStats};
-use pcf_rng::Fnv1a;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use crate::engine::{CacheEntry, CacheStats, RealizationCache};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Number of independent shards. More shards means less write contention
-/// when distinct fresh signatures insert concurrently; 16 is plenty for
-/// the reader counts the serve layer runs (≤ machine cores).
-const SHARDS: usize = 16;
-
-/// One shard: an insertion-order (FIFO) bounded map, mirroring the
-/// private `FactorCache` discipline per shard (one key allocation per
-/// insert, shared by the map and the FIFO).
-struct Shard {
-    entries: BTreeMap<Arc<[u64]>, Arc<CacheEntry>>,
-    order: VecDeque<Arc<[u64]>>,
-}
-
-/// A sharded, thread-safe signature → factorization cache for engines
-/// created with
+/// A thread-safe key → realization cache for engines created with
 /// [`ReplayEngine::with_shared_cache`](crate::ReplayEngine::with_shared_cache).
-pub struct SharedFactorCache {
-    shards: Vec<RwLock<Shard>>,
-    /// Per-shard entry bound (total retention ≤ `SHARDS * shard_capacity`,
-    /// and ≥ the requested capacity).
-    shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    errors: AtomicU64,
-}
+pub struct SharedFactorCache(Mutex<RealizationCache>);
 
 impl SharedFactorCache {
-    /// Builds a cache retaining at least `capacity` factorizations in
-    /// total (`0` disables retention: every realization factors from
-    /// scratch, and is counted as a miss).
-    ///
-    /// The bound is enforced per shard at `ceil(capacity / shards)`, so a
-    /// pathological key distribution can under-use — but never exceed —
-    /// `shards * ceil(capacity / shards)` entries.
+    /// Builds a cache retaining at most `capacity` realizations, oldest
+    /// evicted first (`0` retains none: every realization is computed and
+    /// counted, as in an engine built with capacity `0`).
     pub fn new(capacity: usize) -> Self {
-        let shards = if capacity == 0 {
-            0
-        } else {
-            SHARDS.min(capacity)
-        };
-        SharedFactorCache {
-            shards: (0..shards)
-                .map(|_| {
-                    RwLock::new(Shard {
-                        entries: BTreeMap::new(),
-                        order: VecDeque::new(),
-                    })
-                })
-                .collect(),
-            shard_capacity: if shards == 0 {
-                0
-            } else {
-                capacity.div_ceil(shards)
-            },
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-        }
+        SharedFactorCache(Mutex::new(RealizationCache::new(capacity)))
     }
 
-    /// Snapshot of the aggregated counters. Under concurrent use the
-    /// fields are each individually accurate but not mutually atomic —
-    /// fine for telemetry, which is their only consumer.
+    /// Snapshot of the counters, aggregated over every attached engine.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            // audit:allow(atomics-discipline, monotonic telemetry counters; no data is published through them)
-            hits: self.hits.load(Ordering::Relaxed),
-            // audit:allow(atomics-discipline, monotonic telemetry counters; no data is published through them)
-            misses: self.misses.load(Ordering::Relaxed),
-            // audit:allow(atomics-discipline, monotonic telemetry counters; no data is published through them)
-            evictions: self.evictions.load(Ordering::Relaxed),
-            // audit:allow(atomics-discipline, monotonic telemetry counters; no data is published through them)
-            errors: self.errors.load(Ordering::Relaxed),
-        }
+        self.lock().stats()
     }
 
-    /// Number of factorizations currently retained across all shards.
+    /// Number of realizations currently retained.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .entries
-                    .len()
-            })
-            .sum()
+        self.lock().len()
     }
 
     /// Whether the cache currently retains nothing.
@@ -125,84 +49,25 @@ impl SharedFactorCache {
         self.len() == 0
     }
 
-    fn shard_of(&self, key: &[u64]) -> usize {
-        // FNV-1a over the key words; any stable mix works — this only
-        // spreads load, it never affects results.
-        let mut h = Fnv1a::new();
-        for &w in key {
-            h.write_u64(w);
-        }
-        (h.finish() % self.shards.len() as u64) as usize
+    pub(crate) fn get(&self, key: &[u64]) -> Option<Arc<CacheEntry>> {
+        self.lock().get(key)
     }
 
-    fn count(&self, entry: &CacheEntry, was_cached: bool) {
-        match entry {
-            // audit:allow(atomics-discipline, monotonic telemetry counter; no data is published through it)
-            Err(_) => self.errors.fetch_add(1, Ordering::Relaxed),
-            // audit:allow(atomics-discipline, monotonic telemetry counter; no data is published through it)
-            Ok(_) if was_cached => self.hits.fetch_add(1, Ordering::Relaxed),
-            // audit:allow(atomics-discipline, monotonic telemetry counter; no data is published through it)
-            Ok(_) => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+    pub(crate) fn insert(&self, key: &[u64], fresh: Arc<CacheEntry>) -> Arc<CacheEntry> {
+        self.lock().insert(key, fresh)
     }
 
-    /// Returns the entry for `key`, computing and inserting it on a miss.
-    /// Same accounting contract as the private cache: error entries count
-    /// as errors (whether fresh or replayed), never as hits or misses.
-    pub(crate) fn lookup_or_insert(
-        &self,
-        key: &[u64],
-        compute: impl FnOnce() -> CacheEntry,
-    ) -> Arc<CacheEntry> {
-        if self.shards.is_empty() {
-            // Retention disabled: compute-only, like the engine's cold
-            // mode but with shared counters.
-            let entry = Arc::new(compute());
-            self.count(&entry, false);
-            return entry;
-        }
-        let shard = &self.shards[self.shard_of(key)];
-        {
-            let guard = shard.read().unwrap_or_else(|p| p.into_inner());
-            if let Some(entry) = guard.entries.get(key) {
-                let entry = Arc::clone(entry);
-                drop(guard);
-                self.count(&entry, true);
-                return entry;
-            }
-        }
-        // Miss: factor outside the lock so it never blocks readers of
-        // other signatures in this shard.
-        let fresh = Arc::new(compute());
-        let mut guard = shard.write().unwrap_or_else(|p| p.into_inner());
-        let entry = if let Some(existing) = guard.entries.get(key) {
-            // Lost the race: another thread inserted while we factored.
-            // Adopt its (bit-identical) entry; ours is dropped.
-            Arc::clone(existing)
-        } else {
-            if guard.entries.len() >= self.shard_capacity {
-                if let Some(old) = guard.order.pop_front() {
-                    guard.entries.remove(&old);
-                    // audit:allow(atomics-discipline, monotonic telemetry counter; no data is published through it)
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            let key: Arc<[u64]> = key.into();
-            guard.order.push_back(Arc::clone(&key));
-            guard.entries.insert(key, Arc::clone(&fresh));
-            fresh
-        };
-        drop(guard);
-        // The racing loser still paid a factorization: count a miss, not
-        // a hit, so hit_rate reflects factorizations actually avoided.
-        self.count(&entry, false);
-        entry
+    fn lock(&self) -> MutexGuard<'_, RealizationCache> {
+        // No critical section can panic part-way through an update, so a
+        // poisoned lock still guards a consistent map.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::routing_bits;
     use crate::engine::ReplayEngine;
     use crate::trace::{EventKind, EventTrace};
     use pcf_core::{solve_pcf_ls, FailureModel, Instance, RobustOptions};
@@ -229,19 +94,10 @@ mod tests {
         for ev in &trace.events {
             warm.apply(ev).unwrap();
             private.apply(ev).unwrap();
-            match (warm.realize(), private.realize()) {
-                (Ok(x), Ok(y)) => {
-                    assert_eq!(x.pairs, y.pairs);
-                    for (c, f) in x.u.iter().zip(&y.u) {
-                        assert_eq!(c.to_bits(), f.to_bits());
-                    }
-                    for (c, f) in x.arc_loads.iter().zip(&y.arc_loads) {
-                        assert_eq!(c.to_bits(), f.to_bits());
-                    }
-                }
-                (Err(x), Err(y)) => assert_eq!(x, y),
-                (x, y) => panic!("shared {x:?} disagrees with private {y:?}"),
-            }
+            assert_eq!(
+                routing_bits(&warm.realize()),
+                routing_bits(&private.realize())
+            );
         }
         // Identical event streams, identical accounting.
         assert_eq!(warm.cache_stats(), private.cache_stats());
@@ -306,7 +162,7 @@ mod tests {
                 }
             }
         }
-        // Racing threads may duplicate a factorization (extra misses) but
+        // Racing threads may duplicate a realization (extra misses) but
         // the retained entries are bounded and hits dominate.
         let stats = shared.stats();
         assert!(stats.hits > stats.misses, "{stats:?}");
@@ -317,17 +173,43 @@ mod tests {
     fn shared_eviction_respects_capacity() {
         let (inst, a, b, served) = sprint_plan();
         let trace = EventTrace::rolling_maintenance(inst.topo(), 120, 5);
-        // Capacity below the shard count: collapses to one shard of 4.
         let shared = SharedFactorCache::new(4);
         let mut engine = ReplayEngine::with_shared_cache(&inst, &a, &b, &served, 1e-6, &shared);
         for ev in &trace.events {
             engine.apply(ev).unwrap();
             engine.realize().unwrap();
         }
-        assert!(shared.len() <= 4 * SHARDS.min(4), "{}", shared.len());
+        assert!(shared.len() <= 4, "{}", shared.len());
         let stats = shared.stats();
         assert!(stats.evictions > 0, "{stats:?}");
         assert_eq!(stats.hits + stats.misses, 120);
+    }
+
+    /// The shared cache is the private one behind a lock: over the same
+    /// trace, capacities below, at and above the trace's 18 distinct
+    /// states count exactly what a private cache counts, and neither
+    /// retains more than its capacity.
+    #[test]
+    fn shared_capacity_is_the_private_policy_and_a_bound() {
+        let (inst, a, b, served) = sprint_plan();
+        let trace = EventTrace::rolling_maintenance(inst.topo(), 120, 5);
+        for capacity in [4, 17, 20, 40] {
+            let shared = SharedFactorCache::new(capacity);
+            let mut warm = ReplayEngine::with_shared_cache(&inst, &a, &b, &served, 1e-6, &shared);
+            let mut private = ReplayEngine::new(&inst, &a, &b, &served, 1e-6, capacity);
+            for ev in &trace.events {
+                for engine in [&mut warm, &mut private] {
+                    engine.apply(ev).unwrap();
+                    engine.realize().unwrap();
+                    assert!(engine.cached_entries() <= capacity, "capacity {capacity}");
+                }
+            }
+            assert_eq!(
+                warm.cache_stats(),
+                private.cache_stats(),
+                "capacity {capacity}"
+            );
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub enum EventKind {
     /// `permille`/1000 of its nominal capacity survives (a fiber cut in a
     /// bundle, a brown-out). Unlike [`EventKind::Wobble`], degradation is
     /// visible to realization — the engine rescales reservations riding
-    /// the link and keys its factorization cache on the degradation
+    /// the link and keys its realization cache on the degradation
     /// pattern. `1000` restores the link to undegraded.
     Degrade {
         /// Surviving capacity in thousandths of the nominal one (`1..=1000`).

@@ -1,7 +1,7 @@
 //! Property tests for the replay engine, on the workspace's deterministic
 //! `forall` harness.
 //!
-//! The two contracts that make the factorization cache trustworthy:
+//! The two contracts that make the realization cache trustworthy:
 //!
 //! 1. **Bit-identity** — for any trace, realizing through the cached
 //!    engine produces exactly (`f64::to_bits` exactly) the routing the
@@ -97,21 +97,16 @@ fn cached_engine_is_bit_identical_to_cold_realization() {
                 let cold = realize_routing(&inst, &state, &a, &b, &served, 1e-6);
                 match (cached, cold) {
                     (Ok(x), Ok(y)) => {
-                        if x.pairs != y.pairs {
-                            return Err(format!("event {i}: pair sets differ"));
+                        if x.pairs != y.pairs || x.bump != y.bump {
+                            return Err(format!("event {i}: pair sets or bumps differ"));
                         }
-                        for (j, (c, f)) in x.u.iter().zip(&y.u).enumerate() {
-                            if c.to_bits() != f.to_bits() {
-                                return Err(format!(
-                                    "event {i}: u[{j}] cached {c:e} != cold {f:e}"
-                                ));
-                            }
-                        }
-                        for (j, (c, f)) in x.arc_loads.iter().zip(&y.arc_loads).enumerate() {
-                            if c.to_bits() != f.to_bits() {
-                                return Err(format!(
-                                    "event {i}: arc_loads[{j}] cached {c:e} != cold {f:e}"
-                                ));
+                        for (name, c, f) in [
+                            ("u", &x.u, &y.u),
+                            ("tunnel_flow", &x.tunnel_flow, &y.tunnel_flow),
+                            ("arc_loads", &x.arc_loads, &y.arc_loads),
+                        ] {
+                            if c.iter().zip(f).any(|(c, f)| c.to_bits() != f.to_bits()) {
+                                return Err(format!("event {i}: {name} cached != cold"));
                             }
                         }
                     }

@@ -15,7 +15,7 @@
 //! * [`log`] — the append-only atomic [`EventLog`]; the only shared
 //!   mutable state on the event path.
 //! * [`server`] — the daemon: scoped connection threads with private
-//!   replay engines over the epoch's shared factor cache, a solver
+//!   replay engines over the epoch's shared realization cache, a solver
 //!   thread, and flag-plus-poke shutdown.
 //! * [`client`] — a pipelining client and a scripted-session driver.
 //! * [`telemetry`] — wait-free counters/histograms and the

@@ -128,7 +128,7 @@ pub struct PlanEpoch {
     pub scale: f64,
     /// Gravity seed this epoch was solved with.
     pub seed: u64,
-    /// Factorization cache scoped to this plan (readers share it; a swap
+    /// Realization cache scoped to this plan (readers share it; a swap
     /// abandons it with the epoch, so caches never mix plans).
     pub cache: SharedFactorCache,
     /// FNV-1a digest over the plan's numerical content (reservations,

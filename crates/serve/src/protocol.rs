@@ -55,7 +55,7 @@ pub enum Request {
     },
     /// Partially degrade a link's capacity: unlike `wobble`, the
     /// realization sees it (reservations rescale) and it participates in
-    /// the factor-cache key.
+    /// the realization-cache key.
     Degrade {
         /// Link index.
         link: u32,

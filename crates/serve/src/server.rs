@@ -39,7 +39,7 @@ use std::time::Duration;
 /// Server tunables (everything except the plan itself).
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Capacity of each epoch's shared factor cache (entries).
+    /// Capacity of each epoch's shared realization cache (entries).
     pub cache_capacity: usize,
     /// Degradation ladder allowance for `realize`/`util`.
     pub degrade: DegradeMode,

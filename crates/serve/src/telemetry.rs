@@ -12,7 +12,7 @@
 //! counters), while [`ServeReport::deterministic_json`] carries only
 //! fields that are a pure function of the served command sequence — no
 //! wall-clock, and no cache hit/miss counts (racing readers may
-//! duplicate a factorization, shifting a hit to a miss without changing
+//! duplicate a realization, shifting a hit to a miss without changing
 //! any answer). The deterministic form is what CI byte-compares.
 
 // audit:allow(no-wallclock-in-solver, latency telemetry is measurement output and never feeds routing or admission decisions)
@@ -256,7 +256,7 @@ pub struct ServeReport {
     /// Largest factorization bump over the realizations served (0 = every
     /// one was Prop. 7's walk; otherwise rows left to LU elimination).
     pub max_bump: u64,
-    /// Shared factor-cache counters of the current epoch.
+    /// Shared realization-cache counters of the current epoch.
     pub cache: CacheStats,
     /// Query latency median (bucket upper bound, ns).
     pub query_p50_ns: u64,

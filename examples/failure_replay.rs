@@ -2,7 +2,7 @@
 //!
 //! Solves PCF-LS on Sprint for single-link failures, then streams a
 //! generated flap trace through the replay engine twice — once cold
-//! (factor every event) and once with the factorization cache — and
+//! (realize every event) and once with the realization cache — and
 //! prints the outcome and the speedup. A final pass injects
 //! beyond-budget failure bursts and lets the degradation ladder
 //! (DESIGN.md §10) serve them best-effort.

@@ -8,8 +8,8 @@ use pcf_core::figures::{
     Fig5Variant,
 };
 use pcf_core::{
-    max_concurrent_flow, optimal_demand_scale, solve_ffc, solve_pcf_cls, solve_pcf_ls,
-    solve_pcf_tf, solve_r3, FailureModel, RobustOptions, ScenarioCoverage,
+    max_concurrent_flow, optimal_demand_scale, solve_ffc, solve_pcf_ls, solve_pcf_tf, solve_r3,
+    FailureModel, RobustOptions, ScenarioCoverage,
 };
 use pcf_traffic::TrafficMatrix;
 
@@ -104,7 +104,7 @@ fn table1_complete() {
     let ls = solve_pcf_ls(&fig5_instance(Fig5Variant::UnconditionalLs), &fm, &opts());
     assert_value("table1 PCF-LS", ls.objective, 4.0 / 5.0);
 
-    let cls = solve_pcf_cls(&fig5_instance(Fig5Variant::ConditionalLs), &fm, &opts());
+    let cls = solve_pcf_ls(&fig5_instance(Fig5Variant::ConditionalLs), &fm, &opts());
     assert_value("table1 PCF-CLS", cls.objective, 1.0);
 
     let r3 = solve_r3(&topo, &tm, 2);
