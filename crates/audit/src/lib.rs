@@ -10,30 +10,19 @@
 //!
 //! * [`scanner`] — a comment/string/raw-string-aware token scanner (no
 //!   `syn`), with `#[cfg(test)]` region tracking and
-//!   `// audit:allow(<lint>, <reason>)` / `// audit:hot` parsing;
-//! * [`parse`] — a lightweight item-level parser over the masked lines:
-//!   fn/impl/trait items, call expressions, method receivers, typed
-//!   locals and struct fields;
-//! * [`callgraph`] — the whole-workspace call graph with a
-//!   conservative receiver-type resolver (a false edge costs one
-//!   reasoned `audit:allow`; a missing edge would hide a panic);
-//! * [`lints`] — the lint catalog: per-file token lints plus the
-//!   interprocedural `panic-reachability`, `atomics-discipline`,
-//!   `hot-path-alloc`, and `lock-discipline` passes.
+//!   `// audit:allow(<lint>, <reason>)` parsing;
+//! * [`lints`] — the lint catalog: token properties checked per file over
+//!   the scanner's masked lines.
 //!
 //! Any finding fails the audit: debt is either fixed or waived at the site
 //! with a reasoned `// audit:allow`. Run it as `cargo run -p pcf-audit`
 //! (CI does), as `pcf audit` from the CLI, or `pcf-audit --json` for the
 //! machine-readable report.
 
-pub mod callgraph;
 pub mod lints;
-pub mod parse;
 pub mod scanner;
 
-pub use callgraph::{AnalyzedFile, CallGraph};
-pub use lints::{check_file, check_workspace, Finding, Lint, ALL_LINTS, HOT_ENTRIES};
-pub use parse::{parse_file, ParsedFile};
+pub use lints::{check_file, Finding, Lint, ALL_LINTS};
 pub use scanner::ScannedFile;
 
 use std::path::{Path, PathBuf};
@@ -89,33 +78,14 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Scans and parses a set of loaded files into analyzer inputs.
-pub fn analyze_files(files: &[SourceFile]) -> Vec<AnalyzedFile> {
-    files
-        .iter()
-        .map(|f| {
-            let scanned = ScannedFile::scan(&f.text);
-            let parsed = parse_file(&scanned);
-            AnalyzedFile {
-                rel: f.rel.clone(),
-                scanned,
-                parsed,
-            }
-        })
-        .collect()
-}
-
-/// Audits a set of already-loaded files (injectable for tests): the
-/// per-file token lints plus the interprocedural workspace passes, with
-/// findings sorted by (path, line, lint, message) so reports are stable
-/// across directory-walk order.
+/// Audits a set of already-loaded files (injectable for tests): every
+/// in-scope lint over each file, with findings sorted by (path, line, lint,
+/// message) so reports are stable across directory-walk order.
 pub fn audit_files(files: &[SourceFile]) -> Vec<Finding> {
-    let analyzed = analyze_files(files);
-    let mut findings = Vec::new();
-    for f in &analyzed {
-        findings.extend(check_file(&f.rel, &f.scanned));
-    }
-    findings.extend(check_workspace(&analyzed, HOT_ENTRIES));
+    let mut findings: Vec<Finding> = files
+        .iter()
+        .flat_map(|f| check_file(&f.rel, &ScannedFile::scan(&f.text)))
+        .collect();
     sort_findings(&mut findings);
     findings
 }
@@ -133,8 +103,7 @@ pub fn sort_findings(findings: &mut [Finding]) {
 }
 
 /// Renders findings as a JSON report (hermetic hand-rolled writer, same
-/// style as the replay/serve reports). Chains are included verbatim so
-/// CI artifacts carry the witness paths.
+/// style as the replay/serve reports).
 pub fn findings_json(findings: &[Finding]) -> String {
     fn esc(s: &str) -> String {
         let mut out = String::with_capacity(s.len() + 2);
@@ -152,19 +121,12 @@ pub fn findings_json(findings: &[Finding]) -> String {
     }
     let mut out = String::from("{\n  \"findings\": [\n");
     for (i, f) in findings.iter().enumerate() {
-        let chain = f
-            .chain
-            .iter()
-            .map(|c| format!("\"{}\"", esc(c)))
-            .collect::<Vec<_>>()
-            .join(", ");
         out.push_str(&format!(
-            "    {{\"lint\": \"{}\", \"file\": \"{}\", \"line\": {}, \"what\": \"{}\", \"chain\": [{}]}}{}\n",
+            "    {{\"lint\": \"{}\", \"file\": \"{}\", \"line\": {}, \"what\": \"{}\"}}{}\n",
             f.lint.name(),
             esc(&f.file),
             f.line,
             esc(&f.what),
-            chain,
             if i + 1 < findings.len() { "," } else { "" }
         ));
     }

@@ -52,10 +52,6 @@ pub struct ScannedFile {
     pub allows: Vec<Allow>,
     /// Malformed allow escapes.
     pub bad_allows: Vec<BadAllow>,
-    /// 1-based lines of `// audit:hot` markers. Each marks the next `fn`
-    /// item at or below it as hot-path code (see the `hot-path-alloc`
-    /// and `panic-reachability` lints).
-    pub hot_marks: Vec<usize>,
 }
 
 impl ScannedFile {
@@ -66,22 +62,14 @@ impl ScannedFile {
         let in_test = test_lines(&masked_lines);
         let mut allows = Vec::new();
         let mut bad_allows = Vec::new();
-        let mut hot_marks = Vec::new();
         for (line, comment) in comments {
             parse_allows(line, &comment, &mut allows, &mut bad_allows);
-            for (offset, comment_line) in comment.lines().enumerate() {
-                let body = comment_line.trim_start_matches(['/', '*', '!', ' ', '\t']);
-                if body.trim_end() == "audit:hot" {
-                    hot_marks.push(line + offset);
-                }
-            }
         }
         ScannedFile {
             masked_lines,
             in_test,
             allows,
             bad_allows,
-            hot_marks,
         }
     }
 

@@ -113,7 +113,8 @@ fn usage() {
          \x20 --threads <n>       separation worker threads; 0 = all available cores\n\
          \x20                     (default 0)\n\
          \x20 --target <z>        (augment) demand scale to guarantee\n\
-         \x20 --trace <path>      (replay) scripted trace file (`down <l>` / `up <l>` lines)\n\
+         \x20 --trace <path>      (replay) scripted trace file (`down <l>` / `up <l>` / `node <n>`\n\
+         \x20                     / `srlg <g>` lines; groups come from --srlg)\n\
          \x20 --events <n>        (replay) generate an n-event flap trace    (default 1000)\n\
          \x20 --traces <n>        (replay) replay n generated traces in parallel (default 1)\n\
          \x20 --cache <n>         (replay) retained realizations; 0 = cold (default 1024)\n\
@@ -253,10 +254,11 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                     )))
                 }
                 (Some(path), None) => {
-                    // Strict parsing: scripted files must name real links
-                    // and describe consistent state changes.
+                    // Scripted files must name real links, nodes and
+                    // `--srlg` groups and describe consistent state changes.
                     let text = std::fs::read_to_string(path)?;
-                    vec![EventTrace::parse_strict(path, &text, &topo)?]
+                    let groups = srlg_groups(&args, &topo, false)?;
+                    vec![EventTrace::parse(path, &text, &topo, &groups)?]
                 }
                 (None, inject) => {
                     if let Some(kind) = inject {

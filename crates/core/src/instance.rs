@@ -70,7 +70,7 @@ impl LogicalSequence {
     /// # Panics
     /// Panics on a malformed hop-less LS; `InstanceBuilder` rejects those.
     pub fn source(&self) -> NodeId {
-        // audit:allow(no-panic-paths, documented contract; InstanceBuilder rejects hop-less sequences) audit:allow(panic-reachability, same invariant: every LS reaching solvers came through the builder)
+        // audit:allow(no-panic-paths, documented contract; InstanceBuilder rejects hop-less sequences)
         *self.hops.first().expect("LS has hops")
     }
 
@@ -79,7 +79,7 @@ impl LogicalSequence {
     /// # Panics
     /// Panics on a malformed hop-less LS; `InstanceBuilder` rejects those.
     pub fn dest(&self) -> NodeId {
-        // audit:allow(no-panic-paths, documented contract; InstanceBuilder rejects hop-less sequences) audit:allow(panic-reachability, same invariant: every LS reaching solvers came through the builder)
+        // audit:allow(no-panic-paths, documented contract; InstanceBuilder rejects hop-less sequences)
         *self.hops.last().expect("LS has hops")
     }
 

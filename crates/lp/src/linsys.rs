@@ -141,7 +141,6 @@ impl LuFactors {
     /// multiplier updates still fold in column-ascending order against
     /// already-final entries, so the result matches a column-order sweep.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        // audit:allow(panic-reachability, dimension guard; every caller passes an rhs sized by the factored matrix)
         assert_eq!(b.len(), self.n, "rhs dimension mismatch");
         let n = self.n;
         let mut x = b.to_vec();
@@ -176,7 +175,6 @@ impl LuFactors {
 /// column vector; the result has the same shape.
 pub fn solve_dense(m: &DenseMatrix, rhs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, LinSysError> {
     for b in rhs {
-        // audit:allow(panic-reachability, dimension guard; every caller passes rhs columns sized by the matrix)
         assert_eq!(b.len(), m.n, "rhs dimension mismatch");
     }
     let lu = lu_factor(m)?;

@@ -154,11 +154,8 @@ impl LpProblem {
     /// # Panics
     /// Panics if `lower > upper` or either bound is NaN.
     pub fn add_var(&mut self, lower: f64, upper: f64, obj: f64) -> VarId {
-        // audit:allow(panic-reachability, construction guard; scheme builders only pass finite bounds derived from validated instances)
         assert!(!lower.is_nan() && !upper.is_nan(), "NaN variable bound");
-        // audit:allow(panic-reachability, construction guard; scheme builders only pass finite bounds derived from validated instances)
         assert!(lower <= upper, "empty variable domain [{lower}, {upper}]");
-        // audit:allow(panic-reachability, construction guard; scheme builders only pass finite bounds derived from validated instances)
         assert!(obj.is_finite(), "objective coefficient must be finite");
         let id = VarId(self.obj.len());
         self.obj.push(obj);
@@ -202,18 +199,14 @@ impl LpProblem {
         lower: f64,
         upper: f64,
     ) -> RowId {
-        // audit:allow(panic-reachability, construction guard; scheme builders only pass finite bounds derived from validated instances)
         assert!(!lower.is_nan() && !upper.is_nan(), "NaN row bound");
-        // audit:allow(panic-reachability, construction guard; scheme builders only pass finite bounds derived from validated instances)
         assert!(lower <= upper, "empty row range [{lower}, {upper}]");
         // Accumulate duplicates (index-keyed so large rows stay O(k)).
         let mut acc: Vec<(usize, f64)> = Vec::new();
         let mut slot_of: std::collections::BTreeMap<usize, usize> =
             std::collections::BTreeMap::new();
         for (v, c) in coeffs {
-            // audit:allow(panic-reachability, construction guard; VarIds come from this model's own add_var returns)
             assert!(v.0 < self.obj.len(), "row references unknown variable");
-            // audit:allow(panic-reachability, construction guard; coefficients are finite by instance validation)
             assert!(c.is_finite(), "row coefficient must be finite");
             if crate::float::is_zero(c) {
                 continue;

@@ -359,7 +359,7 @@ impl Tableau {
                     (rc, -1.0)
                 }
             }
-            // audit:allow(no-panic-paths, pricing scans only nonbasic columns; Basic is filtered above) audit:allow(panic-reachability, same invariant: Basic columns are filtered before pricing)
+            // audit:allow(no-panic-paths, pricing scans only nonbasic columns; Basic is filtered above)
             VarState::Basic(_) => unreachable!(),
         };
         Some((rc, dir, viol))
@@ -580,7 +580,7 @@ impl Tableau {
                         VarState::AtLower => self.lower[jin] + t,
                         VarState::AtUpper => self.upper[jin] - t,
                         VarState::FreeZero => dir * t,
-                        // audit:allow(no-panic-paths, the entering column is nonbasic by construction) audit:allow(panic-reachability, same invariant: the entering column is nonbasic)
+                        // audit:allow(no-panic-paths, the entering column is nonbasic by construction)
                         VarState::Basic(_) => unreachable!(),
                     };
                     let jout = self.basis[r];

@@ -232,7 +232,6 @@ impl SparseLu {
     /// [`crate::linsys::LuFactors::solve`] when the factors came from
     /// [`SparseLu::factor_dense_compat`].
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        // audit:allow(panic-reachability, dimension guard; every caller passes an rhs sized by the factored basis)
         assert_eq!(b.len(), self.n, "rhs dimension mismatch");
         let mut x = b.to_vec();
         self.ftran_in_place(&mut x, &mut Vec::new());

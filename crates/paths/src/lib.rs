@@ -31,7 +31,7 @@ impl Path {
     /// Panics on a malformed empty path; every constructor in this crate
     /// produces at least one node.
     pub fn source(&self) -> NodeId {
-        // audit:allow(no-panic-paths, documented contract; all constructors yield non-empty node lists) audit:allow(panic-reachability, same invariant: paths are built by this crate's own algorithms)
+        // audit:allow(no-panic-paths, documented contract; all constructors yield non-empty node lists)
         *self.nodes.first().expect("path has at least one node")
     }
 
@@ -41,7 +41,7 @@ impl Path {
     /// Panics on a malformed empty path; every constructor in this crate
     /// produces at least one node.
     pub fn dest(&self) -> NodeId {
-        // audit:allow(no-panic-paths, documented contract; all constructors yield non-empty node lists) audit:allow(panic-reachability, same invariant: paths are built by this crate's own algorithms)
+        // audit:allow(no-panic-paths, documented contract; all constructors yield non-empty node lists)
         *self.nodes.last().expect("path has at least one node")
     }
 

@@ -225,8 +225,8 @@ impl FaultInjector {
                     _ => format!("down {}", u64::from(u32::MAX) + 1),
                 }
             } else {
-                // Well-formed filler (possibly idempotent — the lenient
-                // parser doesn't care).
+                // Well-formed filler (possibly idempotent or naming a
+                // missing link — the malformed line fails the parse first).
                 match rng.range_usize(0, 4) {
                     0 => format!("down {}", rng.range_usize(0, 20)),
                     1 => format!("up e{}", rng.range_usize(0, 20)),
@@ -296,7 +296,7 @@ mod tests {
         let t = FaultInjector::new(3).capacity_wobble(&topo, 40, 500);
         assert_eq!(t.len(), 40);
         assert_eq!(t.max_concurrent_down(), 0);
-        let strict = EventTrace::parse_strict("w", &t.to_text(), &topo);
+        let strict = EventTrace::parse("w", &t.to_text(), &topo, &[]);
         assert!(strict.is_ok(), "{strict:?}");
         for e in &t.events {
             match e.kind {
@@ -338,7 +338,7 @@ mod tests {
         assert_eq!(t.len(), 40);
         assert_eq!(t.max_concurrent_down(), 0);
         assert_eq!(t, FaultInjector::new(5).degradation_storm(&topo, 40, 400));
-        let strict = EventTrace::parse_strict("d", &t.to_text(), &topo);
+        let strict = EventTrace::parse("d", &t.to_text(), &topo, &[]);
         assert!(strict.is_ok(), "{strict:?}");
         for e in &t.events {
             match e.kind {
@@ -352,9 +352,11 @@ mod tests {
 
     #[test]
     fn malformed_traces_fail_to_parse_with_a_line_number() {
+        let topo = zoo::build("Sprint");
         for seed in 0..20 {
             let text = FaultInjector::new(seed).malformed_trace(25);
-            let err = EventTrace::parse("fuzz", &text).expect_err("guaranteed poison line");
+            let err =
+                EventTrace::parse("fuzz", &text, &topo, &[]).expect_err("guaranteed poison line");
             assert!(
                 err.line >= 1 && err.line <= 25,
                 "line {} out of range",

@@ -7,8 +7,8 @@
 //! * scripted files ([`EventTrace::parse`] / [`EventTrace::to_text`]) with
 //!   one `down <link>`, `up <link>`, `wobble <link> <permille>`, or
 //!   `degrade <link> <permille>` per line — plus the correlated verbs
-//!   `srlg <group>` and `node <id>` that [`EventTrace::parse_strict_with`]
-//!   expands into the member links' down events;
+//!   `srlg <group>` and `node <id>` that [`EventTrace::parse`] expands into
+//!   the member links' down events;
 //! * the deterministic generators ([`EventTrace::flaps`],
 //!   [`EventTrace::srlg_bursts`], [`EventTrace::rolling_maintenance`]),
 //!   seeded through [`pcf_rng::Pcg32`] so the same seed reproduces the
@@ -247,73 +247,35 @@ impl EventTrace {
         )
     }
 
-    /// Parses the scripted format: one `down <link>`, `up <link>`,
-    /// `wobble <link> <permille>`, or `degrade <link> <permille>` per
-    /// line; blank lines and `#` comments are ignored. Links are given by
-    /// index, with or without the `e` prefix the CLI prints (`down 3` and
-    /// `down e3` are the same event).
+    /// Parses the scripted format and validates it against `topo` and the
+    /// SRLG `groups` table (e.g. `SrlgSet::link_groups()` from the
+    /// topology's sidecar file; empty when there is none). One directive
+    /// per line; blank lines and `#` comments are ignored. Links are given
+    /// by index, with or without the `e` prefix the CLI prints (`down 3`
+    /// and `down e3` are the same event):
     ///
-    /// This lenient form accepts any link index and idempotent events
-    /// (the engine treats them as no-ops); use
-    /// [`EventTrace::parse_strict`] to validate a trace against a
-    /// concrete topology. The correlated verbs `srlg <group>` and
-    /// `node <id>` need resolution context and are only accepted by
-    /// [`EventTrace::parse_strict_with`].
-    pub fn parse(name: impl Into<String>, text: &str) -> Result<Self, TraceParseError> {
-        let mut events = Vec::new();
-        for (line, d) in parse_directives(text)? {
-            match d {
-                Directive::Event(e) => events.push(e),
-                Directive::Srlg(_) | Directive::Node(_) => {
-                    return Err(TraceParseError {
-                        line,
-                        message: "correlated event needs topology context \
-                                  (use parse_strict_with)"
-                            .to_string(),
-                    })
-                }
-            }
-        }
-        Ok(EventTrace::new(name, events))
-    }
-
-    /// Parses like [`EventTrace::parse`], then validates every event
-    /// against `topo`, reporting the offending line number:
-    ///
-    /// * link indices must exist in the topology;
-    /// * `down` of an already-dead link and `up` of an alive one are
-    ///   rejected (duplicate / contradictory state changes usually mean
-    ///   a corrupt or misordered trace);
-    /// * `wobble` permille must be in [`WOBBLE_PERMILLE`] (a zero-capacity
-    ///   link should be scripted as `down`);
-    /// * `degrade` permille must be in [`DEGRADE_PERMILLE`] (degradation
-    ///   never exceeds nominal; total loss is scripted as `down`).
-    ///
-    /// `srlg` events are rejected here (no group table); use
-    /// [`EventTrace::parse_strict_with`] for the full verb set.
-    pub fn parse_strict(
-        name: impl Into<String>,
-        text: &str,
-        topo: &Topology,
-    ) -> Result<Self, TraceParseError> {
-        EventTrace::parse_strict_with(name, text, topo, &[])
-    }
-
-    /// The full scripted language: everything [`EventTrace::parse_strict`]
-    /// accepts plus the correlated failure verbs, resolved against `topo`
-    /// and the SRLG `groups` table (e.g. `SrlgSet::link_groups()` from the
-    /// topology's sidecar file):
-    ///
+    /// * `down <link>` / `up <link>` — the link must exist; `down` of an
+    ///   already-dead link and `up` of an alive one are rejected (duplicate
+    ///   or contradictory state changes usually mean a corrupt or
+    ///   misordered trace);
+    /// * `wobble <link> <permille>` — permille in [`WOBBLE_PERMILLE`] (a
+    ///   zero-capacity link is scripted as `down`);
+    /// * `degrade <link> <permille>` — permille in [`DEGRADE_PERMILLE`]
+    ///   (degradation never exceeds nominal; total loss is scripted as
+    ///   `down`);
     /// * `srlg <group>` — fails every link of group `<group>` (0-based
     ///   index into `groups`); members already down are skipped, so
     ///   overlapping groups compose;
     /// * `node <id>` — fails every link incident to node `<id>`, again
     ///   skipping members already down.
     ///
-    /// Both expand into plain per-link down events (recovery is scripted
-    /// with per-link `up` lines), so the returned trace replays on an
-    /// unmodified engine and [`EventTrace::to_text`] emits the expansion.
-    pub fn parse_strict_with(
+    /// Every line is read before any is validated, so a malformed line is
+    /// reported even when an earlier one is well-formed but invalid. Errors
+    /// carry the offending line number. The correlated verbs expand into
+    /// plain per-link down events (recovery is scripted with per-link `up`
+    /// lines), so the returned trace replays on an unmodified engine and
+    /// [`EventTrace::to_text`] emits the expansion.
+    pub fn parse(
         name: impl Into<String>,
         text: &str,
         topo: &Topology,
@@ -460,7 +422,7 @@ enum Directive {
 }
 
 /// The shared scripted-format reader: directives tagged with their 1-based
-/// source line so strict validation can point at the offending entry.
+/// source line so validation can point at the offending entry.
 fn parse_directives(text: &str) -> Result<Vec<(usize, Directive)>, TraceParseError> {
     let mut directives = Vec::new();
     for (i, raw) in text.lines().enumerate() {
@@ -574,6 +536,11 @@ mod tests {
     use super::*;
     use pcf_topology::zoo;
 
+    /// Parses against Sprint (17 links) with no SRLG table.
+    fn parse(text: &str) -> Result<EventTrace, TraceParseError> {
+        EventTrace::parse("t", text, &zoo::build("Sprint"), &[])
+    }
+
     #[test]
     fn flaps_respect_the_concurrency_bound() {
         let topo = zoo::build("Sprint");
@@ -632,30 +599,30 @@ mod tests {
                 },
             ],
         );
-        let parsed = EventTrace::parse("scripted", &t.to_text()).unwrap();
-        assert_eq!(parsed, t);
+        let parsed = EventTrace::parse("scripted", &t.to_text(), &zoo::build("Sprint"), &[]);
+        assert_eq!(parsed.unwrap(), t);
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(EventTrace::parse("t", "explode 3").is_err());
-        assert!(EventTrace::parse("t", "down").is_err());
-        assert!(EventTrace::parse("t", "down x").is_err());
-        assert!(EventTrace::parse("t", "down 1 2").is_err());
-        assert!(EventTrace::parse("t", "wobble 1").is_err());
-        assert!(EventTrace::parse("t", "wobble 1 x").is_err());
+        assert!(parse("explode 3").is_err());
+        assert!(parse("down").is_err());
+        assert!(parse("down x").is_err());
+        assert!(parse("down 1 2").is_err());
+        assert!(parse("wobble 1").is_err());
+        assert!(parse("wobble 1 x").is_err());
         // Comments and blanks are fine; the printed `e<idx>` form parses.
-        let ok = EventTrace::parse("t", "# header\n\ndown 1 # inline\nup e1\n").unwrap();
+        let ok = parse("# header\n\ndown 1 # inline\nup e1\n").unwrap();
         assert_eq!(ok.len(), 2);
         assert_eq!(ok.events[0].link, ok.events[1].link);
     }
 
     #[test]
     fn parse_errors_carry_line_numbers() {
-        let err = EventTrace::parse("t", "down 1\n\n# fine\nbogus 2\n").unwrap_err();
+        let err = parse("down 1\n\n# fine\nbogus 2\n").unwrap_err();
         assert_eq!(err.line, 4);
         assert!(err.to_string().contains("line 4"), "{err}");
-        let err = EventTrace::parse("t", "up 1\ndown\n").unwrap_err();
+        let err = parse("up 1\ndown\n").unwrap_err();
         assert_eq!(err.line, 2);
     }
 
@@ -674,7 +641,8 @@ mod tests {
                 },
             ],
         );
-        assert_eq!(EventTrace::parse("wobbly", &t.to_text()).unwrap(), t);
+        let parsed = EventTrace::parse("wobbly", &t.to_text(), &zoo::build("Sprint"), &[]);
+        assert_eq!(parsed.unwrap(), t);
         // Wobbles never count as concurrent failures.
         assert_eq!(t.max_concurrent_down(), 0);
     }
@@ -682,32 +650,30 @@ mod tests {
     #[test]
     fn strict_parse_validates_against_the_topology() {
         let topo = zoo::build("Sprint"); // 17 links
-        let ok = EventTrace::parse_strict("t", "down 3\nwobble 4 500\nup 3\n", &topo);
+        let ok = EventTrace::parse("t", "down 3\nwobble 4 500\nup 3\n", &topo, &[]);
         assert_eq!(ok.unwrap().len(), 3);
         // Unknown link, with the line number.
-        let err = EventTrace::parse_strict("t", "down 3\ndown 99\n", &topo).unwrap_err();
+        let err = EventTrace::parse("t", "down 3\ndown 99\n", &topo, &[]).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("unknown link e99"), "{err}");
         // Duplicate down / spurious up.
-        let err = EventTrace::parse_strict("t", "down 3\ndown 3\n", &topo).unwrap_err();
+        let err = EventTrace::parse("t", "down 3\ndown 3\n", &topo, &[]).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("duplicate down"), "{err}");
-        let err = EventTrace::parse_strict("t", "up 3\n", &topo).unwrap_err();
+        let err = EventTrace::parse("t", "up 3\n", &topo, &[]).unwrap_err();
         assert_eq!(err.line, 1);
         assert!(err.message.contains("spurious up"), "{err}");
         // Wobble range.
-        let err = EventTrace::parse_strict("t", "wobble 3 0\n", &topo).unwrap_err();
+        let err = EventTrace::parse("t", "wobble 3 0\n", &topo, &[]).unwrap_err();
         assert!(err.message.contains("out of range"), "{err}");
-        let err = EventTrace::parse_strict("t", "wobble 3 2001\n", &topo).unwrap_err();
+        let err = EventTrace::parse("t", "wobble 3 2001\n", &topo, &[]).unwrap_err();
         assert_eq!(err.line, 1);
-        // The lenient parser accepts all of those shapes.
-        assert!(EventTrace::parse("t", "down 99\ndown 99\nup 3\nwobble 3 9999\n").is_ok());
     }
 
     #[test]
     fn degrade_round_trips_and_is_range_checked() {
         let topo = zoo::build("Sprint");
-        let t = EventTrace::parse_strict("t", "degrade 2 400\ndegrade e2 1000\n", &topo).unwrap();
+        let t = EventTrace::parse("t", "degrade 2 400\ndegrade e2 1000\n", &topo, &[]).unwrap();
         assert_eq!(
             t.events,
             vec![
@@ -721,17 +687,17 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(EventTrace::parse("t", &t.to_text()).unwrap(), t);
+        assert_eq!(parse(&t.to_text()).unwrap(), t);
         // Degradation never counts as a concurrent failure.
         assert_eq!(t.max_concurrent_down(), 0);
         // Range 1..=1000: zero capacity and headroom are both rejected.
-        let err = EventTrace::parse_strict("t", "degrade 2 0\n", &topo).unwrap_err();
+        let err = EventTrace::parse("t", "degrade 2 0\n", &topo, &[]).unwrap_err();
         assert!(err.message.contains("out of range 1..=1000"), "{err}");
-        let err = EventTrace::parse_strict("t", "down 1\ndegrade 2 1001\n", &topo).unwrap_err();
+        let err = EventTrace::parse("t", "down 1\ndegrade 2 1001\n", &topo, &[]).unwrap_err();
         assert_eq!(err.line, 2);
         // Missing / malformed arguments carry line numbers.
-        assert!(EventTrace::parse("t", "degrade 2").is_err());
-        assert!(EventTrace::parse("t", "degrade 2 x").is_err());
+        assert!(parse("degrade 2").is_err());
+        assert!(parse("degrade 2 x").is_err());
     }
 
     #[test]
@@ -739,13 +705,8 @@ mod tests {
         let topo = zoo::build("Abilene");
         let groups = vec![vec![LinkId(0), LinkId(3)], vec![LinkId(3), LinkId(5)]];
         // Overlapping groups compose: e3 is already down when srlg 1 fires.
-        let t = EventTrace::parse_strict_with(
-            "t",
-            "srlg 0\nsrlg 1\nup 0\nup 3\nup 5\n",
-            &topo,
-            &groups,
-        )
-        .unwrap();
+        let t =
+            EventTrace::parse("t", "srlg 0\nsrlg 1\nup 0\nup 3\nup 5\n", &topo, &groups).unwrap();
         let downs: Vec<LinkId> = t
             .events
             .iter()
@@ -756,37 +717,31 @@ mod tests {
         assert_eq!(t.max_concurrent_down(), 3);
         // node <id> fails exactly the incident links.
         let n = pcf_topology::NodeId(0);
-        let t = EventTrace::parse_strict_with("t", "node 0\n", &topo, &groups).unwrap();
+        let t = EventTrace::parse("t", "node 0\n", &topo, &groups).unwrap();
         let expect: Vec<LinkId> = topo.links().filter(|&l| topo.link(l).touches(n)).collect();
         let got: Vec<LinkId> = t.events.iter().map(|e| e.link).collect();
         assert_eq!(got, expect);
         assert!(t.events.iter().all(|e| e.kind == EventKind::Down));
         // The expansion is a valid trace in its own right.
-        assert!(EventTrace::parse_strict("t", &t.to_text(), &topo).is_ok());
+        assert!(EventTrace::parse("t", &t.to_text(), &topo, &[]).is_ok());
     }
 
     #[test]
     fn correlated_verbs_are_validated_with_line_numbers() {
         let topo = zoo::build("Abilene"); // 11 nodes
         let groups = vec![vec![LinkId(0)]];
-        let err =
-            EventTrace::parse_strict_with("t", "srlg 0\nsrlg 7\n", &topo, &groups).unwrap_err();
+        let err = EventTrace::parse("t", "srlg 0\nsrlg 7\n", &topo, &groups).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("unknown srlg group 7"), "{err}");
-        let err = EventTrace::parse_strict_with("t", "node 99\n", &topo, &groups).unwrap_err();
+        let err = EventTrace::parse("t", "node 99\n", &topo, &groups).unwrap_err();
         assert_eq!(err.line, 1);
         assert!(err.message.contains("unknown node 99"), "{err}");
-        // plain parse_strict has no group table: every srlg index is unknown.
-        let err = EventTrace::parse_strict("t", "srlg 0\n", &topo).unwrap_err();
+        // Without a group table every srlg index is unknown.
+        let err = EventTrace::parse("t", "srlg 0\n", &topo, &[]).unwrap_err();
         assert!(err.message.contains("table has 0 groups"), "{err}");
-        // The lenient parser can't resolve correlated verbs at all.
-        let err = EventTrace::parse("t", "srlg 0\n").unwrap_err();
-        assert!(err.message.contains("needs topology context"), "{err}");
-        let err = EventTrace::parse("t", "node 1\n").unwrap_err();
-        assert!(err.message.contains("needs topology context"), "{err}");
         // Bad arguments.
-        assert!(EventTrace::parse("t", "srlg\n").is_err());
-        assert!(EventTrace::parse("t", "node x\n").is_err());
-        assert!(EventTrace::parse("t", "srlg 0 1\n").is_err());
+        assert!(parse("srlg\n").is_err());
+        assert!(parse("node x\n").is_err());
+        assert!(parse("srlg 0 1\n").is_err());
     }
 }

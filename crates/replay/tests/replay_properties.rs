@@ -332,6 +332,7 @@ fn degraded_capacity_batch_digests_are_thread_count_invariant() {
 /// the error points at a line inside it.
 #[test]
 fn trace_parser_is_total_on_malformed_text() {
+    let topo = zoo::build("Sprint");
     forall(
         "parse rejects fuzzed traces gracefully",
         &Config::with_cases(40),
@@ -345,7 +346,7 @@ fn trace_parser_is_total_on_malformed_text() {
         },
         |&(seed, lines)| {
             let text = FaultInjector::new(seed).malformed_trace(lines);
-            match EventTrace::parse("fuzz", &text) {
+            match EventTrace::parse("fuzz", &text, &topo, &[]) {
                 Ok(_) => Err("poisoned trace parsed cleanly".into()),
                 Err(e) => {
                     if e.line < 1 || e.line > lines {

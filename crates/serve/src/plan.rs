@@ -284,13 +284,11 @@ impl PlanCell {
     /// The published generation — the lock-free fast path. Readers
     /// compare this against their cached epoch's `gen` and only touch the
     /// slot mutex on a mismatch.
-    // audit:hot
     pub fn generation(&self) -> u64 {
         self.gen.load(Ordering::Acquire)
     }
 
     /// Clones the current epoch `Arc` (takes the slot mutex briefly).
-    // audit:hot
     pub fn current(&self) -> Arc<PlanEpoch> {
         Arc::clone(&self.slot.lock().unwrap_or_else(|p| p.into_inner()))
     }
@@ -298,7 +296,6 @@ impl PlanCell {
     /// Publishes a new epoch. The slot is updated before the generation
     /// becomes visible, so `generation()`/`current()` can never observe a
     /// generation without its epoch.
-    // audit:hot
     pub fn swap(&self, epoch: Arc<PlanEpoch>) {
         let mut slot = self.slot.lock().unwrap_or_else(|p| p.into_inner());
         let gen = epoch.gen;

@@ -3,6 +3,9 @@
 //!
 //! Counters are plain relaxed atomics — the hot paths (realization
 //! queries, event ingestion) touch nothing heavier than a `fetch_add`.
+//! Relaxed is enough: no data is published through a counter, and a
+//! snapshot tolerates counters (and histogram buckets) read at slightly
+//! different moments.
 //! Latencies go into fixed power-of-two-bucket histograms (one atomic
 //! per bucket), so recording is wait-free and percentiles are read
 //! without stopping writers.
@@ -66,16 +69,13 @@ impl Default for AtomicHistogram {
 
 impl AtomicHistogram {
     /// Records one sample.
-    // audit:hot
     pub fn record(&self, ns: u64) {
         let bucket = (64 - ns.leading_zeros() as usize).min(BUCKETS - 1);
-        // audit:allow(atomics-discipline, independent bucket counters; snapshots tolerate torn reads) audit:allow(panic-reachability, bucket is .min(BUCKETS-1)-clamped so the index is always in range)
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
-        // audit:allow(atomics-discipline, independent bucket counters; snapshots tolerate torn reads)
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
@@ -86,7 +86,6 @@ impl AtomicHistogram {
         let counts: Vec<u64> = self
             .buckets
             .iter()
-            // audit:allow(atomics-discipline, independent bucket counters; snapshots tolerate torn reads)
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
         let total: u64 = counts.iter().sum();
@@ -160,31 +159,24 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Relaxed increment of one counter.
-    // audit:hot
     pub fn bump(counter: &AtomicU64) {
-        // audit:allow(atomics-discipline, monotonic telemetry counter; no data is published through it)
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a ladder-stage outcome (0 normal, 1 rescaled, 2 shed,
     /// 3 failed).
-    // audit:hot
     pub fn record_stage(&self, code: u8) {
-        // audit:allow(atomics-discipline, monotonic telemetry counter; no data is published through it) audit:allow(panic-reachability, index is .min(3)-clamped to the fixed array size)
         self.degrade[(code as usize).min(3)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Folds one realization's factorization bump into the running max.
-    // audit:hot
     pub fn record_bump(&self, bump: usize) {
-        // audit:allow(atomics-discipline, monotonic telemetry maximum; no data is published through it)
         self.max_bump.fetch_max(bump as u64, Ordering::Relaxed);
     }
 
     /// Snapshots everything into a report (counters are individually
     /// accurate; the set is not mutually atomic — fine for telemetry).
     pub fn snapshot(&self, gen: u64, plan_digest: u64, cache: CacheStats) -> ServeReport {
-        // audit:allow(atomics-discipline, monotonic telemetry counters; no data is published through them)
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         ServeReport {
             gen,

@@ -312,7 +312,7 @@ impl Topology {
         } else if from == link.v {
             l.backward()
         } else {
-            // audit:allow(no-panic-paths, documented contract; routing callers pass link-node pairs read from this topology's own adjacency) audit:allow(panic-reachability, same invariant: adjacency only yields incident links)
+            // audit:allow(no-panic-paths, documented contract; routing callers pass link-node pairs read from this topology's own adjacency)
             panic!("node {from} is not an endpoint of link {l}");
         }
     }
