@@ -8,8 +8,9 @@
 //! appended, re-solves from the previous optimal basis:
 //!
 //! * every appended row gets its slack basic at the row's activity, so the
-//!   new basis matrix is `[[B, 0], [C, -I]]`: the basis engine appends a
-//!   *border* op to its op file, re-using the existing LU factors and etas
+//!   new basis matrix is `[[B, 0], [C, -I]]`: each row becomes a new step
+//!   of the basis engine's upper-triangular factor, ordered before every
+//!   existing one, while `L`, the row etas and the existing steps stay
 //!   untouched, so the extension costs `O(nnz(C))` instead of a fresh
 //!   factorization;
 //! * slacks cost nothing, so the reduced costs of the old optimum are
@@ -70,6 +71,9 @@ pub struct IncrementalStats {
     pub refactor_peeled: usize,
     /// Basis rows they left to Markowitz elimination, summed likewise.
     pub refactor_bump: usize,
+    /// Entries the basis updates stored between refactorizations: each
+    /// pivot's spike (`R L^{-1} a_q`, diagonal included) plus its row eta.
+    pub update_entries: usize,
 }
 
 impl IncrementalStats {
@@ -80,6 +84,7 @@ impl IncrementalStats {
         self.refactors += c.refactors;
         self.refactor_peeled += c.refactor_peeled;
         self.refactor_bump += c.refactor_bump;
+        self.update_entries += c.update_entries;
     }
 }
 
@@ -264,8 +269,11 @@ impl IncrementalLp {
         // the new basis matrix is [[B, 0], [C, -I]].
         //
         // Per new row: (old basis position, scaled coeff) for columns basic
-        // in the old basis — the nonzeros of C.
-        let mut c_rows: Vec<Vec<(u32, f64)>> = Vec::with_capacity(k);
+        // in the old basis — the nonzeros of C, row t in
+        // `c_entries[c_start[t]..c_start[t + 1]]`.
+        let mut c_start = Vec::with_capacity(k + 1);
+        c_start.push(0);
+        let mut c_entries: Vec<(u32, f64)> = Vec::new();
         // Structural entries of the appended rows, batched into one CSC
         // rebuild; iteration is row-major so each column's adds arrive in
         // ascending row order as `append_rows` requires.
@@ -278,7 +286,6 @@ impl IncrementalLp {
                 1.0
             };
             let mut act = 0.0;
-            let mut c_entries = Vec::new();
             for &(j, a) in &row.coeffs {
                 let av = a * rscale * st.cscale[j];
                 act += av * tab.value(j);
@@ -287,7 +294,7 @@ impl IncrementalLp {
                     c_entries.push((r as u32, av));
                 }
             }
-            c_rows.push(c_entries);
+            c_start.push(c_entries.len());
             tab.rscale.push(rscale);
             tab.lower.push(row.lower * rscale);
             tab.upper.push(row.upper * rscale);
@@ -302,10 +309,9 @@ impl IncrementalLp {
         }
         tab.ncols = tab.a.ncols();
 
-        // ---- Extend the basis with the appended block: one border op; the
-        // existing factors and eta file keep working untouched. ----
-        tab.rep
-            .append_border(c_rows.into_iter().map(|c| (c, -1.0)).collect());
+        // ---- Extend the basis with the appended block: one new U step per
+        // row; L, the row etas and the existing U keep working untouched. ----
+        tab.rep.append_slack_rows(&c_start, &c_entries);
         tab.m = m_new;
         // Re-derive all basic values through the extended inverse; this both
         // refreshes the new rows and validates the extension numerically.
@@ -415,6 +421,35 @@ mod tests {
         assert_eq!(inc.stats().warm_solves, 5);
         assert_eq!(inc.stats().cold_solves, 1);
         assert_eq!(inc.stats().warm_fallbacks, 0);
+    }
+
+    #[test]
+    fn reinvert_every_counts_pivots_across_solves() {
+        // Every solve below pivots fewer than `reinvert_every` times, but
+        // the basis updates add up past it: the engine, which counts them
+        // since its last factorization, must refactorize.
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let xs: Vec<VarId> = (0..4).map(|_| lp.add_var(0.0, 10.0, 1.0)).collect();
+        lp.add_le(xs.iter().map(|&x| (x, 1.0)), 100.0);
+        lp.set_options(crate::SimplexOptions {
+            reinvert_every: 7,
+            ..crate::SimplexOptions::default()
+        });
+        let mut inc = IncrementalLp::new(lp);
+        let mut pivots = inc.solve().unwrap().iterations;
+        for cap in [8.0, 6.0, 4.0] {
+            for &x in &xs {
+                inc.add_le(vec![(x, 1.0)], cap);
+                let s = inc.solve().unwrap();
+                assert_eq!(s.status, Status::Optimal);
+                assert!(s.iterations < 7, "{} pivots in one solve", s.iterations);
+                pivots += s.iterations;
+            }
+        }
+        assert_close(inc.solve().unwrap().objective, 16.0);
+        assert!(pivots > 7, "{pivots} pivots in total");
+        assert_eq!(inc.stats().warm_solves, 12);
+        assert!(inc.stats().refactors >= 1, "{:?}", inc.stats());
     }
 
     #[test]
