@@ -9,6 +9,8 @@
 //! relaxation srlg bypass dual r3 all`.
 //! Scales: `quick` (default), `medium`, `paper`.
 
+#![allow(clippy::disallowed_types, reason = "timing only; nothing is replayed")]
+
 use pcf_bench::Scale;
 use std::time::Instant;
 

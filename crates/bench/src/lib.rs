@@ -12,6 +12,8 @@
 //! demand mass and (below `paper` scale) bounds the topology set. Every
 //! truncation is visible in the output and recorded in EXPERIMENTS.md.
 
+#![allow(clippy::disallowed_types, reason = "timing only; nothing is replayed")]
+
 use pcf_core::objective::{overhead_reduction_pct, throughput_overhead};
 use pcf_core::realize::{greedy_topsort, topological_order};
 use pcf_core::{
@@ -815,7 +817,6 @@ pub fn bypass_path_ablation(scale: &Scale) -> Vec<(usize, f64, f64)> {
                 tol: 1e-4,
                 ..opts.clone()
             };
-            // audit:allow(no-panic-paths, experiment driver; a flow-stage failure should abort the ablation run)
             let fsol = solve_logical_flow(&inst1, &flows, &fm, &flow_opts)
                 .expect("bypass ablation flow stage");
             let conditional = decompose_flows(&w.topo, &flows, &fsol, 1e-7);

@@ -9,7 +9,6 @@
 //! pcf topology --topology Deltacom                        # inspect a topology
 //! pcf adversary --topology Abilene --f 1                  # worst-case campaign
 //! pcf serve    --topology Abilene --scheme ffc --port 0   # online serving daemon
-//! pcf audit                                               # static analysis gate
 //! ```
 //!
 //! Topologies come from the built-in evaluation set (`--topology <name>`)
@@ -17,15 +16,17 @@
 //! normalised to optimal-routing MLU 0.6 (`--seed` selects the draw;
 //! `--mlu` overrides the target).
 
+#![allow(clippy::disallowed_types, reason = "front end: timing and a flag map")]
+
 mod args;
 
 use args::{ArgError, Args};
 use pcf_core::validate::validate_all;
-use pcf_core::DegradeMode;
 use pcf_core::{
     augment_capacity, pcf_cls_pipeline, pcf_ls_instance, scale_to_mlu, solve_ffc, solve_pcf_ls,
     solve_pcf_tf, solve_r3, tunnel_instance, FailureModel, Instance, RobustOptions, RobustSolution,
 };
+use pcf_core::{DegradeMode, OVERLOAD_TOL};
 use pcf_replay::{
     replay_batch, run_campaign, CampaignOptions, CampaignPlan, EventTrace, FaultInjector,
     ReplayOptions,
@@ -98,7 +99,6 @@ fn usage() {
          \x20           events, realization/utilization queries, admission control)\n\
          \x20 adversary greedy worst-case campaign: per-scheme throughput-retention\n\
          \x20           curves under SRLG/node/link/degradation events\n\
-         \x20 audit     run the in-tree static-analysis gate (see DESIGN.md §9)\n\
          \n\
          flags:\n\
          \x20 --topology <name>   built-in evaluation topology (e.g. Sprint, GEANT)\n\
@@ -151,18 +151,6 @@ fn usage() {
 
 fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse(argv, FLAGS, SWITCHES)?;
-    if args.command == "audit" {
-        // Static analysis needs the source tree, not a topology.
-        let cwd = std::env::current_dir()?;
-        let root = pcf_audit::find_root(&cwd).ok_or(ArgError(
-            "audit: cannot locate the workspace root (run inside the repository)".into(),
-        ))?;
-        let code = pcf_audit::run(&root, false);
-        if code != 0 {
-            std::process::exit(code);
-        }
-        return Ok(());
-    }
     let topo = load_topology(&args)?;
     match args.command.as_str() {
         "topology" => {
@@ -184,7 +172,7 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             report(&topo, &inst, &sol, &scheme);
             let served = sol.served(&inst);
             let fm = FailureModel::links(f);
-            let report = validate_all(&inst, &fm, &sol.a, &sol.b, &served, 1e-6);
+            let report = validate_all(&inst, &fm, &sol.a, &sol.b, &served, OVERLOAD_TOL);
             println!(
                 "validate: {} scenarios ({} distinct states, max LU bump {}), \
                  max utilization {:.4} -> {}",
@@ -387,7 +375,7 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 seed: args.get_or("seed", 1u64)?,
                 mlu: args.get_or("mlu", 0.6f64)?,
                 max_pairs: args.get_or("max-pairs", 200usize)?,
-                tol: 1e-6,
+                tol: OVERLOAD_TOL,
                 opts: robust_options(&args)?,
                 srlgs,
             };
@@ -454,7 +442,7 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 groups,
                 degrade_permille: args.get_or("degrade-permille", 500u32)?,
                 max_down: args.get_or("max-down", f + 2)?,
-                tol: 1e-6,
+                tol: OVERLOAD_TOL,
             };
             // All three schemes solve against the same traffic and link
             // budget; FFC and PCF-TF share the tunnel-only instance.

@@ -321,7 +321,7 @@ pub fn integral_worst_case(
 /// integral enumeration either overrules the (conservative) relaxation or
 /// produces a witnessing scenario for the rejection. `tol_abs` absorbs LP
 /// tolerance noise; `max_evals` bounds the enumeration.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "independent inputs")]
 pub fn admit(
     inst: &Instance,
     p: PairId,

@@ -126,11 +126,19 @@ pub fn peak_utilization(inst: &Instance, routing: &Routing, caps: &[f64]) -> f64
         .map(|arc| {
             // Capacities are validated positive at trace-parse time; the
             // floor only guards against a degenerate caller.
-            let cap = caps[arc.link().index()].max(1e-12);
+            let cap = caps[arc.link().index()].max(CAPACITY_FLOOR);
             routing.arc_loads[arc.index()] / cap
         })
         .fold(0.0, f64::max)
 }
+
+/// The overload tolerance the replay checker, the adversary campaign and
+/// the CLI's `validate` pass to [`exceeds_capacity`].
+pub const OVERLOAD_TOL: f64 = 1e-6;
+
+/// The least capacity a utilization ratio divides by, so a zero-capacity
+/// arc reads as a huge ratio instead of a division by zero.
+pub const CAPACITY_FLOOR: f64 = 1e-12;
 
 /// Whether `load` overloads an arc of capacity `cap` under the relative
 /// feasibility tolerance `tol`: `load > cap · (1 + tol) + tol`. The one
@@ -159,7 +167,7 @@ pub fn normal_routing(inst: &Instance, routing: Routing, caps: &[f64]) -> Degrad
 /// The full ladder: stage 1 (exact realization), then
 /// [`degrade_fallback`] on error. With [`DegradeMode::Off`] this is
 /// exactly [`realize_routing`] plus the wrapper.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the ladder's inputs")]
 pub fn degrade_routing(
     inst: &Instance,
     state: &FailureState,
@@ -185,7 +193,7 @@ pub fn degrade_routing(
 /// runs and wins if it removes an overload or serves strictly more
 /// demand. If the LP cannot be solved, an imperfect rescale still beats
 /// serving nothing and is returned.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the ladder's inputs")]
 pub fn degrade_fallback(
     inst: &Instance,
     state: &FailureState,

@@ -229,10 +229,10 @@ impl FailureModel {
     /// Attaches a partial-capacity-degradation polytope. Panics on
     /// [`FailureModel::Explicit`], which carries concrete scenarios and has
     /// no polytope to extend.
+    #[expect(clippy::panic, reason = "documented: Explicit has no polytope")]
     pub fn with_degradation(mut self, topo: &Topology, deg: Degradation) -> Self {
         assert_eq!(deg.floor.len(), topo.link_count());
         let FailureModel::Budgeted { degradation, .. } = &mut self else {
-            // audit:allow(no-panic-paths, documented precondition: Explicit carries concrete scenarios and has no polytope to extend)
             panic!("explicit scenario lists cannot carry a degradation polytope")
         };
         *degradation = Some(deg);

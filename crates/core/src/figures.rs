@@ -61,12 +61,12 @@ pub fn path_through(topo: &Topology, nodes: &[NodeId]) -> Path {
     assert!(nodes.len() >= 2);
     let mut links = Vec::new();
     for w in nodes.windows(2) {
+        #[expect(clippy::panic, reason = "fixture hops are adjacent")]
         let l = topo
             .incident(w[0])
             .iter()
             .find(|&&(v, _)| v == w[1])
             .map(|&(_, l)| l)
-            // audit:allow(no-panic-paths, documented contract; figure builders pass literally adjacent hops from the fixture topologies)
             .unwrap_or_else(|| panic!("nodes {} and {} are not adjacent", w[0], w[1]));
         links.push(l);
     }
@@ -277,12 +277,12 @@ pub fn fig5_instance(variant: Fig5Variant) -> Instance {
             }
         }
         Fig5Variant::ConditionalLs => {
+            #[expect(clippy::expect_used, reason = "fig5_topology adds the s-4 link")]
             let s4 = topo
                 .incident(s)
                 .iter()
                 .find(|&&(v, _)| v == r[3])
                 .map(|&(_, l)| l)
-                // audit:allow(no-panic-paths, fixture invariant; the s-4 link is added a few lines above in fig5_topology)
                 .expect("link s-4 exists");
             b = b.add_ls(LogicalSequence {
                 hops: vec![s, r[3], t],

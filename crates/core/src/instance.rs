@@ -69,8 +69,8 @@ impl LogicalSequence {
     ///
     /// # Panics
     /// Panics on a malformed hop-less LS; `InstanceBuilder` rejects those.
+    #[expect(clippy::expect_used, reason = "InstanceBuilder rejects hop-less LSs")]
     pub fn source(&self) -> NodeId {
-        // audit:allow(no-panic-paths, documented contract; InstanceBuilder rejects hop-less sequences)
         *self.hops.first().expect("LS has hops")
     }
 
@@ -78,8 +78,8 @@ impl LogicalSequence {
     ///
     /// # Panics
     /// Panics on a malformed hop-less LS; `InstanceBuilder` rejects those.
+    #[expect(clippy::expect_used, reason = "InstanceBuilder rejects hop-less LSs")]
     pub fn dest(&self) -> NodeId {
-        // audit:allow(no-panic-paths, documented contract; InstanceBuilder rejects hop-less sequences)
         *self.hops.last().expect("LS has hops")
     }
 

@@ -5,6 +5,20 @@
 //! failure scenario, for FFC, PCF-TF, PCF-LS, PCF-CLS, logical flows, R3,
 //! and the optimal (intrinsic capability) baseline.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod admission;
 pub mod adversary;
 pub mod augment;
@@ -30,7 +44,7 @@ pub use admission::{
 pub use augment::{augment_capacity, Augmentation};
 pub use degrade::{
     degrade_fallback, degrade_routing, exceeds_capacity, normal_routing, overload_bound,
-    peak_utilization, DegradeMode, DegradedRouting, LadderStage,
+    peak_utilization, DegradeMode, DegradedRouting, LadderStage, CAPACITY_FLOOR, OVERLOAD_TOL,
 };
 pub use dualized::DualizedError;
 pub use failure::{Condition, Degradation, FailureModel, GroupBudget, Scenario};
@@ -50,8 +64,8 @@ pub use realize::{
     realize_routing, reservation_matrix, topological_order, FailureState, RealizeError, Routing,
 };
 pub use robust::{
-    solve_robust, try_solve_robust, try_solve_robust_seeded, AdversaryKind, CutPool, RobustError,
-    RobustOptions, RobustSolution,
+    solve_robust, try_solve_robust, AdversaryKind, CutPool, RobustError, RobustOptions,
+    RobustSolution,
 };
 pub use scale::scale_to_mlu;
 pub use schemes::{

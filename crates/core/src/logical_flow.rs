@@ -338,7 +338,7 @@ pub fn pcf_cls_pipeline(
     let inst1 = b1.build();
     let fsol = match solve_logical_flow(&inst1, &flows, fm, &flow_opts) {
         Ok(s) => s,
-        // audit:allow(no-panic-paths, compatibility wrapper; fallible path is solve_logical_flow)
+        #[expect(clippy::panic, reason = "infallible wrapper of solve_logical_flow")]
         Err(e) => panic!("logical-flow stage failed: {e}"),
     };
     let conditional = decompose_flows(topo, &flows, &fsol, 1e-7);

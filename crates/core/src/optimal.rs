@@ -131,7 +131,7 @@ pub fn max_concurrent_flow(
             lp.add_eq(row, 0.0);
         }
     }
-    // audit:allow(no-panic-paths, optimal-baseline evaluator; MCF on a validated topology always solves, so an engine failure should halt the experiment)
+    #[expect(clippy::expect_used, reason = "baseline evaluator; MCF always solves")]
     let sol = lp.solve().expect("MCF LP is structurally valid");
     assert_eq!(sol.status, Status::Optimal, "MCF must be solvable");
     McfResult::Value(sol.objective)
@@ -168,7 +168,7 @@ pub fn max_throughput(topo: &Topology, tm: &TrafficMatrix, dead: Option<&[bool]>
             lp.add_eq(row, 0.0);
         }
     }
-    // audit:allow(no-panic-paths, optimal-baseline evaluator; the throughput LP is bounded and feasible by construction, so an engine failure should halt the experiment)
+    #[expect(clippy::expect_used, reason = "baseline evaluator; the LP is feasible")]
     let sol = lp.solve().expect("throughput LP is structurally valid");
     assert_eq!(sol.status, Status::Optimal);
     sol.objective

@@ -178,12 +178,12 @@ pub fn solve_r3(topo: &Topology, tm: &TrafficMatrix, f: usize) -> R3Solution {
         lp.add_le(cap_row, topo.capacity(beta.link()));
     }
 
-    // audit:allow(no-panic-paths, experiment-only baseline scheme; an LP-layer rejection here is a bug worth halting the experiment)
+    #[expect(clippy::expect_used, reason = "experiment-only baseline; halt on bugs")]
     let sol = lp.solve().expect("R3 LP is structurally valid");
     let objective = match sol.status {
         Status::Optimal => sol.objective.max(0.0),
         Status::Infeasible => 0.0,
-        // audit:allow(no-panic-paths, experiment-only baseline scheme; iteration-limit or unbounded means the benchmark itself is broken)
+        #[expect(clippy::panic, reason = "experiment-only baseline; halt on bugs")]
         s => panic!("R3 LP unexpected status {s}"),
     };
     R3Solution { objective }
@@ -319,7 +319,7 @@ pub fn solve_generalized_r3(
     let inst = b.build();
     let sol = match solve_logical_flow(&inst, &flows, &FailureModel::links(f), opts) {
         Ok(s) => s,
-        // audit:allow(no-panic-paths, compatibility wrapper; fallible path is solve_logical_flow)
+        #[expect(clippy::panic, reason = "infallible wrapper of solve_logical_flow")]
         Err(e) => panic!("generalized R3 flow solve failed: {e}"),
     };
     R3Solution {

@@ -337,9 +337,9 @@ pub fn solve_robust(
     kind: AdversaryKind,
     opts: &RobustOptions,
 ) -> RobustSolution {
-    match try_solve_robust(inst, fm, kind, opts) {
-        Ok(sol) => sol,
-        // audit:allow(no-panic-paths, compatibility wrapper; fallible path is try_solve_robust)
+    match try_solve_robust(inst, fm, kind, opts, None) {
+        Ok((sol, _)) => sol,
+        #[expect(clippy::panic, reason = "infallible wrapper of try_solve_robust")]
         Err(e) => panic!("robust solve failed: {e}"),
     }
 }
@@ -347,21 +347,9 @@ pub fn solve_robust(
 /// Fallible variant of [`solve_robust`]: master-LP failures come back as
 /// [`RobustError`] values instead of panics.
 ///
-/// # Panics
-/// Panics if `kind` is [`AdversaryKind::FfcTunnelCount`] and the instance
-/// has logical sequences (a modeling error, not a runtime condition).
-pub fn try_solve_robust(
-    inst: &Instance,
-    fm: &FailureModel,
-    kind: AdversaryKind,
-    opts: &RobustOptions,
-) -> Result<RobustSolution, RobustError> {
-    try_solve_robust_seeded(inst, fm, kind, opts, None).map(|(sol, _)| sol)
-}
-
-/// [`try_solve_robust`] with an optional [`CutPool`] warm start: cuts from
-/// a previous solve of a same-shape instance enter the master before its
-/// first solve, which starts from the basis the pool carries, typically
+/// `seed` is an optional [`CutPool`] warm start: cuts from a previous
+/// solve of a same-shape instance enter the master before its first
+/// solve, which starts from the basis the pool carries, typically
 /// collapsing the cutting-plane loop to one round of a few pivots. Returns
 /// the solution together with the pool of cuts generated (seeded plus
 /// freshly separated) and the final basis, ready to seed the next solve.
@@ -377,7 +365,7 @@ pub fn try_solve_robust(
 /// # Panics
 /// Panics if `kind` is [`AdversaryKind::FfcTunnelCount`] and the instance
 /// has logical sequences (a modeling error, not a runtime condition).
-pub fn try_solve_robust_seeded(
+pub fn try_solve_robust(
     inst: &Instance,
     fm: &FailureModel,
     kind: AdversaryKind,
@@ -965,7 +953,7 @@ mod tests {
         let fm = FailureModel::links(1);
         let opts = RobustOptions::default();
         let (cold, pool) =
-            try_solve_robust_seeded(&inst, &fm, AdversaryKind::LinkBased, &opts, None).unwrap();
+            try_solve_robust(&inst, &fm, AdversaryKind::LinkBased, &opts, None).unwrap();
         assert_eq!(cold.seeded_cuts, 0);
         assert!(!pool.is_empty(), "f=1 must generate separation cuts");
         assert!(pool.matches(&inst));
@@ -973,8 +961,7 @@ mod tests {
         // Warm re-solve of the same instance: identical optimum, the pool
         // injected up front, and no more rounds than the cold solve took.
         let (warm, pool2) =
-            try_solve_robust_seeded(&inst, &fm, AdversaryKind::LinkBased, &opts, Some(&pool))
-                .unwrap();
+            try_solve_robust(&inst, &fm, AdversaryKind::LinkBased, &opts, Some(&pool)).unwrap();
         assert!(
             (warm.objective - cold.objective).abs() < 1e-6,
             "warm {} vs cold {}",
@@ -991,8 +978,7 @@ mod tests {
             .build();
         assert!(!pool.matches(&other));
         let (cold2, _) =
-            try_solve_robust_seeded(&other, &fm, AdversaryKind::LinkBased, &opts, Some(&pool))
-                .unwrap();
+            try_solve_robust(&other, &fm, AdversaryKind::LinkBased, &opts, Some(&pool)).unwrap();
         assert_eq!(cold2.seeded_cuts, 0);
     }
 }
@@ -1178,6 +1164,7 @@ mod more_tests {
             &FailureModel::links(1),
             AdversaryKind::LinkBased,
             &opts,
+            None,
         )
         .unwrap_err();
         assert_eq!(
@@ -1279,7 +1266,7 @@ mod more_tests {
         let opts = RobustOptions::default();
         let kind = AdversaryKind::LinkBased;
         let (inst, _) = sprint_master(3, &opts);
-        let (cold, pool) = try_solve_robust_seeded(&inst, &fm, kind, &opts, None).unwrap();
+        let (cold, pool) = try_solve_robust(&inst, &fm, kind, &opts, None).unwrap();
         let same_objective = |sol: &RobustSolution| {
             assert!(
                 (sol.objective - cold.objective).abs() <= 1e-9,
@@ -1295,7 +1282,7 @@ mod more_tests {
             basis: None,
             ..pool.clone()
         };
-        let (sol, _) = try_solve_robust_seeded(&inst, &fm, kind, &opts, Some(&bare)).unwrap();
+        let (sol, _) = try_solve_robust(&inst, &fm, kind, &opts, Some(&bare)).unwrap();
         same_objective(&sol);
         let lp = sol.lp_stats;
         assert_eq!((lp.cold_solves, lp.warm_fallbacks), (1, 0), "{lp:?}");
@@ -1304,13 +1291,13 @@ mod more_tests {
         // The basis of a master with other columns: the LP refuses it,
         // counts the fallback, and solves the same seeded master cold.
         let (other, _) = sprint_master(2, &opts);
-        let (_, other_pool) = try_solve_robust_seeded(&other, &fm, kind, &opts, None).unwrap();
+        let (_, other_pool) = try_solve_robust(&other, &fm, kind, &opts, None).unwrap();
         let crossed = CutPool {
             basis: other_pool.basis,
             ..pool.clone()
         };
         assert!(crossed.basis.is_some() && crossed.matches(&inst));
-        let (sol, _) = try_solve_robust_seeded(&inst, &fm, kind, &opts, Some(&crossed)).unwrap();
+        let (sol, _) = try_solve_robust(&inst, &fm, kind, &opts, Some(&crossed)).unwrap();
         same_objective(&sol);
         let lp = sol.lp_stats;
         assert_eq!((lp.cold_solves, lp.warm_fallbacks), (1, 1), "{lp:?}");
@@ -1333,7 +1320,7 @@ mod more_tests {
         let opts = RobustOptions::default();
         let first = inst_at(1);
         for kind in [AdversaryKind::FfcTunnelCount, AdversaryKind::LinkBased] {
-            let (_, pool) = try_solve_robust_seeded(&first, &fm, kind, &opts, None).unwrap();
+            let (_, pool) = try_solve_robust(&first, &fm, kind, &opts, None).unwrap();
             assert!(pool.matches(&first) && !pool.is_empty());
             let mut refused = 0;
             for seed in 2..=5 {
@@ -1342,9 +1329,8 @@ mod more_tests {
                     (inst.num_pairs(), inst.num_tunnels()),
                     (first.num_pairs(), first.num_tunnels())
                 );
-                let cold = try_solve_robust(&inst, &fm, kind, &opts).unwrap();
-                let (warm, _) =
-                    try_solve_robust_seeded(&inst, &fm, kind, &opts, Some(&pool)).unwrap();
+                let (cold, _) = try_solve_robust(&inst, &fm, kind, &opts, None).unwrap();
+                let (warm, _) = try_solve_robust(&inst, &fm, kind, &opts, Some(&pool)).unwrap();
                 assert!(
                     (warm.objective - cold.objective).abs() <= 1e-9,
                     "{kind:?} seed {seed}: seeded {} vs cold {}",

@@ -14,7 +14,7 @@
 use crate::failure::FailureModel;
 use crate::instance::{Instance, InstanceBuilder};
 use crate::robust::{
-    solve_robust, try_solve_robust_seeded, AdversaryKind, CutPool, RobustError, RobustOptions,
+    solve_robust, try_solve_robust, AdversaryKind, CutPool, RobustError, RobustOptions,
     RobustSolution,
 };
 use pcf_topology::Topology;
@@ -49,7 +49,7 @@ pub fn solve_pcf_ls(inst: &Instance, fm: &FailureModel, opts: &RobustOptions) ->
 }
 
 /// [`solve_ffc`] with a [`CutPool`] warm start (see
-/// [`try_solve_robust_seeded`]): seed with a previous epoch's pool and get
+/// [`try_solve_robust`]): seed with a previous epoch's pool and get
 /// back the pool for the next one.
 ///
 /// # Panics
@@ -60,7 +60,7 @@ pub fn solve_ffc_seeded(
     opts: &RobustOptions,
     seed: Option<&CutPool>,
 ) -> Result<(RobustSolution, CutPool), RobustError> {
-    try_solve_robust_seeded(inst, fm, AdversaryKind::FfcTunnelCount, opts, seed)
+    try_solve_robust(inst, fm, AdversaryKind::FfcTunnelCount, opts, seed)
 }
 
 /// [`solve_pcf_tf`] with a [`CutPool`] warm start.
@@ -78,7 +78,7 @@ pub fn solve_pcf_tf_seeded(
         0,
         "PCF-TF is the tunnel-only model; build LSs with solve_pcf_ls"
     );
-    try_solve_robust_seeded(inst, fm, AdversaryKind::LinkBased, opts, seed)
+    try_solve_robust(inst, fm, AdversaryKind::LinkBased, opts, seed)
 }
 
 /// [`solve_pcf_ls`] with a [`CutPool`] warm start.
@@ -88,7 +88,7 @@ pub fn solve_pcf_ls_seeded(
     opts: &RobustOptions,
     seed: Option<&CutPool>,
 ) -> Result<(RobustSolution, CutPool), RobustError> {
-    try_solve_robust_seeded(inst, fm, AdversaryKind::LinkBased, opts, seed)
+    try_solve_robust(inst, fm, AdversaryKind::LinkBased, opts, seed)
 }
 
 /// Builds a pure-tunnel instance (FFC / PCF-TF) with `k` tunnels per demand

@@ -18,7 +18,7 @@
 //! Used heavily by the integration and property tests; also useful as an
 //! operator-facing audit tool.
 
-use crate::degrade::exceeds_capacity;
+use crate::degrade::{exceeds_capacity, CAPACITY_FLOOR};
 use crate::failure::{FailureModel, Scenario};
 use crate::instance::Instance;
 use crate::realize::{degraded_reservations, realize_routing, FailureState, RealizeError};
@@ -190,7 +190,7 @@ impl ValidationReport {
         let mut worst = 0.0f64;
         for v in &self.violations {
             if let ViolationKind::Overload { load, capacity, .. } = v.kind {
-                worst = worst.max(load / capacity.max(1e-12) - 1.0);
+                worst = worst.max(load / capacity.max(CAPACITY_FLOOR) - 1.0);
             }
         }
         worst
@@ -271,7 +271,8 @@ pub fn validate_scenarios(
                             capacity: cap,
                         }));
                     }
-                    arc_peak[arc.index()] = arc_peak[arc.index()].max(load / cap.max(1e-12));
+                    arc_peak[arc.index()] =
+                        arc_peak[arc.index()].max(load / cap.max(CAPACITY_FLOOR));
                 }
             }
         }

@@ -1,10 +1,9 @@
-//! Float comparison helpers — the one module allowed to compare floats.
+//! Float comparison helpers.
 //!
-//! The `float-discipline` lint (see `pcf-audit` and DESIGN.md §9) forbids
-//! `==`/`!=` against float literals and bare `partial_cmp` everywhere in
-//! library code *except* here. Solver code that needs to test a
-//! coefficient for zero, compare against a stored value, or order floats
-//! goes through these helpers so the intent (exact sparsity test vs
+//! The workspace lint policy (DESIGN.md §9) denies `clippy::float_cmp`
+//! and bans `.partial_cmp(` in library code. Solver code that needs to
+//! test a coefficient for zero, compare against a stored value, or order
+//! floats goes through these helpers so the intent (exact sparsity test vs
 //! tolerance test vs total order) is explicit at the call site and NaN
 //! can never panic a sort or silently flip a branch.
 //!
@@ -15,8 +14,9 @@
 //!   coefficient participates in a pivot column or a nonzero pattern.
 //!   These must stay exact: a value like `1e-300` is a real nonzero that
 //!   the basis updates must track, and rounding it away corrupts the
-//!   factorization. The helpers centralize the comparison so the audit
-//!   lint can verify nothing else in the workspace does it ad hoc.
+//!   factorization. `clippy::float_cmp` exempts comparisons with zero,
+//!   so routing them through these helpers is a convention the lints
+//!   do not check.
 //! * **Tolerance tests** ([`approx_eq`], [`approx_zero`]) compare within
 //!   an absolute epsilon, for feasibility/optimality checks where values
 //!   carry accumulated rounding error.
@@ -52,7 +52,6 @@ pub const BLAND_AFTER: usize = 2000;
 /// the module docs. `-0.0` counts as zero.
 #[inline(always)]
 pub fn is_zero(x: f64) -> bool {
-    // audit:allow(float-discipline, the epsilon module is the one place exact float tests live)
     x == 0.0
 }
 

@@ -17,8 +17,22 @@
 //!   (Props. 5–7);
 //! * [`linsys`] — dense Gaussian elimination, the reference tests hold the
 //!   sparse factorization against;
-//! * [`float`] — the workspace's approved float-comparison helpers (the
-//!   only module the `float-discipline` audit lint exempts).
+//! * [`float`] — the workspace's float-comparison helpers: exact sparsity
+//!   tests, tolerance tests, and the solver's named tolerances.
+
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod float;
 pub mod incremental;

@@ -370,7 +370,7 @@ impl Tableau {
                     (rc, -1.0)
                 }
             }
-            // audit:allow(no-panic-paths, pricing scans only nonbasic columns; Basic is filtered above)
+            #[expect(clippy::unreachable, reason = "pricing skips basic columns")]
             VarState::Basic(_) => unreachable!(),
         };
         Some((rc, dir, viol))
@@ -590,7 +590,7 @@ impl Tableau {
                         VarState::AtLower => self.lower[jin] + t,
                         VarState::AtUpper => self.upper[jin] - t,
                         VarState::FreeZero => dir * t,
-                        // audit:allow(no-panic-paths, the entering column is nonbasic by construction)
+                        #[expect(clippy::unreachable, reason = "the entering column is nonbasic")]
                         VarState::Basic(_) => unreachable!(),
                     };
                     let jout = self.basis[r];

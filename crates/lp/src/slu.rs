@@ -354,7 +354,7 @@ impl Active {
     /// active columns (ascending column order), and applies the rank-one
     /// update to every affected column. Returns `(l_entries, u_entries)`
     /// with original row / column indices.
-    #[allow(clippy::type_complexity)]
+    #[expect(clippy::type_complexity, reason = "used once; a name adds nothing")]
     fn eliminate(&mut self, jcol: usize, p: usize, piv: f64) -> (Vec<(u32, f64)>, Vec<(u32, f64)>) {
         // L multipliers from the pivot column (exact zeros dropped: they
         // are no-ops both as updates and in later solves).

@@ -10,6 +10,20 @@
 //! * [`widest_path`] — maximum-bottleneck path over an arbitrary weighted
 //!   digraph, used to decompose logical flows into logical sequences (§3.5).
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use pcf_topology::{ArcId, LinkId, NodeId, Topology};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -30,8 +44,8 @@ impl Path {
     /// # Panics
     /// Panics on a malformed empty path; every constructor in this crate
     /// produces at least one node.
+    #[expect(clippy::expect_used, reason = "constructors yield non-empty paths")]
     pub fn source(&self) -> NodeId {
-        // audit:allow(no-panic-paths, documented contract; all constructors yield non-empty node lists)
         *self.nodes.first().expect("path has at least one node")
     }
 
@@ -40,8 +54,8 @@ impl Path {
     /// # Panics
     /// Panics on a malformed empty path; every constructor in this crate
     /// produces at least one node.
+    #[expect(clippy::expect_used, reason = "constructors yield non-empty paths")]
     pub fn dest(&self) -> NodeId {
-        // audit:allow(no-panic-paths, documented contract; all constructors yield non-empty node lists)
         *self.nodes.last().expect("path has at least one node")
     }
 

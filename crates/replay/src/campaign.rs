@@ -24,7 +24,9 @@
 use crate::engine::ReplayEngine;
 use crate::report::EventStage;
 use crate::trace::{EventKind, LinkEvent};
-use pcf_core::{availability_under, degraded_reservations, DegradeMode, FailureState, Instance};
+use pcf_core::{
+    availability_under, degraded_reservations, DegradeMode, FailureState, Instance, OVERLOAD_TOL,
+};
 use pcf_rng::Fnv1a;
 use pcf_topology::LinkId;
 
@@ -67,7 +69,7 @@ impl Default for CampaignOptions {
             groups: Vec::new(),
             degrade_permille: 500,
             max_down: 2,
-            tol: 1e-6,
+            tol: OVERLOAD_TOL,
         }
     }
 }

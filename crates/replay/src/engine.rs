@@ -621,7 +621,7 @@ pub(crate) mod tests {
 
     /// Every field of a realization, floats as bits: two results are the
     /// same realization iff these are equal.
-    #[allow(clippy::type_complexity)]
+    #[expect(clippy::type_complexity, reason = "used once; a name adds nothing")]
     pub(crate) fn routing_bits(
         r: &Result<Routing, RealizeError>,
     ) -> Result<(Vec<PairId>, [Vec<u64>; 3], usize), RealizeError> {

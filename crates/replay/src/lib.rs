@@ -33,6 +33,20 @@
 //! replays are bit-identical; the property tests in this crate hold the
 //! engine to that.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod campaign;
 pub mod engine;
 pub mod inject;

@@ -12,9 +12,9 @@
 
 use crate::engine::{CacheStats, DegradeStats, ReplayEngine};
 use crate::trace::EventTrace;
-use pcf_core::{exceeds_capacity, DegradeMode, Instance, LadderStage, ViolationKind};
+use pcf_core::{exceeds_capacity, DegradeMode, Instance, LadderStage, ViolationKind, OVERLOAD_TOL};
 use pcf_rng::Fnv1a;
-// audit:allow(no-wallclock-in-solver, the latency histogram is measurement output and never feeds routing decisions)
+#[expect(clippy::disallowed_types, reason = "latency histogram only")]
 use std::time::Instant;
 
 /// Options for [`replay_trace`] / [`replay_batch`].
@@ -39,7 +39,7 @@ pub struct ReplayOptions {
 impl Default for ReplayOptions {
     fn default() -> Self {
         ReplayOptions {
-            tol: 1e-6,
+            tol: OVERLOAD_TOL,
             cache_capacity: 1024,
             threads: 0,
             degrade: DegradeMode::Off,
@@ -388,7 +388,7 @@ fn replay_indexed(
             }
             continue;
         }
-        // audit:allow(no-wallclock-in-solver, timing wraps the realization call; the result is unaffected)
+        #[expect(clippy::disallowed_types, reason = "latency histogram only")]
         let t0 = Instant::now();
         let realized = engine.realize_degraded();
         latency.record(t0.elapsed().as_nanos() as u64);
@@ -495,9 +495,9 @@ pub fn replay_batch(
             });
         }
     });
+    #[expect(clippy::expect_used, reason = "the joined scope filled every slot")]
     let reports: Vec<ReplayReport> = out
         .into_iter()
-        // audit:allow(no-panic-paths, chunks_mut covers every slot and the scope joins before reads)
         .map(|r| r.expect("every trace replayed"))
         .collect();
     ReplayReport::merge(&reports)

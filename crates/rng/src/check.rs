@@ -77,6 +77,7 @@ pub fn no_shrink<T>(_: &T) -> Vec<T> {
 ///
 /// # Panics
 /// Panics iff the property fails on some generated input.
+#[expect(clippy::panic, reason = "a failing property panics by design")]
 pub fn forall<T: std::fmt::Debug>(
     name: &str,
     cfg: &Config,
@@ -112,7 +113,6 @@ pub fn forall<T: std::fmt::Debug>(
             break; // no candidate still fails: local minimum
         }
 
-        // audit:allow(no-panic-paths, panicking with the shrunk counterexample is this harness's entire job)
         panic!(
             "property {name:?} failed (case {case}/{total}, seed {case_seed:#x}):\n  \
              input: {best:?}\n  error: {best_err}",

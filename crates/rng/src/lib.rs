@@ -17,6 +17,20 @@
 //! Everything is deterministic: the same seed always produces the same
 //! stream on every platform, so failures reproduce bit-for-bit.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod check;
 
 pub use check::{forall, no_shrink, Config};

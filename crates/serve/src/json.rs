@@ -132,12 +132,12 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer, if it is one (within the f64
-    /// exactly-representable range).
+    /// The value as a non-negative integer, if it is one below 2^53. Every
+    /// such integer has its own f64; 2^53 does not, since 2^53 + 1 rounds
+    /// to it.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            // audit:allow(float-discipline, exact integrality test: fract() of an integral f64 is exactly 0.0 by IEEE-754, no epsilon applies)
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9_007_199_254_740_992.0 => {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 9_007_199_254_740_992.0 => {
                 Some(*n as u64)
             }
             _ => None,

@@ -25,6 +25,20 @@
 //! Everything is safe Rust on `std` alone: no async runtime, no serde,
 //! no external crates.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod client;
 pub mod json;
 pub mod log;

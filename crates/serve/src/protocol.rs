@@ -384,6 +384,24 @@ mod tests {
         );
     }
 
+    /// JSON numbers are f64s, whose integers are exact only below 2^53:
+    /// 2^53 + 1 parses as 2^53, so accepting 2^53 would read two seeds
+    /// (or two generations) as one.
+    #[test]
+    fn integers_from_two_to_the_53_are_rejected() {
+        let err = parse_request(r#"{"cmd":"update","seed":9007199254740993}"#).unwrap_err();
+        assert!(err.contains("seed"), "{err}");
+        let err = parse_request(r#"{"cmd":"wait","gen":9007199254740992}"#).unwrap_err();
+        assert!(err.contains("gen"), "{err}");
+        assert_eq!(
+            parse_request(r#"{"cmd":"update","seed":9007199254740991}"#),
+            Ok(Request::Update {
+                scale: None,
+                seed: Some(9_007_199_254_740_991)
+            })
+        );
+    }
+
     #[test]
     fn error_responses_are_parseable_json() {
         let resp = error_response("bad \"thing\"\nhappened");

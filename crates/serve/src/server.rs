@@ -826,6 +826,7 @@ fn reset_engine(epoch: &PlanEpoch, engine: &mut ReplayEngine<'_>) -> Result<(), 
                 kind: EventKind::Degrade { permille: 1000 },
             })?;
         }
+        #[expect(clippy::float_cmp, reason = "1000-permille factors restore exactly")]
         if engine.capacity(l) != topo.capacity(l) {
             engine.apply(&LinkEvent {
                 link: l,

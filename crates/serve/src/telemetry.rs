@@ -18,7 +18,7 @@
 //! duplicate a realization, shifting a hit to a miss without changing
 //! any answer). The deterministic form is what CI byte-compares.
 
-// audit:allow(no-wallclock-in-solver, latency telemetry is measurement output and never feeds routing or admission decisions)
+#[expect(clippy::disallowed_types, reason = "latency telemetry only")]
 use std::time::Instant;
 
 use pcf_replay::CacheStats;
@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// A started latency measurement (thin wrapper so wall-clock reads stay
 /// confined to this module).
 pub struct Stopwatch {
-    // audit:allow(no-wallclock-in-solver, measurement only; see module doc)
+    #[expect(clippy::disallowed_types, reason = "latency telemetry only")]
     t0: Instant,
 }
 
@@ -35,7 +35,7 @@ impl Stopwatch {
     /// Starts timing.
     pub fn start() -> Stopwatch {
         Stopwatch {
-            // audit:allow(no-wallclock-in-solver, measurement only; see module doc)
+            #[expect(clippy::disallowed_types, reason = "latency telemetry only")]
             t0: Instant::now(),
         }
     }

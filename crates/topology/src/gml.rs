@@ -18,7 +18,7 @@
 //! normalised to Gbps.
 
 use crate::graph::{NodeId, Topology};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Error raised by [`parse_gml`].
@@ -241,7 +241,7 @@ pub fn parse_gml(src: &str) -> Result<Topology, GmlError> {
     }
 
     let mut topo = Topology::new(name);
-    let mut id_map: HashMap<i64, NodeId> = HashMap::new();
+    let mut id_map: BTreeMap<i64, NodeId> = BTreeMap::new();
     for (id, label) in nodes {
         let nid = topo.add_node(label);
         id_map.insert(id, nid);

@@ -114,13 +114,13 @@ impl Link {
     ///
     /// # Panics
     /// Panics if `n` is not an endpoint of the link.
+    #[expect(clippy::panic, reason = "documented; callers pass this link's ends")]
     pub fn other(&self, n: NodeId) -> NodeId {
         if n == self.u {
             self.v
         } else if n == self.v {
             self.u
         } else {
-            // audit:allow(no-panic-paths, documented contract; callers pass endpoints read from this link's own adjacency)
             panic!("node {n} is not an endpoint of link {self:?}");
         }
     }
@@ -305,6 +305,7 @@ impl Topology {
     ///
     /// # Panics
     /// Panics if `from` is not an endpoint of `l`.
+    #[expect(clippy::panic, reason = "documented; callers pass this link's ends")]
     pub fn arc_from(&self, l: LinkId, from: NodeId) -> ArcId {
         let link = self.link(l);
         if from == link.u {
@@ -312,7 +313,6 @@ impl Topology {
         } else if from == link.v {
             l.backward()
         } else {
-            // audit:allow(no-panic-paths, documented contract; routing callers pass link-node pairs read from this topology's own adjacency)
             panic!("node {from} is not an endpoint of link {l}");
         }
     }
@@ -410,7 +410,7 @@ impl Topology {
                     if let Some(&(p, _, _)) = stack.last() {
                         low[p.index()] = low[p.index()].min(low[u.index()]);
                         if low[u.index()] > disc[p.index()] {
-                            // audit:allow(no-panic-paths, Tarjan invariant; a frame with a predecessor on the stack was pushed with its entering link)
+                            #[expect(clippy::expect_used, reason = "non-root frames have parents")]
                             bridges.push(parent.expect("non-root frame has a parent link"));
                         }
                     }

@@ -12,6 +12,20 @@
 //! * [`transform`] — the paper's preprocessing steps (recursive degree-one
 //!   pruning, sub-link splitting for multi-failure experiments).
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod gml;
 pub mod graph;
 pub mod srlg;

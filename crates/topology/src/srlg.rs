@@ -252,7 +252,7 @@ mod tests {
         let b = SrlgSet::synthetic(&t, 3, 4, 11);
         assert_eq!(a, b);
         assert_eq!(a.len(), 4);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for g in &a.groups {
             assert!(!g.links.is_empty() && g.links.len() <= 3);
             for l in &g.links {

@@ -86,8 +86,8 @@ pub fn try_build(name: &str) -> Option<Topology> {
 /// # Panics
 /// Panics if `name` is not one of [`TABLE3`] or [`EXTRAS`]; use
 /// [`try_build`] when the name is untrusted.
+#[expect(clippy::panic, reason = "documented; untrusted names use try_build")]
 pub fn build(name: &str) -> Topology {
-    // audit:allow(no-panic-paths, documented contract; fallible path is try_build, and every in-tree caller passes a literal table name)
     try_build(name).unwrap_or_else(|| panic!("unknown zoo topology {name:?}"))
 }
 
@@ -118,7 +118,7 @@ pub fn synthetic(name: &str, n: usize, m: usize) -> Topology {
     let nodes: Vec<_> = (0..n)
         .map(|i| topo.add_node(format!("{name}-{i}")))
         .collect();
-    let mut have = std::collections::HashSet::new();
+    let mut have = std::collections::BTreeSet::new();
     let cap = |rng: &mut Pcg32| {
         // Mild preference for thin links, as in real WAN inventories.
         let r: f64 = rng.f64();

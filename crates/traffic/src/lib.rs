@@ -9,6 +9,20 @@
 //! MLU normalisation itself needs an optimal concurrent-flow solve and
 //! therefore lives in `pcf-core::scale`.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use pcf_rng::Pcg32;
 use pcf_topology::{NodeId, Topology};
 

@@ -9,6 +9,8 @@
 //!
 //! Run with `cargo run --release --example failure_replay`.
 
+#![allow(clippy::disallowed_types, reason = "times cold vs cached replay")]
+
 use pcf_core::{pcf_ls_instance, solve_pcf_ls, DegradeMode, FailureModel, RobustOptions};
 use pcf_replay::{replay_trace, EventTrace, FaultInjector, ReplayOptions};
 use pcf_topology::zoo;
