@@ -1,7 +1,7 @@
 //! Float comparison helpers.
 //!
 //! The workspace lint policy (DESIGN.md §9) denies `clippy::float_cmp`
-//! and bans `.partial_cmp(` in library code. Solver code that needs to
+//! and bans `partial_cmp` calls in library code. Solver code that needs to
 //! test a coefficient for zero, compare against a stored value, or order
 //! floats goes through these helpers so the intent (exact sparsity test vs
 //! tolerance test vs total order) is explicit at the call site and NaN

@@ -27,6 +27,7 @@
         clippy::todo,
         clippy::unimplemented,
         clippy::float_cmp,
+        clippy::allow_attributes,
         clippy::allow_attributes_without_reason
     )
 )]
