@@ -121,8 +121,15 @@ pub struct LpProblem {
     pub(crate) lower: Vec<f64>,
     pub(crate) upper: Vec<f64>,
     pub(crate) rows: Vec<Row>,
+    /// Per variable, its position in the row [`LpProblem::add_row`] is
+    /// building, [`NOT_IN_ROW`] otherwise: duplicates are found without a
+    /// per-row map, and every entry is reset before the call returns.
+    row_slot: Vec<usize>,
     options: SimplexOptions,
 }
+
+/// [`LpProblem::row_slot`] of a variable absent from the row being built.
+const NOT_IN_ROW: usize = usize::MAX;
 
 impl LpProblem {
     /// Creates an empty problem optimizing in the given sense.
@@ -133,6 +140,7 @@ impl LpProblem {
             lower: Vec::new(),
             upper: Vec::new(),
             rows: Vec::new(),
+            row_slot: Vec::new(),
             options: SimplexOptions::default(),
         }
     }
@@ -161,6 +169,7 @@ impl LpProblem {
         self.obj.push(obj);
         self.lower.push(lower);
         self.upper.push(upper);
+        self.row_slot.push(NOT_IN_ROW);
         id
     }
 
@@ -187,8 +196,12 @@ impl LpProblem {
 
     /// Adds a range constraint `lower <= expr <= upper`.
     ///
-    /// Duplicate variable mentions are summed. Rows with `lower = -inf` and
-    /// `upper = +inf` are accepted (and vacuous).
+    /// The row keeps its variables in first-mention order. Exact-zero
+    /// coefficients are dropped; a variable's later mentions are added to
+    /// its first in input order (a sum that cancels to zero stays an
+    /// entry). The simplex sums row activities in this order, so it is part
+    /// of the model. Rows with `lower = -inf` and `upper = +inf` are
+    /// accepted (and vacuous).
     ///
     /// # Panics
     /// Panics if a referenced variable does not exist, a coefficient is not
@@ -201,23 +214,24 @@ impl LpProblem {
     ) -> RowId {
         assert!(!lower.is_nan() && !upper.is_nan(), "NaN row bound");
         assert!(lower <= upper, "empty row range [{lower}, {upper}]");
-        // Accumulate duplicates (index-keyed so large rows stay O(k)).
-        let mut acc: Vec<(usize, f64)> = Vec::new();
-        let mut slot_of: std::collections::BTreeMap<usize, usize> =
-            std::collections::BTreeMap::new();
+        let coeffs = coeffs.into_iter();
+        let mut acc: Vec<(usize, f64)> = Vec::with_capacity(coeffs.size_hint().0);
         for (v, c) in coeffs {
             assert!(v.0 < self.obj.len(), "row references unknown variable");
             assert!(c.is_finite(), "row coefficient must be finite");
             if crate::float::is_zero(c) {
                 continue;
             }
-            match slot_of.entry(v.0) {
-                std::collections::btree_map::Entry::Occupied(e) => acc[*e.get()].1 += c,
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(acc.len());
+            match self.row_slot[v.0] {
+                NOT_IN_ROW => {
+                    self.row_slot[v.0] = acc.len();
                     acc.push((v.0, c));
                 }
+                slot => acc[slot].1 += c,
             }
+        }
+        for &(j, _) in &acc {
+            self.row_slot[j] = NOT_IN_ROW;
         }
         let id = RowId(self.rows.len());
         self.rows.push(Row {
@@ -265,3 +279,45 @@ impl fmt::Display for SolveError {
 }
 
 impl std::error::Error for SolveError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Row coefficients as `(column, value bits)`, for exact comparison.
+    fn row_bits(lp: &LpProblem, r: RowId) -> Vec<(usize, u64)> {
+        let row = &lp.rows[r.0];
+        row.coeffs.iter().map(|&(j, a)| (j, a.to_bits())).collect()
+    }
+
+    #[test]
+    fn add_row_sums_duplicates_in_input_order_and_keeps_first_mentions() {
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let v: Vec<VarId> = (0..4).map(|_| lp.add_nonneg(0.0)).collect();
+        // (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit,
+        // so only the input-order sum passes.
+        let r = lp.add_row(
+            vec![
+                (v[2], 0.1),
+                (v[0], 0.0),
+                (v[1], 1.0),
+                (v[2], 0.2),
+                (v[3], 2.0),
+                (v[0], -0.0),
+                (v[3], -2.0),
+                (v[2], 0.3),
+            ],
+            0.0,
+            1.0,
+        );
+        assert_ne!((0.1 + 0.2) + 0.3, 0.1 + (0.2 + 0.3));
+        let want: [(usize, f64); 3] = [(2, (0.1 + 0.2) + 0.3), (1, 1.0), (3, 0.0)];
+        let want: Vec<(usize, u64)> = want.iter().map(|&(j, a)| (j, a.to_bits())).collect();
+        // Exact zeros are dropped (v0); a sum that cancels stays (v3).
+        assert_eq!(row_bits(&lp, r), want);
+        // The duplicate scan leaves nothing behind for the next row.
+        let r2 = lp.add_row(vec![(v[3], 1.0), (v[2], 1.0), (v[0], 1.0)], 0.0, 1.0);
+        let one = 1.0f64.to_bits();
+        assert_eq!(row_bits(&lp, r2), vec![(3, one), (2, one), (0, one)]);
+    }
+}
