@@ -629,15 +629,15 @@ fn robust_options(args: &Args) -> Result<RobustOptions, ArgError> {
     })
 }
 
-/// The `solve --json` report: the headline numbers plus the LP-layer
-/// counters of the master.
+/// The `solve --json` report: the headline numbers, the separation LPs
+/// and their pivots, and the LP-layer counters of the master.
 fn solve_json(topo: &Topology, inst: &Instance, sol: &RobustSolution, scheme: &str) -> String {
     let lp = sol.lp_stats;
     format!(
         "{{\n  \"scheme\": \"{scheme}\",\n  \"topology\": \"{}\",\n  \"nodes\": {},\n  \
          \"links\": {},\n  \"pairs\": {},\n  \"tunnels\": {},\n  \"logical_sequences\": {},\n  \
          \"objective\": {:.9},\n  \"rounds\": {},\n  \"cuts\": {},\n  \"warm_rounds\": {},\n  \
-         \"cold_solves\": {},\n  \"warm_solves\": {},\n  \"warm_fallbacks\": {},\n  \
+         \"separation_lps\": {},\n  \"separation_pivots\": {},\n  \"cold_solves\": {},\n  \"warm_solves\": {},\n  \"warm_fallbacks\": {},\n  \
          \"phase1_iterations\": {},\n  \"primal_iterations\": {},\n  \"dual_iterations\": {},\n  \
          \"refactors\": {},\n  \"update_entries\": {},\n  \"refactor_peeled\": {},\n  \
          \"refactor_bump\": {}\n}}\n",
@@ -651,6 +651,8 @@ fn solve_json(topo: &Topology, inst: &Instance, sol: &RobustSolution, scheme: &s
         sol.rounds,
         sol.cuts,
         sol.warm_rounds,
+        sol.separation_lps,
+        sol.separation_pivots,
         lp.cold_solves,
         lp.warm_solves,
         lp.warm_fallbacks,
