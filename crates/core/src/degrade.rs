@@ -136,6 +136,11 @@ pub fn peak_utilization(inst: &Instance, routing: &Routing, caps: &[f64]) -> f64
 /// the CLI's `validate` pass to [`exceeds_capacity`].
 pub const OVERLOAD_TOL: f64 = 1e-6;
 
+/// Weight of the residual-throughput tie-break in the degradation LP,
+/// divided by `1 + Σ served` so the whole term stays far below any
+/// meaningful move of the served fraction θ.
+const FLOW_TIE_BREAK: f64 = 1e-7;
+
 /// The least capacity a utilization ratio divides by, so a zero-capacity
 /// arc reads as a huge ratio instead of a division by zero.
 pub const CAPACITY_FLOOR: f64 = 1e-12;
@@ -305,7 +310,7 @@ fn shed_stage(
     // θ first; residual throughput only as a tie-break far below any
     // meaningful θ movement.
     let theta = lp.add_var(0.0, 1.0, 1.0);
-    let flow_weight = 1e-7 / (1.0 + total);
+    let flow_weight = FLOW_TIE_BREAK / (1.0 + total);
     let mut arc_terms: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); topo.arc_count()];
     // (pair, its tunnel-flow vars); deterministic instance order.
     let mut demand_vars: Vec<(PairId, Vec<(VarId, crate::instance::TunnelId)>)> = Vec::new();

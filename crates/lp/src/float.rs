@@ -27,8 +27,10 @@
 //! `partial_cmp(..).unwrap()` can.
 //!
 //! The simplex's own tolerances ([`FEAS_TOL`], [`OPT_TOL`], [`PIVOT_TOL`],
-//! [`RATIO_TIE_TOL`], [`DEGENERATE_STEP`], [`BLAND_AFTER`]) are named
-//! constants here rather than options: no caller ever varied them.
+//! [`RATIO_TIE_TOL`], [`DEGENERATE_STEP`], [`BLAND_AFTER`],
+//! [`RESULT_INFEAS_TOL`], [`PHASE1_INFEAS_TOL`]) and the dense LU's
+//! [`SINGULAR_PIVOT`] are named constants here rather than options: no
+//! caller ever varied them.
 
 /// Primal feasibility / bound tolerance of the simplex loops.
 pub const FEAS_TOL: f64 = 1e-7;
@@ -45,6 +47,15 @@ pub const DEGENERATE_STEP: f64 = 1e-10;
 /// Consecutive degenerate primal pivots before pricing falls back from
 /// devex to Bland's rule, which guarantees termination.
 pub const BLAND_AFTER: usize = 2000;
+/// Total bound violation of the basics above which an "optimal" simplex
+/// result is reported as [`Status::IterationLimit`](crate::Status) instead.
+pub const RESULT_INFEAS_TOL: f64 = 1e-5;
+/// Floor of the phase-1 artificial sum (with [`FEAS_TOL`]) above which a
+/// cold solve declares the model infeasible.
+pub const PHASE1_INFEAS_TOL: f64 = 1e-6;
+/// Largest remaining pivot magnitude below which the partial-pivoting LUs
+/// (the dense reference and its sparse replica) call a matrix singular.
+pub const SINGULAR_PIVOT: f64 = 1e-13;
 
 /// Exact sparsity test: is `x` (plus or minus) zero?
 ///

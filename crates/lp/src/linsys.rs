@@ -105,7 +105,7 @@ pub fn lu_factor(m: &DenseMatrix) -> Result<LuFactors, LinSysError> {
                 p = r;
             }
         }
-        if best < 1e-13 {
+        if best < crate::float::SINGULAR_PIVOT {
             return Err(LinSysError::Singular);
         }
         piv[col] = p;

@@ -63,7 +63,7 @@
 //! order and `BTreeSet`s in index order — no hash maps — so factorization
 //! and solves are deterministic.
 
-use crate::float::{is_zero, nonzero};
+use crate::float::{is_zero, nonzero, SINGULAR_PIVOT};
 use crate::linsys::{DenseMatrix, LinSysError};
 use crate::sparse::CscMatrix;
 use std::collections::{BTreeSet, VecDeque};
@@ -463,7 +463,7 @@ fn factor_partial_pivot(n: usize, cols: Vec<Vec<(u32, f64)>>) -> Result<SparseLu
                 p_pos = pos;
             }
         }
-        if best < 1e-13 {
+        if best < SINGULAR_PIVOT {
             return Err(LinSysError::Singular);
         }
         phys.swap(k, p_pos);
