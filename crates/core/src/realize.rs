@@ -3,28 +3,38 @@
 //! The offline models decide reservations; this module turns a solved
 //! allocation plus a *concrete* failure into the actual routing:
 //!
-//! * [`FailureState`] — which tunnels are alive and which LSs are active;
+//! * [`FailureState`] — which tunnels are alive (cleared through
+//!   [`Instance::tunnels_on_link`] for each dead link) and which LSs are
+//!   active;
 //! * [`reservation_matrix`] — the matrix `M` over the pairs of interest
 //!   (Proposition 5: an invertible M-matrix), densified for tests and
 //!   probes; a realization assembles it straight into one flat CSC
 //!   (column starts plus `(row, value)` entries, rows ascending, an LS
 //!   term landing on an occupied cell added to it in emission order) and
 //!   never densifies it;
-//! * [`realize_routing`] — solves `M × U = D` (one linear system, not an
-//!   LP) and expands reservations into per-arc loads (Proposition 6): the
-//!   one realization entry point, whose finished [`Routing`] `pcf-replay`
-//!   caches per liveness signature. Pair selection over the instance's
-//!   interned segment pairs, assembly and factorization are O(nnz) in a
-//!   fixed number of allocations; the solve runs in place into the buffer
-//!   that becomes [`Routing::u`], and the expansion into loads reads the
-//!   arcs [`Instance::tunnel_arcs`] interned at build (tests hold those
-//!   sums, bit for bit, to a hop-by-hop walk of each tunnel's `Path`). The
-//!   factorization is triangular first
-//!   (`SparseLu::factor_columns`): when the live LSs sort topologically
-//!   `M` is a permuted triangular matrix, the factors *are* that
-//!   permutation and the solve *is* Proposition 7's walk written as
-//!   substitution ([`Routing::bump`] `== 0`); only the pairs inside an LS
-//!   cycle pay for elimination;
+//! * [`Realizer`] — solves `M × U = D` (one linear system, not an LP) and
+//!   expands reservations into per-arc loads (Proposition 6): the one
+//!   realization path, whose finished [`Routing`] `pcf-replay` caches per
+//!   liveness signature; [`realize_routing`] is one call of a fresh one.
+//!   The factorization is triangular first (`SparseLu::factor_columns`):
+//!   when the live LSs sort topologically `M` is a permuted triangular
+//!   matrix, the factors *are* that permutation and the solve *is*
+//!   Proposition 7's walk written as substitution ([`Routing::bump`]
+//!   `== 0`); only the pairs inside an LS cycle pay for elimination. A
+//!   realizer splits the work in two. A **pattern** — pair selection over
+//!   the instance's interned segment pairs, `M`'s flat CSC and the
+//!   singleton peel's pivot order ([`pcf_lp::PeelOrder`]) — depends only
+//!   on which LSs are active and which pairs the live filter keeps, and is
+//!   built once for all the states that agree on both. Each state then
+//!   pays a **numeric replay**: its diagonals (a failure changes nothing
+//!   else in `M`) and the substitution the factorization would have run,
+//!   the same floating-point operations in the same order. A pattern with
+//!   a bump (cyclic LS sets) records no order, and its states are factored
+//!   by Markowitz elimination each time. The solve runs in place into the
+//!   buffer that becomes [`Routing::u`], and the expansion into loads reads
+//!   the arcs [`Instance::tunnel_arcs`] interned at build (tests hold those
+//!   sums, bit for bit, to a hop-by-hop walk of each tunnel's `Path`, and
+//!   every realizer result to the per-state chain it replaced);
 //! * [`proportional_routing`] — Proposition 7's walk written out, the
 //!   distributed alternative for topologically sorted LSs, identical to
 //!   FFC's local rescaling (tests hold [`realize_routing`] to it);
@@ -32,7 +42,8 @@
 //!   the PCF-CLS-TopSort pruning heuristic (§5.2).
 
 use crate::instance::{Instance, LogicalSequence, LsId, PairId, TunnelId};
-use pcf_lp::{DenseMatrix, SparseLu};
+use pcf_lp::{DenseMatrix, PeelOrder, SparseLu};
+use pcf_topology::LinkId;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Which tunnels are alive and which LSs are active under a concrete
@@ -62,10 +73,12 @@ impl FailureState {
                 got: dead.len(),
             });
         }
-        let tunnel_alive = inst
-            .tunnel_ids()
-            .map(|l| inst.tunnel(l).links.iter().all(|e| !dead[e.index()]))
-            .collect();
+        let mut tunnel_alive = vec![true; inst.num_tunnels()];
+        for (e, _) in dead.iter().enumerate().filter(|&(_, &d)| d) {
+            for &l in inst.tunnels_on_link(LinkId(e as u32)) {
+                tunnel_alive[l.0] = false;
+            }
+        }
         let ls_active = inst
             .ls_ids()
             .map(|q| inst.ls(q).condition.holds(dead))
@@ -274,14 +287,7 @@ fn for_each_reservation(
         position[p.0] = i;
     }
     for (i, &p) in pairs.iter().enumerate() {
-        let mut diag = 0.0;
-        for l in state.live_tunnels(inst, p) {
-            diag += a[l.0];
-        }
-        for q in state.active_lss(inst, p) {
-            diag += b[q.0];
-        }
-        add(i, i, diag);
+        add(i, i, diagonal(inst, state, a, b, p));
         for q in state.active_segments(inst, p) {
             let j = position[inst.ls_pair(q).0];
             if b[q.0] > 0.0 && j != ABSENT && j != i {
@@ -289,6 +295,19 @@ fn for_each_reservation(
             }
         }
     }
+}
+
+/// Pair `p`'s live reservation as `M`'s diagonal holds it: its live
+/// tunnels' `a`, then its active LSs' `b`, added in that order to `0.0`.
+fn diagonal(inst: &Instance, state: &FailureState, a: &[f64], b: &[f64], p: PairId) -> f64 {
+    let mut diag = 0.0;
+    for l in state.live_tunnels(inst, p) {
+        diag += a[l.0];
+    }
+    for q in state.active_lss(inst, p) {
+        diag += b[q.0];
+    }
+    diag
 }
 
 /// `M` as the flat CSC `SparseLu::factor_columns` takes: column `j` is
@@ -396,8 +415,8 @@ pub fn absolute_tolerance(served: &[f64], tol: f64) -> f64 {
     tol * (1.0 + served.iter().sum::<f64>())
 }
 
-/// The pairs the linear system is actually solved over: the
-/// [`pairs_of_interest`] that hold a live reservation.
+/// The live filter on pair of interest `p`: whether the linear system is
+/// solved over it, i.e. whether it holds a live reservation.
 ///
 /// A pair whose reservation AND whole load (demand plus worst-case
 /// obligations) are both at noise level is dropped; a pair with meaningful
@@ -405,6 +424,31 @@ pub fn absolute_tolerance(served: &[f64], tol: f64) -> f64 {
 /// [`RealizeError::Disconnected`] when every tunnel and LS of the pair is
 /// dead (the failure cut it off), [`RealizeError::NoReservation`] when
 /// something survived but carries no reservation (a plan deficiency).
+fn keeps(
+    inst: &Instance,
+    state: &FailureState,
+    a: &[f64],
+    b: &[f64],
+    served: &[f64],
+    tol_abs: f64,
+    p: PairId,
+) -> Result<bool, RealizeError> {
+    let live: f64 = state.live_tunnels(inst, p).map(|l| a[l.0]).sum::<f64>()
+        + state.active_lss(inst, p).map(|q| b[q.0]).sum::<f64>();
+    if live > tol_abs {
+        return Ok(true);
+    }
+    let load_bound: f64 = served[p.0] + state.active_segments(inst, p).map(|q| b[q.0]).sum::<f64>();
+    if load_bound > 10.0 * tol_abs {
+        return Err(no_reservation_kind(inst, state, p));
+    }
+    Ok(false)
+}
+
+/// The pairs the linear system is solved over, as the realization chain
+/// before [`Realizer`] selected them: the [`pairs_of_interest`] that hold
+/// a live reservation, the first violation erroring (see [`keeps`]).
+#[cfg(test)]
 fn live_pairs(
     inst: &Instance,
     state: &FailureState,
@@ -493,6 +537,8 @@ pub(crate) fn expand_routing(
 ///
 /// `served[p]` is the traffic the pair must deliver (`z_p · d_p`). The
 /// tolerance `tol` accepts small numerical overshoot of `U` beyond `[0,1]`.
+/// One call of a fresh [`Realizer`]; realizing many states of one plan
+/// through one `Realizer` returns the same results, bit for bit.
 pub fn realize_routing(
     inst: &Instance,
     state: &FailureState,
@@ -501,16 +547,204 @@ pub fn realize_routing(
     served: &[f64],
     tol: f64,
 ) -> Result<Routing, RealizeError> {
-    let pairs = live_pairs(inst, state, a, b, served, absolute_tolerance(served, tol))?;
-    let (col_start, entries) = reservation_csc(inst, state, a, b, &pairs);
-    let lu = SparseLu::factor_columns(pairs.len(), &col_start, &entries)
-        .map_err(|_| RealizeError::SingularMatrix)?;
-    let mut u: Vec<f64> = pairs.iter().map(|&p| served[p.0]).collect();
-    lu.ftran_in_place(&mut u, &mut Vec::new());
-    let u = check_utilizations(&pairs, u, tol)?;
-    let mut routing = expand_routing(inst, state, a, pairs, u);
-    routing.bump = lu.bump();
-    Ok(routing)
+    Realizer::new(inst, b, served, tol).realize(state, a)
+}
+
+/// Realizes failure states of one plan (`b`, `served`, `tol`; `a` comes
+/// with each state, since degradation rescales it), building what states
+/// share once.
+///
+/// `M`'s pattern depends only on which LSs are active and which pairs the
+/// live filter keeps: off-diagonal cells are sums of `-b` terms, and a
+/// failure changes only the diagonal values. So a **pattern** is built
+/// once — the pairs of interest and the LS activation they were selected
+/// under, the live pairs, `M`'s flat CSC with each diagonal's entry, and
+/// the singleton peel's pivot order ([`PeelOrder`]) — and a state whose
+/// `ls_active` equals the pattern's, and whose pairs of interest all get
+/// the pattern's keep/drop decision from the live filter, is realized by
+/// a **numeric replay**: its diagonals recomputed as the assembly sums
+/// them, then the substitution `factor_columns` + `ftran_in_place` would
+/// run. Any other state rebuilds the pattern for itself. A pattern that
+/// leaves a bump (cyclic LS sets) records no order, and a replay whose
+/// recorded pivot falls below the singleton tolerance is refused; either
+/// way the state is factored from scratch, Markowitz elimination
+/// included. Every result, error or routing, is bit for bit the one the
+/// chain built per state (pair selection, assembly, factorization,
+/// substitution) returns.
+#[derive(Debug)]
+pub struct Realizer<'a> {
+    inst: &'a Instance,
+    b: &'a [f64],
+    served: &'a [f64],
+    tol: f64,
+    tol_abs: f64,
+    /// The pairs of interest and the LS activation they were selected
+    /// under.
+    selection: Option<Selection>,
+    /// `M`'s pattern over the selection; `None` when stale.
+    pattern: Option<Pattern>,
+    /// The live filter's decision on each pair of interest, this state.
+    keep: Vec<bool>,
+    scratch: Vec<f64>,
+    builds: usize,
+    factorizations: usize,
+}
+
+/// [`pairs_of_interest`] under one LS activation.
+#[derive(Debug)]
+struct Selection {
+    ls_active: Vec<bool>,
+    interest: Vec<PairId>,
+}
+
+/// `M` over the pairs of interest the live filter keeps.
+#[derive(Debug)]
+struct Pattern {
+    /// The live filter's decision on each pair of interest.
+    keep: Vec<bool>,
+    pairs: Vec<PairId>,
+    col_start: Vec<usize>,
+    /// `(row, value)`; the off-diagonal values are the pattern's own, the
+    /// diagonal ones are rewritten for every state.
+    entries: Vec<(u32, f64)>,
+    /// The entry holding each pair's diagonal.
+    diagonal: Vec<usize>,
+    /// `None`: the peel leaves a bump.
+    order: Option<PeelOrder>,
+}
+
+impl Pattern {
+    fn build(
+        inst: &Instance,
+        state: &FailureState,
+        a: &[f64],
+        b: &[f64],
+        keep: &[bool],
+        interest: &[PairId],
+    ) -> Pattern {
+        let pairs: Vec<PairId> = (interest.iter().zip(keep))
+            .filter(|&(_, &k)| k)
+            .map(|(&p, _)| p)
+            .collect();
+        let (col_start, entries) = reservation_csc(inst, state, a, b, &pairs);
+        // Rows ascend within a column, and every pair has its diagonal.
+        let diagonal = (0..pairs.len())
+            .map(|j| {
+                let col = &entries[col_start[j]..col_start[j + 1]];
+                col_start[j] + col.partition_point(|&(i, _)| (i as usize) < j)
+            })
+            .collect();
+        let order = PeelOrder::record(pairs.len(), &col_start, &entries);
+        Pattern {
+            keep: keep.to_vec(),
+            pairs,
+            col_start,
+            entries,
+            diagonal,
+            order,
+        }
+    }
+}
+
+impl<'a> Realizer<'a> {
+    /// A realizer for the plan `(b, served)` with relative tolerance `tol`
+    /// (as [`realize_routing`]); builds nothing until the first state.
+    pub fn new(inst: &'a Instance, b: &'a [f64], served: &'a [f64], tol: f64) -> Self {
+        Realizer {
+            inst,
+            b,
+            served,
+            tol,
+            tol_abs: absolute_tolerance(served, tol),
+            selection: None,
+            pattern: None,
+            keep: Vec::new(),
+            scratch: Vec::new(),
+            builds: 0,
+            factorizations: 0,
+        }
+    }
+
+    /// Patterns built so far.
+    #[cfg(test)]
+    pub(crate) fn builds(&self) -> usize {
+        self.builds
+    }
+
+    /// States factored from scratch so far (no recorded order, or one
+    /// refused).
+    #[cfg(test)]
+    pub(crate) fn factorizations(&self) -> usize {
+        self.factorizations
+    }
+
+    /// [`realize_routing`] of `state` with reservations `a`.
+    pub fn realize(&mut self, state: &FailureState, a: &[f64]) -> Result<Routing, RealizeError> {
+        let (inst, b, served, tol_abs) = (self.inst, self.b, self.served, self.tol_abs);
+        if self
+            .selection
+            .as_ref()
+            .is_some_and(|s| s.ls_active != state.ls_active)
+        {
+            self.selection = None;
+            self.pattern = None;
+        }
+        let selection = self.selection.get_or_insert_with(|| Selection {
+            ls_active: state.ls_active.clone(),
+            interest: pairs_of_interest(inst, state, served, b, tol_abs),
+        });
+        self.keep.clear();
+        for &p in &selection.interest {
+            let keep = keeps(inst, state, a, b, served, tol_abs, p)?;
+            self.keep.push(keep);
+        }
+        if self
+            .pattern
+            .as_ref()
+            .is_some_and(|pat| pat.keep != self.keep)
+        {
+            self.pattern = None;
+        }
+        let pattern = match &mut self.pattern {
+            Some(pattern) => {
+                for (&p, &at) in pattern.pairs.iter().zip(&pattern.diagonal) {
+                    pattern.entries[at].1 = diagonal(inst, state, a, b, p);
+                }
+                pattern
+            }
+            slot => {
+                self.builds += 1;
+                slot.insert(Pattern::build(
+                    inst,
+                    state,
+                    a,
+                    b,
+                    &self.keep,
+                    &selection.interest,
+                ))
+            }
+        };
+        let mut u: Vec<f64> = pattern.pairs.iter().map(|&p| served[p.0]).collect();
+        let replayed = pattern.order.as_ref().is_some_and(|order| {
+            order
+                .solve(&pattern.entries, &mut u, &mut self.scratch)
+                .is_ok()
+        });
+        let bump = if replayed {
+            0
+        } else {
+            self.factorizations += 1;
+            let n = pattern.pairs.len();
+            let lu = SparseLu::factor_columns(n, &pattern.col_start, &pattern.entries)
+                .map_err(|_| RealizeError::SingularMatrix)?;
+            lu.ftran_in_place(&mut u, &mut self.scratch);
+            lu.bump()
+        };
+        let u = check_utilizations(&pattern.pairs, u, self.tol)?;
+        let mut routing = expand_routing(inst, state, a, pattern.pairs.clone(), u);
+        routing.bump = bump;
+        Ok(routing)
+    }
 }
 
 /// Rescales tunnel reservations for partial capacity degradation:
@@ -735,6 +969,7 @@ mod tests {
     use crate::failure::{Condition, FailureModel};
     use crate::instance::InstanceBuilder;
     use crate::robust::{solve_robust, AdversaryKind, RobustOptions};
+    use pcf_rng::{forall, Pcg32};
     use pcf_topology::{NodeId, Topology};
 
     fn diamond() -> Topology {
@@ -748,6 +983,329 @@ mod tests {
         t.add_link(s, b, 1.0);
         t.add_link(b, d, 1.0);
         t
+    }
+
+    /// The realization chain as it ran before [`Realizer`], frozen: live
+    /// pairs, assembly, factorization, substitution and expansion, all
+    /// built afresh for every state. The differential tests' reference.
+    fn reference_realize(
+        inst: &Instance,
+        state: &FailureState,
+        a: &[f64],
+        b: &[f64],
+        served: &[f64],
+        tol: f64,
+    ) -> Result<Routing, RealizeError> {
+        let pairs = live_pairs(inst, state, a, b, served, absolute_tolerance(served, tol))?;
+        let (col_start, entries) = reservation_csc(inst, state, a, b, &pairs);
+        let lu = SparseLu::factor_columns(pairs.len(), &col_start, &entries)
+            .map_err(|_| RealizeError::SingularMatrix)?;
+        let mut u: Vec<f64> = pairs.iter().map(|&p| served[p.0]).collect();
+        lu.ftran_in_place(&mut u, &mut Vec::new());
+        let u = check_utilizations(&pairs, u, tol)?;
+        let mut routing = expand_routing(inst, state, a, pairs, u);
+        routing.bump = lu.bump();
+        Ok(routing)
+    }
+
+    /// Every field of a realization, floats as bits (an error's `u` by its
+    /// exact `Debug` text): two results are the same iff these are equal.
+    #[expect(clippy::type_complexity, reason = "used once; a name adds nothing")]
+    fn outcome_bits(
+        r: &Result<Routing, RealizeError>,
+    ) -> Result<(Vec<PairId>, [Vec<u64>; 3], usize), String> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        match r {
+            Ok(r) => Ok((
+                r.pairs.clone(),
+                [bits(&r.u), bits(&r.tunnel_flow), bits(&r.arc_loads)],
+                r.bump,
+            )),
+            Err(e) => Err(format!("{e:?}")),
+        }
+    }
+
+    /// A small plan on a fixed five-node graph and a walk of link events
+    /// over it: the differential test's input.
+    #[derive(Debug, Clone)]
+    struct Walk {
+        demands: Vec<(u32, u32)>,
+        /// LS hops, and the link whose death activates it (`None`: always).
+        lss: Vec<(Vec<u32>, Option<u32>)>,
+        /// Seeds the plan's `a`, `b` and `served` once the instance is built.
+        values: u64,
+        /// `(link, permille)`: `0` fails the link, `1000` restores it, any
+        /// other value degrades it to that fraction of its capacity.
+        events: Vec<(u32, u32)>,
+    }
+
+    /// `s a b t c`: the diamond `s-a-t`, `s-b-t` with a chord `a-b` and a
+    /// spur `t-c`.
+    const WALK_LINKS: [(u32, u32); 6] = [(0, 1), (1, 3), (0, 2), (2, 3), (1, 2), (3, 4)];
+
+    impl Walk {
+        fn instance(&self) -> Instance {
+            let mut topo = Topology::new("walk");
+            for name in ["s", "a", "b", "t", "c"] {
+                topo.add_node(name);
+            }
+            for (u, v) in WALK_LINKS {
+                topo.add_link(NodeId(u), NodeId(v), 1.0);
+            }
+            let demands = (self.demands.iter())
+                .map(|&(s, t)| (NodeId(s), NodeId(t), 1.0))
+                .collect();
+            let mut builder = InstanceBuilder::with_demands(&topo, demands).tunnels_per_pair(2);
+            for (hops, dead) in &self.lss {
+                builder = builder.add_ls(LogicalSequence {
+                    hops: hops.iter().map(|&v| NodeId(v)).collect(),
+                    condition: dead.map_or(Condition::Always, |e| {
+                        Condition::LinkDead(pcf_topology::LinkId(e))
+                    }),
+                });
+            }
+            builder.build()
+        }
+
+        /// `(a, b, served)`: tunnel reservations that are sometimes zero or
+        /// noise, LS reservations that are sometimes zero, and served
+        /// demands that are sometimes noise or more than the plan carries.
+        fn plan(&self, inst: &Instance) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+            let mut rng = Pcg32::seed_from_u64(self.values);
+            let a = (0..inst.num_tunnels())
+                .map(|_| match rng.range_usize(0, 10) {
+                    0 => 0.0,
+                    1 => 1e-12,
+                    _ => rng.range_f64(0.1, 1.0),
+                })
+                .collect();
+            let b = (0..inst.num_lss())
+                .map(|_| {
+                    if rng.chance(0.2) {
+                        0.0
+                    } else {
+                        rng.range_f64(0.05, 0.6)
+                    }
+                })
+                .collect();
+            let served = (inst.pair_ids())
+                .map(|p| match rng.range_usize(0, 8) {
+                    _ if inst.demand(p) <= 0.0 => 0.0,
+                    0 => 3e-6,
+                    1 => rng.range_f64(1.0, 2.0),
+                    _ => rng.range_f64(0.05, 0.8),
+                })
+                .collect();
+            (a, b, served)
+        }
+    }
+
+    fn gen_walk(rng: &mut Pcg32) -> Walk {
+        let node = |rng: &mut Pcg32| rng.range_usize(0, 5) as u32;
+        let mut demands = Vec::new();
+        for _ in 0..rng.range_usize_inclusive(1, 3) {
+            let (s, t) = (node(rng), node(rng));
+            if s != t && !demands.contains(&(s, t)) {
+                demands.push((s, t));
+            }
+        }
+        if demands.is_empty() {
+            demands.push((0, 3));
+        }
+        let mut lss = Vec::new();
+        if rng.chance(0.5) {
+            // The cyclic diamond: (s,t) through a, (s,a) through t.
+            lss.push((vec![0, 1, 3], None));
+            lss.push((vec![0, 3, 1], None));
+        }
+        for _ in 0..rng.range_usize(0, 5) {
+            let mut hops = vec![node(rng)];
+            for _ in 0..rng.range_usize_inclusive(2, 3) {
+                let next = node(rng);
+                if hops.last() != Some(&next) {
+                    hops.push(next);
+                }
+            }
+            let dead = rng.chance(0.4).then(|| rng.range_usize(0, 6) as u32);
+            if hops.len() >= 3 && hops[0] != hops[hops.len() - 1] {
+                lss.push((hops, dead));
+            }
+        }
+        let events = (0..rng.range_usize_inclusive(5, 30))
+            .map(|_| {
+                let link = rng.range_usize(0, 6) as u32;
+                let permille = match rng.range_usize(0, 10) {
+                    0..=3 => 0,
+                    4..=7 => 1000,
+                    _ => *rng.pick(&[500, 800]),
+                };
+                (link, permille)
+            })
+            .collect();
+        Walk {
+            demands,
+            lss,
+            values: rng.next_u64(),
+            events,
+        }
+    }
+
+    /// Smaller walks: one event, LS or demand fewer.
+    fn shrink_walk(w: &Walk) -> Vec<Walk> {
+        let mut out = Vec::new();
+        for k in 0..w.events.len() {
+            let mut fewer = w.clone();
+            fewer.events.remove(k);
+            out.push(fewer);
+        }
+        for k in 0..w.lss.len() {
+            let mut fewer = w.clone();
+            fewer.lss.remove(k);
+            out.push(fewer);
+        }
+        for k in (0..w.demands.len()).filter(|_| w.demands.len() > 1) {
+            let mut fewer = w.clone();
+            fewer.demands.remove(k);
+            out.push(fewer);
+        }
+        out
+    }
+
+    #[test]
+    fn a_realizer_walk_equals_the_reference_chain_bit_for_bit() {
+        let seen = std::cell::RefCell::new(BTreeSet::new());
+        let counts = std::cell::Cell::new((0usize, 0usize));
+        forall(
+            "Realizer == reference chain, bit for bit",
+            &pcf_rng::Config::with_cases(300),
+            gen_walk,
+            shrink_walk,
+            |w| {
+                let inst = w.instance();
+                let (a, b, served) = w.plan(&inst);
+                let links = WALK_LINKS.len();
+                let (mut dead, mut scale) = (vec![false; links], vec![1.0; links]);
+                let mut realizer = Realizer::new(&inst, &b, &served, 1e-6);
+                for (step, &(e, permille)) in [(0, 1000)].iter().chain(&w.events).enumerate() {
+                    match permille {
+                        0 => dead[e as usize] = true,
+                        1000 => (dead[e as usize], scale[e as usize]) = (false, 1.0),
+                        p => scale[e as usize] = f64::from(p) / 1000.0,
+                    }
+                    let state = FailureState::with_cap_scale(&inst, &dead, &scale)
+                        .map_err(|e| e.to_string())?;
+                    let a = degraded_reservations(&inst, &state, &a);
+                    let want = reference_realize(&inst, &state, &a, &b, &served, 1e-6);
+                    let got = realizer.realize(&state, &a);
+                    if outcome_bits(&got) != outcome_bits(&want) {
+                        return Err(format!("step {step}: got {got:?}, reference {want:?}"));
+                    }
+                    let tol_abs = absolute_tolerance(&served, 1e-6);
+                    let interest = pairs_of_interest(&inst, &state, &served, &b, tol_abs);
+                    let mut seen = seen.borrow_mut();
+                    seen.insert(match &want {
+                        Ok(r) if r.bump > 0 => "bump",
+                        Ok(_) => "walk",
+                        Err(RealizeError::SingularMatrix) => "singular",
+                        Err(RealizeError::UtilizationOutOfRange { .. }) => "out of range",
+                        Err(RealizeError::NoReservation(_)) => "no reservation",
+                        Err(RealizeError::Disconnected(_)) => "disconnected",
+                        Err(RealizeError::MaskLengthMismatch { .. }) => "mask",
+                    });
+                    if want.as_ref().is_ok_and(|r| r.pairs.len() < interest.len()) {
+                        seen.insert("pair dropped");
+                    }
+                    if !state.undegraded() && want.is_ok() {
+                        seen.insert("degraded");
+                    }
+                    if state.ls_active.iter().any(|&on| !on) && want.is_ok() {
+                        seen.insert("inactive LS");
+                    }
+                }
+                let (states, builds) = counts.get();
+                counts.set((states + w.events.len() + 1, builds + realizer.builds()));
+                Ok(())
+            },
+        );
+        let want = [
+            "bump",
+            "walk",
+            "singular",
+            "out of range",
+            "no reservation",
+            "disconnected",
+            "pair dropped",
+            "degraded",
+            "inactive LS",
+        ];
+        let seen = seen.into_inner();
+        for kind in want {
+            assert!(seen.contains(kind), "no case was {kind}: {seen:?}");
+        }
+        // Patterns are reused: most states replay one built before.
+        let (states, builds) = counts.get();
+        assert!(4 * builds < states, "{builds} builds over {states} states");
+    }
+
+    #[test]
+    fn a_refused_replay_factors_from_scratch() {
+        // With `tol = 0` a pair whose only live tunnel holds 1e-13 stays in
+        // the system, and its diagonal is below the singleton tolerance:
+        // the order recorded with both tunnels alive is refused, and the
+        // factorization declares `M` singular, as the reference does.
+        let topo = diamond();
+        let inst = InstanceBuilder::with_demands(&topo, vec![(NodeId(0), NodeId(3), 1.0)])
+            .tunnels_per_pair(2)
+            .build();
+        let over_link_0 = |l: TunnelId| inst.tunnel(l).links.contains(&LinkId(0));
+        let a: Vec<f64> = (inst.tunnel_ids())
+            .map(|l| if over_link_0(l) { 1.0 } else { 1e-13 })
+            .collect();
+        let served = [0.5];
+        let mut realizer = Realizer::new(&inst, &[], &served, 0.0);
+        let mut dead = [false; 4];
+        for link_0_dead in [false, true, false] {
+            dead[0] = link_0_dead;
+            let state = FailureState::new(&inst, &dead).unwrap();
+            let got = realizer.realize(&state, &a);
+            let want = reference_realize(&inst, &state, &a, &[], &served, 0.0);
+            assert_eq!(outcome_bits(&got), outcome_bits(&want));
+            assert_eq!(got.is_err(), link_0_dead, "{got:?}");
+        }
+        assert_eq!(realizer.builds(), 1);
+        assert_eq!(realizer.factorizations(), 1);
+    }
+
+    #[test]
+    fn failure_state_from_the_link_index_equals_the_tunnel_scan() {
+        let topo = pcf_topology::zoo::build("Sprint");
+        let inst = crate::schemes::pcf_ls_instance(&topo, &pcf_traffic::gravity(&topo, 11), 3);
+        let n = topo.link_count();
+        let masks = FailureModel::links(2).enumerate_scenarios(&topo);
+        assert!(masks.len() > n, "{} masks", masks.len());
+        for sc in &masks {
+            let got = FailureState::new(&inst, &sc.dead).unwrap();
+            let tunnel_alive: Vec<bool> = (inst.tunnel_ids())
+                .map(|l| inst.tunnel(l).links.iter().all(|e| !sc.dead[e.index()]))
+                .collect();
+            let ls_active: Vec<bool> = (inst.ls_ids())
+                .map(|q| inst.ls(q).condition.holds(&sc.dead))
+                .collect();
+            assert_eq!(got.dead, sc.dead);
+            assert!(got
+                .cap_scale
+                .iter()
+                .all(|s| s.to_bits() == 1.0f64.to_bits()));
+            assert_eq!(got.cap_scale.len(), n);
+            assert_eq!(got.tunnel_alive, tunnel_alive);
+            assert_eq!(got.ls_active, ls_active);
+        }
+        for got in [n - 1, n + 1] {
+            assert_eq!(
+                FailureState::new(&inst, &vec![false; got]).unwrap_err(),
+                RealizeError::MaskLengthMismatch { expected: n, got }
+            );
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use crate::degrade::{exceeds_capacity, CAPACITY_FLOOR};
 use crate::failure::{FailureModel, Scenario};
 use crate::instance::Instance;
-use crate::realize::{degraded_reservations, realize_routing, FailureState, RealizeError};
+use crate::realize::{degraded_reservations, FailureState, RealizeError, Realizer};
 use pcf_rng::Fnv1a;
 use std::collections::BTreeMap;
 
@@ -207,12 +207,26 @@ impl ValidationReport {
 /// these with utilization-out-of-range realizations (it promised traffic the
 /// sagging links can no longer carry). Scenarios with identical liveness
 /// signatures *and* capacity scales are realized once and share the
-/// solution; every scenario still gets its own violation entries.
+/// solution; every scenario still gets its own violation entries. One
+/// [`Realizer`] realizes them all.
 pub fn validate_scenarios(
     inst: &Instance,
     a: &[f64],
     b: &[f64],
     served: &[f64],
+    scenarios: &[Scenario],
+    tol: f64,
+) -> ValidationReport {
+    let mut realizer = Realizer::new(inst, b, served, tol);
+    validate_with(&mut realizer, inst, a, scenarios, tol)
+}
+
+/// [`validate_scenarios`] through `realizer`, which holds the plan's `b`
+/// and `served`.
+fn validate_with(
+    realizer: &mut Realizer<'_>,
+    inst: &Instance,
+    a: &[f64],
     scenarios: &[Scenario],
     tol: f64,
 ) -> ValidationReport {
@@ -246,10 +260,9 @@ pub fn validate_scenarios(
             .entry((state.liveness_signature(), scale_key))
             .or_insert_with(|| {
                 let routing = if scale.is_empty() {
-                    realize_routing(inst, &state, a, b, served, tol)
+                    realizer.realize(&state, a)
                 } else {
-                    let eff_a = degraded_reservations(inst, &state, a);
-                    realize_routing(inst, &state, &eff_a, b, served, tol)
+                    realizer.realize(&state, &degraded_reservations(inst, &state, a))
                 };
                 max_bump = max_bump.max(routing.as_ref().map_or(0, |r| r.bump));
                 solved.push(routing.map(|r| r.arc_loads));
@@ -432,6 +445,51 @@ mod tests {
         let mut noisy = r1.clone();
         noisy.max_utilization += 1e-9;
         assert_eq!(r1.digest(), noisy.digest(), "digest unstable under noise");
+    }
+
+    #[test]
+    fn one_pattern_serves_every_single_link_state() {
+        // Quest PCF-LS (gravity seed 1, the 200 heaviest pairs): its LSs
+        // are always active and every pair keeps a live tunnel under any
+        // one failure, so each state is the first one's pattern with new
+        // diagonals.
+        let topo = pcf_topology::zoo::build("Quest");
+        let mut tm = pcf_traffic::gravity(&topo, 1);
+        tm.truncate_to_top_k(200);
+        let inst = crate::schemes::pcf_ls_instance(&topo, &tm, 3);
+        let fm = FailureModel::links(1);
+        let sol = crate::schemes::solve_pcf_ls(&inst, &fm, &RobustOptions::default());
+        let served = sol.served(&inst);
+        let mut realizer = Realizer::new(&inst, &sol.b, &served, 1e-6);
+        let scenarios = fm.enumerate_scenarios(&topo);
+        let report = validate_with(&mut realizer, &inst, &sol.a, &scenarios, 1e-6);
+        assert!(report.congestion_free(), "{:?}", report.violations);
+        assert_eq!(report.distinct_states, 29);
+        assert_eq!(realizer.builds(), 1);
+        assert_eq!(realizer.factorizations(), 0);
+        assert_eq!(report.max_bump, 0);
+    }
+
+    #[test]
+    fn a_cyclic_pattern_factors_every_state() {
+        // The diamond whose two LSs serve each other, (s,t) through a and
+        // (s,a) through t: the peel leaves a bump, so no order is recorded
+        // and every state goes through Markowitz elimination.
+        let topo = diamond();
+        let (s, a, t) = (NodeId(0), NodeId(1), NodeId(3));
+        let inst = InstanceBuilder::with_demands(&topo, vec![(s, t, 1.0)])
+            .add_ls(crate::LogicalSequence::always(vec![s, a, t]))
+            .add_ls(crate::LogicalSequence::always(vec![s, t, a]))
+            .build();
+        let res = vec![1.0; inst.num_tunnels()];
+        let served: Vec<f64> = inst.pair_ids().map(|p| 0.5 * inst.demand(p)).collect();
+        let mut realizer = Realizer::new(&inst, &[0.5, 0.25], &served, 1e-6);
+        let scenarios = FailureModel::links(1).enumerate_scenarios(&topo);
+        let report = validate_with(&mut realizer, &inst, &res, &scenarios, 1e-6);
+        assert!(report.max_bump >= 2, "the cycle must bump");
+        assert!(report.distinct_states >= 2);
+        assert_eq!(realizer.factorizations(), report.distinct_states);
+        assert!(realizer.builds() < report.distinct_states);
     }
 
     #[test]

@@ -13,16 +13,18 @@
 //! Realization reads the failure state only through its liveness signature
 //! (which tunnels are alive, which LSs are active) and the reservations,
 //! which only degradation rescales. So the engine caches the whole answer:
-//! the [`Routing`] (or [`RealizeError`]) [`realize_routing`] returned, keyed
-//! by [`FailureState::liveness_signature`] plus, while a link is degraded,
-//! a degradation fingerprint. A miss runs [`realize_routing`] once; a hit
-//! clones the stored routing, so cached and cold results are bit-identical
-//! by construction.
+//! the [`Routing`] (or [`RealizeError`]) realization returned, keyed by
+//! [`FailureState::liveness_signature`] plus, while a link is degraded, a
+//! degradation fingerprint. A miss realizes through the engine's one
+//! [`Realizer`], degraded or not, which replays `M`'s recorded pivot order
+//! whenever the state shares the previous miss's pattern, and returns what
+//! [`pcf_core::realize_routing`] would, bit for bit; a hit clones the stored
+//! routing, so cached and cold results are bit-identical.
 
 use crate::trace::{EventKind, LinkEvent};
 use pcf_core::{
-    degrade_fallback, degraded_reservations, normal_routing, realize_routing, DegradeMode,
-    DegradedRouting, FailureState, Instance, LadderStage, RealizeError, Routing,
+    degrade_fallback, degraded_reservations, normal_routing, DegradeMode, DegradedRouting,
+    FailureState, Instance, LadderStage, RealizeError, Realizer, Routing,
 };
 use pcf_rng::Fnv1a;
 use std::collections::{BTreeMap, VecDeque};
@@ -211,6 +213,9 @@ pub struct ReplayEngine<'a> {
     dead_links: usize,
     tunnel_dead_links: Vec<u32>,
     cache: CacheBackend<'a>,
+    // Realizes every miss, keeping `M`'s pattern and pivot order across
+    // the states that share them.
+    realizer: Realizer<'a>,
     // Nominal per-link capacities and the ones currently in effect
     // (wobble and degrade events both scale entries of `caps`).
     nominal_caps: Vec<f64>,
@@ -269,6 +274,7 @@ impl<'a> ReplayEngine<'a> {
             dead_links: 0,
             tunnel_dead_links: vec![0; inst.num_tunnels()],
             cache: CacheBackend::Owned(RealizationCache::new(cache_capacity)),
+            realizer: Realizer::new(inst, b, served, tol),
             nominal_caps: inst
                 .topo()
                 .links()
@@ -468,9 +474,9 @@ impl<'a> ReplayEngine<'a> {
     /// Realizes the routing for the current failure state.
     ///
     /// A previously seen key returns a clone of its stored result; a new
-    /// one runs [`realize_routing`] once and stores what it returned.
+    /// one is realized once (through the engine's [`Realizer`]) and stored.
     /// Results — including errors — are identical to calling
-    /// [`realize_routing`] on [`ReplayEngine::state`].
+    /// [`pcf_core::realize_routing`] on [`ReplayEngine::state`].
     ///
     /// Under partial-capacity degradation a miss first rescales the
     /// reservations per tunnel ([`degraded_reservations`]) so the realized
@@ -501,7 +507,7 @@ impl<'a> ReplayEngine<'a> {
             None => {
                 let a_scaled = self.effective_a();
                 let a = a_scaled.as_deref().unwrap_or(self.a);
-                let fresh = realize_routing(self.inst, &self.fs, a, self.b, self.served, self.tol);
+                let fresh = self.realizer.realize(&self.fs, a);
                 match &mut self.cache {
                     CacheBackend::Owned(cache) => cache.insert(key, Arc::new(fresh)),
                     CacheBackend::Shared(shared) => shared.insert(key, Arc::new(fresh)),
@@ -605,7 +611,8 @@ pub(crate) mod tests {
     use super::*;
     use crate::trace::EventTrace;
     use pcf_core::{
-        solve_pcf_ls, FailureModel, InstanceBuilder, LogicalSequence, PairId, RobustOptions,
+        realize_routing, solve_pcf_ls, FailureModel, InstanceBuilder, LogicalSequence, PairId,
+        RobustOptions,
     };
     use pcf_topology::{zoo, LinkId, Topology};
     use pcf_traffic::gravity;
