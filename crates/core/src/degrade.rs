@@ -33,6 +33,7 @@ use crate::realize::{
     absolute_tolerance, prop7_walk, realize_routing, FailureState, RealizeError, Routing,
 };
 use pcf_lp::{LpProblem, Sense, VarId};
+use std::sync::Arc;
 
 /// How far down the ladder the caller allows the realization to fall.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -101,8 +102,9 @@ impl LadderStage {
 /// A best-effort routing produced by the degradation ladder.
 #[derive(Debug, Clone)]
 pub struct DegradedRouting {
-    /// The routing actually served (tunnel flows, arc loads).
-    pub routing: Routing,
+    /// The routing actually served (tunnel flows, arc loads). Shared, not
+    /// copied, with the realization cache a stage-1 routing came from.
+    pub routing: Arc<Routing>,
     /// Which ladder rung produced it.
     pub ladder_stage: LadderStage,
     /// Locally delivered fraction of each pair's *own* served demand
@@ -158,7 +160,7 @@ pub fn overload_bound(inst: &Instance, routing: &Routing, caps: &[f64]) -> f64 {
 }
 
 /// Wraps a successful stage-1 realization as a [`DegradedRouting`].
-pub fn normal_routing(inst: &Instance, routing: Routing, caps: &[f64]) -> DegradedRouting {
+pub fn normal_routing(inst: &Instance, routing: Arc<Routing>, caps: &[f64]) -> DegradedRouting {
     let overload = overload_bound(inst, &routing, caps);
     DegradedRouting {
         routing,
@@ -184,7 +186,7 @@ pub fn degrade_routing(
     mode: DegradeMode,
 ) -> Result<DegradedRouting, RealizeError> {
     match realize_routing(inst, state, a, b, served, tol) {
-        Ok(routing) => Ok(normal_routing(inst, routing, caps)),
+        Ok(routing) => Ok(normal_routing(inst, Arc::new(routing), caps)),
         Err(err) => degrade_fallback(inst, state, a, b, served, tol, caps, mode, err),
     }
 }
@@ -276,7 +278,7 @@ fn rescale_stage(
     let overload = overload_bound(inst, &routing, caps);
     let shed = shed_total(inst, served, &fraction, tol_abs);
     Some(DegradedRouting {
-        routing,
+        routing: Arc::new(routing),
         ladder_stage: LadderStage::Rescaled,
         served_fraction_per_pair: fraction,
         overload_bound: overload,
@@ -378,7 +380,7 @@ fn shed_stage(
     let overload = overload_bound(inst, &routing, caps);
     let shed = shed_total(inst, served, &fraction, tol_abs);
     Some(DegradedRouting {
-        routing,
+        routing: Arc::new(routing),
         ladder_stage: LadderStage::Shed,
         served_fraction_per_pair: fraction,
         overload_bound: overload,

@@ -18,8 +18,9 @@
 //! degradation fingerprint. A miss realizes through the engine's one
 //! [`Realizer`], degraded or not, which replays `M`'s recorded pivot order
 //! whenever the state shares the previous miss's pattern, and returns what
-//! [`pcf_core::realize_routing`] would, bit for bit; a hit clones the stored
-//! routing, so cached and cold results are bit-identical.
+//! [`pcf_core::realize_routing`] would, bit for bit; a hit hands out the
+//! stored routing behind its `Arc`, so cached and cold results are
+//! bit-identical and a hit copies nothing.
 
 use crate::trace::{EventKind, LinkEvent};
 use pcf_core::{
@@ -116,8 +117,9 @@ impl DegradeStats {
 
 /// What a cache entry remembers about one key: the finished routing, or
 /// the error realization hit. A pure function of the plan and the key, so
-/// any engines holding the same plan may share it.
-pub(crate) type CacheEntry = Result<Routing, RealizeError>;
+/// any engines holding the same plan may share it; cloning one is a
+/// reference-count increment, never a copy of the routing.
+pub(crate) type CacheEntry = Result<Arc<Routing>, RealizeError>;
 
 /// Insertion-order (FIFO) bounded map from cache key to realization — the
 /// one cache type, owned by an engine or shared behind
@@ -127,7 +129,7 @@ pub(crate) type CacheEntry = Result<Routing, RealizeError>;
 /// it) but count as [`CacheStats::errors`], not hits or misses.
 pub(crate) struct RealizationCache {
     capacity: usize,
-    entries: BTreeMap<Arc<[u64]>, Arc<CacheEntry>>,
+    entries: BTreeMap<Arc<[u64]>, CacheEntry>,
     order: VecDeque<Arc<[u64]>>,
     stats: CacheStats,
 }
@@ -151,8 +153,8 @@ impl RealizationCache {
     }
 
     /// The entry for `key`, if retained; counts a hit.
-    pub(crate) fn get(&mut self, key: &[u64]) -> Option<Arc<CacheEntry>> {
-        let entry = Arc::clone(self.entries.get(key)?);
+    pub(crate) fn get(&mut self, key: &[u64]) -> Option<CacheEntry> {
+        let entry = self.entries.get(key)?.clone();
         self.stats.count(&entry, true);
         Some(entry)
     }
@@ -161,9 +163,9 @@ impl RealizationCache {
     /// already there (a concurrent miss inserted first), which wins and is
     /// returned instead. Either way the caller paid a realization: counts a
     /// miss, and evicts the oldest key when full.
-    pub(crate) fn insert(&mut self, key: &[u64], fresh: Arc<CacheEntry>) -> Arc<CacheEntry> {
+    pub(crate) fn insert(&mut self, key: &[u64], fresh: CacheEntry) -> CacheEntry {
         let entry = match self.entries.get(key) {
-            Some(existing) => Arc::clone(existing),
+            Some(existing) => existing.clone(),
             None if self.capacity == 0 => fresh,
             None => {
                 if self.entries.len() >= self.capacity {
@@ -174,7 +176,7 @@ impl RealizationCache {
                 }
                 let key: Arc<[u64]> = key.into();
                 self.order.push_back(Arc::clone(&key));
-                self.entries.insert(key, Arc::clone(&fresh));
+                self.entries.insert(key, fresh.clone());
                 fresh
             }
         };
@@ -473,8 +475,9 @@ impl<'a> ReplayEngine<'a> {
 
     /// Realizes the routing for the current failure state.
     ///
-    /// A previously seen key returns a clone of its stored result; a new
-    /// one is realized once (through the engine's [`Realizer`]) and stored.
+    /// A previously seen key returns its stored result, the routing shared
+    /// with the cache; a new one is realized once (through the engine's
+    /// [`Realizer`]) and stored.
     /// Results — including errors — are identical to calling
     /// [`pcf_core::realize_routing`] on [`ReplayEngine::state`].
     ///
@@ -483,7 +486,7 @@ impl<'a> ReplayEngine<'a> {
     /// loads respect the surviving capacities, and the cache key grows a
     /// degradation fingerprint — a degraded realization is never served to
     /// (or from) an undegraded one.
-    pub fn realize(&mut self) -> Result<Routing, RealizeError> {
+    pub fn realize(&mut self) -> Result<Arc<Routing>, RealizeError> {
         if self.force_singular {
             // Injected failure: reported before the cache is consulted so
             // it can neither store nor serve a poisoned entry.
@@ -507,19 +510,17 @@ impl<'a> ReplayEngine<'a> {
             None => {
                 let a_scaled = self.effective_a();
                 let a = a_scaled.as_deref().unwrap_or(self.a);
-                let fresh = self.realizer.realize(&self.fs, a);
+                let fresh = self.realizer.realize(&self.fs, a).map(Arc::new);
                 match &mut self.cache {
-                    CacheBackend::Owned(cache) => cache.insert(key, Arc::new(fresh)),
-                    CacheBackend::Shared(shared) => shared.insert(key, Arc::new(fresh)),
+                    CacheBackend::Owned(cache) => cache.insert(key, fresh),
+                    CacheBackend::Shared(shared) => shared.insert(key, fresh),
                 }
             }
         };
-        // A copy unless nothing retained the entry (capacity 0).
-        let res = Arc::unwrap_or_clone(entry);
-        if let Ok(routing) = &res {
+        if let Ok(routing) = &entry {
             self.max_bump = self.max_bump.max(routing.bump);
         }
-        res
+        entry
     }
 
     /// Realizes the current state through the degradation ladder: the
@@ -629,16 +630,19 @@ pub(crate) mod tests {
     /// Every field of a realization, floats as bits: two results are the
     /// same realization iff these are equal.
     #[expect(clippy::type_complexity, reason = "used once; a name adds nothing")]
-    pub(crate) fn routing_bits(
-        r: &Result<Routing, RealizeError>,
+    pub(crate) fn routing_bits<R: std::borrow::Borrow<Routing>>(
+        r: &Result<R, RealizeError>,
     ) -> Result<(Vec<PairId>, [Vec<u64>; 3], usize), RealizeError> {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
         match r {
-            Ok(r) => Ok((
-                r.pairs.clone(),
-                [bits(&r.u), bits(&r.tunnel_flow), bits(&r.arc_loads)],
-                r.bump,
-            )),
+            Ok(r) => {
+                let r = r.borrow();
+                Ok((
+                    r.pairs.clone(),
+                    [bits(&r.u), bits(&r.tunnel_flow), bits(&r.arc_loads)],
+                    r.bump,
+                ))
+            }
             Err(e) => Err(e.clone()),
         }
     }

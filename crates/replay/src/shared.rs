@@ -20,7 +20,7 @@
 //! plan epoch, so a hot swap naturally starts cold.
 
 use crate::engine::{CacheEntry, CacheStats, RealizationCache};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A thread-safe key → realization cache for engines created with
 /// [`ReplayEngine::with_shared_cache`](crate::ReplayEngine::with_shared_cache).
@@ -49,11 +49,11 @@ impl SharedFactorCache {
         self.len() == 0
     }
 
-    pub(crate) fn get(&self, key: &[u64]) -> Option<Arc<CacheEntry>> {
+    pub(crate) fn get(&self, key: &[u64]) -> Option<CacheEntry> {
         self.lock().get(key)
     }
 
-    pub(crate) fn insert(&self, key: &[u64], fresh: Arc<CacheEntry>) -> Arc<CacheEntry> {
+    pub(crate) fn insert(&self, key: &[u64], fresh: CacheEntry) -> CacheEntry {
         self.lock().insert(key, fresh)
     }
 

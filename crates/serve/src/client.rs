@@ -42,6 +42,8 @@ impl From<io::Error> for ClientError {
 pub struct ServeClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// The response line being read, reused for every response.
+    line: String,
 }
 
 impl ServeClient {
@@ -52,6 +54,7 @@ impl ServeClient {
         Ok(ServeClient {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
+            line: String::new(),
         })
     }
 
@@ -75,15 +78,15 @@ impl ServeClient {
     }
 
     fn read_response(&mut self) -> Result<Json, ClientError> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
+        self.line.clear();
+        if self.reader.read_line(&mut self.line)? == 0 {
             return Err(ClientError::Protocol(
                 "connection closed before response".into(),
             ));
         }
-        Json::parse(line.trim())
-            .map_err(|e| ClientError::Protocol(format!("unparseable response: {e}: {line:?}")))
+        Json::parse(self.line.trim()).map_err(|e| {
+            ClientError::Protocol(format!("unparseable response: {e}: {:?}", self.line))
+        })
     }
 }
 

@@ -498,6 +498,61 @@ mod tests {
         });
     }
 
+    /// A client that never sends a newline cannot grow its connection's
+    /// buffer past the cap: it gets one failure line, then EOF, and the
+    /// refusal counts as a protocol error.
+    #[test]
+    fn overlong_request_lines_are_refused_and_closed() {
+        use crate::protocol::MAX_REQUEST_LINE;
+        use std::io::Write;
+        /// Stops the daemon when the test body unwinds, so a failed
+        /// assertion fails the test instead of leaving the scope waiting.
+        struct StopOnDrop<'a>(&'a Server);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.request_shutdown();
+            }
+        }
+        let server = boot();
+        let addr = server.local_addr().unwrap().to_string();
+        thread::scope(|s| {
+            s.spawn(|| server.run());
+            let _stop = StopOnDrop(&server);
+            let stream = std::net::TcpStream::connect(&addr).unwrap();
+            // A server that keeps reading fails the test instead of hanging it.
+            let timeout = std::time::Duration::from_secs(30);
+            stream.set_read_timeout(Some(timeout)).unwrap();
+            let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            // A request at the cap, newline included, is still served.
+            let padded = format!(
+                "{{\"cmd\":\"ping\"}}{}\n",
+                " ".repeat(MAX_REQUEST_LINE - 15)
+            );
+            assert_eq!(padded.len(), MAX_REQUEST_LINE);
+            writer.write_all(padded.as_bytes()).unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.starts_with(r#"{"ok":true,"pong":true"#), "{line}");
+            // One byte more without a newline is refused. Exactly the
+            // bytes the server reads are sent, so it closes cleanly.
+            writer.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1]).unwrap();
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            let refused = Json::parse(line.trim()).unwrap();
+            assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
+            let why = refused.get("error").and_then(Json::as_str).unwrap();
+            assert!(why.contains("longer than 65536 bytes"), "{why}");
+            line.clear();
+            assert_eq!(reader.read_line(&mut line).unwrap(), 0);
+            let mut client = ServeClient::connect(&addr).unwrap();
+            let stats = client.request(r#"{"cmd":"stats"}"#).unwrap();
+            let det = stats.get("deterministic").unwrap();
+            assert_eq!(det.get("protocol_errors").and_then(Json::as_u64), Some(1));
+            client.request(r#"{"cmd":"shutdown"}"#).unwrap();
+        });
+    }
+
     #[test]
     fn stats_deterministic_form_reflects_the_session() {
         let server = boot();

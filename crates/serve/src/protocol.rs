@@ -24,44 +24,33 @@
 //!
 //! Every response carries `"ok"`. Failures are
 //! `{"ok":false,"error":"..."}` — still one line, still JSON, so a
-//! scripted client can always keep request/response alignment.
+//! scripted client can always keep request/response alignment. A request
+//! line longer than [`MAX_REQUEST_LINE`] bytes is answered with one such
+//! failure, and the server then closes the connection.
 
-use crate::json::Json;
-use pcf_replay::{DEGRADE_PERMILLE, WOBBLE_PERMILLE};
+use crate::json::{Json, ObjWriter};
+use pcf_replay::{EventKind, DEGRADE_PERMILLE, WOBBLE_PERMILLE};
 use std::ops::RangeInclusive;
+
+/// Longest request line the server reads, in bytes, newline included.
+/// The longest verb (`admit` with two node names) needs about 100.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// A parsed protocol request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Liveness check.
     Ping,
-    /// Fail a link.
-    Down {
+    /// A link event: `down`, `up`, `wobble` (rescale the capacity, which
+    /// realization does not see) or `degrade` (partial capacity: the
+    /// reservations rescale and the realization-cache key forks).
+    /// Capacities are permille of nominal ([`WOBBLE_PERMILLE`],
+    /// [`DEGRADE_PERMILLE`]; 1000 restores).
+    Link {
         /// Link index.
         link: u32,
-    },
-    /// Recover a link.
-    Up {
-        /// Link index.
-        link: u32,
-    },
-    /// Rescale a link's capacity.
-    Wobble {
-        /// Link index.
-        link: u32,
-        /// New capacity in permille of nominal
-        /// ([`WOBBLE_PERMILLE`]; 1000 restores).
-        permille: u32,
-    },
-    /// Partially degrade a link's capacity: unlike `wobble`, the
-    /// realization sees it (reservations rescale) and it participates in
-    /// the realization-cache key.
-    Degrade {
-        /// Link index.
-        link: u32,
-        /// Surviving capacity in permille of nominal
-        /// ([`DEGRADE_PERMILLE`]; 1000 restores).
-        permille: u32,
+        /// What happens to it.
+        kind: EventKind,
     },
     /// Fire a shared-risk link group: every member link goes down as one
     /// correlated burst.
@@ -132,16 +121,16 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         .get("cmd")
         .and_then(Json::as_str)
         .ok_or("missing \"cmd\" field")?;
-    let link = |v: &Json| -> Result<u32, String> {
-        v.get("link")
+    let index = |key: &str| -> Result<u32, String> {
+        v.get(key)
             .and_then(Json::as_u64)
-            .filter(|&l| l < (1 << 30))
-            .map(|l| l as u32)
-            .ok_or_else(|| format!("{cmd}: needs \"link\" (index < 2^30)"))
+            .filter(|&i| i < (1 << 30))
+            .map(|i| i as u32)
+            .ok_or_else(|| format!("{cmd}: needs \"{key}\" (index < 2^30)"))
     };
     // The trace grammar's ranges, so a served session and a replayed trace
     // accept the same capacity events.
-    let permille = |v: &Json, range: RangeInclusive<u32>, why: &str| -> Result<u32, String> {
+    let permille = |range: RangeInclusive<u32>, why: &str| -> Result<u32, String> {
         v.get("permille")
             .and_then(Json::as_u64)
             .and_then(|p| u32::try_from(p).ok())
@@ -150,34 +139,25 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     };
     match cmd {
         "ping" => Ok(Request::Ping),
-        "down" => Ok(Request::Down { link: link(&v)? }),
-        "up" => Ok(Request::Up { link: link(&v)? }),
-        "wobble" => Ok(Request::Wobble {
-            permille: permille(&v, WOBBLE_PERMILLE, "a zero-capacity link is a down")?,
-            link: link(&v)?,
+        "down" | "up" | "wobble" | "degrade" => Ok(Request::Link {
+            kind: match cmd {
+                "down" => EventKind::Down,
+                "up" => EventKind::Up,
+                "wobble" => EventKind::Wobble {
+                    permille: permille(WOBBLE_PERMILLE, "a zero-capacity link is a down")?,
+                },
+                _ => EventKind::Degrade {
+                    permille: permille(DEGRADE_PERMILLE, "script total loss as down")?,
+                },
+            },
+            link: index("link")?,
         }),
-        "degrade" => Ok(Request::Degrade {
-            permille: permille(&v, DEGRADE_PERMILLE, "script total loss as down")?,
-            link: link(&v)?,
+        "srlg" => Ok(Request::Srlg {
+            group: index("group")?,
         }),
-        "srlg" => {
-            let group = v
-                .get("group")
-                .and_then(Json::as_u64)
-                .filter(|&g| g < (1 << 30))
-                .ok_or("srlg: needs \"group\" (index < 2^30)")?;
-            Ok(Request::Srlg {
-                group: group as u32,
-            })
-        }
-        "node" => {
-            let node = v
-                .get("node")
-                .and_then(Json::as_u64)
-                .filter(|&n| n < (1 << 30))
-                .ok_or("node: needs \"node\" (index < 2^30)")?;
-            Ok(Request::Node { node: node as u32 })
-        }
+        "node" => Ok(Request::Node {
+            node: index("node")?,
+        }),
         "rebase" => {
             let permille = v
                 .get("permille")
@@ -185,7 +165,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .filter(|&p| (1..=10_000).contains(&p))
                 .ok_or("rebase: needs \"permille\" in 1..=10000")?;
             Ok(Request::Rebase {
-                link: link(&v)?,
+                link: index("link")?,
                 permille: permille as u32,
             })
         }
@@ -250,13 +230,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// Builds the uniform failure response.
-pub fn error_response(message: &str) -> String {
-    Json::Obj(vec![
-        ("ok".into(), Json::Bool(false)),
-        ("error".into(), Json::str(message)),
-    ])
-    .render()
+/// Appends the uniform failure response to `out`.
+pub fn error_response(out: &mut String, message: &str) {
+    ObjWriter::new(out)
+        .bool("ok", false)
+        .str("error", message)
+        .finish();
 }
 
 #[cfg(test)]
@@ -268,20 +247,23 @@ mod tests {
         assert_eq!(parse_request(r#"{"cmd":"ping"}"#), Ok(Request::Ping));
         assert_eq!(
             parse_request(r#"{"cmd":"down","link":3}"#),
-            Ok(Request::Down { link: 3 })
+            Ok(Request::Link {
+                link: 3,
+                kind: EventKind::Down
+            })
         );
         assert_eq!(
             parse_request(r#"{"cmd":"wobble","link":1,"permille":250}"#),
-            Ok(Request::Wobble {
+            Ok(Request::Link {
                 link: 1,
-                permille: 250
+                kind: EventKind::Wobble { permille: 250 }
             })
         );
         assert_eq!(
             parse_request(r#"{"cmd":"degrade","link":2,"permille":500}"#),
-            Ok(Request::Degrade {
+            Ok(Request::Link {
                 link: 2,
-                permille: 500
+                kind: EventKind::Degrade { permille: 500 }
             })
         );
         assert_eq!(
@@ -377,9 +359,9 @@ mod tests {
         assert!(err.contains("1..=2000"), "{err}");
         assert_eq!(
             parse_request(r#"{"cmd":"wobble","link":0,"permille":2000}"#),
-            Ok(Request::Wobble {
+            Ok(Request::Link {
                 link: 0,
-                permille: 2000
+                kind: EventKind::Wobble { permille: 2000 }
             })
         );
     }
@@ -402,9 +384,78 @@ mod tests {
         );
     }
 
+    /// The request lines of the CI `serve-smoke` session.
+    const SMOKE: &[&str] = &[
+        r#"{"cmd":"ping"}"#,
+        r#"{"cmd":"plan"}"#,
+        r#"{"cmd":"down","link":0}"#,
+        r#"{"cmd":"realize"}"#,
+        r#"{"cmd":"util","limit":3}"#,
+        r#"{"cmd":"admit","src":"Abilene-0","dst":"Abilene-1","demand":0}"#,
+        r#"{"cmd":"admit","src":"Abilene-0","dst":"Abilene-1","demand":1000000}"#,
+        r#"{"cmd":"reset"}"#,
+        r#"{"cmd":"srlg","group":0}"#,
+        r#"{"cmd":"node","node":5}"#,
+        r#"{"cmd":"degrade","link":2,"permille":600}"#,
+        r#"{"cmd":"update","scale":0.9}"#,
+        r#"{"cmd":"wait","gen":2,"timeout_ms":120000}"#,
+        r#"{"cmd":"rebase","link":0,"permille":900}"#,
+        r#"{"cmd":"stats"}"#,
+        r#"{"cmd":"warp"}"#,
+        r#"{"cmd":"down","link":999999}"#,
+        r#"{"cmd":"srlg","group":99}"#,
+        r#"{"cmd":"degrade","link":0,"permille":0}"#,
+        r#"{"cmd":"wobble","link":0,"permille":0}"#,
+        "not json",
+        r#"{"cmd":"shutdown"}"#,
+    ];
+
+    /// One to four byte-level mutations of `line`: flip a bit, insert,
+    /// delete, truncate, or duplicate a span.
+    fn mutate(line: &str, rng: &mut pcf_rng::Pcg32) -> Vec<u8> {
+        const BYTES: &[u8] = b"{}[]\":,-.0123456789eE+ \\nu\x00\x1f\x7f\xc3\xa9\xff";
+        let mut line = line.as_bytes().to_vec();
+        for _ in 0..rng.range_usize_inclusive(1, 4) {
+            let at = rng.range_usize_inclusive(0, line.len());
+            match rng.below(5) {
+                0 if at < line.len() => line[at] ^= 1 << rng.below(8),
+                1 => line.insert(at, *rng.pick(BYTES)),
+                2 if at < line.len() => {
+                    line.remove(at);
+                }
+                3 => line.truncate(at),
+                _ => {
+                    let end = rng.range_usize_inclusive(at, line.len());
+                    let span = line[at..end].to_vec();
+                    line.splice(at..at, span);
+                }
+            }
+        }
+        line
+    }
+
+    #[test]
+    fn mutated_smoke_requests_never_panic_the_parser() {
+        for smoke in SMOKE {
+            pcf_rng::forall(
+                smoke,
+                &pcf_rng::Config::with_cases(300),
+                |rng| mutate(smoke, rng),
+                pcf_rng::no_shrink,
+                |line: &Vec<u8>| {
+                    // The server refuses a line that is not UTF-8 before
+                    // it parses; the lossy form still reaches the parser.
+                    let _ = parse_request(&String::from_utf8_lossy(line));
+                    Ok(())
+                },
+            );
+        }
+    }
+
     #[test]
     fn error_responses_are_parseable_json() {
-        let resp = error_response("bad \"thing\"\nhappened");
+        let mut resp = String::new();
+        error_response(&mut resp, "bad \"thing\"\nhappened");
         let v = Json::parse(&resp).unwrap();
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
         assert!(v

@@ -20,16 +20,18 @@
 //! Responses are one JSON line per request, in request order — see
 //! [`crate::protocol`] for the full verb table.
 
+use crate::json::{Json, ObjWriter};
 use crate::log::{EventLog, LogEvent};
 use crate::plan::{PlanCell, PlanEpoch, PlanSpec};
-use crate::protocol::{error_response, parse_request, Request};
+use crate::protocol::{error_response, parse_request, Request, MAX_REQUEST_LINE};
 use crate::telemetry::{ServeReport, Stopwatch, Telemetry};
-use crate::{json::Json, ServeError};
+use crate::ServeError;
 use pcf_core::{
     absolute_tolerance, admit, peak_utilization, AdmitOutcome, DegradeMode, RealizeError,
 };
 use pcf_replay::{EventKind, LinkEvent, ReplayEngine};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use pcf_topology::LinkId;
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -72,18 +74,10 @@ impl Default for ServeOptions {
     }
 }
 
-/// An `update`/`rebase` command in flight to the solver thread.
-struct UpdateCmd {
-    scale: Option<f64>,
-    seed: Option<u64>,
-    /// Permanent capacity rebase: link index and the new nominal capacity
-    /// in permille of the current nominal.
-    rebase: Option<(u32, u32)>,
-}
-
+/// What the connection does after writing a response.
 enum Action {
-    Respond(String),
-    RespondAndClose(String),
+    Respond,
+    RespondAndClose,
 }
 
 /// A bound, solved, ready-to-run serving daemon.
@@ -141,7 +135,7 @@ impl Server {
     /// connection and the background solver run as scoped threads, so
     /// returning means all of them have joined.
     pub fn run(&self) -> io::Result<()> {
-        let (tx, rx) = mpsc::channel::<UpdateCmd>();
+        let (tx, rx) = mpsc::channel::<Request>();
         thread::scope(|s| {
             s.spawn(|| self.solver_loop(rx));
             loop {
@@ -156,15 +150,13 @@ impl Server {
                             // the client can back off and retry rather
                             // than hang on an unaccepted socket.
                             Telemetry::bump(&self.telemetry.busy_rejects);
-                            let mut w = BufWriter::new(stream);
-                            let _ = w.write_all(
-                                format!(
-                                    "{{\"ok\":false,\"error\":\"busy: {active} connections \
-                                     active (max {})\",\"busy\":true}}\n",
-                                    self.opts.max_conns
-                                )
-                                .as_bytes(),
-                            );
+                            let max = self.opts.max_conns;
+                            let why = format!("busy: {active} connections active (max {max})");
+                            let mut reject = String::new();
+                            let w = ObjWriter::new(&mut reject).bool("ok", false);
+                            w.str("error", &why).bool("busy", true).finish();
+                            reject.push('\n');
+                            let _ = (&stream).write_all(reject.as_bytes());
                             continue;
                         }
                         self.active.fetch_add(1, Ordering::AcqRel);
@@ -197,7 +189,7 @@ impl Server {
         self.poke_acceptor();
     }
 
-    fn solver_loop(&self, rx: mpsc::Receiver<UpdateCmd>) {
+    fn solver_loop(&self, rx: mpsc::Receiver<Request>) {
         // The previous epoch's cut pool, carried across re-solves so each
         // epoch's master starts from the optimum of the last one.
         let mut pool = self
@@ -211,13 +203,15 @@ impl Server {
         let mut spec = self.spec.clone();
         loop {
             match rx.recv_timeout(Duration::from_millis(50)) {
+                // Connections send only `update` and `rebase` requests.
                 Ok(cmd) => {
                     let current = self.cell.current();
-                    let gen = current.gen + 1;
-                    let scale = cmd.scale.unwrap_or(current.scale);
-                    let seed = cmd.seed.unwrap_or(current.seed);
-                    if let Some((link, permille)) = cmd.rebase {
-                        let l = pcf_topology::LinkId(link);
+                    let (gen, mut scale, mut seed) = (current.gen + 1, current.scale, current.seed);
+                    if let Request::Update { scale: s, seed: d } = cmd {
+                        (scale, seed) = (s.unwrap_or(scale), d.unwrap_or(seed));
+                    }
+                    if let Request::Rebase { link, permille } = cmd {
+                        let l = LinkId(link);
                         let Some(cap) = rebased_capacity(spec.topo.capacity(l), permille) else {
                             // Keep the old topology and epoch: a capacity
                             // of 0 or infinity is no network to plan for.
@@ -275,14 +269,18 @@ impl Server {
         }
     }
 
-    fn handle_conn(&self, stream: TcpStream, tx: mpsc::Sender<UpdateCmd>) -> io::Result<()> {
+    fn handle_conn(&self, stream: TcpStream, tx: mpsc::Sender<Request>) -> io::Result<()> {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_millis(
             self.opts.read_timeout_ms.max(1),
         )))?;
         let mut reader = BufReader::new(stream.try_clone()?);
         let mut writer = BufWriter::new(stream);
-        let mut pending: Option<String> = None;
+        // One request line and one response, reused for every request.
+        let (mut line, mut out) = (Vec::new(), String::new());
+        // Set when `line` holds a request read under an epoch that has
+        // since been replaced, so the next epoch answers it.
+        let mut pending = false;
         // Outer loop: one iteration per plan epoch this connection serves.
         // The engine borrows the epoch `Arc` held by this frame, so a swap
         // elsewhere never invalidates it; we re-enter on a generation bump.
@@ -297,392 +295,286 @@ impl Server {
                 &epoch.cache,
             );
             engine.set_degrade(self.opts.degrade);
-            let mut applied = 0usize;
-            let mut line = String::new();
+            let mut conn = Conn {
+                epoch: &epoch,
+                engine,
+                applied: 0,
+            };
             loop {
-                let request = match pending.take() {
-                    Some(stashed) => stashed,
-                    None => {
-                        line.clear();
-                        // Pipelining-aware flush: while more requests sit
-                        // in the read buffer, responses coalesce in the
-                        // BufWriter (which drains itself at capacity);
-                        // deliver them only when about to wait on the
-                        // socket. This is what lets deep request batches
-                        // amortize write syscalls.
-                        if reader.buffer().is_empty() {
-                            writer.flush()?;
-                        }
-                        match read_line_shutdown_aware(
-                            &mut reader,
-                            &mut line,
-                            &self.shutdown,
-                            self.opts.idle_timeout_ms,
-                        )? {
-                            ReadOutcome::Closed => return Ok(()),
-                            ReadOutcome::Idle => {
-                                Telemetry::bump(&self.telemetry.idle_reaps);
-                                let _ = writer.write_all(
-                                    format!(
-                                        "{{\"ok\":false,\"error\":\"idle timeout \
-                                         ({} ms), closing\"}}\n",
-                                        self.opts.idle_timeout_ms
-                                    )
-                                    .as_bytes(),
-                                );
-                                let _ = writer.flush();
-                                return Ok(());
-                            }
-                            ReadOutcome::Line => line.clone(),
-                        }
-                    }
-                };
-                let trimmed = request.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                if self.cell.generation() != epoch.gen {
-                    // A new plan was published: rebuild the engine against
-                    // it, replaying the request we already read.
-                    pending = Some(request);
-                    continue 'epoch;
-                }
-                match self.handle_request(trimmed, &epoch, &mut engine, &mut applied, &tx) {
-                    Action::Respond(resp) => {
-                        writer.write_all(resp.as_bytes())?;
-                        writer.write_all(b"\n")?;
-                    }
-                    Action::RespondAndClose(resp) => {
-                        writer.write_all(resp.as_bytes())?;
-                        writer.write_all(b"\n")?;
+                out.clear();
+                if !std::mem::take(&mut pending) {
+                    line.clear();
+                    // Pipelining-aware flush: while more requests sit in
+                    // the read buffer, responses coalesce in the BufWriter
+                    // (which drains itself at capacity); deliver them only
+                    // when about to wait on the socket. This is what lets
+                    // deep request batches amortize write syscalls.
+                    if reader.buffer().is_empty() {
                         writer.flush()?;
-                        return Ok(());
                     }
+                    match self.read_request(&mut reader, &mut line)? {
+                        ReadOutcome::Line => {}
+                        ReadOutcome::Closed => return Ok(()),
+                        ReadOutcome::Refused(why) => {
+                            error_response(&mut out, &why);
+                            writeln!(writer, "{out}")?;
+                            return writer.flush();
+                        }
+                    }
+                }
+                let answered = match std::str::from_utf8(&line).map(str::trim) {
+                    Ok("") => continue,
+                    Ok(_) if self.cell.generation() != epoch.gen => {
+                        // A new plan was published: rebuild the engine
+                        // against it, replaying the request we already read.
+                        pending = true;
+                        continue 'epoch;
+                    }
+                    Ok(request) => self.answer(request, &mut conn, &tx, &mut out),
+                    Err(_) => self.protocol_error("request line is not UTF-8".into()),
+                };
+                let action = answered.unwrap_or_else(|msg| {
+                    out.clear();
+                    error_response(&mut out, &msg);
+                    Action::Respond
+                });
+                out.push('\n');
+                writer.write_all(out.as_bytes())?;
+                if let Action::RespondAndClose = action {
+                    return writer.flush();
                 }
             }
         }
     }
 
-    fn handle_request(
+    /// Counts a request the protocol refuses, and refuses it.
+    fn protocol_error<T>(&self, msg: String) -> Result<T, String> {
+        Telemetry::bump(&self.telemetry.protocol_errors);
+        Err(msg)
+    }
+
+    /// `link` as a link of the served topology, or a protocol error.
+    fn link_id(&self, epoch: &PlanEpoch, link: u32) -> Result<LinkId, String> {
+        let count = epoch.inst.topo().link_count();
+        if (link as usize) < count {
+            Ok(LinkId(link))
+        } else {
+            self.protocol_error(format!(
+                "link {link} out of range (topology has {count} links)"
+            ))
+        }
+    }
+
+    /// Writes the answer to request `line` into `out`, or returns the
+    /// message of its `{"ok":false}` response.
+    fn answer(
         &self,
         line: &str,
-        epoch: &PlanEpoch,
-        engine: &mut ReplayEngine<'_>,
-        applied: &mut usize,
-        tx: &mpsc::Sender<UpdateCmd>,
-    ) -> Action {
-        let request = match parse_request(line) {
-            Ok(r) => r,
-            Err(msg) => {
-                Telemetry::bump(&self.telemetry.protocol_errors);
-                return Action::Respond(error_response(&msg));
-            }
+        conn: &mut Conn<'_>,
+        tx: &mpsc::Sender<Request>,
+        out: &mut String,
+    ) -> Result<Action, String> {
+        let request = parse_request(line).or_else(|msg| self.protocol_error(msg))?;
+        let epoch = conn.epoch;
+        let down = |link| {
+            LogEvent::Link(LinkEvent {
+                link,
+                kind: EventKind::Down,
+            })
         };
         match request {
-            Request::Ping => Action::Respond(
-                Json::Obj(vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("pong".into(), Json::Bool(true)),
-                    ("gen".into(), Json::Num(epoch.gen as f64)),
-                ])
-                .render(),
-            ),
-            Request::Down { link } => self.handle_event(epoch, engine, applied, link, |link| {
-                LogEvent::Link(LinkEvent {
-                    link,
-                    kind: EventKind::Down,
-                })
-            }),
-            Request::Up { link } => self.handle_event(epoch, engine, applied, link, |link| {
-                LogEvent::Link(LinkEvent {
-                    link,
-                    kind: EventKind::Up,
-                })
-            }),
-            Request::Wobble { link, permille } => {
-                self.handle_event(epoch, engine, applied, link, move |link| {
-                    LogEvent::Link(LinkEvent {
-                        link,
-                        kind: EventKind::Wobble { permille },
-                    })
-                })
+            Request::Ping => {
+                let w = ObjWriter::new(out).bool("ok", true).bool("pong", true);
+                w.num("gen", epoch.gen as f64).finish();
             }
-            Request::Degrade { link, permille } => {
-                self.handle_event(epoch, engine, applied, link, move |link| {
-                    LogEvent::Link(LinkEvent {
-                        link,
-                        kind: EventKind::Degrade { permille },
-                    })
-                })
+            Request::Link { link, kind } => {
+                let link = self.link_id(epoch, link)?;
+                let event = LogEvent::Link(LinkEvent { link, kind });
+                self.log_events(conn, std::iter::once(event), false, out)?;
             }
+            // A correlated burst (SRLG group or node failure) is one Down
+            // log entry per member link, appended in member order.
+            // Redundant downs of already-dead links are no-ops in every
+            // reader's engine, so concurrent bursts over overlapping groups
+            // compose cleanly.
             Request::Srlg { group } => {
                 let Some(members) = self.spec.srlgs.get(group as usize) else {
-                    Telemetry::bump(&self.telemetry.protocol_errors);
-                    return Action::Respond(error_response(&format!(
-                        "unknown srlg group {group} (table has {} groups)",
-                        self.spec.srlgs.len()
-                    )));
+                    let groups = self.spec.srlgs.len();
+                    return self.protocol_error(format!(
+                        "unknown srlg group {group} (table has {groups} groups)"
+                    ));
                 };
-                self.handle_burst(epoch, engine, applied, members.clone())
+                self.log_events(conn, members.iter().map(|&l| down(l)), true, out)?;
             }
             Request::Node { node } => {
                 let topo = epoch.inst.topo();
                 if (node as usize) >= topo.node_count() {
-                    Telemetry::bump(&self.telemetry.protocol_errors);
-                    return Action::Respond(error_response(&format!(
-                        "node {node} out of range (topology has {} nodes)",
-                        topo.node_count()
-                    )));
+                    let nodes = topo.node_count();
+                    return self.protocol_error(format!(
+                        "node {node} out of range (topology has {nodes} nodes)"
+                    ));
                 }
                 let n = pcf_topology::NodeId(node);
-                let members: Vec<pcf_topology::LinkId> =
+                let members: Vec<LinkId> =
                     topo.links().filter(|&l| topo.link(l).touches(n)).collect();
-                self.handle_burst(epoch, engine, applied, members)
+                self.log_events(conn, members.into_iter().map(down), true, out)?;
             }
-            Request::Rebase { link, permille } => {
-                let topo = epoch.inst.topo();
-                if (link as usize) >= topo.link_count() {
-                    Telemetry::bump(&self.telemetry.protocol_errors);
-                    return Action::Respond(error_response(&format!(
-                        "link {link} out of range (topology has {} links)",
-                        topo.link_count()
-                    )));
-                }
-                match tx.send(UpdateCmd {
-                    scale: None,
-                    seed: None,
-                    rebase: Some((link, permille)),
-                }) {
-                    Ok(()) => Action::Respond(
-                        Json::Obj(vec![
-                            ("ok".into(), Json::Bool(true)),
-                            ("gen".into(), Json::Num(epoch.gen as f64)),
-                        ])
-                        .render(),
-                    ),
-                    Err(_) => Action::Respond(error_response("solver unavailable")),
-                }
+            Request::Reset => {
+                self.log_events(conn, std::iter::once(LogEvent::Reset), false, out)?
             }
-            Request::Reset => self.handle_event(epoch, engine, applied, 0, |_| LogEvent::Reset),
-            Request::Realize => self.handle_realize(epoch, engine, applied, 0, false),
-            Request::Util { limit } => self.handle_realize(epoch, engine, applied, limit, true),
-            Request::Plan => self.handle_plan(epoch),
-            Request::Admit { src, dst, demand } => self.handle_admit(epoch, &src, &dst, demand),
+            Request::Realize => self.handle_realize(conn, None, out)?,
+            Request::Util { limit } => self.handle_realize(conn, Some(limit), out)?,
+            Request::Plan => self.handle_plan(epoch, out),
+            Request::Admit { src, dst, demand } => {
+                self.handle_admit(epoch, &src, &dst, demand, out)?
+            }
             Request::Stats => {
-                let report =
-                    self.telemetry
-                        .snapshot(epoch.gen, epoch.plan_digest, epoch.cache.stats());
-                Action::Respond(format!(
-                    "{{\"ok\":true,\"report\":{},\"deterministic\":{}}}",
-                    report.to_json(),
-                    report.deterministic_json()
-                ))
+                let (gen, cache) = (epoch.gen, epoch.cache.stats());
+                let report = self.telemetry.snapshot(gen, epoch.plan_digest, cache);
+                ObjWriter::new(out)
+                    .bool("ok", true)
+                    .with("report", |o| o.push_str(&report.to_json()))
+                    .with("deterministic", |o| {
+                        o.push_str(&report.deterministic_json())
+                    })
+                    .finish();
             }
-            Request::Update { scale, seed } => match tx.send(UpdateCmd {
-                scale,
-                seed,
-                rebase: None,
-            }) {
-                Ok(()) => Action::Respond(
-                    Json::Obj(vec![
-                        ("ok".into(), Json::Bool(true)),
-                        ("gen".into(), Json::Num(epoch.gen as f64)),
-                    ])
-                    .render(),
-                ),
-                Err(_) => Action::Respond(error_response("solver unavailable")),
-            },
+            Request::Rebase { .. } | Request::Update { .. } => {
+                if let Request::Rebase { link, .. } = request {
+                    self.link_id(epoch, link)?;
+                }
+                tx.send(request).map_err(|_| "solver unavailable")?;
+                let w = ObjWriter::new(out).bool("ok", true);
+                w.num("gen", epoch.gen as f64).finish();
+            }
             Request::Wait { gen, timeout_ms } => {
                 let sw = Stopwatch::start();
-                loop {
-                    let now = self.cell.generation();
-                    if now >= gen {
-                        return Action::Respond(
-                            Json::Obj(vec![
-                                ("ok".into(), Json::Bool(true)),
-                                ("gen".into(), Json::Num(now as f64)),
-                            ])
-                            .render(),
-                        );
-                    }
-                    if sw.elapsed_ms() >= timeout_ms {
-                        return Action::Respond(
-                            Json::Obj(vec![
-                                ("ok".into(), Json::Bool(false)),
-                                (
-                                    "error".into(),
-                                    Json::str(format!("timeout waiting for generation {gen}")),
-                                ),
-                                ("gen".into(), Json::Num(now as f64)),
-                            ])
-                            .render(),
-                        );
-                    }
+                let mut now = self.cell.generation();
+                while now < gen && sw.elapsed_ms() < timeout_ms {
                     thread::sleep(Duration::from_millis(2));
+                    now = self.cell.generation();
                 }
+                let w = ObjWriter::new(out).bool("ok", now >= gen);
+                let w = match now >= gen {
+                    true => w,
+                    false => w.str("error", &format!("timeout waiting for generation {gen}")),
+                };
+                w.num("gen", now as f64).finish();
             }
             Request::Shutdown => {
                 self.shutdown.store(true, Ordering::Release);
                 self.poke_acceptor();
-                Action::RespondAndClose(Json::Obj(vec![("ok".into(), Json::Bool(true))]).render())
+                ObjWriter::new(out).bool("ok", true).finish();
+                return Ok(Action::RespondAndClose);
             }
         }
+        Ok(Action::Respond)
     }
 
-    fn handle_event(
+    /// Appends `events` to the log, replays them into the connection's
+    /// engine, and answers; a burst also reports how many links it downed.
+    fn log_events(
         &self,
-        epoch: &PlanEpoch,
-        engine: &mut ReplayEngine<'_>,
-        applied: &mut usize,
-        link: u32,
-        build: impl FnOnce(pcf_topology::LinkId) -> LogEvent,
-    ) -> Action {
+        conn: &mut Conn<'_>,
+        events: impl ExactSizeIterator<Item = LogEvent>,
+        burst: bool,
+        out: &mut String,
+    ) -> Result<(), String> {
         let sw = Stopwatch::start();
-        let topo = epoch.inst.topo();
-        if (link as usize) >= topo.link_count() {
-            Telemetry::bump(&self.telemetry.protocol_errors);
-            return Action::Respond(error_response(&format!(
-                "link {link} out of range (topology has {} links)",
-                topo.link_count()
-            )));
-        }
-        let event = build(pcf_topology::LinkId(link));
-        if let Err(e) = self.log.push(event) {
-            return Action::Respond(error_response(&e.to_string()));
-        }
-        if let Err(e) = sync_engine(epoch, engine, &self.log, applied) {
-            return Action::Respond(error_response(&format!("event replay failed: {e}")));
-        }
-        Telemetry::bump(&self.telemetry.events);
-        self.telemetry.event_latency.record(sw.elapsed_ns());
-        Action::Respond(
-            Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("gen".into(), Json::Num(epoch.gen as f64)),
-                ("dead_links".into(), Json::Num(engine.dead_links() as f64)),
-            ])
-            .render(),
-        )
-    }
-
-    /// Applies a correlated burst (SRLG group or node failure): one Down
-    /// log entry per member link, appended in member order. Redundant
-    /// downs of already-dead links are no-ops in every reader's engine,
-    /// so concurrent bursts over overlapping groups compose cleanly.
-    fn handle_burst(
-        &self,
-        epoch: &PlanEpoch,
-        engine: &mut ReplayEngine<'_>,
-        applied: &mut usize,
-        members: Vec<pcf_topology::LinkId>,
-    ) -> Action {
-        let sw = Stopwatch::start();
-        for &l in &members {
-            if let Err(e) = self.log.push(LogEvent::Link(LinkEvent {
-                link: l,
-                kind: EventKind::Down,
-            })) {
-                return Action::Respond(error_response(&e.to_string()));
-            }
+        let downed = events.len();
+        for event in events {
+            self.log.push(event).map_err(|e| e.to_string())?;
             Telemetry::bump(&self.telemetry.events);
         }
-        if let Err(e) = sync_engine(epoch, engine, &self.log, applied) {
-            return Action::Respond(error_response(&format!("event replay failed: {e}")));
-        }
+        conn.sync(&self.log)?;
         self.telemetry.event_latency.record(sw.elapsed_ns());
-        Action::Respond(
-            Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("gen".into(), Json::Num(epoch.gen as f64)),
-                ("dead_links".into(), Json::Num(engine.dead_links() as f64)),
-                ("downed".into(), Json::Num(members.len() as f64)),
-            ])
-            .render(),
-        )
+        let w = ObjWriter::new(out)
+            .bool("ok", true)
+            .num("gen", conn.epoch.gen as f64)
+            .num("dead_links", conn.engine.dead_links() as f64);
+        let w = if burst {
+            w.num("downed", downed as f64)
+        } else {
+            w
+        };
+        w.finish();
+        Ok(())
     }
 
+    /// Answers `realize`, or `util` when `hot_arcs` carries its limit.
     fn handle_realize(
         &self,
-        epoch: &PlanEpoch,
-        engine: &mut ReplayEngine<'_>,
-        applied: &mut usize,
-        limit: usize,
-        with_arcs: bool,
-    ) -> Action {
+        conn: &mut Conn<'_>,
+        hot_arcs: Option<usize>,
+        out: &mut String,
+    ) -> Result<(), String> {
         let sw = Stopwatch::start();
-        if let Err(e) = sync_engine(epoch, engine, &self.log, applied) {
-            return Action::Respond(error_response(&format!("event replay failed: {e}")));
-        }
-        let result = engine.realize_degraded();
+        conn.sync(&self.log)?;
+        let result = conn.engine.realize_degraded();
         Telemetry::bump(&self.telemetry.queries);
         self.telemetry.query_latency.record(sw.elapsed_ns());
-        match result {
-            Ok(d) => {
-                self.telemetry.record_stage(d.ladder_stage.code());
-                self.telemetry.record_bump(d.routing.bump);
-                let max_util = peak_utilization(&epoch.inst, &d.routing, engine.capacities());
-                let mut fields = vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("gen".into(), Json::Num(epoch.gen as f64)),
-                    ("stage".into(), Json::str(d.ladder_stage.name())),
-                    ("max_utilization".into(), Json::Num(max_util)),
-                    ("shed".into(), Json::Num(d.shed_demand)),
-                    ("dead_links".into(), Json::Num(engine.dead_links() as f64)),
-                ];
-                if with_arcs {
-                    fields.push((
-                        "hot_arcs".into(),
-                        hot_arcs(epoch, engine, &d.routing, limit),
-                    ));
-                }
-                Action::Respond(Json::Obj(fields).render())
-            }
-            Err(e) => {
-                self.telemetry.record_stage(3);
-                Action::Respond(error_response(&format!("realization failed: {e}")))
-            }
-        }
+        let d = result.map_err(|e| {
+            self.telemetry.record_stage(3);
+            format!("realization failed: {e}")
+        })?;
+        self.telemetry.record_stage(d.ladder_stage.code());
+        self.telemetry.record_bump(d.routing.bump);
+        let (epoch, engine) = (conn.epoch, &conn.engine);
+        let max_util = peak_utilization(&epoch.inst, &d.routing, engine.capacities());
+        let w = ObjWriter::new(out)
+            .bool("ok", true)
+            .num("gen", epoch.gen as f64)
+            .str("stage", d.ladder_stage.name())
+            .num("max_utilization", max_util)
+            .num("shed", d.shed_demand)
+            .num("dead_links", engine.dead_links() as f64);
+        let w = match hot_arcs {
+            Some(limit) => w.with("hot_arcs", |o| {
+                write_hot_arcs(o, epoch, engine, &d.routing, limit);
+            }),
+            None => w,
+        };
+        w.finish();
+        Ok(())
     }
 
-    fn handle_plan(&self, epoch: &PlanEpoch) -> Action {
-        Action::Respond(
-            Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("gen".into(), Json::Num(epoch.gen as f64)),
-                ("topology".into(), Json::str(epoch.inst.topo().name())),
-                ("scheme".into(), Json::str(self.spec.scheme.as_flag())),
-                ("f".into(), Json::Num(self.spec.f as f64)),
-                ("pairs".into(), Json::Num(epoch.inst.num_pairs() as f64)),
-                ("objective".into(), Json::Num(epoch.objective)),
-                ("scale".into(), Json::Num(epoch.scale)),
-                ("seed".into(), Json::Num(epoch.seed as f64)),
-                ("warm_cuts".into(), Json::Num(epoch.warm_cuts as f64)),
-                ("tunnels_reused".into(), Json::Bool(epoch.tunnels_reused)),
-                (
-                    "plan_digest".into(),
-                    Json::str(format!("{:016x}", epoch.plan_digest)),
-                ),
-            ])
-            .render(),
-        )
+    fn handle_plan(&self, epoch: &PlanEpoch, out: &mut String) {
+        ObjWriter::new(out)
+            .bool("ok", true)
+            .num("gen", epoch.gen as f64)
+            .str("topology", epoch.inst.topo().name())
+            .str("scheme", self.spec.scheme.as_flag())
+            .num("f", self.spec.f as f64)
+            .num("pairs", epoch.inst.num_pairs() as f64)
+            .num("objective", epoch.objective)
+            .num("scale", epoch.scale)
+            .num("seed", epoch.seed as f64)
+            .num("warm_cuts", epoch.warm_cuts as f64)
+            .bool("tunnels_reused", epoch.tunnels_reused)
+            .str("plan_digest", &format!("{:016x}", epoch.plan_digest))
+            .finish();
     }
 
-    fn handle_admit(&self, epoch: &PlanEpoch, src: &str, dst: &str, demand: f64) -> Action {
+    fn handle_admit(
+        &self,
+        epoch: &PlanEpoch,
+        src: &str,
+        dst: &str,
+        demand: f64,
+        out: &mut String,
+    ) -> Result<(), String> {
         let sw = Stopwatch::start();
         let topo = epoch.inst.topo();
         let Some(s) = topo.node_by_name(src) else {
-            Telemetry::bump(&self.telemetry.protocol_errors);
-            return Action::Respond(error_response(&format!("unknown node {src:?}")));
+            return self.protocol_error(format!("unknown node {src:?}"));
         };
         let Some(t) = topo.node_by_name(dst) else {
-            Telemetry::bump(&self.telemetry.protocol_errors);
-            return Action::Respond(error_response(&format!("unknown node {dst:?}")));
+            return self.protocol_error(format!("unknown node {dst:?}"));
         };
-        let Some(p) = epoch.inst.pair_id(s, t) else {
-            return Action::Respond(error_response(&format!(
-                "no demand pair {src} -> {dst} in the served plan"
-            )));
-        };
+        let p = epoch
+            .inst
+            .pair_id(s, t)
+            .ok_or_else(|| format!("no demand pair {src} -> {dst} in the served plan"))?;
         let tol_abs = absolute_tolerance(&epoch.served, epoch.tol);
         let outcome = admit(
             &epoch.inst,
@@ -698,54 +590,68 @@ impl Server {
         );
         Telemetry::bump(&self.telemetry.queries);
         self.telemetry.query_latency.record(sw.elapsed_ns());
-        match outcome {
+        let w = ObjWriter::new(out).bool("ok", true);
+        let w = match outcome {
             AdmitOutcome::Admitted { headroom, relaxed } => {
                 Telemetry::bump(&self.telemetry.admitted);
-                Action::Respond(
-                    Json::Obj(vec![
-                        ("ok".into(), Json::Bool(true)),
-                        ("admitted".into(), Json::Bool(true)),
-                        ("headroom".into(), Json::Num(headroom)),
-                        ("relaxed".into(), Json::Bool(relaxed)),
-                        ("gen".into(), Json::Num(epoch.gen as f64)),
-                    ])
-                    .render(),
-                )
+                w.bool("admitted", true)
+                    .num("headroom", headroom)
+                    .bool("relaxed", relaxed)
             }
             AdmitOutcome::Rejected {
                 worst_available,
                 witness,
             } => {
                 Telemetry::bump(&self.telemetry.rejected);
-                let witness_json = match witness {
+                let witness = match witness {
                     Some(links) => {
                         Json::Arr(links.iter().map(|l| Json::Num(f64::from(l.0))).collect())
                     }
                     None => Json::Null,
                 };
-                Action::Respond(
-                    Json::Obj(vec![
-                        ("ok".into(), Json::Bool(true)),
-                        ("admitted".into(), Json::Bool(false)),
-                        ("worst_available".into(), Json::Num(worst_available)),
-                        ("witness".into(), witness_json),
-                        ("gen".into(), Json::Num(epoch.gen as f64)),
-                    ])
-                    .render(),
-                )
+                w.bool("admitted", false)
+                    .num("worst_available", worst_available)
+                    .value("witness", &witness)
             }
-        }
+        };
+        w.num("gen", epoch.gen as f64).finish();
+        Ok(())
     }
 }
 
-/// The hottest arcs of a routing, by utilization against the capacities
-/// currently in effect.
-fn hot_arcs(
+/// One connection's replay state: the epoch it serves, its private engine
+/// over that epoch, and how many event-log entries the engine has applied.
+struct Conn<'e> {
+    epoch: &'e PlanEpoch,
+    engine: ReplayEngine<'e>,
+    applied: usize,
+}
+
+impl Conn<'_> {
+    /// Replays the log entries the engine has not applied yet.
+    fn sync(&mut self, log: &EventLog) -> Result<(), String> {
+        let tail = log.tail();
+        while self.applied < tail {
+            match log.get(self.applied) {
+                LogEvent::Link(ev) => self.engine.apply(&ev),
+                LogEvent::Reset => reset_engine(self.epoch, &mut self.engine),
+            }
+            .map_err(|e| format!("event replay failed: {e}"))?;
+            self.applied += 1;
+        }
+        Ok(())
+    }
+}
+
+/// Writes the hottest arcs of a routing, by utilization against the
+/// capacities currently in effect, as a JSON array.
+fn write_hot_arcs(
+    out: &mut String,
     epoch: &PlanEpoch,
     engine: &ReplayEngine<'_>,
     routing: &pcf_core::Routing,
     limit: usize,
-) -> Json {
+) {
     let topo = epoch.inst.topo();
     let mut arcs: Vec<(usize, f64)> = topo
         .arcs()
@@ -762,18 +668,23 @@ fn hot_arcs(
             (arc.index(), util)
         })
         .collect();
-    arcs.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-    Json::Arr(
-        arcs.into_iter()
-            .take(limit)
-            .map(|(idx, util)| {
-                Json::Obj(vec![
-                    ("arc".into(), Json::Num(idx as f64)),
-                    ("utilization".into(), Json::Num(util)),
-                ])
-            })
-            .collect(),
-    )
+    // Hottest first, ties by index: a total order, so selecting the top
+    // `limit` and sorting only those equals sorting everything.
+    let hotter = |x: &(usize, f64), y: &(usize, f64)| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0));
+    let top = limit.min(arcs.len());
+    if top < arcs.len() {
+        arcs.select_nth_unstable_by(top, hotter);
+    }
+    arcs[..top].sort_unstable_by(hotter);
+    out.push('[');
+    for (i, &(idx, util)) in arcs[..top].iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let w = ObjWriter::new(out).num("arc", idx as f64);
+        w.num("utilization", util).finish();
+    }
+    out.push(']');
 }
 
 /// A `rebase` of capacity `cap` to `permille`/1000 of itself, or `None`
@@ -783,24 +694,6 @@ fn hot_arcs(
 fn rebased_capacity(cap: f64, permille: u32) -> Option<f64> {
     let rebased = cap * f64::from(permille) / 1000.0;
     (rebased.is_finite() && rebased >= f64::MIN_POSITIVE).then_some(rebased)
-}
-
-/// Replays log entries `[*applied, tail)` into this connection's engine.
-fn sync_engine(
-    epoch: &PlanEpoch,
-    engine: &mut ReplayEngine<'_>,
-    log: &EventLog,
-    applied: &mut usize,
-) -> Result<(), RealizeError> {
-    let tail = log.tail();
-    while *applied < tail {
-        match log.get(*applied) {
-            LogEvent::Link(ev) => engine.apply(&ev)?,
-            LogEvent::Reset => reset_engine(epoch, engine)?,
-        }
-        *applied += 1;
-    }
-    Ok(())
 }
 
 /// Applies a reset as ordinary events: revive every dead link, clear
@@ -840,41 +733,53 @@ fn reset_engine(epoch: &PlanEpoch, engine: &mut ReplayEngine<'_>) -> Result<(), 
 enum ReadOutcome {
     Line,
     Closed,
-    /// No complete request arrived within the idle budget.
-    Idle,
+    /// Refused with this message, then closed.
+    Refused(String),
 }
 
-/// `read_line` with shutdown polling: timeouts loop (partial bytes stay
-/// appended in `line`, so a line split across timeouts reassembles), a
-/// set shutdown flag reads as a clean close, and — when `idle_timeout_ms`
-/// is nonzero — a connection that produces no complete request within the
-/// budget reads as [`ReadOutcome::Idle`] so the caller can reap it.
-fn read_line_shutdown_aware(
-    reader: &mut BufReader<TcpStream>,
-    line: &mut String,
-    shutdown: &AtomicBool,
-    idle_timeout_ms: u64,
-) -> io::Result<ReadOutcome> {
-    let sw = Stopwatch::start();
-    loop {
-        match reader.read_line(line) {
-            Ok(0) => return Ok(ReadOutcome::Closed),
-            Ok(_) => return Ok(ReadOutcome::Line),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shutdown.load(Ordering::Acquire) {
-                    return Ok(ReadOutcome::Closed);
+impl Server {
+    /// Reads one request line (newline included) into `line`, polling for
+    /// shutdown: timeouts loop (partial bytes stay appended in `line`, so a
+    /// line split across timeouts reassembles), and a set shutdown flag
+    /// reads as a clean close. A line longer than [`MAX_REQUEST_LINE`], or
+    /// no complete request within a nonzero idle budget, is refused.
+    fn read_request(
+        &self,
+        reader: &mut BufReader<TcpStream>,
+        line: &mut Vec<u8>,
+    ) -> io::Result<ReadOutcome> {
+        let (sw, idle_ms) = (Stopwatch::start(), self.opts.idle_timeout_ms);
+        loop {
+            // One byte past the cap tells a line that is too long.
+            let budget = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+            match reader.by_ref().take(budget).read_until(b'\n', line) {
+                Ok(0) if line.is_empty() => return Ok(ReadOutcome::Closed),
+                // End of stream: a last line without a newline still counts.
+                Ok(0) => return Ok(ReadOutcome::Line),
+                Ok(_) if line.ends_with(b"\n") => return Ok(ReadOutcome::Line),
+                Ok(_) if line.len() > MAX_REQUEST_LINE => {
+                    Telemetry::bump(&self.telemetry.protocol_errors);
+                    let why = format!("request line longer than {MAX_REQUEST_LINE} bytes, closing");
+                    return Ok(ReadOutcome::Refused(why));
                 }
-                if idle_timeout_ms > 0 && sw.elapsed_ms() >= idle_timeout_ms {
-                    return Ok(ReadOutcome::Idle);
+                Ok(_) => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    if self.shutdown.load(Ordering::Acquire) {
+                        return Ok(ReadOutcome::Closed);
+                    }
+                    if idle_ms > 0 && sw.elapsed_ms() >= idle_ms {
+                        Telemetry::bump(&self.telemetry.idle_reaps);
+                        let why = format!("idle timeout ({idle_ms} ms), closing");
+                        return Ok(ReadOutcome::Refused(why));
+                    }
                 }
+                Err(e) => return Err(e),
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
         }
     }
 }
