@@ -31,6 +31,7 @@ use pcf_replay::{
     replay_batch, run_campaign, CampaignOptions, CampaignPlan, EventTrace, FaultInjector,
     ReplayOptions,
 };
+use pcf_rng::json;
 use pcf_topology::{LinkId, SrlgSet, Topology};
 use pcf_traffic::{gravity, TrafficMatrix};
 
@@ -117,12 +118,12 @@ fn usage() {
          \x20                     / `srlg <g>` lines; groups come from --srlg)\n\
          \x20 --events <n>        (replay) generate an n-event flap trace    (default 1000)\n\
          \x20 --traces <n>        (replay) replay n generated traces in parallel (default 1)\n\
-         \x20 --cache <n>         (replay) retained realizations; 0 = cold (default 1024)\n\
-         \x20 --json <path>       (solve/validate/replay) also write the report as JSON\n\
-         \x20 --djson <path>      (replay) write the deterministic (digest) report as JSON\n\
-         \x20 --degrade <m>       (replay) off | rescale | shed: how far down the\n\
+         \x20 --cache <n>         (replay/serve) retained realizations; 0 = cold (default 1024)\n\
+         \x20 --json <path>       (solve/validate/replay/adversary/serve --drive) report as JSON\n\
+         \x20 --djson <path>      (replay/serve --drive) deterministic (digest) report as JSON\n\
+         \x20 --degrade <m>       (replay/serve) off | rescale | shed: how far down the\n\
          \x20                     degradation ladder beyond-budget events may fall\n\
-         \x20                     (default off; see DESIGN.md \u{a7}10)\n\
+         \x20                     (default off for replay, shed for serve; see DESIGN.md \u{a7}10)\n\
          \x20 --inject <kind>     (replay) adversarial traces instead of flaps:\n\
          \x20                     bursts (beyond-budget) | wobble (capacity) | chaos (both) |\n\
          \x20                     srlg (correlated group bursts; honors --srlg* flags) |\n\
@@ -158,12 +159,20 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             Ok(())
         }
         "solve" => {
+            if args.get("scheme") == Some("r3") {
+                // R3 has no tunnel/LS plan: its objective is the report.
+                let f = args.get_or("f", 1usize)?;
+                let r3 = solve_r3(&topo, &load_traffic(&args, &topo)?, f);
+                println!(
+                    "R3 on {} (f={f}): guaranteed demand scale {:.4}",
+                    topo.name(),
+                    r3.objective
+                );
+                return Ok(());
+            }
             let (inst, sol, scheme) = solve(&args, &topo)?;
             report(&topo, &inst, &sol, &scheme);
-            if let Some(path) = args.get("json") {
-                std::fs::write(path, solve_json(&topo, &inst, &sol, &scheme))?;
-                println!("  report written to {path}");
-            }
+            write_report(&args, "json", || solve_json(&topo, &inst, &sol, &scheme))?;
             Ok(())
         }
         "validate" => {
@@ -186,23 +195,16 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                     "VIOLATIONS FOUND"
                 }
             );
-            if let Some(path) = args.get("json") {
-                std::fs::write(
-                    path,
-                    format!(
-                        "{{\n  \"scenarios\": {},\n  \"distinct_states\": {},\n  \
-                         \"max_utilization\": {:.6},\n  \"violations\": {},\n  \
-                         \"max_bump\": {},\n  \"digest\": \"{:016x}\"\n}}\n",
-                        report.scenarios,
-                        report.distinct_states,
-                        report.max_utilization,
-                        report.violations.len(),
-                        report.max_bump,
-                        report.digest(),
-                    ),
-                )?;
-                println!("  report written to {path}");
-            }
+            write_report(&args, "json", || {
+                json::report(|w| {
+                    w.uint("scenarios", report.scenarios as u64)
+                        .uint("distinct_states", report.distinct_states as u64)
+                        .fixed("max_utilization", report.max_utilization, 6)
+                        .uint("violations", report.violations.len() as u64)
+                        .uint("max_bump", report.max_bump as u64)
+                        .str("digest", &format!("{:016x}", report.digest()))
+                })
+            })?;
             for hot in &report.top_arcs {
                 let arc = pcf_topology::ArcId(hot.arc as u32);
                 println!(
@@ -344,14 +346,8 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                     v.trace, v.event, v.kind
                 );
             }
-            if let Some(path) = args.get("json") {
-                std::fs::write(path, rep.to_json())?;
-                println!("  report written to {path}");
-            }
-            if let Some(path) = args.get("djson") {
-                std::fs::write(path, rep.deterministic_json())?;
-                println!("  deterministic report written to {path}");
-            }
+            write_report(&args, "json", || rep.to_json())?;
+            write_report(&args, "djson", || rep.deterministic_json())?;
             // Exit policy: degraded-but-served events are absorbed (the
             // ladder did its job); only genuine violations — overloads or
             // events that served nothing — fail the replay.
@@ -412,14 +408,8 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                         "  drive: {} command(s), {} violation(s)",
                         drive.commands, drive.violations
                     );
-                    if let Some(path) = args.get("json") {
-                        std::fs::write(path, rep.to_json())?;
-                        println!("  report written to {path}");
-                    }
-                    if let Some(path) = args.get("djson") {
-                        std::fs::write(path, rep.deterministic_json())?;
-                        println!("  deterministic report written to {path}");
-                    }
+                    write_report(&args, "json", || rep.to_json())?;
+                    write_report(&args, "djson", || rep.deterministic_json())?;
                     if !drive.clean() {
                         for (req, resp) in drive.transcript.iter().take(50) {
                             println!("  {req} => {resp}");
@@ -451,32 +441,23 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             let tf = solve_pcf_tf(&tunnel_inst, &fm, &ropts);
             let ls_inst = pcf_ls_instance(&topo, &tm, k);
             let ls = solve_pcf_ls(&ls_inst, &fm, &ropts);
-            let ffc_served = ffc.served(&tunnel_inst);
-            let tf_served = tf.served(&tunnel_inst);
-            let ls_served = ls.served(&ls_inst);
-            let plans = [
-                CampaignPlan {
-                    scheme: "ffc".into(),
-                    inst: &tunnel_inst,
-                    a: &ffc.a,
-                    b: &ffc.b,
-                    served: &ffc_served,
-                },
-                CampaignPlan {
-                    scheme: "pcf-tf".into(),
-                    inst: &tunnel_inst,
-                    a: &tf.a,
-                    b: &tf.b,
-                    served: &tf_served,
-                },
-                CampaignPlan {
-                    scheme: "pcf-ls".into(),
-                    inst: &ls_inst,
-                    a: &ls.a,
-                    b: &ls.b,
-                    served: &ls_served,
-                },
+            let solved = [
+                ("ffc", &tunnel_inst, &ffc),
+                ("pcf-tf", &tunnel_inst, &tf),
+                ("pcf-ls", &ls_inst, &ls),
             ];
+            let served: Vec<Vec<f64>> = solved.iter().map(|(_, i, sol)| sol.served(i)).collect();
+            let plans: Vec<CampaignPlan<'_>> = solved
+                .iter()
+                .zip(&served)
+                .map(|(&(scheme, inst, sol), served)| CampaignPlan {
+                    scheme: scheme.into(),
+                    inst,
+                    a: &sol.a,
+                    b: &sol.b,
+                    served,
+                })
+                .collect();
             let rep = run_campaign(&plans, &copts);
             println!(
                 "adversary on {} (f={f}, {} srlg groups, {} steps, budget {} dead):",
@@ -504,10 +485,7 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 }
             }
             println!("  digest {:016x}", rep.digest());
-            if let Some(path) = args.get("json") {
-                std::fs::write(path, rep.to_json())?;
-                println!("  report written to {path}");
-            }
+            write_report(&args, "json", || rep.to_json())?;
             match rep.separation_ok() {
                 Some(true) => {
                     println!("  separation: pcf-ls retained > ffc retained -- OK");
@@ -629,41 +607,45 @@ fn robust_options(args: &Args) -> Result<RobustOptions, ArgError> {
     })
 }
 
+/// Writes the report `render` builds to the `--<flag>` path, if given.
+fn write_report(args: &Args, flag: &str, render: impl FnOnce() -> String) -> std::io::Result<()> {
+    if let Some(path) = args.get(flag) {
+        std::fs::write(path, render())?;
+        let kind = if flag == "json" { "" } else { "deterministic " };
+        println!("  {kind}report written to {path}");
+    }
+    Ok(())
+}
+
 /// The `solve --json` report: the headline numbers, the separation LPs
 /// and their pivots, and the LP-layer counters of the master.
 fn solve_json(topo: &Topology, inst: &Instance, sol: &RobustSolution, scheme: &str) -> String {
     let lp = sol.lp_stats;
-    format!(
-        "{{\n  \"scheme\": \"{scheme}\",\n  \"topology\": \"{}\",\n  \"nodes\": {},\n  \
-         \"links\": {},\n  \"pairs\": {},\n  \"tunnels\": {},\n  \"logical_sequences\": {},\n  \
-         \"objective\": {:.9},\n  \"rounds\": {},\n  \"cuts\": {},\n  \"warm_rounds\": {},\n  \
-         \"separation_lps\": {},\n  \"separation_pivots\": {},\n  \"cold_solves\": {},\n  \"warm_solves\": {},\n  \"warm_fallbacks\": {},\n  \
-         \"phase1_iterations\": {},\n  \"primal_iterations\": {},\n  \"dual_iterations\": {},\n  \
-         \"refactors\": {},\n  \"update_entries\": {},\n  \"refactor_peeled\": {},\n  \
-         \"refactor_bump\": {}\n}}\n",
-        topo.name(),
-        topo.node_count(),
-        topo.link_count(),
-        inst.num_pairs(),
-        inst.num_tunnels(),
-        inst.num_lss(),
-        sol.objective,
-        sol.rounds,
-        sol.cuts,
-        sol.warm_rounds,
-        sol.separation_lps,
-        sol.separation_pivots,
-        lp.cold_solves,
-        lp.warm_solves,
-        lp.warm_fallbacks,
-        lp.phase1_iterations,
-        lp.primal_iterations,
-        lp.dual_iterations,
-        lp.refactors,
-        lp.update_entries,
-        lp.refactor_peeled,
-        lp.refactor_bump,
-    )
+    json::report(|w| {
+        w.str("scheme", scheme)
+            .str("topology", topo.name())
+            .uint("nodes", topo.node_count() as u64)
+            .uint("links", topo.link_count() as u64)
+            .uint("pairs", inst.num_pairs() as u64)
+            .uint("tunnels", inst.num_tunnels() as u64)
+            .uint("logical_sequences", inst.num_lss() as u64)
+            .fixed("objective", sol.objective, 9)
+            .uint("rounds", sol.rounds as u64)
+            .uint("cuts", sol.cuts as u64)
+            .uint("warm_rounds", sol.warm_rounds as u64)
+            .uint("separation_lps", sol.separation_lps as u64)
+            .uint("separation_pivots", sol.separation_pivots as u64)
+            .uint("cold_solves", lp.cold_solves as u64)
+            .uint("warm_solves", lp.warm_solves as u64)
+            .uint("warm_fallbacks", lp.warm_fallbacks as u64)
+            .uint("phase1_iterations", lp.phase1_iterations as u64)
+            .uint("primal_iterations", lp.primal_iterations as u64)
+            .uint("dual_iterations", lp.dual_iterations as u64)
+            .uint("refactors", lp.refactors as u64)
+            .uint("update_entries", lp.update_entries as u64)
+            .uint("refactor_peeled", lp.refactor_peeled as u64)
+            .uint("refactor_bump", lp.refactor_bump as u64)
+    })
 }
 
 fn load_traffic(args: &Args, topo: &Topology) -> Result<TrafficMatrix, Box<dyn std::error::Error>> {
@@ -683,13 +665,21 @@ fn load_traffic(args: &Args, topo: &Topology) -> Result<TrafficMatrix, Box<dyn s
     Ok(tm)
 }
 
+/// Solves the `--scheme` plan. R3 has no tunnel/LS plan, so here it is a
+/// usage error, raised before any LP runs (`solve` answers r3 itself).
 fn solve(
     args: &Args,
     topo: &Topology,
 ) -> Result<(Instance, RobustSolution, String), Box<dyn std::error::Error>> {
+    let scheme = args.get("scheme").unwrap_or("pcf-ls").to_string();
+    if scheme == "r3" {
+        return Err(Box::new(ArgError(format!(
+            "{}: --scheme r3 has no tunnel plan to check; only solve takes r3",
+            args.command
+        ))));
+    }
     let f = args.get_or("f", 1usize)?;
     let k = args.get_or("tunnels", 3usize)?;
-    let scheme = args.get("scheme").unwrap_or("pcf-ls").to_string();
     let tm = load_traffic(args, topo)?;
     let fm = FailureModel::links(f);
     let opts = robust_options(args)?;
@@ -712,16 +702,6 @@ fn solve(
         "pcf-cls" => {
             let cls = pcf_cls_pipeline(topo, &tm, k, &fm, &opts);
             (cls.instance, cls.solution)
-        }
-        "r3" => {
-            // R3 has no tunnel/LS plan to validate; report and exit here.
-            let r3 = solve_r3(topo, &tm, f);
-            println!(
-                "R3 on {} (f={f}): guaranteed demand scale {:.4}",
-                topo.name(),
-                r3.objective
-            );
-            std::process::exit(0);
         }
         other => {
             return Err(Box::new(ArgError(format!(
@@ -779,4 +759,40 @@ fn describe(topo: &Topology) {
         degs.get(degs.len() / 2).unwrap_or(&0),
         degs.last().unwrap_or(&0)
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pcf_rng::json::Json;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn r3_is_a_usage_error_for_validate_and_replay() {
+        for cmd in ["validate", "replay"] {
+            let err = run(&argv(&format!("{cmd} --topology Abilene --scheme r3"))).unwrap_err();
+            assert!(err.downcast_ref::<ArgError>().is_some(), "{err}");
+            assert!(err.to_string().contains("r3"), "{err}");
+        }
+    }
+
+    /// A GML `label` may hold any string; the report must still parse.
+    #[test]
+    fn solve_json_escapes_the_topology_name() {
+        let name = "lab\\net\tA\u{1}";
+        let mut topo = Topology::new(name);
+        let nodes: Vec<_> = (0..4).map(|i| topo.add_node(format!("n{i}"))).collect();
+        for i in 0..4 {
+            topo.add_link(nodes[i], nodes[(i + 1) % 4], 10.0);
+        }
+        let inst = tunnel_instance(&topo, &gravity(&topo, 1), 2);
+        let sol = solve_ffc(&inst, &FailureModel::links(1), &RobustOptions::default());
+        let json = solve_json(&topo, &inst, &sol, "ffc");
+        let parsed = Json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        assert_eq!(parsed.get("topology").and_then(Json::as_str), Some(name));
+        assert_eq!(parsed.get("scheme").and_then(Json::as_str), Some("ffc"));
+    }
 }

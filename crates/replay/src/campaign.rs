@@ -27,6 +27,7 @@ use crate::trace::{EventKind, LinkEvent};
 use pcf_core::{
     availability_under, degraded_reservations, DegradeMode, FailureState, Instance, OVERLOAD_TOL,
 };
+use pcf_rng::json::{self, Json, Layout, ObjWriter};
 use pcf_rng::Fnv1a;
 use pcf_topology::LinkId;
 
@@ -174,49 +175,36 @@ impl CampaignReport {
     /// Deterministic JSON: quantized values, the separation verdict, and
     /// the digest. Byte-identical across repeated runs.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\n  \"topology\": \"{}\",\n  \"curves\": [\n",
-            self.topology
-        ));
-        for (i, c) in self.curves.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{ \"scheme\": \"{}\", \"admitted\": {:.6}, \"retained\": {:.6}, \
-                 \"retained_fraction\": {:.6}, \"steps\": [",
-                c.scheme,
-                quantize(c.admitted) as f64 / 1e6,
-                quantize(c.retained()) as f64 / 1e6,
-                quantize(c.retained_fraction()) as f64 / 1e6,
-            ));
-            for (j, s) in c.steps.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{ \"event\": \"{}\", \"delivered\": {:.6}, \"shed\": {:.6}, \
-                     \"stage\": \"{}\" }}",
-                    s.event,
-                    quantize(s.delivered) as f64 / 1e6,
-                    quantize(s.shed) as f64 / 1e6,
-                    s.stage.name(),
-                ));
-            }
-            out.push_str("] }");
-            if i + 1 < self.curves.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        let separation = match self.separation_ok() {
-            Some(true) => "\"pcf-ls > ffc\"",
-            Some(false) => "\"VIOLATED\"",
-            None => "null",
-        };
-        out.push_str(&format!(
-            "  ],\n  \"separation\": {separation},\n  \"digest\": \"{:016x}\"\n}}\n",
-            self.digest()
-        ));
-        out
+        let q = |x: f64| quantize(x) as f64 / 1e6;
+        json::report(|w| {
+            let w = w.str("topology", &self.topology).array(
+                "curves",
+                Layout::Lines,
+                &self.curves,
+                |o, c| {
+                    ObjWriter::open(o, Layout::Inline)
+                        .str("scheme", &c.scheme)
+                        .fixed("admitted", q(c.admitted), 6)
+                        .fixed("retained", q(c.retained()), 6)
+                        .fixed("retained_fraction", q(c.retained_fraction()), 6)
+                        .array("steps", Layout::Inline, &c.steps, |o, s| {
+                            ObjWriter::open(o, Layout::Inline)
+                                .str("event", &s.event)
+                                .fixed("delivered", q(s.delivered), 6)
+                                .fixed("shed", q(s.shed), 6)
+                                .str("stage", s.stage.name())
+                                .finish()
+                        })
+                        .finish()
+                },
+            );
+            let w = match self.separation_ok() {
+                Some(true) => w.str("separation", "pcf-ls > ffc"),
+                Some(false) => w.str("separation", "VIOLATED"),
+                None => w.value("separation", &Json::Null),
+            };
+            w.str("digest", &format!("{:016x}", self.digest()))
+        })
     }
 }
 
@@ -447,6 +435,29 @@ mod tests {
         }
         assert!(curve.retained() <= curve.admitted);
         assert!(r1.to_json().contains("\"digest\""));
+    }
+
+    /// A GML `label` may hold any string; the report must still parse.
+    #[test]
+    fn topology_names_are_escaped() {
+        let name = "lab\\net\tA\u{1}";
+        let rep = CampaignReport {
+            topology: name.into(),
+            curves: vec![CampaignCurve {
+                scheme: "ffc".into(),
+                admitted: 2.0,
+                steps: vec![CampaignStep {
+                    event: "down 0".into(),
+                    predicted: 1.5,
+                    delivered: 1.5,
+                    shed: 0.5,
+                    stage: EventStage::Rescaled,
+                }],
+            }],
+        };
+        let json = rep.to_json();
+        let parsed = Json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        assert_eq!(parsed.get("topology").and_then(Json::as_str), Some(name));
     }
 
     #[test]

@@ -27,6 +27,7 @@ use pcf_core::{
     degrade_fallback, degraded_reservations, normal_routing, DegradeMode, DegradedRouting,
     FailureState, Instance, LadderStage, RealizeError, Realizer, Routing,
 };
+use pcf_rng::json::ObjWriter;
 use pcf_rng::Fnv1a;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -68,6 +69,14 @@ impl CacheStats {
         self.misses += other.misses;
         self.evictions += other.evictions;
         self.errors += other.errors;
+    }
+
+    /// Writes the four counters as fields of `w`.
+    pub fn write_fields<'a>(&self, w: ObjWriter<'a>) -> ObjWriter<'a> {
+        w.uint("hits", self.hits)
+            .uint("misses", self.misses)
+            .uint("evictions", self.evictions)
+            .uint("errors", self.errors)
     }
 
     /// Counts one lookup that ended on `entry`.
@@ -112,6 +121,14 @@ impl DegradeStats {
         self.rescaled += other.rescaled;
         self.shed += other.shed;
         self.failed += other.failed;
+    }
+
+    /// Writes the four counters as fields of `w`.
+    pub fn write_fields<'a>(&self, w: ObjWriter<'a>) -> ObjWriter<'a> {
+        w.uint("normal", self.normal)
+            .uint("rescaled", self.rescaled)
+            .uint("shed", self.shed)
+            .uint("failed", self.failed)
     }
 }
 
@@ -235,7 +252,8 @@ pub struct ReplayEngine<'a> {
     dstats: DegradeStats,
     // Largest `Routing::bump` any successful realization reported.
     max_bump: usize,
-    // Fault-injection hook: pretend every factorization is singular.
+    // Test-only fault injection: every realization fails as singular.
+    #[cfg(test)]
     force_singular: bool,
 }
 
@@ -294,6 +312,7 @@ impl<'a> ReplayEngine<'a> {
             degrade: DegradeMode::Off,
             dstats: DegradeStats::default(),
             max_bump: 0,
+            #[cfg(test)]
             force_singular: false,
         }
     }
@@ -325,15 +344,6 @@ impl<'a> ReplayEngine<'a> {
     /// [`DegradeMode::Off`]).
     pub fn set_degrade(&mut self, mode: DegradeMode) {
         self.degrade = mode;
-    }
-
-    /// Fault-injection hook: while set, every realization behaves as if
-    /// the factorization failed ([`RealizeError::SingularMatrix`]). The failure
-    /// is synthesized *before* the cache is consulted, so no poisoned
-    /// entry is ever stored and cache counters don't move — exactly the
-    /// isolation the degradation ladder promises for degraded results.
-    pub fn force_singular(&mut self, on: bool) {
-        self.force_singular = on;
     }
 
     /// Applies one link event. Idempotent events (down while down, up while
@@ -487,6 +497,7 @@ impl<'a> ReplayEngine<'a> {
     /// degradation fingerprint — a degraded realization is never served to
     /// (or from) an undegraded one.
     pub fn realize(&mut self) -> Result<Arc<Routing>, RealizeError> {
+        #[cfg(test)]
         if self.force_singular {
             // Injected failure: reported before the cache is consulted so
             // it can neither store nor serve a poisoned entry.
@@ -780,7 +791,7 @@ pub(crate) mod tests {
         // Force a factorization failure: the ladder must serve stage 2, and the
         // cache must be completely untouched (no poisoned entry, no
         // counter movement) — the cache-exclusion invariant.
-        engine.force_singular(true);
+        engine.force_singular = true;
         for _ in 0..5 {
             let d = engine.realize_degraded().unwrap();
             assert_eq!(d.ladder_stage, pcf_core::LadderStage::Rescaled);
@@ -800,7 +811,7 @@ pub(crate) mod tests {
         assert_eq!(engine.degrade_stats().failed, 1);
 
         // Releasing the hook restores normal service (cache hit).
-        engine.force_singular(false);
+        engine.force_singular = false;
         engine.set_degrade(DegradeMode::Shed);
         let d = engine.realize_degraded().unwrap();
         assert_eq!(d.ladder_stage, pcf_core::LadderStage::Normal);

@@ -13,6 +13,7 @@
 use crate::engine::{CacheStats, DegradeStats, ReplayEngine};
 use crate::trace::EventTrace;
 use pcf_core::{exceeds_capacity, DegradeMode, Instance, LadderStage, ViolationKind, OVERLOAD_TOL};
+use pcf_rng::json::{self, Layout, ObjWriter};
 use pcf_rng::Fnv1a;
 #[expect(clippy::disallowed_types, reason = "latency histogram only")]
 use std::time::Instant;
@@ -167,7 +168,7 @@ impl LatencyHistogram {
 }
 
 /// Outcome of replaying one trace (or, merged, a whole batch).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplayReport {
     /// Events replayed.
     pub events: usize,
@@ -209,20 +210,7 @@ impl ReplayReport {
 
     /// Merges per-trace reports (in the given order) into one.
     pub fn merge(reports: &[ReplayReport]) -> ReplayReport {
-        let mut out = ReplayReport {
-            events: 0,
-            event_utilization: Vec::new(),
-            max_utilization: 0.0,
-            violations: Vec::new(),
-            latency: LatencyHistogram::default(),
-            cache: CacheStats::default(),
-            event_stage: Vec::new(),
-            event_shed: Vec::new(),
-            total_shed: 0.0,
-            worst_overload: 0.0,
-            degrade: DegradeStats::default(),
-            max_bump: 0,
-        };
+        let mut out = ReplayReport::default();
         for r in reports {
             out.events += r.events;
             out.event_utilization
@@ -268,72 +256,47 @@ impl ReplayReport {
             degrade_digest.write_u64(s.to_bits());
         }
         let degrade_digest = degrade_digest.finish();
-        let mut violations = String::new();
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                violations.push_str(", ");
-            }
-            violations.push_str(&format!(
-                "{{ \"trace\": {}, \"event\": {} }}",
-                v.trace, v.event
-            ));
-        }
-        format!(
-            "{{\n  \"events\": {},\n  \"max_utilization\": \"{:x}\",\n  \
-             \"utilization_digest\": \"{:016x}\",\n  \"violations\": [{}],\n  \
-             \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"errors\": {} }},\n  \
-             \"degrade\": {{ \"normal\": {}, \"rescaled\": {}, \"shed\": {}, \"failed\": {} }},\n  \
-             \"max_bump\": {},\n  \
-             \"total_shed\": \"{:x}\",\n  \"worst_overload\": \"{:x}\",\n  \
-             \"degrade_digest\": \"{:016x}\"\n}}\n",
-            self.events,
-            self.max_utilization.to_bits(),
-            digest,
-            violations,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.evictions,
-            self.cache.errors,
-            self.degrade.normal,
-            self.degrade.rescaled,
-            self.degrade.shed,
-            self.degrade.failed,
-            self.max_bump,
-            self.total_shed.to_bits(),
-            self.worst_overload.to_bits(),
-            degrade_digest,
-        )
+        let hex = |x: u64| format!("{x:x}");
+        json::report(|w| {
+            w.uint("events", self.events as u64)
+                .str("max_utilization", &hex(self.max_utilization.to_bits()))
+                .str("utilization_digest", &format!("{digest:016x}"))
+                .array("violations", Layout::Inline, &self.violations, |o, v| {
+                    ObjWriter::open(o, Layout::Inline)
+                        .uint("trace", v.trace as u64)
+                        .uint("event", v.event as u64)
+                        .finish()
+                })
+                .obj("cache", Layout::Inline, |w| self.cache.write_fields(w))
+                .obj("degrade", Layout::Inline, |w| self.degrade.write_fields(w))
+                .uint("max_bump", self.max_bump as u64)
+                .str("total_shed", &hex(self.total_shed.to_bits()))
+                .str("worst_overload", &hex(self.worst_overload.to_bits()))
+                .str("degrade_digest", &format!("{degrade_digest:016x}"))
+        })
     }
 
     /// Renders the report as a small JSON object (counts and summary
     /// statistics, not the raw per-event data).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"events\": {},\n  \"max_utilization\": {:.6},\n  \"violations\": {},\n  \
-             \"latency_ns\": {{ \"p50\": {}, \"p99\": {}, \"mean\": {:.1} }},\n  \
-             \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"errors\": {}, \"hit_rate\": {:.4} }},\n  \
-             \"degrade\": {{ \"normal\": {}, \"rescaled\": {}, \"shed\": {}, \"failed\": {} }},\n  \
-             \"max_bump\": {},\n  \
-             \"total_shed\": {:.6},\n  \"worst_overload\": {:.6}\n}}\n",
-            self.events,
-            self.max_utilization,
-            self.violations.len(),
-            self.latency.p50_ns(),
-            self.latency.p99_ns(),
-            self.latency.mean_ns(),
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.evictions,
-            self.cache.errors,
-            self.cache.hit_rate(),
-            self.degrade.normal,
-            self.degrade.rescaled,
-            self.degrade.shed,
-            self.degrade.failed,
-            self.max_bump,
-            self.total_shed,
-            self.worst_overload,
-        )
+        json::report(|w| {
+            w.uint("events", self.events as u64)
+                .fixed("max_utilization", self.max_utilization, 6)
+                .uint("violations", self.violations.len() as u64)
+                .obj("latency_ns", Layout::Inline, |w| {
+                    w.uint("p50", self.latency.p50_ns())
+                        .uint("p99", self.latency.p99_ns())
+                        .fixed("mean", self.latency.mean_ns(), 1)
+                })
+                .obj("cache", Layout::Inline, |w| {
+                    let hit_rate = self.cache.hit_rate();
+                    self.cache.write_fields(w).fixed("hit_rate", hit_rate, 4)
+                })
+                .obj("degrade", Layout::Inline, |w| self.degrade.write_fields(w))
+                .uint("max_bump", self.max_bump as u64)
+                .fixed("total_shed", self.total_shed, 6)
+                .fixed("worst_overload", self.worst_overload, 6)
+        })
     }
 }
 
@@ -373,25 +336,15 @@ fn replay_indexed(
     let mut violations = Vec::new();
     let mut latency = LatencyHistogram::default();
     for (i, ev) in trace.events.iter().enumerate() {
-        if let Err(e) = engine.apply(ev) {
-            violations.push(ReplayViolation {
-                trace: trace_idx,
-                event: i,
-                kind: ViolationKind::Realize(e),
-            });
-            event_utilization.push(0.0);
-            event_stage.push(EventStage::Failed);
-            event_shed.push(total_served);
-            total_shed += total_served;
-            if opts.fail_fast {
-                break;
-            }
-            continue;
-        }
-        #[expect(clippy::disallowed_types, reason = "latency histogram only")]
-        let t0 = Instant::now();
-        let realized = engine.realize_degraded();
-        latency.record(t0.elapsed().as_nanos() as u64);
+        // An event that fails to apply is served nothing, as a failed
+        // realization is; only realizations are timed.
+        let realized = engine.apply(ev).and_then(|()| {
+            #[expect(clippy::disallowed_types, reason = "latency histogram only")]
+            let t0 = Instant::now();
+            let realized = engine.realize_degraded();
+            latency.record(t0.elapsed().as_nanos() as u64);
+            realized
+        });
         match realized {
             Err(e) => {
                 violations.push(ReplayViolation {
@@ -467,40 +420,29 @@ pub fn replay_batch(
     traces: &[EventTrace],
     opts: &ReplayOptions,
 ) -> ReplayReport {
-    let threads = if opts.threads > 0 {
-        opts.threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+    let threads = match opts.threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
     };
-    let nt = threads.max(1).min(traces.len().max(1));
-    if nt <= 1 {
-        let reports: Vec<ReplayReport> = traces
-            .iter()
-            .enumerate()
-            .map(|(i, t)| replay_indexed(inst, a, b, served, t, opts, i))
-            .collect();
-        return ReplayReport::merge(&reports);
-    }
-    let mut out: Vec<Option<ReplayReport>> = Vec::new();
-    out.resize_with(traces.len(), || None);
+    let nt = threads.min(traces.len().max(1));
+    let mut out = vec![ReplayReport::default(); traces.len()];
     let chunk = traces.len().div_ceil(nt);
-    std::thread::scope(|s| {
-        for (ci, (ts, slots)) in traces.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate() {
-            s.spawn(move || {
-                for (j, (slot, t)) in slots.iter_mut().zip(ts).enumerate() {
-                    *slot = Some(replay_indexed(inst, a, b, served, t, opts, ci * chunk + j));
-                }
-            });
+    // Replays the traces of chunk `ci` into their slots.
+    let replay_chunk = |ci: usize, ts: &[EventTrace], slots: &mut [ReplayReport]| {
+        for (j, (slot, t)) in slots.iter_mut().zip(ts).enumerate() {
+            *slot = replay_indexed(inst, a, b, served, t, opts, ci * chunk + j);
         }
-    });
-    #[expect(clippy::expect_used, reason = "the joined scope filled every slot")]
-    let reports: Vec<ReplayReport> = out
-        .into_iter()
-        .map(|r| r.expect("every trace replayed"))
-        .collect();
-    ReplayReport::merge(&reports)
+    };
+    if nt <= 1 {
+        replay_chunk(0, traces, &mut out);
+    } else {
+        std::thread::scope(|s| {
+            for (ci, (ts, slots)) in traces.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate() {
+                s.spawn(move || replay_chunk(ci, ts, slots));
+            }
+        });
+    }
+    ReplayReport::merge(&out)
 }
 
 #[cfg(test)]
@@ -637,6 +579,79 @@ mod tests {
         assert!(json.contains("\"p99\""));
         assert!(json.contains("\"degrade\""));
         assert!(json.contains("\"worst_overload\""));
+    }
+
+    /// A hand-built report: every field set, latencies fixed.
+    fn pinned_report() -> ReplayReport {
+        let mut latency = LatencyHistogram::default();
+        for ns in [1_000, 3_000, 2_500] {
+            latency.record(ns);
+        }
+        let overload = |trace, event| ReplayViolation {
+            trace,
+            event,
+            kind: ViolationKind::Overload {
+                arc: 3,
+                load: 1.25,
+                capacity: 1.0,
+            },
+        };
+        ReplayReport {
+            events: 3,
+            event_utilization: vec![0.5, 0.75, 1.25],
+            max_utilization: 1.25,
+            violations: vec![overload(0, 2), overload(1, 0)],
+            latency,
+            cache: CacheStats {
+                hits: 2,
+                misses: 1,
+                evictions: 0,
+                errors: 0,
+            },
+            event_stage: vec![EventStage::Normal, EventStage::Normal, EventStage::Shed],
+            event_shed: vec![0.0, 0.0, 1.0 / 3.0],
+            total_shed: 1.0 / 3.0,
+            worst_overload: 0.25,
+            degrade: DegradeStats {
+                normal: 2,
+                rescaled: 0,
+                shed: 1,
+                failed: 0,
+            },
+            max_bump: 4,
+        }
+    }
+
+    #[test]
+    fn report_writers_keep_their_bytes() {
+        let rep = pinned_report();
+        let full = r#"{
+  "events": 3,
+  "max_utilization": 1.250000,
+  "violations": 2,
+  "latency_ns": { "p50": 2500, "p99": 3000, "mean": 2166.7 },
+  "cache": { "hits": 2, "misses": 1, "evictions": 0, "errors": 0, "hit_rate": 0.6667 },
+  "degrade": { "normal": 2, "rescaled": 0, "shed": 1, "failed": 0 },
+  "max_bump": 4,
+  "total_shed": 0.333333,
+  "worst_overload": 0.250000
+}
+"#;
+        assert_eq!(rep.to_json(), full);
+        let det = r#"{
+  "events": 3,
+  "max_utilization": "3ff4000000000000",
+  "utilization_digest": "2f993257d696b554",
+  "violations": [{ "trace": 0, "event": 2 }, { "trace": 1, "event": 0 }],
+  "cache": { "hits": 2, "misses": 1, "evictions": 0, "errors": 0 },
+  "degrade": { "normal": 2, "rescaled": 0, "shed": 1, "failed": 0 },
+  "max_bump": 4,
+  "total_shed": "3fd5555555555555",
+  "worst_overload": "3fd0000000000000",
+  "degrade_digest": "d3e8f1a55b91a817"
+}
+"#;
+        assert_eq!(rep.deterministic_json(), det);
     }
 
     /// A trace whose bursts fail far more links than the plan's budget,

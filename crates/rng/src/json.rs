@@ -1,21 +1,21 @@
-//! Minimal JSON for the wire protocol — no external dependencies.
+//! Minimal JSON for the whole workspace — no external dependencies.
 //!
-//! The serving protocol is line-delimited JSON, so this module implements
-//! exactly the subset both ends need: parse one request object, write
-//! one response object. Objects preserve insertion order
-//! (`Vec<(String, Json)>`, never a hash map), so rendering is a pure
-//! function of construction order and responses are byte-stable across
-//! runs — the property the deterministic digests in `telemetry` and the
-//! CI smoke gate rely on.
+//! The `pcf-serve` wire parses requests with [`Json::parse`]; its
+//! responses and every report (`pcf … --json`, `replay --djson`, the serve
+//! `stats` verb) are written by [`ObjWriter`], with no tree, in one of
+//! three [`Layout`]s. So escaping, number formatting and non-finite
+//! handling live here alone. Objects keep insertion order (never a hash
+//! map), so output is a pure function of construction order and
+//! byte-stable across runs — what the digests and goldens rely on.
 //!
 //! Parsing is linear: strings are copied in runs up to the next `"`, `\`
 //! or control byte, nesting stops at [`MAX_DEPTH`], and numbers follow RFC
-//! 8259 exactly. Responses are written by [`ObjWriter`], with no tree.
+//! 8259 exactly.
 //!
 //! Numbers are `f64` (like JSON itself). Rendering uses Rust's shortest
-//! round-trip float formatting; integral values print without a decimal
-//! point, and non-finite values (which JSON cannot carry) render as
-//! `null`.
+//! round-trip float formatting, or a fixed count of decimals
+//! ([`ObjWriter::fixed`]); integral values print without a decimal point,
+//! and non-finite values (which JSON cannot carry) render as `null`.
 
 use std::fmt::Write as _;
 
@@ -92,20 +92,10 @@ impl Json {
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => write_num(*n, out),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => write_num(*n, None, out),
             Json::Str(s) => write_escaped(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write(out);
-                }
-                out.push(']');
-            }
+            Json::Arr(items) => write_array(out, Layout::Compact, items, |o, v| v.write(o)),
             Json::Obj(fields) => {
                 let mut w = ObjWriter::new(out);
                 for (k, v) in fields {
@@ -161,44 +151,100 @@ impl Json {
     }
 }
 
-/// Appends one JSON object to a buffer, field by field: the bytes of
-/// [`Json::render`] on the same `Json::Obj`, without building it.
+/// How [`ObjWriter`] lays out an object or an array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// `{"k":v,…}` and `[a,b]`: the wire's form.
+    Compact,
+    /// `{ "k": v, … }` and `[a, b]`.
+    Inline,
+    /// One field per line at two-space indent, `{\n  "k": v,\n  …\n}`; an
+    /// array, as a field of such an object, one item per line at four.
+    Lines,
+}
+
+impl Layout {
+    /// What an object (`obj`) or array writes before its first item,
+    /// between items, after a key, and before its closing bracket.
+    #[inline]
+    fn punct(self, obj: bool) -> [&'static str; 4] {
+        match (self, obj) {
+            (Layout::Compact, _) => ["", ",", ":", ""],
+            (Layout::Inline, true) => [" ", ", ", ": ", " "],
+            (Layout::Inline, false) => ["", ", ", "", ""],
+            (Layout::Lines, true) => ["\n  ", ",\n  ", ": ", "\n"],
+            (Layout::Lines, false) => ["\n    ", ",\n    ", "", "\n  "],
+        }
+    }
+}
+
+/// Appends one JSON object to a buffer, field by field: in
+/// [`Layout::Compact`] the bytes of [`Json::render`] on the same
+/// `Json::Obj`, without building it.
 #[must_use = "an object is closed by `finish`"]
 pub struct ObjWriter<'a> {
     out: &'a mut String,
+    layout: Layout,
     empty: bool,
 }
 
 impl<'a> ObjWriter<'a> {
-    /// Opens an object at the end of `out`.
+    /// Opens a [`Layout::Compact`] object at the end of `out`.
+    #[inline]
     pub fn new(out: &'a mut String) -> ObjWriter<'a> {
+        ObjWriter::open(out, Layout::Compact)
+    }
+
+    /// Opens an object in `layout` at the end of `out`.
+    #[inline]
+    pub fn open(out: &'a mut String, layout: Layout) -> ObjWriter<'a> {
         out.push('{');
-        ObjWriter { out, empty: true }
+        ObjWriter {
+            out,
+            layout,
+            empty: true,
+        }
     }
 
     /// Writes `"key":` and returns the buffer for the value.
+    #[inline]
     fn key(&mut self, key: &str) -> &mut String {
-        if !std::mem::take(&mut self.empty) {
-            self.out.push(',');
-        }
+        let first = std::mem::take(&mut self.empty);
+        let [lead, sep, colon, _] = self.layout.punct(true);
+        self.out.push_str(if first { lead } else { sep });
         write_escaped(key, self.out);
-        self.out.push(':');
+        self.out.push_str(colon);
         self.out
     }
 
     /// A boolean field.
+    #[inline]
     pub fn bool(mut self, key: &str, v: bool) -> Self {
         self.key(key).push_str(if v { "true" } else { "false" });
         self
     }
 
     /// A number field (`null` when not finite).
+    #[inline]
     pub fn num(mut self, key: &str, v: f64) -> Self {
-        write_num(v, self.key(key));
+        write_num(v, None, self.key(key));
+        self
+    }
+
+    /// A number field with `digits` decimals (`null` when not finite).
+    pub fn fixed(mut self, key: &str, v: f64, digits: usize) -> Self {
+        write_num(v, Some(digits), self.key(key));
+        self
+    }
+
+    /// An integer field, written exactly (`num` would round above 2^53).
+    pub fn uint(mut self, key: &str, v: u64) -> Self {
+        let _ = write!(self.key(key), "{v}");
         self
     }
 
     /// A string field.
+    #[inline]
     pub fn str(mut self, key: &str, v: &str) -> Self {
         write_escaped(v, self.key(key));
         self
@@ -210,27 +256,88 @@ impl<'a> ObjWriter<'a> {
         self
     }
 
+    /// The fields `fields` writes, only when `cond` holds.
+    pub fn when(self, cond: bool, fields: impl FnOnce(Self) -> Self) -> Self {
+        if cond {
+            fields(self)
+        } else {
+            self
+        }
+    }
+
     /// A field whose value `write` appends: exactly one JSON value.
     pub fn with(mut self, key: &str, write: impl FnOnce(&mut String)) -> Self {
         write(self.key(key));
         self
     }
 
+    /// An object field in `layout`, `fields` writing its fields.
+    pub fn obj(
+        mut self,
+        key: &str,
+        layout: Layout,
+        fields: impl FnOnce(ObjWriter<'_>) -> ObjWriter<'_>,
+    ) -> Self {
+        fields(ObjWriter::open(self.key(key), layout)).finish();
+        self
+    }
+
+    /// An array field in `layout`, `item` appending each element as
+    /// exactly one JSON value.
+    pub fn array<T>(
+        mut self,
+        key: &str,
+        layout: Layout,
+        items: impl IntoIterator<Item = T>,
+        item: impl FnMut(&mut String, T),
+    ) -> Self {
+        write_array(self.key(key), layout, items, item);
+        self
+    }
+
     /// Closes the object.
+    #[inline]
     pub fn finish(self) {
+        self.out.push_str(self.layout.punct(true)[3]);
         self.out.push('}');
     }
 }
 
-fn write_num(n: f64, out: &mut String) {
-    if n.is_finite() {
-        // Writing to a `String` cannot fail.
-        let _ = write!(out, "{n}");
-    } else {
-        // JSON has no NaN/Inf; null is the least-surprising degradation
-        // and keeps the line parseable.
-        out.push_str("null");
+/// A report: one [`Layout::Lines`] object, `fields` writing its fields,
+/// and a newline.
+pub fn report(fields: impl FnOnce(ObjWriter<'_>) -> ObjWriter<'_>) -> String {
+    let mut out = String::new();
+    fields(ObjWriter::open(&mut out, Layout::Lines)).finish();
+    out.push('\n');
+    out
+}
+
+fn write_array<T>(
+    out: &mut String,
+    layout: Layout,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    let [first, sep, _, close] = layout.punct(false);
+    out.push('[');
+    for (i, v) in items.into_iter().enumerate() {
+        out.push_str(if i == 0 { first } else { sep });
+        item(out, v);
     }
+    out.push_str(close);
+    out.push(']');
+}
+
+/// Writes `n` in shortest round-trip form, or with exactly `digits`
+/// decimals. JSON has no NaN/Inf; null is the least-surprising
+/// degradation and keeps the line parseable. Writing to a `String` cannot
+/// fail.
+fn write_num(n: f64, digits: Option<usize>, out: &mut String) {
+    let _ = match digits {
+        _ if !n.is_finite() => write!(out, "null"),
+        None => write!(out, "{n}"),
+        Some(d) => write!(out, "{n:.d$}"),
+    };
 }
 
 /// Writes `s` as a JSON string literal, copying the runs between the
@@ -478,7 +585,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcf_rng::{forall, no_shrink, Config, Pcg32};
+    use crate::{forall, no_shrink, Config, Pcg32};
 
     #[test]
     fn round_trips_protocol_shapes() {
@@ -582,6 +689,48 @@ mod tests {
         assert_eq!(out, format!("prefix {}", tree.render()));
     }
 
+    #[test]
+    fn layouts_write_the_report_shapes() {
+        let nums = [1.0, 2.5];
+        let report = report(|w| {
+            w.str("name", "a\\b\tc\u{1}")
+                .obj("inline", Layout::Inline, |w| {
+                    w.uint("big", u64::MAX).fixed("third", 1.0 / 3.0, 6)
+                })
+                .array("flat", Layout::Inline, nums, |o, x| {
+                    ObjWriter::new(o).num("x", x).finish()
+                })
+                .array("rows", Layout::Lines, nums, |o, x| {
+                    ObjWriter::open(o, Layout::Inline).num("x", x).finish()
+                })
+                .array("none", Layout::Lines, Vec::<f64>::new(), |_, _| {})
+                .fixed("nan", f64::NAN, 6)
+                .when(false, |w| w.bool("skipped", true))
+        });
+        let want = r#"{
+  "name": "a\\b\tc\u0001",
+  "inline": { "big": 18446744073709551615, "third": 0.333333 },
+  "flat": [{"x":1}, {"x":2.5}],
+  "rows": [
+    { "x": 1 },
+    { "x": 2.5 }
+  ],
+  "none": [
+  ],
+  "nan": null
+}
+"#;
+        assert_eq!(report, want);
+        let parsed = Json::parse(&report).unwrap();
+        assert_eq!(
+            parsed.get("name").and_then(Json::as_str),
+            Some("a\\b\tc\u{1}")
+        );
+        let mut empty = String::new();
+        ObjWriter::open(&mut empty, Layout::Inline).finish();
+        assert_eq!(empty, "{ }");
+    }
+
     /// 100 000 `[` is 100 kB of input; unbounded recursion over it would
     /// overflow a default 2 MiB thread stack and abort the process.
     #[test]
@@ -606,9 +755,10 @@ mod tests {
         // Four bytes a piece: a two-byte char, then an escape.
         let body = "\u{e9}\\n".repeat(1 << 18);
         let src = format!("\"{body}\"");
-        let sw = crate::telemetry::Stopwatch::start();
+        #[expect(clippy::disallowed_types, reason = "a timing bound in a test")]
+        let t0 = std::time::Instant::now();
         let v = Json::parse(&src).unwrap();
-        let took_ms = sw.elapsed_ms();
+        let took_ms = t0.elapsed().as_millis();
         assert_eq!(v.as_str().map(str::len), Some(3 << 18));
         assert!(took_ms < 1000, "{took_ms} ms");
     }

@@ -1,4 +1,4 @@
-//! Deterministic pseudo-random numbers and a minimal property-test harness.
+//! Deterministic pseudo-random numbers, a property-test harness, and JSON.
 //!
 //! The workspace builds fully offline, so this crate replaces the external
 //! `rand` and `proptest` dependencies with two small, well-known generators
@@ -12,7 +12,9 @@
 //!   and name-derived seed in the workspace;
 //! * [`check`] — a property-test runner with a fixed per-case seed corpus,
 //!   an iteration cap, and shrinking-lite (caller-provided candidate
-//!   shrinkers, greedily applied while the property still fails).
+//!   shrinkers, greedily applied while the property still fails);
+//! * [`json`] — the workspace's one JSON module: the wire parser and the
+//!   writer behind every response and report.
 //!
 //! Everything is deterministic: the same seed always produces the same
 //! stream on every platform, so failures reproduce bit-for-bit.
@@ -33,6 +35,7 @@
 )]
 
 pub mod check;
+pub mod json;
 
 pub use check::{forall, no_shrink, Config};
 

@@ -8,7 +8,7 @@
 //! a single reader connection sustain deep queues without paying one
 //! round trip per query.
 
-use crate::json::Json;
+use pcf_rng::json::Json;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 

@@ -20,7 +20,8 @@
 //! * [`client`] — a pipelining client and a scripted-session driver.
 //! * [`telemetry`] — wait-free counters/histograms and the
 //!   [`ServeReport`] with its CI-comparable deterministic form.
-//! * [`json`] — the dependency-free JSON used on the wire.
+//!
+//! The wire's JSON is [`pcf_rng::json`], the workspace's one JSON module.
 //!
 //! Everything is safe Rust on `std` alone: no async runtime, no serde,
 //! no external crates.
@@ -41,7 +42,6 @@
 )]
 
 pub mod client;
-pub mod json;
 pub mod log;
 pub mod plan;
 pub mod protocol;
@@ -49,8 +49,8 @@ pub mod server;
 pub mod telemetry;
 
 pub use client::{run_script, ClientError, ScriptReport, ServeClient};
-pub use json::{Json, JsonError};
 pub use log::{EventLog, LogEvent, LogFull};
+pub use pcf_rng::json::{Json, JsonError};
 pub use plan::{PlanCell, PlanEpoch, PlanSpec, SchemeKind};
 pub use protocol::{error_response, parse_request, Request};
 pub use server::{ServeOptions, Server};

@@ -28,8 +28,8 @@
 //! line longer than [`MAX_REQUEST_LINE`] bytes is answered with one such
 //! failure, and the server then closes the connection.
 
-use crate::json::{Json, ObjWriter};
 use pcf_replay::{EventKind, DEGRADE_PERMILLE, WOBBLE_PERMILLE};
+use pcf_rng::json::{Json, ObjWriter};
 use std::ops::RangeInclusive;
 
 /// Longest request line the server reads, in bytes, newline included.
@@ -200,21 +200,16 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
         "stats" => Ok(Request::Stats),
         "update" => {
-            let scale = match v.get("scale") {
-                None => None,
-                Some(s) => Some(
-                    s.as_f64()
-                        .filter(|x| x.is_finite() && *x > 0.0)
-                        .ok_or("update: \"scale\" must be positive and finite")?,
-                ),
-            };
-            let seed = match v.get("seed") {
-                None => None,
-                Some(s) => Some(
-                    s.as_u64()
-                        .ok_or("update: \"seed\" must be a non-negative integer")?,
-                ),
-            };
+            let scale = v.get("scale").map(|s| {
+                s.as_f64()
+                    .filter(|x| x.is_finite() && *x > 0.0)
+                    .ok_or("update: \"scale\" must be positive and finite")
+            });
+            let seed = v.get("seed").map(|s| {
+                s.as_u64()
+                    .ok_or("update: \"seed\" must be a non-negative integer")
+            });
+            let (scale, seed) = (scale.transpose()?, seed.transpose()?);
             Ok(Request::Update { scale, seed })
         }
         "wait" => {

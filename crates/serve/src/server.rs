@@ -20,7 +20,6 @@
 //! Responses are one JSON line per request, in request order — see
 //! [`crate::protocol`] for the full verb table.
 
-use crate::json::{Json, ObjWriter};
 use crate::log::{EventLog, LogEvent};
 use crate::plan::{PlanCell, PlanEpoch, PlanSpec};
 use crate::protocol::{error_response, parse_request, Request, MAX_REQUEST_LINE};
@@ -30,6 +29,7 @@ use pcf_core::{
     absolute_tolerance, admit, peak_utilization, AdmitOutcome, DegradeMode, RealizeError,
 };
 use pcf_replay::{EventKind, LinkEvent, ReplayEngine};
+use pcf_rng::json::{Json, Layout, ObjWriter};
 use pcf_topology::LinkId;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
@@ -454,12 +454,13 @@ impl Server {
                     thread::sleep(Duration::from_millis(2));
                     now = self.cell.generation();
                 }
-                let w = ObjWriter::new(out).bool("ok", now >= gen);
-                let w = match now >= gen {
-                    true => w,
-                    false => w.str("error", &format!("timeout waiting for generation {gen}")),
-                };
-                w.num("gen", now as f64).finish();
+                ObjWriter::new(out)
+                    .bool("ok", now >= gen)
+                    .when(now < gen, |w| {
+                        w.str("error", &format!("timeout waiting for generation {gen}"))
+                    })
+                    .num("gen", now as f64)
+                    .finish();
             }
             Request::Shutdown => {
                 self.shutdown.store(true, Ordering::Release);
@@ -488,16 +489,12 @@ impl Server {
         }
         conn.sync(&self.log)?;
         self.telemetry.event_latency.record(sw.elapsed_ns());
-        let w = ObjWriter::new(out)
+        ObjWriter::new(out)
             .bool("ok", true)
             .num("gen", conn.epoch.gen as f64)
-            .num("dead_links", conn.engine.dead_links() as f64);
-        let w = if burst {
-            w.num("downed", downed as f64)
-        } else {
-            w
-        };
-        w.finish();
+            .num("dead_links", conn.engine.dead_links() as f64)
+            .when(burst, |w| w.num("downed", downed as f64))
+            .finish();
         Ok(())
     }
 
@@ -529,9 +526,15 @@ impl Server {
             .num("shed", d.shed_demand)
             .num("dead_links", engine.dead_links() as f64);
         let w = match hot_arcs {
-            Some(limit) => w.with("hot_arcs", |o| {
-                write_hot_arcs(o, epoch, engine, &d.routing, limit);
-            }),
+            Some(limit) => w.array(
+                "hot_arcs",
+                Layout::Compact,
+                hot_arcs_of(epoch, engine, &d.routing, limit),
+                |o, (idx, util)| {
+                    let w = ObjWriter::new(o).num("arc", idx as f64);
+                    w.num("utilization", util).finish();
+                },
+            ),
             None => w,
         };
         w.finish();
@@ -643,15 +646,14 @@ impl Conn<'_> {
     }
 }
 
-/// Writes the hottest arcs of a routing, by utilization against the
-/// capacities currently in effect, as a JSON array.
-fn write_hot_arcs(
-    out: &mut String,
+/// The `limit` hottest arcs of a routing, hottest first, as `(arc,
+/// utilization)` against the capacities currently in effect.
+fn hot_arcs_of(
     epoch: &PlanEpoch,
     engine: &ReplayEngine<'_>,
     routing: &pcf_core::Routing,
     limit: usize,
-) {
+) -> Vec<(usize, f64)> {
     let topo = epoch.inst.topo();
     let mut arcs: Vec<(usize, f64)> = topo
         .arcs()
@@ -675,16 +677,9 @@ fn write_hot_arcs(
     if top < arcs.len() {
         arcs.select_nth_unstable_by(top, hotter);
     }
-    arcs[..top].sort_unstable_by(hotter);
-    out.push('[');
-    for (i, &(idx, util)) in arcs[..top].iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let w = ObjWriter::new(out).num("arc", idx as f64);
-        w.num("utilization", util).finish();
-    }
-    out.push(']');
+    arcs.truncate(top);
+    arcs.sort_unstable_by(hotter);
+    arcs
 }
 
 /// A `rebase` of capacity `cap` to `permille`/1000 of itself, or `None`

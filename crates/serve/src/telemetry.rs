@@ -21,7 +21,8 @@
 #[expect(clippy::disallowed_types, reason = "latency telemetry only")]
 use std::time::Instant;
 
-use pcf_replay::CacheStats;
+use pcf_replay::{CacheStats, DegradeStats};
+use pcf_rng::json::{Layout, ObjWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A started latency measurement (thin wrapper so wall-clock reads stay
@@ -194,12 +195,12 @@ impl Telemetry {
             busy_rejects: load(&self.busy_rejects),
             idle_reaps: load(&self.idle_reaps),
             protocol_errors: load(&self.protocol_errors),
-            degrade: [
-                load(&self.degrade[0]),
-                load(&self.degrade[1]),
-                load(&self.degrade[2]),
-                load(&self.degrade[3]),
-            ],
+            degrade: DegradeStats {
+                normal: load(&self.degrade[0]),
+                rescaled: load(&self.degrade[1]),
+                shed: load(&self.degrade[2]),
+                failed: load(&self.degrade[3]),
+            },
             max_bump: load(&self.max_bump),
             cache,
             query_p50_ns: self.query_latency.p50_ns(),
@@ -244,7 +245,7 @@ pub struct ServeReport {
     /// Malformed or unknown commands.
     pub protocol_errors: u64,
     /// Ladder-stage outcomes (normal, rescaled, shed, failed).
-    pub degrade: [u64; 4],
+    pub degrade: DegradeStats,
     /// Largest factorization bump over the realizations served (0 = every
     /// one was Prop. 7's walk; otherwise rows left to LU elimination).
     pub max_bump: u64,
@@ -263,44 +264,7 @@ pub struct ServeReport {
 impl ServeReport {
     /// Full single-line JSON, latency and cache counters included.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"gen\":{},\"plan_digest\":\"{:016x}\",\"queries\":{},\"events\":{},\
-             \"admitted\":{},\"rejected\":{},\"swaps\":{},\"solve_failures\":{},\
-             \"warm_epochs\":{},\"cold_epochs\":{},\"tunnel_reuses\":{},\
-             \"connections\":{},\"busy_rejects\":{},\"idle_reaps\":{},\"protocol_errors\":{},\
-             \"degrade\":{{\"normal\":{},\"rescaled\":{},\"shed\":{},\"failed\":{}}},\
-             \"max_bump\":{},\
-             \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"errors\":{}}},\
-             \"latency_ns\":{{\"query_p50\":{},\"query_p99\":{},\"event_p50\":{},\"event_p99\":{}}}}}",
-            self.gen,
-            self.plan_digest,
-            self.queries,
-            self.events,
-            self.admitted,
-            self.rejected,
-            self.swaps,
-            self.solve_failures,
-            self.warm_epochs,
-            self.cold_epochs,
-            self.tunnel_reuses,
-            self.connections,
-            self.busy_rejects,
-            self.idle_reaps,
-            self.protocol_errors,
-            self.degrade[0],
-            self.degrade[1],
-            self.degrade[2],
-            self.degrade[3],
-            self.max_bump,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.evictions,
-            self.cache.errors,
-            self.query_p50_ns,
-            self.query_p99_ns,
-            self.event_p50_ns,
-            self.event_p99_ns,
-        )
+        self.json(true)
     }
 
     /// JSON restricted to fields that are a pure function of the served
@@ -309,31 +273,43 @@ impl ServeReport {
     /// answer). Byte-identical across runs and thread counts for the
     /// same logical session — the CI smoke job compares this form.
     pub fn deterministic_json(&self) -> String {
-        format!(
-            "{{\"gen\":{},\"plan_digest\":\"{:016x}\",\"queries\":{},\"events\":{},\
-             \"admitted\":{},\"rejected\":{},\"swaps\":{},\"solve_failures\":{},\
-             \"warm_epochs\":{},\"cold_epochs\":{},\"tunnel_reuses\":{},\
-             \"protocol_errors\":{},\
-             \"degrade\":{{\"normal\":{},\"rescaled\":{},\"shed\":{},\"failed\":{}}},\
-             \"max_bump\":{}}}",
-            self.gen,
-            self.plan_digest,
-            self.queries,
-            self.events,
-            self.admitted,
-            self.rejected,
-            self.swaps,
-            self.solve_failures,
-            self.warm_epochs,
-            self.cold_epochs,
-            self.tunnel_reuses,
-            self.protocol_errors,
-            self.degrade[0],
-            self.degrade[1],
-            self.degrade[2],
-            self.degrade[3],
-            self.max_bump,
-        )
+        self.json(false)
+    }
+
+    /// The one field list; connection, cache and latency fields only when `full`.
+    fn json(&self, full: bool) -> String {
+        let mut out = String::new();
+        ObjWriter::new(&mut out)
+            .uint("gen", self.gen)
+            .str("plan_digest", &format!("{:016x}", self.plan_digest))
+            .uint("queries", self.queries)
+            .uint("events", self.events)
+            .uint("admitted", self.admitted)
+            .uint("rejected", self.rejected)
+            .uint("swaps", self.swaps)
+            .uint("solve_failures", self.solve_failures)
+            .uint("warm_epochs", self.warm_epochs)
+            .uint("cold_epochs", self.cold_epochs)
+            .uint("tunnel_reuses", self.tunnel_reuses)
+            .when(full, |w| {
+                w.uint("connections", self.connections)
+                    .uint("busy_rejects", self.busy_rejects)
+                    .uint("idle_reaps", self.idle_reaps)
+            })
+            .uint("protocol_errors", self.protocol_errors)
+            .obj("degrade", Layout::Compact, |w| self.degrade.write_fields(w))
+            .uint("max_bump", self.max_bump)
+            .when(full, |w| {
+                w.obj("cache", Layout::Compact, |w| self.cache.write_fields(w))
+                    .obj("latency_ns", Layout::Compact, |w| {
+                        w.uint("query_p50", self.query_p50_ns)
+                            .uint("query_p99", self.query_p99_ns)
+                            .uint("event_p50", self.event_p50_ns)
+                            .uint("event_p99", self.event_p99_ns)
+                    })
+            })
+            .finish();
+        out
     }
 }
 
@@ -380,9 +356,49 @@ mod tests {
         assert!(det.contains("\"queries\":1"));
         assert!(det.contains("\"shed\":1"));
         // Both forms are themselves valid single-line JSON.
-        assert!(crate::json::Json::parse(&full).is_ok());
-        assert!(crate::json::Json::parse(&det).is_ok());
+        assert!(crate::Json::parse(&full).is_ok());
+        assert!(crate::Json::parse(&det).is_ok());
         assert!(!full.contains('\n'));
+    }
+
+    #[test]
+    fn full_report_keeps_its_bytes() {
+        let rep = ServeReport {
+            gen: 3,
+            plan_digest: 0xabcd,
+            queries: 40,
+            events: 7,
+            admitted: 5,
+            rejected: 2,
+            swaps: 1,
+            solve_failures: 0,
+            warm_epochs: 1,
+            cold_epochs: 1,
+            tunnel_reuses: 1,
+            connections: 4,
+            busy_rejects: 1,
+            idle_reaps: 2,
+            protocol_errors: 3,
+            degrade: DegradeStats {
+                normal: 30,
+                rescaled: 4,
+                shed: 5,
+                failed: 1,
+            },
+            max_bump: 6,
+            cache: CacheStats {
+                hits: 20,
+                misses: 8,
+                evictions: 2,
+                errors: 1,
+            },
+            query_p50_ns: 2048,
+            query_p99_ns: 65536,
+            event_p50_ns: 4096,
+            event_p99_ns: 131072,
+        };
+        let full = r#"{"gen":3,"plan_digest":"000000000000abcd","queries":40,"events":7,"admitted":5,"rejected":2,"swaps":1,"solve_failures":0,"warm_epochs":1,"cold_epochs":1,"tunnel_reuses":1,"connections":4,"busy_rejects":1,"idle_reaps":2,"protocol_errors":3,"degrade":{"normal":30,"rescaled":4,"shed":5,"failed":1},"max_bump":6,"cache":{"hits":20,"misses":8,"evictions":2,"errors":1},"latency_ns":{"query_p50":2048,"query_p99":65536,"event_p50":4096,"event_p99":131072}}"#;
+        assert_eq!(rep.to_json(), full);
     }
 
     #[test]
