@@ -17,8 +17,8 @@
 use pcf_core::objective::{overhead_reduction_pct, throughput_overhead};
 use pcf_core::realize::{greedy_topsort, topological_order};
 use pcf_core::{
-    optimal_demand_scale, pcf_cls_pipeline, pcf_ls_instance, scale_to_mlu, solve_ffc, solve_pcf_ls,
-    solve_pcf_tf, tunnel_instance, FailureModel, Objective, RobustOptions, ScenarioCoverage,
+    optimal_demand_scale, scale_to_mlu, solve_ffc, solve_pcf_ls, solve_pcf_tf, tunnel_instance,
+    FailureModel, Objective, Plan, RobustOptions, ScenarioCoverage, Scheme,
 };
 use pcf_topology::transform::split_sublinks;
 use pcf_topology::{zoo, Topology};
@@ -148,6 +148,16 @@ pub fn workload(topo: &Topology, seed: u64, scale: &Scale) -> Workload {
         kept_pairs: kept,
         total_pairs,
     }
+}
+
+/// Plans `scheme` on the workload with `k` tunnels per pair.
+///
+/// # Panics
+/// Panics if the robust solve fails: a runner has no row to print then.
+fn plan(scheme: Scheme, w: &Workload, k: usize, fm: &FailureModel, opts: &RobustOptions) -> Plan {
+    scheme
+        .plan(&w.topo, w.tm.clone(), k, fm, opts, None)
+        .unwrap_or_else(|e| panic!("{} on {}: {e}", scheme.as_flag(), w.topo.name()))
 }
 
 /// Formats a CDF: sorted values with cumulative fractions.
@@ -371,18 +381,22 @@ pub fn scheme_row(
     optimal_cap: usize,
 ) -> SchemeRow {
     let opts = RobustOptions::default();
-    let ffc = solve_ffc(&tunnel_instance(&w.topo, &w.tm, ffc_tunnels), fm, &opts);
-    let tf = solve_pcf_tf(&tunnel_instance(&w.topo, &w.tm, pcf_tunnels), fm, &opts);
-    let ls = solve_pcf_ls(&pcf_ls_instance(&w.topo, &w.tm, pcf_tunnels), fm, &opts);
-    let cls = pcf_cls_pipeline(&w.topo, &w.tm, pcf_tunnels, fm, &opts);
+    let [ffc, pcf_tf, pcf_ls, pcf_cls] = Scheme::ALL.map(|scheme| {
+        let k = if scheme == Scheme::Ffc {
+            ffc_tunnels
+        } else {
+            pcf_tunnels
+        };
+        plan(scheme, w, k, fm, &opts).sol.objective
+    });
     let (opt, _, exact) =
         optimal_demand_scale(&w.topo, &w.tm, fm, ScenarioCoverage::Sampled(optimal_cap));
     SchemeRow {
         name: w.topo.name().to_string(),
-        ffc: ffc.objective,
-        pcf_tf: tf.objective,
-        pcf_ls: ls.objective,
-        pcf_cls: cls.solution.objective,
+        ffc,
+        pcf_tf,
+        pcf_ls,
+        pcf_cls,
         optimal: opt,
         optimal_exact: exact,
     }
@@ -520,16 +534,15 @@ pub fn fig13(scale: &Scale) -> Vec<(String, f64, f64, f64)> {
             let topo = split_sublinks(&zoo::build(name), 2);
             let w = workload(&topo, 100, scale);
             let total = w.tm.total();
-            let ffc = solve_ffc(&tunnel_instance(&w.topo, &w.tm, 4), &fm, &opts);
-            let tf = solve_pcf_tf(&tunnel_instance(&w.topo, &w.tm, 6), &fm, &opts);
-            let ls = solve_pcf_ls(&pcf_ls_instance(&w.topo, &w.tm, 6), &fm, &opts);
-            let cls = pcf_cls_pipeline(&w.topo, &w.tm, 6, &fm, &opts);
-            let base = throughput_overhead(ffc.objective, total);
+            let [ffc, tf, ls, cls] = Scheme::ALL.map(|scheme| {
+                let k = if scheme == Scheme::Ffc { 4 } else { 6 };
+                throughput_overhead(plan(scheme, &w, k, &fm, &opts).sol.objective, total)
+            });
             (
                 w.topo.name().to_string(),
-                overhead_reduction_pct(throughput_overhead(tf.objective, total), base),
-                overhead_reduction_pct(throughput_overhead(ls.objective, total), base),
-                overhead_reduction_pct(throughput_overhead(cls.solution.objective, total), base),
+                overhead_reduction_pct(tf, ffc),
+                overhead_reduction_pct(ls, ffc),
+                overhead_reduction_pct(cls, ffc),
             )
         })
         .collect()
@@ -560,12 +573,11 @@ pub fn fig14(scale: &Scale) -> Vec<(String, usize, f64, f64, f64)> {
         .map(|name| {
             let topo = split_sublinks(&zoo::build(name), 2);
             let w = workload(&topo, 100, scale);
-            let t0 = Instant::now();
-            let _ = solve_pcf_tf(&tunnel_instance(&w.topo, &w.tm, 6), &fm, &opts);
-            let t_tf = t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            let _ = pcf_cls_pipeline(&w.topo, &w.tm, 6, &fm, &opts);
-            let t_cls = t0.elapsed().as_secs_f64();
+            let [t_tf, t_cls] = [Scheme::PcfTf, Scheme::PcfCls].map(|scheme| {
+                let t0 = Instant::now();
+                plan(scheme, &w, 6, &fm, &opts);
+                t0.elapsed().as_secs_f64()
+            });
             // Optimal: time a handful of scenarios and extrapolate to the
             // full C(sublinks, 3) space (the paper truncates at 1 hour).
             let t0 = Instant::now();
@@ -610,17 +622,13 @@ pub fn topsort(scale: &Scale) -> Vec<(String, usize, usize, f64, f64)> {
         .map(|name| {
             let topo = zoo::build(name);
             let w = workload(&topo, 100, scale);
-            let cls = pcf_cls_pipeline(&w.topo, &w.tm, 3, &fm, &opts);
-            let all: Vec<_> = cls
-                .instance
-                .ls_ids()
-                .map(|q| cls.instance.ls(q).clone())
-                .collect();
+            let cls = plan(Scheme::PcfCls, &w, 3, &fm, &opts);
+            let all: Vec<_> = cls.inst.ls_ids().map(|q| cls.inst.ls(q).clone()).collect();
             let sorted_already =
-                topological_order(&cls.instance, &vec![1.0; cls.instance.num_lss()]).is_some();
+                topological_order(&cls.inst, &vec![1.0; cls.inst.num_lss()]).is_some();
             let (kept, pruned) = greedy_topsort(&all);
             let ts_scale = if sorted_already {
-                cls.solution.objective
+                cls.sol.objective
             } else {
                 let mut b =
                     pcf_core::instance::InstanceBuilder::new(&w.topo, &w.tm).tunnels_per_pair(3);
@@ -634,7 +642,7 @@ pub fn topsort(scale: &Scale) -> Vec<(String, usize, usize, f64, f64)> {
                 w.topo.name().to_string(),
                 all.len(),
                 pruned,
-                cls.solution.objective,
+                cls.sol.objective,
                 ts_scale,
             )
         })
@@ -781,7 +789,6 @@ pub fn run_srlg(scale: &Scale) {
 /// (DESIGN.md's tractability restriction). Returns `(paths, objective,
 /// seconds)` on the scale's first topology.
 pub fn bypass_path_ablation(scale: &Scale) -> Vec<(usize, f64, f64)> {
-    use pcf_core::logical_flow::{bypass_flows, decompose_flows, solve_logical_flow};
     let topo = zoo::build(scale.topologies[0]);
     let w = workload(&topo, 100, scale);
     let fm = FailureModel::links(1);
@@ -790,43 +797,9 @@ pub fn bypass_path_ablation(scale: &Scale) -> Vec<(usize, f64, f64)> {
         .into_iter()
         .map(|paths| {
             let t0 = Instant::now();
-            // Replicates pcf_cls_pipeline with a configurable path count.
-            let mut always = Vec::new();
-            for (s, t, _) in w.tm.positive_pairs() {
-                if let Some(path) = pcf_paths::shortest_path(&w.topo, s, t) {
-                    if path.nodes.len() >= 3 {
-                        always.push(pcf_core::LogicalSequence::always(path.nodes));
-                    }
-                }
-            }
-            let flows = bypass_flows(&w.topo, paths);
-            let mut b1 =
-                pcf_core::instance::InstanceBuilder::new(&w.topo, &w.tm).tunnels_per_pair(3);
-            for ls in &always {
-                b1 = b1.add_ls(ls.clone());
-            }
-            for fw in &flows {
-                b1 = b1.add_pair(fw.src, fw.dst);
-                for &(u, v) in &fw.support {
-                    b1 = b1.add_pair(u, v);
-                }
-            }
-            let inst1 = b1.build();
-            let flow_opts = RobustOptions {
-                max_rounds: 8,
-                tol: 1e-4,
-                ..opts.clone()
-            };
-            let fsol = solve_logical_flow(&inst1, &flows, &fm, &flow_opts)
+            let inst = pcf_core::pcf_cls_instance(&w.topo, &w.tm, 3, paths, &fm, &opts)
                 .expect("bypass ablation flow stage");
-            let conditional = decompose_flows(&w.topo, &flows, &fsol, 1e-7);
-            let mut b2 =
-                pcf_core::instance::InstanceBuilder::new(&w.topo, &w.tm).tunnels_per_pair(3);
-            for ls in always.iter().chain(conditional.iter()) {
-                b2 = b2.add_ls(ls.clone());
-            }
-            let inst2 = b2.build();
-            let obj = pcf_core::solve_pcf_ls(&inst2, &fm, &opts).objective;
+            let obj = solve_pcf_ls(&inst, &fm, &opts).objective;
             (paths, obj, t0.elapsed().as_secs_f64())
         })
         .collect()

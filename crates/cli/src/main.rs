@@ -23,8 +23,8 @@ mod args;
 use args::{ArgError, Args};
 use pcf_core::validate::validate_all;
 use pcf_core::{
-    augment_capacity, pcf_cls_pipeline, pcf_ls_instance, scale_to_mlu, solve_ffc, solve_pcf_ls,
-    solve_pcf_tf, solve_r3, tunnel_instance, FailureModel, Instance, RobustOptions, RobustSolution,
+    augment_capacity, scale_to_mlu, solve_r3, tunnel_instance, FailureModel, Instance, Plan,
+    RobustOptions, RobustSolution, Scheme,
 };
 use pcf_core::{DegradeMode, OVERLOAD_TOL};
 use pcf_replay::{
@@ -170,15 +170,15 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 );
                 return Ok(());
             }
-            let (inst, sol, scheme) = solve(&args, &topo)?;
-            report(&topo, &inst, &sol, &scheme);
-            write_report(&args, "json", || solve_json(&topo, &inst, &sol, &scheme))?;
+            let (Plan { inst, sol, .. }, scheme) = solve(&args, &topo)?;
+            report(&topo, &inst, &sol, scheme);
+            write_report(&args, "json", || solve_json(&topo, &inst, &sol, scheme))?;
             Ok(())
         }
         "validate" => {
             let f = args.get_or("f", 1usize)?;
-            let (inst, sol, scheme) = solve(&args, &topo)?;
-            report(&topo, &inst, &sol, &scheme);
+            let (Plan { inst, sol, .. }, scheme) = solve(&args, &topo)?;
+            report(&topo, &inst, &sol, scheme);
             let served = sol.served(&inst);
             let fm = FailureModel::links(f);
             let report = validate_all(&inst, &fm, &sol.a, &sol.b, &served, OVERLOAD_TOL);
@@ -232,8 +232,8 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
         "replay" => {
             let f = args.get_or("f", 1usize)?;
-            let (inst, sol, scheme) = solve(&args, &topo)?;
-            report(&topo, &inst, &sol, &scheme);
+            let (Plan { inst, sol, .. }, scheme) = solve(&args, &topo)?;
+            report(&topo, &inst, &sol, scheme);
             let served = sol.served(&inst);
             let seed = args.get_or("seed", 1u64)?;
             let degrade = degrade_mode(&args, DegradeMode::Off)?;
@@ -357,10 +357,7 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             Ok(())
         }
         "serve" => {
-            let scheme_flag = args.get("scheme").unwrap_or("pcf-ls");
-            let scheme = pcf_serve::SchemeKind::from_flag(scheme_flag).ok_or(ArgError(format!(
-                "serve: --scheme must be ffc | pcf-tf | pcf-ls | pcf-cls, got {scheme_flag:?}"
-            )))?;
+            let scheme = scheme_flag(&args)?;
             let degrade = degrade_mode(&args, DegradeMode::Shed)?;
             let srlgs = srlg_groups(&args, &topo, false)?;
             let spec = pcf_serve::PlanSpec {
@@ -435,26 +432,25 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 tol: OVERLOAD_TOL,
             };
             // All three schemes solve against the same traffic and link
-            // budget; FFC and PCF-TF share the tunnel-only instance.
-            let tunnel_inst = tunnel_instance(&topo, &tm, k);
-            let ffc = solve_ffc(&tunnel_inst, &fm, &ropts);
-            let tf = solve_pcf_tf(&tunnel_inst, &fm, &ropts);
-            let ls_inst = pcf_ls_instance(&topo, &tm, k);
-            let ls = solve_pcf_ls(&ls_inst, &fm, &ropts);
-            let solved = [
-                ("ffc", &tunnel_inst, &ffc),
-                ("pcf-tf", &tunnel_inst, &tf),
-                ("pcf-ls", &ls_inst, &ls),
-            ];
-            let served: Vec<Vec<f64>> = solved.iter().map(|(_, i, sol)| sol.served(i)).collect();
+            // budget.
+            let solved: Vec<(Scheme, Plan)> = [Scheme::Ffc, Scheme::PcfTf, Scheme::PcfLs]
+                .into_iter()
+                .map(|scheme| {
+                    Ok((
+                        scheme,
+                        scheme.plan(&topo, tm.clone(), k, &fm, &ropts, None)?,
+                    ))
+                })
+                .collect::<Result<_, pcf_core::RobustError>>()?;
+            let served: Vec<Vec<f64>> = solved.iter().map(|(_, p)| p.sol.served(&p.inst)).collect();
             let plans: Vec<CampaignPlan<'_>> = solved
                 .iter()
                 .zip(&served)
-                .map(|(&(scheme, inst, sol), served)| CampaignPlan {
-                    scheme: scheme.into(),
-                    inst,
-                    a: &sol.a,
-                    b: &sol.b,
+                .map(|((scheme, p), served)| CampaignPlan {
+                    scheme: scheme.as_flag().into(),
+                    inst: &p.inst,
+                    a: &p.sol.a,
+                    b: &p.sol.b,
                     served,
                 })
                 .collect();
@@ -619,10 +615,10 @@ fn write_report(args: &Args, flag: &str, render: impl FnOnce() -> String) -> std
 
 /// The `solve --json` report: the headline numbers, the separation LPs
 /// and their pivots, and the LP-layer counters of the master.
-fn solve_json(topo: &Topology, inst: &Instance, sol: &RobustSolution, scheme: &str) -> String {
+fn solve_json(topo: &Topology, inst: &Instance, sol: &RobustSolution, scheme: Scheme) -> String {
     let lp = sol.lp_stats;
     json::report(|w| {
-        w.str("scheme", scheme)
+        w.str("scheme", scheme.as_flag())
             .str("topology", topo.name())
             .uint("nodes", topo.node_count() as u64)
             .uint("links", topo.link_count() as u64)
@@ -665,56 +661,41 @@ fn load_traffic(args: &Args, topo: &Topology) -> Result<TrafficMatrix, Box<dyn s
     Ok(tm)
 }
 
-/// Solves the `--scheme` plan. R3 has no tunnel/LS plan, so here it is a
-/// usage error, raised before any LP runs (`solve` answers r3 itself).
-fn solve(
-    args: &Args,
-    topo: &Topology,
-) -> Result<(Instance, RobustSolution, String), Box<dyn std::error::Error>> {
-    let scheme = args.get("scheme").unwrap_or("pcf-ls").to_string();
-    if scheme == "r3" {
-        return Err(Box::new(ArgError(format!(
+/// The `--scheme` flag (default `pcf-ls`). R3 has no tunnel plan, so
+/// here it is a usage error, raised before any LP runs (`solve` answers
+/// r3 itself).
+fn scheme_flag(args: &Args) -> Result<Scheme, ArgError> {
+    let flag = args.get("scheme").unwrap_or(Scheme::PcfLs.as_flag());
+    if flag == "r3" {
+        return Err(ArgError(format!(
             "{}: --scheme r3 has no tunnel plan to check; only solve takes r3",
             args.command
-        ))));
+        )));
     }
+    Scheme::from_flag(flag).ok_or_else(|| {
+        let known: Vec<&str> = Scheme::ALL.iter().map(|s| s.as_flag()).collect();
+        ArgError(format!(
+            "unknown scheme {flag:?} ({}; solve also takes r3)",
+            known.join(" | ")
+        ))
+    })
+}
+
+/// Plans the `--scheme` scheme; a solver failure is an error exit.
+fn solve(args: &Args, topo: &Topology) -> Result<(Plan, Scheme), Box<dyn std::error::Error>> {
+    let scheme = scheme_flag(args)?;
     let f = args.get_or("f", 1usize)?;
     let k = args.get_or("tunnels", 3usize)?;
     let tm = load_traffic(args, topo)?;
-    let fm = FailureModel::links(f);
     let opts = robust_options(args)?;
-    let (inst, sol) = match scheme.as_str() {
-        "ffc" => {
-            let inst = tunnel_instance(topo, &tm, k);
-            let sol = solve_ffc(&inst, &fm, &opts);
-            (inst, sol)
-        }
-        "pcf-tf" => {
-            let inst = tunnel_instance(topo, &tm, k);
-            let sol = solve_pcf_tf(&inst, &fm, &opts);
-            (inst, sol)
-        }
-        "pcf-ls" => {
-            let inst = pcf_ls_instance(topo, &tm, k);
-            let sol = solve_pcf_ls(&inst, &fm, &opts);
-            (inst, sol)
-        }
-        "pcf-cls" => {
-            let cls = pcf_cls_pipeline(topo, &tm, k, &fm, &opts);
-            (cls.instance, cls.solution)
-        }
-        other => {
-            return Err(Box::new(ArgError(format!(
-                "unknown scheme {other:?} (ffc | pcf-tf | pcf-ls | pcf-cls | r3)"
-            ))))
-        }
-    };
-    Ok((inst, sol, scheme))
+    let plan = scheme.plan(topo, tm, k, &FailureModel::links(f), &opts, None)?;
+    Ok((plan, scheme))
 }
 
-fn report(topo: &Topology, inst: &Instance, sol: &RobustSolution, scheme: &str) {
+fn report(topo: &Topology, inst: &Instance, sol: &RobustSolution, scheme: Scheme) {
     println!(
-        "{scheme} on {} ({} nodes, {} links): guaranteed demand scale {:.4}",
+        "{} on {} ({} nodes, {} links): guaranteed demand scale {:.4}",
+        scheme.as_flag(),
         topo.name(),
         topo.node_count(),
         topo.link_count(),
@@ -789,8 +770,8 @@ mod tests {
             topo.add_link(nodes[i], nodes[(i + 1) % 4], 10.0);
         }
         let inst = tunnel_instance(&topo, &gravity(&topo, 1), 2);
-        let sol = solve_ffc(&inst, &FailureModel::links(1), &RobustOptions::default());
-        let json = solve_json(&topo, &inst, &sol, "ffc");
+        let sol = pcf_core::solve_ffc(&inst, &FailureModel::links(1), &RobustOptions::default());
+        let json = solve_json(&topo, &inst, &sol, Scheme::Ffc);
         let parsed = Json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
         assert_eq!(parsed.get("topology").and_then(Json::as_str), Some(name));
         assert_eq!(parsed.get("scheme").and_then(Json::as_str), Some("ffc"));

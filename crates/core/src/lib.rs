@@ -51,8 +51,7 @@ pub use dualized::DualizedError;
 pub use failure::{Condition, Degradation, FailureModel, GroupBudget, Scenario};
 pub use instance::{Instance, InstanceBuilder, LogicalSequence, LsId, PairId, TunnelId, TunnelSet};
 pub use logical_flow::{
-    bypass_flows, decompose_flows, pcf_cls_pipeline, solve_logical_flow, ClsResult, FlowSolution,
-    FlowSpec,
+    bypass_flows, decompose_flows, pcf_cls_instance, solve_logical_flow, FlowSolution, FlowSpec,
 };
 pub use objective::Objective;
 pub use optimal::{
@@ -71,8 +70,8 @@ pub use robust::{
 };
 pub use scale::scale_to_mlu;
 pub use schemes::{
-    pcf_ls_instance, solve_ffc, solve_ffc_seeded, solve_pcf_ls, solve_pcf_ls_seeded, solve_pcf_tf,
-    solve_pcf_tf_seeded, tunnel_instance,
+    pcf_ls_instance, solve_ffc, solve_pcf_ls, solve_pcf_ls_seeded, solve_pcf_tf, tunnel_instance,
+    Plan, Scheme,
 };
 pub use validate::{
     validate_all, validate_scenarios, ArcHotspot, ValidationReport, Violation, ViolationKind,

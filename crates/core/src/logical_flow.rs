@@ -60,8 +60,6 @@ pub struct FlowSolution {
     /// Per-flow segment routing `p_w(i,j)` (same order as the spec's
     /// support).
     pub flow_p: Vec<Vec<f64>>,
-    /// Cutting-plane rounds used.
-    pub rounds: usize,
 }
 
 /// Builds the bypass flows of the PCF-CLS heuristic: for each link
@@ -238,7 +236,6 @@ pub fn solve_logical_flow(
             .iter()
             .map(|vs| vs.iter().map(|&v| sol.value(v).max(0.0)).collect())
             .collect(),
-        rounds: end.rounds,
     })
 }
 
@@ -281,29 +278,21 @@ pub fn decompose_flows(
     out
 }
 
-/// Output of the full PCF-CLS pipeline.
-#[derive(Debug)]
-pub struct ClsResult {
-    /// The final instance (tunnels + always LSs + conditional LSs).
-    pub instance: Instance,
-    /// The P2/CLS solution on that instance.
-    pub solution: crate::robust::RobustSolution,
-    /// Number of conditional LSs obtained by decomposition.
-    pub conditional_lss: usize,
-    /// Rounds used by the flow model.
-    pub flow_rounds: usize,
-}
-
-/// The PCF-CLS scheme as evaluated in §5: always-active shortest-path LSs
-/// per demand pair, plus per-link conditional LSs obtained by decomposing
-/// the restricted logical-flow model.
-pub fn pcf_cls_pipeline(
+/// The PCF-CLS instance as evaluated in §5: `k` tunnels per pair,
+/// always-active shortest-path LSs per demand pair, plus per-link
+/// conditional LSs obtained by decomposing the restricted logical-flow
+/// model over `bypass_paths` bypass paths per protected link
+/// ([`bypass_flows`]; the scheme uses 2). Solving the flow model (stage 1)
+/// is the only LP work here: the returned instance is stage 2's, the one
+/// the CLS model proper is solved on ([`crate::Scheme::PcfCls`]).
+pub fn pcf_cls_instance(
     topo: &Topology,
     tm: &TrafficMatrix,
-    tunnels_per_pair: usize,
+    k: usize,
+    bypass_paths: usize,
     fm: &FailureModel,
     opts: &RobustOptions,
-) -> ClsResult {
+) -> Result<Instance, RobustError> {
     // Always-active LSs along shortest paths (same as PCF-LS).
     let mut always: Vec<LogicalSequence> = Vec::new();
     for (s, t, _) in tm.positive_pairs() {
@@ -313,7 +302,7 @@ pub fn pcf_cls_pipeline(
             }
         }
     }
-    let flows = bypass_flows(topo, 2);
+    let flows = bypass_flows(topo, bypass_paths);
 
     // Stage 1: flow model instance (needs pairs for all flow segments).
     // The flow model only shapes the conditional LSs (its p-values feed the
@@ -325,7 +314,7 @@ pub fn pcf_cls_pipeline(
         tol: opts.tol.max(1e-4),
         ..opts.clone()
     };
-    let mut b1 = InstanceBuilder::new(topo, tm).tunnels_per_pair(tunnels_per_pair);
+    let mut b1 = InstanceBuilder::new(topo, tm).tunnels_per_pair(k);
     for ls in &always {
         b1 = b1.add_ls(ls.clone());
     }
@@ -335,33 +324,22 @@ pub fn pcf_cls_pipeline(
             b1 = b1.add_pair(u, v);
         }
     }
-    let inst1 = b1.build();
-    let fsol = match solve_logical_flow(&inst1, &flows, fm, &flow_opts) {
-        Ok(s) => s,
-        #[expect(clippy::panic, reason = "infallible wrapper of solve_logical_flow")]
-        Err(e) => panic!("logical-flow stage failed: {e}"),
-    };
+    let fsol = solve_logical_flow(&b1.build(), &flows, fm, &flow_opts)?;
     let conditional = decompose_flows(topo, &flows, &fsol, 1e-7);
 
     // Stage 2: the CLS model proper.
-    let mut b2 = InstanceBuilder::new(topo, tm).tunnels_per_pair(tunnels_per_pair);
-    for ls in always.iter().chain(conditional.iter()) {
-        b2 = b2.add_ls(ls.clone());
+    let mut b2 = InstanceBuilder::new(topo, tm).tunnels_per_pair(k);
+    for ls in always.into_iter().chain(conditional) {
+        b2 = b2.add_ls(ls);
     }
-    let instance = b2.build();
-    let solution = crate::schemes::solve_pcf_ls(&instance, fm, opts);
-    ClsResult {
-        instance,
-        solution,
-        conditional_lss: conditional.len(),
-        flow_rounds: fsol.rounds,
-    }
+    Ok(b2.build())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::robust::RobustOptions;
+    use crate::Scheme;
 
     #[test]
     fn bypass_flows_cover_both_directions() {
@@ -401,14 +379,17 @@ mod tests {
         let opts = RobustOptions::default();
         let ls_inst = crate::schemes::pcf_ls_instance(&topo, &tm, 3);
         let ls = crate::schemes::solve_pcf_ls(&ls_inst, &fm, &opts);
-        let cls = pcf_cls_pipeline(&topo, &tm, 3, &fm, &opts);
+        let cls = Scheme::PcfCls.plan(&topo, tm, 3, &fm, &opts, None).unwrap();
         assert!(
-            cls.solution.objective >= ls.objective - 1e-4,
+            cls.sol.objective >= ls.objective - 1e-4,
             "CLS {} vs LS {}",
-            cls.solution.objective,
+            cls.sol.objective,
             ls.objective
         );
-        assert!(cls.conditional_lss > 0);
+        let inst = &cls.inst;
+        assert!(inst
+            .ls_ids()
+            .any(|q| inst.ls(q).condition != Condition::Always));
     }
 
     #[test]
@@ -452,17 +433,19 @@ mod tests {
                 threads,
                 ..RobustOptions::default()
             };
-            pcf_cls_pipeline(&topo, &tm, 3, &fm, &opts)
+            Scheme::PcfCls
+                .plan(&topo, tm.clone(), 3, &fm, &opts, None)
+                .unwrap()
         };
         let (one, four) = (run(1), run(4));
-        assert_eq!(
-            one.solution.objective.to_bits(),
-            four.solution.objective.to_bits()
-        );
-        assert_eq!(one.solution.a, four.solution.a);
-        assert_eq!(one.solution.b, four.solution.b);
-        assert_eq!(one.conditional_lss, four.conditional_lss);
-        assert_eq!(one.flow_rounds, four.flow_rounds);
+        assert_eq!(one.sol.objective.to_bits(), four.sol.objective.to_bits());
+        assert_eq!(one.sol.a, four.sol.a);
+        assert_eq!(one.sol.b, four.sol.b);
+        // The stage-1 flow solve picks the conditional LSs.
+        let lss = |inst: &Instance| -> Vec<LogicalSequence> {
+            inst.ls_ids().map(|q| inst.ls(q).clone()).collect()
+        };
+        assert_eq!(lss(&one.inst), lss(&four.inst));
     }
 
     #[test]
@@ -476,7 +459,6 @@ mod tests {
             b: vec![],
             flow_b: vec![0.0; flows.len()],
             flow_p: flows.iter().map(|w| vec![0.0; w.support.len()]).collect(),
-            rounds: 0,
         };
         assert!(decompose_flows(&topo, &flows, &sol, 1e-7).is_empty());
     }
@@ -611,7 +593,6 @@ mod flow_model_tests {
             flow_b: vec![0.8],
             // Wider via node 2.
             flow_p: vec![vec![0.6, 0.6, 0.2, 0.2]],
-            rounds: 1,
         };
         let lss = decompose_flows(&topo, &flows, &sol, 1e-7);
         assert_eq!(lss.len(), 1);

@@ -1,24 +1,121 @@
 //! The congestion-free schemes evaluated in the paper (§5).
 //!
-//! Thin, documented entry points over the robust engine:
+//! [`Scheme`] names the four and [`Scheme::plan`] is the one producer of
+//! their plans: it selects tunnels, builds the scheme's instance, and
+//! solves it against the scheme's failure set:
 //!
-//! * [`solve_ffc`] — FFC (Liu et al., SIGCOMM '14): tunnel reservations with
-//!   the `p_st` tunnel-count failure set (Eq. 5);
-//! * [`solve_pcf_tf`] — PCF-TF (§3.2): same response mechanism, link-coupled
-//!   failure set (Eq. 4);
-//! * [`solve_pcf_ls`] — PCF-LS (§3.3): adds unconditional logical sequences
-//!   (the shortest-path LS heuristic of §5); the same model solves PCF-CLS
-//!   (§3.4) when the LSs carry conditions, as derived by decomposing a
-//!   restricted logical-flow model (§3.5); see [`crate::logical_flow`].
+//! * FFC (Liu et al., SIGCOMM '14): tunnel reservations with the `p_st`
+//!   tunnel-count failure set (Eq. 5);
+//! * PCF-TF (§3.2): same response mechanism, link-coupled failure set
+//!   (Eq. 4);
+//! * PCF-LS (§3.3): adds unconditional logical sequences (the
+//!   shortest-path LS heuristic of §5);
+//! * PCF-CLS (§3.4): the same model with conditional LSs, derived by
+//!   decomposing a restricted logical-flow model (§3.5); see
+//!   [`crate::logical_flow::pcf_cls_instance`].
+//!
+//! [`solve_ffc`], [`solve_pcf_tf`] and [`solve_pcf_ls`] solve an instance
+//! built elsewhere, such as the paper's hand-made figure instances.
 
 use crate::failure::FailureModel;
 use crate::instance::{Instance, InstanceBuilder};
+use crate::logical_flow::pcf_cls_instance;
 use crate::robust::{
     solve_robust, try_solve_robust, AdversaryKind, CutPool, RobustError, RobustOptions,
     RobustSolution,
 };
 use pcf_topology::Topology;
 use pcf_traffic::TrafficMatrix;
+
+/// One of the four congestion-free schemes of §5.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scheme {
+    /// FFC (tunnel model, per-pair tunnel-count failure set).
+    Ffc,
+    /// PCF-TF (tunnel model, link-coupled failure set).
+    PcfTf,
+    /// PCF-LS (unconditional logical sequences).
+    PcfLs,
+    /// PCF-CLS (conditional logical sequences from the bypass flows).
+    PcfCls,
+}
+
+/// A solved plan: the instance, its solution, and the cut pool that
+/// warm-starts the next [`Scheme::plan`] (`None` for PCF-CLS).
+#[derive(Debug)]
+pub struct Plan {
+    /// The solved instance (tunnels, logical sequences, demands).
+    pub inst: Instance,
+    /// The robust solution on `inst`.
+    pub sol: RobustSolution,
+    /// Scenario cuts, final basis and tunnels of this solve.
+    pub pool: Option<CutPool>,
+}
+
+impl Scheme {
+    /// Every scheme, in the paper's order.
+    pub const ALL: [Scheme; 4] = [Scheme::Ffc, Scheme::PcfTf, Scheme::PcfLs, Scheme::PcfCls];
+
+    /// The stable CLI spelling.
+    pub fn as_flag(self) -> &'static str {
+        match self {
+            Scheme::Ffc => "ffc",
+            Scheme::PcfTf => "pcf-tf",
+            Scheme::PcfLs => "pcf-ls",
+            Scheme::PcfCls => "pcf-cls",
+        }
+    }
+
+    /// Parses the CLI spelling ([`Scheme::as_flag`]).
+    pub fn from_flag(s: &str) -> Option<Scheme> {
+        Scheme::ALL.into_iter().find(|scheme| scheme.as_flag() == s)
+    }
+
+    /// Plans the scheme: `k` tunnels per demand pair of `tm`, the scheme's
+    /// logical sequences, and the robust solve against `fm`.
+    ///
+    /// `seed` warm-starts the solve with a previous plan's [`CutPool`]:
+    /// its tunnel set is offered to selection
+    /// ([`InstanceBuilder::offer_tunnels`]) and its cuts and basis enter
+    /// the master ([`try_solve_robust`]). A pool from another pair set or
+    /// structure is ignored and the plan is cold. PCF-CLS, whose flow-stage
+    /// instance varies, ignores `seed` and returns no pool.
+    ///
+    /// The matrix is dropped once the instance holds the demands, before
+    /// the solve, the high-water mark of a plan.
+    pub fn plan(
+        self,
+        topo: &Topology,
+        tm: TrafficMatrix,
+        k: usize,
+        fm: &FailureModel,
+        opts: &RobustOptions,
+        seed: Option<&CutPool>,
+    ) -> Result<Plan, RobustError> {
+        let seed = seed.filter(|_| self != Scheme::PcfCls);
+        let inst = match self {
+            Scheme::PcfCls => pcf_cls_instance(topo, &tm, k, 2, fm, opts)?,
+            _ => {
+                let builder = InstanceBuilder::new(topo, &tm)
+                    .tunnels_per_pair(k)
+                    .offer_tunnels(seed.and_then(CutPool::tunnel_set));
+                if self == Scheme::PcfLs {
+                    builder.shortest_path_lss().build()
+                } else {
+                    builder.build()
+                }
+            }
+        };
+        drop(tm);
+        let kind = match self {
+            Scheme::Ffc => AdversaryKind::FfcTunnelCount,
+            _ => AdversaryKind::LinkBased,
+        };
+        let (sol, pool) = try_solve_robust(&inst, fm, kind, opts, seed)?;
+        let pool = (self != Scheme::PcfCls).then_some(pool);
+        Ok(Plan { inst, sol, pool })
+    }
+}
 
 /// Solves FFC on a pure-tunnel instance.
 ///
@@ -48,40 +145,8 @@ pub fn solve_pcf_ls(inst: &Instance, fm: &FailureModel, opts: &RobustOptions) ->
     solve_robust(inst, fm, AdversaryKind::LinkBased, opts)
 }
 
-/// [`solve_ffc`] with a [`CutPool`] warm start (see
-/// [`try_solve_robust`]): seed with a previous epoch's pool and get
-/// back the pool for the next one.
-///
-/// # Panics
-/// Panics if the instance contains logical sequences.
-pub fn solve_ffc_seeded(
-    inst: &Instance,
-    fm: &FailureModel,
-    opts: &RobustOptions,
-    seed: Option<&CutPool>,
-) -> Result<(RobustSolution, CutPool), RobustError> {
-    try_solve_robust(inst, fm, AdversaryKind::FfcTunnelCount, opts, seed)
-}
-
-/// [`solve_pcf_tf`] with a [`CutPool`] warm start.
-///
-/// # Panics
-/// Panics if the instance contains logical sequences.
-pub fn solve_pcf_tf_seeded(
-    inst: &Instance,
-    fm: &FailureModel,
-    opts: &RobustOptions,
-    seed: Option<&CutPool>,
-) -> Result<(RobustSolution, CutPool), RobustError> {
-    assert_eq!(
-        inst.num_lss(),
-        0,
-        "PCF-TF is the tunnel-only model; build LSs with solve_pcf_ls"
-    );
-    try_solve_robust(inst, fm, AdversaryKind::LinkBased, opts, seed)
-}
-
-/// [`solve_pcf_ls`] with a [`CutPool`] warm start.
+/// [`solve_pcf_ls`] with a [`CutPool`] warm start. [`Scheme::plan`] is the
+/// producer; this stays because the `benchmark/` harness calls it.
 pub fn solve_pcf_ls_seeded(
     inst: &Instance,
     fm: &FailureModel,
@@ -92,14 +157,17 @@ pub fn solve_pcf_ls_seeded(
 }
 
 /// Builds a pure-tunnel instance (FFC / PCF-TF) with `k` tunnels per demand
-/// pair.
+/// pair: [`Scheme::plan`]'s FFC and PCF-TF instance, kept for the tests,
+/// the examples and the `benchmark/` harness, which build one alone.
 pub fn tunnel_instance(topo: &Topology, tm: &TrafficMatrix, k: usize) -> Instance {
     InstanceBuilder::new(topo, tm).tunnels_per_pair(k).build()
 }
 
 /// Builds the PCF-LS instance of §5: `k` tunnels per pair plus, for each
 /// demand pair, one unconditional LS through the nodes of its shortest path
-/// ([`InstanceBuilder::shortest_path_lss`]).
+/// ([`InstanceBuilder::shortest_path_lss`]). [`Scheme::plan`]'s PCF-LS
+/// instance, kept for the tests and the `benchmark/` harness, which build
+/// one alone.
 ///
 /// By construction these LSs are topologically sorted — every segment joins
 /// physically adjacent routers, and adjacent pairs carry no LS — so the
@@ -116,6 +184,7 @@ mod tests {
     use super::*;
     use crate::figures::{fig1_instance, fig3_instance, fig4_ls_instance};
     use crate::objective::Objective;
+    use std::sync::Arc;
 
     fn opts() -> RobustOptions {
         RobustOptions {
@@ -272,6 +341,84 @@ mod tests {
         let inst = crate::figures::fig5_instance(crate::figures::Fig5Variant::ConditionalLs);
         let sol = solve_pcf_ls(&inst, &FailureModel::links(2), &opts());
         assert!((sol.objective - 1.0).abs() < 1e-5, "got {}", sol.objective);
+    }
+
+    // ---- Scheme: the flag spellings and the one plan producer ----
+
+    #[test]
+    fn scheme_flags_round_trip() {
+        for scheme in Scheme::ALL {
+            assert_eq!(Scheme::from_flag(scheme.as_flag()), Some(scheme));
+        }
+        assert_eq!(Scheme::from_flag("r3"), None);
+    }
+
+    #[test]
+    fn seeded_plan_matches_cold_plan_and_reuses_tunnels() {
+        let topo = pcf_topology::zoo::build("Abilene");
+        let tm = pcf_traffic::gravity(&topo, 1);
+        let fm = FailureModel::links(1);
+        let o = opts();
+        for scheme in [Scheme::Ffc, Scheme::PcfTf, Scheme::PcfLs] {
+            let first = scheme.plan(&topo, tm.clone(), 3, &fm, &o, None).unwrap();
+            let pool = first.pool.expect("tunnel and LS schemes export a pool");
+            let warm = scheme
+                .plan(&topo, tm.scaled(0.8), 3, &fm, &o, Some(&pool))
+                .unwrap();
+            let cold = scheme
+                .plan(&topo, tm.scaled(0.8), 3, &fm, &o, None)
+                .unwrap();
+            let label = scheme.as_flag();
+            assert!(
+                Arc::ptr_eq(warm.inst.tunnel_set(), first.inst.tunnel_set()),
+                "{label}: tunnels reused"
+            );
+            assert!(!Arc::ptr_eq(
+                cold.inst.tunnel_set(),
+                first.inst.tunnel_set()
+            ));
+            assert_eq!(warm.sol.seeded_cuts, pool.len(), "{label}");
+            assert_eq!(cold.sol.seeded_cuts, 0, "{label}");
+            assert!(
+                (warm.sol.objective - cold.sol.objective).abs() < 1e-9,
+                "{label}: warm {} vs cold {}",
+                warm.sol.objective,
+                cold.sol.objective
+            );
+        }
+    }
+
+    #[test]
+    fn pcf_cls_ignores_the_seed_and_exports_no_pool() {
+        let topo = pcf_topology::zoo::build("Abilene");
+        let tm = pcf_traffic::gravity(&topo, 1);
+        let fm = FailureModel::links(1);
+        let o = opts();
+        let ls = Scheme::PcfLs
+            .plan(&topo, tm.clone(), 3, &fm, &o, None)
+            .unwrap();
+        let seeded = Scheme::PcfCls
+            .plan(&topo, tm.clone(), 3, &fm, &o, ls.pool.as_ref())
+            .unwrap();
+        let cold = Scheme::PcfCls.plan(&topo, tm, 3, &fm, &o, None).unwrap();
+        assert!(seeded.pool.is_none() && cold.pool.is_none());
+        assert_eq!(seeded.sol.seeded_cuts, 0);
+        assert_eq!(seeded.sol.objective.to_bits(), cold.sol.objective.to_bits());
+        assert!(seeded.inst.num_lss() > ls.inst.num_lss());
+    }
+
+    #[test]
+    fn a_solver_failure_is_an_error_in_every_scheme() {
+        // One simplex iteration cannot solve a master: PCF-CLS's stage 1
+        // must hand the failure back like every other scheme's solve.
+        let topo = pcf_topology::zoo::build("Abilene");
+        let tm = pcf_traffic::gravity(&topo, 1);
+        let mut o = opts();
+        o.lp.max_iterations = Some(1);
+        for scheme in Scheme::ALL {
+            let planned = scheme.plan(&topo, tm.clone(), 3, &FailureModel::links(1), &o, None);
+            assert!(planned.is_err(), "{}", scheme.as_flag());
+        }
     }
 
     // ---- Zoo smoke test: scheme ordering on a real-size topology ----

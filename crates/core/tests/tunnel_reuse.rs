@@ -10,8 +10,8 @@
 //! offer must be refused and selection must run.
 
 use pcf_core::{
-    pcf_ls_instance, solve_pcf_ls_seeded, solve_pcf_tf_seeded, tunnel_instance, FailureModel,
-    Instance, InstanceBuilder, RobustOptions, TunnelSet,
+    pcf_ls_instance, try_solve_robust, tunnel_instance, AdversaryKind, FailureModel, Instance,
+    InstanceBuilder, RobustOptions, TunnelSet,
 };
 use pcf_topology::{transform::split_sublinks, zoo, LinkId, NodeId, Topology};
 use pcf_traffic::{gravity, TrafficMatrix};
@@ -140,11 +140,8 @@ fn reused_tunnels_equal_a_fresh_selection() {
         capacity_only.set_capacity(e, topo.capacity(e) * 0.5);
         for shape in [Shape::Tunnels, Shape::Lss] {
             let base = fresh(topo, &tm, 3, shape);
-            let (_, pool) = match shape {
-                Shape::Tunnels => solve_pcf_tf_seeded(&base, &fm, &opts, None),
-                Shape::Lss => solve_pcf_ls_seeded(&base, &fm, &opts, None),
-            }
-            .unwrap();
+            let (_, pool) =
+                try_solve_robust(&base, &fm, AdversaryKind::LinkBased, &opts, None).unwrap();
             let offered = pool.tunnel_set().expect("an exported pool carries tunnels");
             assert!(
                 Arc::ptr_eq(offered, base.tunnel_set()),

@@ -188,12 +188,6 @@ impl LpProblem {
         self.rows.len()
     }
 
-    /// Changes the objective coefficient of an existing variable.
-    pub fn set_objective(&mut self, v: VarId, obj: f64) {
-        assert!(obj.is_finite());
-        self.obj[v.0] = obj;
-    }
-
     /// Adds a range constraint `lower <= expr <= upper`.
     ///
     /// The row keeps its variables in first-mention order. Exact-zero

@@ -1793,14 +1793,12 @@ mod tests {
         // b->t (3). Max flow = 5... check: s->a 3 (a->t 2, a->b 1), s->b 2,
         // b->t 3 -> total 5.
         let mut lp = LpProblem::new(Sense::Maximize);
-        let sa = lp.add_var(0.0, 3.0, 0.0);
-        let sb = lp.add_var(0.0, 2.0, 0.0);
+        // objective: flow out of s
+        let sa = lp.add_var(0.0, 3.0, 1.0);
+        let sb = lp.add_var(0.0, 2.0, 1.0);
         let ab = lp.add_var(0.0, 1.0, 0.0);
         let at = lp.add_var(0.0, 2.0, 0.0);
         let bt = lp.add_var(0.0, 3.0, 0.0);
-        // objective: flow out of s
-        lp.set_objective(sa, 1.0);
-        lp.set_objective(sb, 1.0);
         // conservation at a and b
         lp.add_eq(vec![(sa, 1.0), (ab, -1.0), (at, -1.0)], 0.0);
         lp.add_eq(vec![(sb, 1.0), (ab, 1.0), (bt, -1.0)], 0.0);

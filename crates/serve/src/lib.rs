@@ -50,8 +50,11 @@ pub mod telemetry;
 
 pub use client::{run_script, ClientError, ScriptReport, ServeClient};
 pub use log::{EventLog, LogEvent, LogFull};
+/// The scheme a [`PlanSpec`] solves, under the name the `benchmark/`
+/// harness imports it by.
+pub use pcf_core::Scheme as SchemeKind;
 pub use pcf_rng::json::{Json, JsonError};
-pub use plan::{PlanCell, PlanEpoch, PlanSpec, SchemeKind};
+pub use plan::{PlanCell, PlanEpoch, PlanSpec};
 pub use protocol::{error_response, parse_request, Request};
 pub use server::{ServeOptions, Server};
 pub use telemetry::{AtomicHistogram, ServeReport, Stopwatch, Telemetry};
@@ -95,7 +98,7 @@ impl From<pcf_core::RobustError> for ServeError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcf_core::RobustOptions;
+    use pcf_core::{RobustOptions, Scheme};
     use pcf_topology::zoo;
     use std::io::BufRead;
     use std::thread;
@@ -103,7 +106,7 @@ mod tests {
     fn abilene_spec() -> PlanSpec {
         PlanSpec {
             topo: zoo::build("Abilene"),
-            scheme: SchemeKind::Ffc,
+            scheme: Scheme::Ffc,
             tunnels: 3,
             f: 1,
             seed: 1,

@@ -25,53 +25,13 @@
 //! TSan job exercises.
 
 use crate::ServeError;
-use pcf_core::{
-    pcf_cls_pipeline, scale_to_mlu, solve_ffc_seeded, solve_pcf_ls_seeded, solve_pcf_tf_seeded,
-    CutPool, FailureModel, Instance, InstanceBuilder, RobustOptions,
-};
+use pcf_core::{scale_to_mlu, CutPool, FailureModel, Instance, Plan, RobustOptions, Scheme};
 use pcf_replay::SharedFactorCache;
 use pcf_rng::Fnv1a;
 use pcf_topology::{LinkId, Topology};
 use pcf_traffic::gravity;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Which solver builds the plan (the schemes with a tunnel/LS plan to
-/// serve; R3 is excluded because it has no reservations to realize).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchemeKind {
-    /// FFC (tunnel model, per-pair failure constraints).
-    Ffc,
-    /// PCF-TF (tunnel model, dualizable adversary).
-    PcfTf,
-    /// PCF-LS (logical sequences).
-    PcfLs,
-    /// PCF-CLS (conditional logical sequences, bypass pipeline).
-    PcfCls,
-}
-
-impl SchemeKind {
-    /// Parses the CLI spelling (`ffc | pcf-tf | pcf-ls | pcf-cls`).
-    pub fn from_flag(s: &str) -> Option<SchemeKind> {
-        match s {
-            "ffc" => Some(SchemeKind::Ffc),
-            "pcf-tf" => Some(SchemeKind::PcfTf),
-            "pcf-ls" => Some(SchemeKind::PcfLs),
-            "pcf-cls" => Some(SchemeKind::PcfCls),
-            _ => None,
-        }
-    }
-
-    /// The stable CLI spelling.
-    pub fn as_flag(self) -> &'static str {
-        match self {
-            SchemeKind::Ffc => "ffc",
-            SchemeKind::PcfTf => "pcf-tf",
-            SchemeKind::PcfLs => "pcf-ls",
-            SchemeKind::PcfCls => "pcf-cls",
-        }
-    }
-}
 
 /// Everything the background solver needs to (re)build a plan: the
 /// topology, the scheme, the traffic recipe, and the robust-engine
@@ -81,8 +41,9 @@ impl SchemeKind {
 pub struct PlanSpec {
     /// The (already built/pruned) topology to serve.
     pub topo: Topology,
-    /// Which scheme solves the plan.
-    pub scheme: SchemeKind,
+    /// Which scheme solves the plan (R3 has no reservations to realize,
+    /// so it is not one).
+    pub scheme: Scheme,
     /// Tunnels per pair.
     pub tunnels: usize,
     /// Simultaneous link failures the plan must survive.
@@ -103,6 +64,10 @@ pub struct PlanSpec {
 }
 
 /// One immutable solved plan, shared by every reader at its generation.
+///
+/// `a`, `b`, `z`, `worst_available` and `objective` are copies of the
+/// [`pcf_core::RobustSolution`] fields; they stay separate fields because
+/// the `benchmark/` harness reads them.
 pub struct PlanEpoch {
     /// Generation tag (monotonically increasing across swaps, starts at 1).
     pub gen: u64,
@@ -148,7 +113,9 @@ pub struct PlanEpoch {
 impl PlanSpec {
     /// Solves the spec into a fresh epoch at `gen`, with the demand
     /// matrix scaled by `scale` and drawn from `seed`. Cold solve: no cut
-    /// pool in, none out (see [`PlanSpec::solve_epoch_seeded`]).
+    /// pool in, none out (see [`PlanSpec::solve_epoch_seeded`]). The
+    /// server calls the seeded form; this one stays because the
+    /// `benchmark/` harness calls it.
     pub fn solve_epoch(
         &self,
         gen: u64,
@@ -168,8 +135,10 @@ impl PlanSpec {
     /// transfer and the tunnels are the ones selection would return, while
     /// a pool from another pair set ([`CutPool::matches`] fails — a new
     /// seed or a rebase can move the heaviest pairs) is ignored and the
-    /// epoch selects tunnels and solves cold. The PCF-CLS pipeline, whose
-    /// flow-stage instance varies, always solves cold and returns `None`.
+    /// epoch selects tunnels and solves cold. PCF-CLS, whose flow-stage
+    /// instance varies, always solves cold and returns `None`. The plan
+    /// itself comes from [`Scheme::plan`]; this wraps it in an epoch for
+    /// the server and for the `benchmark/` harness, which calls it.
     pub fn solve_epoch_seeded(
         &self,
         gen: u64,
@@ -191,35 +160,12 @@ impl PlanSpec {
         }
         tm.scale(scale);
         let fm = FailureModel::links(self.f);
-        let offered = prev.and_then(CutPool::tunnel_set);
-        let (inst, sol, pool) = match self.scheme {
-            SchemeKind::PcfCls => {
-                // The CLS pipeline derives its final instance from the
-                // flow decomposition, so its shape shifts between epochs;
-                // always solve cold.
-                let cls = pcf_cls_pipeline(&self.topo, &tm, self.tunnels, &fm, &self.opts);
-                (cls.instance, cls.solution, None)
-            }
-            scheme => {
-                let builder = InstanceBuilder::new(&self.topo, &tm)
-                    .tunnels_per_pair(self.tunnels)
-                    .offer_tunnels(offered);
-                let inst = match scheme {
-                    SchemeKind::PcfLs => builder.shortest_path_lss().build(),
-                    _ => builder.build(),
-                };
-                // The demands live in the instance now; free the matrix
-                // before the solve, the high-water mark of an epoch.
-                drop(tm);
-                let (sol, pool) = match scheme {
-                    SchemeKind::Ffc => solve_ffc_seeded(&inst, &fm, &self.opts, prev),
-                    SchemeKind::PcfTf => solve_pcf_tf_seeded(&inst, &fm, &self.opts, prev),
-                    _ => solve_pcf_ls_seeded(&inst, &fm, &self.opts, prev),
-                }?;
-                (inst, sol, Some(pool))
-            }
-        };
-        let tunnels_reused = offered.is_some_and(|set| Arc::ptr_eq(set, inst.tunnel_set()));
+        let Plan { inst, sol, pool } =
+            self.scheme
+                .plan(&self.topo, tm, self.tunnels, &fm, &self.opts, prev)?;
+        let tunnels_reused = prev
+            .and_then(CutPool::tunnel_set)
+            .is_some_and(|set| Arc::ptr_eq(set, inst.tunnel_set()));
         let served = sol.served(&inst);
         let plan_digest = plan_digest(sol.objective, &sol.a, &sol.b, &sol.z, &served);
         let epoch = PlanEpoch {
@@ -312,7 +258,7 @@ mod tests {
     fn abilene_spec() -> PlanSpec {
         PlanSpec {
             topo: zoo::build("Abilene"),
-            scheme: SchemeKind::Ffc,
+            scheme: Scheme::Ffc,
             tunnels: 3,
             f: 1,
             seed: 1,
@@ -406,18 +352,5 @@ mod tests {
         assert_eq!(cell.current().gen, 2);
         // The old epoch Arc is still alive for holders.
         assert_eq!(first.gen, 1);
-    }
-
-    #[test]
-    fn scheme_flags_round_trip() {
-        for kind in [
-            SchemeKind::Ffc,
-            SchemeKind::PcfTf,
-            SchemeKind::PcfLs,
-            SchemeKind::PcfCls,
-        ] {
-            assert_eq!(SchemeKind::from_flag(kind.as_flag()), Some(kind));
-        }
-        assert_eq!(SchemeKind::from_flag("r3"), None);
     }
 }

@@ -8,14 +8,15 @@
 //! threads hammered the server. This is the test the nightly TSan job
 //! runs over the `PlanCell` fast path.
 
-use pcf_serve::{run_script, Json, PlanSpec, SchemeKind, ServeClient, ServeOptions, Server};
+use pcf_core::Scheme;
+use pcf_serve::{run_script, Json, PlanSpec, ServeClient, ServeOptions, Server};
 use std::collections::BTreeMap;
 use std::thread;
 
 fn abilene_spec() -> PlanSpec {
     PlanSpec {
         topo: pcf_topology::zoo::build("Abilene"),
-        scheme: SchemeKind::Ffc,
+        scheme: Scheme::Ffc,
         tunnels: 3,
         f: 1,
         seed: 1,

@@ -13,7 +13,8 @@
 //! responses are rendered (field order, number or string formatting)
 //! fails here.
 
-use pcf_serve::{PlanSpec, SchemeKind, ServeOptions, Server};
+use pcf_core::Scheme;
+use pcf_serve::{PlanSpec, ServeOptions, Server};
 use pcf_topology::SrlgSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -65,7 +66,7 @@ fn smoke_spec() -> PlanSpec {
         .link_groups();
     PlanSpec {
         topo,
-        scheme: SchemeKind::Ffc,
+        scheme: Scheme::Ffc,
         tunnels: 3,
         f: 1,
         seed: 1,

@@ -125,11 +125,16 @@ fn skip_block(tokens: &[Token], mut i: usize) -> Result<usize, GmlError> {
     Ok(i)
 }
 
+/// A finite number; `inf`, `nan` and overflowing literals (`1e400`) are
+/// [`GmlError::BadNumber`], like any other text that is not a number.
 fn parse_number(tok: &Token) -> Result<f64, GmlError> {
-    match tok {
-        Token::Word(w) => w.parse::<f64>().map_err(|_| GmlError::BadNumber(w.clone())),
-        Token::Str(s) => s.parse::<f64>().map_err(|_| GmlError::BadNumber(s.clone())),
-        _ => Err(GmlError::BadNumber("[".into())),
+    let text = match tok {
+        Token::Word(w) | Token::Str(w) => w,
+        _ => return Err(GmlError::BadNumber("[".into())),
+    };
+    match text.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(x),
+        _ => Err(GmlError::BadNumber(text.clone())),
     }
 }
 
@@ -341,6 +346,59 @@ mod tests {
         let t = parse_gml(src).unwrap();
         assert_eq!(t.node_count(), 2);
         assert_eq!(t.node_name(NodeId(0)), "A");
+    }
+
+    #[test]
+    fn non_finite_link_speed_is_a_bad_number() {
+        for raw in ["1e400", "inf", "nan"] {
+            let src = format!(
+                "graph [ node [ id 0 ] node [ id 1 ] \
+                 edge [ source 0 target 1 LinkSpeedRaw {raw} ] ]"
+            );
+            assert_eq!(
+                parse_gml(&src).unwrap_err(),
+                GmlError::BadNumber(raw.into()),
+                "LinkSpeedRaw {raw}"
+            );
+        }
+    }
+
+    /// One to four byte-level mutations of `doc`: flip a bit, insert,
+    /// delete, truncate, or duplicate a span.
+    fn mutate(doc: &str, rng: &mut pcf_rng::Pcg32) -> Vec<u8> {
+        const BYTES: &[u8] = b"[]\" -.0123456789eE+ \nidgrphnodesutaLkSRwinf\x00\xc3\xff";
+        let mut doc = doc.as_bytes().to_vec();
+        for _ in 0..rng.range_usize_inclusive(1, 4) {
+            let at = rng.range_usize_inclusive(0, doc.len());
+            match rng.below(5) {
+                0 if at < doc.len() => doc[at] ^= 1 << rng.below(8),
+                1 => doc.insert(at, *rng.pick(BYTES)),
+                2 if at < doc.len() => {
+                    doc.remove(at);
+                }
+                3 => doc.truncate(at),
+                _ => {
+                    let end = rng.range_usize_inclusive(at, doc.len());
+                    let span = doc[at..end].to_vec();
+                    doc.splice(at..at, span);
+                }
+            }
+        }
+        doc
+    }
+
+    #[test]
+    fn mutated_documents_never_panic_the_parser() {
+        pcf_rng::forall(
+            "parse_gml",
+            &pcf_rng::Config::with_cases(2000),
+            |rng| mutate(SAMPLE, rng),
+            pcf_rng::no_shrink,
+            |doc: &Vec<u8>| {
+                let _ = parse_gml(&String::from_utf8_lossy(doc));
+                Ok(())
+            },
+        );
     }
 }
 

@@ -273,14 +273,6 @@ impl Topology {
         self.links[l.index()].capacity = capacity;
     }
 
-    /// Rescales every link capacity by `factor` (used when normalising MLU).
-    pub fn scale_capacities(&mut self, factor: f64) {
-        assert!(factor.is_finite() && factor > 0.0);
-        for l in &mut self.links {
-            l.capacity *= factor;
-        }
-    }
-
     /// The node an arc leaves from.
     pub fn arc_src(&self, a: ArcId) -> NodeId {
         let link = self.link(a.link());
@@ -572,15 +564,6 @@ mod tests {
         let a = t.add_node("a");
         let b = t.add_node("b");
         t.add_link(a, b, 0.0);
-    }
-
-    #[test]
-    fn scale_capacities_scales_all() {
-        let mut t = triangle();
-        t.scale_capacities(2.0);
-        assert_eq!(t.capacity(LinkId(0)), 2.0);
-        assert_eq!(t.capacity(LinkId(2)), 6.0);
-        assert_eq!(t.total_capacity(), 12.0);
     }
 
     #[test]

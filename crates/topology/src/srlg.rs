@@ -17,7 +17,6 @@
 
 use crate::graph::{LinkId, Topology};
 use std::fmt;
-use std::path::{Path, PathBuf};
 
 /// One shared-risk group: the links that fail together.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,12 +131,6 @@ impl SrlgSet {
         out
     }
 
-    /// The conventional sidecar path next to a topology file:
-    /// `foo.gml` → `foo.srlg`.
-    pub fn sidecar_path(topology_path: &Path) -> PathBuf {
-        topology_path.with_extension("srlg")
-    }
-
     /// The groups as plain link lists (the shape `FailureModel::srlgs`
     /// and `GroupBudget::new` consume).
     pub fn link_groups(&self) -> Vec<Vec<LinkId>> {
@@ -237,12 +230,6 @@ mod tests {
         assert!(err2.message.contains("bad link id"), "{}", err2.message);
         let err3 = SrlgSet::parse_strict("group e1x\n", &t).unwrap_err();
         assert!(err3.message.contains("bad link id"), "{}", err3.message);
-    }
-
-    #[test]
-    fn sidecar_path_swaps_extension() {
-        let p = SrlgSet::sidecar_path(Path::new("/data/Abilene.gml"));
-        assert_eq!(p, PathBuf::from("/data/Abilene.srlg"));
     }
 
     #[test]

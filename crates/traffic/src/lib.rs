@@ -187,22 +187,6 @@ pub fn gravity(topo: &Topology, seed: u64) -> TrafficMatrix {
     tm
 }
 
-/// A family of `count` gravity matrices with a diurnal amplitude pattern, as
-/// the paper's "12 different demands ... to model a traffic matrix every 2
-/// hours".
-pub fn diurnal_set(topo: &Topology, seed: u64, count: usize) -> Vec<TrafficMatrix> {
-    (0..count)
-        .map(|i| {
-            let mut tm = gravity(topo, seed.wrapping_add(i as u64));
-            // Sinusoidal day shape: troughs near 40% of peak.
-            let phase = 2.0 * std::f64::consts::PI * (i as f64) / (count.max(1) as f64);
-            let amp = 0.7 + 0.3 * phase.sin();
-            tm.scale(amp);
-            tm
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,17 +228,6 @@ mod tests {
         for u in t.nodes() {
             assert_eq!(tm.demand(u, u), 0.0);
         }
-    }
-
-    #[test]
-    fn diurnal_set_has_count_and_variation() {
-        let t = zoo::build("Sprint");
-        let set = diurnal_set(&t, 11, 12);
-        assert_eq!(set.len(), 12);
-        let totals: Vec<f64> = set.iter().map(|tm| tm.total()).collect();
-        let min = totals.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = totals.iter().cloned().fold(0.0f64, f64::max);
-        assert!(max > min * 1.2, "diurnal amplitude should vary: {totals:?}");
     }
 
     #[test]

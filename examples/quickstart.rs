@@ -6,13 +6,13 @@
 //! ```
 
 use pcf_core::{
-    optimal_demand_scale, pcf_cls_pipeline, pcf_ls_instance, scale_to_mlu, solve_ffc, solve_pcf_ls,
-    solve_pcf_tf, tunnel_instance, FailureModel, RobustOptions, ScenarioCoverage,
+    optimal_demand_scale, scale_to_mlu, FailureModel, RobustError, RobustOptions, ScenarioCoverage,
+    Scheme,
 };
 use pcf_topology::zoo;
 use pcf_traffic::gravity;
 
-fn main() {
+fn main() -> Result<(), RobustError> {
     // 1. A topology: one of the paper's 21 evaluation networks (synthetic
     //    stand-in; drop in a real Topology Zoo GML via pcf_topology::gml).
     let topo = zoo::build("Sprint");
@@ -38,23 +38,26 @@ fn main() {
     let opts = RobustOptions::default();
 
     // FFC (the baseline) uses 2 tunnels — its best setting; PCF schemes use
-    // 3 (more tunnels only help PCF, Proposition 2).
-    let ffc = solve_ffc(&tunnel_instance(&topo, &tm, 2), &fm, &opts);
-    let tf = solve_pcf_tf(&tunnel_instance(&topo, &tm, 3), &fm, &opts);
-    let ls = solve_pcf_ls(&pcf_ls_instance(&topo, &tm, 3), &fm, &opts);
-    let cls = pcf_cls_pipeline(&topo, &tm, 3, &fm, &opts);
+    // 3 (more tunnels only help PCF, Proposition 2). `Scheme::plan` selects
+    // the tunnels, builds the scheme's instance and solves it.
+    let scale = |scheme: Scheme, k: usize| -> Result<f64, RobustError> {
+        let plan = scheme.plan(&topo, tm.clone(), k, &fm, &opts, None)?;
+        Ok(plan.sol.objective)
+    };
+    let ffc = scale(Scheme::Ffc, 2)?;
     let (opt, scenarios, _) = optimal_demand_scale(&topo, &tm, &fm, ScenarioCoverage::Exhaustive);
 
     println!("\nguaranteed demand scale under any single link failure:");
     println!("  {:<22} {:>8}  {:>9}", "scheme", "scale", "vs FFC");
     for (name, v) in [
-        ("FFC (2 tunnels)", ffc.objective),
-        ("PCF-TF (3 tunnels)", tf.objective),
-        ("PCF-LS", ls.objective),
-        ("PCF-CLS", cls.solution.objective),
+        ("FFC (2 tunnels)", ffc),
+        ("PCF-TF (3 tunnels)", scale(Scheme::PcfTf, 3)?),
+        ("PCF-LS", scale(Scheme::PcfLs, 3)?),
+        ("PCF-CLS", scale(Scheme::PcfCls, 3)?),
         ("optimal response", opt),
     ] {
-        println!("  {:<22} {:>8.4}  {:>8.2}x", name, v, v / ffc.objective);
+        println!("  {:<22} {:>8.4}  {:>8.2}x", name, v, v / ffc);
     }
     println!("\n(optimal = per-scenario multi-commodity flow over {scenarios} scenarios)");
+    Ok(())
 }

@@ -5,8 +5,8 @@
 use pcf_core::realize::{greedy_topsort, topological_order};
 use pcf_core::validate::validate_all;
 use pcf_core::{
-    pcf_cls_pipeline, pcf_ls_instance, scale_to_mlu, solve_ffc, solve_pcf_ls, solve_pcf_ls_seeded,
-    solve_pcf_tf, tunnel_instance, FailureModel, Instance, RobustOptions, RobustSolution,
+    pcf_ls_instance, scale_to_mlu, solve_ffc, solve_pcf_ls, solve_pcf_ls_seeded, solve_pcf_tf,
+    tunnel_instance, FailureModel, Instance, RobustOptions, RobustSolution, Scheme,
 };
 use pcf_topology::{transform::split_sublinks, zoo};
 use pcf_traffic::gravity;
@@ -57,8 +57,10 @@ fn sprint_pcf_cls_is_congestion_free_under_all_single_failures() {
     let topo = zoo::build("Sprint");
     let (tm, _) = scale_to_mlu(&topo, &gravity(&topo, 21), 0.6);
     let fm = FailureModel::links(1);
-    let cls = pcf_cls_pipeline(&topo, &tm, 3, &fm, &RobustOptions::default());
-    check(&cls.instance, &cls.solution, &fm, "PCF-CLS");
+    let cls = Scheme::PcfCls
+        .plan(&topo, tm, 3, &fm, &RobustOptions::default(), None)
+        .unwrap();
+    check(&cls.inst, &cls.sol, &fm, "PCF-CLS");
 }
 
 #[test]
@@ -111,13 +113,11 @@ fn cls_topsort_pipeline_end_to_end() {
     let topo = zoo::build("Sprint");
     let (tm, _) = scale_to_mlu(&topo, &gravity(&topo, 8), 0.6);
     let fm = FailureModel::links(1);
-    let cls = pcf_cls_pipeline(&topo, &tm, 3, &fm, &RobustOptions::default());
+    let cls = Scheme::PcfCls
+        .plan(&topo, tm.clone(), 3, &fm, &RobustOptions::default(), None)
+        .unwrap();
     // Collect the final LS set and prune to sortable.
-    let all_lss: Vec<_> = cls
-        .instance
-        .ls_ids()
-        .map(|q| cls.instance.ls(q).clone())
-        .collect();
+    let all_lss: Vec<_> = cls.inst.ls_ids().map(|q| cls.inst.ls(q).clone()).collect();
     let (kept, pruned) = greedy_topsort(&all_lss);
     assert!(kept.len() + pruned == all_lss.len());
     // Rebuild and re-solve with the sorted subset.

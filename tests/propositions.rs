@@ -156,11 +156,13 @@ fn prop4_cls_dominates_r3() {
     let tm = gravity(&topo, 3);
     let fm = FailureModel::links(1);
     let r3 = solve_r3(&topo, &tm, 1);
-    let cls = pcf_core::pcf_cls_pipeline(&topo, &tm, 3, &fm, &opts());
+    let cls = pcf_core::Scheme::PcfCls
+        .plan(&topo, tm, 3, &fm, &opts(), None)
+        .unwrap();
     assert!(
-        cls.solution.objective >= r3.objective - 1e-6,
+        cls.sol.objective >= r3.objective - 1e-6,
         "CLS {} < R3 {}",
-        cls.solution.objective,
+        cls.sol.objective,
         r3.objective
     );
 }
