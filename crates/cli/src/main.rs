@@ -366,7 +366,7 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 tunnels: args.get_or("tunnels", 3usize)?,
                 f: args.get_or("f", 1usize)?,
                 seed: args.get_or("seed", 1u64)?,
-                mlu: args.get_or("mlu", 0.6f64)?,
+                mlu: nonnegative(&args, "mlu", 0.6)?,
                 max_pairs: args.get_or("max-pairs", 200usize)?,
                 tol: OVERLOAD_TOL,
                 opts: robust_options(&args)?,
@@ -495,11 +495,10 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
         "augment" => {
             let f = args.get_or("f", 1usize)?;
-            let target: f64 = args
-                .get("target")
-                .ok_or(ArgError("augment needs --target".into()))?
-                .parse()
-                .map_err(|_| ArgError("--target must be a number".into()))?;
+            if args.get("target").is_none() {
+                return Err(ArgError("augment needs --target".into()).into());
+            }
+            let target = nonnegative(&args, "target", 0.0)?;
             let tm = load_traffic(&args, &topo)?;
             let k = args.get_or("tunnels", 3usize)?;
             let inst = tunnel_instance(&topo, &tm, k);
@@ -646,7 +645,7 @@ fn solve_json(topo: &Topology, inst: &Instance, sol: &RobustSolution, scheme: Sc
 
 fn load_traffic(args: &Args, topo: &Topology) -> Result<TrafficMatrix, Box<dyn std::error::Error>> {
     let seed = args.get_or("seed", 1u64)?;
-    let mlu = args.get_or("mlu", 0.6f64)?;
+    let mlu = nonnegative(args, "mlu", 0.6)?;
     let max_pairs = args.get_or("max-pairs", 200usize)?;
     let mut tm = gravity(topo, seed);
     tm.truncate_to_top_k(max_pairs);
@@ -659,6 +658,20 @@ fn load_traffic(args: &Args, topo: &Topology) -> Result<TrafficMatrix, Box<dyn s
         tm = scaled;
     }
     Ok(tm)
+}
+
+/// The `--<name>` number (`default` when absent), which must be finite and
+/// `>= 0`: an infinite or NaN `--mlu` or `--target` would reach an
+/// assertion, and a negative one would read as `0`.
+fn nonnegative(args: &Args, name: &str, default: f64) -> Result<f64, ArgError> {
+    let x = args.get_or(name, default)?;
+    if x.is_finite() && x >= 0.0 {
+        Ok(x)
+    } else {
+        Err(ArgError(format!(
+            "--{name} must be a finite number >= 0, got {x}"
+        )))
+    }
 }
 
 /// The `--scheme` flag (default `pcf-ls`). R3 has no tunnel plan, so
@@ -758,6 +771,29 @@ mod tests {
             assert!(err.downcast_ref::<ArgError>().is_some(), "{err}");
             assert!(err.to_string().contains("r3"), "{err}");
         }
+    }
+
+    #[test]
+    fn non_finite_or_negative_numbers_are_usage_errors() {
+        for (line, flag) in [
+            ("solve --topology Abilene --mlu inf", "mlu"),
+            ("validate --topology Abilene --mlu inf", "mlu"),
+            ("solve --topology Abilene --mlu nan", "mlu"),
+            ("validate --topology Abilene --mlu -1", "mlu"),
+            ("solve --topology Abilene --scheme r3 --mlu nan", "mlu"),
+            ("serve --topology Abilene --mlu inf", "mlu"),
+            ("serve --topology Abilene --mlu -0.5", "mlu"),
+            ("augment --topology Abilene --target inf", "target"),
+            ("augment --topology Abilene --target nan", "target"),
+            ("augment --topology Abilene --target -1", "target"),
+        ] {
+            let err = run(&argv(line)).unwrap_err();
+            assert!(err.downcast_ref::<ArgError>().is_some(), "{line}: {err}");
+            let want = format!("--{flag} must be a finite number >= 0");
+            assert!(err.to_string().contains(&want), "{line}: {err}");
+        }
+        let err = run(&argv("augment --topology Abilene")).unwrap_err();
+        assert_eq!(err.to_string(), "augment needs --target");
     }
 
     /// A GML `label` may hold any string; the report must still parse.

@@ -17,7 +17,7 @@
 //! cutting plane.
 //!
 //! **Pair-sized LPs.** The link-based LP is as large as its pair needs
-//! ([`SeparationLp`]): only the links the pair's tunnels, LS conditions and
+//! (`SeparationLp`): only the links the pair's tunnels, LS conditions and
 //! extra terms touch get failure columns (plus every link of a group of
 //! several, which keeps its tie rows), and an `h` whose condition is
 //! [`Condition::Always`] — every PCF-LS logical sequence — is the constant
@@ -384,7 +384,7 @@ pub struct LinkWorstCase {
 
 /// [`worst_case_link`] extended with arbitrary conditioned loss terms.
 ///
-/// The LP is pair-sized (see [`SeparationLp`]); its answer is the one the
+/// The LP is pair-sized (see `SeparationLp`); its answer is the one the
 /// full polytope gives.
 pub fn worst_case_link_with_extras(
     inst: &Instance,

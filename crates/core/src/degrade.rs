@@ -13,7 +13,8 @@
 //!
 //! 1. **Normal** — the exact realization (`M × U = D`); congestion-free
 //!    by Props. 5/6 whenever the scenario is inside the protected set.
-//! 2. **Rescaled** — the proportional split of [`proportional_routing`]
+//! 2. **Rescaled** — the proportional split of
+//!    [`proportional_routing`](crate::realize::proportional_routing)
 //!    with the error exits removed: utilizations are clamped to `[0, 1]`
 //!    (FFC/R3-style local rescaling), pairs with no live reservation
 //!    serve zero instead of erroring. Requires the LS relation to be
@@ -111,7 +112,8 @@ pub struct DegradedRouting {
     /// (instance pair order; `1.0` for pairs with nothing to serve).
     /// For LS cascades this is the pair-local fraction — end-to-end
     /// delivery along a chain of segments is the product over the chain.
-    pub served_fraction_per_pair: Vec<f64>,
+    /// Every stage-1 routing of an instance shares one all-ones slice.
+    pub served_fraction_per_pair: Arc<[f64]>,
     /// Worst residual arc overload: `max(0, load / capacity − 1)` over
     /// all arcs, against the (possibly degraded) capacities in effect.
     pub overload_bound: f64,
@@ -159,13 +161,14 @@ pub fn overload_bound(inst: &Instance, routing: &Routing, caps: &[f64]) -> f64 {
     (peak_utilization(inst, routing, caps) - 1.0).max(0.0)
 }
 
-/// Wraps a successful stage-1 realization as a [`DegradedRouting`].
+/// Wraps a successful stage-1 realization as a [`DegradedRouting`]; it
+/// allocates nothing.
 pub fn normal_routing(inst: &Instance, routing: Arc<Routing>, caps: &[f64]) -> DegradedRouting {
     let overload = overload_bound(inst, &routing, caps);
     DegradedRouting {
         routing,
         ladder_stage: LadderStage::Normal,
-        served_fraction_per_pair: vec![1.0; inst.num_pairs()],
+        served_fraction_per_pair: Arc::clone(inst.full_service()),
         overload_bound: overload,
         shed_demand: 0.0,
     }
@@ -280,7 +283,7 @@ fn rescale_stage(
     Some(DegradedRouting {
         routing: Arc::new(routing),
         ladder_stage: LadderStage::Rescaled,
-        served_fraction_per_pair: fraction,
+        served_fraction_per_pair: fraction.into(),
         overload_bound: overload,
         shed_demand: shed,
     })
@@ -382,7 +385,7 @@ fn shed_stage(
     Some(DegradedRouting {
         routing: Arc::new(routing),
         ladder_stage: LadderStage::Shed,
-        served_fraction_per_pair: fraction,
+        served_fraction_per_pair: fraction.into(),
         overload_bound: overload,
         shed_demand: shed,
     })

@@ -14,7 +14,9 @@
 //! directed arcs in hop order ([`Instance::tunnel_arcs`]); and the two
 //! reverse indexes a link event needs — the tunnels crossing a link
 //! ([`Instance::tunnels_on_link`]) and the LSs whose condition reads it
-//! ([`Instance::lss_on_link`]).
+//! ([`Instance::lss_on_link`]); and the tunnels crossing each directed arc
+//! in the order a realization adds their flows
+//! ([`Instance::tunnels_on_arc`]).
 //!
 //! The pair list and everything indexed by the tunnels alone live in one
 //! shared [`TunnelSet`]. Tunnel selection reads only the topology's
@@ -120,9 +122,10 @@ impl<T: Copy> Rows<T> {
 
 /// The pairs of an instance in interning order and everything indexed by
 /// its tunnels alone: each tunnel's path, pair and arcs, `T(s,t)`, and the
-/// tunnels crossing each link. An [`Instance`] holds it behind an `Arc`,
-/// so the [`CutPool`](crate::CutPool) exported from a solve keeps a second
-/// reference to the tunnels its cuts index rather than a copy.
+/// tunnels crossing each link and each arc. An [`Instance`] holds it
+/// behind an `Arc`, so the [`CutPool`](crate::CutPool) exported from a
+/// solve keeps a second reference to the tunnels its cuts index rather
+/// than a copy.
 #[derive(Debug)]
 pub struct TunnelSet {
     /// The structure stamp the tunnels were selected under; `None` when a
@@ -135,6 +138,9 @@ pub struct TunnelSet {
     tunnel_arcs: Rows<ArcId>,
     tunnels_of: Rows<TunnelId>, // T(s,t)
     tunnels_on_link: Rows<TunnelId>,
+    /// Tunnel indexes per arc, in expansion order (see
+    /// [`Instance::tunnels_on_arc`]).
+    tunnels_on_arc: Rows<u32>,
 }
 
 impl TunnelSet {
@@ -171,20 +177,33 @@ impl TunnelSet {
                 link_entries.push((link.index(), TunnelId(l)));
             }
         }
-        let tunnels_of = tunnel_pair
-            .iter()
-            .enumerate()
-            .map(|(l, p)| (p.0, TunnelId(l)))
-            .collect();
+        let tunnel_arcs = Rows::from_entries(paths.len(), arc_entries);
+        let tunnels_of = Rows::from_entries(
+            pairs.len(),
+            (tunnel_pair.iter().enumerate())
+                .map(|(l, p)| (p.0, TunnelId(l)))
+                .collect(),
+        );
+        // Pairs ascending, each pair's tunnels, hops in path order — not
+        // tunnel order, which lists the explicit tunnels first.
+        let mut arc_entries = Vec::with_capacity(tunnel_arcs.items.len());
+        for p in 0..pairs.len() {
+            for &l in tunnels_of.row(p) {
+                for arc in tunnel_arcs.row(l.0) {
+                    arc_entries.push((arc.index(), l.0 as u32));
+                }
+            }
+        }
         // The set lives as long as the plans sharing it: keep no push slack.
         pairs.shrink_to_fit();
         paths.shrink_to_fit();
         tunnel_pair.shrink_to_fit();
         TunnelSet {
             selected_under,
-            tunnel_arcs: Rows::from_entries(paths.len(), arc_entries),
-            tunnels_of: Rows::from_entries(pairs.len(), tunnels_of),
+            tunnel_arcs,
+            tunnels_of,
             tunnels_on_link: Rows::from_entries(topo.link_count(), link_entries),
+            tunnels_on_arc: Rows::from_entries(topo.arc_count(), arc_entries),
             pairs,
             paths,
             tunnel_pair,
@@ -220,6 +239,9 @@ pub struct Instance {
     segments_of: Rows<LsId>, // Q(s,t)
     seg_pairs: Rows<PairId>,
     lss_on_link: Rows<LsId>,
+    /// `1.0` per pair: the served fractions of every stage-1 routing,
+    /// shared rather than built per realization.
+    full_service: Arc<[f64]>,
 }
 
 impl Instance {
@@ -296,6 +318,14 @@ impl Instance {
         self.tunnels.tunnels_on_link.row(e.index())
     }
 
+    /// The tunnels that cross arc `arc` as `TunnelId` indexes (a tunnel
+    /// crossing it twice is listed twice), in the order a realization adds
+    /// their flows into the arc's load: pairs ascending, each pair's
+    /// [`Instance::tunnels_of`], each tunnel's hops in path order.
+    pub fn tunnels_on_arc(&self, arc: ArcId) -> &[u32] {
+        self.tunnels.tunnels_on_arc.row(arc.index())
+    }
+
     /// The LSs whose activation condition reads link `e`, in LS order.
     pub fn lss_on_link(&self, e: LinkId) -> &[LsId] {
         self.lss_on_link.row(e.index())
@@ -335,6 +365,12 @@ impl Instance {
     /// `self.ls(q).segments()`, interned at build).
     pub fn segment_pairs(&self, q: LsId) -> &[PairId] {
         self.seg_pairs.row(q.0)
+    }
+
+    /// `1.0` for every pair, shared: what a routing that serves every
+    /// pair in full reports as its served fractions.
+    pub(crate) fn full_service(&self) -> &Arc<[f64]> {
+        &self.full_service
     }
 
     /// All LS ids.
@@ -580,6 +616,7 @@ impl InstanceBuilder {
             segments_of: Rows::from_entries(num_pairs, segment_entries),
             seg_pairs: Rows::from_entries(lss.len(), seg_pair_entries),
             lss_on_link: Rows::from_entries(self.topo.link_count(), condition_entries),
+            full_service: vec![1.0; num_pairs].into(),
             topo: self.topo,
             tunnels,
             pair_index,
@@ -588,6 +625,41 @@ impl InstanceBuilder {
             ls_pair,
         }
     }
+}
+
+/// Three pairs `(x0,t)`, `(x1,t)`, `(x2,t)` (pair ids 0, 1, 2) over
+/// `x0 x1 x2 m y t` with links `xi-m` (`e0`..`e2`), `m-t` (`e3`), `m-y`
+/// (`e4`) and `y-t` (`e5`). Each pair has two explicit tunnels, `xi-m-t`
+/// then `xi-m-y-t`, added pair 2 first, so tunnel order (2's, then 1's,
+/// then 0's) runs against pair order.
+#[cfg(test)]
+pub(crate) fn out_of_order_fan_in() -> Instance {
+    let mut topo = Topology::new("fan-in");
+    let n: Vec<NodeId> = ["x0", "x1", "x2", "m", "y", "t"]
+        .into_iter()
+        .map(|name| topo.add_node(name))
+        .collect();
+    let (m, y, t) = (n[3], n[4], n[5]);
+    let spokes: Vec<LinkId> = (0..3).map(|i| topo.add_link(n[i], m, 1.0)).collect();
+    let (mt, my, yt) = (
+        topo.add_link(m, t, 1.0),
+        topo.add_link(m, y, 1.0),
+        topo.add_link(y, t, 1.0),
+    );
+    let demands = (0..3).map(|i| (n[i], t, 1.0)).collect();
+    let mut builder = InstanceBuilder::with_demands(&topo, demands);
+    for i in (0..3).rev() {
+        builder = builder
+            .add_tunnel(Path {
+                nodes: vec![n[i], m, t],
+                links: vec![spokes[i], mt],
+            })
+            .add_tunnel(Path {
+                nodes: vec![n[i], m, y, t],
+                links: vec![spokes[i], my, yt],
+            });
+    }
+    builder.build()
 }
 
 #[cfg(test)]
@@ -736,6 +808,37 @@ mod tests {
         assert_eq!(conditional.lss_on_link(e0), &[LsId(0), LsId(1)]);
         let p14 = conditional.pair_id(NodeId(1), NodeId(4)).unwrap();
         assert_eq!(conditional.segments_of(p14), &[LsId(2), LsId(2)]);
+    }
+
+    /// The per-arc index lists each arc's tunnels in expansion order:
+    /// pairs ascending, each pair's tunnels, hops in path order — here the
+    /// reverse of tunnel order.
+    #[test]
+    fn tunnels_on_arc_run_in_pair_order() {
+        let inst = out_of_order_fan_in();
+        let topo = inst.topo();
+        let arc = |link: u32, from: u32| topo.arc_from(LinkId(link), NodeId(from));
+        let pair = |i: u32| inst.pair_id(NodeId(i), NodeId(5)).unwrap();
+        assert_eq!(
+            (pair(0), pair(1), pair(2)),
+            (PairId(0), PairId(1), PairId(2))
+        );
+        assert_eq!(inst.tunnels_of(PairId(0)), &[TunnelId(4), TunnelId(5)]);
+        assert_eq!(inst.tunnels_on_arc(arc(3, 3)), &[4, 2, 0]); // m -> t
+        assert_eq!(inst.tunnels_on_arc(arc(4, 3)), &[5, 3, 1]); // m -> y
+        assert_eq!(inst.tunnels_on_arc(arc(5, 4)), &[5, 3, 1]); // y -> t
+        assert_eq!(inst.tunnels_on_arc(arc(1, 1)), &[2, 3]); // x1 -> m
+        assert!(inst.tunnels_on_arc(arc(3, 5)).is_empty()); // t -> m
+                                                            // Every arc's row holds exactly the tunnels crossing it.
+        for a in topo.arcs() {
+            let mut listed: Vec<u32> = inst.tunnels_on_arc(a).to_vec();
+            listed.sort_unstable();
+            let crossing: Vec<u32> = (inst.tunnel_ids())
+                .filter(|&l| inst.tunnel_arcs(l).contains(&a))
+                .map(|l| l.0 as u32)
+                .collect();
+            assert_eq!(listed, crossing, "arc {a:?}");
+        }
     }
 
     #[test]

@@ -27,14 +27,17 @@
 //!   on which LSs are active and which pairs the live filter keeps, and is
 //!   built once for all the states that agree on both. Each state then
 //!   pays a **numeric replay**: its diagonals (a failure changes nothing
-//!   else in `M`) and the substitution the factorization would have run,
-//!   the same floating-point operations in the same order. A pattern with
-//!   a bump (cyclic LS sets) records no order, and its states are factored
-//!   by Markowitz elimination each time. The solve runs in place into the
-//!   buffer that becomes [`Routing::u`], and the expansion into loads reads
-//!   the arcs [`Instance::tunnel_arcs`] interned at build (tests hold those
-//!   sums, bit for bit, to a hop-by-hop walk of each tunnel's `Path`, and
-//!   every realizer result to the per-state chain it replaced);
+//!   else in `M`; one walk per pair yields both the live filter's decision
+//!   and the diagonal) and the substitution the factorization would have
+//!   run, the same floating-point operations in the same order. A pattern
+//!   with a bump (cyclic LS sets) records no order, and its states are
+//!   factored by Markowitz elimination each time. The solve runs in place
+//!   into the buffer that becomes [`Routing::u`], and the expansion writes
+//!   each live tunnel's flow once, then sums each arc's load over the
+//!   tunnels [`Instance::tunnels_on_arc`] lists in the pair-order walk's
+//!   order (tests hold those sums, bit for bit, to a hop-by-hop walk of
+//!   each tunnel's `Path`, and every realizer result to the per-state
+//!   chain it replaced);
 //! * [`proportional_routing`] — Proposition 7's walk written out, the
 //!   distributed alternative for topologically sorted LSs, identical to
 //!   FFC's local rescaling (tests hold [`realize_routing`] to it);
@@ -415,8 +418,10 @@ pub fn absolute_tolerance(served: &[f64], tol: f64) -> f64 {
     tol * (1.0 + served.iter().sum::<f64>())
 }
 
-/// The live filter on pair of interest `p`: whether the linear system is
-/// solved over it, i.e. whether it holds a live reservation.
+/// The live filter on pair of interest `p` and, for a pair it keeps,
+/// `M`'s diagonal, from one walk over the pair's tunnels and LSs:
+/// `Some(diagonal)` when the linear system is solved over `p`, i.e.
+/// when it holds a live reservation, `None` when `p` is dropped.
 ///
 /// A pair whose reservation AND whole load (demand plus worst-case
 /// obligations) are both at noise level is dropped; a pair with meaningful
@@ -424,6 +429,59 @@ pub fn absolute_tolerance(served: &[f64], tol: f64) -> f64 {
 /// [`RealizeError::Disconnected`] when every tunnel and LS of the pair is
 /// dead (the failure cut it off), [`RealizeError::NoReservation`] when
 /// something survived but carries no reservation (a plan deficiency).
+///
+/// The two keep their own sums: the diagonal adds the live `a`s, then the
+/// active `b`s, to `0.0`, as [`diagonal`] does; the filter compares the
+/// `a`s' sum plus the `b`s' sum. Where either sum starts (`+0.0` here,
+/// `Iterator::sum`'s own zero in the reference filter) changes at most the
+/// sign of a zero, which the comparison does not see.
+fn live_diagonal(
+    inst: &Instance,
+    state: &FailureState,
+    a: &[f64],
+    b: &[f64],
+    served: &[f64],
+    tol_abs: f64,
+    p: PairId,
+) -> Result<Option<f64>, RealizeError> {
+    // A dead tunnel or inactive LS adds `+0.0` instead of being skipped,
+    // which changes no bit: a sum that starts at `+0.0` never becomes
+    // `-0.0`.
+    let mut diag = 0.0;
+    for &l in inst.tunnels_of(p) {
+        diag += or_zero(a[l.0], state.tunnel_alive[l.0]);
+    }
+    let (tunnels, mut lss) = (diag, 0.0);
+    for &q in inst.lss_of(p) {
+        let b = or_zero(b[q.0], state.ls_active[q.0]);
+        diag += b;
+        lss += b;
+    }
+    if tunnels + lss > tol_abs {
+        return Ok(Some(diag));
+    }
+    let load_bound: f64 = served[p.0] + state.active_segments(inst, p).map(|q| b[q.0]).sum::<f64>();
+    if load_bound > 10.0 * tol_abs {
+        return Err(no_reservation_kind(inst, state, p));
+    }
+    Ok(None)
+}
+
+/// `x` when `on`, else `+0.0`, without a branch: which tunnels a failure
+/// kills, and which pairs and tunnels carry flow, follow no pattern a
+/// branch predictor learns.
+fn or_zero(x: f64, on: bool) -> f64 {
+    f64::from_bits(x.to_bits() & u64::from(on).wrapping_neg())
+}
+
+/// Whether `x` passes the expansion's skip test `x <= 0.0` (a NaN does).
+fn not_skipped(x: f64) -> bool {
+    x > 0.0 || x.is_nan()
+}
+
+/// The live filter as the realization chain before [`live_diagonal`] ran
+/// it: its own walk, apart from the diagonal's.
+#[cfg(test)]
 fn keeps(
     inst: &Instance,
     state: &FailureState,
@@ -461,15 +519,7 @@ fn live_pairs(
     let mut kept = 0;
     for k in 0..pairs.len() {
         let p = pairs[k];
-        let live: f64 = state.live_tunnels(inst, p).map(|l| a[l.0]).sum::<f64>()
-            + state.active_lss(inst, p).map(|q| b[q.0]).sum::<f64>();
-        if live <= tol_abs {
-            let load_bound: f64 =
-                served[p.0] + state.active_segments(inst, p).map(|q| b[q.0]).sum::<f64>();
-            if load_bound > 10.0 * tol_abs {
-                return Err(no_reservation_kind(inst, state, p));
-            }
-        } else {
+        if keeps(inst, state, a, b, served, tol_abs, p)? {
             pairs[kept] = p;
             kept += 1;
         }
@@ -491,10 +541,18 @@ fn no_reservation_kind(inst: &Instance, state: &FailureState, p: PairId) -> Real
     }
 }
 
-/// Expands per-pair utilizations into tunnel flows and arc loads
-/// (Proposition 6's load accounting); `pairs` and `u` move into the
-/// [`Routing`].
-pub(crate) fn expand_routing(
+/// Expands per-pair utilizations over ascending `pairs` into tunnel flows
+/// and arc loads (Proposition 6's load accounting); `pairs` and `u` move
+/// into the [`Routing`].
+///
+/// Each live tunnel of a pair carries `u · a` unless `u` or the flow is
+/// `<= 0.0` (so a NaN flow is carried); a tunnel that carries nothing is
+/// written the `+0.0` it holds. Each arc's load is then one sum,
+/// from `0.0`, of the flows of [`Instance::tunnels_on_arc`]: the additions
+/// of a pair-by-pair walk that adds every carried flow to every arc of its
+/// tunnel, in the same order, plus a `+0.0` for each tunnel that carries
+/// nothing, which changes no bit of a sum that started at `+0.0`.
+pub(crate) fn expand_by_arc(
     inst: &Instance,
     state: &FailureState,
     a: &[f64],
@@ -502,22 +560,18 @@ pub(crate) fn expand_routing(
     u: Vec<f64>,
 ) -> Routing {
     let mut tunnel_flow = vec![0.0; inst.num_tunnels()];
-    let mut arc_loads = vec![0.0; inst.topo().arc_count()];
-    for (i, &p) in pairs.iter().enumerate() {
-        if u[i] <= 0.0 {
-            continue;
-        }
-        for l in state.live_tunnels(inst, p) {
-            let flow = u[i] * a[l.0];
-            if flow <= 0.0 {
-                continue;
-            }
-            tunnel_flow[l.0] += flow;
-            for arc in inst.tunnel_arcs(l) {
-                arc_loads[arc.index()] += flow;
-            }
+    for (&p, &u) in pairs.iter().zip(&u) {
+        for &l in inst.tunnels_of(p) {
+            let flow = u * a[l.0];
+            let carried = state.tunnel_alive[l.0] & not_skipped(u) & not_skipped(flow);
+            tunnel_flow[l.0] = or_zero(flow, carried);
         }
     }
+    let arc_loads = (inst.topo().arcs())
+        .map(|arc| {
+            (inst.tunnels_on_arc(arc).iter()).fold(0.0, |load, &l| load + tunnel_flow[l as usize])
+        })
+        .collect();
     Routing {
         pairs,
         u,
@@ -585,6 +639,8 @@ pub struct Realizer<'a> {
     pattern: Option<Pattern>,
     /// The live filter's decision on each pair of interest, this state.
     keep: Vec<bool>,
+    /// `M`'s diagonal for each pair the filter keeps, this state.
+    diagonals: Vec<f64>,
     scratch: Vec<f64>,
     builds: usize,
     factorizations: usize,
@@ -659,6 +715,7 @@ impl<'a> Realizer<'a> {
             selection: None,
             pattern: None,
             keep: Vec::new(),
+            diagonals: Vec::new(),
             scratch: Vec::new(),
             builds: 0,
             factorizations: 0,
@@ -694,9 +751,11 @@ impl<'a> Realizer<'a> {
             interest: pairs_of_interest(inst, state, served, b, tol_abs),
         });
         self.keep.clear();
+        self.diagonals.clear();
         for &p in &selection.interest {
-            let keep = keeps(inst, state, a, b, served, tol_abs, p)?;
-            self.keep.push(keep);
+            let diagonal = live_diagonal(inst, state, a, b, served, tol_abs, p)?;
+            self.keep.push(diagonal.is_some());
+            self.diagonals.extend(diagonal);
         }
         if self
             .pattern
@@ -707,8 +766,8 @@ impl<'a> Realizer<'a> {
         }
         let pattern = match &mut self.pattern {
             Some(pattern) => {
-                for (&p, &at) in pattern.pairs.iter().zip(&pattern.diagonal) {
-                    pattern.entries[at].1 = diagonal(inst, state, a, b, p);
+                for (&at, &diagonal) in pattern.diagonal.iter().zip(&self.diagonals) {
+                    pattern.entries[at].1 = diagonal;
                 }
                 pattern
             }
@@ -741,7 +800,7 @@ impl<'a> Realizer<'a> {
             lu.bump()
         };
         let u = check_utilizations(&pattern.pairs, u, self.tol)?;
-        let mut routing = expand_routing(inst, state, a, pattern.pairs.clone(), u);
+        let mut routing = expand_by_arc(inst, state, a, pattern.pairs.clone(), u);
         routing.bump = bump;
         Ok(routing)
     }
@@ -960,7 +1019,7 @@ pub(crate) fn prop7_walk(
         }
     }
     let u: Vec<f64> = pairs.iter().map(|&p| u_all[p.0]).collect();
-    Ok(expand_routing(inst, state, a, pairs, u))
+    Ok(expand_by_arc(inst, state, a, pairs, u))
 }
 
 #[cfg(test)]
@@ -1003,9 +1062,14 @@ mod tests {
         let mut u: Vec<f64> = pairs.iter().map(|&p| served[p.0]).collect();
         lu.ftran_in_place(&mut u, &mut Vec::new());
         let u = check_utilizations(&pairs, u, tol)?;
-        let mut routing = expand_routing(inst, state, a, pairs, u);
-        routing.bump = lu.bump();
-        Ok(routing)
+        let (tunnel_flow, arc_loads) = hop_walk_loads(inst, state, a, &pairs, &u);
+        Ok(Routing {
+            pairs,
+            u,
+            tunnel_flow,
+            arc_loads,
+            bump: lu.bump(),
+        })
     }
 
     /// Every field of a realization, floats as bits (an error's `u` by its
@@ -1578,20 +1642,22 @@ mod tests {
         assert_eq!(check_plan(&inst, 1, &a, &b, &served), 0);
     }
 
-    /// Proposition 6's load accounting walked the slow way — every live
-    /// tunnel's `Path` hop by hop through `arc_from` — over a routing's
-    /// pairs and utilizations: the reference the interned-arc expansion is
-    /// held to. Returns `(tunnel_flow, arc_loads)`.
+    /// Proposition 6's load accounting walked pair by pair and the slow
+    /// way — every live tunnel's `Path` hop by hop through `arc_from` —
+    /// over pairs and their utilizations: the reference the per-arc
+    /// expansion is held to, and the expansion of [`reference_realize`].
+    /// Returns `(tunnel_flow, arc_loads)`.
     fn hop_walk_loads(
         inst: &Instance,
         state: &FailureState,
         a: &[f64],
-        routing: &Routing,
+        pairs: &[PairId],
+        u: &[f64],
     ) -> (Vec<f64>, Vec<f64>) {
         let topo = inst.topo();
         let mut tunnel_flow = vec![0.0; inst.num_tunnels()];
         let mut arc_loads = vec![0.0; topo.arc_count()];
-        for (&p, &u) in routing.pairs.iter().zip(&routing.u) {
+        for (&p, &u) in pairs.iter().zip(u) {
             if u <= 0.0 {
                 continue;
             }
@@ -1638,7 +1704,7 @@ mod tests {
             .into_iter()
             .flatten()
             {
-                let (flow, loads) = hop_walk_loads(inst, state, &a, &routing);
+                let (flow, loads) = hop_walk_loads(inst, state, &a, &routing.pairs, &routing.u);
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&routing.tunnel_flow), bits(&flow), "tunnel flow");
                 assert_eq!(bits(&routing.arc_loads), bits(&loads), "arc loads");
@@ -1688,6 +1754,50 @@ mod tests {
         let a = vec![1.0; inst.num_tunnels()];
         let served: Vec<f64> = inst.pair_ids().map(|p| 0.5 * inst.demand(p)).collect();
         assert!(check_expansion(&inst, &a, &[0.5, 0.25], &served, &[]) > 0);
+    }
+
+    /// Explicit tunnels listed against pair order, one of them with a zero
+    /// reservation, under degraded capacities too: the per-arc sums keep the
+    /// pair-order walk's order, which here changes the bits of `m -> t`'s
+    /// load.
+    #[test]
+    fn expansion_keeps_pair_order_over_out_of_order_tunnels() {
+        let inst = crate::instance::out_of_order_fan_in();
+        // Tunnels 0..6 are (x2: m-t, m-y-t), (x1: ...), (x0: ...); x1's
+        // second tunnel reserves nothing.
+        let a = [0.7, 0.6, 0.7, 0.0, 0.7, 0.3];
+        let served = [0.1, 0.2, 0.3];
+        let links = inst.topo().link_count();
+        let alive = FailureState::new(&inst, &vec![false; links]).unwrap();
+        let routing = realize_routing(&inst, &alive, &a, &[], &served, 1e-6).unwrap();
+        let mt = inst.topo().arc_from(LinkId(3), NodeId(3));
+        let flow = |l: usize| routing.tunnel_flow[l];
+        let pair_order = 0.0 + flow(4) + flow(2) + flow(0);
+        let tunnel_order = 0.0 + flow(0) + flow(2) + flow(4);
+        assert_ne!(pair_order.to_bits(), tunnel_order.to_bits());
+        assert_eq!(
+            routing.arc_loads[mt.index()].to_bits(),
+            pair_order.to_bits()
+        );
+        assert_eq!(flow(3).to_bits(), 0.0f64.to_bits());
+        let degraded = |scaled: &[(usize, f64)], dead: &[usize]| {
+            let (mut mask, mut scale) = (vec![false; links], vec![1.0; links]);
+            for &(e, s) in scaled {
+                scale[e] = s;
+            }
+            for &e in dead {
+                mask[e] = true;
+            }
+            FailureState::with_cap_scale(&inst, &mask, &scale).unwrap()
+        };
+        let extra = [
+            alive.clone(),
+            degraded(&[(3, 0.5)], &[]),
+            degraded(&[(0, 0.8), (5, 0.9)], &[]),
+            degraded(&[(3, 0.6)], &[4]),
+        ];
+        assert!(extra[1..].iter().all(|s| !s.undegraded()));
+        assert!(check_expansion(&inst, &a, &[], &served, &extra) >= 2 * extra.len());
     }
 
     #[test]

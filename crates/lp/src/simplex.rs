@@ -23,13 +23,13 @@
 //! so column indices do not depend on the start point.
 //!
 //! A solve can instead start from a [`Basis`] exported by an earlier solve
-//! of a model with the same columns and row order ([`solve_from_basis`]):
+//! of a model with the same columns and row order (`solve_from_basis`):
 //! the basis is factored once, the dual loop repairs basic values the new
 //! numbers pushed out of bounds, and the primal loop — which needs only
 //! primal feasibility — proves optimality. A basis the model cannot use
 //! falls back to the start basis above.
 //!
-//! **Primal loop** ([`Tableau::optimize`]). Each basis change costs one
+//! **Primal loop** (`Tableau::optimize`). Each basis change costs one
 //! ftran (the entering column) and one btran (the pivot row `rho_r = e_r'
 //! B^{-1}` of the outgoing basis). `rho_r` feeds both the devex weight
 //! update and the dual update `y += (d_q / alpha_q) rho_r`, so the duals
@@ -37,12 +37,12 @@
 //! refactorization. Updated duals drift, so optimality is only ever
 //! declared from a full pricing scan against freshly btran'd ones.
 //!
-//! **Dual loop** ([`Tableau::optimize_dual`]). Appending rows with their
+//! **Dual loop** (`Tableau::optimize_dual`). Appending rows with their
 //! slacks basic leaves the reduced costs untouched: the basis stays dual
 //! feasible and only the new slacks may violate their bounds. The dual loop
 //! picks the row with the largest bound violation, prices its pivot row
 //! over the nonbasic non-fixed columns with the bounded-variable ratio test
-//! (sign rule per [`VarState`], ties to the larger `|alpha|`), and pivots
+//! (sign rule per `VarState`, ties to the larger `|alpha|`), and pivots
 //! the violated basic variable out onto the bound it missed. The pivot
 //! row's structural entries are summed row-wise over the nonzeros of
 //! `rho_r`, from the model's rows (`ModelRows`), with the bits a

@@ -2,7 +2,7 @@
 //! cache.
 //!
 //! [`ReplayEngine`] holds a solved allocation and a mutable link-liveness
-//! state. Each [`LinkEvent`](crate::LinkEvent) updates the state
+//! state. Each [`LinkEvent`] updates the state
 //! *incrementally* — per-tunnel dead-link counters plus the instance's
 //! link → tunnels and link → conditional-LS indexes
 //! ([`Instance::tunnels_on_link`], [`Instance::lss_on_link`], built once

@@ -541,6 +541,41 @@ mod tests {
         EventTrace::parse("t", text, &zoo::build("Sprint"), &[])
     }
 
+    /// Every directive, both link spellings, a comment and a blank line.
+    const SAMPLE: &str = "# maintenance window\ndown e3\nwobble 5 1500\n\
+        degrade e7 250\nsrlg 1\nup 3\nnode 2 # spur\n\nup e1\ndown 16\n";
+
+    /// The bytes a mutation inserts: the verbs' letters, digits, `e`,
+    /// `#`, separators and a few bytes that are not printable ASCII.
+    const BYTES: &[u8] = b"downupwbledgrasn e#0123456789-+. \t\n\r\x00\xc3\xff";
+
+    #[test]
+    fn mutated_traces_never_panic_the_parser() {
+        let topo = zoo::build("Sprint");
+        let groups = vec![vec![LinkId(0), LinkId(4)], vec![LinkId(1), LinkId(2)]];
+        assert!(EventTrace::parse("sample", SAMPLE, &topo, &groups).is_ok());
+        pcf_rng::forall(
+            "EventTrace::parse",
+            &pcf_rng::Config::with_cases(2000),
+            |rng| pcf_rng::mutate_bytes(SAMPLE.as_bytes(), BYTES, rng),
+            pcf_rng::no_shrink,
+            |doc: &Vec<u8>| {
+                let text = String::from_utf8_lossy(doc);
+                match EventTrace::parse("fuzz", &text, &topo, &groups) {
+                    Ok(trace) => match trace.events.iter().find(|e| e.link.index() >= 17) {
+                        Some(e) => Err(format!("accepted an unknown link: {e:?}")),
+                        None => Ok(()),
+                    },
+                    Err(e) if e.line == 0 || e.line > text.lines().count() => {
+                        Err(format!("error outside the document's lines: {e}"))
+                    }
+                    Err(e) if e.message.is_empty() => Err(format!("error without a message: {e}")),
+                    Err(_) => Ok(()),
+                }
+            },
+        );
+    }
+
     #[test]
     fn flaps_respect_the_concurrency_bound() {
         let topo = zoo::build("Sprint");

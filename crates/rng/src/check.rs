@@ -121,6 +121,30 @@ pub fn forall<T: std::fmt::Debug>(
     }
 }
 
+/// One to four byte-level mutations of `doc`, for fuzzing a parser with
+/// [`forall`]: flip a bit, insert a byte drawn from `alphabet` (which must
+/// not be empty), delete, truncate, or duplicate a span.
+pub fn mutate_bytes(doc: &[u8], alphabet: &[u8], rng: &mut Pcg32) -> Vec<u8> {
+    let mut doc = doc.to_vec();
+    for _ in 0..rng.range_usize_inclusive(1, 4) {
+        let at = rng.range_usize_inclusive(0, doc.len());
+        match rng.below(5) {
+            0 if at < doc.len() => doc[at] ^= 1 << rng.below(8),
+            1 => doc.insert(at, *rng.pick(alphabet)),
+            2 if at < doc.len() => {
+                doc.remove(at);
+            }
+            3 => doc.truncate(at),
+            _ => {
+                let end = rng.range_usize_inclusive(at, doc.len());
+                let span = doc[at..end].to_vec();
+                doc.splice(at..at, span);
+            }
+        }
+    }
+    doc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -37,7 +37,7 @@
 pub mod check;
 pub mod json;
 
-pub use check::{forall, no_shrink, Config};
+pub use check::{forall, mutate_bytes, no_shrink, Config};
 
 /// 64-bit FNV-1a (Fowler, Noll & Vo): xor each byte in, multiply by the
 /// FNV prime. Not a cryptographic hash; it fingerprints plans, reports and

@@ -1,9 +1,10 @@
 //! The global failure-event log: lock-free ingestion, replayable reads.
 //!
 //! Every connection that ingests a failure event appends it here; every
-//! reader replays the log into its private [`ReplayEngine`]
-//! (`pcf_replay`) before answering a query. The log is the *only* shared
-//! mutable state on the event path, and it is entirely atomic:
+//! reader replays the log into its private
+//! [`ReplayEngine`](pcf_replay::ReplayEngine) before answering a query.
+//! The log is the *only* shared mutable state on the event path, and it is
+//! entirely atomic:
 //!
 //! * writers claim a slot with one `fetch_add` on the tail and publish
 //!   the encoded event with one `Release` store — no lock, no allocation;

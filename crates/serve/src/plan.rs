@@ -152,6 +152,12 @@ impl PlanSpec {
                 "demand scale must be positive and finite, got {scale}"
             )));
         }
+        if !(self.mlu.is_finite() && self.mlu >= 0.0) {
+            return Err(ServeError::BadSpec(format!(
+                "mlu must be finite and >= 0, got {}",
+                self.mlu
+            )));
+        }
         let mut tm = gravity(&self.topo, seed);
         tm.truncate_to_top_k(self.max_pairs);
         if self.mlu > 0.0 {
@@ -285,6 +291,25 @@ mod tests {
         assert_ne!(epoch.plan_digest, scaled.plan_digest);
         assert!(spec.solve_epoch(3, 0.0, 1, 64).is_err());
         assert!(spec.solve_epoch(3, f64::NAN, 1, 64).is_err());
+    }
+
+    #[test]
+    fn a_non_finite_or_negative_mlu_is_a_bad_spec() {
+        for mlu in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -1.0, -0.25] {
+            let spec = PlanSpec {
+                mlu,
+                ..abilene_spec()
+            };
+            match spec.solve_epoch_seeded(1, 1.0, 1, 16, None) {
+                Err(ServeError::BadSpec(msg)) => assert!(msg.contains("mlu"), "{msg}"),
+                other => panic!("mlu {mlu}: {:?}", other.map(|(e, _)| e.gen)),
+            }
+        }
+        let spec = PlanSpec {
+            mlu: 0.6,
+            ..abilene_spec()
+        };
+        assert!(spec.solve_epoch_seeded(1, 1.0, 1, 16, None).is_ok());
     }
 
     #[test]

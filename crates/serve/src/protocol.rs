@@ -405,29 +405,9 @@ mod tests {
         r#"{"cmd":"shutdown"}"#,
     ];
 
-    /// One to four byte-level mutations of `line`: flip a bit, insert,
-    /// delete, truncate, or duplicate a span.
-    fn mutate(line: &str, rng: &mut pcf_rng::Pcg32) -> Vec<u8> {
-        const BYTES: &[u8] = b"{}[]\":,-.0123456789eE+ \\nu\x00\x1f\x7f\xc3\xa9\xff";
-        let mut line = line.as_bytes().to_vec();
-        for _ in 0..rng.range_usize_inclusive(1, 4) {
-            let at = rng.range_usize_inclusive(0, line.len());
-            match rng.below(5) {
-                0 if at < line.len() => line[at] ^= 1 << rng.below(8),
-                1 => line.insert(at, *rng.pick(BYTES)),
-                2 if at < line.len() => {
-                    line.remove(at);
-                }
-                3 => line.truncate(at),
-                _ => {
-                    let end = rng.range_usize_inclusive(at, line.len());
-                    let span = line[at..end].to_vec();
-                    line.splice(at..at, span);
-                }
-            }
-        }
-        line
-    }
+    /// The bytes a mutation inserts: JSON's punctuation, digits and escape
+    /// letters, control bytes, and bytes that are not ASCII.
+    const BYTES: &[u8] = b"{}[]\":,-.0123456789eE+ \\nu\x00\x1f\x7f\xc3\xa9\xff";
 
     #[test]
     fn mutated_smoke_requests_never_panic_the_parser() {
@@ -435,7 +415,7 @@ mod tests {
             pcf_rng::forall(
                 smoke,
                 &pcf_rng::Config::with_cases(300),
-                |rng| mutate(smoke, rng),
+                |rng| pcf_rng::mutate_bytes(smoke.as_bytes(), BYTES, rng),
                 pcf_rng::no_shrink,
                 |line: &Vec<u8>| {
                     // The server refuses a line that is not UTF-8 before

@@ -232,6 +232,47 @@ mod tests {
         assert!(err3.message.contains("bad link id"), "{}", err3.message);
     }
 
+    /// Groups of one and several links, a comment and a blank line.
+    const SAMPLE: &str = "# conduits\ngroup e0 e3 e7\n\ngroup e2 # one duct\ngroup e13 e1 e5\n";
+
+    /// The bytes a mutation inserts: the keyword's letters, `e`, digits,
+    /// `#`, separators and a few bytes that are not printable ASCII.
+    const BYTES: &[u8] = b"groupe#0123456789-+ \t\n\r\x00\xc3\xff";
+
+    #[test]
+    fn mutated_sidecars_never_panic_the_parser() {
+        let t = zoo::build("Abilene");
+        assert_eq!(SrlgSet::parse_strict(SAMPLE, &t).map(|s| s.len()), Ok(3));
+        pcf_rng::forall(
+            "SrlgSet::parse_strict",
+            &pcf_rng::Config::with_cases(2000),
+            |rng| pcf_rng::mutate_bytes(SAMPLE.as_bytes(), BYTES, rng),
+            pcf_rng::no_shrink,
+            |doc: &Vec<u8>| {
+                let text = String::from_utf8_lossy(doc);
+                match SrlgSet::parse_strict(&text, &t) {
+                    Ok(set) => {
+                        for g in &set.groups {
+                            let mut links = g.links.clone();
+                            links.sort_unstable();
+                            links.dedup();
+                            let known = links.iter().all(|l| l.index() < t.link_count());
+                            if links.len() != g.links.len() || links.is_empty() || !known {
+                                return Err(format!("accepted a bad group: {g:?}"));
+                            }
+                        }
+                        Ok(())
+                    }
+                    Err(e) if e.line == 0 || e.line > text.lines().count() => {
+                        Err(format!("error outside the document's lines: {e}"))
+                    }
+                    Err(e) if e.message.is_empty() => Err(format!("error without a message: {e}")),
+                    Err(_) => Ok(()),
+                }
+            },
+        );
+    }
+
     #[test]
     fn synthetic_is_deterministic_and_disjoint() {
         let t = zoo::build("Sprint"); // 17 links
