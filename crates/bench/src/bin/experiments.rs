@@ -6,7 +6,8 @@
 //! ```
 //!
 //! Targets: `fig2 table1 fig8 fig9 fig10 fig11 fig12 fig13 fig14 topsort
-//! relaxation srlg bypass dual r3 all`.
+//! relaxation srlg bypass dual r3 all` ([`pcf_bench::TARGETS`]); an
+//! unknown one prints this list and exits 2.
 //! Scales: `quick` (default), `medium`, `paper`.
 
 #![allow(clippy::disallowed_types, reason = "timing only; nothing is replayed")]
@@ -35,11 +36,11 @@ fn main() {
         }
         i += 1;
     }
-    if targets.is_empty() {
-        targets.push("all".into());
-    }
-    let all = targets.iter().any(|t| t == "all");
-    let want = |name: &str| all || targets.iter().any(|t| t == name);
+    let targets = pcf_bench::parse_targets(&targets).unwrap_or_else(|bad| {
+        let known: Vec<&str> = pcf_bench::TARGETS.iter().map(|t| t.0).collect();
+        eprintln!("unknown target {bad:?}; use {} or all", known.join("|"));
+        std::process::exit(2);
+    });
 
     println!(
         "# PCF experiments (topologies: {}, big: {}, TMs: {})\n",
@@ -48,64 +49,8 @@ fn main() {
         scale.tm_count
     );
     let t0 = Instant::now();
-    if want("fig2") {
-        pcf_bench::run_fig2();
-        println!();
-    }
-    if want("table1") {
-        pcf_bench::run_table1();
-        println!();
-    }
-    if want("fig8") {
-        pcf_bench::run_fig8(&scale);
-        println!();
-    }
-    if want("fig9") {
-        pcf_bench::run_fig9(&scale);
-        println!();
-    }
-    if want("fig10") {
-        pcf_bench::run_fig10(&scale);
-        println!();
-    }
-    if want("fig11") {
-        pcf_bench::run_fig11(&scale);
-        println!();
-    }
-    if want("fig12") {
-        pcf_bench::run_fig12(&scale);
-        println!();
-    }
-    if want("fig13") {
-        pcf_bench::run_fig13(&scale);
-        println!();
-    }
-    if want("fig14") {
-        pcf_bench::run_fig14(&scale);
-        println!();
-    }
-    if want("topsort") {
-        pcf_bench::run_topsort(&scale);
-        println!();
-    }
-    if want("relaxation") {
-        pcf_bench::run_relaxation_gap(&scale);
-        println!();
-    }
-    if want("srlg") {
-        pcf_bench::run_srlg(&scale);
-        println!();
-    }
-    if want("bypass") {
-        pcf_bench::run_bypass_ablation(&scale);
-        println!();
-    }
-    if want("dual") {
-        pcf_bench::run_dual_vs_cuts(&scale);
-        println!();
-    }
-    if want("r3") {
-        pcf_bench::run_r3_comparison(&scale);
+    for (_, run) in targets {
+        run(&scale);
         println!();
     }
     println!("total wall time: {:.1}s", t0.elapsed().as_secs_f64());

@@ -15,7 +15,7 @@
 #![allow(clippy::disallowed_types, reason = "timing only; nothing is replayed")]
 
 use pcf_core::objective::{overhead_reduction_pct, throughput_overhead};
-use pcf_core::realize::{greedy_topsort, topological_order};
+use pcf_core::realize::{proportional_routing, topological_order, FailureState};
 use pcf_core::{
     optimal_demand_scale, scale_to_mlu, solve_ffc, solve_pcf_ls, solve_pcf_tf, tunnel_instance,
     FailureModel, Objective, Plan, RobustOptions, ScenarioCoverage, Scheme,
@@ -24,6 +24,42 @@ use pcf_topology::transform::split_sublinks;
 use pcf_topology::{zoo, Topology};
 use pcf_traffic::{gravity, TrafficMatrix};
 use std::time::Instant;
+
+/// A runner of the `experiments` binary.
+pub type Runner = fn(&Scale);
+
+/// The `experiments` targets and their runners, in the order they run.
+pub const TARGETS: [(&str, Runner); 15] = [
+    ("fig2", |_| run_fig2()),
+    ("table1", |_| run_table1()),
+    ("fig8", run_fig8),
+    ("fig9", run_fig9),
+    ("fig10", run_fig10),
+    ("fig11", run_fig11),
+    ("fig12", run_fig12),
+    ("fig13", run_fig13),
+    ("fig14", run_fig14),
+    ("topsort", run_topsort),
+    ("relaxation", run_relaxation_gap),
+    ("srlg", run_srlg),
+    ("bypass", run_bypass_ablation),
+    ("dual", run_dual_vs_cuts),
+    ("r3", run_r3_comparison),
+];
+
+/// The targets named on the command line, in run order: every one for
+/// `all` or for none named, else `Err` with the first unknown name.
+pub fn parse_targets(names: &[String]) -> Result<Vec<(&'static str, Runner)>, String> {
+    let known = |n: &String| n == "all" || TARGETS.iter().any(|t| t.0 == n);
+    if let Some(bad) = names.iter().find(|n| !known(n)) {
+        return Err(bad.clone());
+    }
+    let all = names.is_empty() || names.iter().any(|n| n == "all");
+    Ok(TARGETS
+        .into_iter()
+        .filter(|t| all || names.iter().any(|n| n == t.0))
+        .collect())
+}
 
 /// Experiment scale knobs.
 #[derive(Debug, Clone)]
@@ -610,10 +646,13 @@ pub fn run_fig14(scale: &Scale) {
     }
 }
 
-/// §5.2: PCF-CLS-TopSort — fraction of LSs pruned to restore topological
-/// sortability, and the demand-scale cost of pruning. Returns
-/// `(name, total_lss, pruned, cls_scale, topsort_scale)`.
-pub fn topsort(scale: &Scale) -> Vec<(String, usize, usize, f64, f64)> {
+/// §5.2 per failure state. For each PCF-CLS plan (f = 1): its LS count,
+/// whether its LS relation sorts with every LS active (the paper's
+/// "already sorted" statistic), its protected states (every single link
+/// failure), how many of those activate a cyclic set of LSs, and how many
+/// Prop. 7's walk realizes. Returns `(name, lss, sorted_all_active,
+/// states, cyclic, walked)`.
+pub fn topsort(scale: &Scale) -> Vec<(String, usize, bool, usize, usize, usize)> {
     let fm = FailureModel::links(1);
     let opts = RobustOptions::default();
     scale
@@ -622,28 +661,29 @@ pub fn topsort(scale: &Scale) -> Vec<(String, usize, usize, f64, f64)> {
         .map(|name| {
             let topo = zoo::build(name);
             let w = workload(&topo, 100, scale);
-            let cls = plan(Scheme::PcfCls, &w, 3, &fm, &opts);
-            let all: Vec<_> = cls.inst.ls_ids().map(|q| cls.inst.ls(q).clone()).collect();
-            let sorted_already =
-                topological_order(&cls.inst, &vec![1.0; cls.inst.num_lss()]).is_some();
-            let (kept, pruned) = greedy_topsort(&all);
-            let ts_scale = if sorted_already {
-                cls.sol.objective
-            } else {
-                let mut b =
-                    pcf_core::instance::InstanceBuilder::new(&w.topo, &w.tm).tunnels_per_pair(3);
-                for ls in &kept {
-                    b = b.add_ls(ls.clone());
+            let Plan { inst, sol, .. } = plan(Scheme::PcfCls, &w, 3, &fm, &opts);
+            let served = sol.served(&inst);
+            let sorted_all_active =
+                topological_order(&inst, &sol.b, &vec![true; inst.num_lss()]).is_some();
+            let states = fm.enumerate_scenarios(&w.topo);
+            let (mut cyclic, mut walked) = (0, 0);
+            for sc in &states {
+                let state =
+                    FailureState::new(&inst, &sc.dead).unwrap_or_else(|e| panic!("{name}: {e}"));
+                if topological_order(&inst, &sol.b, &state.ls_active).is_none() {
+                    cyclic += 1;
                 }
-                let inst = b.build();
-                solve_pcf_ls(&inst, &fm, &opts).objective
-            };
+                if proportional_routing(&inst, &state, &sol.a, &sol.b, &served, 1e-6).is_ok() {
+                    walked += 1;
+                }
+            }
             (
                 w.topo.name().to_string(),
-                all.len(),
-                pruned,
-                cls.sol.objective,
-                ts_scale,
+                inst.num_lss(),
+                sorted_all_active,
+                states.len(),
+                cyclic,
+                walked,
             )
         })
         .collect()
@@ -651,12 +691,15 @@ pub fn topsort(scale: &Scale) -> Vec<(String, usize, usize, f64, f64)> {
 
 /// Prints the §5.2 experiment.
 pub fn run_topsort(scale: &Scale) {
-    println!("== §5.2: PCF-CLS-TopSort (f=1) ==");
-    println!("  (paper: <=0.59% of LSs pruned; demand scale mostly unchanged)");
-    for (name, total, pruned, cls, ts) in topsort(scale) {
+    println!("== §5.2: PCF-CLS LS order per failure state (f=1) ==");
+    println!(
+        "  (paper: <=0.59% of LSs pruned by PCF-CLS-TopSort; a state needs a prune only if cyclic)"
+    );
+    for (name, lss, sorted, states, cyclic, walked) in topsort(scale) {
+        let sorted = if sorted { "yes" } else { "no" };
         println!(
-            "  {name:<16} LSs {total:>4}, pruned {pruned:>3} ({:>5.2}%), CLS {cls:.3} -> TopSort {ts:.3}",
-            100.0 * pruned as f64 / total.max(1) as f64
+            "  {name:<16} LSs {lss:>4}, sorted with all active {sorted:>3}, \
+             f=1 states {states:>3}, cyclic {cyclic:>3}, walked {walked:>3}"
         );
     }
 }
@@ -917,6 +960,19 @@ mod tests {
         assert!(Scale::parse("medium").is_some());
         assert!(Scale::parse("paper").is_some());
         assert!(Scale::parse("bogus").is_none());
+    }
+
+    #[test]
+    fn target_parse() {
+        let parse = |v: &[&str]| {
+            let names: Vec<String> = v.iter().map(|s| s.to_string()).collect();
+            parse_targets(&names).map(|t| t.iter().map(|t| t.0).collect::<Vec<_>>())
+        };
+        let every: Vec<&str> = TARGETS.iter().map(|t| t.0).collect();
+        assert_eq!(parse(&[]), Ok(every.clone()));
+        assert_eq!(parse(&["all"]), Ok(every));
+        assert_eq!(parse(&["topsort", "fig2"]), Ok(vec!["fig2", "topsort"]));
+        assert_eq!(parse(&["fig2", "topsrot"]), Err("topsrot".to_string()));
     }
 
     #[test]

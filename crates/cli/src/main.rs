@@ -582,12 +582,18 @@ fn srlg_groups(
 ) -> Result<Vec<Vec<LinkId>>, Box<dyn std::error::Error>> {
     let set = match args.get("srlg") {
         Some(path) => SrlgSet::parse_strict(&std::fs::read_to_string(path)?, topo)?,
-        None if synthetic => SrlgSet::synthetic(
-            topo,
-            args.get_or("srlg-size", 2usize)?,
-            args.get_or("srlg-count", 4usize)?,
-            args.get_or("seed", 1u64)?,
-        ),
+        None if synthetic => {
+            let size = args.get_or("srlg-size", 2usize)?;
+            if size == 0 {
+                return Err(Box::new(ArgError("--srlg-size must be at least 1".into())));
+            }
+            SrlgSet::synthetic(
+                topo,
+                size,
+                args.get_or("srlg-count", 4usize)?,
+                args.get_or("seed", 1u64)?,
+            )
+        }
         None => return Ok(Vec::new()),
     };
     Ok(set.link_groups())
@@ -794,6 +800,18 @@ mod tests {
         }
         let err = run(&argv("augment --topology Abilene")).unwrap_err();
         assert_eq!(err.to_string(), "augment needs --target");
+    }
+
+    #[test]
+    fn an_empty_synthetic_srlg_is_a_usage_error() {
+        for line in [
+            "replay --topology Abilene --inject srlg --srlg-size 0",
+            "adversary --topology Abilene --srlg-size 0",
+        ] {
+            let err = run(&argv(line)).unwrap_err();
+            assert!(err.downcast_ref::<ArgError>().is_some(), "{line}: {err}");
+            assert_eq!(err.to_string(), "--srlg-size must be at least 1", "{line}");
+        }
     }
 
     /// A GML `label` may hold any string; the report must still parse.

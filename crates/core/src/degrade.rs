@@ -17,8 +17,8 @@
 //!    [`proportional_routing`](crate::realize::proportional_routing)
 //!    with the error exits removed: utilizations are clamped to `[0, 1]`
 //!    (FFC/R3-style local rescaling), pairs with no live reservation
-//!    serve zero instead of erroring. Requires the LS relation to be
-//!    topologically sortable. May overload wobbled capacities.
+//!    serve zero instead of erroring. Requires the LSs the state
+//!    activates to sort topologically. May overload wobbled capacities.
 //! 3. **Shed** — per-pair max-min fair demand shedding as a small LP on
 //!    the surviving tunnels: maximize the common served fraction `θ`
 //!    (plus a tiny residual-throughput tie-break) subject to per-arc
@@ -248,8 +248,8 @@ pub fn degrade_fallback(
 /// this one degrades: a pair whose live reservation vanished serves zero,
 /// a pair asked for more than its reservation clamps to `u = 1` and sheds
 /// the excess pro rata between its own demand and its LS obligations.
-/// `None` when the LS relation is cyclic (no topological order — stage 3
-/// territory).
+/// `None` when the LSs the state activates form a cycle (no topological
+/// order — stage 3 territory).
 fn rescale_stage(
     inst: &Instance,
     state: &FailureState,
@@ -645,6 +645,52 @@ mod tests {
             RealizeError::SingularMatrix,
         );
         assert_eq!(rescale_only.unwrap_err(), RealizeError::SingularMatrix);
+    }
+
+    #[test]
+    fn cls_beyond_budget_states_reach_the_rescale_stage() {
+        // A PCF-CLS plan's LSs serve each other in a cycle when all are
+        // active, but a state orders only the LSs it activates: each
+        // two-link state that stage 1 refuses and whose active relation
+        // sorts gets the proportional rescale.
+        let topo = pcf_topology::zoo::build("Abilene");
+        let fm = FailureModel::links(1);
+        let cls = crate::Scheme::PcfCls
+            .plan(
+                &topo,
+                pcf_traffic::gravity(&topo, 1),
+                3,
+                &fm,
+                &RobustOptions::default(),
+                None,
+            )
+            .unwrap();
+        let (inst, a, b) = (&cls.inst, &cls.sol.a, &cls.sol.b);
+        let served = cls.sol.served(inst);
+        let all = vec![true; inst.num_lss()];
+        assert!(crate::realize::topological_order(inst, b, &all).is_none());
+        let mut rescaled = 0;
+        for sc in FailureModel::links(2).enumerate_scenarios(&topo) {
+            let state = FailureState::new(inst, &sc.dead).unwrap();
+            let sorts = crate::realize::topological_order(inst, b, &state.ls_active).is_some();
+            if !sorts || realize_routing(inst, &state, a, b, &served, 1e-7).is_ok() {
+                continue;
+            }
+            let d = degrade_routing(
+                inst,
+                &state,
+                a,
+                b,
+                &served,
+                1e-7,
+                &caps(&topo),
+                DegradeMode::Rescale,
+            )
+            .unwrap();
+            assert_eq!(d.ladder_stage, LadderStage::Rescaled, "{:?}", sc.dead);
+            rescaled += 1;
+        }
+        assert!(rescaled > 0, "no beyond-budget state was rescaled");
     }
 
     #[test]

@@ -39,15 +39,15 @@
 //!   each tunnel's `Path`, and every realizer result to the per-state
 //!   chain it replaced);
 //! * [`proportional_routing`] — Proposition 7's walk written out, the
-//!   distributed alternative for topologically sorted LSs, identical to
-//!   FFC's local rescaling (tests hold [`realize_routing`] to it);
-//! * [`topological_order`] / [`greedy_topsort`] — the sortability check and
-//!   the PCF-CLS-TopSort pruning heuristic (§5.2).
+//!   distributed alternative whenever the LSs a state activates sort
+//!   topologically, identical to FFC's local rescaling (tests hold
+//!   [`realize_routing`] to it);
+//! * [`topological_order`] — the order of that walk under one LS
+//!   activation, and the sortability check of §5.2.
 
-use crate::instance::{Instance, LogicalSequence, LsId, PairId, TunnelId};
+use crate::instance::{Instance, LsId, PairId, TunnelId};
 use pcf_lp::{DenseMatrix, PeelOrder, SparseLu};
 use pcf_topology::LinkId;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Which tunnels are alive and which LSs are active under a concrete
 /// failure.
@@ -191,6 +191,11 @@ pub enum RealizeError {
     /// The reservation matrix was singular (allocation does not satisfy the
     /// paper's feasibility conditions).
     SingularMatrix,
+    /// The LSs active with positive reservation in this state serve each
+    /// other in a cycle, so Proposition 7's walk has no order to visit the
+    /// pairs in. The matrix need not be singular: the linear system still
+    /// realizes such a state.
+    CyclicActivation,
     /// Some utilization fraction left `[0, 1]` beyond tolerance — the
     /// allocation is not actually guaranteed under this scenario.
     UtilizationOutOfRange {
@@ -217,6 +222,9 @@ impl std::fmt::Display for RealizeError {
                 )
             }
             RealizeError::SingularMatrix => write!(f, "singular reservation matrix"),
+            RealizeError::CyclicActivation => {
+                write!(f, "active logical sequences form a cycle: no Prop. 7 order")
+            }
             RealizeError::UtilizationOutOfRange { pair, u } => {
                 write!(f, "utilization {u} out of [0,1] for pair {pair:?}")
             }
@@ -848,20 +856,24 @@ fn check_utilizations(
     Ok(u)
 }
 
-/// A strict partial order check: pairs can be topologically sorted w.r.t.
-/// "`(i,j) > (i',j')` iff `(i',j')` is a segment of some LS in `L(i,j)` with
-/// positive reservation" (paper §4.2). Conditions are ignored (every LS is
-/// assumed activatable), which is conservative.
+/// A strict partial order check under one LS activation: pairs can be
+/// topologically sorted w.r.t. "`(i,j) > (i',j')` iff `(i',j')` is a
+/// segment of some LS in `L(i,j)` that is active with positive
+/// reservation" (paper §4.2). `active` is the activation it orders under
+/// ([`FailureState::ls_active`]): a conditional LS carries traffic only in
+/// the states where its condition holds, so only there does it order its
+/// pair above its segments. All `true` asks whether the relation sorts
+/// whatever the conditions.
 ///
 /// Returns the pair order (greatest first) or `None` when the relation is
 /// cyclic.
-pub fn topological_order(inst: &Instance, b: &[f64]) -> Option<Vec<PairId>> {
+pub fn topological_order(inst: &Instance, b: &[f64], active: &[bool]) -> Option<Vec<PairId>> {
     let n = inst.num_pairs();
     // Edge (p -> segment pair) for each LS of p.
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut indeg = vec![0usize; n];
     for q in inst.ls_ids() {
-        if b[q.0] <= 0.0 {
+        if !active[q.0] || b[q.0] <= 0.0 {
             continue;
         }
         let owner = inst.ls_pair(q);
@@ -894,58 +906,13 @@ pub fn topological_order(inst: &Instance, b: &[f64]) -> Option<Vec<PairId>> {
     }
 }
 
-/// PCF-CLS-TopSort (§5.2): greedily keeps a prefix-respecting subset of LSs
-/// that admits a topological order, pruning any LS that would create a
-/// cycle. Returns the kept LSs and the number pruned.
-pub fn greedy_topsort(lss: &[LogicalSequence]) -> (Vec<LogicalSequence>, usize) {
-    type Pair = (u32, u32);
-    // reach[x] contains pairs reachable from x in the kept relation.
-    let mut adj: BTreeMap<Pair, Vec<Pair>> = BTreeMap::new();
-    let reaches = |adj: &BTreeMap<Pair, Vec<Pair>>, from: Pair, to: Pair| -> bool {
-        if from == to {
-            return true;
-        }
-        let mut stack = vec![from];
-        let mut seen = BTreeSet::new();
-        while let Some(x) = stack.pop() {
-            if x == to {
-                return true;
-            }
-            if !seen.insert(x) {
-                continue;
-            }
-            if let Some(next) = adj.get(&x) {
-                stack.extend(next.iter().copied());
-            }
-        }
-        false
-    };
-    let mut kept = Vec::new();
-    let mut pruned = 0usize;
-    for ls in lss {
-        let owner: Pair = (ls.source().0, ls.dest().0);
-        let segs: Vec<Pair> = ls.segments().map(|(u, v)| (u.0, v.0)).collect();
-        // Adding edges owner -> seg creates a cycle iff some seg already
-        // reaches owner (or equals it).
-        let cycle = segs.iter().any(|&sp| reaches(&adj, sp, owner));
-        if cycle {
-            pruned += 1;
-            continue;
-        }
-        for &sp in &segs {
-            adj.entry(owner).or_default().push(sp);
-        }
-        kept.push(ls.clone());
-    }
-    (kept, pruned)
-}
-
 /// Local proportional routing (paper §4.2, Proposition 7): traffic of each
 /// pair is split over its live tunnels and active LSs in proportion to the
 /// reservations; LS traffic recursively becomes segment obligations.
 ///
-/// Requires the LSs to be topologically sortable; returns the same
-/// [`Routing`] as [`realize_routing`] (Proposition 7 states the two agree).
+/// Requires the LSs active in `state` to be topologically sortable;
+/// returns the same [`Routing`] as [`realize_routing`] (Proposition 7
+/// states the two agree).
 pub fn proportional_routing(
     inst: &Instance,
     state: &FailureState,
@@ -968,13 +935,14 @@ pub fn proportional_routing(
 }
 
 /// Proposition 7's walk, shared by [`proportional_routing`] and the
-/// degradation ladder's rescale stage. Pairs are visited in topological
-/// order; at each pair of interest asked to carry `demand` (its served
-/// demand plus the obligations of LSs already walked) over a live
-/// reservation of `reserved`, `utilization(pair, demand, reserved)` decides
-/// the fraction of the reservation to use — or aborts the walk — and that
-/// fraction of every active LS reservation becomes segment obligations.
-/// `SingularMatrix` when the LS relation has no topological order.
+/// degradation ladder's rescale stage. Pairs are visited in the
+/// topological order of the LSs `state` activates; at each pair of
+/// interest asked to carry `demand` (its served demand plus the
+/// obligations of LSs already walked) over a live reservation of
+/// `reserved`, `utilization(pair, demand, reserved)` decides the fraction
+/// of the reservation to use — or aborts the walk — and that fraction of
+/// every active LS reservation becomes segment obligations.
+/// `CyclicActivation` when that relation has no topological order.
 pub(crate) fn prop7_walk(
     inst: &Instance,
     state: &FailureState,
@@ -984,7 +952,8 @@ pub(crate) fn prop7_walk(
     tol_abs: f64,
     mut utilization: impl FnMut(PairId, f64, f64) -> Result<f64, RealizeError>,
 ) -> Result<Routing, RealizeError> {
-    let order = topological_order(inst, b).ok_or(RealizeError::SingularMatrix)?;
+    let order =
+        topological_order(inst, b, &state.ls_active).ok_or(RealizeError::CyclicActivation)?;
     let pairs = pairs_of_interest(inst, state, served, b, tol_abs);
     let in_p = {
         let mut v = vec![false; inst.num_pairs()];
@@ -1026,10 +995,11 @@ pub(crate) fn prop7_walk(
 mod tests {
     use super::*;
     use crate::failure::{Condition, FailureModel};
-    use crate::instance::InstanceBuilder;
+    use crate::instance::{InstanceBuilder, LogicalSequence};
     use crate::robust::{solve_robust, AdversaryKind, RobustOptions};
     use pcf_rng::{forall, Pcg32};
     use pcf_topology::{NodeId, Topology};
+    use std::collections::BTreeSet;
 
     fn diamond() -> Topology {
         let mut t = Topology::new("diamond");
@@ -1271,6 +1241,7 @@ mod tests {
                         Ok(r) if r.bump > 0 => "bump",
                         Ok(_) => "walk",
                         Err(RealizeError::SingularMatrix) => "singular",
+                        Err(RealizeError::CyclicActivation) => "cyclic",
                         Err(RealizeError::UtilizationOutOfRange { .. }) => "out of range",
                         Err(RealizeError::NoReservation(_)) => "no reservation",
                         Err(RealizeError::Disconnected(_)) => "disconnected",
@@ -1469,9 +1440,11 @@ mod tests {
             .build();
         // LS1: (s,t) -> (s,a), (a,t). LS2: (s,a) -> (s,t), (t,a). Cycle
         // (s,t) -> (s,a) -> (s,t).
-        assert!(topological_order(&inst, &[1.0, 1.0]).is_none());
+        assert!(topological_order(&inst, &[1.0, 1.0], &[true, true]).is_none());
         // With only the first LS (b2 = 0) the order exists.
-        assert!(topological_order(&inst, &[1.0, 0.0]).is_some());
+        assert!(topological_order(&inst, &[1.0, 0.0], &[true, true]).is_some());
+        // So it does when the second LS is inactive (its condition fails).
+        assert!(topological_order(&inst, &[1.0, 1.0], &[true, false]).is_some());
     }
 
     /// The same system through the dense reference: `M` densified and
@@ -1531,11 +1504,18 @@ mod tests {
     /// On every `f`-failure state of a plan: the assembled flat CSC is the
     /// dense `M` bit for bit; `realize_routing` agrees with the dense
     /// reference (same pairs, `u` within 1e-9, same error variant); when
-    /// the plan's LSs sort topologically no state leaves a bump and `u` is
-    /// Prop. 7's proportional walk. Returns the largest bump seen.
-    fn check_plan(inst: &Instance, f: usize, a: &[f64], b: &[f64], served: &[f64]) -> usize {
-        let sortable = topological_order(inst, b).is_some();
-        let mut max_bump = 0;
+    /// the LSs the state activates sort topologically it leaves no bump
+    /// and `u` is Prop. 7's proportional walk within 1e-12, and otherwise
+    /// the walk reports `CyclicActivation`. Returns the largest bump seen
+    /// and the number of states the walk realized.
+    fn check_plan(
+        inst: &Instance,
+        f: usize,
+        a: &[f64],
+        b: &[f64],
+        served: &[f64],
+    ) -> (usize, usize) {
+        let (mut max_bump, mut walked) = (0, 0);
         for sc in FailureModel::links(f).enumerate_scenarios(inst.topo()) {
             let state = FailureState::new(inst, &sc.dead).unwrap();
             let tol_abs = absolute_tolerance(served, 1e-6);
@@ -1559,21 +1539,26 @@ mod tests {
                 (x, y) => panic!("sparse {x:?} disagrees with dense {y:?}"),
             };
             max_bump = max_bump.max(got.bump);
-            if sortable {
-                assert_eq!(got.bump, 0, "a sortable plan must peel completely");
-                let walk = proportional_routing(inst, &state, a, b, served, 1e-6).unwrap();
-                for (i, p) in got.pairs.iter().enumerate() {
-                    let w = walk.pairs.iter().position(|q| q == p).unwrap();
-                    assert!(
-                        (got.u[i] - walk.u[w]).abs() < 1e-9,
-                        "pair {p:?}: linear {} vs walk {}",
-                        got.u[i],
-                        walk.u[w]
-                    );
-                }
+            let walk = proportional_routing(inst, &state, a, b, served, 1e-6);
+            if topological_order(inst, b, &state.ls_active).is_none() {
+                assert_eq!(walk.unwrap_err(), RealizeError::CyclicActivation);
+                continue;
             }
+            assert_eq!(got.bump, 0, "a sortable state must peel completely");
+            let walk = walk
+                .unwrap_or_else(|e| panic!("{:?}: a sortable state's walk failed: {e}", sc.dead));
+            for (i, p) in got.pairs.iter().enumerate() {
+                let w = walk.pairs.iter().position(|q| q == p).unwrap();
+                assert!(
+                    (got.u[i] - walk.u[w]).abs() < 1e-12,
+                    "pair {p:?}: linear {} vs walk {}",
+                    got.u[i],
+                    walk.u[w]
+                );
+            }
+            walked += 1;
         }
-        max_bump
+        (max_bump, walked)
     }
 
     #[test]
@@ -1589,6 +1574,24 @@ mod tests {
                 &RobustOptions::default(),
             );
             check_plan(&inst, 1, &sol.a, &sol.b, &sol.served(&inst));
+        }
+        // PCF-CLS plans: with every LS active the relation is cyclic, yet
+        // each single failure activates an acyclic set, so the walk
+        // realizes every protected state.
+        for name in ["Quest", "Sprint"] {
+            let topo = pcf_topology::zoo::build(name);
+            let mut tm = pcf_traffic::gravity(&topo, 11);
+            tm.truncate_to_top_k(200);
+            let fm = FailureModel::links(1);
+            let cls = crate::Scheme::PcfCls
+                .plan(&topo, tm, 3, &fm, &RobustOptions::default(), None)
+                .unwrap();
+            let (inst, sol) = (&cls.inst, &cls.sol);
+            let all = vec![true; inst.num_lss()];
+            assert!(topological_order(inst, &sol.b, &all).is_none(), "{name}");
+            let served = sol.served(inst);
+            let checked = check_plan(inst, 1, &sol.a, &sol.b, &served);
+            assert_eq!(checked, (0, topo.link_count()), "{name}");
         }
         // The two-LS cycle of `topological_order_detects_cycles`: (s,t)
         // and (s,a) serve each other, so their 2x2 block is a bump.
@@ -1607,10 +1610,10 @@ mod tests {
             .build();
         let a = vec![1.0; inst.num_tunnels()];
         let b = [0.5, 0.25];
-        assert!(topological_order(&inst, &b).is_none());
+        assert!(topological_order(&inst, &b, &[true, true]).is_none());
         let served: Vec<f64> = inst.pair_ids().map(|p| 0.5 * inst.demand(p)).collect();
         assert!(
-            check_plan(&inst, 1, &a, &b, &served) >= 2,
+            check_plan(&inst, 1, &a, &b, &served).0 >= 2,
             "the cycle must bump"
         );
         // Double failures cut (s,t) off: both paths must say so.
@@ -1639,7 +1642,7 @@ mod tests {
             pairs.iter().position(|&q| q == id).unwrap()
         };
         assert_eq!(m.get(at((s, na)), at((s, t))), ((-0.1) + (-0.2)) + (-0.3));
-        assert_eq!(check_plan(&inst, 1, &a, &b, &served), 0);
+        assert_eq!(check_plan(&inst, 1, &a, &b, &served).0, 0);
     }
 
     /// Proposition 6's load accounting walked pair by pair and the slow
@@ -1801,25 +1804,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_topsort_prunes_cycle_makers() {
-        let ls1 = LogicalSequence::always(vec![NodeId(0), NodeId(1), NodeId(3)]);
-        let ls2 = LogicalSequence::always(vec![NodeId(0), NodeId(3), NodeId(1)]);
-        let (kept, pruned) = greedy_topsort(&[ls1.clone(), ls2]);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0], ls1);
-        assert_eq!(pruned, 1);
-    }
-
-    #[test]
-    fn greedy_topsort_keeps_acyclic_sets() {
-        let ls1 = LogicalSequence::always(vec![NodeId(0), NodeId(1), NodeId(3)]);
-        let ls2 = LogicalSequence::always(vec![NodeId(1), NodeId(2), NodeId(3)]);
-        let (kept, pruned) = greedy_topsort(&[ls1, ls2]);
-        assert_eq!(kept.len(), 2);
-        assert_eq!(pruned, 0);
-    }
-
-    #[test]
     fn conditional_ls_inactive_when_condition_false() {
         let topo = diamond();
         let ls = LogicalSequence {
@@ -1975,7 +1959,7 @@ mod fig6_tests {
     #[test]
     fn fig6_topological_order() {
         let (inst, ids) = fig6_instance();
-        let order = topological_order(&inst, &[1.0, 1.0]).expect("sortable");
+        let order = topological_order(&inst, &[1.0, 1.0], &[true, true]).expect("sortable");
         let pos = |s, t| {
             let p = inst.pair_id(s, t).unwrap();
             order.iter().position(|&q| q == p).unwrap()

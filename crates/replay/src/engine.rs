@@ -720,7 +720,7 @@ pub(crate) mod tests {
         let stats = engine.cache_stats();
         assert!(stats.hits > 0, "repeat states must hit: {stats:?}");
         // Shortest-path LSs sort topologically: every state was a walk.
-        assert!(pcf_core::topological_order(&inst, &b).is_some());
+        assert!(pcf_core::topological_order(&inst, &b, &vec![true; inst.num_lss()]).is_some());
         assert_eq!(engine.max_bump(), 0);
 
         // A degraded state revisited across degrade → restore → degrade:
@@ -738,7 +738,7 @@ pub(crate) mod tests {
         let inst = cyclic_diamond();
         let a = vec![1.0; inst.num_tunnels()];
         let b = [0.5, 0.25];
-        assert!(pcf_core::topological_order(&inst, &b).is_none());
+        assert!(pcf_core::topological_order(&inst, &b, &[true, true]).is_none());
         let served: Vec<f64> = inst.pair_ids().map(|p| 0.5 * inst.demand(p)).collect();
         let trace = EventTrace::flaps(inst.topo(), 40, 1, 7);
         let engine = replay_against_cold(&inst, &a, &b, &served, &trace.events);

@@ -29,7 +29,7 @@ fn main() {
         sol.rounds
     );
     assert!(
-        topological_order(&inst, &sol.b).is_some(),
+        topological_order(&inst, &sol.b, &vec![true; inst.num_lss()]).is_some(),
         "shortest-path LSs are topologically sorted -> local proportional routing applies"
     );
 

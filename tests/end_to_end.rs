@@ -2,7 +2,7 @@
 //! the way to a validated, congestion-free routing under every targeted
 //! failure scenario, for every scheme.
 
-use pcf_core::realize::{greedy_topsort, topological_order};
+use pcf_core::realize::{proportional_routing, topological_order, FailureState};
 use pcf_core::validate::validate_all;
 use pcf_core::{
     pcf_ls_instance, scale_to_mlu, solve_ffc, solve_pcf_ls, solve_pcf_ls_seeded, solve_pcf_tf,
@@ -107,32 +107,34 @@ fn node_failures_end_to_end() {
 
 #[test]
 fn cls_topsort_pipeline_end_to_end() {
-    // §5.2: prune CLS logical sequences to a topologically sorted subset
-    // and re-solve; the result must still beat plain PCF-TF... at minimum
-    // be valid and positive.
+    // §5.2 per failure state: over every LS the PCF-CLS relation is
+    // cyclic, but a state orders only the LSs it activates. Each single
+    // failure of the Sprint plan sorts, and Prop. 7's walk realizes it
+    // within capacity.
     let topo = zoo::build("Sprint");
     let (tm, _) = scale_to_mlu(&topo, &gravity(&topo, 8), 0.6);
     let fm = FailureModel::links(1);
     let cls = Scheme::PcfCls
-        .plan(&topo, tm.clone(), 3, &fm, &RobustOptions::default(), None)
+        .plan(&topo, tm, 3, &fm, &RobustOptions::default(), None)
         .unwrap();
-    // Collect the final LS set and prune to sortable.
-    let all_lss: Vec<_> = cls.inst.ls_ids().map(|q| cls.inst.ls(q).clone()).collect();
-    let (kept, pruned) = greedy_topsort(&all_lss);
-    assert!(kept.len() + pruned == all_lss.len());
-    // Rebuild and re-solve with the sorted subset.
-    let mut b = pcf_core::instance::InstanceBuilder::new(&topo, &tm).tunnels_per_pair(3);
-    for ls in &kept {
-        b = b.add_ls(ls.clone());
-    }
-    let inst = b.build();
-    let sol = solve_pcf_ls(&inst, &fm, &RobustOptions::default());
-    assert!(
-        topological_order(&inst, &sol.b).is_some(),
-        "pruned LS set must be sortable"
-    );
+    let (inst, sol) = (&cls.inst, &cls.sol);
     assert!(sol.objective > 0.0);
-    check(&inst, &sol, &fm, "PCF-CLS-TopSort");
+    let all = vec![true; inst.num_lss()];
+    assert!(topological_order(inst, &sol.b, &all).is_none());
+    let served = sol.served(inst);
+    let scenarios = fm.enumerate_scenarios(&topo);
+    assert_eq!(scenarios.len(), topo.link_count());
+    for sc in scenarios {
+        let state = FailureState::new(inst, &sc.dead).unwrap();
+        assert!(
+            topological_order(inst, &sol.b, &state.ls_active).is_some(),
+            "{:?}: the active LSs form a cycle",
+            sc.dead
+        );
+        let walk = proportional_routing(inst, &state, &sol.a, &sol.b, &served, 1e-6)
+            .unwrap_or_else(|e| panic!("{:?}: {e}", sc.dead));
+        assert!(walk.max_utilization(inst) <= 1.0 + 1e-6, "{:?}", sc.dead);
+    }
 }
 
 /// The PCF-LS instance of a zoo topology as the CLI and the benchmark build

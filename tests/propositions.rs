@@ -204,7 +204,7 @@ fn prop7_proportional_equals_linear_system() {
     let fm = FailureModel::links(1);
     let sol = solve_pcf_ls(&inst, &fm, &opts());
     assert!(
-        topological_order(&inst, &sol.b).is_some(),
+        topological_order(&inst, &sol.b, &vec![true; inst.num_lss()]).is_some(),
         "shortest-path LSs must be topologically sorted"
     );
     let served = sol.served(&inst);
