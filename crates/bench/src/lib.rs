@@ -829,33 +829,37 @@ pub fn run_srlg(scale: &Scale) {
 }
 
 /// Ablation: how many penalized bypass paths the CLS flow support uses
-/// (DESIGN.md's tractability restriction). Returns `(paths, objective,
-/// seconds)` on the scale's first topology.
-pub fn bypass_path_ablation(scale: &Scale) -> Vec<(usize, f64, f64)> {
-    let topo = zoo::build(scale.topologies[0]);
-    let w = workload(&topo, 100, scale);
+/// (DESIGN.md's tractability restriction). Returns, per topology of the
+/// scale, its name and `(objective, seconds)` at widths 1, 2 and 3.
+pub fn bypass_path_ablation(scale: &Scale) -> Vec<(String, [(f64, f64); 3])> {
     let fm = FailureModel::links(1);
     let opts = RobustOptions::default();
-    [1usize, 2, 3]
-        .into_iter()
-        .map(|paths| {
-            let t0 = Instant::now();
-            let inst = pcf_core::pcf_cls_instance(&w.topo, &w.tm, 3, paths, &fm, &opts)
-                .expect("bypass ablation flow stage");
-            let obj = solve_pcf_ls(&inst, &fm, &opts).objective;
-            (paths, obj, t0.elapsed().as_secs_f64())
+    scale
+        .topologies
+        .iter()
+        .map(|name| {
+            let w = workload(&zoo::build(name), 100, scale);
+            let row = [1, 2, 3].map(|paths| {
+                let t0 = Instant::now();
+                let (inst, _) = pcf_core::pcf_cls_instance(&w.topo, &w.tm, 3, paths, &fm, &opts)
+                    .expect("bypass ablation flow stage");
+                let obj = solve_pcf_ls(&inst, &fm, &opts).objective;
+                (obj, t0.elapsed().as_secs_f64())
+            });
+            (name.to_string(), row)
         })
         .collect()
 }
 
 /// Prints the bypass-path ablation.
 pub fn run_bypass_ablation(scale: &Scale) {
-    println!(
-        "== Ablation: CLS bypass support width on {} (f=1) ==",
-        scale.topologies[0]
-    );
-    for (paths, obj, secs) in bypass_path_ablation(scale) {
-        println!("  {paths} bypass path(s): demand scale {obj:.4} in {secs:.1}s");
+    println!("== Ablation: CLS bypass support width 1 / 2 / 3 (f=1, demand scale) ==");
+    for (name, row) in bypass_path_ablation(scale) {
+        let cells: Vec<String> = row
+            .iter()
+            .map(|(obj, secs)| format!("{obj:.4} ({secs:.1}s)"))
+            .collect();
+        println!("  {name:<16} {}", cells.join("  "));
     }
 }
 

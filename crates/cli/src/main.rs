@@ -170,9 +170,9 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 );
                 return Ok(());
             }
-            let (Plan { inst, sol, .. }, scheme) = solve(&args, &topo)?;
-            report(&topo, &inst, &sol, scheme);
-            write_report(&args, "json", || solve_json(&topo, &inst, &sol, scheme))?;
+            let (plan, scheme) = solve(&args, &topo)?;
+            report(&topo, &plan.inst, &plan.sol, scheme);
+            write_report(&args, "json", || solve_json(&topo, &plan, scheme))?;
             Ok(())
         }
         "validate" => {
@@ -264,6 +264,11 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                     } else {
                         Vec::new()
                     };
+                    if inject == Some("srlg") && groups.is_empty() {
+                        return Err(Box::new(ArgError(
+                            "--inject srlg needs at least one SRLG group".into(),
+                        )));
+                    }
                     let min_permille = args.get_or("degrade-permille", 500u32)?;
                     let events = args.get_or("events", 1000usize)?;
                     let n = args.get_or("traces", 1usize)?;
@@ -587,12 +592,11 @@ fn srlg_groups(
             if size == 0 {
                 return Err(Box::new(ArgError("--srlg-size must be at least 1".into())));
             }
-            SrlgSet::synthetic(
-                topo,
-                size,
-                args.get_or("srlg-count", 4usize)?,
-                args.get_or("seed", 1u64)?,
-            )
+            let count = args.get_or("srlg-count", 4usize)?;
+            if count == 0 {
+                return Err(Box::new(ArgError("--srlg-count must be at least 1".into())));
+            }
+            SrlgSet::synthetic(topo, size, count, args.get_or("seed", 1u64)?)
         }
         None => return Ok(Vec::new()),
     };
@@ -618,20 +622,29 @@ fn write_report(args: &Args, flag: &str, render: impl FnOnce() -> String) -> std
     Ok(())
 }
 
-/// The `solve --json` report: the headline numbers, the separation LPs
-/// and their pivots, and the LP-layer counters of the master.
-fn solve_json(topo: &Topology, inst: &Instance, sol: &RobustSolution, scheme: Scheme) -> String {
+/// The `solve --json` report: the headline numbers, how PCF-CLS's
+/// stage-1 flow solve ended, the separation LPs and their pivots, and the
+/// LP-layer counters of the master.
+fn solve_json(topo: &Topology, plan: &Plan, scheme: Scheme) -> String {
+    let (inst, sol) = (&plan.inst, &plan.sol);
     let lp = sol.lp_stats;
     json::report(|w| {
-        w.str("scheme", scheme.as_flag())
+        let w = w
+            .str("scheme", scheme.as_flag())
             .str("topology", topo.name())
             .uint("nodes", topo.node_count() as u64)
             .uint("links", topo.link_count() as u64)
             .uint("pairs", inst.num_pairs() as u64)
             .uint("tunnels", inst.num_tunnels() as u64)
             .uint("logical_sequences", inst.num_lss() as u64)
-            .fixed("objective", sol.objective, 9)
-            .uint("rounds", sol.rounds as u64)
+            .fixed("objective", sol.objective, 9);
+        let w = match plan.flow {
+            Some(flow) => w
+                .uint("flow_rounds", flow.rounds as u64)
+                .bool("flow_certified", flow.certified),
+            None => w,
+        };
+        w.uint("rounds", sol.rounds as u64)
             .uint("cuts", sol.cuts as u64)
             .uint("warm_rounds", sol.warm_rounds as u64)
             .uint("separation_lps", sol.separation_lps as u64)
@@ -728,12 +741,7 @@ fn report(topo: &Topology, inst: &Instance, sol: &RobustSolution, scheme: Scheme
         sol.rounds,
         sol.cuts
     );
-    if sol.objective > 1e-9 {
-        println!(
-            "  max link utilization at guarantee: {:.4}",
-            1.0 / sol.objective
-        );
-    } else {
+    if sol.objective <= 1e-9 {
         println!("  no traffic can be guaranteed under this failure budget");
     }
 }
@@ -804,14 +812,45 @@ mod tests {
 
     #[test]
     fn an_empty_synthetic_srlg_is_a_usage_error() {
-        for line in [
-            "replay --topology Abilene --inject srlg --srlg-size 0",
-            "adversary --topology Abilene --srlg-size 0",
+        for (line, want) in [
+            (
+                "replay --topology Abilene --inject srlg --srlg-size 0",
+                "--srlg-size must be at least 1",
+            ),
+            (
+                "adversary --topology Abilene --srlg-size 0",
+                "--srlg-size must be at least 1",
+            ),
+            (
+                "replay --topology Abilene --inject srlg --srlg-count 0",
+                "--srlg-count must be at least 1",
+            ),
+            (
+                "adversary --topology Abilene --srlg-count 0",
+                "--srlg-count must be at least 1",
+            ),
         ] {
             let err = run(&argv(line)).unwrap_err();
             assert!(err.downcast_ref::<ArgError>().is_some(), "{line}: {err}");
-            assert_eq!(err.to_string(), "--srlg-size must be at least 1", "{line}");
+            assert_eq!(err.to_string(), want, "{line}");
         }
+    }
+
+    #[test]
+    fn srlg_injection_without_groups_is_a_usage_error() {
+        let path = std::env::temp_dir().join(format!("pcf-empty-{}.srlg", std::process::id()));
+        std::fs::write(&path, "# no groups\n").unwrap();
+        let line = format!(
+            "replay --topology Abilene --inject srlg --srlg {}",
+            path.display()
+        );
+        let err = run(&argv(&line)).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert!(err.downcast_ref::<ArgError>().is_some(), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "--inject srlg needs at least one SRLG group"
+        );
     }
 
     /// A GML `label` may hold any string; the report must still parse.
@@ -823,9 +862,18 @@ mod tests {
         for i in 0..4 {
             topo.add_link(nodes[i], nodes[(i + 1) % 4], 10.0);
         }
-        let inst = tunnel_instance(&topo, &gravity(&topo, 1), 2);
-        let sol = pcf_core::solve_ffc(&inst, &FailureModel::links(1), &RobustOptions::default());
-        let json = solve_json(&topo, &inst, &sol, Scheme::Ffc);
+        let tm = gravity(&topo, 1);
+        let plan = Scheme::Ffc
+            .plan(
+                &topo,
+                tm,
+                2,
+                &FailureModel::links(1),
+                &RobustOptions::default(),
+                None,
+            )
+            .unwrap();
+        let json = solve_json(&topo, &plan, Scheme::Ffc);
         let parsed = Json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
         assert_eq!(parsed.get("topology").and_then(Json::as_str), Some(name));
         assert_eq!(parsed.get("scheme").and_then(Json::as_str), Some("ffc"));

@@ -52,6 +52,7 @@ pub use failure::{Condition, Degradation, FailureModel, GroupBudget, Scenario};
 pub use instance::{Instance, InstanceBuilder, LogicalSequence, LsId, PairId, TunnelId, TunnelSet};
 pub use logical_flow::{
     bypass_flows, decompose_flows, pcf_cls_instance, solve_logical_flow, FlowSolution, FlowSpec,
+    FlowStage,
 };
 pub use objective::Objective;
 pub use optimal::{

@@ -60,6 +60,18 @@ pub struct FlowSolution {
     /// Per-flow segment routing `p_w(i,j)` (same order as the spec's
     /// support).
     pub flow_p: Vec<Vec<f64>>,
+    /// How the cutting-plane loop ended.
+    pub stage: FlowStage,
+}
+
+/// How a logical-flow solve's cutting-plane loop ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowStage {
+    /// Rounds that separated.
+    pub rounds: usize,
+    /// The last separation found no violated pair; false when
+    /// [`RobustOptions::max_rounds`] stopped the loop first.
+    pub certified: bool,
 }
 
 /// Builds the bypass flows of the PCF-CLS heuristic: for each link
@@ -215,7 +227,8 @@ fn flow_master(
 /// and every supported segment (see
 /// [`crate::instance::InstanceBuilder::add_pair`]); a missing pair is
 /// reported as [`RobustError::FlowPairMissing`]. On hitting
-/// [`RobustOptions::max_rounds`] the incumbent is returned as is.
+/// [`RobustOptions::max_rounds`] the incumbent is returned as is, with
+/// [`FlowStage::certified`] false.
 pub fn solve_logical_flow(
     inst: &Instance,
     flows: &[FlowSpec],
@@ -225,6 +238,10 @@ pub fn solve_logical_flow(
     let (mut master, fb_vars, fp_vars) = flow_master(inst, flows, opts)?;
     let scale = 1.0 + inst.total_demand();
     let end = master.cutting_planes(inst, fm, AdversaryKind::LinkBased, opts, scale, None)?;
+    let stage = FlowStage {
+        rounds: end.rounds,
+        certified: end.certified.is_some(),
+    };
     let MasterOptimum { sol, a, b, z } = end.optimum;
     Ok(FlowSolution {
         objective: sol.objective,
@@ -236,6 +253,7 @@ pub fn solve_logical_flow(
             .iter()
             .map(|vs| vs.iter().map(|&v| sol.value(v).max(0.0)).collect())
             .collect(),
+        stage,
     })
 }
 
@@ -282,9 +300,10 @@ pub fn decompose_flows(
 /// always-active shortest-path LSs per demand pair, plus per-link
 /// conditional LSs obtained by decomposing the restricted logical-flow
 /// model over `bypass_paths` bypass paths per protected link
-/// ([`bypass_flows`]; the scheme uses 2). Solving the flow model (stage 1)
-/// is the only LP work here: the returned instance is stage 2's, the one
-/// the CLS model proper is solved on ([`crate::Scheme::PcfCls`]).
+/// ([`bypass_flows`]; the scheme uses 2). Solving the flow model (stage 1,
+/// under `opts` like every other solve) is the only LP work here: the
+/// returned instance is stage 2's, the one the CLS model proper is solved
+/// on ([`crate::Scheme::PcfCls`]), beside how stage 1 ended.
 pub fn pcf_cls_instance(
     topo: &Topology,
     tm: &TrafficMatrix,
@@ -292,47 +311,29 @@ pub fn pcf_cls_instance(
     bypass_paths: usize,
     fm: &FailureModel,
     opts: &RobustOptions,
-) -> Result<Instance, RobustError> {
-    // Always-active LSs along shortest paths (same as PCF-LS).
-    let mut always: Vec<LogicalSequence> = Vec::new();
-    for (s, t, _) in tm.positive_pairs() {
-        if let Some(path) = pcf_paths::shortest_path(topo, s, t) {
-            if path.nodes.len() >= 3 {
-                always.push(LogicalSequence::always(path.nodes));
-            }
-        }
-    }
+) -> Result<(Instance, FlowStage), RobustError> {
     let flows = bypass_flows(topo, bypass_paths);
-
-    // Stage 1: flow model instance (needs pairs for all flow segments).
-    // The flow model only shapes the conditional LSs (its p-values feed the
-    // widest-path decomposition); the authoritative objective comes from
-    // the stage-2 CLS solve. Reduced fidelity here cuts the dominant cost
-    // of the pipeline without affecting guarantees.
-    let flow_opts = RobustOptions {
-        max_rounds: opts.max_rounds.min(8),
-        tol: opts.tol.max(1e-4),
-        ..opts.clone()
-    };
-    let mut b1 = InstanceBuilder::new(topo, tm).tunnels_per_pair(k);
-    for ls in &always {
-        b1 = b1.add_ls(ls.clone());
-    }
+    // Stage 1: the PCF-LS instance plus a pair for every flow's endpoints
+    // and supported segments.
+    let mut b1 = InstanceBuilder::new(topo, tm)
+        .tunnels_per_pair(k)
+        .shortest_path_lss();
     for w in &flows {
         b1 = b1.add_pair(w.src, w.dst);
         for &(u, v) in &w.support {
             b1 = b1.add_pair(u, v);
         }
     }
-    let fsol = solve_logical_flow(&b1.build(), &flows, fm, &flow_opts)?;
-    let conditional = decompose_flows(topo, &flows, &fsol, 1e-7);
+    let fsol = solve_logical_flow(&b1.build(), &flows, fm, opts)?;
 
-    // Stage 2: the CLS model proper.
-    let mut b2 = InstanceBuilder::new(topo, tm).tunnels_per_pair(k);
-    for ls in always.into_iter().chain(conditional) {
+    // Stage 2: the CLS model proper, PCF-LS's LSs plus the decomposed ones.
+    let mut b2 = InstanceBuilder::new(topo, tm)
+        .tunnels_per_pair(k)
+        .shortest_path_lss();
+    for ls in decompose_flows(topo, &flows, &fsol, 1e-7) {
         b2 = b2.add_ls(ls);
     }
-    Ok(b2.build())
+    Ok((b2.build(), fsol.stage))
 }
 
 #[cfg(test)]
@@ -394,7 +395,7 @@ mod tests {
 
     #[test]
     fn later_rounds_resolve_the_live_master_warm() {
-        // Stage 1 of the pipeline on Sprint, at full fidelity.
+        // Stage 1 of the pipeline on Sprint.
         let topo = pcf_topology::zoo::build("Sprint");
         let tm = pcf_traffic::gravity(&topo, 3);
         let flows = bypass_flows(&topo, 2);
@@ -459,6 +460,10 @@ mod tests {
             b: vec![],
             flow_b: vec![0.0; flows.len()],
             flow_p: flows.iter().map(|w| vec![0.0; w.support.len()]).collect(),
+            stage: FlowStage {
+                rounds: 0,
+                certified: false,
+            },
         };
         assert!(decompose_flows(&topo, &flows, &sol, 1e-7).is_empty());
     }
@@ -593,6 +598,10 @@ mod flow_model_tests {
             flow_b: vec![0.8],
             // Wider via node 2.
             flow_p: vec![vec![0.6, 0.6, 0.2, 0.2]],
+            stage: FlowStage {
+                rounds: 0,
+                certified: false,
+            },
         };
         let lss = decompose_flows(&topo, &flows, &sol, 1e-7);
         assert_eq!(lss.len(), 1);

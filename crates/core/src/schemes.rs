@@ -19,7 +19,7 @@
 
 use crate::failure::FailureModel;
 use crate::instance::{Instance, InstanceBuilder};
-use crate::logical_flow::pcf_cls_instance;
+use crate::logical_flow::{pcf_cls_instance, FlowStage};
 use crate::robust::{
     solve_robust, try_solve_robust, AdversaryKind, CutPool, RobustError, RobustOptions,
     RobustSolution,
@@ -40,8 +40,9 @@ pub enum Scheme {
     PcfCls,
 }
 
-/// A solved plan: the instance, its solution, and the cut pool that
-/// warm-starts the next [`Scheme::plan`] (`None` for PCF-CLS).
+/// A solved plan: the instance, its solution, the cut pool that
+/// warm-starts the next [`Scheme::plan`] (`None` for PCF-CLS), and how
+/// PCF-CLS's stage-1 flow solve ended (`None` for the other schemes).
 #[derive(Debug)]
 pub struct Plan {
     /// The solved instance (tunnels, logical sequences, demands).
@@ -50,6 +51,9 @@ pub struct Plan {
     pub sol: RobustSolution,
     /// Scenario cuts, final basis and tunnels of this solve.
     pub pool: Option<CutPool>,
+    /// Rounds and certification of the logical-flow solve whose
+    /// decomposition gave `inst` its conditional LSs.
+    pub flow: Option<FlowStage>,
 }
 
 impl Scheme {
@@ -93,17 +97,21 @@ impl Scheme {
         seed: Option<&CutPool>,
     ) -> Result<Plan, RobustError> {
         let seed = seed.filter(|_| self != Scheme::PcfCls);
-        let inst = match self {
-            Scheme::PcfCls => pcf_cls_instance(topo, &tm, k, 2, fm, opts)?,
+        let (inst, flow) = match self {
+            Scheme::PcfCls => {
+                let (inst, flow) = pcf_cls_instance(topo, &tm, k, 2, fm, opts)?;
+                (inst, Some(flow))
+            }
             _ => {
                 let builder = InstanceBuilder::new(topo, &tm)
                     .tunnels_per_pair(k)
                     .offer_tunnels(seed.and_then(CutPool::tunnel_set));
-                if self == Scheme::PcfLs {
+                let inst = if self == Scheme::PcfLs {
                     builder.shortest_path_lss().build()
                 } else {
                     builder.build()
-                }
+                };
+                (inst, None)
             }
         };
         drop(tm);
@@ -113,7 +121,12 @@ impl Scheme {
         };
         let (sol, pool) = try_solve_robust(&inst, fm, kind, opts, seed)?;
         let pool = (self != Scheme::PcfCls).then_some(pool);
-        Ok(Plan { inst, sol, pool })
+        Ok(Plan {
+            inst,
+            sol,
+            pool,
+            flow,
+        })
     }
 }
 
@@ -362,6 +375,7 @@ mod tests {
         for scheme in [Scheme::Ffc, Scheme::PcfTf, Scheme::PcfLs] {
             let first = scheme.plan(&topo, tm.clone(), 3, &fm, &o, None).unwrap();
             let pool = first.pool.expect("tunnel and LS schemes export a pool");
+            assert!(first.flow.is_none(), "only PCF-CLS has a flow stage");
             let warm = scheme
                 .plan(&topo, tm.scaled(0.8), 3, &fm, &o, Some(&pool))
                 .unwrap();

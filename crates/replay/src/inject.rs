@@ -197,52 +197,6 @@ impl FaultInjector {
             events,
         )
     }
-
-    /// Corrupt scripted-trace text for parser fuzzing: a mix of valid
-    /// lines, comments, and malformed entries (unknown verbs, missing or
-    /// trailing arguments, unparsable indices, out-of-range numbers). At
-    /// least one line is guaranteed malformed whenever `lines > 0`, so
-    /// [`EventTrace::parse`] must reject the text — with a line number
-    /// pointing inside it — rather than panic.
-    pub fn malformed_trace(&self, lines: usize) -> String {
-        let mut rng = self.stream(0xbad);
-        let mut out = String::new();
-        let poison_at = if lines == 0 {
-            0
-        } else {
-            rng.range_usize(0, lines)
-        };
-        for i in 0..lines {
-            let line = if i == poison_at || rng.chance(0.4) {
-                // Malformed shapes, one per corpus entry.
-                match rng.range_usize(0, 7) {
-                    0 => format!("explode {}", rng.range_usize(0, 50)),
-                    1 => "down".to_string(),
-                    2 => format!("down x{}", rng.range_usize(0, 50)),
-                    3 => format!("up {} {}", rng.range_usize(0, 50), rng.range_usize(0, 50)),
-                    4 => format!("wobble {}", rng.range_usize(0, 50)),
-                    5 => format!("wobble {} not-a-number", rng.range_usize(0, 50)),
-                    _ => format!("down {}", u64::from(u32::MAX) + 1),
-                }
-            } else {
-                // Well-formed filler (possibly idempotent or naming a
-                // missing link — the malformed line fails the parse first).
-                match rng.range_usize(0, 4) {
-                    0 => format!("down {}", rng.range_usize(0, 20)),
-                    1 => format!("up e{}", rng.range_usize(0, 20)),
-                    2 => format!(
-                        "wobble {} {}",
-                        rng.range_usize(0, 20),
-                        rng.range_usize(1, 2001)
-                    ),
-                    _ => "# comment".to_string(),
-                }
-            };
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -283,7 +237,6 @@ mod tests {
             b.beyond_budget_bursts(&topo, 4, 1)
         );
         assert_eq!(a.chaos(&topo, 50, 1), b.chaos(&topo, 50, 1));
-        assert_eq!(a.malformed_trace(30), b.malformed_trace(30));
         assert_ne!(
             a.chaos(&topo, 50, 1).events,
             FaultInjector::new(10).chaos(&topo, 50, 1).events
@@ -353,15 +306,25 @@ mod tests {
     #[test]
     fn malformed_traces_fail_to_parse_with_a_line_number() {
         let topo = zoo::build("Sprint");
-        for seed in 0..20 {
-            let text = FaultInjector::new(seed).malformed_trace(25);
-            let err =
-                EventTrace::parse("fuzz", &text, &topo, &[]).expect_err("guaranteed poison line");
-            assert!(
-                err.line >= 1 && err.line <= 25,
-                "line {} out of range",
-                err.line
-            );
+        let filler = ["down 0", "# comment", "wobble 1 500", "up 0", ""];
+        let poison = [
+            "explode 3".to_string(),
+            "down".to_string(),
+            "down x7".to_string(),
+            "up 4 5".to_string(),
+            "wobble 2".to_string(),
+            "wobble 2 not-a-number".to_string(),
+            format!("down {}", u64::from(u32::MAX) + 1),
+        ];
+        for bad in &poison {
+            for at in 0..12 {
+                let mut lines: Vec<&str> = (0..12).map(|i| filler[i % filler.len()]).collect();
+                lines[at] = bad;
+                let text = lines.join("\n");
+                let err = EventTrace::parse("fuzz", &text, &topo, &[])
+                    .expect_err("poisoned trace parsed cleanly");
+                assert_eq!(err.line, at + 1, "{bad:?} at line {}", at + 1);
+            }
         }
     }
 }

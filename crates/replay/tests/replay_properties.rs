@@ -328,6 +328,44 @@ fn degraded_capacity_batch_digests_are_thread_count_invariant() {
     }
 }
 
+/// Scripted-trace text of `lines > 0` lines, at least one of them
+/// malformed (unknown verb, missing or trailing argument, unparsable or
+/// out-of-range number), among well-formed filler and comments.
+fn malformed_trace(seed: u64, lines: usize) -> String {
+    let mut rng = Pcg32::seed_from_u64(seed ^ 0xbad_u64.wrapping_mul(0x9e3779b97f4a7c15));
+    let poison_at = rng.range_usize(0, lines);
+    let mut out = String::new();
+    for i in 0..lines {
+        let line = if i == poison_at || rng.chance(0.4) {
+            match rng.range_usize(0, 7) {
+                0 => format!("explode {}", rng.range_usize(0, 50)),
+                1 => "down".to_string(),
+                2 => format!("down x{}", rng.range_usize(0, 50)),
+                3 => format!("up {} {}", rng.range_usize(0, 50), rng.range_usize(0, 50)),
+                4 => format!("wobble {}", rng.range_usize(0, 50)),
+                5 => format!("wobble {} not-a-number", rng.range_usize(0, 50)),
+                _ => format!("down {}", u64::from(u32::MAX) + 1),
+            }
+        } else {
+            // Well-formed filler (possibly idempotent or naming a missing
+            // link: the malformed line fails the parse first).
+            match rng.range_usize(0, 4) {
+                0 => format!("down {}", rng.range_usize(0, 20)),
+                1 => format!("up e{}", rng.range_usize(0, 20)),
+                2 => format!(
+                    "wobble {} {}",
+                    rng.range_usize(0, 20),
+                    rng.range_usize(1, 2001)
+                ),
+                _ => "# comment".to_string(),
+            }
+        };
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out
+}
+
 /// The parser never panics on corrupt text, and when it rejects a trace
 /// the error points at a line inside it.
 #[test]
@@ -345,7 +383,7 @@ fn trace_parser_is_total_on_malformed_text() {
             }
         },
         |&(seed, lines)| {
-            let text = FaultInjector::new(seed).malformed_trace(lines);
+            let text = malformed_trace(seed, lines);
             match EventTrace::parse("fuzz", &text, &topo, &[]) {
                 Ok(_) => Err("poisoned trace parsed cleanly".into()),
                 Err(e) => {

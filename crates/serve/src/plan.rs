@@ -166,9 +166,11 @@ impl PlanSpec {
         }
         tm.scale(scale);
         let fm = FailureModel::links(self.f);
-        let Plan { inst, sol, pool } =
-            self.scheme
-                .plan(&self.topo, tm, self.tunnels, &fm, &self.opts, prev)?;
+        let Plan {
+            inst, sol, pool, ..
+        } = self
+            .scheme
+            .plan(&self.topo, tm, self.tunnels, &fm, &self.opts, prev)?;
         let tunnels_reused = prev
             .and_then(CutPool::tunnel_set)
             .is_some_and(|set| Arc::ptr_eq(set, inst.tunnel_set()));

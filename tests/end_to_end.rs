@@ -64,6 +64,27 @@ fn sprint_pcf_cls_is_congestion_free_under_all_single_failures() {
 }
 
 #[test]
+fn cls_stage_one_certifies_under_the_callers_options() {
+    // Stage 1 (the logical-flow solve) runs under the caller's options and
+    // stops on its own certificate, well inside the default round budget.
+    for name in ["Abilene", "Sprint", "Quest"] {
+        let topo = zoo::build(name);
+        let mut tm = gravity(&topo, 1);
+        tm.truncate_to_top_k(200);
+        let fm = FailureModel::links(1);
+        let cls = Scheme::PcfCls
+            .plan(&topo, tm, 3, &fm, &RobustOptions::default(), None)
+            .unwrap();
+        let flow = cls.flow.expect("a PCF-CLS plan reports its stage 1");
+        assert!(
+            flow.certified,
+            "{name}: stage 1 stopped uncertified after {} rounds",
+            flow.rounds
+        );
+    }
+}
+
+#[test]
 fn b4_sublinks_double_failure_end_to_end() {
     // The Fig. 12 setup in miniature: split links into sub-links, design
     // for f = 2 sub-link failures, then validate over all C(38,2) = 703
