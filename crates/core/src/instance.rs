@@ -25,7 +25,7 @@
 //! ([`InstanceBuilder::offer_tunnels`]) instead of selecting again.
 
 use crate::failure::Condition;
-use pcf_paths::{select_tunnels, Path};
+use pcf_paths::{Path, PathWorkspace};
 use pcf_rng::Fnv1a;
 use pcf_topology::{ArcId, LinkId, NodeId, Topology};
 use pcf_traffic::TrafficMatrix;
@@ -159,11 +159,12 @@ impl TunnelSet {
             has_explicit[p.0] = true;
         }
         if let Some(k) = k {
+            let mut ws = PathWorkspace::default();
             for (pi, &(s, t)) in pairs.iter().enumerate() {
                 if has_explicit[pi] {
                     continue;
                 }
-                for path in select_tunnels(topo, s, t, k) {
+                for path in ws.select_tunnels(topo, s, t, k) {
                     paths.push(path);
                     tunnel_pair.push(PairId(pi));
                 }
@@ -211,7 +212,7 @@ impl TunnelSet {
     }
 }
 
-/// What [`select_tunnels`] reads of a build besides the pair: FNV over the
+/// What [`pcf_paths::select_tunnels`] reads of a build besides the pair: FNV over the
 /// node count, each link's endpoints in link order, and `k`. Capacities,
 /// demands and names do not enter it.
 fn structure_stamp(topo: &Topology, k: usize) -> u64 {
@@ -498,10 +499,11 @@ impl InstanceBuilder {
     /// unconditional LS through the nodes of the pair's hop-count shortest
     /// path, skipped for adjacent pairs (whose LS would be trivial).
     pub fn shortest_path_lss(mut self) -> Self {
+        let mut ws = PathWorkspace::default();
         for &(s, t, _) in &self.demands {
-            if let Some(path) = pcf_paths::shortest_path(&self.topo, s, t) {
-                if path.nodes.len() >= 3 {
-                    self.lss.push(LogicalSequence::always(path.nodes));
+            if let Some((nodes, _)) = ws.shortest_path(&self.topo, s, t) {
+                if nodes.len() >= 3 {
+                    self.lss.push(LogicalSequence::always(nodes.to_vec()));
                 }
             }
         }

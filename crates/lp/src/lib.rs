@@ -47,6 +47,6 @@ pub use float::{approx_eq, approx_zero, is_zero, nonzero};
 pub use incremental::{IncrementalLp, IncrementalStats};
 pub use linsys::{lu_factor, solve_dense, DenseMatrix, LinSysError, LuFactors};
 pub use model::{LpProblem, RowId, Sense, Solution, SolveError, Status, VarId};
-pub use simplex::{Basis, BasisMark, SimplexOptions};
+pub use simplex::{Basis, BasisMark, LpWorkspace, SimplexOptions};
 pub use slu::{BasisEngine, PeelOrder, SparseLu};
 pub use sparse::CscMatrix;

@@ -39,7 +39,8 @@
 //!   the basis columns of a [`CscMatrix`] out as that flat CSC) and
 //!   reservation matrices take this path. The simplex crash basis, a ±1
 //!   diagonal, is built directly as the factors the peel would make of it
-//!   (`SparseLu::diagonal`: identity permutations, no L or U entries).
+//!   (`BasisEngine::reset_diagonal`: identity permutations, no L or U
+//!   entries), in the storage of the engine the last solve left behind.
 //! * [`PeelOrder`] — the same peel, recording instead of factoring. The
 //!   peel's order is a function of the pattern alone while every pivot it
 //!   reaches passes the singleton tolerance, so a complete peel is
@@ -210,6 +211,7 @@ impl SparseLu {
     /// entries, which is what [`SparseLu::factor_columns`] makes of a
     /// diagonal whose entries all pass the singleton tolerance, without
     /// building its input. The simplex crash basis is such a diagonal.
+    #[cfg(test)]
     pub(crate) fn diagonal(pivots: Vec<f64>) -> SparseLu {
         let n = pivots.len();
         let identity: Vec<u32> = (0..n as u32).collect();
@@ -1175,6 +1177,35 @@ impl BasisEngine {
             fresh_nnz,
             ..BasisEngine::default()
         }
+    }
+
+    /// Resets the engine, in place, to the factors of the diagonal basis
+    /// `pivots` — the simplex crash basis: identity permutations, no `L` or
+    /// `U` entries, no updates. Field for field what [`BasisEngine::new`]
+    /// makes of those factors; every buffer keeps its storage.
+    pub(crate) fn reset_diagonal(&mut self, pivots: &[f64]) {
+        let n = pivots.len();
+        self.dim = n;
+        self.rperm.clear();
+        self.rperm.extend(0..n as u32);
+        self.slot_pos.clear();
+        self.slot_pos.extend(0..n as u32);
+        for starts in [&mut self.lstart, &mut self.ustart] {
+            starts.clear();
+            starts.resize(n + 1, 0);
+        }
+        self.l.clear();
+        self.u.clear();
+        self.piv.clear();
+        self.piv.extend_from_slice(pivots);
+        self.row_slot.clear();
+        self.batches.clear();
+        self.updates.clear();
+        self.ent.clear();
+        self.leaving.clear();
+        self.leaving_pos = None;
+        self.fresh_u = 0;
+        self.fresh_nnz = n;
     }
 
     /// Current basis dimension (fresh factorization plus appended rows).

@@ -66,24 +66,32 @@ impl CscMatrix {
         m
     }
 
-    /// Builds an `nrows × ncols` matrix from its rows: `row(i)` yields the
-    /// `(column, value)` entries of row `i`, each column at most once. A
-    /// counting pass sizes the columns and a fill pass visits the rows in
-    /// ascending order (advancing each column's start to its end, then
-    /// shifting the starts back), so every column comes out sorted by row
-    /// with no sort, no per-column list and no cursor array. Equal to [`CscMatrix::from_cols`] of
-    /// the same entries. The storage has room for `spare` more columns of
-    /// one entry each, so pushing them reallocates nothing.
-    pub(crate) fn from_rows<I>(
+    /// Rebuilds the matrix as `nrows × ncols` from its rows, keeping the
+    /// storage: `row(i)` yields the `(column, value)` entries of row `i`,
+    /// each column at most once. A counting pass sizes the columns and a
+    /// fill pass visits the rows in ascending order (advancing each
+    /// column's start to its end, then shifting the starts back), so every
+    /// column comes out sorted by row with no sort, no per-column list and
+    /// no cursor array. Equal to [`CscMatrix::from_cols`] of the same
+    /// entries. The storage has room for `spare` more columns of one entry
+    /// each, so pushing them reallocates nothing.
+    pub(crate) fn fill_from_rows<I>(
+        &mut self,
         nrows: usize,
         ncols: usize,
         spare: usize,
         row: impl Fn(usize) -> I,
-    ) -> Self
-    where
+    ) where
         I: IntoIterator<Item = (usize, f64)>,
     {
-        let mut colptr = Vec::with_capacity(ncols + 1 + spare);
+        let CscMatrix {
+            colptr,
+            rowidx,
+            values,
+            ..
+        } = self;
+        colptr.clear();
+        colptr.reserve(ncols + 1 + spare);
         colptr.resize(ncols + 1, 0usize);
         for i in 0..nrows {
             for (j, _) in row(i) {
@@ -94,9 +102,11 @@ impl CscMatrix {
             colptr[j + 1] += colptr[j];
         }
         let nnz = colptr[ncols];
-        let mut rowidx = Vec::with_capacity(nnz + spare);
+        rowidx.clear();
+        rowidx.reserve(nnz + spare);
         rowidx.resize(nnz, 0u32);
-        let mut values = Vec::with_capacity(nnz + spare);
+        values.clear();
+        values.reserve(nnz + spare);
         values.resize(nnz, 0.0);
         for i in 0..nrows {
             for (j, v) in row(i) {
@@ -107,12 +117,7 @@ impl CscMatrix {
         }
         colptr.copy_within(0..ncols, 1);
         colptr[0] = 0;
-        CscMatrix {
-            nrows,
-            colptr,
-            rowidx,
-            values,
-        }
+        self.nrows = nrows;
     }
 
     /// Number of rows.

@@ -102,3 +102,41 @@ fn selected_tunnels_connect_the_pair() {
         },
     );
 }
+
+/// The tunnels `select_tunnels(.., 3)` picks for every ordered pair of the
+/// quick-scale topologies (and the 2-way sub-link splits of three of them,
+/// which take the collapsed-graph branch), as one FNV-1a digest of their
+/// link lists. The value was recorded before the selection moved into a
+/// reused workspace; any change to which tunnels are chosen, or in what
+/// order, moves it.
+#[test]
+fn tunnel_selection_over_the_quick_topologies_is_pinned() {
+    use pcf_topology::{transform::split_sublinks, zoo};
+    let quick = [
+        "Sprint",
+        "B4",
+        "IBM",
+        "Highwinds",
+        "CWIX",
+        "Quest",
+        "Darkstrand",
+    ];
+    let split = ["Sprint", "B4", "IBM"].map(|name| split_sublinks(&zoo::build(name), 2));
+    let topos = quick.iter().map(|name| zoo::build(name)).chain(split);
+    let mut h = pcf_rng::Fnv1a::new();
+    for topo in topos {
+        for s in topo.nodes() {
+            for t in topo.nodes().filter(|&t| t != s) {
+                let tunnels = select_tunnels(&topo, s, t, 3);
+                h.write_u64(tunnels.len() as u64);
+                for path in &tunnels {
+                    h.write_u64(path.links.len() as u64);
+                    for l in &path.links {
+                        h.write_u64(l.index() as u64);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(h.finish(), 0x92d9_2c61_9d1b_9939, "tunnel selection moved");
+}
