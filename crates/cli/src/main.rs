@@ -231,10 +231,9 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             Ok(())
         }
         "replay" => {
+            // The events and the degrade mode come first: a usage error
+            // in them is reported before a robust solve is paid for.
             let f = args.get_or("f", 1usize)?;
-            let (Plan { inst, sol, .. }, scheme) = solve(&args, &topo)?;
-            report(&topo, &inst, &sol, scheme);
-            let served = sol.served(&inst);
             let seed = args.get_or("seed", 1u64)?;
             let degrade = degrade_mode(&args, DegradeMode::Off)?;
             let traces: Vec<EventTrace> = match (args.get("trace"), args.get("inject")) {
@@ -299,6 +298,9 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                         .collect()
                 }
             };
+            let (Plan { inst, sol, .. }, scheme) = solve(&args, &topo)?;
+            report(&topo, &inst, &sol, scheme);
+            let served = sol.served(&inst);
             let opts = ReplayOptions {
                 cache_capacity: args.get_or("cache", 1024usize)?,
                 threads: args.get_or("threads", 0usize)?,
@@ -808,6 +810,16 @@ mod tests {
         }
         let err = run(&argv("augment --topology Abilene")).unwrap_err();
         assert_eq!(err.to_string(), "augment needs --target");
+    }
+
+    /// A replay usage error in the events is reported before the plan is
+    /// solved: with an unknown scheme as well, the events' error comes out.
+    #[test]
+    fn replay_checks_its_events_before_it_solves() {
+        let line = "replay --topology Abilene --scheme bogus --inject srlg --srlg-count 0";
+        let err = run(&argv(line)).unwrap_err();
+        assert!(err.downcast_ref::<ArgError>().is_some(), "{err}");
+        assert_eq!(err.to_string(), "--srlg-count must be at least 1");
     }
 
     #[test]
