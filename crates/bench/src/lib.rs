@@ -15,7 +15,7 @@
 #![allow(clippy::disallowed_types, reason = "timing only; nothing is replayed")]
 
 use pcf_core::objective::{overhead_reduction_pct, throughput_overhead};
-use pcf_core::realize::{proportional_routing, topological_order, FailureState};
+use pcf_core::realize::{realize_routing, topological_order, FailureState};
 use pcf_core::{
     optimal_demand_scale, scale_to_mlu, solve_ffc, solve_pcf_ls, solve_pcf_tf, tunnel_instance,
     FailureModel, Objective, Plan, RobustOptions, ScenarioCoverage, Scheme,
@@ -650,7 +650,8 @@ pub fn run_fig14(scale: &Scale) {
 /// whether its LS relation sorts with every LS active (the paper's
 /// "already sorted" statistic), its protected states (every single link
 /// failure), how many of those activate a cyclic set of LSs, and how many
-/// Prop. 7's walk realizes. Returns `(name, lss, sorted_all_active,
+/// Prop. 7's walk realizes without a cyclic block (`realize_routing` is
+/// `Ok` with `bump == 0`). Returns `(name, lss, sorted_all_active,
 /// states, cyclic, walked)`.
 pub fn topsort(scale: &Scale) -> Vec<(String, usize, bool, usize, usize, usize)> {
     let fm = FailureModel::links(1);
@@ -673,7 +674,8 @@ pub fn topsort(scale: &Scale) -> Vec<(String, usize, bool, usize, usize, usize)>
                 if topological_order(&inst, &sol.b, &state.ls_active).is_none() {
                     cyclic += 1;
                 }
-                if proportional_routing(&inst, &state, &sol.a, &sol.b, &served, 1e-6).is_ok() {
+                let routing = realize_routing(&inst, &state, &sol.a, &sol.b, &served, 1e-6);
+                if routing.is_ok_and(|r| r.bump == 0) {
                     walked += 1;
                 }
             }

@@ -13,9 +13,9 @@
 //!
 //! 1. **Normal** — the exact realization (`M × U = D`); congestion-free
 //!    by Props. 5/6 whenever the scenario is inside the protected set.
-//! 2. **Rescaled** — the proportional split of
-//!    [`proportional_routing`](crate::realize::proportional_routing)
-//!    with the error exits removed: utilizations are clamped to `[0, 1]`
+//! 2. **Rescaled** — Proposition 7's proportional split, walked in the
+//!    order [`realize_routing`] walks, with the error exits removed:
+//!    utilizations are clamped to `[0, 1]`
 //!    (FFC/R3-style local rescaling), pairs with no live reservation
 //!    serve zero instead of erroring. Requires the LSs the state
 //!    activates to sort topologically. May overload wobbled capacities.
@@ -244,8 +244,9 @@ pub fn degrade_fallback(
 
 /// Stage 2: the proportional split of Proposition 7 made total.
 ///
-/// The walk of [`proportional_routing`], but where that function errors
-/// this one degrades: a pair whose live reservation vanished serves zero,
+/// The walk of [`realize_routing`] over a state whose active LSs sort,
+/// but where stage 1 errors this one degrades: a pair whose live
+/// reservation vanished serves zero,
 /// a pair asked for more than its reservation clamps to `u = 1` and sheds
 /// the excess pro rata between its own demand and its LS obligations.
 /// `None` when the LSs the state activates form a cycle (no topological

@@ -61,8 +61,8 @@ pub use optimal::{
 };
 pub use r3::{solve_generalized_r3, solve_r3, R3Solution};
 pub use realize::{
-    absolute_tolerance, degraded_reservations, proportional_routing, realize_routing,
-    reservation_matrix, topological_order, FailureState, RealizeError, Realizer, Routing,
+    absolute_tolerance, degraded_reservations, realize_routing, reservation_matrix,
+    topological_order, FailureState, RealizeError, Realizer, Routing,
 };
 pub use robust::{
     solve_robust, try_solve_robust, AdversaryKind, CutPool, RobustError, RobustOptions,

@@ -7,46 +7,23 @@
 //!   [`Instance::tunnels_on_link`] for each dead link) and which LSs are
 //!   active;
 //! * [`reservation_matrix`] — the matrix `M` over the pairs of interest
-//!   (Proposition 5: an invertible M-matrix), densified for tests and
-//!   probes; a realization assembles it straight into one flat CSC
-//!   (column starts plus `(row, value)` entries, rows ascending, an LS
-//!   term landing on an occupied cell added to it in emission order) and
-//!   never densifies it;
-//! * [`Realizer`] — solves `M × U = D` (one linear system, not an LP) and
-//!   expands reservations into per-arc loads (Proposition 6): the one
-//!   realization path, whose finished [`Routing`] `pcf-replay` caches per
-//!   liveness signature; [`realize_routing`] is one call of a fresh one.
-//!   The factorization is triangular first (`SparseLu::factor_columns`):
-//!   when the live LSs sort topologically `M` is a permuted triangular
-//!   matrix, the factors *are* that permutation and the solve *is*
-//!   Proposition 7's walk written as substitution ([`Routing::bump`]
-//!   `== 0`); only the pairs inside an LS cycle pay for elimination. A
-//!   realizer splits the work in two. A **pattern** — pair selection over
-//!   the instance's interned segment pairs, `M`'s flat CSC and the
-//!   singleton peel's pivot order ([`pcf_lp::PeelOrder`]) — depends only
-//!   on which LSs are active and which pairs the live filter keeps, and is
-//!   built once for all the states that agree on both. Each state then
-//!   pays a **numeric replay**: its diagonals (a failure changes nothing
-//!   else in `M`; one walk per pair yields both the live filter's decision
-//!   and the diagonal) and the substitution the factorization would have
-//!   run, the same floating-point operations in the same order. A pattern
-//!   with a bump (cyclic LS sets) records no order, and its states are
-//!   factored by Markowitz elimination each time. The solve runs in place
-//!   into the buffer that becomes [`Routing::u`], and the expansion writes
-//!   each live tunnel's flow once, then sums each arc's load over the
-//!   tunnels [`Instance::tunnels_on_arc`] lists in the pair-order walk's
-//!   order (tests hold those sums, bit for bit, to a hop-by-hop walk of
-//!   each tunnel's `Path`, and every realizer result to the per-state
-//!   chain it replaced);
-//! * [`proportional_routing`] — Proposition 7's walk written out, the
-//!   distributed alternative whenever the LSs a state activates sort
-//!   topologically, identical to FFC's local rescaling (tests hold
-//!   [`realize_routing`] to it);
-//! * [`topological_order`] — the order of that walk under one LS
-//!   activation, and the sortability check of §5.2.
+//!   (Proposition 5: an invertible M-matrix), densified: the reference
+//!   tests and probes solve against;
+//! * [`Realizer`] — the one realization path ([`realize_routing`] is one
+//!   call of a fresh one): solves `M × U = D` (Proposition 6) by
+//!   Proposition 7's walk and expands `U` into tunnel flows and arc loads.
+//!   Row `p` of `M × U = D` reads `u_p · diagonal_p = served_p + Σ u_o ·
+//!   b_q` over the active LSs `q` of owners `o` that use `p` as a segment,
+//!   so visiting the pairs greatest first, in the order a strongly
+//!   connected component pass gives each LS activation, is substitution;
+//!   a component with a cycle is one block of `M`, solved by LU
+//!   ([`Routing::bump`] counts its rows). The degradation ladder's rescale
+//!   stage walks the same order;
+//! * [`topological_order`] — that order over every pair when it has no
+//!   cycle: the sortability check of §5.2.
 
 use crate::instance::{Instance, LsId, PairId, TunnelId};
-use pcf_lp::{DenseMatrix, PeelOrder, SparseLu};
+use pcf_lp::{DenseMatrix, SparseLu};
 use pcf_topology::LinkId;
 
 /// Which tunnels are alive and which LSs are active under a concrete
@@ -279,104 +256,10 @@ pub fn pairs_of_interest(
 }
 
 /// Assembles the reservation matrix `M` (Fig. 7 of the paper) over the
-/// given pairs of interest: diagonal = live reservation of the pair,
-/// off-diagonal `(ij, mn) = -Σ b_q` over active LSs of `(m,n)` that use
-/// `(i,j)` as a segment. Calls `add(row, col, term)` row by row in
-/// ascending order, once per diagonal and once per LS term, the LSs
-/// sharing one cell back to back in LS order.
-fn for_each_reservation(
-    inst: &Instance,
-    state: &FailureState,
-    a: &[f64],
-    b: &[f64],
-    pairs: &[PairId],
-    mut add: impl FnMut(usize, usize, f64),
-) {
-    const ABSENT: usize = usize::MAX;
-    let mut position = vec![ABSENT; inst.num_pairs()];
-    for (i, &p) in pairs.iter().enumerate() {
-        position[p.0] = i;
-    }
-    for (i, &p) in pairs.iter().enumerate() {
-        add(i, i, diagonal(inst, state, a, b, p));
-        for q in state.active_segments(inst, p) {
-            let j = position[inst.ls_pair(q).0];
-            if b[q.0] > 0.0 && j != ABSENT && j != i {
-                add(i, j, -b[q.0]);
-            }
-        }
-    }
-}
-
-/// Pair `p`'s live reservation as `M`'s diagonal holds it: its live
-/// tunnels' `a`, then its active LSs' `b`, added in that order to `0.0`.
-fn diagonal(inst: &Instance, state: &FailureState, a: &[f64], b: &[f64], p: PairId) -> f64 {
-    let mut diag = 0.0;
-    for l in state.live_tunnels(inst, p) {
-        diag += a[l.0];
-    }
-    for q in state.active_lss(inst, p) {
-        diag += b[q.0];
-    }
-    diag
-}
-
-/// `M` as the flat CSC `SparseLu::factor_columns` takes: column `j` is
-/// `entries[col_start[j]..col_start[j + 1]]`, `(row, value)` with rows
-/// ascending because rows are emitted in ascending order. The emitted
-/// terms are bucketed by column (a stable counting sort), then a term
-/// whose row repeats its column's previous one is added to that cell —
-/// exactly the additions, in exactly the order, that [`reservation_matrix`]
-/// performs.
-fn reservation_csc(
-    inst: &Instance,
-    state: &FailureState,
-    a: &[f64],
-    b: &[f64],
-    pairs: &[PairId],
-) -> (Vec<usize>, Vec<(u32, f64)>) {
-    let n = pairs.len();
-    let mut emitted: Vec<(u32, u32, f64)> = Vec::new();
-    for_each_reservation(inst, state, a, b, pairs, |i, j, v| {
-        emitted.push((i as u32, j as u32, v))
-    });
-    // Count into `col_start[j + 1]`, prefix-sum, place (advancing
-    // `col_start[j]` to the end of column `j`), shift back into place.
-    let mut col_start = vec![0usize; n + 1];
-    for &(_, j, _) in &emitted {
-        col_start[j as usize + 1] += 1;
-    }
-    for j in 0..n {
-        col_start[j + 1] += col_start[j];
-    }
-    let mut entries = vec![(0u32, 0.0f64); emitted.len()];
-    for &(i, j, v) in &emitted {
-        entries[col_start[j as usize]] = (i, v);
-        col_start[j as usize] += 1;
-    }
-    col_start.copy_within(0..n, 1);
-    col_start[0] = 0;
-    // Merge repeated cells in place.
-    let mut kept = 0;
-    for j in 0..n {
-        let (lo, hi) = (col_start[j], col_start[j + 1]);
-        col_start[j] = kept;
-        for k in lo..hi {
-            let (i, v) = entries[k];
-            if kept > col_start[j] && entries[kept - 1].0 == i {
-                entries[kept - 1].1 += v;
-            } else {
-                entries[kept] = (i, v);
-                kept += 1;
-            }
-        }
-    }
-    col_start[n] = kept;
-    entries.truncate(kept);
-    (col_start, entries)
-}
-
-/// The same assembly densified — what the paper prints as Fig. 7. A
+/// given pairs of interest, densified — what the paper prints as Fig. 7:
+/// diagonal = live reservation of the pair (its live tunnels' `a`, then its
+/// active LSs' `b`, added in that order to `0.0`), off-diagonal `(ij, mn)
+/// = -Σ b_q` over active LSs of `(m,n)` that use `(i,j)` as a segment. A
 /// reference for tests and probes: no realization path builds it.
 pub fn reservation_matrix(
     inst: &Instance,
@@ -385,10 +268,28 @@ pub fn reservation_matrix(
     b: &[f64],
     pairs: &[PairId],
 ) -> DenseMatrix {
+    const ABSENT: usize = usize::MAX;
+    let mut position = vec![ABSENT; inst.num_pairs()];
+    for (i, &p) in pairs.iter().enumerate() {
+        position[p.0] = i;
+    }
     let mut m = DenseMatrix::zeros(pairs.len());
-    for_each_reservation(inst, state, a, b, pairs, |i, j, v| {
-        m.set(i, j, m.get(i, j) + v)
-    });
+    for (i, &p) in pairs.iter().enumerate() {
+        let mut diag = 0.0;
+        for l in state.live_tunnels(inst, p) {
+            diag += a[l.0];
+        }
+        for q in state.active_lss(inst, p) {
+            diag += b[q.0];
+        }
+        m.set(i, i, diag);
+        for q in state.active_segments(inst, p) {
+            let j = position[inst.ls_pair(q).0];
+            if b[q.0] > 0.0 && j != ABSENT && j != i {
+                m.set(i, j, m.get(i, j) - b[q.0]);
+            }
+        }
+    }
     m
 }
 
@@ -404,9 +305,10 @@ pub struct Routing {
     pub tunnel_flow: Vec<f64>,
     /// Load per directed arc.
     pub arc_loads: Vec<f64>,
-    /// Rows of `M` the factorization had to eliminate (`SparseLu::bump`):
-    /// `0` when substitution alone — Prop. 7's walk — produced `u`, and
-    /// for routings no linear system produced.
+    /// Rows of `M` solved in cyclic blocks, the LU elimination each block
+    /// needed (`SparseLu::bump`): `0` when Prop. 7's walk alone produced
+    /// `u` — every state whose active LSs sort — and for routings no linear
+    /// system produced.
     pub bump: usize,
 }
 
@@ -439,10 +341,10 @@ pub fn absolute_tolerance(served: &[f64], tol: f64) -> f64 {
 /// something survived but carries no reservation (a plan deficiency).
 ///
 /// The two keep their own sums: the diagonal adds the live `a`s, then the
-/// active `b`s, to `0.0`, as [`diagonal`] does; the filter compares the
-/// `a`s' sum plus the `b`s' sum. Where either sum starts (`+0.0` here,
-/// `Iterator::sum`'s own zero in the reference filter) changes at most the
-/// sign of a zero, which the comparison does not see.
+/// active `b`s, to `0.0`, as [`reservation_matrix`] does; the filter
+/// compares the `a`s' sum plus the `b`s' sum. Where either sum starts
+/// (`+0.0` here, `Iterator::sum`'s own zero in the reference filter)
+/// changes at most the sign of a zero, which the comparison does not see.
 fn live_diagonal(
     inst: &Instance,
     state: &FailureState,
@@ -487,8 +389,8 @@ fn not_skipped(x: f64) -> bool {
     x > 0.0 || x.is_nan()
 }
 
-/// The live filter as the realization chain before [`live_diagonal`] ran
-/// it: its own walk, apart from the diagonal's.
+/// The live filter as its own walk, apart from the diagonal's: the
+/// reference [`live_diagonal`] is held to.
 #[cfg(test)]
 fn keeps(
     inst: &Instance,
@@ -511,9 +413,9 @@ fn keeps(
     Ok(false)
 }
 
-/// The pairs the linear system is solved over, as the realization chain
-/// before [`Realizer`] selected them: the [`pairs_of_interest`] that hold
-/// a live reservation, the first violation erroring (see [`keeps`]).
+/// The pairs the linear system is solved over, selected the reference
+/// way: the [`pairs_of_interest`] that hold a live reservation, the first
+/// violation erroring (see [`keeps`]).
 #[cfg(test)]
 fn live_pairs(
     inst: &Instance,
@@ -590,12 +492,13 @@ pub(crate) fn expand_by_arc(
 }
 
 /// Realizes the routing for a concrete failure by solving the linear system
-/// `M × U = D` (paper §4.1, Propositions 5–6).
+/// `M × U = D` (paper §4.1, Propositions 5–7).
 ///
-/// Selects the live pairs, assembles `M` as one flat CSC, factors it,
-/// substitutes in place (the demand vector becoming `U`), range-checks `U`
-/// and expands it into loads. The result reads the failure state only
-/// through its liveness signature (and `a`, which degradation rescales).
+/// Selects the live pairs, walks them greatest first — substitution for a
+/// pair alone in its strongly connected component, one LU solve per
+/// component with a cycle — range-checks `U` and expands it into loads.
+/// The result reads the failure state only through its liveness signature
+/// (and `a`, which degradation rescales).
 ///
 /// `served[p]` is the traffic the pair must deliver (`z_p · d_p`). The
 /// tolerance `tol` accepts small numerical overshoot of `U` beyond `[0,1]`.
@@ -612,27 +515,180 @@ pub fn realize_routing(
     Realizer::new(inst, b, served, tol).realize(state, a)
 }
 
+/// Strongly connected components of a relation on `0..n` whose node `v`
+/// has the edges `edge_start[v]..edge_start[v + 1]`, edge `e` leading to
+/// `target(e)` (Tarjan's algorithm, iterative): the nodes component after
+/// component, and each component's start in them. Greatest first: every
+/// component comes before each component an edge from it reaches, so a
+/// relation without cycles comes out as a topological order of
+/// singletons. Roots are tried in ascending order and edges in their
+/// listed order, so the result is a function of the input alone.
+fn condensation(
+    n: usize,
+    edge_start: &[usize],
+    target: impl Fn(usize) -> usize,
+) -> (Vec<u32>, Vec<usize>) {
+    const UNSEEN: u32 = u32::MAX;
+    let (mut index, mut low, mut on_stack) = (vec![UNSEEN; n], vec![0u32; n], vec![false; n]);
+    // Tarjan's stack, and the depth-first path as (node, next edge).
+    let (mut stack, mut path): (Vec<u32>, Vec<(u32, usize)>) = (Vec::new(), Vec::new());
+    // Components as Tarjan closes them, least first.
+    let (mut order, mut sizes) = (Vec::with_capacity(n), Vec::new());
+    let mut seen = 0;
+    for root in 0..n {
+        let mut next = (index[root] == UNSEEN).then_some(root);
+        loop {
+            if let Some(v) = next.take() {
+                (index[v], low[v], on_stack[v]) = (seen, seen, true);
+                seen += 1;
+                stack.push(v as u32);
+                path.push((v as u32, edge_start[v]));
+            }
+            let Some((v, e)) = path.last_mut() else { break };
+            let v = *v as usize;
+            if *e < edge_start[v + 1] {
+                let w = target(*e);
+                *e += 1;
+                if index[w] == UNSEEN {
+                    next = Some(w);
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            path.pop();
+            if let Some(&(parent, _)) = path.last() {
+                low[parent as usize] = low[parent as usize].min(low[v]);
+            }
+            if low[v] == index[v] {
+                let from = order.len();
+                while let Some(w) = stack.pop() {
+                    on_stack[w as usize] = false;
+                    order.push(w);
+                    if w as usize == v {
+                        break;
+                    }
+                }
+                sizes.push(order.len() - from);
+            }
+        }
+    }
+    order.reverse();
+    let mut start = vec![0];
+    for size in sizes.into_iter().rev() {
+        start.push(start[start.len() - 1] + size);
+    }
+    (order, start)
+}
+
+/// The walk under one LS activation: the pairs of interest, the relation
+/// among them — an active LS of a pair with positive reservation passes
+/// the pair's traffic on to each of its segments, as `M`'s off-diagonal
+/// terms do — and its components, greatest first.
+#[derive(Debug)]
+struct WalkOrder {
+    /// The activation the order was built under.
+    ls_active: Vec<bool>,
+    /// [`pairs_of_interest`], ascending; the walk indexes them.
+    pairs: Vec<PairId>,
+    /// Pair `i` passes traffic on along
+    /// `edges[edge_start[i]..edge_start[i + 1]]`: `(segment's index, b_q)`
+    /// for each segment of each active LS of the pair with `b_q > 0`, in
+    /// LS then hop order. A segment outside the pairs of interest, or the
+    /// pair itself, is left out, as `M` leaves it out.
+    edge_start: Vec<usize>,
+    edges: Vec<(u32, f64)>,
+    /// [`condensation`] of the relation.
+    order: Vec<u32>,
+    start: Vec<usize>,
+}
+
+impl WalkOrder {
+    fn new(
+        inst: &Instance,
+        state: &FailureState,
+        served: &[f64],
+        b: &[f64],
+        tol_abs: f64,
+    ) -> WalkOrder {
+        const ABSENT: u32 = u32::MAX;
+        let pairs = pairs_of_interest(inst, state, served, b, tol_abs);
+        let mut position = vec![ABSENT; inst.num_pairs()];
+        for (i, &p) in pairs.iter().enumerate() {
+            position[p.0] = i as u32;
+        }
+        let (mut edge_start, mut edges) = (vec![0], Vec::new());
+        for (i, &p) in pairs.iter().enumerate() {
+            for q in state.active_lss(inst, p).filter(|q| b[q.0] > 0.0) {
+                for &sp in inst.segment_pairs(q) {
+                    let s = position[sp.0];
+                    if s != ABSENT && s as usize != i {
+                        edges.push((s, b[q.0]));
+                    }
+                }
+            }
+            edge_start.push(edges.len());
+        }
+        let (order, start) = condensation(pairs.len(), &edge_start, |e| edges[e].0 as usize);
+        WalkOrder {
+            ls_active: state.ls_active.clone(),
+            pairs,
+            edge_start,
+            edges,
+            order,
+            start,
+        }
+    }
+
+    fn edges_of(&self, i: usize) -> &[(u32, f64)] {
+        &self.edges[self.edge_start[i]..self.edge_start[i + 1]]
+    }
+
+    /// Proposition 7's walk over `demand`, indexed like
+    /// [`WalkOrder::pairs`] and holding each pair's served demand, greatest
+    /// component first. A pair alone in its component is asked
+    /// `single(pair, demand + obligations so far)` for its utilization,
+    /// which replaces its demand and passes `u · b_q` on to each segment
+    /// (`None`: the pair carries nothing, `u = 0`, and passes nothing on).
+    /// A component with a cycle goes to `block(members, demand)`, which
+    /// solves it and passes its traffic on.
+    fn walk(
+        &self,
+        demand: &mut [f64],
+        mut single: impl FnMut(usize, f64) -> Result<Option<f64>, RealizeError>,
+        mut block: impl FnMut(&[u32], &mut [f64]) -> Result<(), RealizeError>,
+    ) -> Result<(), RealizeError> {
+        for members in self.start.windows(2).map(|w| &self.order[w[0]..w[1]]) {
+            let &[i] = members else {
+                block(members, demand)?;
+                continue;
+            };
+            let i = i as usize;
+            let Some(u) = single(i, demand[i])? else {
+                demand[i] = 0.0;
+                continue;
+            };
+            demand[i] = u;
+            for &(s, bq) in self.edges_of(i) {
+                demand[s as usize] += u * bq;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Realizes failure states of one plan (`b`, `served`, `tol`; `a` comes
-/// with each state, since degradation rescales it), building what states
-/// share once.
+/// with each state, since degradation rescales it), ordering each LS
+/// activation once.
 ///
-/// `M`'s pattern depends only on which LSs are active and which pairs the
-/// live filter keeps: off-diagonal cells are sums of `-b` terms, and a
-/// failure changes only the diagonal values. So a **pattern** is built
-/// once — the pairs of interest and the LS activation they were selected
-/// under, the live pairs, `M`'s flat CSC with each diagonal's entry, and
-/// the singleton peel's pivot order ([`PeelOrder`]) — and a state whose
-/// `ls_active` equals the pattern's, and whose pairs of interest all get
-/// the pattern's keep/drop decision from the live filter, is realized by
-/// a **numeric replay**: its diagonals recomputed as the assembly sums
-/// them, then the substitution `factor_columns` + `ftran_in_place` would
-/// run. Any other state rebuilds the pattern for itself. A pattern that
-/// leaves a bump (cyclic LS sets) records no order, and a replay whose
-/// recorded pivot falls below the singleton tolerance is refused; either
-/// way the state is factored from scratch, Markowitz elimination
-/// included. Every result, error or routing, is bit for bit the one the
-/// chain built per state (pair selection, assembly, factorization,
-/// substitution) returns.
+/// The pairs of interest and the relation the walk follows depend only on
+/// which LSs are active, so the realizer keeps the walk order of the last
+/// activation it saw and rebuilds it only when a state's activation
+/// differs. Each state then pays one pass over the pairs of interest (the
+/// live filter's decision and `M`'s diagonal), the walk — a cyclic
+/// component's block of `M`, over the members the filter keeps, factored
+/// by `SparseLu::factor_columns` — and the expansion. Every result, error
+/// or routing, is bit for bit the one a fresh realizer returns.
 #[derive(Debug)]
 pub struct Realizer<'a> {
     inst: &'a Instance,
@@ -640,73 +696,101 @@ pub struct Realizer<'a> {
     served: &'a [f64],
     tol: f64,
     tol_abs: f64,
-    /// The pairs of interest and the LS activation they were selected
-    /// under.
-    selection: Option<Selection>,
-    /// `M`'s pattern over the selection; `None` when stale.
-    pattern: Option<Pattern>,
-    /// The live filter's decision on each pair of interest, this state.
-    keep: Vec<bool>,
-    /// `M`'s diagonal for each pair the filter keeps, this state.
-    diagonals: Vec<f64>,
-    scratch: Vec<f64>,
-    builds: usize,
-    factorizations: usize,
+    /// The walk order under the last state's activation.
+    order: Option<WalkOrder>,
+    /// `M`'s diagonal on each pair of interest the live filter keeps
+    /// (`None`: dropped), this state.
+    diagonal: Vec<Option<f64>>,
+    /// Each pair of interest's demand, then its utilization.
+    demand: Vec<f64>,
+    block: Block,
+    orders: usize,
 }
 
-/// [`pairs_of_interest`] under one LS activation.
-#[derive(Debug)]
-struct Selection {
-    ls_active: Vec<bool>,
-    interest: Vec<PairId>,
-}
-
-/// `M` over the pairs of interest the live filter keeps.
-#[derive(Debug)]
-struct Pattern {
-    /// The live filter's decision on each pair of interest.
-    keep: Vec<bool>,
-    pairs: Vec<PairId>,
+/// The workspace of a cyclic component's solve.
+#[derive(Debug, Default)]
+struct Block {
+    /// Each pair of interest's column in the block; `u32::MAX` outside it.
+    slot: Vec<u32>,
     col_start: Vec<usize>,
-    /// `(row, value)`; the off-diagonal values are the pattern's own, the
-    /// diagonal ones are rewritten for every state.
     entries: Vec<(u32, f64)>,
-    /// The entry holding each pair's diagonal.
-    diagonal: Vec<usize>,
-    /// `None`: the peel leaves a bump.
-    order: Option<PeelOrder>,
+    x: Vec<f64>,
+    scratch: Vec<f64>,
 }
 
-impl Pattern {
-    fn build(
-        inst: &Instance,
-        state: &FailureState,
-        a: &[f64],
-        b: &[f64],
-        keep: &[bool],
-        interest: &[PairId],
-    ) -> Pattern {
-        let pairs: Vec<PairId> = (interest.iter().zip(keep))
-            .filter(|&(_, &k)| k)
-            .map(|(&p, _)| p)
-            .collect();
-        let (col_start, entries) = reservation_csc(inst, state, a, b, &pairs);
-        // Rows ascend within a column, and every pair has its diagonal.
-        let diagonal = (0..pairs.len())
-            .map(|j| {
-                let col = &entries[col_start[j]..col_start[j + 1]];
-                col_start[j] + col.partition_point(|&(i, _)| (i as usize) < j)
-            })
-            .collect();
-        let order = PeelOrder::record(pairs.len(), &col_start, &entries);
-        Pattern {
-            keep: keep.to_vec(),
-            pairs,
-            col_start,
-            entries,
-            diagonal,
-            order,
+impl Block {
+    /// Solves `M`'s block over the kept `members` of one component for
+    /// their demands in place (a dropped member's becomes `0.0`), then
+    /// passes each kept member's traffic on to the segments outside the
+    /// block. Returns the rows the factorization eliminated.
+    fn solve(
+        &mut self,
+        order: &WalkOrder,
+        members: &[u32],
+        diagonal: &[Option<f64>],
+        demand: &mut [f64],
+    ) -> Result<usize, RealizeError> {
+        const OUT: u32 = u32::MAX;
+        self.slot.resize(order.pairs.len(), OUT);
+        let mut n = 0;
+        for &j in members {
+            if diagonal[j as usize].is_some() {
+                self.slot[j as usize] = n;
+                n += 1;
+            } else {
+                demand[j as usize] = 0.0;
+            }
         }
+        self.col_start.clear();
+        self.entries.clear();
+        self.x.clear();
+        self.col_start.push(0);
+        for &j in members {
+            let Some(diag) = diagonal[j as usize] else {
+                continue;
+            };
+            let col = self.entries.len();
+            self.entries.push((self.slot[j as usize], diag));
+            for &(s, bq) in order.edges_of(j as usize) {
+                if self.slot[s as usize] != OUT {
+                    self.entries.push((self.slot[s as usize], -bq));
+                }
+            }
+            // Rows ascending; a row's repeated terms added in LS order.
+            self.entries[col..].sort_by_key(|&(i, _)| i);
+            let mut merged = col;
+            for k in col..self.entries.len() {
+                let (i, v) = self.entries[k];
+                if merged > col && self.entries[merged - 1].0 == i {
+                    self.entries[merged - 1].1 += v;
+                } else {
+                    self.entries[merged] = (i, v);
+                    merged += 1;
+                }
+            }
+            self.entries.truncate(merged);
+            self.col_start.push(merged);
+            self.x.push(demand[j as usize]);
+        }
+        let lu = SparseLu::factor_columns(n as usize, &self.col_start, &self.entries);
+        if let Ok(lu) = &lu {
+            lu.ftran_in_place(&mut self.x, &mut self.scratch);
+            let members = members.iter().map(|&j| j as usize);
+            for j in members.filter(|&j| self.slot[j] != OUT) {
+                let u = self.x[self.slot[j] as usize];
+                demand[j] = u;
+                for &(s, bq) in order.edges_of(j) {
+                    if self.slot[s as usize] == OUT {
+                        demand[s as usize] += u * bq;
+                    }
+                }
+            }
+        }
+        for &j in members {
+            self.slot[j as usize] = OUT;
+        }
+        lu.map(|lu| lu.bump())
+            .map_err(|_| RealizeError::SingularMatrix)
     }
 }
 
@@ -720,95 +804,59 @@ impl<'a> Realizer<'a> {
             served,
             tol,
             tol_abs: absolute_tolerance(served, tol),
-            selection: None,
-            pattern: None,
-            keep: Vec::new(),
-            diagonals: Vec::new(),
-            scratch: Vec::new(),
-            builds: 0,
-            factorizations: 0,
+            order: None,
+            diagonal: Vec::new(),
+            demand: Vec::new(),
+            block: Block::default(),
+            orders: 0,
         }
     }
 
-    /// Patterns built so far.
+    /// Walk orders built so far: one per change of LS activation.
     #[cfg(test)]
-    pub(crate) fn builds(&self) -> usize {
-        self.builds
-    }
-
-    /// States factored from scratch so far (no recorded order, or one
-    /// refused).
-    #[cfg(test)]
-    pub(crate) fn factorizations(&self) -> usize {
-        self.factorizations
+    pub(crate) fn orders(&self) -> usize {
+        self.orders
     }
 
     /// [`realize_routing`] of `state` with reservations `a`.
     pub fn realize(&mut self, state: &FailureState, a: &[f64]) -> Result<Routing, RealizeError> {
         let (inst, b, served, tol_abs) = (self.inst, self.b, self.served, self.tol_abs);
-        if self
-            .selection
-            .as_ref()
-            .is_some_and(|s| s.ls_active != state.ls_active)
-        {
-            self.selection = None;
-            self.pattern = None;
+        if (self.order.as_ref()).is_some_and(|o| o.ls_active != state.ls_active) {
+            self.order = None;
         }
-        let selection = self.selection.get_or_insert_with(|| Selection {
-            ls_active: state.ls_active.clone(),
-            interest: pairs_of_interest(inst, state, served, b, tol_abs),
+        let orders = &mut self.orders;
+        let order = self.order.get_or_insert_with(|| {
+            *orders += 1;
+            WalkOrder::new(inst, state, served, b, tol_abs)
         });
-        self.keep.clear();
-        self.diagonals.clear();
-        for &p in &selection.interest {
+        self.diagonal.clear();
+        self.demand.clear();
+        let mut kept = 0;
+        for &p in &order.pairs {
             let diagonal = live_diagonal(inst, state, a, b, served, tol_abs, p)?;
-            self.keep.push(diagonal.is_some());
-            self.diagonals.extend(diagonal);
+            kept += usize::from(diagonal.is_some());
+            self.diagonal.push(diagonal);
+            self.demand.push(served[p.0]);
         }
-        if self
-            .pattern
-            .as_ref()
-            .is_some_and(|pat| pat.keep != self.keep)
-        {
-            self.pattern = None;
+        let (diagonal, block) = (&self.diagonal, &mut self.block);
+        let mut bump = 0;
+        order.walk(
+            &mut self.demand,
+            |i, demand| Ok(diagonal[i].map(|diag| demand / diag)),
+            |members, demand| {
+                bump += block.solve(order, members, diagonal, demand)?;
+                Ok(())
+            },
+        )?;
+        let (mut pairs, mut u) = (Vec::with_capacity(kept), Vec::with_capacity(kept));
+        for ((&p, diag), &ui) in order.pairs.iter().zip(diagonal).zip(&self.demand) {
+            if diag.is_some() {
+                pairs.push(p);
+                u.push(ui);
+            }
         }
-        let pattern = match &mut self.pattern {
-            Some(pattern) => {
-                for (&at, &diagonal) in pattern.diagonal.iter().zip(&self.diagonals) {
-                    pattern.entries[at].1 = diagonal;
-                }
-                pattern
-            }
-            slot => {
-                self.builds += 1;
-                slot.insert(Pattern::build(
-                    inst,
-                    state,
-                    a,
-                    b,
-                    &self.keep,
-                    &selection.interest,
-                ))
-            }
-        };
-        let mut u: Vec<f64> = pattern.pairs.iter().map(|&p| served[p.0]).collect();
-        let replayed = pattern.order.as_ref().is_some_and(|order| {
-            order
-                .solve(&pattern.entries, &mut u, &mut self.scratch)
-                .is_ok()
-        });
-        let bump = if replayed {
-            0
-        } else {
-            self.factorizations += 1;
-            let n = pattern.pairs.len();
-            let lu = SparseLu::factor_columns(n, &pattern.col_start, &pattern.entries)
-                .map_err(|_| RealizeError::SingularMatrix)?;
-            lu.ftran_in_place(&mut u, &mut self.scratch);
-            lu.bump()
-        };
-        let u = check_utilizations(&pattern.pairs, u, self.tol)?;
-        let mut routing = expand_by_arc(inst, state, a, pattern.pairs.clone(), u);
+        let u = check_utilizations(&pairs, u, self.tol)?;
+        let mut routing = expand_by_arc(inst, state, a, pairs, u);
         routing.bump = bump;
         Ok(routing)
     }
@@ -865,84 +913,37 @@ fn check_utilizations(
 /// pair above its segments. All `true` asks whether the relation sorts
 /// whatever the conditions.
 ///
-/// Returns the pair order (greatest first) or `None` when the relation is
-/// cyclic.
+/// Returns the pair order (greatest first) — the walk's components when
+/// every one is a single pair — or `None` when the relation is cyclic,
+/// a pair serving itself included.
 pub fn topological_order(inst: &Instance, b: &[f64], active: &[bool]) -> Option<Vec<PairId>> {
-    let n = inst.num_pairs();
-    // Edge (p -> segment pair) for each LS of p.
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indeg = vec![0usize; n];
-    for q in inst.ls_ids() {
-        if !active[q.0] || b[q.0] <= 0.0 {
-            continue;
-        }
-        let owner = inst.ls_pair(q);
-        for &sp in inst.segment_pairs(q) {
-            if sp != owner {
-                adj[owner.0].push(sp.0);
-                indeg[sp.0] += 1;
-            } else {
-                return None; // self-loop: a pair serving itself
+    let (mut edge_start, mut targets) = (vec![0], Vec::new());
+    for p in inst.pair_ids() {
+        for &q in inst.lss_of(p) {
+            if active[q.0] && b[q.0] > 0.0 {
+                for &sp in inst.segment_pairs(q) {
+                    if sp == p {
+                        return None;
+                    }
+                    targets.push(sp.0);
+                }
             }
         }
+        edge_start.push(targets.len());
     }
-    let mut order = Vec::with_capacity(n);
-    let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    // Deterministic order.
-    queue.sort_unstable();
-    while let Some(i) = queue.pop() {
-        order.push(PairId(i));
-        for &j in &adj[i] {
-            indeg[j] -= 1;
-            if indeg[j] == 0 {
-                queue.push(j);
-            }
-        }
-    }
-    if order.len() == n {
-        Some(order)
-    } else {
-        None
-    }
+    let (order, start) = condensation(inst.num_pairs(), &edge_start, |e| targets[e]);
+    (order.len() + 1 == start.len()).then(|| order.iter().map(|&i| PairId(i as usize)).collect())
 }
 
-/// Local proportional routing (paper §4.2, Proposition 7): traffic of each
-/// pair is split over its live tunnels and active LSs in proportion to the
-/// reservations; LS traffic recursively becomes segment obligations.
-///
-/// Requires the LSs active in `state` to be topologically sortable;
-/// returns the same [`Routing`] as [`realize_routing`] (Proposition 7
-/// states the two agree).
-pub fn proportional_routing(
-    inst: &Instance,
-    state: &FailureState,
-    a: &[f64],
-    b: &[f64],
-    served: &[f64],
-    tol: f64,
-) -> Result<Routing, RealizeError> {
-    let tol_abs = absolute_tolerance(served, tol);
-    prop7_walk(inst, state, a, b, served, tol_abs, |p, demand, reserved| {
-        if reserved <= tol_abs {
-            return Err(no_reservation_kind(inst, state, p));
-        }
-        let u = demand / reserved;
-        if u > 1.0 + tol {
-            return Err(RealizeError::UtilizationOutOfRange { pair: p, u });
-        }
-        Ok(u.min(1.0))
-    })
-}
-
-/// Proposition 7's walk, shared by [`proportional_routing`] and the
-/// degradation ladder's rescale stage. Pairs are visited in the
-/// topological order of the LSs `state` activates; at each pair of
-/// interest asked to carry `demand` (its served demand plus the
-/// obligations of LSs already walked) over a live reservation of
-/// `reserved`, `utilization(pair, demand, reserved)` decides the fraction
-/// of the reservation to use — or aborts the walk — and that fraction of
-/// every active LS reservation becomes segment obligations.
-/// `CyclicActivation` when that relation has no topological order.
+/// Proposition 7's walk for the degradation ladder's rescale stage, over
+/// the order a [`Realizer`] walks: at each pair of interest asked to carry
+/// `demand` (its served demand plus the obligations of the pairs walked
+/// before it) beyond noise, over a live reservation of `reserved`,
+/// `utilization(pair, demand, reserved)` decides the fraction of the
+/// reservation to use — or aborts the walk — and that fraction of every
+/// active LS reservation becomes segment obligations.
+/// `CyclicActivation` when the LSs `state` activates have no topological
+/// order ([`topological_order`]): the stage solves no block.
 pub(crate) fn prop7_walk(
     inst: &Instance,
     state: &FailureState,
@@ -952,43 +953,25 @@ pub(crate) fn prop7_walk(
     tol_abs: f64,
     mut utilization: impl FnMut(PairId, f64, f64) -> Result<f64, RealizeError>,
 ) -> Result<Routing, RealizeError> {
-    let order =
-        topological_order(inst, b, &state.ls_active).ok_or(RealizeError::CyclicActivation)?;
-    let pairs = pairs_of_interest(inst, state, served, b, tol_abs);
-    let in_p = {
-        let mut v = vec![false; inst.num_pairs()];
-        for &p in &pairs {
-            v[p.0] = true;
-        }
-        v
-    };
-    let mut u_all = vec![0.0f64; inst.num_pairs()];
-    // Obligation accumulated on each pair from LSs processed so far.
-    let mut obligation = vec![0.0f64; inst.num_pairs()];
-    for &p in &order {
-        if !in_p[p.0] {
-            continue;
-        }
-        let demand_here = served[p.0] + obligation[p.0];
-        if demand_here <= tol_abs {
-            continue;
-        }
-        let reserved: f64 = state.live_tunnels(inst, p).map(|l| a[l.0]).sum::<f64>()
-            + state.active_lss(inst, p).map(|q| b[q.0]).sum::<f64>();
-        let u = utilization(p, demand_here, reserved)?;
-        u_all[p.0] = u;
-        // Traffic sent down each active LS becomes segment obligations.
-        for q in state.active_lss(inst, p) {
-            let flow = u * b[q.0];
-            if flow > 0.0 {
-                for &sp in inst.segment_pairs(q) {
-                    obligation[sp.0] += flow;
-                }
-            }
-        }
+    if topological_order(inst, b, &state.ls_active).is_none() {
+        return Err(RealizeError::CyclicActivation);
     }
-    let u: Vec<f64> = pairs.iter().map(|&p| u_all[p.0]).collect();
-    Ok(expand_by_arc(inst, state, a, pairs, u))
+    let order = WalkOrder::new(inst, state, served, b, tol_abs);
+    let mut demand: Vec<f64> = order.pairs.iter().map(|&p| served[p.0]).collect();
+    order.walk(
+        &mut demand,
+        |i, demand| {
+            if demand <= tol_abs {
+                return Ok(None);
+            }
+            let p = order.pairs[i];
+            let reserved: f64 = state.live_tunnels(inst, p).map(|l| a[l.0]).sum::<f64>()
+                + state.active_lss(inst, p).map(|q| b[q.0]).sum::<f64>();
+            utilization(p, demand, reserved).map(Some)
+        },
+        |_, _| Err(RealizeError::CyclicActivation),
+    )?;
+    Ok(expand_by_arc(inst, state, a, order.pairs, demand))
 }
 
 #[cfg(test)]
@@ -1014,9 +997,10 @@ mod tests {
         t
     }
 
-    /// The realization chain as it ran before [`Realizer`], frozen: live
-    /// pairs, assembly, factorization, substitution and expansion, all
-    /// built afresh for every state. The differential tests' reference.
+    /// The reference realization: the live pairs selected by their own
+    /// filter, `M` densified ([`reservation_matrix`]) and solved by
+    /// `pcf_lp::lu_factor`, the range check, and the hop walk's loads;
+    /// `bump` is the live pairs on a cycle of `M`'s off-diagonal pattern.
     fn reference_realize(
         inst: &Instance,
         state: &FailureState,
@@ -1026,37 +1010,84 @@ mod tests {
         tol: f64,
     ) -> Result<Routing, RealizeError> {
         let pairs = live_pairs(inst, state, a, b, served, absolute_tolerance(served, tol))?;
-        let (col_start, entries) = reservation_csc(inst, state, a, b, &pairs);
-        let lu = SparseLu::factor_columns(pairs.len(), &col_start, &entries)
-            .map_err(|_| RealizeError::SingularMatrix)?;
-        let mut u: Vec<f64> = pairs.iter().map(|&p| served[p.0]).collect();
-        lu.ftran_in_place(&mut u, &mut Vec::new());
-        let u = check_utilizations(&pairs, u, tol)?;
+        let m = reservation_matrix(inst, state, a, b, &pairs);
+        let d: Vec<f64> = pairs.iter().map(|&p| served[p.0]).collect();
+        let lu = pcf_lp::lu_factor(&m).map_err(|_| RealizeError::SingularMatrix)?;
+        let u = check_utilizations(&pairs, lu.solve(&d), tol)?;
         let (tunnel_flow, arc_loads) = hop_walk_loads(inst, state, a, &pairs, &u);
         Ok(Routing {
             pairs,
             u,
             tunnel_flow,
             arc_loads,
-            bump: lu.bump(),
+            bump: rows_on_cycles(&m),
         })
     }
 
-    /// Every field of a realization, floats as bits (an error's `u` by its
-    /// exact `Debug` text): two results are the same iff these are equal.
-    #[expect(clippy::type_complexity, reason = "used once; a name adds nothing")]
-    fn outcome_bits(
-        r: &Result<Routing, RealizeError>,
-    ) -> Result<(Vec<PairId>, [Vec<u64>; 3], usize), String> {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
-        match r {
-            Ok(r) => Ok((
-                r.pairs.clone(),
-                [bits(&r.u), bits(&r.tunnel_flow), bits(&r.arc_loads)],
-                r.bump,
-            )),
-            Err(e) => Err(format!("{e:?}")),
+    /// Rows of `m` that lie on a cycle of its off-diagonal pattern.
+    fn rows_on_cycles(m: &DenseMatrix) -> usize {
+        let edge = |i: usize, j: usize| i != j && m.get(i, j).abs() > 0.0;
+        // Rows with no edge into or out of the rows left are on no cycle.
+        let mut left: Vec<usize> = (0..m.n()).collect();
+        loop {
+            let before = left.clone();
+            left.retain(|&i| {
+                before.iter().any(|&j| edge(i, j)) && before.iter().any(|&j| edge(j, i))
+            });
+            if left.len() == before.len() {
+                break;
+            }
         }
+        let on_cycle = |i: usize| {
+            let (mut seen, mut stack) = (vec![false; m.n()], vec![i]);
+            while let Some(k) = stack.pop() {
+                for &j in left.iter().filter(|&&j| edge(k, j)) {
+                    if j == i {
+                        return true;
+                    }
+                    if !seen[j] {
+                        seen[j] = true;
+                        stack.push(j);
+                    }
+                }
+            }
+            false
+        };
+        left.iter().filter(|&&i| on_cycle(i)).count()
+    }
+
+    /// Whether a realization agrees with the reference: the same pairs and
+    /// bump with `u`, tunnel flows and arc loads within 1e-12 relative, or
+    /// an error of the same kind about the same pair.
+    fn agree(
+        got: &Result<Routing, RealizeError>,
+        want: &Result<Routing, RealizeError>,
+    ) -> Result<(), String> {
+        let close = |x: &[f64], y: &[f64]| {
+            x.len() == y.len()
+                && (x.iter().zip(y)).all(|(x, y)| (x - y).abs() <= 1e-12 * x.abs().max(y.abs()))
+        };
+        let pair = |e: &RealizeError| match e {
+            RealizeError::UtilizationOutOfRange { pair, .. }
+            | RealizeError::NoReservation(pair)
+            | RealizeError::Disconnected(pair) => Some(*pair),
+            _ => None,
+        };
+        let same = match (got, want) {
+            (Ok(x), Ok(y)) => {
+                x.pairs == y.pairs
+                    && x.bump == y.bump
+                    && close(&x.u, &y.u)
+                    && close(&x.tunnel_flow, &y.tunnel_flow)
+                    && close(&x.arc_loads, &y.arc_loads)
+            }
+            (Err(x), Err(y)) => {
+                std::mem::discriminant(x) == std::mem::discriminant(y) && pair(x) == pair(y)
+            }
+            _ => false,
+        };
+        same.then_some(())
+            .ok_or_else(|| format!("got {got:?}, reference {want:?}"))
     }
 
     /// A small plan on a fixed five-node graph and a walk of link events
@@ -1206,11 +1237,11 @@ mod tests {
     }
 
     #[test]
-    fn a_realizer_walk_equals_the_reference_chain_bit_for_bit() {
+    fn a_realizer_walk_matches_the_dense_reference() {
         let seen = std::cell::RefCell::new(BTreeSet::new());
         let counts = std::cell::Cell::new((0usize, 0usize));
         forall(
-            "Realizer == reference chain, bit for bit",
+            "Realizer == dense reference, within rounding",
             &pcf_rng::Config::with_cases(300),
             gen_walk,
             shrink_walk,
@@ -1231,9 +1262,7 @@ mod tests {
                     let a = degraded_reservations(&inst, &state, &a);
                     let want = reference_realize(&inst, &state, &a, &b, &served, 1e-6);
                     let got = realizer.realize(&state, &a);
-                    if outcome_bits(&got) != outcome_bits(&want) {
-                        return Err(format!("step {step}: got {got:?}, reference {want:?}"));
-                    }
+                    agree(&got, &want).map_err(|e| format!("step {step}: {e}"))?;
                     let tol_abs = absolute_tolerance(&served, 1e-6);
                     let interest = pairs_of_interest(&inst, &state, &served, &b, tol_abs);
                     let mut seen = seen.borrow_mut();
@@ -1257,8 +1286,8 @@ mod tests {
                         seen.insert("inactive LS");
                     }
                 }
-                let (states, builds) = counts.get();
-                counts.set((states + w.events.len() + 1, builds + realizer.builds()));
+                let (states, orders) = counts.get();
+                counts.set((states + w.events.len() + 1, orders + realizer.orders()));
                 Ok(())
             },
         );
@@ -1277,38 +1306,9 @@ mod tests {
         for kind in want {
             assert!(seen.contains(kind), "no case was {kind}: {seen:?}");
         }
-        // Patterns are reused: most states replay one built before.
-        let (states, builds) = counts.get();
-        assert!(4 * builds < states, "{builds} builds over {states} states");
-    }
-
-    #[test]
-    fn a_refused_replay_factors_from_scratch() {
-        // With `tol = 0` a pair whose only live tunnel holds 1e-13 stays in
-        // the system, and its diagonal is below the singleton tolerance:
-        // the order recorded with both tunnels alive is refused, and the
-        // factorization declares `M` singular, as the reference does.
-        let topo = diamond();
-        let inst = InstanceBuilder::with_demands(&topo, vec![(NodeId(0), NodeId(3), 1.0)])
-            .tunnels_per_pair(2)
-            .build();
-        let over_link_0 = |l: TunnelId| inst.tunnel(l).links.contains(&LinkId(0));
-        let a: Vec<f64> = (inst.tunnel_ids())
-            .map(|l| if over_link_0(l) { 1.0 } else { 1e-13 })
-            .collect();
-        let served = [0.5];
-        let mut realizer = Realizer::new(&inst, &[], &served, 0.0);
-        let mut dead = [false; 4];
-        for link_0_dead in [false, true, false] {
-            dead[0] = link_0_dead;
-            let state = FailureState::new(&inst, &dead).unwrap();
-            let got = realizer.realize(&state, &a);
-            let want = reference_realize(&inst, &state, &a, &[], &served, 0.0);
-            assert_eq!(outcome_bits(&got), outcome_bits(&want));
-            assert_eq!(got.is_err(), link_0_dead, "{got:?}");
-        }
-        assert_eq!(realizer.builds(), 1);
-        assert_eq!(realizer.factorizations(), 1);
+        // Orders are reused: most states walk one built before.
+        let (states, orders) = counts.get();
+        assert!(4 * orders < states, "{orders} orders over {states} states");
     }
 
     #[test]
@@ -1396,7 +1396,8 @@ mod tests {
 
     #[test]
     fn ls_routing_cascades_obligations() {
-        // Fig. 4-like chain with an LS; verify both realizations agree.
+        // Fig. 4-like chain with an LS: the walk realizes every state, and
+        // agrees with the dense solve (Proposition 7).
         let inst = crate::figures::fig4_ls_instance(3, 2, 3);
         let fm = FailureModel::links(1);
         let sol = solve_robust(
@@ -1409,35 +1410,20 @@ mod tests {
         let sv = sol.served(&inst);
         for sc in fm.enumerate_scenarios(inst.topo()) {
             let state = FailureState::new(&inst, &sc.dead).unwrap();
-            let lin = realize_routing(&inst, &state, &sol.a, &sol.b, &sv, 1e-6).unwrap();
-            let prop = proportional_routing(&inst, &state, &sol.a, &sol.b, &sv, 1e-6).unwrap();
-            assert!(lin.max_utilization(&inst) <= 1.0 + 1e-6);
-            // Proposition 7: the two mechanisms produce the same split.
-            assert_eq!(lin.pairs, prop.pairs);
-            for (ul, up) in lin.u.iter().zip(&prop.u) {
-                assert!((ul - up).abs() < 1e-8, "lin {ul} vs prop {up}");
-            }
+            let got = realize_routing(&inst, &state, &sol.a, &sol.b, &sv, 1e-6);
+            let want = reference_realize(&inst, &state, &sol.a, &sol.b, &sv, 1e-6);
+            agree(&got, &want).unwrap();
+            let got = got.unwrap();
+            assert!(got.max_utilization(&inst) <= 1.0 + 1e-6);
+            assert_eq!(got.bump, 0);
         }
     }
 
     #[test]
     fn topological_order_detects_cycles() {
-        let topo = diamond();
-        // Two LSs referencing each other's endpoint pair: (s,t) via a and
-        // (s,a) via t -> (s,t) > (s,a) and (s,a) > (s,t)? Build LS1 from s
-        // to t through a; LS2 from s to a through t.
-        let inst = InstanceBuilder::with_demands(&topo, vec![(NodeId(0), NodeId(3), 1.0)])
-            .add_ls(LogicalSequence::always(vec![
-                NodeId(0),
-                NodeId(1),
-                NodeId(3),
-            ]))
-            .add_ls(LogicalSequence::always(vec![
-                NodeId(0),
-                NodeId(3),
-                NodeId(1),
-            ]))
-            .build();
+        // Two LSs referencing each other's endpoint pair: LS1 from s to t
+        // through a, LS2 from s to a through t.
+        let inst = cyclic_diamond();
         // LS1: (s,t) -> (s,a), (a,t). LS2: (s,a) -> (s,t), (t,a). Cycle
         // (s,t) -> (s,a) -> (s,t).
         assert!(topological_order(&inst, &[1.0, 1.0], &[true, true]).is_none());
@@ -1447,122 +1433,54 @@ mod tests {
         assert!(topological_order(&inst, &[1.0, 1.0], &[true, false]).is_some());
     }
 
-    /// The same system through the dense reference: `M` densified and
-    /// solved by `pcf_lp::solve_dense`, checks unchanged.
-    fn dense_reference(
-        inst: &Instance,
-        state: &FailureState,
-        a: &[f64],
-        b: &[f64],
-        served: &[f64],
-        tol: f64,
-    ) -> Result<(Vec<PairId>, Vec<f64>), RealizeError> {
-        let pairs = live_pairs(inst, state, a, b, served, absolute_tolerance(served, tol))?;
-        let m = reservation_matrix(inst, state, a, b, &pairs);
-        let d: Vec<f64> = pairs.iter().map(|&p| served[p.0]).collect();
-        let u = pcf_lp::solve_dense(&m, &[d])
-            .map_err(|_| RealizeError::SingularMatrix)?
-            .remove(0);
-        let u = check_utilizations(&pairs, u, tol)?;
-        Ok((pairs, u))
-    }
-
-    /// The flat CSC `realize_routing` factors, densified, is the dense
-    /// reference `M` bit for bit: same cells, same merged sums.
-    fn assert_csc_is_reservation_matrix(
-        inst: &Instance,
-        state: &FailureState,
-        a: &[f64],
-        b: &[f64],
-        pairs: &[PairId],
-    ) {
-        let (col_start, entries) = reservation_csc(inst, state, a, b, pairs);
-        let n = pairs.len();
-        assert_eq!(col_start.len(), n + 1);
-        assert_eq!(col_start[n], entries.len());
-        let mut dense = DenseMatrix::zeros(n);
-        for (j, w) in col_start.windows(2).enumerate() {
-            let rows = &entries[w[0]..w[1]];
-            assert!(rows.windows(2).all(|r| r[0].0 < r[1].0), "rows ascending");
-            for &(i, v) in rows {
-                dense.set(i as usize, j, v);
-            }
-        }
-        let m = reservation_matrix(inst, state, a, b, pairs);
-        for i in 0..n {
-            for j in 0..n {
-                let (x, y) = (dense.get(i, j), m.get(i, j));
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "M[{i}][{j}]: csc {x} vs dense {y}"
-                );
-            }
-        }
-    }
-
-    /// On every `f`-failure state of a plan: the assembled flat CSC is the
-    /// dense `M` bit for bit; `realize_routing` agrees with the dense
-    /// reference (same pairs, `u` within 1e-9, same error variant); when
-    /// the LSs the state activates sort topologically it leaves no bump
-    /// and `u` is Prop. 7's proportional walk within 1e-12, and otherwise
-    /// the walk reports `CyclicActivation`. Returns the largest bump seen
-    /// and the number of states the walk realized.
+    /// Realizes every `f`-failure state of a plan and holds each result to
+    /// the dense reference ([`agree`]); a state whose active LSs sort must
+    /// be walked without a block. Returns the largest bump seen, how many
+    /// states the walk alone realized and how many a block solve joined,
+    /// and how many states activate a cycle.
     fn check_plan(
         inst: &Instance,
         f: usize,
         a: &[f64],
         b: &[f64],
         served: &[f64],
-    ) -> (usize, usize) {
-        let (mut max_bump, mut walked) = (0, 0);
+    ) -> (usize, usize, usize, usize) {
+        let (mut max_bump, mut walked, mut blocked, mut cyclic) = (0, 0, 0, 0);
         for sc in FailureModel::links(f).enumerate_scenarios(inst.topo()) {
             let state = FailureState::new(inst, &sc.dead).unwrap();
-            let tol_abs = absolute_tolerance(served, 1e-6);
-            if let Ok(pairs) = live_pairs(inst, &state, a, b, served, tol_abs) {
-                assert_csc_is_reservation_matrix(inst, &state, a, b, &pairs);
-            }
             let got = realize_routing(inst, &state, a, b, served, 1e-6);
-            let want = dense_reference(inst, &state, a, b, served, 1e-6);
-            let got = match (got, want) {
-                (Ok(got), Ok((pairs, u))) => {
-                    assert_eq!(got.pairs, pairs);
-                    for (x, y) in got.u.iter().zip(&u) {
-                        assert!((x - y).abs() < 1e-9, "sparse {x} vs dense {y}");
-                    }
-                    got
-                }
-                (Err(x), Err(y)) => {
-                    assert_eq!(std::mem::discriminant(&x), std::mem::discriminant(&y));
-                    continue;
-                }
-                (x, y) => panic!("sparse {x:?} disagrees with dense {y:?}"),
-            };
+            let want = reference_realize(inst, &state, a, b, served, 1e-6);
+            if let Err(e) = agree(&got, &want) {
+                panic!("{:?}: {e}", sc.dead);
+            }
+            let sorts = topological_order(inst, b, &state.ls_active).is_some();
+            cyclic += usize::from(!sorts);
+            let Ok(got) = got else { continue };
+            if sorts {
+                assert_eq!(got.bump, 0, "a sortable state must be walked");
+            }
             max_bump = max_bump.max(got.bump);
-            let walk = proportional_routing(inst, &state, a, b, served, 1e-6);
-            if topological_order(inst, b, &state.ls_active).is_none() {
-                assert_eq!(walk.unwrap_err(), RealizeError::CyclicActivation);
-                continue;
+            if got.bump == 0 {
+                walked += 1;
+            } else {
+                blocked += 1;
             }
-            assert_eq!(got.bump, 0, "a sortable state must peel completely");
-            let walk = walk
-                .unwrap_or_else(|e| panic!("{:?}: a sortable state's walk failed: {e}", sc.dead));
-            for (i, p) in got.pairs.iter().enumerate() {
-                let w = walk.pairs.iter().position(|q| q == p).unwrap();
-                assert!(
-                    (got.u[i] - walk.u[w]).abs() < 1e-12,
-                    "pair {p:?}: linear {} vs walk {}",
-                    got.u[i],
-                    walk.u[w]
-                );
-            }
-            walked += 1;
         }
-        (max_bump, walked)
+        (max_bump, walked, blocked, cyclic)
+    }
+
+    /// The diamond's two LSs that serve each other: (s,t) through a and
+    /// (s,a) through t.
+    fn cyclic_diamond() -> Instance {
+        let (s, a, t) = (NodeId(0), NodeId(1), NodeId(3));
+        InstanceBuilder::with_demands(&diamond(), vec![(s, t, 1.0)])
+            .add_ls(LogicalSequence::always(vec![s, a, t]))
+            .add_ls(LogicalSequence::always(vec![s, t, a]))
+            .build()
     }
 
     #[test]
-    fn realization_matches_dense_reference_and_prop7_walk() {
+    fn realization_matches_the_dense_reference_on_every_state() {
         for name in ["Abilene", "Sprint", "Quest", "B4", "IBM"] {
             let topo = pcf_topology::zoo::build(name);
             let mut tm = pcf_traffic::gravity(&topo, 11);
@@ -1576,9 +1494,13 @@ mod tests {
             check_plan(&inst, 1, &sol.a, &sol.b, &sol.served(&inst));
         }
         // PCF-CLS plans: with every LS active the relation is cyclic, yet
-        // each single failure activates an acyclic set, so the walk
-        // realizes every protected state.
-        for name in ["Quest", "Sprint"] {
+        // each single failure activates an acyclic set, so the walk alone
+        // realizes every protected state. Some double failures activate a
+        // cycle; most of those leave a pair without a live reservation,
+        // the rest are solved with an LU block (at an eighth of the demand,
+        // within range).
+        let mut cyclic = Vec::new();
+        for name in ["Abilene", "Sprint", "Quest"] {
             let topo = pcf_topology::zoo::build(name);
             let mut tm = pcf_traffic::gravity(&topo, 11);
             tm.truncate_to_top_k(200);
@@ -1591,47 +1513,44 @@ mod tests {
             assert!(topological_order(inst, &sol.b, &all).is_none(), "{name}");
             let served = sol.served(inst);
             let checked = check_plan(inst, 1, &sol.a, &sol.b, &served);
-            assert_eq!(checked, (0, topo.link_count()), "{name}");
+            assert_eq!(checked, (0, topo.link_count(), 0, 0), "{name}");
+            let (_, _, blocked, states) = check_plan(inst, 2, &sol.a, &sol.b, &served);
+            let eighth: Vec<f64> = served.iter().map(|d| d / 8.0).collect();
+            let (max_bump, _, at_eighth, _) = check_plan(inst, 2, &sol.a, &sol.b, &eighth);
+            cyclic.push((name, states, blocked + at_eighth, max_bump));
         }
-        // The two-LS cycle of `topological_order_detects_cycles`: (s,t)
-        // and (s,a) serve each other, so their 2x2 block is a bump.
-        let topo = diamond();
-        let inst = InstanceBuilder::with_demands(&topo, vec![(NodeId(0), NodeId(3), 1.0)])
-            .add_ls(LogicalSequence::always(vec![
-                NodeId(0),
-                NodeId(1),
-                NodeId(3),
-            ]))
-            .add_ls(LogicalSequence::always(vec![
-                NodeId(0),
-                NodeId(3),
-                NodeId(1),
-            ]))
-            .build();
+        let want = [
+            ("Abilene", 22, 0, 0),
+            ("Sprint", 7, 1, 2),
+            ("Quest", 17, 0, 0),
+        ];
+        assert_eq!(cyclic, want);
+        // The cyclic diamond: (s,t) and (s,a) serve each other, so their
+        // 2x2 block is solved by LU.
+        let inst = cyclic_diamond();
         let a = vec![1.0; inst.num_tunnels()];
         let b = [0.5, 0.25];
         assert!(topological_order(&inst, &b, &[true, true]).is_none());
         let served: Vec<f64> = inst.pair_ids().map(|p| 0.5 * inst.demand(p)).collect();
-        assert!(
-            check_plan(&inst, 1, &a, &b, &served).0 >= 2,
-            "the cycle must bump"
+        assert_eq!(
+            check_plan(&inst, 1, &a, &b, &served),
+            (2, 0, 4, 4),
+            "the cycle"
         );
         // Double failures cut (s,t) off: both paths must say so.
         check_plan(&inst, 2, &a, &b, &served);
-        // Three LSs of (s,t) through segment (s,a): that cell of `M` sums
-        // three terms, and these three sum differently in any other order
-        // or association, so a merge that is not the reference's is caught.
+        // Three LSs of (s,t) through segment (s,a), summed into one cell of
+        // `M`; a fourth, (s,t) through t, uses (s,t) itself as a segment,
+        // which `M` leaves out and the walk must too.
+        let topo = diamond();
         let (s, na, nb, t) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
         let inst = InstanceBuilder::with_demands(&topo, vec![(s, t, 1.0)])
             .add_ls(LogicalSequence::always(vec![s, na, t]))
             .add_ls(LogicalSequence::always(vec![s, na, nb, t]))
             .add_ls(LogicalSequence::always(vec![s, na, nb, na, t]))
+            .add_ls(LogicalSequence::always(vec![s, t, na, t]))
             .build();
-        let b = [0.1, 0.2, 0.3];
-        assert_ne!(
-            ((0.1f64 + 0.2) + 0.3).to_bits(),
-            (0.1f64 + (0.2 + 0.3)).to_bits()
-        );
+        let b = [0.1, 0.2, 0.3, 0.15];
         let a = vec![1.0; inst.num_tunnels()];
         let served: Vec<f64> = inst.pair_ids().map(|p| 0.5 * inst.demand(p)).collect();
         let state = FailureState::new(&inst, &[false; 4]).unwrap();
@@ -1642,7 +1561,8 @@ mod tests {
             pairs.iter().position(|&q| q == id).unwrap()
         };
         assert_eq!(m.get(at((s, na)), at((s, t))), ((-0.1) + (-0.2)) + (-0.3));
-        assert_eq!(check_plan(&inst, 1, &a, &b, &served).0, 0);
+        assert!(topological_order(&inst, &b, &[true; 4]).is_none());
+        assert_eq!(check_plan(&inst, 1, &a, &b, &served), (0, 4, 0, 4));
     }
 
     /// Proposition 6's load accounting walked pair by pair and the slow
@@ -1680,8 +1600,8 @@ mod tests {
     }
 
     /// Realizes every `f`-link failure state, `f ∈ {1, 2}`, through
-    /// [`realize_routing`] and [`proportional_routing`], plus `extra`
-    /// states, and requires each successful routing's tunnel flows and arc
+    /// [`realize_routing`] and the rescale stage's walk ([`prop7_walk`],
+    /// clamping), plus `extra` states, and requires each successful routing's tunnel flows and arc
     /// loads to be the hop walk's bit for bit. Returns how many routings
     /// were checked.
     fn check_expansion(
@@ -1698,11 +1618,13 @@ mod tests {
             }
         }
         let mut checked = 0;
+        let tol_abs = absolute_tolerance(served, 1e-6);
+        let clamp = |_, demand: f64, reserved: f64| Ok((demand / reserved).min(1.0));
         for state in &states {
             let a = degraded_reservations(inst, state, a);
             for routing in [
                 realize_routing(inst, state, &a, b, served, 1e-6),
-                proportional_routing(inst, state, &a, b, served, 1e-6),
+                prop7_walk(inst, state, &a, b, served, tol_abs, clamp),
             ]
             .into_iter()
             .flatten()
@@ -1740,20 +1662,8 @@ mod tests {
             // Both paths on every single failure, at least.
             assert!(checked >= 2 * topo.link_count(), "{name}: {checked}");
         }
-        // The cyclic diamond: only the linear system routes it.
-        let topo = diamond();
-        let inst = InstanceBuilder::with_demands(&topo, vec![(NodeId(0), NodeId(3), 1.0)])
-            .add_ls(LogicalSequence::always(vec![
-                NodeId(0),
-                NodeId(1),
-                NodeId(3),
-            ]))
-            .add_ls(LogicalSequence::always(vec![
-                NodeId(0),
-                NodeId(3),
-                NodeId(1),
-            ]))
-            .build();
+        // The cyclic diamond: only the realizer's block solve routes it.
+        let inst = cyclic_diamond();
         let a = vec![1.0; inst.num_tunnels()];
         let served: Vec<f64> = inst.pair_ids().map(|p| 0.5 * inst.demand(p)).collect();
         assert!(check_expansion(&inst, &a, &[0.5, 0.25], &served, &[]) > 0);
@@ -1891,9 +1801,6 @@ mod tests {
         let p = inst.pair_id(NodeId(0), NodeId(3)).unwrap();
         assert_eq!(err, RealizeError::Disconnected(p));
         assert!(err.to_string().contains("disconnected"));
-        // The proportional path classifies identically.
-        let perr = proportional_routing(&inst, &state, &a, &[], &[1.0], 1e-7).unwrap_err();
-        assert_eq!(perr, RealizeError::Disconnected(p));
     }
 }
 
@@ -1946,10 +1853,12 @@ mod fig6_tests {
         assert!((flow(2) - 0.25).abs() < 1e-12, "l3 carries 1/4");
         assert!((flow(0) - 0.25).abs() < 1e-12, "l1 carries 1/4");
         assert!((flow(1) - 0.25).abs() < 1e-12, "l2 carries 1/4");
-        // Topologically sorted ((A,B) > (A,D) > segments): the distributed
-        // realization agrees (Prop. 7).
-        let prop = proportional_routing(&inst, &state, &a, &b, &served, 1e-9).unwrap();
-        for (x, y) in routing.u.iter().zip(&prop.u) {
+        // Topologically sorted ((A,B) > (A,D) > segments): the walk alone
+        // realizes it, and agrees with the dense solve (Prop. 7).
+        assert_eq!((routing.bump, &routing.pairs), (0, &pairs));
+        let d: Vec<f64> = pairs.iter().map(|&p| served[p.0]).collect();
+        let dense = pcf_lp::lu_factor(&m).unwrap().solve(&d);
+        for (x, y) in routing.u.iter().zip(&dense) {
             assert!((x - y).abs() < 1e-12);
         }
     }

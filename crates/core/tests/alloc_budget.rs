@@ -1,5 +1,6 @@
-//! Allocation budgets of the plan path on the benchmark's instance (Quest,
-//! PCF-LS, f = 1, the 200 heaviest gravity pairs, 3 tunnels per pair).
+//! Allocation budgets of the plan path and of a realization miss on the
+//! benchmark's instance (Quest, PCF-LS, f = 1, the 200 heaviest gravity
+//! pairs, 3 tunnels per pair).
 //!
 //! Allocations are counted by a global allocator that this test binary
 //! installs for itself, so the binary holds one test: a second test running
@@ -8,7 +9,7 @@
 //! plan path (a fresh LP, solve workspace or path search per pair, a copy
 //! per seeded cut) exceeds a budget by thousands.
 
-use pcf_core::{FailureModel, InstanceBuilder, RobustOptions, Scheme};
+use pcf_core::{FailureModel, FailureState, InstanceBuilder, Realizer, RobustOptions, Scheme};
 use pcf_topology::zoo;
 use pcf_traffic::gravity;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -79,9 +80,32 @@ fn a_seeded_replan_and_tunnel_selection_stay_within_their_allocation_budgets() {
         counted(|| InstanceBuilder::new(&topo, &tm).tunnels_per_pair(3).build());
     assert_eq!((inst.num_pairs(), inst.num_tunnels()), (200, 600));
 
+    // One `Realizer` over the base plan's 29 distinct single-link states
+    // (two of Quest's 30 links kill the same tunnels), as the replay
+    // engine's misses realize them.
+    let served = base.sol.served(&base.inst);
+    let mut signatures = std::collections::BTreeSet::new();
+    let states: Vec<FailureState> = (fm.enumerate_scenarios(&topo).iter())
+        .map(|sc| FailureState::new(&base.inst, &sc.dead).expect("mask"))
+        .filter(|state| signatures.insert(state.liveness_signature()))
+        .collect();
+    assert_eq!(states.len(), 29);
+    let mut realizer = Realizer::new(&base.inst, &base.sol.b, &served, 1e-6);
+    let (misses, realized) = counted(|| {
+        (states.iter())
+            .filter(|state| realizer.realize(state, &base.sol.a).is_ok())
+            .count()
+    });
+    assert_eq!(realized, 29);
+
     assert!(replan <= 4_000, "seeded re-plan allocated {replan} times");
     assert!(
         selection <= 10_000,
         "tunnel selection allocated {selection} times"
     );
+    // 170: the walk order built once (54), then 4 per state, the routing's
+    // own vectors; 199 while a recorded singleton peel was replayed per
+    // pattern. Per-state setup (an order, a factorization or a scratch
+    // buffer per miss) adds at least 29.
+    assert!(misses <= 199, "29 misses allocated {misses} times");
 }

@@ -48,5 +48,5 @@ pub use incremental::{IncrementalLp, IncrementalStats};
 pub use linsys::{lu_factor, solve_dense, DenseMatrix, LinSysError, LuFactors};
 pub use model::{LpProblem, RowId, Sense, Solution, SolveError, Status, VarId};
 pub use simplex::{Basis, BasisMark, LpWorkspace, SimplexOptions};
-pub use slu::{BasisEngine, PeelOrder, SparseLu};
+pub use slu::{BasisEngine, SparseLu};
 pub use sparse::CscMatrix;

@@ -15,9 +15,8 @@
 //!   entries ÷ pivot as its L column. Neither creates fill or changes a
 //!   stored value, so a matrix that is a row/column permutation of a
 //!   triangular one is factored by the peel alone and its solve is plain
-//!   substitution (for a reservation matrix that is Prop. 7's proportional
-//!   walk). What the peel cannot reach — the *bump*, [`SparseLu::bump`]
-//!   rows — goes through Markowitz-ordered elimination with threshold
+//!   substitution. What the peel cannot reach — the *bump*,
+//!   [`SparseLu::bump`] rows — goes through Markowitz-ordered elimination with threshold
 //!   pivoting, minimizing fill (cost `(col_count-1)·(row_count-1)`)
 //!   subject to `|pivot| >= 0.1 · colmax`; candidate columns are examined
 //!   in ascending `(active count, column)` order with a deterministic cap
@@ -34,25 +33,14 @@
 //!   other pivots. A singleton whose
 //!   pivot is below `BASIS_SINGULAR_TOL` is not peeled: it stays in the
 //!   bump, where singularity is declared. The peel walks a row-major copy
-//!   of the input and writes every pivot's L column or U row through one
-//!   reused buffer. Simplex bases ([`SparseLu::factor_basis`], which lays
-//!   the basis columns of a [`CscMatrix`] out as that flat CSC) and
-//!   reservation matrices take this path. The simplex crash basis, a ±1
-//!   diagonal, is built directly as the factors the peel would make of it
-//!   (`BasisEngine::reset_diagonal`: identity permutations, no L or U
-//!   entries), in the storage of the engine the last solve left behind.
-//! * [`PeelOrder`] — the same peel, recording instead of factoring. The
-//!   peel's order is a function of the pattern alone while every pivot it
-//!   reaches passes the singleton tolerance, so a complete peel is
-//!   recorded once, as indices into the input's entries (each step's
-//!   pivot, L column and U row), and [`PeelOrder::solve`] replays it on
-//!   any matrix with the same pattern: the substitution `factor_columns` +
-//!   [`SparseLu::ftran_in_place`] would run there, bit for bit, or a refusal
-//!   when a recorded pivot is below the tolerance. The realization of a
-//!   failure state is the user: `M`'s pattern stays put while a failure
-//!   changes its diagonal. The peel itself is one loop, generic over what
-//!   it records; the factoring side stores exactly what it always stored,
-//!   and the simplex path no index.
+//!   of the input and writes every pivot's L column or U row straight into
+//!   the factors. Simplex bases ([`SparseLu::factor_basis`], which lays
+//!   the basis columns of a [`CscMatrix`] out as that flat CSC) and the
+//!   blocks of a reservation matrix's LS cycles take this path. The
+//!   simplex crash basis, a ±1 diagonal, is built directly as the factors
+//!   the peel would make of it (`BasisEngine::reset_diagonal`: identity
+//!   permutations, no L or U entries), in the storage of the engine the
+//!   last solve left behind.
 //! * [`SparseLu::factor_dense_compat`] — the test reference: partial
 //!   pivoting in the *exact* pivot order of [`crate::linsys::lu_factor`]
 //!   (largest magnitude, first-in-physical-order tie break, `1e-13`
@@ -230,7 +218,7 @@ impl SparseLu {
 
     /// An empty factorization of dimension `n` with room for `off_diag`
     /// L and U entries each, to be filled one pivot at a time (by the
-    /// peel's `PeelSink::step`, then [`SparseLu::push_step`]) and closed by
+    /// peel, then [`SparseLu::push_step`]) and closed by
     /// [`SparseLu::finish`].
     fn with_capacity(n: usize, off_diag: usize) -> SparseLu {
         let mut lstart = Vec::with_capacity(n + 1);
@@ -355,12 +343,12 @@ impl SparseLu {
 /// Remaps L targets (original rows) and U sources (original columns) of
 /// factors recorded step by step into step indices, and sorts each U row
 /// (`u[ustart[k]..ustart[k + 1]]`) ascending.
-fn to_step_space<T>(
+fn to_step_space(
     rperm: &[u32],
     cperm: &[u32],
-    l: &mut [(u32, T)],
+    l: &mut [(u32, f64)],
     ustart: &[usize],
-    u: &mut [(u32, T)],
+    u: &mut [(u32, f64)],
 ) {
     let mut step_of = vec![0u32; rperm.len()];
     for (k, &r) in rperm.iter().enumerate() {
@@ -377,148 +365,6 @@ fn to_step_space<T>(
     }
     for w in ustart.windows(2) {
         u[w[0]..w[1]].sort_unstable_by_key(|&(c, _)| c);
-    }
-}
-
-/// The pivot order of a complete singleton peel, recorded as indices into
-/// the flat CSC input ([`SparseLu::factor_columns`]) it was taken on, to be
-/// replayed on other values with the same pattern.
-///
-/// The peel's order depends on the pattern alone as long as every pivot it
-/// reaches passes the singleton tolerance, so on another matrix with the
-/// same pattern [`PeelOrder::solve`] runs the substitution that
-/// `factor_columns` + [`SparseLu::ftran_in_place`] would run there: the
-/// same floating-point operations in the same order, bit for bit. Laid out
-/// like [`SparseLu`], with entry indices in place of values: per step the
-/// pivot's entry, the L column's `(target step, entry)` list (values are
-/// divided by the pivot at replay) and the U row's `(source step, entry)`
-/// list, ascending by step.
-#[derive(Debug, Clone)]
-pub struct PeelOrder {
-    nnz: usize,
-    rperm: Vec<u32>,
-    cperm: Vec<u32>,
-    pivot: Vec<u32>,
-    lstart: Vec<usize>,
-    l: Vec<(u32, u32)>,
-    ustart: Vec<usize>,
-    u: Vec<(u32, u32)>,
-}
-
-impl PeelSink for PeelOrder {
-    fn step(
-        &mut self,
-        column: bool,
-        (row, col): (u32, u32),
-        (at, _): (u32, f64),
-        cross: &[PeelCell],
-    ) {
-        let entries = cross.iter().map(|&(t, e, _)| (t, e));
-        self.rperm.push(row);
-        self.cperm.push(col);
-        self.pivot.push(at);
-        if column {
-            self.u.extend(entries);
-        } else {
-            self.l.extend(entries);
-        }
-        self.lstart.push(self.l.len());
-        self.ustart.push(self.u.len());
-    }
-}
-
-impl PeelOrder {
-    /// Peels the `n x n` flat CSC matrix `(col_start, entries)` as
-    /// [`SparseLu::factor_columns`] does and records the order; `None` when
-    /// the peel leaves a bump (a sub-tolerance singleton included).
-    pub fn record(n: usize, col_start: &[usize], entries: &[(u32, f64)]) -> Option<PeelOrder> {
-        debug_assert_eq!(col_start.len(), n + 1);
-        // Room for a complete peel: `n` steps, and at most the off-diagonal
-        // entries in L and U together.
-        let off_diag = entries.len().saturating_sub(n);
-        let mut lstart = Vec::with_capacity(n + 1);
-        lstart.push(0);
-        let mut order = PeelOrder {
-            nnz: entries.len(),
-            rperm: Vec::with_capacity(n),
-            cperm: Vec::with_capacity(n),
-            pivot: Vec::with_capacity(n),
-            ustart: lstart.clone(),
-            lstart,
-            l: Vec::with_capacity(off_diag),
-            u: Vec::with_capacity(off_diag),
-        };
-        peel(n, col_start, entries, &mut order);
-        if order.pivot.len() < n {
-            return None;
-        }
-        let PeelOrder {
-            rperm,
-            cperm,
-            l,
-            ustart,
-            u,
-            ..
-        } = &mut order;
-        to_step_space(rperm, cperm, l, ustart, u);
-        Some(order)
-    }
-
-    /// `x <- B^{-1} x` for the matrix `entries` holds, which must have the
-    /// pattern (column starts and rows) the order was recorded on; `scratch`
-    /// is a buffer of any length. Bit for bit what
-    /// [`SparseLu::factor_columns`] followed by [`SparseLu::ftran_in_place`]
-    /// computes: each L entry is divided by its pivot here, and the exact
-    /// zeros `factor_columns` would not have stored are skipped.
-    ///
-    /// Errors — `x` untouched — when a recorded pivot is below the
-    /// singleton tolerance: `factor_columns` would not peel that singleton,
-    /// so the caller factors from scratch.
-    pub fn solve(
-        &self,
-        entries: &[(u32, f64)],
-        x: &mut [f64],
-        scratch: &mut Vec<f64>,
-    ) -> Result<(), LinSysError> {
-        debug_assert_eq!(entries.len(), self.nnz);
-        debug_assert_eq!(x.len(), self.rperm.len());
-        let value = |e: u32| entries[e as usize].1;
-        let peels = |&e: &u32| value(e).abs() >= BASIS_SINGULAR_TOL;
-        if !self.pivot.iter().all(peels) {
-            return Err(LinSysError::Singular);
-        }
-        scratch.clear();
-        scratch.resize(self.rperm.len(), 0.0);
-        let z = &mut scratch[..];
-        for (zk, &r) in z.iter_mut().zip(&self.rperm) {
-            *zk = x[r as usize];
-        }
-        for (k, w) in self.lstart.windows(2).enumerate() {
-            let v = z[k];
-            if nonzero(v) {
-                let piv = value(self.pivot[k]);
-                for &(t, e) in &self.l[w[0]..w[1]] {
-                    let f = value(e) / piv;
-                    if nonzero(f) {
-                        z[t as usize] -= f * v;
-                    }
-                }
-            }
-        }
-        for (k, w) in self.ustart.windows(2).enumerate().rev() {
-            let mut acc = z[k];
-            for &(c, e) in &self.u[w[0]..w[1]] {
-                let u = value(e);
-                if nonzero(u) {
-                    acc -= u * z[c as usize];
-                }
-            }
-            z[k] = acc / value(self.pivot[k]);
-        }
-        for (&zk, &c) in z.iter().zip(&self.cperm) {
-            x[c as usize] = zk;
-        }
-        Ok(())
     }
 }
 
@@ -756,66 +602,24 @@ fn factor_partial_pivot(n: usize, cols: Vec<Vec<(u32, f64)>>) -> Result<SparseLu
     Ok(lu.finish())
 }
 
-/// One entry of a line the singleton peel walks: `(index in the other
-/// orientation, position in the flat CSC input, value)`. As large as the
-/// `(index, value)` pair it extends, once padded.
-type PeelCell = (u32, u32, f64);
-
-/// What the singleton peel makes of each pivot it takes.
-trait PeelSink {
-    /// Pivot `(row, col)`, `pivot` its `(entry, value)`. `cross` is
-    /// the pivot's other line, in input order, without the pivot and the
-    /// lines already peeled: for a column singleton (`column`) the pivot
-    /// row's remaining entries, its U row; for a row singleton the pivot
-    /// column's remaining entries, its L column before division by the
-    /// pivot.
-    fn step(&mut self, column: bool, row_col: (u32, u32), pivot: (u32, f64), cross: &[PeelCell]);
-}
-
-impl PeelSink for SparseLu {
-    /// The factors' step: U entries as stored, L entries ÷ pivot, exact
-    /// zeros dropped (they are no-ops in every solve).
-    fn step(
-        &mut self,
-        column: bool,
-        (row, col): (u32, u32),
-        (_, piv): (u32, f64),
-        cross: &[PeelCell],
-    ) {
-        let values = cross.iter().map(|&(t, _, v)| (t, v));
-        self.rperm.push(row);
-        self.cperm.push(col);
-        self.pivots.push(piv);
-        if column {
-            self.u.extend(values.filter(|&(_, v)| nonzero(v)));
-        } else {
-            let ls = values.map(|(t, v)| (t, v / piv));
-            self.l.extend(ls.filter(|&(_, f)| nonzero(f)));
-        }
-        self.lstart.push(self.l.len());
-        self.ustart.push(self.u.len());
-    }
-}
-
 /// The singleton peel (module docs): pivots every row or column with one
 /// active entry, repeatedly, in FIFO order from a queue seeded with the
 /// column singletons then the row singletons, each in ascending index
-/// order, and hands each pivot to `sink`. Returns which rows and columns
-/// were pivoted; the flat CSC input is only read (a peel pivot changes no
-/// stored value). Only the pattern decides the order, except that a
-/// singleton whose pivot is below `BASIS_SINGULAR_TOL` is skipped — and
-/// then never peeled, since its line has no other entry to pivot on.
+/// order, and writes each pivot's step into `lu`. Returns which rows and
+/// columns were pivoted; the flat CSC input is only read (a peel pivot
+/// changes no stored value). Only the pattern decides the order, except
+/// that a singleton whose pivot is below `BASIS_SINGULAR_TOL` is skipped —
+/// and then never peeled, since its line has no other entry to pivot on.
 fn peel(
     n: usize,
     col_start: &[usize],
     entries: &[(u32, f64)],
-    sink: &mut impl PeelSink,
+    lu: &mut SparseLu,
 ) -> (Vec<bool>, Vec<bool>) {
-    debug_assert!(u32::try_from(entries.len()).is_ok());
-    // Row-major copy of the entries, `(column, entry, value)`, so a pivot
-    // row can be walked: count into `row_start[i + 1]`, prefix-sum, fill
-    // (advancing `row_start[i]` to the end of row `i`), then shift the
-    // starts back into place.
+    // Row-major copy of the entries, `(column, value)`, so a pivot row can
+    // be walked: count into `row_start[i + 1]`, prefix-sum, fill (advancing
+    // `row_start[i]` to the end of row `i`), then shift the starts back
+    // into place.
     let mut row_start = vec![0usize; n + 1];
     for &(i, _) in entries {
         row_start[i as usize + 1] += 1;
@@ -823,28 +627,23 @@ fn peel(
     for i in 0..n {
         row_start[i + 1] += row_start[i];
     }
-    let mut rows: Vec<PeelCell> = vec![(0, 0, 0.0); entries.len()];
+    let mut rows = vec![(0u32, 0.0f64); entries.len()];
     for (j, w) in col_start.windows(2).enumerate() {
-        for (k, &(i, v)) in entries[w[0]..w[1]].iter().enumerate() {
-            rows[row_start[i as usize]] = (j as u32, (w[0] + k) as u32, v);
+        for &(i, v) in &entries[w[0]..w[1]] {
+            rows[row_start[i as usize]] = (j as u32, v);
             row_start[i as usize] += 1;
         }
     }
     row_start.copy_within(0..n, 1);
     row_start[0] = 0;
     // Orientation 0 is "column", 1 is "row": line `k` of orientation `s`
-    // spans positions `span(s, k)`, position `pos` holding `cell(s, pos)`.
+    // spans positions `span(s, k)`, position `pos` holding `cell(s, pos)`,
+    // `(index in the other orientation, value)`.
     let span = |s: usize, k: usize| {
         let start = if s == 0 { col_start } else { &row_start[..] };
         start[k]..start[k + 1]
     };
-    let cell = |s: usize, pos: usize| -> PeelCell {
-        if s == 0 {
-            (entries[pos].0, pos as u32, entries[pos].1)
-        } else {
-            rows[pos]
-        }
-    };
+    let cell = |s: usize, pos: usize| if s == 0 { entries[pos] } else { rows[pos] };
     let counts =
         |start: &[usize]| -> Vec<u32> { start.windows(2).map(|w| (w[1] - w[0]) as u32).collect() };
     let mut count = [counts(col_start), counts(&row_start)];
@@ -857,8 +656,6 @@ fn peel(
                 .map(|k| (s, k)),
         );
     }
-    // The pivot's other line, rebuilt in place for every pivot.
-    let mut cross: Vec<PeelCell> = Vec::new();
     while let Some((s, k)) = queue.pop_front() {
         let (k, o) = (k as usize, 1 - s);
         if done[s][k] || count[s][k] != 1 {
@@ -866,27 +663,41 @@ fn peel(
         }
         let active = span(s, k)
             .map(|pos| cell(s, pos))
-            .find(|&(x, ..)| !done[o][x as usize]);
-        let Some((x, at, piv)) = active.filter(|e| e.2.abs() >= BASIS_SINGULAR_TOL) else {
+            .find(|&(x, _)| !done[o][x as usize]);
+        let Some((x, piv)) = active.filter(|e| e.1.abs() >= BASIS_SINGULAR_TOL) else {
             continue; // empty or sub-tolerance: the bump declares singularity
         };
-        cross.clear();
+        // The pivot's other line, without the pivot and the lines already
+        // peeled: for a column singleton the pivot row's remaining entries,
+        // its U row; for a row singleton the pivot column's remaining
+        // entries ÷ pivot, its L column. Exact zeros are not stored (they
+        // are no-ops in every solve).
         for pos in span(o, x as usize) {
-            let c = cell(o, pos);
-            let ti = c.0 as usize;
+            let (t, v) = cell(o, pos);
+            let ti = t as usize;
             if ti == k || done[s][ti] {
                 continue;
             }
-            cross.push(c);
+            if s == 0 {
+                if nonzero(v) {
+                    lu.u.push((t, v));
+                }
+            } else if nonzero(v / piv) {
+                lu.l.push((t, v / piv));
+            }
             count[s][ti] -= 1;
             if count[s][ti] == 1 {
-                queue.push_back((s, c.0));
+                queue.push_back((s, t));
             }
         }
         done[s][k] = true;
         done[o][x as usize] = true;
-        let row_col = if s == 0 { (x, k as u32) } else { (k as u32, x) };
-        sink.step(s == 0, row_col, (at, piv), &cross);
+        let (row, col) = if s == 0 { (x, k as u32) } else { (k as u32, x) };
+        lu.rperm.push(row);
+        lu.cperm.push(col);
+        lu.pivots.push(piv);
+        lu.lstart.push(lu.l.len());
+        lu.ustart.push(lu.u.len());
     }
     let [col_done, row_done] = done;
     (row_done, col_done)
@@ -1649,6 +1460,14 @@ mod tests {
             SparseLu::factor_basis(&a, &[0, 1]).unwrap_err(),
             LinSysError::Singular
         );
+        // A sub-tolerance singleton is not peeled: it stays in the bump,
+        // where singularity is declared.
+        let col_start = [0, 1, 3];
+        let entries = [(0u32, 1e-13), (0u32, 1.0), (1u32, 2.0)];
+        assert_eq!(
+            SparseLu::factor_columns(2, &col_start, &entries).map(|lu| lu.bump()),
+            Err(LinSysError::Singular)
+        );
     }
 
     #[test]
@@ -1893,204 +1712,5 @@ mod tests {
         );
         let want = reference::factor_columns(n, &col_start, &entries).unwrap();
         assert_eq!(want.first_difference(&lu.finish()), None);
-    }
-
-    /// A row/column permutation of a lower-triangular matrix, so the peel
-    /// finishes, with two value sets on one pattern: `first` (every entry
-    /// of magnitude in `[0.5, 2]`, so the recorded peel completes) and
-    /// `second` (random, with exact zeros of either sign, sub-tolerance,
-    /// tiny and overflowing values mixed in), and a right-hand side with
-    /// zeros of either sign. A stored zero the replay did not skip would
-    /// show as a flipped zero sign or, times an overflow, a NaN.
-    #[derive(Debug, Clone)]
-    struct Replay {
-        n: usize,
-        col_start: Vec<usize>,
-        rows: Vec<u32>,
-        first: Vec<f64>,
-        second: Vec<f64>,
-        rhs: Vec<f64>,
-    }
-
-    impl Replay {
-        fn entries(&self, values: &[f64]) -> Vec<(u32, f64)> {
-            self.rows
-                .iter()
-                .copied()
-                .zip(values.iter().copied())
-                .collect()
-        }
-
-        /// Without entry `e`.
-        fn without_entry(&self, e: usize) -> Replay {
-            let mut m = self.clone();
-            m.rows.remove(e);
-            m.first.remove(e);
-            m.second.remove(e);
-            for start in m.col_start.iter_mut().filter(|s| **s > e) {
-                *start -= 1;
-            }
-            m
-        }
-    }
-
-    fn gen_replay(rng: &mut Pcg32) -> Replay {
-        let n = rng.range_usize_inclusive(1, 30);
-        let density = rng.range_f64(0.05, 0.5);
-        let mut rperm: Vec<u32> = (0..n as u32).collect();
-        let mut cperm = rperm.clone();
-        rng.shuffle(&mut rperm);
-        rng.shuffle(&mut cperm);
-        // Triangular column j: the diagonal, and rows below it.
-        let mut cols: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for j in 0..n {
-            let col = &mut cols[cperm[j] as usize];
-            col.push(rperm[j]);
-            for &row in &rperm[j + 1..] {
-                if rng.chance(density) {
-                    col.push(row);
-                }
-            }
-            col.sort_unstable();
-        }
-        let mut col_start = vec![0];
-        let mut rows = Vec::new();
-        for col in &cols {
-            rows.extend_from_slice(col);
-            col_start.push(rows.len());
-        }
-        let first = (0..rows.len())
-            .map(|_| rng.range_f64(0.5, 2.0) * if rng.chance(0.5) { -1.0 } else { 1.0 })
-            .collect();
-        // Per case, how often an entry of `second` is a special value:
-        // never, rarely (mostly off the pivots), or often.
-        let special = *rng.pick(&[0.0, 0.03, 0.25]);
-        let second = (0..rows.len())
-            .map(|_| {
-                if !rng.chance(special) {
-                    return rng.range_f64(-3.0, 3.0);
-                }
-                *rng.pick(&[0.0, -0.0, 3e-13, 1e-300, -1e300])
-            })
-            .collect();
-        let rhs = (0..n)
-            .map(|_| match rng.range_usize(0, 10) {
-                0 | 1 => 0.0,
-                2 => -0.0,
-                _ => rng.range_f64(-1.0, 1.0),
-            })
-            .collect();
-        Replay {
-            n,
-            col_start,
-            rows,
-            first,
-            second,
-            rhs,
-        }
-    }
-
-    /// Smaller inputs: one entry fewer (a pattern that then no longer
-    /// peels is skipped by the property).
-    fn shrink_replay(m: &Replay) -> Vec<Replay> {
-        (0..m.rows.len()).map(|e| m.without_entry(e)).collect()
-    }
-
-    #[test]
-    fn a_recorded_peel_replays_bit_for_bit() {
-        let (replayed, refused) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
-        forall(
-            "peel replay == factor_columns + ftran_in_place",
-            &pcf_rng::Config::with_cases(400),
-            gen_replay,
-            shrink_replay,
-            |m| {
-                let first = m.entries(&m.first);
-                let Some(order) = PeelOrder::record(m.n, &m.col_start, &first) else {
-                    return Ok(()); // a shrunk pattern that no longer peels
-                };
-                let second = m.entries(&m.second);
-                let mut got = m.rhs.clone();
-                let replay = order.solve(&second, &mut got, &mut Vec::new());
-                let want = SparseLu::factor_columns(m.n, &m.col_start, &second);
-                match (replay, want) {
-                    // The peel on the second values reaches every row: the
-                    // replay must be its substitution, bit for bit.
-                    (Ok(()), Ok(lu)) if lu.bump() == 0 => {
-                        let mut x = m.rhs.clone();
-                        lu.ftran_in_place(&mut x, &mut Vec::new());
-                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        replayed.set(replayed.get() + 1);
-                        (bits(&got) == bits(&x))
-                            .then_some(())
-                            .ok_or(format!("replay {got:?} vs factors {x:?}"))
-                    }
-                    // A recorded pivot below tolerance: the peel skips it
-                    // and leaves a bump, and the replay must refuse.
-                    (Err(LinSysError::Singular), Err(_)) => {
-                        refused.set(refused.get() + 1);
-                        Ok(())
-                    }
-                    (Err(LinSysError::Singular), Ok(lu)) if lu.bump() > 0 => {
-                        refused.set(refused.get() + 1);
-                        (got == m.rhs)
-                            .then_some(())
-                            .ok_or("a refused replay wrote x".to_string())
-                    }
-                    (replay, want) => Err(format!(
-                        "replay {replay:?}, factor_columns bump {:?}",
-                        want.map(|lu| lu.bump())
-                    )),
-                }
-            },
-        );
-        // Both outcomes are exercised.
-        assert!(replayed.get() >= 100, "{} replayed", replayed.get());
-        assert!(refused.get() >= 50, "{} refused", refused.get());
-    }
-
-    #[test]
-    fn a_replay_skips_the_zeros_the_factors_do_not_store() {
-        // Column 2 peels first (a U entry from row 2), then row 0 (an L
-        // entry into row 1), then column 1. Recorded on nonzero values, then
-        // replayed with both off-diagonals at -0.0, which `factor_columns`
-        // drops: applying them would turn a -0.0 of the solution into +0.0.
-        let col_start = [0, 2, 4, 5];
-        let entries = |l: f64, u: f64| [(0u32, 2.0), (1, l), (1, 4.0), (2, u), (2, 8.0)];
-        let order = PeelOrder::record(3, &col_start, &entries(1.0, 1.0)).unwrap();
-        let second = entries(-0.0, -0.0);
-        let lu = SparseLu::factor_columns(3, &col_start, &second).unwrap();
-        assert_eq!(lu.nnz(), 3, "the zeros are not stored");
-        // The first right-hand side reaches the L entry with a -0.0 in
-        // its target row, the second the U entry with a -0.0 in its row.
-        for rhs in [[1.0, -0.0, 1.0], [0.0, 1.0, -0.0]] {
-            let (mut got, mut want) = (rhs, rhs);
-            order.solve(&second, &mut got, &mut Vec::new()).unwrap();
-            lu.ftran_in_place(&mut want, &mut Vec::new());
-            assert_eq!(
-                got.map(f64::to_bits),
-                want.map(f64::to_bits),
-                "{got:?} vs {want:?}"
-            );
-            assert!(want.iter().any(|x| x.to_bits() == (-0.0f64).to_bits()));
-        }
-    }
-
-    #[test]
-    fn a_bump_records_no_order() {
-        // The 2x2 cycle of `markowitz_factors_and_solves`' shape: no
-        // singleton at all.
-        let col_start = [0, 2, 4];
-        let entries = [(0u32, 2.0), (1u32, 1.0), (0u32, 1.0), (1u32, 3.0)];
-        assert!(PeelOrder::record(2, &col_start, &entries).is_none());
-        // A sub-tolerance singleton is not peeled, so neither recorded: it
-        // stays in the bump, where singularity is declared.
-        let col_start = [0, 1, 3];
-        let entries = [(0u32, 1e-13), (0u32, 1.0), (1u32, 2.0)];
-        assert!(PeelOrder::record(2, &col_start, &entries).is_none());
-        assert_eq!(
-            SparseLu::factor_columns(2, &col_start, &entries).map(|lu| lu.bump()),
-            Err(LinSysError::Singular)
-        );
     }
 }

@@ -197,8 +197,8 @@ pub struct ReplayReport {
     /// Ladder-stage counters (batches sum per-engine counters).
     pub degrade: DegradeStats,
     /// Largest [`ReplayEngine::max_bump`] over the engines: `0` when every
-    /// event was realized by Prop. 7's walk, otherwise the most rows any
-    /// state left to LU elimination.
+    /// event was realized by Prop. 7's walk alone, otherwise the most rows
+    /// any state solved in the LU blocks of its LS cycles.
     pub max_bump: usize,
 }
 

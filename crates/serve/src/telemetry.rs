@@ -150,7 +150,8 @@ pub struct Telemetry {
     /// (normal/rescaled/shed/failed — same order as `EventStage::code`).
     pub degrade: [AtomicU64; 4],
     /// Largest `Routing::bump` any realization reported: 0 while the
-    /// plans served were realized by Prop. 7's walk alone.
+    /// plans served were realized by Prop. 7's walk alone, otherwise the
+    /// most rows a state solved in the LU blocks of its LS cycles.
     pub max_bump: AtomicU64,
     /// Latency of query commands (realize/util/admit).
     pub query_latency: AtomicHistogram,
@@ -170,7 +171,7 @@ impl Telemetry {
         self.degrade[(code as usize).min(3)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds one realization's factorization bump into the running max.
+    /// Folds one realization's cyclic-block rows into the running max.
     pub fn record_bump(&self, bump: usize) {
         self.max_bump.fetch_max(bump as u64, Ordering::Relaxed);
     }
@@ -246,8 +247,8 @@ pub struct ServeReport {
     pub protocol_errors: u64,
     /// Ladder-stage outcomes (normal, rescaled, shed, failed).
     pub degrade: DegradeStats,
-    /// Largest factorization bump over the realizations served (0 = every
-    /// one was Prop. 7's walk; otherwise rows left to LU elimination).
+    /// Largest `Routing::bump` over the realizations served (0 = every one
+    /// was Prop. 7's walk alone; otherwise rows solved in cyclic blocks).
     pub max_bump: u64,
     /// Shared realization-cache counters of the current epoch.
     pub cache: CacheStats,

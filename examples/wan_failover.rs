@@ -7,7 +7,7 @@
 //! cargo run --release --example wan_failover
 //! ```
 
-use pcf_core::realize::{proportional_routing, realize_routing, topological_order, FailureState};
+use pcf_core::realize::{realize_routing, reservation_matrix, topological_order, FailureState};
 use pcf_core::validate::validate_all;
 use pcf_core::{pcf_ls_instance, scale_to_mlu, solve_pcf_ls, FailureModel, RobustOptions};
 use pcf_topology::{zoo, LinkId};
@@ -51,12 +51,14 @@ fn main() {
         let mut dead = vec![false; topo.link_count()];
         dead[l.index()] = true;
         let state = FailureState::new(&inst, &dead).expect("mask matches topology");
-        // The centralized realization (one linear system, Prop. 6)...
-        let lin = realize_routing(&inst, &state, &sol.a, &sol.b, &served, 1e-6).unwrap();
-        // ...and the fully distributed proportional rescaling (Prop. 7).
-        let prop = proportional_routing(&inst, &state, &sol.a, &sol.b, &served, 1e-6).unwrap();
+        // The realization: the fully distributed proportional rescaling
+        // (Prop. 7's walk)...
+        let prop = realize_routing(&inst, &state, &sol.a, &sol.b, &served, 1e-6).unwrap();
+        // ...against the centralized one linear system (Prop. 6), densely.
+        let m = reservation_matrix(&inst, &state, &sol.a, &sol.b, &prop.pairs);
+        let d: Vec<f64> = prop.pairs.iter().map(|p| served[p.0]).collect();
+        let lin = pcf_lp::solve_dense(&m, &[d]).unwrap().remove(0);
         let delta: f64 = lin
-            .u
             .iter()
             .zip(&prop.u)
             .map(|(a, b)| (a - b).abs())
@@ -65,7 +67,7 @@ fn main() {
             "fail {} (cap {:>4.1}): max utilization {:.3}, live tunnels {}, |linear - proportional| = {:.2e}",
             l,
             topo.capacity(l),
-            lin.max_utilization(&inst),
+            prop.max_utilization(&inst),
             state.tunnel_alive.iter().filter(|&&x| x).count(),
             delta
         );

@@ -2,7 +2,7 @@
 //! the way to a validated, congestion-free routing under every targeted
 //! failure scenario, for every scheme.
 
-use pcf_core::realize::{proportional_routing, topological_order, FailureState};
+use pcf_core::realize::{realize_routing, topological_order, FailureState};
 use pcf_core::validate::validate_all;
 use pcf_core::{
     pcf_ls_instance, scale_to_mlu, solve_ffc, solve_pcf_ls, solve_pcf_ls_seeded, solve_pcf_tf,
@@ -152,8 +152,9 @@ fn cls_topsort_pipeline_end_to_end() {
             "{:?}: the active LSs form a cycle",
             sc.dead
         );
-        let walk = proportional_routing(inst, &state, &sol.a, &sol.b, &served, 1e-6)
+        let walk = realize_routing(inst, &state, &sol.a, &sol.b, &served, 1e-6)
             .unwrap_or_else(|e| panic!("{:?}: {e}", sc.dead));
+        assert_eq!(walk.bump, 0, "{:?}: a sorted state needs no block", sc.dead);
         assert!(walk.max_utilization(inst) <= 1.0 + 1e-6, "{:?}", sc.dead);
     }
 }

@@ -7,7 +7,7 @@
 
 use pcf_core::figures::{fig1_instance, fig4_ls_instance, fig4_topology};
 use pcf_core::instance::InstanceBuilder;
-use pcf_core::realize::{proportional_routing, realize_routing, topological_order, FailureState};
+use pcf_core::realize::{realize_routing, reservation_matrix, topological_order, FailureState};
 use pcf_core::{
     optimal_demand_scale, pcf_ls_instance, solve_ffc, solve_pcf_ls, solve_pcf_tf, solve_r3,
     tunnel_instance, FailureModel, Objective, RobustOptions, ScenarioCoverage,
@@ -195,7 +195,8 @@ fn prop5_6_realization_is_feasible_everywhere() {
 }
 
 /// Proposition 7: for topologically sorted LSs, local proportional routing
-/// realizes exactly the same split as the linear system.
+/// (the realization's walk, no cyclic block) realizes the same split as the
+/// linear system `M × U = D` solved densely.
 #[test]
 fn prop7_proportional_equals_linear_system() {
     let topo = zoo::build("B4");
@@ -210,14 +211,16 @@ fn prop7_proportional_equals_linear_system() {
     let served = sol.served(&inst);
     for sc in fm.enumerate_scenarios(inst.topo()).into_iter().step_by(3) {
         let state = FailureState::new(&inst, &sc.dead).unwrap();
-        let lin = realize_routing(&inst, &state, &sol.a, &sol.b, &served, 1e-6).unwrap();
-        let prop = proportional_routing(&inst, &state, &sol.a, &sol.b, &served, 1e-6).unwrap();
-        assert_eq!(lin.pairs, prop.pairs);
-        for (i, (ul, up)) in lin.u.iter().zip(&prop.u).enumerate() {
+        let prop = realize_routing(&inst, &state, &sol.a, &sol.b, &served, 1e-6).unwrap();
+        assert_eq!(prop.bump, 0, "a sorted state is walked");
+        let m = reservation_matrix(&inst, &state, &sol.a, &sol.b, &prop.pairs);
+        let d: Vec<f64> = prop.pairs.iter().map(|p| served[p.0]).collect();
+        let lin = pcf_lp::solve_dense(&m, &[d]).unwrap().remove(0);
+        for (i, (ul, up)) in lin.iter().zip(&prop.u).enumerate() {
             assert!(
                 (ul - up).abs() < 1e-7,
                 "pair {:?}: linear {ul} vs proportional {up}",
-                lin.pairs[i]
+                prop.pairs[i]
             );
         }
     }
