@@ -3,22 +3,23 @@
 //! PCF's congestion-free guarantee (Props. 5/6) covers at most `f`
 //! simultaneous failures. When a concrete scenario leaves that set —
 //! more failures than the budget, a singular reservation matrix, a
-//! disconnected pair — [`realize_routing`] returns a [`RealizeError`]
+//! disconnected pair — [`Realizer::realize`] returns a [`RealizeError`]
 //! and the plain serving path delivers *nothing*. This module makes the
-//! serving path total: [`degrade_routing`] walks a ladder of fallbacks
-//! and always hands back a best-effort [`DegradedRouting`] when the
-//! requested [`DegradeMode`] permits one.
+//! serving path total: after that error, [`degrade_fallback`] walks a
+//! ladder of fallbacks and always hands back a best-effort
+//! [`DegradedRouting`] when the requested [`DegradeMode`] permits one.
 //!
 //! The ladder stages, in order:
 //!
 //! 1. **Normal** — the exact realization (`M × U = D`); congestion-free
 //!    by Props. 5/6 whenever the scenario is inside the protected set.
-//! 2. **Rescaled** — Proposition 7's proportional split, walked in the
-//!    order [`realize_routing`] walks, with the error exits removed:
+//! 2. **Rescaled** — Proposition 7's proportional split, walked by the
+//!    same [`Realizer`] in the same order, with the error exits removed:
 //!    utilizations are clamped to `[0, 1]`
 //!    (FFC/R3-style local rescaling), pairs with no live reservation
-//!    serve zero instead of erroring. Requires the LSs the state
-//!    activates to sort topologically. May overload wobbled capacities.
+//!    serve zero instead of erroring, and a cyclic block solves its
+//!    clamped system. A block that fails the pivot sign test sends the
+//!    state to stage 3. May overload wobbled capacities.
 //! 3. **Shed** — per-pair max-min fair demand shedding as a small LP on
 //!    the surviving tunnels: maximize the common served fraction `θ`
 //!    (plus a tiny residual-throughput tie-break) subject to per-arc
@@ -30,9 +31,7 @@
 //! this — see `pcf-replay`).
 
 use crate::instance::{Instance, PairId};
-use crate::realize::{
-    absolute_tolerance, prop7_walk, realize_routing, FailureState, RealizeError, Routing,
-};
+use crate::realize::{FailureState, RealizeError, Realizer, Routing};
 use pcf_lp::{LpProblem, Sense, VarId};
 use std::sync::Arc;
 
@@ -174,43 +173,20 @@ pub fn normal_routing(inst: &Instance, routing: Arc<Routing>, caps: &[f64]) -> D
     }
 }
 
-/// The full ladder: stage 1 (exact realization), then
-/// [`degrade_fallback`] on error. With [`DegradeMode::Off`] this is
-/// exactly [`realize_routing`] plus the wrapper.
-#[expect(clippy::too_many_arguments, reason = "the ladder's inputs")]
-pub fn degrade_routing(
-    inst: &Instance,
-    state: &FailureState,
-    a: &[f64],
-    b: &[f64],
-    served: &[f64],
-    tol: f64,
-    caps: &[f64],
-    mode: DegradeMode,
-) -> Result<DegradedRouting, RealizeError> {
-    match realize_routing(inst, state, a, b, served, tol) {
-        Ok(routing) => Ok(normal_routing(inst, Arc::new(routing), caps)),
-        Err(err) => degrade_fallback(inst, state, a, b, served, tol, caps, mode, err),
-    }
-}
-
-/// Stages 2 and 3 of the ladder, entered after stage 1 failed with
-/// `stage1_err`. Returns that original error when the mode forbids a
-/// workable fallback (so callers keep the precise failure cause).
+/// Stages 2 and 3 of the ladder, entered after `realizer`'s stage 1
+/// failed on `state` with `stage1_err`. Returns that original error when
+/// the mode forbids a workable fallback (so callers keep the precise
+/// failure cause).
 ///
 /// In [`DegradeMode::Shed`] the rescale is accepted outright only when
 /// it serves everything within capacity; otherwise the shed LP also
 /// runs and wins if it removes an overload or serves strictly more
 /// demand. If the LP cannot be solved, an imperfect rescale still beats
 /// serving nothing and is returned.
-#[expect(clippy::too_many_arguments, reason = "the ladder's inputs")]
 pub fn degrade_fallback(
-    inst: &Instance,
+    realizer: &mut Realizer<'_>,
     state: &FailureState,
     a: &[f64],
-    b: &[f64],
-    served: &[f64],
-    tol: f64,
     caps: &[f64],
     mode: DegradeMode,
     stage1_err: RealizeError,
@@ -218,76 +194,34 @@ pub fn degrade_fallback(
     if mode == DegradeMode::Off {
         return Err(stage1_err);
     }
-    let tol_abs = absolute_tolerance(served, tol);
-    if let Some(rescaled) = rescale_stage(inst, state, a, b, served, tol, caps) {
-        if mode == DegradeMode::Rescale
-            || (rescaled.overload_bound <= tol && rescaled.shed_demand <= tol_abs)
-        {
-            return Ok(rescaled);
-        }
-        if let Some(shed) = shed_stage(inst, state, served, tol, caps) {
-            let prefer_shed = (rescaled.overload_bound > tol && shed.overload_bound <= tol)
-                || shed.shed_demand + tol_abs < rescaled.shed_demand;
-            if prefer_shed {
-                return Ok(shed);
-            }
-        }
-        return Ok(rescaled);
-    }
-    if mode == DegradeMode::Shed {
-        if let Some(shed) = shed_stage(inst, state, served, tol, caps) {
-            return Ok(shed);
-        }
-    }
-    Err(stage1_err)
-}
-
-/// Stage 2: the proportional split of Proposition 7 made total.
-///
-/// The walk of [`realize_routing`] over a state whose active LSs sort,
-/// but where stage 1 errors this one degrades: a pair whose live
-/// reservation vanished serves zero,
-/// a pair asked for more than its reservation clamps to `u = 1` and sheds
-/// the excess pro rata between its own demand and its LS obligations.
-/// `None` when the LSs the state activates form a cycle (no topological
-/// order — stage 3 territory).
-fn rescale_stage(
-    inst: &Instance,
-    state: &FailureState,
-    a: &[f64],
-    b: &[f64],
-    served: &[f64],
-    tol: f64,
-    caps: &[f64],
-) -> Option<DegradedRouting> {
-    let tol_abs = absolute_tolerance(served, tol);
+    let (inst, served, tol, tol_abs) = realizer.plan();
+    // Stage 2 (`None`: a cyclic block failed the pivot sign test).
     let mut fraction = vec![1.0f64; inst.num_pairs()];
-    let routing = prop7_walk(inst, state, a, b, served, tol_abs, |p, demand, reserved| {
-        let own = served[p.0] > tol_abs;
-        if reserved <= tol_abs {
-            // Nothing live to carry it: shed everything asked of p.
-            if own {
-                fraction[p.0] = 0.0;
-            }
-            return Ok(0.0);
-        }
-        let u = (demand / reserved).min(1.0);
-        if own {
-            // Delivered u·reserved of demand, shared pro rata.
-            fraction[p.0] = (u * reserved / demand).min(1.0);
-        }
-        Ok(u)
-    })
-    .ok()?;
-    let overload = overload_bound(inst, &routing, caps);
-    let shed = shed_total(inst, served, &fraction, tol_abs);
-    Some(DegradedRouting {
-        routing: Arc::new(routing),
-        ladder_stage: LadderStage::Rescaled,
-        served_fraction_per_pair: fraction.into(),
-        overload_bound: overload,
-        shed_demand: shed,
-    })
+    let rescaled = realizer
+        .rescale(state, a, &mut fraction)
+        .ok()
+        .map(|routing| DegradedRouting {
+            overload_bound: overload_bound(inst, &routing, caps),
+            shed_demand: shed_total(inst, served, &fraction, tol_abs),
+            routing: Arc::new(routing),
+            ladder_stage: LadderStage::Rescaled,
+            served_fraction_per_pair: fraction.into(),
+        });
+    let clean = |r: &DegradedRouting| r.overload_bound <= tol && r.shed_demand <= tol_abs;
+    if mode == DegradeMode::Rescale || rescaled.as_ref().is_some_and(clean) {
+        return rescaled.ok_or(stage1_err);
+    }
+    let Some(shed) = shed_stage(realizer, state, caps) else {
+        return rescaled.ok_or(stage1_err);
+    };
+    let prefer_shed = |r: &DegradedRouting| {
+        (r.overload_bound > tol && shed.overload_bound <= tol)
+            || shed.shed_demand + tol_abs < r.shed_demand
+    };
+    match rescaled {
+        Some(r) if !prefer_shed(&r) => Ok(r),
+        _ => Ok(shed),
+    }
 }
 
 /// Stage 3: max-min fair shedding over surviving tunnels.
@@ -303,13 +237,11 @@ fn rescale_stage(
 /// `None` when the LP does not reach optimality (practically: never —
 /// `θ = 0`, all flows zero is always feasible).
 fn shed_stage(
-    inst: &Instance,
+    realizer: &Realizer<'_>,
     state: &FailureState,
-    served: &[f64],
-    tol: f64,
     caps: &[f64],
 ) -> Option<DegradedRouting> {
-    let tol_abs = absolute_tolerance(served, tol);
+    let (inst, served, _, tol_abs) = realizer.plan();
     let topo = inst.topo();
     let total: f64 = served.iter().sum();
     let mut lp = LpProblem::new(Sense::Maximize);
@@ -409,7 +341,7 @@ fn shed_total(inst: &Instance, served: &[f64], fraction: &[f64], tol_abs: f64) -
 mod tests {
     use super::*;
     use crate::failure::FailureModel;
-    use crate::instance::{InstanceBuilder, LogicalSequence};
+    use crate::instance::{Instance, InstanceBuilder, LogicalSequence};
     use crate::robust::{solve_robust, AdversaryKind, RobustOptions};
     use pcf_topology::{NodeId, Topology};
 
@@ -426,7 +358,7 @@ mod tests {
         t
     }
 
-    fn plan(topo: &Topology) -> (crate::instance::Instance, Vec<f64>, Vec<f64>, Vec<f64>) {
+    fn plan(topo: &Topology) -> (Instance, Vec<f64>, Vec<f64>, Vec<f64>) {
         let inst = InstanceBuilder::with_demands(topo, vec![(NodeId(0), NodeId(3), 1.0)])
             .tunnels_per_pair(2)
             .build();
@@ -444,6 +376,22 @@ mod tests {
         topo.links().map(|l| topo.capacity(l)).collect()
     }
 
+    /// The ladder as the replay engine runs it: stage 1 through a
+    /// realizer, then [`degrade_fallback`] on its error.
+    fn ladder(
+        inst: &Instance,
+        state: &FailureState,
+        (a, b, served): (&[f64], &[f64], &[f64]),
+        caps: &[f64],
+        mode: DegradeMode,
+    ) -> Result<DegradedRouting, RealizeError> {
+        let mut realizer = Realizer::new(inst, b, served, 1e-7);
+        match realizer.realize(state, a) {
+            Ok(routing) => Ok(normal_routing(inst, Arc::new(routing), caps)),
+            Err(err) => degrade_fallback(&mut realizer, state, a, caps, mode, err),
+        }
+    }
+
     #[test]
     fn overload_starts_one_float_past_the_bound() {
         for (cap, tol) in [(1.0, 1e-6), (10.0, 1e-9), (0.3, 0.0), (2.5e3, 1e-4)] {
@@ -459,17 +407,8 @@ mod tests {
         let topo = diamond();
         let (inst, a, b, served) = plan(&topo);
         let state = FailureState::new(&inst, &[false; 4]).unwrap();
-        let d = degrade_routing(
-            &inst,
-            &state,
-            &a,
-            &b,
-            &served,
-            1e-7,
-            &caps(&topo),
-            DegradeMode::Shed,
-        )
-        .unwrap();
+        let plan = (&a[..], &b[..], &served[..]);
+        let d = ladder(&inst, &state, plan, &caps(&topo), DegradeMode::Shed).unwrap();
         assert_eq!(d.ladder_stage, LadderStage::Normal);
         assert_eq!(d.shed_demand, 0.0);
         assert!(d.served_fraction_per_pair.iter().all(|&f| f == 1.0));
@@ -487,16 +426,15 @@ mod tests {
         dead[0] = true;
         dead[2] = true;
         let state = FailureState::new(&inst, &dead).unwrap();
-        let err = realize_routing(&inst, &state, &a, &b, &served, 1e-7).unwrap_err();
+        let mut realizer = Realizer::new(&inst, &b, &served, 1e-7);
+        let err = realizer.realize(&state, &a).unwrap_err();
         assert!(matches!(err, RealizeError::Disconnected(_)), "{err:?}");
+        let c = caps(&topo);
         let d = degrade_fallback(
-            &inst,
+            &mut realizer,
             &state,
             &a,
-            &b,
-            &served,
-            1e-7,
-            &caps(&topo),
+            &c,
             DegradeMode::Rescale,
             err.clone(),
         )
@@ -507,17 +445,7 @@ mod tests {
         assert!((d.shed_demand - served[p.0]).abs() < 1e-9);
         assert!(d.routing.tunnel_flow.iter().all(|&f| f == 0.0));
         // Off mode keeps the original error.
-        let off = degrade_fallback(
-            &inst,
-            &state,
-            &a,
-            &b,
-            &served,
-            1e-7,
-            &caps(&topo),
-            DegradeMode::Off,
-            err.clone(),
-        );
+        let off = degrade_fallback(&mut realizer, &state, &a, &c, DegradeMode::Off, err.clone());
         assert_eq!(off.unwrap_err(), err);
     }
 
@@ -532,12 +460,9 @@ mod tests {
         dead[0] = true;
         let state = FailureState::new(&inst, &dead).unwrap();
         let d = degrade_fallback(
-            &inst,
+            &mut Realizer::new(&inst, &b, &served, 1e-7),
             &state,
             &a,
-            &b,
-            &served,
-            1e-7,
             &caps(&topo),
             DegradeMode::Rescale,
             RealizeError::SingularMatrix,
@@ -558,13 +483,11 @@ mod tests {
         let (inst, a, b, served) = plan(&topo);
         let state = FailureState::new(&inst, &[false; 4]).unwrap();
         let squeezed: Vec<f64> = caps(&topo).iter().map(|c| 0.3 * c).collect();
+        let mut realizer = Realizer::new(&inst, &b, &served, 1e-7);
         let d = degrade_fallback(
-            &inst,
+            &mut realizer,
             &state,
             &a,
-            &b,
-            &served,
-            1e-7,
             &squeezed,
             DegradeMode::Shed,
             RealizeError::SingularMatrix,
@@ -582,12 +505,9 @@ mod tests {
         assert!((d.shed_demand - 0.4 * served[p.0]).abs() < 1e-6);
         // Same squeeze in Rescale-only mode keeps the overloaded rescale.
         let r = degrade_fallback(
-            &inst,
+            &mut realizer,
             &state,
             &a,
-            &b,
-            &served,
-            1e-7,
             &squeezed,
             DegradeMode::Rescale,
             RealizeError::SingularMatrix,
@@ -597,63 +517,87 @@ mod tests {
         assert!(r.overload_bound > 0.1, "overload {}", r.overload_bound);
     }
 
-    #[test]
-    fn cyclic_ls_relation_skips_rescale_and_sheds() {
-        // Two LSs referencing each other's pair: no topological order, so
-        // stage 2 is unavailable; Shed mode reaches the LP, Rescale mode
-        // surfaces the original error.
-        let topo = diamond();
-        let inst = InstanceBuilder::with_demands(&topo, vec![(NodeId(0), NodeId(3), 1.0)])
+    /// The diamond whose LS of `(s,t)` and LS of `(s,a)` serve each
+    /// other, with the given hops after `s`.
+    fn two_cycle(st: &[usize], sa: &[usize]) -> Instance {
+        let hops = |rest: &[usize]| {
+            let mut hops = vec![NodeId(0)];
+            hops.extend(rest.iter().map(|&v| NodeId(v as u32)));
+            LogicalSequence::always(hops)
+        };
+        InstanceBuilder::with_demands(&diamond(), vec![(NodeId(0), NodeId(3), 1.0)])
             .tunnels_per_pair(2)
-            .add_ls(LogicalSequence::always(vec![
-                NodeId(0),
-                NodeId(1),
-                NodeId(3),
-            ]))
-            .add_ls(LogicalSequence::always(vec![
-                NodeId(0),
-                NodeId(3),
-                NodeId(1),
-            ]))
-            .build();
+            .add_ls(hops(st))
+            .add_ls(hops(sa))
+            .build()
+    }
+
+    #[test]
+    fn a_two_cycle_is_rescaled() {
+        // (s,t) through a and (s,a) through t: the block [3 -1; -1 3].
+        // (s,t) is asked for 10, (s,a) for nothing. The unclamped solve
+        // (3.75, 1.25) clamps both; (s,a), then asked only (s,t)'s 1 < 3,
+        // is released to 1/3 — the monotone iteration's answer.
+        let inst = two_cycle(&[1, 3], &[3, 1]);
+        let pair = |s: u32, t: u32| inst.pair_id(NodeId(s), NodeId(t)).unwrap();
+        let (st, sa, at, ta) = (pair(0, 3), pair(0, 1), pair(1, 3), pair(3, 1));
+        assert_eq!(inst.num_pairs(), 4);
         let a = vec![1.0; inst.num_tunnels()];
         let b = vec![1.0; inst.num_lss()];
-        let served = vec![1.0; inst.num_pairs()];
+        let mut served = vec![0.0; inst.num_pairs()];
+        served[st.0] = 10.0;
         let state = FailureState::new(&inst, &[false; 4]).unwrap();
-        let c = caps(&topo);
-        let shed = degrade_fallback(
-            &inst,
-            &state,
-            &a,
-            &b,
-            &served,
-            1e-7,
-            &c,
-            DegradeMode::Shed,
-            RealizeError::SingularMatrix,
-        )
-        .unwrap();
-        assert_eq!(shed.ladder_stage, LadderStage::Shed);
-        let rescale_only = degrade_fallback(
-            &inst,
-            &state,
-            &a,
-            &b,
-            &served,
-            1e-7,
-            &c,
-            DegradeMode::Rescale,
-            RealizeError::SingularMatrix,
+        let c = caps(inst.topo());
+        let plan = (&a[..], &b[..], &served[..]);
+        let d = ladder(&inst, &state, plan, &c, DegradeMode::Rescale).unwrap();
+        assert_eq!(d.ladder_stage, LadderStage::Rescaled);
+        let u = |p: PairId| d.routing.u[d.routing.pairs.iter().position(|&q| q == p).unwrap()];
+        // (a,t) carries (s,t)'s LS at 1 over 2, (t,a) (s,a)'s at 1/3.
+        for (p, want) in [(st, 1.0), (sa, 1.0 / 3.0), (at, 0.5), (ta, 1.0 / 6.0)] {
+            assert!((u(p) - want).abs() <= 1e-15, "{p:?}: {} vs {want}", u(p));
+        }
+        // (s,t) delivered its reservation 3 of the 10 + 1/3 it was asked.
+        let share = d.served_fraction_per_pair[st.0];
+        assert!((share - 3.0 / (10.0 + 1.0 / 3.0)).abs() <= 1e-15, "{share}");
+        assert!((d.shed_demand - 10.0 * (1.0 - share)).abs() <= 1e-12);
+    }
+
+    #[test]
+    fn a_cycle_failing_the_sign_test_sheds() {
+        // Each LS uses the other's pair twice, so the block is
+        // [1.2 -2; -2 1.2]: b² = 4 > r·r' = 1.44, its second pivot is
+        // negative, and Proposition 5 fails. Stage 1 and the rescale
+        // stage both refuse the block; Shed mode reaches the LP, Rescale
+        // mode surfaces stage 1's error.
+        let inst = two_cycle(&[1, 0, 1, 3], &[3, 0, 3, 1]);
+        let (st, sa) = (
+            inst.pair_id(NodeId(0), NodeId(3)).unwrap(),
+            inst.pair_id(NodeId(0), NodeId(1)).unwrap(),
         );
+        let mut a = vec![1.0; inst.num_tunnels()];
+        for &l in inst.tunnels_of(st).iter().chain(inst.tunnels_of(sa)) {
+            a[l.0] = 0.1;
+        }
+        let b = vec![1.0; inst.num_lss()];
+        let mut served = vec![0.0; inst.num_pairs()];
+        served[st.0] = 1.0;
+        let state = FailureState::new(&inst, &[false; 4]).unwrap();
+        let c = caps(inst.topo());
+        let plan = (&a[..], &b[..], &served[..]);
+        let err = Realizer::new(&inst, &b, &served, 1e-7).realize(&state, &a);
+        assert_eq!(err.unwrap_err(), RealizeError::SingularMatrix);
+        let shed = ladder(&inst, &state, plan, &c, DegradeMode::Shed).unwrap();
+        assert_eq!(shed.ladder_stage, LadderStage::Shed);
+        let rescale_only = ladder(&inst, &state, plan, &c, DegradeMode::Rescale);
         assert_eq!(rescale_only.unwrap_err(), RealizeError::SingularMatrix);
     }
 
     #[test]
     fn cls_beyond_budget_states_reach_the_rescale_stage() {
         // A PCF-CLS plan's LSs serve each other in a cycle when all are
-        // active, but a state orders only the LSs it activates: each
-        // two-link state that stage 1 refuses and whose active relation
-        // sorts gets the proportional rescale.
+        // active, and some two-link states activate a cycle too: each
+        // state that stage 1 refuses gets the proportional rescale, cyclic
+        // blocks included, unless a block fails the pivot sign test.
         let topo = pcf_topology::zoo::build("Abilene");
         let fm = FailureModel::links(1);
         let cls = crate::Scheme::PcfCls
@@ -670,28 +614,35 @@ mod tests {
         let served = cls.sol.served(inst);
         let all = vec![true; inst.num_lss()];
         assert!(crate::realize::topological_order(inst, b, &all).is_none());
-        let mut rescaled = 0;
+        let (mut rescaled, mut cyclic) = (0, 0);
+        let mut realizer = Realizer::new(inst, b, &served, 1e-7);
         for sc in FailureModel::links(2).enumerate_scenarios(&topo) {
             let state = FailureState::new(inst, &sc.dead).unwrap();
-            let sorts = crate::realize::topological_order(inst, b, &state.ls_active).is_some();
-            if !sorts || realize_routing(inst, &state, a, b, &served, 1e-7).is_ok() {
+            let Err(err) = realizer.realize(&state, a) else {
                 continue;
+            };
+            let sorts = crate::realize::topological_order(inst, b, &state.ls_active).is_some();
+            let c = caps(&topo);
+            let mode = DegradeMode::Rescale;
+            match degrade_fallback(&mut realizer, &state, a, &c, mode, err.clone()) {
+                Ok(d) => {
+                    assert_eq!(d.ladder_stage, LadderStage::Rescaled, "{:?}", sc.dead);
+                    rescaled += 1;
+                    cyclic += usize::from(!sorts);
+                }
+                Err(kept) => {
+                    // Stage 1's error, kept when a block fails the sign
+                    // test: only a cyclic state has a block.
+                    assert!(!sorts, "{:?}: {kept:?}", sc.dead);
+                    assert_eq!(kept, err);
+                    let mut fraction = vec![1.0; inst.num_pairs()];
+                    let refused = realizer.rescale(&state, a, &mut fraction);
+                    assert_eq!(refused.unwrap_err(), RealizeError::SingularMatrix);
+                }
             }
-            let d = degrade_routing(
-                inst,
-                &state,
-                a,
-                b,
-                &served,
-                1e-7,
-                &caps(&topo),
-                DegradeMode::Rescale,
-            )
-            .unwrap();
-            assert_eq!(d.ladder_stage, LadderStage::Rescaled, "{:?}", sc.dead);
-            rescaled += 1;
         }
         assert!(rescaled > 0, "no beyond-budget state was rescaled");
+        assert!(cyclic > 0, "no cyclic state was rescaled");
     }
 
     #[test]
@@ -717,12 +668,9 @@ mod tests {
         let served = vec![1.0, 1.0];
         let c = caps(&t);
         let d = degrade_fallback(
-            &inst,
+            &mut Realizer::new(&inst, &[], &served, 1e-7),
             &state,
             &a,
-            &[],
-            &served,
-            1e-7,
             &c,
             DegradeMode::Shed,
             RealizeError::SingularMatrix,

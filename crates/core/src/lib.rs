@@ -44,8 +44,8 @@ pub use admission::{
 };
 pub use augment::{augment_capacity, Augmentation};
 pub use degrade::{
-    degrade_fallback, degrade_routing, exceeds_capacity, normal_routing, overload_bound,
-    peak_utilization, DegradeMode, DegradedRouting, LadderStage, CAPACITY_FLOOR, OVERLOAD_TOL,
+    degrade_fallback, exceeds_capacity, normal_routing, overload_bound, peak_utilization,
+    DegradeMode, DegradedRouting, LadderStage, CAPACITY_FLOOR, OVERLOAD_TOL,
 };
 pub use dualized::DualizedError;
 pub use failure::{Condition, Degradation, FailureModel, GroupBudget, Scenario};

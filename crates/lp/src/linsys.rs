@@ -2,9 +2,9 @@
 //!
 //! PCF's online failure response (paper §4.1, Propositions 5–6) reduces to
 //! solving `M x = d` where `M` is an invertible M-matrix (non-positive
-//! off-diagonals, weakly chained diagonally dominant). The shipped paths
-//! factor `M` sparsely ([`crate::slu::SparseLu::factor_columns`]); this
-//! module is what tests hold them against:
+//! off-diagonals, weakly chained diagonally dominant). The shipped
+//! realization eliminates its cyclic blocks without pivoting (`pcf-core`);
+//! this module is the dense solve tests and probes hold results against:
 //!
 //! * [`lu_factor`] / [`LuFactors`] — Gaussian elimination with partial
 //!   pivoting, split into a reusable `O(n^3)` factorization and `O(n^2)`

@@ -220,9 +220,6 @@ enum CacheBackend<'a> {
 pub struct ReplayEngine<'a> {
     inst: &'a Instance,
     a: &'a [f64],
-    b: &'a [f64],
-    served: &'a [f64],
-    tol: f64,
     // Incrementally maintained failure state (kept materialized so
     // realization never has to rebuild or clone it).
     fs: FailureState,
@@ -232,8 +229,8 @@ pub struct ReplayEngine<'a> {
     dead_links: usize,
     tunnel_dead_links: Vec<u32>,
     cache: CacheBackend<'a>,
-    // Realizes every miss, keeping the walk order across the states that
-    // share an LS activation.
+    // Realizes every miss and walks the ladder's rescale stage, keeping
+    // the walk order across the states that share an LS activation.
     realizer: Realizer<'a>,
     // Nominal per-link capacities and the ones currently in effect
     // (wobble and degrade events both scale entries of `caps`).
@@ -286,9 +283,6 @@ impl<'a> ReplayEngine<'a> {
         ReplayEngine {
             inst,
             a,
-            b,
-            served,
-            tol,
             fs,
             sig,
             dead_links: 0,
@@ -553,12 +547,9 @@ impl<'a> ReplayEngine<'a> {
                 let a_scaled = self.effective_a();
                 let a: &[f64] = a_scaled.as_deref().unwrap_or(self.a);
                 let fallback = degrade_fallback(
-                    self.inst,
+                    &mut self.realizer,
                     &self.fs,
                     a,
-                    self.b,
-                    self.served,
-                    self.tol,
                     &self.caps,
                     self.degrade,
                     err,
@@ -638,12 +629,15 @@ pub(crate) mod tests {
         (inst, sol.a, sol.b, served)
     }
 
+    /// A routing's pairs, its `u`, tunnel flows and arc loads as bits, and
+    /// its bump.
+    pub(crate) type RoutingBits = (Vec<PairId>, [Vec<u64>; 3], usize);
+
     /// Every field of a realization, floats as bits: two results are the
     /// same realization iff these are equal.
-    #[expect(clippy::type_complexity, reason = "used once; a name adds nothing")]
     pub(crate) fn routing_bits<R: std::borrow::Borrow<Routing>>(
         r: &Result<R, RealizeError>,
-    ) -> Result<(Vec<PairId>, [Vec<u64>; 3], usize), RealizeError> {
+    ) -> Result<RoutingBits, RealizeError> {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
         match r {
             Ok(r) => {
@@ -693,6 +687,91 @@ pub(crate) mod tests {
             .add_ls(LogicalSequence::always(vec![s, a, t]))
             .add_ls(LogicalSequence::always(vec![s, t, a]))
             .build()
+    }
+
+    /// Every field of a ladder outcome, floats as bits.
+    fn ladder_bits(
+        d: &Result<DegradedRouting, RealizeError>,
+    ) -> Result<(u8, RoutingBits, Vec<u64>, [u64; 2]), RealizeError> {
+        let d = d.as_ref().map_err(Clone::clone)?;
+        let fraction = d
+            .served_fraction_per_pair
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        Ok((
+            d.ladder_stage.code(),
+            routing_bits(&Ok::<_, RealizeError>(&*d.routing))?,
+            fraction,
+            [d.overload_bound.to_bits(), d.shed_demand.to_bits()],
+        ))
+    }
+
+    #[test]
+    fn a_cached_error_rescales_like_an_uncached_one() {
+        // The cyclic diamond whose (s,a) LS is active only while s-b is
+        // dead, asked for three times its demand: stage 1 errors in most
+        // states, and with s-b dead the rescale stage clamps a 2x2 block.
+        // A cached error skips stage 1's walk, so the realizer may still
+        // hold another activation's order when the rescale runs; it must
+        // then rebuild it, and answer as an engine that caches nothing.
+        let mut topo = Topology::new("diamond");
+        let [s, a, b, t] = ["s", "a", "b", "t"].map(|n| topo.add_node(n));
+        for (u, v) in [(s, a), (a, t), (s, b), (b, t)] {
+            topo.add_link(u, v, 1.0);
+        }
+        let inst = InstanceBuilder::with_demands(&topo, vec![(s, t, 1.0)])
+            .add_ls(LogicalSequence::always(vec![s, a, t]))
+            .add_ls(LogicalSequence {
+                hops: vec![s, t, a],
+                condition: pcf_core::Condition::LinkDead(LinkId(2)),
+            })
+            .build();
+        let a = vec![1.0; inst.num_tunnels()];
+        let b = [0.5, 0.25];
+        let served: Vec<f64> = inst.pair_ids().map(|p| 3.0 * inst.demand(p)).collect();
+        let mut cached = ReplayEngine::new(&inst, &a, &b, &served, 1e-6, 64);
+        let mut cold = ReplayEngine::new(&inst, &a, &b, &served, 1e-6, 0);
+        let (mut errors, mut revisits, mut blocks) = (BTreeMap::new(), 0, 0);
+        let mut last_active = cached.state().ls_active;
+        let down = |e| LinkEvent {
+            link: LinkId(e),
+            kind: EventKind::Down,
+        };
+        let up = |e| LinkEvent {
+            link: LinkId(e),
+            kind: EventKind::Up,
+        };
+        let mut events = vec![down(2), up(2), down(2), up(2), down(0), down(2), up(0)];
+        events.extend(EventTrace::flaps(inst.topo(), 60, 2, 5).events);
+        for engine in [&mut cached, &mut cold] {
+            engine.set_degrade(DegradeMode::Rescale);
+        }
+        for (i, ev) in events.iter().enumerate() {
+            cached.apply(ev).unwrap();
+            cold.apply(ev).unwrap();
+            let state = cached.state();
+            let got = cached.realize_degraded();
+            assert_eq!(
+                ladder_bits(&got),
+                ladder_bits(&cold.realize_degraded()),
+                "{i}"
+            );
+            let stage1_error = got
+                .as_ref()
+                .is_ok_and(|d| d.ladder_stage != LadderStage::Normal);
+            if stage1_error {
+                let seen = errors.insert(state.liveness_signature(), ());
+                revisits += usize::from(seen.is_some() && last_active != state.ls_active);
+                blocks += usize::from(state.ls_active[1]);
+            }
+            last_active = state.ls_active;
+        }
+        assert!(
+            revisits > 0,
+            "no cached error met another activation's order"
+        );
+        assert!(blocks > 0, "no rescaled state had the cycle");
     }
 
     #[test]
